@@ -4,8 +4,8 @@
 //! high-row-count SACS scenario that isolates the pattern index's bucket
 //! pruning against the retained full-scan reference, and a large-P
 //! multi-attribute scenario that pits the compiled columnar match plan
-//! (the production path) against both the retained dense epoch-counter
-//! reference kernel and the plain-`SubscriptionId` scan reference.
+//! (the production path) against the plain-`SubscriptionId` scan
+//! reference.
 //!
 //! The harness is hand-rolled (no `criterion_main!`) so CI can smoke the
 //! report writers without timing anything: with `SUBSUM_BENCH_REPORT_ONLY`
@@ -25,14 +25,9 @@ use criterion::{BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use subsum_core::{
-    ArithWidth, BrokerSummary, MatchScratch, ShardScratch, ShardedSummary, SummaryCodec,
-    SummaryStats,
-};
+use subsum_core::{BrokerSummary, MatchScratch, ShardScratch, ShardedSummary, SummaryStats};
 use subsum_telemetry::{names, Json, RunReport};
-use subsum_types::{
-    stock_schema, BrokerId, Event, IdLayout, LocalSubId, Schema, StrOp, Subscription,
-};
+use subsum_types::{stock_schema, BrokerId, Event, LocalSubId, Schema, StrOp, Subscription};
 use subsum_workload::{PaperParams, Workload};
 
 /// Alphabet for the SACS-heavy scenario's symbols and prefixes.
@@ -41,9 +36,9 @@ const CHARS: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
 const SACS_HEAVY_SUBS: usize = 5000;
 /// Events per measured pass in the SACS-heavy scenario.
 const SACS_HEAVY_EVENTS: usize = 256;
-/// Subscriptions in the dense-kernel scenario.
+/// Subscriptions in the compiled-kernel scenario.
 const DENSE_SUBS: usize = 8000;
-/// Events per measured pass in the dense-kernel scenario.
+/// Events per measured pass in the compiled-kernel scenario.
 const DENSE_EVENTS: usize = 256;
 /// Shards in the shard-scaling scenario.
 const SCALING_SHARDS: usize = 8;
@@ -136,12 +131,12 @@ fn bench_matching(c: &mut Criterion) {
     );
     group.finish();
 
-    // The dense-kernel scenario: a large multi-attribute paper workload
-    // where every attribute contributes dense postings. The compiled
-    // plan is the production path; the epoch-counter kernel over
-    // `IdList` rows is the retained differential reference.
-    let (summary, events, _schema) = dense_kernel_fixture();
-    let mut group = c.benchmark_group("dense_kernel");
+    // The compiled-kernel scenario: a large multi-attribute paper
+    // workload where every attribute contributes dense postings. The
+    // compiled plan is the production path; the full scan is the
+    // retained differential oracle.
+    let (summary, events, _schema) = compiled_kernel_fixture();
+    let mut group = c.benchmark_group("compiled_kernel");
     group.throughput(Throughput::Elements(events.len() as u64));
     group.bench_with_input(
         BenchmarkId::new("compiled_plan", DENSE_SUBS),
@@ -152,24 +147,6 @@ fn bench_matching(c: &mut Criterion) {
                 events
                     .iter()
                     .map(|e| summary.match_event_into(e, &mut scratch).matched.len())
-                    .sum::<usize>()
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("epoch_kernel", DENSE_SUBS),
-        &events,
-        |b, events| {
-            let mut scratch = MatchScratch::new();
-            b.iter(|| {
-                events
-                    .iter()
-                    .map(|e| {
-                        summary
-                            .match_event_dense_into(e, &mut scratch)
-                            .matched
-                            .len()
-                    })
                     .sum::<usize>()
             })
         },
@@ -192,12 +169,12 @@ fn bench_matching(c: &mut Criterion) {
     emit_stage_report();
 }
 
-/// Builds the dense-kernel scenario: `DENSE_SUBS` subscriptions from the
+/// Builds the compiled-kernel scenario: `DENSE_SUBS` subscriptions from the
 /// paper's multi-attribute workload (arithmetic ranges, points and string
 /// operators mixed per subscription) and popular events that touch many
 /// rows, so the per-event candidate set is large and the counter kernel's
 /// O(P) pass dominates.
-fn dense_kernel_fixture() -> (BrokerSummary, Vec<Event>, Schema) {
+fn compiled_kernel_fixture() -> (BrokerSummary, Vec<Event>, Schema) {
     let mut rng = StdRng::seed_from_u64(0xD15E);
     let mut workload = Workload::new(PaperParams::default(), 0.7);
     let schema = workload.schema().clone();
@@ -305,9 +282,9 @@ fn side_json(sorted: &[f64], events_per_sec: f64) -> Json {
 }
 
 /// Measures the SACS-heavy scenario before (full scan) and after
-/// (pattern index + scratch reuse) and the dense-kernel scenario before
-/// (plain-id scan) and after (epoch-counter kernel), runs instrumented
-/// passes for the pruning and intern-table counters, and writes
+/// (pattern index + scratch reuse) and the compiled-kernel scenario
+/// before (plain-id scan) and after (compiled plan), runs instrumented
+/// passes for the pruning and plan counters, and writes
 /// `BENCH_matching.json` at the workspace root.
 fn emit_matching_report() {
     let (summary, events) = sacs_heavy_fixture();
@@ -344,10 +321,10 @@ fn emit_matching_report() {
         subsum_telemetry::counters_snapshot().into_iter().collect();
     let counter = |name: &str| Json::UInt(counters.get(name).copied().unwrap_or(0));
 
-    // The dense-kernel scenario: before is the plain-`SubscriptionId`
-    // scan reference, after is the epoch-counter kernel over dense
-    // postings with a reused scratch.
-    let (dense_summary, dense_events, dense_schema) = dense_kernel_fixture();
+    // The compiled-kernel scenario: before is the plain-`SubscriptionId`
+    // scan reference, after is the production match path probing the
+    // frozen SoA plan with a reused scratch.
+    let (dense_summary, dense_events, dense_schema) = compiled_kernel_fixture();
     let mut dense_scratch = MatchScratch::new();
     let warm: usize = dense_events
         .iter()
@@ -363,16 +340,6 @@ fn emit_matching_report() {
     let (dense_scan_lat, dense_scan_eps) = measure(&dense_events, passes, |e| {
         dense_summary.match_event_scan(e).matched.len()
     });
-    let (dense_ker_lat, dense_ker_eps) = measure(&dense_events, passes, |e| {
-        dense_summary
-            .match_event_dense_into(e, &mut dense_scratch)
-            .matched
-            .len()
-    });
-
-    // The compiled-plan kernel over the same scenario: the production
-    // match path probes the frozen SoA plan; the dense kernel above is
-    // the retained differential reference.
     let (plan_lat, plan_eps) = measure(&dense_events, passes, |e| {
         dense_summary
             .match_event_into(e, &mut dense_scratch)
@@ -435,31 +402,6 @@ fn emit_matching_report() {
         subsum_telemetry::counters_snapshot().into_iter().collect();
     let plan_counter = |name: &str| Json::UInt(plan_counters.get(name).copied().unwrap_or(0));
 
-    // Instrumented pass for the intern-table counters: a wire round-trip
-    // forces a full intern rebuild on decode, then matching the decoded
-    // summary through the reference kernel accumulates dense-hit and
-    // scratch-reuse counts.
-    subsum_telemetry::set_enabled(true);
-    subsum_telemetry::reset();
-    let codec = SummaryCodec::new(
-        IdLayout::new(16, DENSE_SUBS as u64, dense_schema.len() as u32).unwrap(),
-        ArithWidth::Eight,
-    );
-    let decoded = codec
-        .decode(&codec.encode(&dense_summary).unwrap(), &dense_schema)
-        .unwrap();
-    let mut dense_matched = 0usize;
-    for e in &dense_events {
-        dense_matched += decoded
-            .match_event_dense_into(e, &mut dense_scratch)
-            .matched
-            .len();
-    }
-    subsum_telemetry::set_enabled(false);
-    let dense_counters: std::collections::BTreeMap<String, u64> =
-        subsum_telemetry::counters_snapshot().into_iter().collect();
-    let dense_counter = |name: &str| Json::UInt(dense_counters.get(name).copied().unwrap_or(0));
-
     let report = Json::obj([
         ("name", Json::Str("bench.matching".to_string())),
         ("machine", machine_json()),
@@ -499,53 +441,6 @@ fn emit_matching_report() {
             ]),
         ),
         (
-            "dense_kernel",
-            Json::obj([
-                (
-                    "scenario",
-                    Json::obj([
-                        ("subscriptions", Json::UInt(DENSE_SUBS as u64)),
-                        ("events", Json::UInt(dense_events.len() as u64)),
-                        ("passes", Json::UInt(passes as u64)),
-                        ("matches_per_pass", Json::UInt(dense_matched as u64)),
-                    ]),
-                ),
-                (
-                    "before_full_scan",
-                    side_json(&dense_scan_lat, dense_scan_eps),
-                ),
-                (
-                    "after_dense_kernel",
-                    side_json(&dense_ker_lat, dense_ker_eps),
-                ),
-                (
-                    "throughput_speedup",
-                    Json::Num(dense_ker_eps / dense_scan_eps.max(1e-12)),
-                ),
-                (
-                    "instrumented_pass",
-                    Json::obj([
-                        (
-                            names::MATCH_DENSE_HITS,
-                            dense_counter(names::MATCH_DENSE_HITS),
-                        ),
-                        (
-                            names::MATCH_INTERN_REBUILDS,
-                            dense_counter(names::MATCH_INTERN_REBUILDS),
-                        ),
-                        (
-                            names::MATCH_INTERN_RENUMBERS,
-                            dense_counter(names::MATCH_INTERN_RENUMBERS),
-                        ),
-                        (
-                            names::MATCH_SCRATCH_REUSE,
-                            dense_counter(names::MATCH_SCRATCH_REUSE),
-                        ),
-                    ]),
-                ),
-            ]),
-        ),
-        (
             "compiled_kernel",
             Json::obj([
                 (
@@ -561,8 +456,8 @@ fn emit_matching_report() {
                 ("p50_us", Json::Num(percentile(&plan_lat, 0.50))),
                 ("p99_us", Json::Num(percentile(&plan_lat, 0.99))),
                 (
-                    "speedup_vs_dense",
-                    Json::Num(plan_eps / dense_ker_eps.max(1e-12)),
+                    "before_full_scan",
+                    side_json(&dense_scan_lat, dense_scan_eps),
                 ),
                 (
                     "speedup_vs_scan",
@@ -608,13 +503,17 @@ fn emit_matching_report() {
     }
 }
 
+fn cores() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
 /// Describes the machine the report was taken on, so scaling numbers can
 /// be read in context (a 1-core container cannot show an 8-worker
 /// speedup no matter how good the sharding is).
 fn machine_json() -> Json {
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let cores = cores();
     let commit = std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .current_dir(env!("CARGO_MANIFEST_DIR"))
@@ -645,11 +544,12 @@ fn machine_json() -> Json {
     ])
 }
 
-/// The shard-scaling scenario: the dense-kernel workload behind a
+/// The shard-scaling scenario: the compiled-kernel workload behind a
 /// [`ShardedSummary`] with [`SCALING_SHARDS`] shards, matched
 /// concurrently by 1/2/4/8 worker threads that each pin lock-free
 /// snapshots through their own [`ShardScratch`]. Reported per worker
-/// count: aggregate events/sec across all workers. An instrumented
+/// count: aggregate events/sec across all workers; `degenerate` marks a
+/// sweep taken on one core, whose rows cannot differ. An instrumented
 /// single-worker pass (with subscription churn racing it) contributes
 /// the shard fan-out, merge-time and snapshot counters.
 fn shard_scaling_json(flat: &BrokerSummary, events: &[Event], passes: usize) -> Json {
@@ -719,6 +619,7 @@ fn shard_scaling_json(flat: &BrokerSummary, events: &[Event], passes: usize) -> 
         ("shards".to_string(), Json::UInt(SCALING_SHARDS as u64)),
         ("events".to_string(), Json::UInt(events.len() as u64)),
         ("passes".to_string(), Json::UInt(passes as u64)),
+        ("degenerate".to_string(), Json::Bool(cores() == 1)),
     ];
     fields.extend(sweep);
     fields.push((

@@ -13,9 +13,7 @@
 //! balancing) lets maximum-degree brokers advertise a smaller degree for
 //! the purposes of the next-broker choice, spreading the examination load.
 
-use std::collections::BTreeSet;
-
-use subsum_core::{MatchScratch, ShardScratch, ShardedSummary};
+use subsum_core::MatchScratch;
 use subsum_net::{NetMetrics, NodeId, Topology};
 use subsum_telemetry::trace::{SpanKind, TraceCtx, Tracer};
 use subsum_telemetry::Stage;
@@ -24,100 +22,6 @@ use subsum_types::{Event, SubscriptionId};
 use crate::propagation::MergedSummary;
 
 static STAGE_CANDIDATE_MATCH: Stage = Stage::new(subsum_telemetry::names::PUBLISH_CANDIDATE_MATCH);
-
-/// Per-broker stored state Algorithm 3 can route over: each broker has a
-/// matchable summary and a `Merged_Brokers` coverage set. Implemented by
-/// the flat [`MergedSummary`] store and the shard-partitioned
-/// [`ShardedStored`] store; [`route_inner`] is generic over this trait,
-/// so both paths run the identical routing algorithm and differ only in
-/// the matching kernel (and its scratch type).
-pub trait SummaryStore {
-    /// The per-worker scratch the matching kernel reuses across events.
-    type Scratch;
-
-    /// Number of brokers (must equal the topology size).
-    fn broker_count(&self) -> usize;
-
-    /// The `Merged_Brokers` set of broker `b`'s stored summary.
-    fn merged_brokers(&self, b: usize) -> &BTreeSet<NodeId>;
-
-    /// Matches `event` against broker `b`'s stored summary. The returned
-    /// candidate ids borrow from `scratch` and are identical across
-    /// implementations (sharded matching is exact w.r.t. the flat
-    /// kernel).
-    fn match_into<'s>(
-        &self,
-        b: usize,
-        event: &Event,
-        scratch: &'s mut Self::Scratch,
-    ) -> &'s [SubscriptionId];
-}
-
-impl SummaryStore for [MergedSummary] {
-    type Scratch = MatchScratch;
-
-    fn broker_count(&self) -> usize {
-        self.len()
-    }
-
-    fn merged_brokers(&self, b: usize) -> &BTreeSet<NodeId> {
-        &self[b].merged_brokers
-    }
-
-    fn match_into<'s>(
-        &self,
-        b: usize,
-        event: &Event,
-        scratch: &'s mut MatchScratch,
-    ) -> &'s [SubscriptionId] {
-        &self[b].summary.match_event_into(event, scratch).matched
-    }
-}
-
-/// A broker's stored multi-broker summary behind a shard partition:
-/// the sharded counterpart of [`MergedSummary`]. The wrapped
-/// [`ShardedSummary`] retains the canonical flat summary (same digest,
-/// same wire bytes) and matches through per-shard kernels behind
-/// lock-free snapshot reads, so routing outcomes are byte-identical to
-/// the flat store while subscribe/merge churn never stalls matching.
-#[derive(Debug)]
-pub struct ShardedStored {
-    /// The shard-partitioned merged summary.
-    pub summary: ShardedSummary,
-    /// `Merged_Brokers`, as in [`MergedSummary`].
-    pub merged_brokers: BTreeSet<NodeId>,
-}
-
-impl ShardedStored {
-    /// Derives the sharded store from a flat stored summary.
-    pub fn from_merged(m: &MergedSummary, shard_count: usize) -> ShardedStored {
-        ShardedStored {
-            summary: ShardedSummary::from_flat(m.summary.clone(), shard_count),
-            merged_brokers: m.merged_brokers.clone(),
-        }
-    }
-}
-
-impl SummaryStore for [ShardedStored] {
-    type Scratch = ShardScratch;
-
-    fn broker_count(&self) -> usize {
-        self.len()
-    }
-
-    fn merged_brokers(&self, b: usize) -> &BTreeSet<NodeId> {
-        &self[b].merged_brokers
-    }
-
-    fn match_into<'s>(
-        &self,
-        b: usize,
-        event: &Event,
-        scratch: &'s mut ShardScratch,
-    ) -> &'s [SubscriptionId] {
-        &self[b].summary.match_event_into(event, scratch).matched
-    }
-}
 
 /// Options for [`route_event`].
 #[derive(Debug, Clone, Default)]
@@ -298,70 +202,18 @@ pub fn route_event_traced(
     )
 }
 
-/// As [`route_event_with_scratch`], routing over shard-partitioned
-/// stored summaries. The routing algorithm, visit order, hop counts and
-/// candidate set are identical to the flat path (sharded matching is
-/// exact); matching runs through lock-free snapshot reads, so concurrent
-/// subscription churn on the stored summaries never stalls a publish.
 #[allow(clippy::too_many_arguments)]
-pub fn route_event_sharded(
+fn route_inner(
     topology: &Topology,
-    stored: &[ShardedStored],
+    stored: &[MergedSummary],
     publisher: NodeId,
     event: &Event,
     event_bytes: usize,
     options: &RoutingOptions,
-    scratch: &mut ShardScratch,
-) -> RoutingOutcome {
-    route_inner(
-        topology,
-        stored,
-        publisher,
-        event,
-        event_bytes,
-        options,
-        scratch,
-        None,
-    )
-}
-
-/// As [`route_event_traced`], over shard-partitioned stored summaries.
-#[allow(clippy::too_many_arguments)]
-pub fn route_event_sharded_traced(
-    topology: &Topology,
-    stored: &[ShardedStored],
-    publisher: NodeId,
-    event: &Event,
-    event_bytes: usize,
-    options: &RoutingOptions,
-    scratch: &mut ShardScratch,
-    tracer: &Tracer,
-    ctx: TraceCtx,
-) -> RoutingOutcome {
-    route_inner(
-        topology,
-        stored,
-        publisher,
-        event,
-        event_bytes,
-        options,
-        scratch,
-        Some((tracer, ctx)),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn route_inner<S: SummaryStore + ?Sized>(
-    topology: &Topology,
-    stored: &S,
-    publisher: NodeId,
-    event: &Event,
-    event_bytes: usize,
-    options: &RoutingOptions,
-    scratch: &mut S::Scratch,
+    scratch: &mut MatchScratch,
     trace: Option<(&Tracer, TraceCtx)>,
 ) -> RoutingOutcome {
-    assert_eq!(stored.broker_count(), topology.len());
+    assert_eq!(stored.len(), topology.len());
     assert!((publisher as usize) < topology.len());
     let n = topology.len();
     let brocli_bytes = n.div_ceil(8);
@@ -391,7 +243,8 @@ fn route_inner<S: SummaryStore + ?Sized>(
         //    matched subscription to its owner unless the owner's
         //    subscriptions were already examined earlier on the path.
         let match_stage = STAGE_CANDIDATE_MATCH.start();
-        let matched = stored.match_into(current as usize, event, scratch);
+        let here = &stored[current as usize];
+        let matched = &here.summary.match_event_into(event, scratch).matched;
         match_stage.finish();
         let match_span = match trace {
             Some((t, c)) => t.record(c.trace, route_span, current, SpanKind::Match, clock),
@@ -428,7 +281,7 @@ fn route_inner<S: SummaryStore + ?Sized>(
 
         // 2. Update BROCLI with the whole Merged_Brokers set.
         brocli[current as usize] = true;
-        for &b in stored.merged_brokers(current as usize) {
+        for &b in &here.merged_brokers {
             brocli[b as usize] = true;
         }
 
@@ -626,46 +479,6 @@ mod tests {
         let capped = route_event(&topo, &prop.stored, 1, &event, 50, &opts);
         // Routing still terminates with full coverage.
         assert!(capped.visits.len() <= 12);
-    }
-
-    #[test]
-    fn sharded_routing_identical_to_flat() {
-        let schema = stock_schema();
-        let topo = Topology::cable_wireless_24();
-        let interested: Vec<NodeId> = vec![1, 6, 13, 22];
-        let own = summaries_with_interest(&schema, 24, &interested);
-        let prop = propagate(&topo, &own, &codec(&schema, 24)).unwrap();
-        let sharded: Vec<ShardedStored> = prop
-            .stored
-            .iter()
-            .map(|m| ShardedStored::from_merged(m, 4))
-            .collect();
-        let event = price_event(&schema, 42.0);
-        let mut scratch = ShardScratch::new();
-        for publisher in 0..24 {
-            let flat = route_event(
-                &topo,
-                &prop.stored,
-                publisher,
-                &event,
-                50,
-                &RoutingOptions::new(),
-            );
-            let sh = route_event_sharded(
-                &topo,
-                &sharded,
-                publisher,
-                &event,
-                50,
-                &RoutingOptions::new(),
-                &mut scratch,
-            );
-            assert_eq!(sh.visits, flat.visits, "publisher {publisher}");
-            assert_eq!(sh.notifications, flat.notifications);
-            assert_eq!(sh.forward_hops, flat.forward_hops);
-            assert_eq!(sh.notify_hops, flat.notify_hops);
-            assert_eq!(sh.metrics, flat.metrics);
-        }
     }
 
     #[test]

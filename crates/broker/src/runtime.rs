@@ -41,9 +41,7 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use subsum_core::{
-    ArithWidth, BrokerSummary, MatchScratch, ShardScratch, ShardedSummary, SummaryCodec,
-};
+use subsum_core::{ArithWidth, BrokerSummary, MatchScratch, SummaryCodec};
 use subsum_net::{NodeId, Topology};
 use subsum_telemetry::trace::{SpanKind, TraceCtx, Tracer};
 use subsum_telemetry::Stage;
@@ -149,13 +147,6 @@ struct BrokerState {
     /// once (`match.scratch_grows` counts the resizes), after which
     /// steady-state matching is allocation-free.
     scratch: MatchScratch,
-    /// When set, the stored summary is additionally maintained as a
-    /// [`ShardedSummary`] with this many dense-id-range shards, and
-    /// matching goes through the lock-free snapshot path instead of the
-    /// flat kernel.
-    sharding: Option<usize>,
-    sharded: Option<ShardedSummary>,
-    shard_scratch: ShardScratch,
     tracer: Option<Arc<Tracer>>,
 }
 
@@ -180,9 +171,6 @@ impl BrokerState {
                     .own
                     .insert(subsum_types::BrokerId(self.id), LocalSubId(local), &sub);
                 self.stored.insert_with_id(id, &sub);
-                if let Some(s) = &self.sharded {
-                    s.insert_with_id(id, &sub);
-                }
                 self.exact.insert(id, sub);
                 let _ = reply.send(Ok(id));
             }
@@ -191,9 +179,6 @@ impl BrokerState {
                 if existed {
                     self.own.remove(id);
                     self.stored.remove(id);
-                    if let Some(s) = &self.sharded {
-                        s.remove(id);
-                    }
                 }
                 let _ = reply.send(existed);
             }
@@ -203,9 +188,6 @@ impl BrokerState {
                     self.exact.iter().map(|(id, sub)| (*id, sub)),
                 );
                 self.stored = self.own.clone();
-                self.sharded = self
-                    .sharding
-                    .map(|n| ShardedSummary::from_flat(self.stored.clone(), n));
                 self.merged_brokers = BTreeSet::from([self.id]);
                 self.communicated.clear();
                 let _ = reply.send(());
@@ -243,9 +225,6 @@ impl BrokerState {
             }
             Command::DeliverSummary { msg, reply } => {
                 self.stored.merge(&msg.summary);
-                if let Some(s) = &self.sharded {
-                    s.merge(&msg.summary);
-                }
                 self.merged_brokers
                     .extend(msg.merged_brokers.iter().copied());
                 self.communicated.extend(msg.merged_brokers.iter().copied());
@@ -293,21 +272,11 @@ impl BrokerState {
         );
         // 1. Match against the local merged summary (through this
         //    thread's reusable scratch); report candidates to owners
-        //    whose subscriptions were not yet examined. With sharding
-        //    enabled, matching pins an epoch-stamped snapshot and fans
-        //    out across the dense-id-range shards instead.
-        let matched: &[SubscriptionId] = match &self.sharded {
-            Some(s) => {
-                &s.match_event_into(&ctx.event, &mut self.shard_scratch)
-                    .matched
-            }
-            None => {
-                &self
-                    .stored
-                    .match_event_into(&ctx.event, &mut self.scratch)
-                    .matched
-            }
-        };
+        //    whose subscriptions were not yet examined.
+        let matched = &self
+            .stored
+            .match_event_into(&ctx.event, &mut self.scratch)
+            .matched;
         let mut per_owner: HashMap<NodeId, Vec<SubscriptionId>> = HashMap::new();
         for &id in matched {
             let owner = id.broker.0 as NodeId;
@@ -403,39 +372,6 @@ impl BrokerNetwork {
         schema: Schema,
         max_subs_per_broker: u64,
     ) -> Result<Self, TypeError> {
-        Self::start_inner(topology, schema, max_subs_per_broker, None)
-    }
-
-    /// Like [`BrokerNetwork::start`], but every broker thread maintains
-    /// its stored summary as a [`ShardedSummary`] with `shard_count`
-    /// dense-id-range shards and matches events through the lock-free
-    /// snapshot path. Routing outcomes are identical to the flat engine;
-    /// only the matching kernel differs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TypeError::TooManyAttributes`] if the schema exceeds the
-    /// id mask width.
-    pub fn start_with_shards(
-        topology: Topology,
-        schema: Schema,
-        max_subs_per_broker: u64,
-        shard_count: usize,
-    ) -> Result<Self, TypeError> {
-        Self::start_inner(
-            topology,
-            schema,
-            max_subs_per_broker,
-            Some(shard_count.max(1)),
-        )
-    }
-
-    fn start_inner(
-        topology: Topology,
-        schema: Schema,
-        max_subs_per_broker: u64,
-        sharding: Option<usize>,
-    ) -> Result<Self, TypeError> {
         let layout = IdLayout::new(
             topology.len() as u64,
             max_subs_per_broker,
@@ -462,9 +398,6 @@ impl BrokerNetwork {
                 merged_brokers: BTreeSet::from([b as NodeId]),
                 communicated: BTreeSet::new(),
                 scratch: MatchScratch::new(),
-                sharding,
-                sharded: sharding.map(|n| ShardedSummary::new(schema.clone(), n)),
-                shard_scratch: ShardScratch::new(),
                 tracer: None,
             };
             let depth_gauge = subsum_telemetry::gauge(&format!(
@@ -724,61 +657,6 @@ mod tests {
             assert_eq!(a, b, "publisher {publisher}");
         }
         net.shutdown();
-    }
-
-    #[test]
-    fn sharded_runtime_matches_flat_runtime() {
-        let topo = Topology::cable_wireless_24();
-        let schema = stock_schema();
-        let flat = BrokerNetwork::start(topo.clone(), schema.clone(), 1000).unwrap();
-        let sharded = BrokerNetwork::start_with_shards(topo, schema.clone(), 1000, 4).unwrap();
-
-        let mut flat_ids = Vec::new();
-        let mut sharded_ids = Vec::new();
-        for b in 0..24u16 {
-            for k in 0..4u16 {
-                let lo = f64::from((b * 7 + k * 3) % 40);
-                let sub = Subscription::builder(&schema)
-                    .num("price", NumOp::Ge, lo)
-                    .unwrap()
-                    .num("price", NumOp::Lt, lo + 15.0)
-                    .unwrap()
-                    .build()
-                    .unwrap();
-                flat_ids.push(flat.subscribe(b, &sub).unwrap());
-                sharded_ids.push(sharded.subscribe(b, &sub).unwrap());
-            }
-        }
-        let a = flat.propagate();
-        let b = sharded.propagate();
-        assert_eq!(a, b, "propagation traffic is shard-agnostic");
-
-        // Churn without re-propagation: unsubscribes hit the sharded
-        // store in place, new subscriptions ride the lock-free publish.
-        for i in (0..flat_ids.len()).step_by(5) {
-            assert!(flat.unsubscribe(flat_ids[i]));
-            assert!(sharded.unsubscribe(sharded_ids[i]));
-        }
-        for price in [0.0, 7.5, 19.0, 33.0, 44.0] {
-            let event = Event::builder(&schema).num("price", price).unwrap().build();
-            for publisher in [0u16, 11, 23] {
-                let mut x: Vec<_> = flat.publish(publisher, &event);
-                let mut y: Vec<_> = sharded.publish(publisher, &event);
-                x.sort_by_key(|d| d.id);
-                y.sort_by_key(|d| d.id);
-                assert_eq!(
-                    x.iter()
-                        .map(|d| (d.id.broker, d.id.local))
-                        .collect::<Vec<_>>(),
-                    y.iter()
-                        .map(|d| (d.id.broker, d.id.local))
-                        .collect::<Vec<_>>(),
-                    "price {price} publisher {publisher}"
-                );
-            }
-        }
-        flat.shutdown();
-        sharded.shutdown();
     }
 
     #[test]

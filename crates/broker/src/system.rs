@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use subsum_core::{
-    ArithWidth, BrokerSummary, MatchScratch, ShardScratch, SizeParams, SummaryCodec, SummaryStats,
+    ArithWidth, BrokerSummary, MatchScratch, SizeParams, SummaryCodec, SummaryStats,
 };
 use subsum_net::{NetMetrics, NodeId, Topology};
 use subsum_telemetry::trace::{SpanKind, TraceCtx, Tracer};
@@ -26,8 +26,7 @@ use subsum_types::{Event, IdLayout, LocalSubId, Schema, Subscription, Subscripti
 
 use crate::propagation::{propagate, MergedSummary, PropagationOutcome};
 use crate::routing::{
-    route_event_sharded, route_event_sharded_traced, route_event_traced, route_event_with_scratch,
-    RoutingOptions, RoutingOutcome, ShardedStored,
+    route_event_traced, route_event_with_scratch, RoutingOptions, RoutingOutcome,
 };
 
 /// Telemetry stages and counters of the end-to-end engine. Publishing is
@@ -140,13 +139,6 @@ pub struct SummaryPubSub {
     /// The most recent propagation phase (its `stored` summaries are
     /// the ones events route over).
     last_propagation: Option<PropagationOutcome>,
-    /// Shard-per-core matching: when set, publishes route over
-    /// shard-partitioned copies of the stored summaries (see
-    /// [`SummaryPubSub::enable_sharded_matching`]).
-    sharding: Option<usize>,
-    /// The sharded counterparts of `last_propagation.stored`, rebuilt at
-    /// each propagation and merged in place by incremental periods.
-    sharded_stored: Option<Vec<ShardedStored>>,
     /// Metrics of the propagation phases run so far.
     propagation_metrics: NetMetrics,
     /// Optional causal tracer: publishes record route/match spans along
@@ -187,8 +179,6 @@ impl SummaryPubSub {
             shadows: vec![HashMap::new(); n],
             shadowed_by: vec![HashMap::new(); n],
             last_propagation: None,
-            sharding: None,
-            sharded_stored: None,
             propagation_metrics: NetMetrics::new(n),
             tracer: None,
             schema,
@@ -226,36 +216,6 @@ impl SummaryPubSub {
     /// Replaces the routing options (e.g. to enable virtual degrees).
     pub fn set_routing_options(&mut self, options: RoutingOptions) {
         self.routing = options;
-    }
-
-    /// Enables shard-per-core matching: stored summaries are partitioned
-    /// into `shard_count` dense-id-range shards (derived state — wire
-    /// format, digests and match results are unchanged), and publishes
-    /// match through per-shard compiled plans, frozen at snapshot-flip
-    /// time behind lock-free snapshot reads.
-    /// A `shard_count` of 0 is treated as 1. Takes effect immediately if
-    /// a propagation has run, and persists across future propagations.
-    pub fn enable_sharded_matching(&mut self, shard_count: usize) {
-        self.sharding = Some(shard_count.max(1));
-        self.rebuild_sharded();
-    }
-
-    /// The active shard count, if sharded matching is enabled.
-    pub fn sharded_matching(&self) -> Option<usize> {
-        self.sharding
-    }
-
-    /// Re-derives the sharded stored summaries from the last propagation.
-    fn rebuild_sharded(&mut self) {
-        self.sharded_stored = match (self.sharding, &self.last_propagation) {
-            (Some(count), Some(prop)) => Some(
-                prop.stored
-                    .iter()
-                    .map(|m| ShardedStored::from_merged(m, count))
-                    .collect(),
-            ),
-            _ => None,
-        };
     }
 
     /// Enables or disables the §6 extension that combines summarization
@@ -359,7 +319,6 @@ impl SummaryPubSub {
         }
         self.topology = topology;
         self.last_propagation = None;
-        self.sharded_stored = None;
         Ok(())
     }
 
@@ -402,7 +361,6 @@ impl SummaryPubSub {
             );
         }
         self.last_propagation = None;
-        self.sharded_stored = None;
         Ok(())
     }
 
@@ -532,7 +490,6 @@ impl SummaryPubSub {
         let outcome = propagate(&self.topology, &self.own, &self.codec)?;
         self.propagation_metrics.merge(&outcome.metrics);
         self.last_propagation = Some(outcome);
-        self.rebuild_sharded();
         for p in &mut self.pending {
             p.clear();
         }
@@ -587,17 +544,6 @@ impl SummaryPubSub {
                 .merged_brokers
                 .extend(delta.merged_brokers.iter().copied());
         }
-        // Sharded stores merge in place through the lock-free publish
-        // protocol: concurrent publishes keep matching the pre-merge
-        // snapshot until each broker's pointer flip.
-        if let Some(sharded) = &mut self.sharded_stored {
-            for (stored, delta) in sharded.iter_mut().zip(&outcome.stored) {
-                stored.summary.merge(&delta.summary);
-                stored
-                    .merged_brokers
-                    .extend(delta.merged_brokers.iter().copied());
-            }
-        }
         // The returned outcome reports this period's (delta) traffic.
         Ok(outcome)
     }
@@ -610,13 +556,8 @@ impl SummaryPubSub {
     /// Panics if called before any [`SummaryPubSub::propagate`], or if
     /// `broker` is out of range.
     pub fn publish(&self, broker: NodeId, event: &Event) -> PublishOutcome {
-        if self.sharded_stored.is_some() {
-            let mut scratch = ShardScratch::new();
-            self.publish_with_shard_scratch(broker, event, &mut scratch)
-        } else {
-            let mut scratch = MatchScratch::new();
-            self.publish_with_scratch(broker, event, &mut scratch)
-        }
+        let mut scratch = MatchScratch::new();
+        self.publish_with_scratch(broker, event, &mut scratch)
     }
 
     /// As [`SummaryPubSub::publish`], matching through a caller-owned
@@ -675,70 +616,9 @@ impl SummaryPubSub {
         self.verify_candidates(event, ctx, routing)
     }
 
-    /// As [`SummaryPubSub::publish`], matching through the sharded stored
-    /// summaries with a caller-owned [`ShardScratch`] — each worker of a
-    /// sharded [`SummaryPubSub::publish_batch`] holds its own scratch
-    /// (and thereby its own registered snapshot-reader slot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if sharded matching is not enabled (see
-    /// [`SummaryPubSub::enable_sharded_matching`]) or no propagation has
-    /// run.
-    pub fn publish_with_shard_scratch(
-        &self,
-        broker: NodeId,
-        event: &Event,
-        scratch: &mut ShardScratch,
-    ) -> PublishOutcome {
-        CNT_EVENTS.inc();
-        assert!(
-            self.last_propagation.is_some(),
-            "publish requires a completed propagation phase"
-        );
-        assert!(
-            self.sharded_stored.is_some(),
-            "sharded publish requires enable_sharded_matching"
-        );
-        let Some(stored) = self.sharded_stored.as_deref() else {
-            return PublishOutcome::default();
-        };
-        let event_bytes = event.wire_size(&self.schema, 4);
-        let ctx = self
-            .tracer
-            .as_ref()
-            .map(|t| t.new_root())
-            .unwrap_or(TraceCtx::NONE);
-        let route_span = STAGE_ROUTE.start();
-        let routing = match &self.tracer {
-            Some(tracer) => route_event_sharded_traced(
-                &self.topology,
-                stored,
-                broker,
-                event,
-                event_bytes,
-                &self.routing,
-                scratch,
-                tracer,
-                ctx,
-            ),
-            None => route_event_sharded(
-                &self.topology,
-                stored,
-                broker,
-                event,
-                event_bytes,
-                &self.routing,
-                scratch,
-            ),
-        };
-        route_span.finish();
-        self.verify_candidates(event, ctx, routing)
-    }
-
-    /// Tier-2 owner verification, shared by the flat and sharded publish
-    /// paths: re-checks every candidate against its owner's exact store
-    /// (plus §6 shadow expansion) and records the owner-side spans.
+    /// Tier-2 owner verification: re-checks every candidate against its
+    /// owner's exact store (plus §6 shadow expansion) and records the
+    /// owner-side spans.
     fn verify_candidates(
         &self,
         event: &Event,
@@ -826,15 +706,7 @@ impl SummaryPubSub {
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
             .min(events.len());
-        let sharded = self.sharded_stored.is_some();
         if threads <= 1 {
-            if sharded {
-                let mut scratch = ShardScratch::new();
-                return events
-                    .iter()
-                    .map(|(b, e)| self.publish_with_shard_scratch(*b, e, &mut scratch))
-                    .collect();
-            }
             let mut scratch = MatchScratch::new();
             return events
                 .iter()
@@ -847,16 +719,9 @@ impl SummaryPubSub {
         std::thread::scope(|scope| {
             for (evs, out) in events.chunks(chunk).zip(results.chunks_mut(chunk)) {
                 scope.spawn(move || {
-                    if sharded {
-                        let mut scratch = ShardScratch::new();
-                        for ((b, e), slot) in evs.iter().zip(out.iter_mut()) {
-                            *slot = Some(self.publish_with_shard_scratch(*b, e, &mut scratch));
-                        }
-                    } else {
-                        let mut scratch = MatchScratch::new();
-                        for ((b, e), slot) in evs.iter().zip(out.iter_mut()) {
-                            *slot = Some(self.publish_with_scratch(*b, e, &mut scratch));
-                        }
+                    let mut scratch = MatchScratch::new();
+                    for ((b, e), slot) in evs.iter().zip(out.iter_mut()) {
+                        *slot = Some(self.publish_with_scratch(*b, e, &mut scratch));
                     }
                 });
             }
@@ -1038,81 +903,6 @@ mod tests {
             assert_eq!(out.routing.metrics, seq.routing.metrics);
         }
         assert!(sys.publish_batch(&[]).is_empty());
-    }
-
-    #[test]
-    fn sharded_publishing_identical_to_flat() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x5AAD);
-        let mut workload =
-            subsum_workload::Workload::new(subsum_workload::PaperParams::default(), 0.7);
-        let schema = workload.schema().clone();
-        let mut sys = SummaryPubSub::new(Topology::cable_wireless_24(), schema, 1000).unwrap();
-        for b in 0..24u16 {
-            for _ in 0..5 {
-                let sub = workload.subscription(&mut rng);
-                sys.subscribe(b, &sub).unwrap();
-            }
-        }
-        sys.propagate().unwrap();
-        let batch: Vec<(NodeId, Event)> = (0..30)
-            .map(|_| (rng.gen_range(0..24u16), workload.event(0.7, &mut rng)))
-            .collect();
-        let flat: Vec<PublishOutcome> = batch.iter().map(|(b, e)| sys.publish(*b, e)).collect();
-
-        sys.enable_sharded_matching(4);
-        assert_eq!(sys.sharded_matching(), Some(4));
-        // Single publishes, publish_batch workers, and tracing all route
-        // through the sharded store and must be outcome-identical.
-        for ((b, e), want) in batch.iter().zip(&flat) {
-            let got = sys.publish(*b, e);
-            assert_eq!(got.deliveries, want.deliveries);
-            assert_eq!(got.false_positives, want.false_positives);
-            assert_eq!(got.routing.visits, want.routing.visits);
-            assert_eq!(got.routing.metrics, want.routing.metrics);
-        }
-        let batched = sys.publish_batch(&batch);
-        for (got, want) in batched.iter().zip(&flat) {
-            assert_eq!(got.deliveries, want.deliveries);
-            assert_eq!(got.false_positives, want.false_positives);
-        }
-        sys.set_tracer(Arc::new(Tracer::new(24, 8192, 7, 1)));
-        for ((b, e), want) in batch.iter().zip(&flat).take(5) {
-            let got = sys.publish(*b, e);
-            assert_eq!(got.deliveries, want.deliveries);
-        }
-    }
-
-    #[test]
-    fn sharded_matching_survives_incremental_propagation() {
-        let mut sys = system(Topology::ring(6));
-        sys.enable_sharded_matching(3);
-        let schema = sys.schema().clone();
-        let sub = |lo: f64| {
-            Subscription::builder(&schema)
-                .num("price", NumOp::Ge, lo)
-                .unwrap()
-                .build()
-                .unwrap()
-        };
-        sys.subscribe(0, &sub(10.0)).unwrap();
-        sys.propagate().unwrap();
-        // New subscriptions ride an incremental period: the sharded
-        // stores merge the deltas through the lock-free publish path.
-        let id2 = sys.subscribe(3, &sub(5.0)).unwrap();
-        sys.propagate_incremental().unwrap();
-        let event = Event::builder(&schema).num("price", 7.0).unwrap().build();
-        let out = sys.publish(5, &event);
-        assert_eq!(out.deliveries.len(), 1);
-        assert_eq!(out.deliveries[0].id, id2);
-        // The sharded store's digests still track the flat ones exactly.
-        let flat = sys.stored_summaries().unwrap();
-        let sharded = sys.sharded_stored.as_ref().unwrap();
-        for (f, s) in flat.iter().zip(sharded) {
-            assert_eq!(f.summary.digest(), s.summary.digest());
-            assert_eq!(f.merged_brokers, s.merged_brokers);
-        }
     }
 
     #[test]

@@ -131,6 +131,63 @@ pub(crate) fn rank_le(keys: &[u64], key: u64) -> usize {
     rank
 }
 
+/// Working memory of one plan probe — the packed-counter kernel's
+/// per-dense-id arrays plus the matched-id bitmap. Sized to the largest
+/// dense space it has served; epoch stamping makes stale entries
+/// self-invalidating, so nothing is cleared between events and a warm
+/// state probes without heap allocation. [`crate::MatchScratch`] holds
+/// one; [`crate::ShardScratch`] holds one per shard.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ProbeState {
+    /// Matched wildcard-row positions of the string attribute in flight.
+    rows: Vec<u32>,
+    /// Packed `(epoch << 16) | count` word per dense id.
+    state: Vec<u64>,
+    /// Attribute-token stamps deduplicating postings within one string
+    /// attribute (multi-contributor rows only).
+    seen: Vec<u64>,
+    /// Bitmap over dense ids marking the matched ones; zeroed again by
+    /// [`ProbeState::drain_matched`].
+    words: Vec<u64>,
+    /// Monotone token source for event epochs and attribute tokens.
+    token: u64,
+    /// The range of `words` the last probe wrote (empty when nothing
+    /// matched).
+    written: std::ops::Range<usize>,
+}
+
+impl ProbeState {
+    /// Sizes the per-dense-id arrays to population `n` — the probe's only
+    /// allocation path. The arrays grow together, so a state that has
+    /// served `n` ids never allocates again for populations `<= n`.
+    /// Returns whether it grew.
+    pub(crate) fn prepare(&mut self, n: usize) -> bool {
+        let grows = self.state.len() < n;
+        if grows {
+            self.state.resize(n, 0);
+            self.seen.resize(n, 0);
+            self.words.resize(n.div_ceil(64), 0);
+        }
+        grows
+    }
+
+    /// Hands the dense ids matched by the last probe to `emit` in
+    /// ascending order, clearing the bitmap words behind it.
+    #[inline]
+    pub(crate) fn drain_matched(&mut self, mut emit: impl FnMut(usize)) {
+        let written = std::mem::take(&mut self.written);
+        let lo = written.start;
+        for (w, word) in self.words[written].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                emit((lo + w) * 64 + b);
+            }
+        }
+    }
+}
+
 /// The compiled arithmetic bank of one attribute: SoA keys over the
 /// AACS_SR partition and the AACS_E values, with CSR offsets into the
 /// plan's shared arena.
@@ -281,29 +338,31 @@ impl MatchPlan {
     ///
     /// `strings` must be the summaries this plan was compiled from
     /// (their anchor indexes select candidate wildcard rows and run the
-    /// pattern tests); `rows` is a reusable buffer for the matched row
-    /// positions. Arithmetic banks skip per-attribute dedup entirely:
+    /// pattern tests). Arithmetic banks skip per-attribute dedup entirely:
     /// the AACS partition is disjoint and `validate()` enforces that no
     /// id carries both a sub-range row containing a value and an
     /// equality row at it. String postings take the `seen`-stamped
     /// dedup path only when more than one row contributes.
     ///
-    /// Returns the inclusive `(lo, hi)` range of bitmap words written
-    /// in `words` (`lo > hi` when nothing matched). The caller owns
-    /// extraction and must clear the written words.
-    #[allow(clippy::too_many_arguments)]
+    /// `probe` must be [`ProbeState::prepare`]d to `required.len()`; the
+    /// matched ids are left in its bitmap for
+    /// [`ProbeState::drain_matched`].
     pub(crate) fn probe_into(
         &self,
         event: &Event,
         strings: &[Option<PatternSummary>],
         required: &[u32],
-        rows: &mut Vec<u32>,
-        state: &mut [u64],
-        seen: &mut [u64],
-        words: &mut [u64],
-        token: &mut u64,
+        probe: &mut ProbeState,
         stats: &mut MatchStats,
-    ) -> (usize, usize) {
+    ) {
+        let ProbeState {
+            rows,
+            state,
+            seen,
+            words,
+            token,
+            written,
+        } = probe;
         let epoch = *token + 1;
         let mut attr_token = epoch;
         let mut probe_rows = 0u64;
@@ -422,8 +481,8 @@ impl MatchPlan {
             }
         }
         *token = attr_token;
+        *written = if lo_w <= hi_w { lo_w..hi_w + 1 } else { 0..0 };
         CNT_PLAN_PROBE_ROWS.add(probe_rows);
-        (lo_w, hi_w)
     }
 }
 

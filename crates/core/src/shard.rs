@@ -1,12 +1,16 @@
 //! Shard-per-core matching: a [`BrokerSummary`] partitioned by dense-id
-//! range behind lock-free snapshot reads.
+//! range behind lock-free snapshot reads. A core-only structure: every
+//! broker host matches and mutates its stored summaries from one owner
+//! and routes over the flat summary, so nothing outside this crate's
+//! tests, the bench and the ledger's reference rows holds one.
 //!
 //! [`ShardedSummary`] keeps the canonical, wire-faithful summary (the
 //! *flat* [`BrokerSummary`]) behind a writer mutex and publishes a
 //! **derived** [`ShardSet`] through a [`SnapshotCell`]: `subscribe` /
-//! `unsubscribe` / `merge` mutate the flat summary, re-derive the shard
-//! partition off to the side, and flip it in with one pointer swap —
-//! matching never blocks, and matching threads never block a writer.
+//! `unsubscribe` / `merge` mutate the flat summary and, when its rows
+//! changed, re-derive the shard partition off to the side and flip it
+//! in with one pointer swap — matching never blocks, and matching
+//! threads never block a writer.
 //!
 //! # Shards are representation-free derived state
 //!
@@ -47,8 +51,8 @@ use std::time::Instant;
 use subsum_telemetry::Count;
 use subsum_types::{Event, Schema, Subscription, SubscriptionId};
 
-use crate::idlist::{DenseId, IdList, SubIdList};
-use crate::plan::{lower_key, num_key, upper_key, MatchPlan};
+use crate::idlist::{DenseId, SubIdList};
+use crate::plan::{lower_key, num_key, upper_key, MatchPlan, ProbeState};
 use crate::snapshot::{SnapshotCell, SnapshotReader};
 use crate::summary::{BrokerSummary, MatchOutcome, MatchStats};
 use crate::{PatternSummary, SummaryDigest};
@@ -151,64 +155,19 @@ pub(crate) fn partition_bounds(n: usize, shard_count: usize) -> Vec<u32> {
     bounds
 }
 
-/// Per-shard working memory of the compiled-plan kernel — the packed
-/// `(epoch, count)` state array and dedup stamps of
-/// [`crate::MatchScratch`], sized to the shard's local dense space.
-#[derive(Debug, Clone, Default)]
-struct ShardKernel {
-    /// Matched wildcard-row position buffer for the string probe.
-    rows: IdList,
-    /// Packed `(epoch << 16) | count` kernel state per local dense id.
-    state: Vec<u64>,
-    /// Per-attribute dedup stamps (multi-contributor string rows only).
-    seen: Vec<u64>,
-    /// Shard-local matched bitmap; cleared during the merge phase.
-    words: Vec<u64>,
-    token: u64,
-}
-
-impl ShardKernel {
-    /// Probes one shard's frozen plan with one event, setting bits in
-    /// `self.words` (shard-local). Returns the highest local word index
-    /// written + 1, or 0 when nothing matched.
-    fn run(&mut self, shard: &Shard, event: &Event, stats: &mut MatchStats) -> usize {
-        CNT_SHARD_FANOUT.inc();
-        let n = shard.len();
-        if self.state.len() < n {
-            self.state.resize(n, 0);
-            self.seen.resize(n, 0);
-            self.words.resize(n.div_ceil(64), 0);
-        }
-        let (lo, hi) = shard.plan.probe_into(
-            event,
-            &shard.strings,
-            &shard.required,
-            &mut self.rows,
-            &mut self.state,
-            &mut self.seen,
-            &mut self.words,
-            &mut self.token,
-            stats,
-        );
-        if lo <= hi {
-            hi + 1
-        } else {
-            0
-        }
-    }
-}
-
 /// Reusable working memory for [`ShardedSummary::match_event_into`]:
-/// one [`ShardKernel`] per shard, the snapshot reader slot, and the
-/// outcome buffer. Like [`crate::MatchScratch`], a warm scratch makes
-/// the sharded steady-state match loop allocation-free — pinning a
-/// snapshot is two atomic stores and a load.
+/// one probe state per shard (the same packed-counter working memory
+/// [`crate::MatchScratch`] holds, sized to the shard's local dense
+/// space), the snapshot reader slot, and the outcome buffer. Like
+/// [`crate::MatchScratch`], a warm scratch makes the sharded
+/// steady-state match loop allocation-free — pinning a snapshot is two
+/// atomic stores and a load.
 #[derive(Debug, Default)]
 pub struct ShardScratch {
     /// Registered lazily against the summary's snapshot cell on first
     /// use (the only allocating step besides kernel growth).
     reader: Option<SnapshotReader<ShardSet>>,
-    kernels: Vec<ShardKernel>,
+    kernels: Vec<ProbeState>,
     outcome: MatchOutcome,
 }
 
@@ -302,15 +261,15 @@ impl ShardedSummary {
         self.lock_flat().subscription_count()
     }
 
-    /// Mutates the flat summary under the writer lock, then derives and
-    /// publishes a fresh shard partition. Readers keep matching against
-    /// the previous version until the pointer flip.
-    fn mutate<R>(&self, f: impl FnOnce(&mut BrokerSummary) -> R) -> R {
+    /// Mutates the flat summary under the writer lock; when `f` reports
+    /// that the rows changed, derives and publishes a fresh shard
+    /// partition. Readers keep matching against the previous version
+    /// until the pointer flip, and a no-op mutation flips nothing.
+    fn mutate(&self, f: impl FnOnce(&mut BrokerSummary) -> bool) {
         let mut flat = self.lock_flat();
-        let out = f(&mut flat);
-        let set = ShardSet::derive(&flat, self.shard_count);
-        self.cell.publish(set);
-        out
+        if f(&mut flat) {
+            self.cell.publish(ShardSet::derive(&flat, self.shard_count));
+        }
     }
 
     /// As [`BrokerSummary::insert`]; concurrent matching is never
@@ -321,22 +280,35 @@ impl ShardedSummary {
         local: subsum_types::LocalSubId,
         sub: &Subscription,
     ) -> SubscriptionId {
-        self.mutate(|flat| flat.insert(broker, local, sub))
+        let id = SubscriptionId::new(broker, local, sub.attr_mask());
+        self.insert_with_id(id, sub);
+        id
     }
 
-    /// As [`BrokerSummary::insert_with_id`].
+    /// As [`BrokerSummary::insert_with_id`]. An everywhere-unsatisfiable
+    /// subscription interns nothing and publishes nothing.
     pub fn insert_with_id(&self, id: SubscriptionId, sub: &Subscription) {
-        self.mutate(|flat| flat.insert_with_id(id, sub));
+        self.mutate(|flat| {
+            flat.insert_with_id(id, sub);
+            interned(flat, &id)
+        });
     }
 
-    /// As [`BrokerSummary::remove`].
+    /// As [`BrokerSummary::remove`]. An unknown id publishes nothing.
     pub fn remove(&self, id: SubscriptionId) {
-        self.mutate(|flat| flat.remove(id));
+        self.mutate(|flat| {
+            let known = interned(flat, &id);
+            flat.remove(id);
+            known
+        });
     }
 
-    /// As [`BrokerSummary::merge`].
+    /// As [`BrokerSummary::merge`]. An empty `other` publishes nothing.
     pub fn merge(&self, other: &BrokerSummary) {
-        self.mutate(|flat| flat.merge(other));
+        self.mutate(|flat| {
+            flat.merge(other);
+            !other.is_empty()
+        });
     }
 
     /// Snapshot/reclamation counters of the underlying cell.
@@ -378,121 +350,33 @@ impl ShardedSummary {
         } = scratch;
         let reader = reader.get_or_insert_with(|| self.cell.reader());
         let set = reader.pin();
-        let mut stats = MatchStats::default();
         if kernels.len() < set.shards.len() {
-            kernels.resize_with(set.shards.len(), ShardKernel::default);
+            kernels.resize_with(set.shards.len(), ProbeState::default);
         }
-        let mut tops = 0usize;
+        outcome.matched.clear();
+        outcome.stats = MatchStats::default();
         for (shard, kernel) in set.shards.iter().zip(kernels.iter_mut()) {
-            tops += kernel.run(shard, event, &mut stats);
+            CNT_SHARD_FANOUT.inc();
+            kernel.prepare(shard.len());
+            shard.plan.probe_into(
+                event,
+                &shard.strings,
+                &shard.required,
+                kernel,
+                &mut outcome.stats,
+            );
         }
         // Merge phase: per-shard words map to disjoint global words
         // (bases are multiples of 64), so walking shards in partition
         // order *is* the word-wise merge, feeding the same sorted
         // extraction as the flat kernel.
         let merge_start = Instant::now();
-        outcome.matched.clear();
-        if tops > 0 {
-            for (shard, kernel) in set.shards.iter().zip(kernels.iter_mut()) {
-                let base = shard.base;
-                for w in 0..kernel.words.len() {
-                    let mut bits = kernel.words[w];
-                    if bits == 0 {
-                        continue;
-                    }
-                    kernel.words[w] = 0;
-                    while bits != 0 {
-                        let b = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let global = base as usize + w * 64 + b;
-                        outcome.matched.push(set.ids[global]);
-                    }
-                }
-            }
+        for (shard, kernel) in set.shards.iter().zip(kernels.iter_mut()) {
+            let base = shard.base as usize;
+            kernel.drain_matched(|d| outcome.matched.push(set.ids[base + d]));
         }
         CNT_SHARD_MERGE_NS.add(merge_start.elapsed().as_nanos() as u64);
-        outcome.stats = stats;
         outcome
-    }
-
-    /// Matches a batch of events, fanning the **shards** out across
-    /// `workers` threads: worker `j` runs the kernels of shards `j, j +
-    /// W, …` for every event, and a final pass merges the per-shard
-    /// bitmap words into per-event sorted outputs. All workers read one
-    /// pinned snapshot; concurrent publishes are invisible to the batch
-    /// and never block it.
-    ///
-    /// Returns one sorted id list per event, identical to per-event
-    /// [`ShardedSummary::match_event_into`] output.
-    pub fn match_batch_fanout(&self, events: &[Event], workers: usize) -> Vec<Vec<SubscriptionId>> {
-        let mut reader = self.cell.reader();
-        let set = reader.pin();
-        let shard_count = set.shards.len();
-        let w = workers.max(1).min(shard_count.max(1));
-        // words[shard][event] — each worker writes only its own shards'
-        // rows, so the matrix splits mutably by shard.
-        let mut words: Vec<Vec<u64>> = Vec::with_capacity(shard_count);
-        for shard in &set.shards {
-            words.push(vec![0u64; shard.len().div_ceil(64) * events.len()]);
-        }
-        {
-            let mut slots: Vec<Option<(usize, &Shard, &mut Vec<u64>)>> = words
-                .iter_mut()
-                .enumerate()
-                .map(|(k, buf)| Some((k, &set.shards[k], buf)))
-                .collect();
-            std::thread::scope(|scope| {
-                for j in 0..w {
-                    let mut mine: Vec<(usize, &Shard, &mut Vec<u64>)> = Vec::new();
-                    for slot in slots.iter_mut().skip(j).step_by(w) {
-                        if let Some(item) = slot.take() {
-                            mine.push(item);
-                        }
-                    }
-                    scope.spawn(move || {
-                        let mut kernel = ShardKernel::default();
-                        let mut stats = MatchStats::default();
-                        for (_, shard, buf) in mine.iter_mut() {
-                            let stride = shard.len().div_ceil(64);
-                            for (e, event) in events.iter().enumerate() {
-                                let top = kernel.run(shard, event, &mut stats);
-                                if top > 0 {
-                                    let row = &mut buf[e * stride..e * stride + stride];
-                                    for (dst, src) in
-                                        row.iter_mut().zip(kernel.words.iter_mut()).take(top)
-                                    {
-                                        *dst = *src;
-                                        *src = 0;
-                                    }
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        // Word-wise merge into per-event sorted extractions.
-        let merge_start = Instant::now();
-        let mut out = Vec::with_capacity(events.len());
-        for e in 0..events.len() {
-            let mut matched = Vec::new();
-            for (k, shard) in set.shards.iter().enumerate() {
-                let stride = shard.len().div_ceil(64);
-                let row = &words[k][e * stride..(e + 1) * stride];
-                for (wi, &bits) in row.iter().enumerate() {
-                    let mut bits = bits;
-                    while bits != 0 {
-                        let b = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let global = shard.base as usize + wi * 64 + b;
-                        matched.push(set.ids[global]);
-                    }
-                }
-            }
-            out.push(matched);
-        }
-        CNT_SHARD_MERGE_NS.add(merge_start.elapsed().as_nanos() as u64);
-        out
     }
 
     /// Deep validation of the published partition against the canonical
@@ -510,6 +394,11 @@ impl ShardedSummary {
         let set = reader.pin();
         validate_set(&flat, &set);
     }
+}
+
+/// Whether `id` holds a slot in `flat`'s intern table.
+fn interned(flat: &BrokerSummary, id: &SubscriptionId) -> bool {
+    flat.intern_table().ids_slice().binary_search(id).is_ok()
 }
 
 impl Clone for ShardedSummary {
@@ -807,25 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn fanout_batch_matches_per_event_path() {
-        let (schema, subs) = population(257);
-        let sharded = ShardedSummary::new(schema.clone(), 4);
-        for (id, sub) in &subs {
-            sharded.insert_with_id(*id, sub);
-        }
-        let events = events(&schema);
-        let mut scratch = ShardScratch::new();
-        for workers in [1usize, 2, 4, 8] {
-            let batch = sharded.match_batch_fanout(&events, workers);
-            assert_eq!(batch.len(), events.len());
-            for (event, got) in events.iter().zip(&batch) {
-                let expect = &sharded.match_event_into(event, &mut scratch).matched;
-                assert_eq!(got, expect, "workers={workers}");
-            }
-        }
-    }
-
-    #[test]
     fn mutation_republishes_and_digest_tracks_flat() {
         let (schema, subs) = population(100);
         let sharded = ShardedSummary::new(schema.clone(), 3);
@@ -852,6 +722,37 @@ mod tests {
                 flat.match_event_into(&event, &mut flat_scratch).matched
             );
         }
+    }
+
+    #[test]
+    fn noop_mutations_do_not_flip_the_snapshot() {
+        let (schema, subs) = population(40);
+        let sharded = ShardedSummary::new(schema.clone(), 3);
+        for (id, sub) in &subs[..39] {
+            sharded.insert_with_id(*id, sub);
+        }
+        let flips = || sharded.snapshot_stats().flips;
+        let before = flips();
+        let (absent, absent_sub) = &subs[39];
+        sharded.remove(*absent);
+        assert_eq!(flips(), before, "remove of an unknown id");
+        let unsat = Subscription::builder(&schema)
+            .num("price", NumOp::Lt, 1.0)
+            .unwrap()
+            .num("price", NumOp::Gt, 2.0)
+            .unwrap()
+            .build()
+            .unwrap();
+        sharded.insert(BrokerId(9), LocalSubId(9), &unsat);
+        assert_eq!(flips(), before, "insert of an unsatisfiable subscription");
+        sharded.merge(&BrokerSummary::new(schema));
+        assert_eq!(flips(), before, "merge of an empty summary");
+        sharded.validate();
+        sharded.insert_with_id(*absent, absent_sub);
+        assert_eq!(flips(), before + 1, "real insert");
+        sharded.remove(*absent);
+        assert_eq!(flips(), before + 2, "real remove");
+        sharded.validate();
     }
 
     #[test]

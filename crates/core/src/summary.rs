@@ -19,7 +19,7 @@ use subsum_types::{Event, NormalizedAttr, Schema, Subscription, SubscriptionId};
 
 use crate::aacs::RangeSummary;
 use crate::idlist::{DenseId, IdList, SubIdList};
-use crate::plan::{MatchPlan, PlanCell};
+use crate::plan::{MatchPlan, PlanCell, ProbeState};
 use crate::sacs::PatternSummary;
 
 /// Telemetry stages of the summary hot paths (recorded only while the
@@ -30,15 +30,12 @@ static STAGE_MATCH: Stage = Stage::new(subsum_telemetry::names::CORE_SUMMARY_MAT
 /// Matches served by a warm (previously used) [`MatchScratch`] — i.e.
 /// matches that performed no steady-state heap allocation.
 static CNT_SCRATCH_REUSE: Count = Count::new(subsum_telemetry::names::MATCH_SCRATCH_REUSE);
-/// Dense postings processed by the counter kernel (the `P` of the T₂
-/// term), across all events.
-static CNT_DENSE_HITS: Count = Count::new(subsum_telemetry::names::MATCH_DENSE_HITS);
 /// Wholesale intern-table rebuilds (wire decode and summary merge).
 static CNT_INTERN_REBUILDS: Count = Count::new(subsum_telemetry::names::MATCH_INTERN_REBUILDS);
 /// Posting renumberings caused by an interactive insert landing in the
 /// middle of the dense order (out-of-order subscription ids).
 static CNT_INTERN_RENUMBERS: Count = Count::new(subsum_telemetry::names::MATCH_INTERN_RENUMBERS);
-/// Match-scratch growth events (per-dense-id arrays resized to a larger
+/// Match-scratch growth events (probe state resized to a larger
 /// population); zero at steady state.
 static CNT_SCRATCH_GROWS: Count = Count::new(subsum_telemetry::names::MATCH_SCRATCH_GROWS);
 
@@ -99,11 +96,6 @@ impl InternTable {
     /// The full id behind dense id `d`.
     pub(crate) fn resolve(&self, d: DenseId) -> subsum_types::SubscriptionId {
         self.ids[d as usize]
-    }
-
-    /// The satisfied-attribute count dense id `d` needs to match.
-    fn required(&self, d: usize) -> u32 {
-        self.required[d]
     }
 
     /// Interns `id` at rank `pos` (caller renumbers postings first).
@@ -610,171 +602,20 @@ impl BrokerSummary {
             CNT_SCRATCH_REUSE.inc();
         }
         scratch.used = true;
-        scratch.prepare(n);
-        let MatchScratch {
-            per_attr,
-            seen,
-            state,
-            matched_words,
-            token,
-            outcome,
-            ..
-        } = scratch;
+        let MatchScratch { probe, outcome, .. } = scratch;
+        if probe.prepare(n) {
+            CNT_SCRATCH_GROWS.inc();
+        }
         outcome.matched.clear();
-        let mut stats = MatchStats::default();
-        let (lo, hi) = plan.probe_into(
+        outcome.stats = MatchStats::default();
+        plan.probe_into(
             event,
             &self.strings,
             self.intern.required_slice(),
-            per_attr,
-            state,
-            seen,
-            matched_words,
-            token,
-            &mut stats,
+            probe,
+            &mut outcome.stats,
         );
-        if lo <= hi {
-            // Indexed on purpose: each word is read *and* cleared in
-            // place, and `w` feeds the dense-id reconstruction below.
-            #[allow(clippy::needless_range_loop)]
-            for w in lo..=hi {
-                let mut bits = matched_words[w];
-                matched_words[w] = 0;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    outcome
-                        .matched
-                        .push(self.intern.resolve((w * 64 + b) as DenseId));
-                }
-            }
-        }
-        outcome.stats = stats;
-        outcome
-    }
-
-    /// The pre-plan dense counter kernel, retained as a differential
-    /// reference (proptests pin `plan == dense == scan`) and for the
-    /// benchmark's kernel-vs-kernel comparison.
-    ///
-    /// One `O(P)` pass over the `P` collected dense postings: per
-    /// posting the kernel bumps an epoch-stamped `hits` counter (lazily
-    /// invalidated by the event epoch, so nothing is cleared between
-    /// events); a second per-attribute stamp deduplicates subscriptions
-    /// holding several satisfied constraints on one attribute. Unlike
-    /// the compiled-plan path this copies each satisfied row's `IdList`
-    /// into a per-attribute buffer and revisits every touched id in a
-    /// second pass.
-    pub fn match_event_dense_into<'s>(
-        &self,
-        event: &Event,
-        scratch: &'s mut MatchScratch,
-    ) -> &'s MatchOutcome {
-        let _span = STAGE_MATCH.start();
-        if scratch.used {
-            CNT_SCRATCH_REUSE.inc();
-        }
-        scratch.used = true;
-        scratch.prepare(self.intern.len());
-        let MatchScratch {
-            per_attr,
-            hits,
-            stamp,
-            seen,
-            touched,
-            matched_words,
-            token,
-            outcome,
-            ..
-        } = scratch;
-        outcome.matched.clear();
-        touched.clear();
-        let mut stats = MatchStats::default();
-        // Epoch stamping: one fresh token for the event, then one per
-        // attribute. Stale array entries never compare equal to a fresh
-        // token, so no clearing pass is needed.
-        let epoch = *token + 1;
-        let mut attr_token = epoch;
-        let mut dense_postings = 0u64;
-
-        // Step 1: per event attribute, stream the satisfied posting
-        // lists through the counters.
-        for (attr, value) in event.iter() {
-            per_attr.clear();
-            // Attribute kinds partition into arithmetic and string, so a
-            // plain branch covers them without a panicking fallback arm.
-            if self.schema.kind(attr).is_arithmetic() {
-                if let Some(s) = self.arith_summary(attr) {
-                    if let Some(v) = value.as_num() {
-                        let cost = s.query_into(v, per_attr);
-                        stats.rows_scanned += cost.rows_touched;
-                        stats.rows_pruned += cost.rows_pruned;
-                    }
-                }
-            } else if let Some(s) = self.string_summary(attr) {
-                if let Some(v) = value.as_str() {
-                    let cost = s.query_into(v, per_attr);
-                    stats.rows_scanned += cost.rows_touched;
-                    stats.rows_pruned += cost.rows_pruned;
-                }
-            }
-            attr_token += 1;
-            dense_postings += per_attr.len() as u64;
-            for &d in per_attr.iter() {
-                let di = d as usize;
-                // Count each subscription once per *attribute* even when
-                // several of its constraints on it are satisfied.
-                if seen[di] == attr_token {
-                    continue;
-                }
-                seen[di] = attr_token;
-                stats.ids_collected += 1;
-                if stamp[di] == epoch {
-                    hits[di] += 1;
-                } else {
-                    stamp[di] = epoch;
-                    hits[di] = 1;
-                    touched.push(d);
-                }
-            }
-        }
-        *token = attr_token;
-        CNT_DENSE_HITS.add(dense_postings);
-
-        // Step 2: a subscription matches when its counter equals the
-        // number of attributes in its c3 mask (`required`). Mark matches
-        // in the bitmap, then extract set bits word by word: ascending
-        // dense order is ascending `SubscriptionId` order, so the output
-        // comes out sorted with no sort.
-        stats.candidates = touched.len();
-        let mut lo = usize::MAX;
-        let mut hi = 0usize;
-        for &d in touched.iter() {
-            let di = d as usize;
-            if hits[di] == self.intern.required(di) {
-                let w = di / 64;
-                matched_words[w] |= 1u64 << (di % 64);
-                lo = lo.min(w);
-                hi = hi.max(w);
-            }
-        }
-        if lo <= hi {
-            // Indexed on purpose: each word is read *and* cleared in
-            // place, and `w` feeds the dense-id reconstruction below.
-            #[allow(clippy::needless_range_loop)]
-            for w in lo..=hi {
-                let mut bits = matched_words[w];
-                matched_words[w] = 0;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    outcome
-                        .matched
-                        .push(self.intern.resolve((w * 64 + b) as DenseId));
-                }
-            }
-        }
-        outcome.stats = stats;
+        probe.drain_matched(|d| outcome.matched.push(self.intern.resolve(d as DenseId)));
         outcome
     }
 
@@ -967,41 +808,20 @@ fn translate_into(trans: &[DenseId], ids: &[DenseId], buf: &mut IdList) {
     }
 }
 
-/// Reusable working memory for [`BrokerSummary::match_event_into`].
-///
-/// Holds the epoch-counter kernel's per-dense-id arrays (`hits` counters
-/// with their validity stamps, the per-attribute dedup stamps, the
-/// matched-id bitmap) plus the [`MatchOutcome`] it fills. The arrays are
-/// indexed by dense id and sized to the largest summary population this
-/// scratch has served; stamping makes stale entries self-invalidating,
-/// so nothing is cleared between events and reusing one scratch across
+/// Reusable working memory for [`BrokerSummary::match_event_into`]: the
+/// compiled-plan kernel's probe state (per-dense-id packed counters,
+/// dedup stamps and the matched-id bitmap, sized to the largest summary
+/// population this scratch has served) plus the [`MatchOutcome`] it
+/// fills. Epoch stamping makes stale entries self-invalidating, so
+/// nothing is cleared between events and reusing one scratch across
 /// events keeps the steady-state match loop free of heap allocations. A
 /// scratch is tied to no particular summary and may be reused across
-/// brokers.
+/// brokers; each growth of the probe state (first use, or a larger
+/// summary) bumps `match.scratch_grows`, which steady-state workloads
+/// must keep at zero.
 #[derive(Debug, Clone, Default)]
 pub struct MatchScratch {
-    /// Per-attribute query buffer (dense postings, possibly duplicated
-    /// when one subscription holds several constraints on an attribute).
-    per_attr: IdList,
-    /// Per-dense-id satisfied-attribute counters, valid for the current
-    /// event when `stamp` carries the event epoch.
-    hits: Vec<u32>,
-    /// Event-epoch stamps validating `hits`.
-    stamp: Vec<u64>,
-    /// Attribute-token stamps deduplicating postings within one
-    /// attribute (replaces the old per-attribute sort + dedup).
-    seen: Vec<u64>,
-    /// Packed `(epoch << 16) | count` words of the compiled-plan kernel:
-    /// one load and one store per posting replace the separate
-    /// `stamp`/`hits` pair of the dense reference kernel.
-    state: Vec<u64>,
-    /// Distinct dense ids hit by the current event (the candidates).
-    touched: Vec<DenseId>,
-    /// Bitmap over dense ids marking the matched ones; zeroed again
-    /// during extraction.
-    matched_words: Vec<u64>,
-    /// Monotone token source for event epochs and attribute tokens.
-    token: u64,
+    probe: ProbeState,
     /// The outcome of the most recent match.
     outcome: MatchOutcome,
     /// Whether this scratch has served a match before (drives the
@@ -1020,23 +840,6 @@ impl MatchScratch {
     /// served by this scratch.
     pub fn outcome(&self) -> &MatchOutcome {
         &self.outcome
-    }
-
-    /// Sizes every per-dense-id array to population `n` in one shot —
-    /// the matcher's only allocation path. The arrays grow together, so
-    /// a scratch that has served a summary of `n` ids never allocates
-    /// again for populations `<= n`; each growth event (first use, or a
-    /// larger summary) bumps `match.scratch_grows`, which steady-state
-    /// workloads must keep at zero.
-    fn prepare(&mut self, n: usize) {
-        if self.hits.len() < n {
-            CNT_SCRATCH_GROWS.inc();
-            self.hits.resize(n, 0);
-            self.stamp.resize(n, 0);
-            self.seen.resize(n, 0);
-            self.state.resize(n, 0);
-            self.matched_words.resize(n.div_ceil(64), 0);
-        }
     }
 }
 
@@ -1549,26 +1352,6 @@ mod tests {
         let symbol = schema.attr_id("symbol").unwrap().index();
         summary.strings.swap(exchange, symbol);
         summary.validate();
-    }
-
-    #[test]
-    fn dense_reference_kernel_agrees_with_plan() {
-        let schema = schema();
-        let mut summary = BrokerSummary::new(schema.clone());
-        summary.insert(BrokerId(0), LocalSubId(1), &sub1(&schema));
-        summary.insert(BrokerId(0), LocalSubId(2), &sub2(&schema));
-        let e = fig2_event(&schema);
-        let mut plan_scratch = MatchScratch::new();
-        let mut dense_scratch = MatchScratch::new();
-        let plan = summary.match_event_into(&e, &mut plan_scratch).clone();
-        let dense = summary
-            .match_event_dense_into(&e, &mut dense_scratch)
-            .clone();
-        assert_eq!(plan.matched, dense.matched);
-        assert_eq!(plan.stats.candidates, dense.stats.candidates);
-        assert_eq!(plan.stats.rows_scanned, dense.stats.rows_scanned);
-        assert_eq!(plan.stats.rows_pruned, dense.stats.rows_pruned);
-        assert_eq!(plan.stats.ids_collected, dense.stats.ids_collected);
     }
 
     #[test]

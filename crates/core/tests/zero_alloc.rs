@@ -166,7 +166,7 @@ fn match_event_into_allocates_nothing_at_steady_state() {
 /// allocation-free even when hundreds of candidates are touched per
 /// event across several attributes.
 #[test]
-fn dense_kernel_allocates_nothing_with_large_population() {
+fn plan_kernel_allocates_nothing_with_large_population() {
     let schema = stock_schema();
     let mut summary = BrokerSummary::new(schema.clone());
 
@@ -238,7 +238,7 @@ fn dense_kernel_allocates_nothing_with_large_population() {
     }
     assert!(
         zero_delta,
-        "large-population dense kernel allocated ({last_delta} allocations \
+        "large-population plan kernel allocated ({last_delta} allocations \
          across {PASSES} passes)"
     );
 }

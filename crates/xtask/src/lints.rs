@@ -27,7 +27,8 @@
 //! 5. **telemetry-names** — every string literal passed to
 //!    `Count::new`, `Stage::new`, `counter`, `gauge` or `histogram`
 //!    must be declared in `subsum_telemetry::names` (test-only names
-//!    under the `test.` prefix are exempt).
+//!    under the `test.` prefix are exempt), and every constant declared
+//!    there must be referenced by non-test code outside the registry.
 //! 6. **derived-state** — a field tagged `// lint: derived` is rebuilt,
 //!    never serialized; the wire codec files must not reference it.
 //! 7. **wire-tags** — a `const TAG_*/KIND_*: u8` wire tag must be
@@ -219,10 +220,18 @@ pub fn run_check(cfg: &CheckConfig) -> Result<Vec<Violation>, String> {
     atomic_policy(cfg, &mut violations)?;
     unsafe_audit(cfg, &sources, &mut violations)?;
 
-    let registry = match &cfg.registry {
-        Some(rel) => Some(registry_names(&load(&cfg.root, rel)?)),
+    let registry_src = match &cfg.registry {
+        Some(rel) => Some(load(&cfg.root, rel)?),
         None => None,
     };
+    let registry = registry_src.as_ref().map(registry_names);
+    // Whether a registered name is dead is only decidable when the scan
+    // covers the registry's own workspace.
+    if let Some(reg) = &registry_src {
+        if sources.iter().any(|s| s.rel == reg.rel) {
+            dead_telemetry_names(reg, &sources, &mut violations);
+        }
+    }
     let mut derived_fields = Vec::new();
     for src in &sources {
         if let Some(names) = &registry {
@@ -612,6 +621,55 @@ fn telemetry_names(src: &Source, registry: &BTreeSet<String>, out: &mut Vec<Viol
     }
 }
 
+/// Lint 5, second half: a registered `const NAME: &str = "value"` that no
+/// non-test code outside the registry references — by identifier or by
+/// its literal value — names a metric nothing records.
+fn dead_telemetry_names(registry: &Source, sources: &[Source], out: &mut Vec<Violation>) {
+    let mut used: BTreeSet<&[u8]> = BTreeSet::new();
+    for src in sources.iter().filter(|s| s.rel != registry.rel) {
+        for (j, tok) in src.lexed.tokens.iter().enumerate() {
+            if src.lexed.in_test(j) {
+                continue;
+            }
+            match &tok.kind {
+                TokenKind::Ident => used.insert(src.lexed.text(j)),
+                TokenKind::Str(v) => used.insert(v.as_bytes()),
+                _ => false,
+            };
+        }
+    }
+    let lexed = &registry.lexed;
+    let toks = &lexed.tokens;
+    for i in 0..toks.len().saturating_sub(1) {
+        if !lexed.is_ident(i, "const")
+            || lexed.in_test(i)
+            || !matches!(toks[i + 1].kind, TokenKind::Ident)
+        {
+            continue;
+        }
+        let value = (i + 2..toks.len())
+            .take_while(|&j| !lexed.is_punct(j, b';'))
+            .find_map(|j| match &toks[j].kind {
+                TokenKind::Str(v) => Some(v),
+                _ => None,
+            });
+        let Some(value) = value else { continue };
+        let name = lexed.text(i + 1);
+        if !used.contains(name) && !used.contains(value.as_bytes()) {
+            out.push(Violation {
+                file: registry.rel.clone(),
+                line: lexed.line(i + 1),
+                rule: "telemetry-names",
+                msg: format!(
+                    "telemetry name `{}` ({value:?}) is registered but no non-test code \
+                     references it; delete the constant",
+                    String::from_utf8_lossy(name)
+                ),
+            });
+        }
+    }
+}
+
 /// A field tagged `// lint: derived`, with where it was declared.
 #[derive(Debug)]
 struct DerivedField {
@@ -937,6 +995,23 @@ mod tests {
         let v = run_check(&cfg).unwrap();
         assert_eq!(rules(&v), vec!["telemetry-names"], "{v:#?}");
         assert!(v[0].msg.contains("summary.shard_unregistered"));
+    }
+
+    #[test]
+    fn telemetry_names_flags_dead_registered_constant() {
+        let mut cfg = empty_config(fixtures());
+        cfg.registry = Some(PathBuf::from("names_dead.rs"));
+        cfg.scan_files = vec![
+            PathBuf::from("names_dead.rs"),
+            PathBuf::from("telemetry_dead.rs"),
+        ];
+        let v = run_check(&cfg).unwrap();
+        // Referenced by constant or by literal value: alive. Referenced
+        // only from test code or only inside the registry: dead.
+        assert_eq!(rules(&v), vec!["telemetry-names"; 2], "{v:#?}");
+        assert!(v.iter().all(|x| x.file == Path::new("names_dead.rs")));
+        assert!(v[0].msg.contains("APP_TEST_ONLY"));
+        assert!(v[1].msg.contains("APP_UNUSED"));
     }
 
     #[test]
