@@ -43,7 +43,7 @@
 //! let sub = Subscription::builder(&schema)
 //!     .num("price", NumOp::Lt, 10.0)?
 //!     .build()?;
-//! run.subscribe(3, &sub);
+//! run.subscribe(3, &sub)?;
 //! run.checkpoint_all();
 //! let report = run.run()?;
 //! assert!(report.converged);
@@ -51,17 +51,15 @@
 //! # }
 //! ```
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use subsum_core::{ArithWidth, BrokerSummary, SummaryCodec, SummaryDigest};
 use subsum_net::{FaultPlan, LossyNet, NodeId, Topology};
 use subsum_telemetry::trace::{SpanRecord, TraceCtx, Tracer};
 use subsum_telemetry::Count;
-use subsum_types::{
-    BrokerId, IdLayout, LocalSubId, Schema, Subscription, SubscriptionId, TypeError,
-};
+use subsum_types::{IdLayout, Schema, Subscription, SubscriptionId, TypeError};
 
+use crate::core::BrokerCore;
 use crate::snapshot::BrokerCheckpoint;
 use crate::transport::Transport;
 
@@ -165,18 +163,12 @@ pub struct ChaosReport {
     pub crash_snapshots: Vec<(NodeId, Vec<SpanRecord>)>,
 }
 
-/// One simulated broker of a chaos run: its exact store, its own
-/// summary, and its (possibly stale) views of each neighbor's summary.
+/// One simulated broker of a chaos run: its [`BrokerCore`] plus what
+/// the simulation adds — whether it is up, and its stable storage.
 #[derive(Debug)]
-struct ChaosBroker {
+struct Node {
+    core: BrokerCore,
     alive: bool,
-    next_local: u32,
-    /// Exact store in ascending-id order (insertion order == id order,
-    /// the canonical discipline that makes digests comparable).
-    exact: Vec<(SubscriptionId, Subscription)>,
-    own: BrokerSummary,
-    /// Last received summary of each neighbor.
-    views: BTreeMap<NodeId, BrokerSummary>,
     /// Durable checkpoint bytes, surviving crashes. `None` models a
     /// broker that never checkpointed and restarts empty.
     checkpoint: Option<Vec<u8>>,
@@ -210,11 +202,10 @@ pub enum ChaosMsg {
 #[derive(Debug)]
 pub struct ChaosRun {
     topology: Topology,
-    schema: Schema,
     plan: FaultPlan,
     config: ChaosConfig,
     codec: SummaryCodec,
-    brokers: Vec<ChaosBroker>,
+    brokers: Vec<Node>,
     /// Optional causal tracer shared with the lossy network. `None`
     /// leaves every trace hook a no-op.
     tracer: Option<Arc<Tracer>>,
@@ -234,19 +225,15 @@ impl ChaosRun {
     ) -> Result<Self, TypeError> {
         let layout = IdLayout::new(topology.len() as u64, 1 << 20, schema.len() as u32)?;
         let codec = SummaryCodec::new(layout, ArithWidth::Eight);
-        let brokers = (0..topology.len())
-            .map(|_| ChaosBroker {
+        let brokers = (0..topology.len() as NodeId)
+            .map(|b| Node {
+                core: BrokerCore::new(b, schema.clone(), layout, None),
                 alive: true,
-                next_local: 0,
-                exact: Vec::new(),
-                own: BrokerSummary::new(schema.clone()),
-                views: BTreeMap::new(),
                 checkpoint: None,
             })
             .collect();
         Ok(ChaosRun {
             topology,
-            schema,
             plan,
             config,
             codec,
@@ -283,26 +270,43 @@ impl ChaosRun {
     /// subscribe order, so summaries are always built in the canonical
     /// ascending-id insertion order.
     ///
+    /// # Errors
+    ///
+    /// Returns [`TypeError::IdOverflow`] once `b` exhausted its local
+    /// id space.
+    ///
     /// # Panics
     ///
     /// Panics if `b` is out of range.
-    pub fn subscribe(&mut self, b: NodeId, sub: &Subscription) -> SubscriptionId {
-        let broker = &mut self.brokers[b as usize];
-        let id = SubscriptionId::new(BrokerId(b), LocalSubId(broker.next_local), sub.attr_mask());
-        broker.next_local += 1;
-        broker.exact.push((id, sub.clone()));
-        broker.own.insert_with_id(id, sub);
-        id
+    pub fn subscribe(
+        &mut self,
+        b: NodeId,
+        sub: &Subscription,
+    ) -> Result<SubscriptionId, TypeError> {
+        self.brokers[b as usize].core.subscribe(sub)
+    }
+
+    /// Cancels a subscription and re-summarises its owner's store, so
+    /// the summary keeps the canonical form the oracle (and a restart)
+    /// would build. Returns whether the subscription existed.
+    pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
+        let core = &mut self.brokers[id.broker.index()].core;
+        let existed = core.unsubscribe(id);
+        if existed {
+            core.rebuild();
+        }
+        existed
+    }
+
+    /// The state machine of broker `b` (its store, summary and views).
+    pub fn broker(&self, b: NodeId) -> &BrokerCore {
+        &self.brokers[b as usize].core
     }
 
     /// Writes broker `b`'s durable checkpoint (survives crashes).
     pub fn checkpoint(&mut self, b: NodeId) {
-        let broker = &mut self.brokers[b as usize];
-        let cp = BrokerCheckpoint {
-            next_local: broker.next_local,
-            subs: broker.exact.clone(),
-        };
-        broker.checkpoint = Some(cp.to_bytes());
+        let node = &mut self.brokers[b as usize];
+        node.checkpoint = Some(node.core.checkpoint().to_bytes());
     }
 
     /// Checkpoints every broker.
@@ -315,41 +319,27 @@ impl ChaosRun {
     /// The fault-free oracle: each broker's summary rebuilt from its
     /// durable subscription set in ascending-id order.
     pub fn oracle(&self) -> Vec<BrokerSummary> {
-        self.brokers
-            .iter()
-            .map(|br| {
-                BrokerSummary::rebuild(self.schema.clone(), br.exact.iter().map(|(id, s)| (*id, s)))
-            })
-            .collect()
+        self.brokers.iter().map(|n| n.core.rebuilt()).collect()
     }
 
     /// Whether the system is converged: every broker alive, every own
     /// summary digest-equal to the oracle, and both directions of every
-    /// edge agreeing (the view of a neighbor equals that neighbor's own
-    /// summary).
+    /// edge agreeing — no neighbour's digest advertisement would find a
+    /// stale view.
     pub fn converged(&self) -> bool {
-        if !self.brokers.iter().all(|b| b.alive) {
+        if !self.brokers.iter().all(|n| n.alive) {
             return false;
         }
-        let empty = BrokerSummary::new(self.schema.clone()).digest();
-        let own: Vec<SummaryDigest> = self.brokers.iter().map(|b| b.own.digest()).collect();
+        let own: Vec<SummaryDigest> = self.brokers.iter().map(|n| n.core.own().digest()).collect();
         let oracle = self.oracle();
-        for (b, broker) in self.brokers.iter().enumerate() {
-            if own[b] != oracle[b].digest() {
-                return false;
-            }
-            for &nb in self.topology.neighbors(b as NodeId) {
-                let view = broker
-                    .views
-                    .get(&nb)
-                    .map(BrokerSummary::digest)
-                    .unwrap_or(empty);
-                if view != own[nb as usize] {
-                    return false;
-                }
-            }
-        }
-        true
+        self.brokers.iter().enumerate().all(|(b, node)| {
+            own[b] == oracle[b].digest()
+                && self
+                    .topology
+                    .neighbors(b as NodeId)
+                    .iter()
+                    .all(|&nb| !node.core.view_is_stale(nb, own[nb as usize]))
+        })
     }
 
     /// Executes the scenario to quiescence: initial summary wave, the
@@ -420,7 +410,6 @@ impl ChaosRun {
         }
 
         let quiet_after = self.plan_quiet_after();
-        let empty_digest = BrokerSummary::new(self.schema.clone()).digest();
         let mut converged_at = None;
         while let Some((time, env)) = net.recv() {
             let me = env.to;
@@ -430,24 +419,19 @@ impl ChaosRun {
             let ctx = env.trace;
             match env.payload {
                 ChaosMsg::Update(summary) => {
-                    if self.brokers[me as usize].alive {
+                    let node = &mut self.brokers[me as usize];
+                    if node.alive {
                         // View replacement: duplicates are no-ops.
-                        self.brokers[me as usize].views.insert(env.from, summary);
+                        node.core.install_view(env.from, summary);
                     }
                 }
                 ChaosMsg::Digest(digest) => {
-                    if self.brokers[me as usize].alive {
-                        let view = self.brokers[me as usize]
-                            .views
-                            .get(&env.from)
-                            .map(BrokerSummary::digest)
-                            .unwrap_or(empty_digest);
-                        if view != digest {
-                            stats.resyncs += 1;
-                            stats.pulls += 1;
-                            stats.pull_bytes += PULL_BYTES;
-                            net.send(me, env.from, self.config.link_delay, ctx, ChaosMsg::Pull);
-                        }
+                    let node = &self.brokers[me as usize];
+                    if node.alive && node.core.view_is_stale(env.from, digest) {
+                        stats.resyncs += 1;
+                        stats.pulls += 1;
+                        stats.pull_bytes += PULL_BYTES;
+                        net.send(me, env.from, self.config.link_delay, ctx, ChaosMsg::Pull);
                     }
                 }
                 ChaosMsg::Pull => {
@@ -465,16 +449,19 @@ impl ChaosRun {
                     {
                         crash_snapshots.push((me, snap));
                     }
-                    let broker = &mut self.brokers[me as usize];
-                    broker.alive = false;
-                    broker.exact.clear();
-                    broker.next_local = 0;
-                    broker.own = BrokerSummary::new(self.schema.clone());
-                    broker.views.clear();
+                    // Everything in memory is gone.
+                    let node = &mut self.brokers[me as usize];
+                    node.alive = false;
+                    node.core.restore(None);
                     stats.crashes += 1;
                 }
                 ChaosMsg::Restart => {
-                    self.restart(me);
+                    let node = &mut self.brokers[me as usize];
+                    node.alive = true;
+                    let durable = node.checkpoint.as_deref();
+                    node.core.restore(
+                        durable.and_then(|bytes| BrokerCheckpoint::from_bytes(bytes).ok()),
+                    );
                     stats.restarts += 1;
                     // Announce the recovered summary and re-learn every
                     // neighbor's. Recovery is a fresh causal origin.
@@ -494,7 +481,7 @@ impl ChaosRun {
                         if self.config.naive_repair {
                             self.send_update_to_neighbors(&mut *net, &mut stats, me, ctx)?;
                         } else {
-                            let digest = self.brokers[me as usize].own.digest();
+                            let digest = self.brokers[me as usize].core.own().digest();
                             for &nb in self.topology.neighbors(me).to_vec().iter() {
                                 stats.digest_msgs += 1;
                                 stats.digest_bytes += SummaryDigest::WIRE_BYTES as u64;
@@ -552,31 +539,6 @@ impl ChaosRun {
             .unwrap_or(0)
     }
 
-    fn restart(&mut self, b: NodeId) {
-        let broker = &mut self.brokers[b as usize];
-        broker.alive = true;
-        broker.views.clear();
-        match broker
-            .checkpoint
-            .as_deref()
-            .and_then(|bytes| BrokerCheckpoint::from_bytes(bytes).ok())
-        {
-            Some(cp) => {
-                broker.own = BrokerSummary::rebuild(
-                    self.schema.clone(),
-                    cp.subs.iter().map(|(id, s)| (*id, s)),
-                );
-                broker.next_local = cp.next_local;
-                broker.exact = cp.subs;
-            }
-            None => {
-                broker.own = BrokerSummary::new(self.schema.clone());
-                broker.next_local = 0;
-                broker.exact = Vec::new();
-            }
-        }
-    }
-
     fn send_update<T: Transport<ChaosMsg>>(
         &mut self,
         net: &mut T,
@@ -585,7 +547,7 @@ impl ChaosRun {
         to: NodeId,
         ctx: TraceCtx,
     ) -> Result<(), TypeError> {
-        let summary = self.brokers[from as usize].own.clone();
+        let summary = self.brokers[from as usize].core.own().clone();
         stats.full_updates += 1;
         stats.full_summary_bytes += self.codec.encoded_len(&summary)? as u64;
         net.send(

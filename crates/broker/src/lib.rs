@@ -1,22 +1,26 @@
 //! Summary-centric publish/subscribe brokers — the distributed half of the
 //! ICDCS 2004 subscription-summarization system.
 //!
-//! Building on the summary structures of `subsum-core`, this crate
-//! implements the paper's distributed algorithms:
+//! Building on the summary structures of `subsum-core`, this crate holds
+//! the paper's broker and its distributed algorithms, each written once:
 //!
+//! * [`core`](crate::core) — [`BrokerCore`], one broker without I/O: exact
+//!   store, own summary, neighbor views, and every decision a broker
+//!   takes alone (admission, checkpoint/restore, the digest gate, tier-2
+//!   verification);
 //! * [`propagation`] — **Algorithm 2** (§4.2): degree-indexed propagation
 //!   of multi-broker summaries with `Merged_Brokers` bookkeeping;
-//! * [`routing`] — **Algorithm 3** (§4.3): BROCLI-driven event routing to
-//!   the brokers owning matched subscriptions, including the paper's
-//!   *virtual degrees* load-balancing extension (§6);
-//! * [`SummaryPubSub`] — the end-to-end system: exact per-broker
-//!   subscription stores, periodic propagation, two-tier matching
-//!   (summary candidates verified at the home broker);
-//! * [`runtime`] — a concurrent deployment of the same logic with one OS
-//!   thread per broker communicating over channels;
-//! * [`chaos`] — deterministic fault injection (drops, duplicates, link
-//!   cuts, partitions, broker crashes) with checkpoint-based recovery and
-//!   digest-driven anti-entropy repair of neighbor summaries.
+//! * [`routing`] — **Algorithm 3** (§4.3): one broker's BROCLI step
+//!   ([`routing::examine`]) and the in-process loop over it, including
+//!   the paper's *virtual degrees* extension (§6);
+//!
+//! and three hosts that own one core per broker and only move messages
+//! (the fourth, `subsumd`, lives in `subsum-transport`):
+//!
+//! * [`SummaryPubSub`] — the deterministic end-to-end engine;
+//! * [`runtime`] — the same two algorithms, one OS thread per broker;
+//! * [`chaos`] — neighbor views under deterministic fault injection,
+//!   checkpoint recovery and digest-driven anti-entropy.
 //!
 //! # Example
 //!
@@ -44,6 +48,7 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod chaos;
+pub mod core;
 pub mod propagation;
 pub mod routing;
 pub mod runtime;
@@ -51,6 +56,7 @@ mod snapshot;
 mod system;
 pub mod transport;
 
+pub use crate::core::BrokerCore;
 pub use chaos::{ChaosConfig, ChaosMsg, ChaosReport, ChaosRun, ChaosStats};
 pub use propagation::{propagate, MergedSummary, PropagationOutcome, PropagationSend};
 pub use routing::{route_event, Notification, RoutingOptions, RoutingOutcome};

@@ -16,6 +16,7 @@
 //! stored `Merged_Brokers` sets covers all brokers, which is what the
 //! event-routing phase's BROCLI relies on.
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 use subsum_core::{BrokerSummary, SummaryCodec};
@@ -128,9 +129,9 @@ impl PropagationOutcome {
 /// # Panics
 ///
 /// Panics if `own.len()` differs from the topology size.
-pub fn propagate(
+pub fn propagate<S: Borrow<BrokerSummary>>(
     topology: &Topology,
-    own: &[BrokerSummary],
+    own: &[S],
     codec: &SummaryCodec,
 ) -> Result<PropagationOutcome, TypeError> {
     assert_eq!(own.len(), topology.len(), "one summary per broker required");
@@ -143,7 +144,7 @@ pub fn propagate(
         .iter()
         .enumerate()
         .map(|(b, s)| MergedSummary {
-            summary: s.clone(),
+            summary: s.borrow().clone(),
             merged_brokers: BTreeSet::from([b as NodeId]),
         })
         .collect();

@@ -171,39 +171,83 @@ pub fn route_event_with_scratch(
     )
 }
 
-/// As [`route_event_with_scratch`], recording causal route/match spans
-/// into `tracer` under `ctx`: one route span per examined broker (each
-/// chained to the previous hop's route span), one match span per summary
-/// examination, with the cumulative overlay distance as the logical
-/// clock. Matching behavior and the returned outcome's routing fields
-/// are identical to the untraced path; in addition each notification
-/// carries its producing match span and logical arrival tick.
+/// One broker's step of Algorithm 3, shared by every host that routes
+/// over merged summaries: what broker `at` decides about an event that
+/// reached it carrying `brocli`.
+///
+/// 1. Matches the event against the stored summary `here` and leaves in
+///    `unexamined` the candidates whose owner is not yet in BROCLI
+///    (ascending ids: one run per owner, see [`owner_runs`]).
+/// 2. Adds `at` and the whole `Merged_Brokers` set to `brocli`.
+/// 3. Returns the next hop and its overlay distance — highest (virtual)
+///    degree outside BROCLI, then nearest, then lowest id — or `None`
+///    once BROCLI is complete.
 #[allow(clippy::too_many_arguments)]
-pub fn route_event_traced(
+pub fn examine(
     topology: &Topology,
-    stored: &[MergedSummary],
-    publisher: NodeId,
+    here: &MergedSummary,
+    at: NodeId,
     event: &Event,
-    event_bytes: usize,
     options: &RoutingOptions,
     scratch: &mut MatchScratch,
-    tracer: &Tracer,
-    ctx: TraceCtx,
-) -> RoutingOutcome {
-    route_inner(
-        topology,
-        stored,
-        publisher,
-        event,
-        event_bytes,
-        options,
-        scratch,
-        Some((tracer, ctx)),
-    )
+    brocli: &mut [bool],
+    unexamined: &mut Vec<SubscriptionId>,
+) -> Option<(NodeId, u32)> {
+    let match_stage = STAGE_CANDIDATE_MATCH.start();
+    let matched = &here.summary.match_event_into(event, scratch).matched;
+    match_stage.finish();
+    unexamined.clear();
+    unexamined.extend(
+        matched
+            .iter()
+            .filter(|id| !brocli[id.broker.index()])
+            .copied(),
+    );
+
+    brocli[at as usize] = true;
+    for &b in &here.merged_brokers {
+        brocli[b as usize] = true;
+    }
+
+    if brocli.iter().all(|&examined| examined) {
+        return None;
+    }
+    let dist = topology.distances(at);
+    (0..topology.len() as NodeId)
+        .filter(|&v| !brocli[v as usize])
+        .min_by_key(|&v| {
+            (
+                std::cmp::Reverse(options.effective_degree(topology, v)),
+                dist[v as usize],
+                v,
+            )
+        })
+        .map(|next| (next, dist[next as usize]))
 }
 
+/// Splits id-sorted candidates (matcher output order is broker-major)
+/// into one `(owner, ids)` run per owning broker.
+pub fn owner_runs(
+    ids: &[SubscriptionId],
+) -> impl Iterator<Item = (NodeId, &[SubscriptionId])> + '_ {
+    let mut rest = ids;
+    std::iter::from_fn(move || {
+        let owner = rest.first()?.broker;
+        let len = rest.iter().take_while(|id| id.broker == owner).count();
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        Some((owner.0, run))
+    })
+}
+
+/// [`route_event_with_scratch`], optionally recording causal spans: one
+/// route span per examined broker (chained to the previous hop's), one
+/// match span per examination, the cumulative overlay distance as the
+/// logical clock. The outcome's routing fields are identical with and
+/// without a tracer; with one, each notification also carries its
+/// producing match span.
 #[allow(clippy::too_many_arguments)]
-fn route_inner(
+pub(crate) fn route_inner(
     topology: &Topology,
     stored: &[MergedSummary],
     publisher: NodeId,
@@ -219,6 +263,7 @@ fn route_inner(
     let brocli_bytes = n.div_ceil(8);
     let mut metrics = NetMetrics::new(n);
     let mut brocli = vec![false; n];
+    let mut unexamined = Vec::new();
     let mut visits = Vec::new();
     let mut notifications = Vec::new();
     let mut forward_hops = 0u64;
@@ -238,81 +283,46 @@ fn route_inner(
             Some((t, c)) => t.record(c.trace, hop_parent, current, SpanKind::Route, clock),
             None => 0,
         };
-
-        // 1. Check the local merged summary for matches; report each
-        //    matched subscription to its owner unless the owner's
-        //    subscriptions were already examined earlier on the path.
-        let match_stage = STAGE_CANDIDATE_MATCH.start();
-        let here = &stored[current as usize];
-        let matched = &here.summary.match_event_into(event, scratch).matched;
-        match_stage.finish();
+        let next = examine(
+            topology,
+            &stored[current as usize],
+            current,
+            event,
+            options,
+            scratch,
+            &mut brocli,
+            &mut unexamined,
+        );
         let match_span = match trace {
             Some((t, c)) => t.record(c.trace, route_span, current, SpanKind::Match, clock),
             None => 0,
         };
-        let mut owners_here: Vec<NodeId> = Vec::new();
-        let dist_here = topology.distances(current);
-        for &id in matched {
-            let owner = id.broker.0 as NodeId;
-            if brocli[owner as usize] {
-                continue; // already examined at a previous broker
-            }
+
+        // Report each candidate to its owner; a notification to the
+        // examining broker itself costs no hop.
+        let mut dist_here = None;
+        for (owner, ids) in owner_runs(&unexamined) {
             let eta = if owner == current {
                 clock
             } else {
-                clock + u64::from(dist_here[owner as usize])
+                let dist = dist_here.get_or_insert_with(|| topology.distances(current));
+                metrics.record(current, owner, event_bytes, dist[owner as usize]);
+                notify_hops += 1;
+                clock + u64::from(dist[owner as usize])
             };
-            notifications.push(Notification {
+            notifications.extend(ids.iter().map(|&id| Notification {
                 found_at: current,
                 owner,
                 id,
                 eta,
                 span: match_span,
-            });
-            if owner != current && !owners_here.contains(&owner) {
-                owners_here.push(owner);
-            }
-        }
-        for owner in owners_here {
-            let dist = dist_here[owner as usize];
-            metrics.record(current, owner, event_bytes, dist);
-            notify_hops += 1;
+            }));
         }
 
-        // 2. Update BROCLI with the whole Merged_Brokers set.
-        brocli[current as usize] = true;
-        for &b in &here.merged_brokers {
-            brocli[b as usize] = true;
-        }
-
-        // 3–4. Forward while BROCLI is incomplete.
-        if brocli.iter().all(|&c| c) {
-            break;
-        }
-        let dist_from_current = topology.distances(current);
-        // The completeness check above already broke out when every
-        // broker was covered, so a candidate always exists; the `else`
-        // arm keeps the routing hot path panic-free regardless.
-        let Some(next) = (0..n as NodeId)
-            .filter(|&v| !brocli[v as usize])
-            .min_by_key(|&v| {
-                (
-                    std::cmp::Reverse(options.effective_degree(topology, v)),
-                    dist_from_current[v as usize],
-                    v,
-                )
-            })
-        else {
-            break;
-        };
-        metrics.record(
-            current,
-            next,
-            event_bytes + brocli_bytes,
-            dist_from_current[next as usize],
-        );
+        let Some((next, hop_len)) = next else { break };
+        metrics.record(current, next, event_bytes + brocli_bytes, hop_len);
         forward_hops += 1;
-        clock += u64::from(dist_from_current[next as usize].max(1));
+        clock += u64::from(hop_len.max(1));
         hop_parent = route_span;
         current = next;
     }

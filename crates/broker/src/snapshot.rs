@@ -106,16 +106,7 @@ pub struct BrokerCheckpoint {
 impl BrokerCheckpoint {
     /// Captures broker `b`'s durable state out of a running system.
     pub fn capture(sys: &SummaryPubSub, b: NodeId) -> Self {
-        let mut subs: Vec<(SubscriptionId, Subscription)> = sys
-            .exact_store(b)
-            .iter()
-            .map(|(id, sub)| (*id, sub.clone()))
-            .collect();
-        subs.sort_by_key(|(id, _)| *id);
-        BrokerCheckpoint {
-            next_local: sys.next_local_at(b),
-            subs,
-        }
+        sys.broker(b).checkpoint()
     }
 
     /// Serializes the checkpoint with the deterministic byte codec.
@@ -202,17 +193,15 @@ impl SummaryPubSub {
 
         // Per-broker stores.
         for b in 0..topology.len() as NodeId {
-            w.u32(self.next_local_at(b));
-            let mut subs: Vec<(&SubscriptionId, &Subscription)> =
-                self.exact_store(b).iter().collect();
-            subs.sort_by_key(|(id, _)| **id);
-            w.u32(subs.len() as u32);
-            for (id, sub) in subs {
+            let broker = self.broker(b);
+            w.u32(broker.next_local());
+            w.u32(broker.exact().len() as u32);
+            for (id, sub) in broker.exact() {
                 put_id(&mut w, *id);
                 sub.encode(&mut w);
             }
             let mut shadow_edges: Vec<(SubscriptionId, SubscriptionId)> =
-                self.shadow_edges(b).collect();
+                broker.shadow_edges().collect();
             shadow_edges.sort();
             w.u32(shadow_edges.len() as u32);
             for (covered, coverer) in shadow_edges {
@@ -285,8 +274,7 @@ impl SummaryPubSub {
                 let coverer = get_id(&mut r)?;
                 shadows.insert(covered, coverer);
             }
-            sys.restore_broker_state(b, next_local, subs, shadows)
-                .map_err(SnapshotError::Type)?;
+            sys.brokers[b as usize].restore_durable(next_local, subs, shadows);
         }
         if !r.is_exhausted() {
             return Err(SnapshotError::Format("trailing bytes"));

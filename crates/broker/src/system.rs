@@ -13,21 +13,18 @@
 //!   an owner are re-checked against the owner's exact subscriptions, so
 //!   consumers only ever see true matches despite SACS generalization.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use subsum_core::{
-    ArithWidth, BrokerSummary, MatchScratch, SizeParams, SummaryCodec, SummaryStats,
-};
+use subsum_core::{ArithWidth, MatchScratch, SizeParams, SummaryCodec, SummaryStats};
 use subsum_net::{NetMetrics, NodeId, Topology};
 use subsum_telemetry::trace::{SpanKind, TraceCtx, Tracer};
 use subsum_telemetry::{Count, Stage};
-use subsum_types::{Event, IdLayout, LocalSubId, Schema, Subscription, SubscriptionId, TypeError};
+use subsum_types::{Event, IdLayout, Schema, Subscription, SubscriptionId, TypeError};
 
+use crate::core::BrokerCore;
 use crate::propagation::{propagate, MergedSummary, PropagationOutcome};
-use crate::routing::{
-    route_event_traced, route_event_with_scratch, RoutingOptions, RoutingOutcome,
-};
+use crate::routing::{route_inner, RoutingOptions, RoutingOutcome};
 
 /// Telemetry stages and counters of the end-to-end engine. Publishing is
 /// split into its pipeline stages — Algorithm 3 routing
@@ -35,7 +32,6 @@ use crate::routing::{
 /// examined broker) and tier-2 owner verification
 /// (`publish.owner_verify`) — so a run report can answer where a
 /// publish's time goes.
-static STAGE_SUBSCRIBE: Stage = Stage::new(subsum_telemetry::names::BROKER_SUBSCRIBE);
 static STAGE_PROPAGATE: Stage = Stage::new(subsum_telemetry::names::BROKER_PROPAGATE);
 static STAGE_ROUTE: Stage = Stage::new(subsum_telemetry::names::PUBLISH_ROUTE);
 static STAGE_OWNER_VERIFY: Stage = Stage::new(subsum_telemetry::names::PUBLISH_OWNER_VERIFY);
@@ -117,25 +113,13 @@ pub struct SummaryPubSub {
     schema: Schema,
     codec: SummaryCodec,
     routing: RoutingOptions,
-    /// Exact per-broker subscription stores (tier 2).
-    exact: Vec<HashMap<SubscriptionId, Subscription>>,
-    /// Per-broker own summaries (tier 1, pre-propagation).
-    own: Vec<BrokerSummary>,
-    /// Next local subscription number per broker.
-    next_local: Vec<u32>,
+    /// One state machine per broker of the overlay.
+    pub(crate) brokers: Vec<BrokerCore>,
     /// The capacity this system was sized for (snapshot metadata).
     max_subs: u64,
-    /// §6 extension: combine summarization with subsumption. When on,
-    /// a new subscription covered by a resident one is *shadowed*: kept
-    /// out of the propagated summary and expanded at delivery time.
-    subsumption_filter: bool,
-    /// Per broker: coverer id → ids of the subscriptions it shadows.
-    shadows: Vec<HashMap<SubscriptionId, Vec<SubscriptionId>>>,
-    /// Per broker: shadowed id → its coverer.
-    shadowed_by: Vec<HashMap<SubscriptionId, SubscriptionId>>,
-    /// Subscriptions accepted since the last propagation, per broker —
-    /// the σ-batch an incremental period ships.
-    pending: Vec<Vec<(SubscriptionId, Subscription)>>,
+    /// Ids accepted since the last propagation, per broker — the σ-batch
+    /// an incremental period ships.
+    pending: Vec<Vec<SubscriptionId>>,
     /// The most recent propagation phase (its `stored` summaries are
     /// the ones events route over).
     last_propagation: Option<PropagationOutcome>,
@@ -167,20 +151,17 @@ impl SummaryPubSub {
         )?;
         let n = topology.len();
         Ok(SummaryPubSub {
-            topology,
             codec: SummaryCodec::new(layout, ArithWidth::Four),
             routing: RoutingOptions::new(),
-            exact: vec![HashMap::new(); n],
-            own: (0..n).map(|_| BrokerSummary::new(schema.clone())).collect(),
-            next_local: vec![0; n],
+            brokers: (0..n as NodeId)
+                .map(|b| BrokerCore::new(b, schema.clone(), layout, None))
+                .collect(),
             max_subs: max_subs_per_broker,
             pending: vec![Vec::new(); n],
-            subsumption_filter: false,
-            shadows: vec![HashMap::new(); n],
-            shadowed_by: vec![HashMap::new(); n],
             last_propagation: None,
             propagation_metrics: NetMetrics::new(n),
             tracer: None,
+            topology,
             schema,
         })
     }
@@ -219,27 +200,26 @@ impl SummaryPubSub {
     }
 
     /// Enables or disables the §6 extension that combines summarization
-    /// with subsumption: a subscription covered by a resident one at the
-    /// same broker is *shadowed* — it receives an id and exact-store
-    /// entry but is not dissolved into the propagated summary. When an
-    /// event makes the coverer a candidate, the owner also verifies the
-    /// shadowed subscriptions under it, so no deliveries are lost
-    /// (coverage implies every event matching the shadowed subscription
-    /// matches its coverer).
-    ///
-    /// Affects subscriptions registered after the call.
+    /// with subsumption at every broker: a subscription covered by a
+    /// resident one is *shadowed* out of the propagated summary and
+    /// expanded at verification (see [`BrokerCore::verify`]), so no
+    /// deliveries are lost. Affects subscriptions registered afterwards.
     pub fn set_subsumption_filter(&mut self, on: bool) {
-        self.subsumption_filter = on;
+        for broker in &mut self.brokers {
+            broker.set_subsumption_filter(on);
+        }
     }
 
     /// The number of subscriptions currently shadowed at `broker`.
     pub fn shadowed_count(&self, broker: NodeId) -> usize {
-        self.shadowed_by[broker as usize].len()
+        self.broker(broker).shadowed_count()
     }
 
     /// Whether the §6 subsumption filter is active.
     pub fn subsumption_filter_enabled(&self) -> bool {
-        self.subsumption_filter
+        self.brokers
+            .first()
+            .is_some_and(BrokerCore::subsumption_filter)
     }
 
     /// The per-broker subscription capacity this system was created with.
@@ -247,58 +227,19 @@ impl SummaryPubSub {
         self.max_subs
     }
 
+    /// The state machine of `broker`.
+    pub fn broker(&self, broker: NodeId) -> &BrokerCore {
+        &self.brokers[broker as usize]
+    }
+
     /// The next local subscription number `broker` will assign.
     pub fn next_local_at(&self, broker: NodeId) -> u32 {
-        self.next_local[broker as usize]
+        self.broker(broker).next_local()
     }
 
     /// Read access to a broker's exact subscription store.
-    pub fn exact_store(&self, broker: NodeId) -> &HashMap<SubscriptionId, Subscription> {
-        &self.exact[broker as usize]
-    }
-
-    /// Iterates over `(covered, coverer)` shadow edges at `broker`.
-    pub fn shadow_edges(
-        &self,
-        broker: NodeId,
-    ) -> impl Iterator<Item = (SubscriptionId, SubscriptionId)> + '_ {
-        self.shadowed_by[broker as usize]
-            .iter()
-            .map(|(covered, coverer)| (*covered, *coverer))
-    }
-
-    /// Restores one broker's durable state from a snapshot: the local id
-    /// counter, the exact store and the shadow map. Non-shadowed
-    /// subscriptions re-enter the broker's own summary.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; the `Result` guards future validation.
-    pub(crate) fn restore_broker_state(
-        &mut self,
-        broker: NodeId,
-        next_local: u32,
-        subs: Vec<(SubscriptionId, Subscription)>,
-        shadowed_by: HashMap<SubscriptionId, SubscriptionId>,
-    ) -> Result<(), TypeError> {
-        let b = broker as usize;
-        self.next_local[b] = next_local;
-        let mut shadows: HashMap<SubscriptionId, Vec<SubscriptionId>> = HashMap::new();
-        for (covered, coverer) in &shadowed_by {
-            shadows.entry(*coverer).or_default().push(*covered);
-        }
-        for list in shadows.values_mut() {
-            list.sort();
-        }
-        for (id, sub) in subs {
-            if !shadowed_by.contains_key(&id) {
-                self.own[b].insert_with_id(id, &sub);
-            }
-            self.exact[b].insert(id, sub);
-        }
-        self.shadows[b] = shadows;
-        self.shadowed_by[b] = shadowed_by;
-        Ok(())
+    pub fn exact_store(&self, broker: NodeId) -> &BTreeMap<SubscriptionId, Subscription> {
+        self.broker(broker).exact()
     }
 
     /// Installs a changed overlay topology (same broker population).
@@ -347,19 +288,13 @@ impl SummaryPubSub {
             new_schema.len() as u32,
         )?;
         self.codec = SummaryCodec::new(layout, ArithWidth::Four);
-        self.schema = new_schema;
         // Re-type every broker's own summary against the new schema so
         // subscriptions over the new attributes can be dissolved; stored
         // multi-broker summaries must be rebuilt by the next propagation.
-        for b in 0..self.own.len() {
-            self.own[b] = BrokerSummary::rebuild(
-                self.schema.clone(),
-                self.exact[b]
-                    .iter()
-                    .filter(|(id, _)| !self.shadowed_by[b].contains_key(id))
-                    .map(|(id, sub)| (*id, sub)),
-            );
+        for broker in &mut self.brokers {
+            broker.retype(new_schema.clone(), layout);
         }
+        self.schema = new_schema;
         self.last_propagation = None;
         Ok(())
     }
@@ -383,52 +318,9 @@ impl SummaryPubSub {
         broker: NodeId,
         sub: &Subscription,
     ) -> Result<SubscriptionId, TypeError> {
-        let _span = STAGE_SUBSCRIBE.start();
-        let b = broker as usize;
-        let local = self.next_local[b];
-        if u64::from(local) >= (1u64 << self.codec.layout().local_bits()) {
-            return Err(TypeError::IdOverflow {
-                component: "c2",
-                value: u64::from(local),
-                bits: self.codec.layout().local_bits(),
-            });
-        }
-        self.next_local[b] += 1;
-        let id = SubscriptionId::new(
-            subsum_types::BrokerId(broker),
-            LocalSubId(local),
-            sub.attr_mask(),
-        );
-        if self.subsumption_filter {
-            if let Some(coverer) = self.find_resident_coverer(b, sub, None) {
-                self.shadows[b].entry(coverer).or_default().push(id);
-                self.shadowed_by[b].insert(id, coverer);
-                self.exact[b].insert(id, sub.clone());
-                return Ok(id);
-            }
-        }
-        self.own[b].insert_with_id(id, sub);
-        self.exact[b].insert(id, sub.clone());
-        self.pending[b].push((id, sub.clone()));
+        let id = self.brokers[broker as usize].subscribe(sub)?;
+        self.pending[broker as usize].push(id);
         Ok(id)
-    }
-
-    /// Finds a resident (non-shadowed) subscription at broker `b`, other
-    /// than `exclude`, that covers `sub`; lowest id wins for determinism.
-    fn find_resident_coverer(
-        &self,
-        b: usize,
-        sub: &Subscription,
-        exclude: Option<SubscriptionId>,
-    ) -> Option<SubscriptionId> {
-        let mut ids: Vec<&SubscriptionId> = self.exact[b]
-            .keys()
-            .filter(|id| Some(**id) != exclude && !self.shadowed_by[b].contains_key(id))
-            .collect();
-        ids.sort();
-        ids.into_iter()
-            .find(|id| self.exact[b][id].covers(sub))
-            .copied()
     }
 
     /// Cancels a subscription at its owner broker.
@@ -437,33 +329,7 @@ impl SummaryPubSub {
     /// summaries keep the id until the next propagation rebuild — over-
     /// approximation, handled by tier-2 verification as usual.
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
-        let b = id.broker.index();
-        if self.exact[b].remove(&id).is_none() {
-            return false;
-        }
-        if let Some(coverer) = self.shadowed_by[b].remove(&id) {
-            // A shadowed subscription never entered the summary.
-            if let Some(list) = self.shadows[b].get_mut(&coverer) {
-                list.retain(|&x| x != id);
-            }
-            return true;
-        }
-        self.own[b].remove(id);
-        // Orphaned shadows must re-enter the summary (possibly under a
-        // different resident coverer).
-        if let Some(orphans) = self.shadows[b].remove(&id) {
-            for orphan in orphans {
-                self.shadowed_by[b].remove(&orphan);
-                let sub = self.exact[b][&orphan].clone();
-                if let Some(coverer) = self.find_resident_coverer(b, &sub, Some(orphan)) {
-                    self.shadows[b].entry(coverer).or_default().push(orphan);
-                    self.shadowed_by[b].insert(orphan, coverer);
-                } else {
-                    self.own[b].insert_with_id(orphan, &sub);
-                }
-            }
-        }
-        true
+        self.brokers[id.broker.index()].unsubscribe(id)
     }
 
     /// Runs the subscription propagation phase (Algorithm 2) from the
@@ -478,22 +344,16 @@ impl SummaryPubSub {
         // Rebuild own summaries from the exact stores so unsubscriptions
         // shed their generalizations at each period boundary. Shadowed
         // subscriptions stay out of the summaries (§6 extension).
-        for b in 0..self.own.len() {
-            self.own[b] = BrokerSummary::rebuild(
-                self.schema.clone(),
-                self.exact[b]
-                    .iter()
-                    .filter(|(id, _)| !self.shadowed_by[b].contains_key(id))
-                    .map(|(id, sub)| (*id, sub)),
-            );
+        for broker in &mut self.brokers {
+            broker.rebuild();
         }
-        let outcome = propagate(&self.topology, &self.own, &self.codec)?;
+        let own: Vec<_> = self.brokers.iter().map(BrokerCore::own).collect();
+        let outcome = propagate(&self.topology, &own, &self.codec)?;
         self.propagation_metrics.merge(&outcome.metrics);
-        self.last_propagation = Some(outcome);
         for p in &mut self.pending {
             p.clear();
         }
-        Ok(self.last_propagation.as_ref().expect("just set"))
+        Ok(self.last_propagation.insert(outcome))
     }
 
     /// Runs an *incremental* propagation period: only the subscriptions
@@ -513,31 +373,20 @@ impl SummaryPubSub {
     /// Returns [`TypeError::IdOverflow`] if an id exceeds the codec's
     /// layout.
     pub fn propagate_incremental(&mut self) -> Result<PropagationOutcome, TypeError> {
-        if self.last_propagation.is_none() {
+        let Some(current) = self.last_propagation.as_mut() else {
             return self.propagate().cloned();
-        }
+        };
         let _span = STAGE_PROPAGATE.start();
         // Delta summaries: only pending (and still-live, non-shadowed)
         // subscriptions.
-        let deltas: Vec<BrokerSummary> = (0..self.own.len())
-            .map(|b| {
-                BrokerSummary::rebuild(
-                    self.schema.clone(),
-                    self.pending[b]
-                        .iter()
-                        .filter(|(id, _)| {
-                            self.exact[b].contains_key(id) && !self.shadowed_by[b].contains_key(id)
-                        })
-                        .map(|(id, sub)| (*id, sub)),
-                )
-            })
+        let deltas: Vec<_> = self
+            .brokers
+            .iter()
+            .zip(&mut self.pending)
+            .map(|(broker, pending)| broker.summary_of(pending.drain(..)))
             .collect();
         let outcome = propagate(&self.topology, &deltas, &self.codec)?;
         self.propagation_metrics.merge(&outcome.metrics);
-        for p in &mut self.pending {
-            p.clear();
-        }
-        let current = self.last_propagation.as_mut().expect("checked above");
         for (stored, delta) in current.stored.iter_mut().zip(&outcome.stored) {
             stored.summary.merge(&delta.summary);
             stored
@@ -565,7 +414,7 @@ impl SummaryPubSub {
     /// of [`SummaryPubSub::publish_batch`] holds its own scratch, and the
     /// scratch's epoch-stamped counter arrays are safely reused across
     /// the different per-hop summaries of one route (see
-    /// [`route_event_with_scratch`]).
+    /// [`route_event_with_scratch`](crate::routing::route_event_with_scratch)).
     pub fn publish_with_scratch(
         &self,
         broker: NodeId,
@@ -590,28 +439,16 @@ impl SummaryPubSub {
             .map(|t| t.new_root())
             .unwrap_or(TraceCtx::NONE);
         let route_span = STAGE_ROUTE.start();
-        let routing = match &self.tracer {
-            Some(tracer) => route_event_traced(
-                &self.topology,
-                stored,
-                broker,
-                event,
-                event_bytes,
-                &self.routing,
-                scratch,
-                tracer,
-                ctx,
-            ),
-            None => route_event_with_scratch(
-                &self.topology,
-                stored,
-                broker,
-                event,
-                event_bytes,
-                &self.routing,
-                scratch,
-            ),
-        };
+        let routing = route_inner(
+            &self.topology,
+            stored,
+            broker,
+            event,
+            event_bytes,
+            &self.routing,
+            scratch,
+            self.tracer.as_deref().map(|t| (t, ctx)),
+        );
         route_span.finish();
         self.verify_candidates(event, ctx, routing)
     }
@@ -639,37 +476,16 @@ impl SummaryPubSub {
         let mut false_positives = Vec::new();
         for n in &routing.notifications {
             let vspan = rec(n.span, n.owner, SpanKind::OwnerVerify, n.eta);
-            // Tier-2: the owner re-checks against its exact store. A
-            // stale id (unsubscribed since the last propagation) is also
-            // rejected here.
-            match self.exact[n.owner as usize].get(&n.id) {
-                Some(sub) if sub.matches(event) => {
-                    rec(vspan, n.owner, SpanKind::Deliver, n.eta);
-                    deliveries.push(Delivery {
-                        id: n.id,
-                        owner: n.owner,
-                    });
-                }
-                _ => {
-                    rec(vspan, n.owner, SpanKind::Drop, n.eta);
-                    false_positives.push(n.id);
-                }
-            }
-            // §6 extension: a candidate coverer stands in for its
-            // shadowed subscriptions; verify them too.
-            if let Some(shadowed) = self.shadows[n.owner as usize].get(&n.id) {
-                for &sid in shadowed {
-                    match self.exact[n.owner as usize].get(&sid) {
-                        Some(sub) if sub.matches(event) => {
-                            rec(vspan, n.owner, SpanKind::Deliver, n.eta);
-                            deliveries.push(Delivery {
-                                id: sid,
-                                owner: n.owner,
-                            });
-                        }
-                        _ => {}
-                    }
-                }
+            // Tier-2: the owner re-checks against its exact store (and
+            // expands §6 shadows). A stale id (unsubscribed since the
+            // last propagation) is rejected here too.
+            let confirmed = self.brokers[n.owner as usize].verify(event, n.id, |id| {
+                rec(vspan, n.owner, SpanKind::Deliver, n.eta);
+                deliveries.push(Delivery { id, owner: n.owner });
+            });
+            if !confirmed {
+                rec(vspan, n.owner, SpanKind::Drop, n.eta);
+                false_positives.push(n.id);
             }
         }
         deliveries.sort_by_key(|d| d.id);
@@ -737,18 +553,10 @@ impl SummaryPubSub {
     /// The exact matches an omniscient oracle would deliver — used by
     /// tests to verify completeness.
     pub fn oracle_matches(&self, event: &Event) -> Vec<SubscriptionId> {
-        let mut out: Vec<SubscriptionId> = self
-            .exact
+        self.brokers
             .iter()
-            .flat_map(|store| {
-                store
-                    .iter()
-                    .filter(|(_, sub)| sub.matches(event))
-                    .map(|(id, _)| *id)
-            })
-            .collect();
-        out.sort();
-        out
+            .flat_map(|broker| broker.exact_matches(event))
+            .collect()
     }
 
     /// Total bytes of summary state stored across all brokers (the
@@ -763,9 +571,9 @@ impl SummaryPubSub {
                 .map(|m| SummaryStats::of(&m.summary).total_size(params))
                 .sum(),
             None => self
-                .own
+                .brokers
                 .iter()
-                .map(|s| SummaryStats::of(s).total_size(params))
+                .map(|b| SummaryStats::of(b.own()).total_size(params))
                 .sum(),
         }
     }
@@ -782,7 +590,7 @@ impl SummaryPubSub {
 
     /// Number of outstanding subscriptions across all brokers.
     pub fn subscription_count(&self) -> usize {
-        self.exact.iter().map(HashMap::len).sum()
+        self.brokers.iter().map(|b| b.exact().len()).sum()
     }
 }
 
@@ -1178,27 +986,5 @@ mod tests {
         let schema = sys.schema().clone();
         let event = Event::builder(&schema).num("price", 1.0).unwrap().build();
         sys.publish(0, &event);
-    }
-
-    #[test]
-    fn local_id_exhaustion_reported() {
-        let mut sys =
-            SummaryPubSub::new(Topology::line(2), subsum_types::stock_schema(), 2).unwrap();
-        let schema = sys.schema().clone();
-        let sub = Subscription::builder(&schema)
-            .num("price", NumOp::Gt, 1.0)
-            .unwrap()
-            .build()
-            .unwrap();
-        sys.subscribe(0, &sub).unwrap();
-        sys.subscribe(0, &sub).unwrap();
-        let err = sys.subscribe(0, &sub).unwrap_err();
-        assert!(matches!(
-            err,
-            TypeError::IdOverflow {
-                component: "c2",
-                ..
-            }
-        ));
     }
 }

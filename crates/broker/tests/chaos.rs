@@ -7,7 +7,7 @@ use std::sync::Arc;
 use subsum_broker::{ChaosConfig, ChaosReport, ChaosRun};
 use subsum_net::{CrashEvent, FaultPlan, LinkProfile, Topology};
 use subsum_telemetry::trace::Tracer;
-use subsum_types::{stock_schema, NumOp, Schema, StrOp, Subscription};
+use subsum_types::{stock_schema, Event, NumOp, Schema, StrOp, Subscription, SubscriptionId};
 
 /// The fixed scenario of the acceptance criteria: per-link drops and
 /// duplication, plus one broker crash mid-run, on the Fig. 7 tree.
@@ -32,7 +32,7 @@ fn populated_run(plan: FaultPlan, config: ChaosConfig) -> ChaosRun {
     for b in 0..13u16 {
         for k in 0..4u32 {
             let sub = mixed_sub(&schema, b, k);
-            run.subscribe(b, &sub);
+            run.subscribe(b, &sub).unwrap();
         }
     }
     run.checkpoint_all();
@@ -174,7 +174,7 @@ fn uncheckpointed_broker_restarts_empty_and_system_still_converges() {
     )
     .unwrap();
     for b in 0..13u16 {
-        run.subscribe(b, &mixed_sub(&schema, b, 0));
+        run.subscribe(b, &mixed_sub(&schema, b, 0)).unwrap();
     }
     // Checkpoint everyone except the crasher: its subscriptions are
     // genuinely lost, and the oracle (built from final durable state)
@@ -206,7 +206,7 @@ fn partition_heals_and_converges() {
     )
     .unwrap();
     for b in 0..13u16 {
-        run.subscribe(b, &mixed_sub(&schema, b, 1));
+        run.subscribe(b, &mixed_sub(&schema, b, 1)).unwrap();
     }
     run.checkpoint_all();
     let report = run.run().unwrap();
@@ -219,4 +219,53 @@ fn partition_heals_and_converges() {
         report.converged_at.unwrap_or(0) >= 150,
         "cannot converge before the partition heals: {report:?}"
     );
+}
+
+/// The paper's contract at the summary tier, after repair: once a
+/// faulted run reports convergence, what a broker can see — its own
+/// summary and its views of its neighbours — never misses a
+/// subscription that truly matches at itself or at a neighbour.
+#[test]
+fn converged_views_have_no_false_negatives() {
+    let schema = stock_schema();
+    let topology = Topology::fig7_tree();
+    let mut run = populated_run(stormy_plan(0x5EED), ChaosConfig::default());
+    let report = run.run().unwrap();
+    assert!(report.converged, "{report:?}");
+    assert!(report.stats.dropped > 0 && report.stats.crashes == 1);
+
+    let mut events: Vec<Event> = (0..14)
+        .map(|k| {
+            Event::builder(&schema)
+                .num("price", f64::from(k) - 0.5)
+                .unwrap()
+                .str("symbol", format!("S{}x", k % 6))
+                .unwrap()
+                .build()
+        })
+        .collect();
+    events.push(Event::builder(&schema).num("price", 1e6).unwrap().build());
+
+    let mut true_matches = 0;
+    for event in &events {
+        for b in 0..13u16 {
+            let me = run.broker(b);
+            let mut candidates: Vec<SubscriptionId> = me.own().match_event(event);
+            for &nb in topology.neighbors(b) {
+                let view = me.view(nb).expect("a converged broker holds every view");
+                candidates.extend(view.match_event(event));
+            }
+            let reachable = std::iter::once(b).chain(topology.neighbors(b).iter().copied());
+            for owner in reachable {
+                for id in run.broker(owner).exact_matches(event) {
+                    true_matches += 1;
+                    assert!(
+                        candidates.contains(&id),
+                        "broker {b} misses {id} (owned by {owner}) for {event:?}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(true_matches > 100, "the sample exercises real matches");
 }

@@ -11,7 +11,7 @@
 //! it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use subsum_core::{BrokerSummary, MatchScratch, ShardScratch, ShardedSummary};
 use subsum_types::{stock_schema, BrokerId, Event, LocalSubId, NumOp, StrOp, Subscription};
@@ -20,13 +20,27 @@ use subsum_types::{stock_schema, BrokerId, Event, LocalSubId, NumOp, StrOp, Subs
 /// because releasing memory is not the failure mode under test.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread count: the harness runs tests on parallel threads, and
+    /// one test's warm-up must not show up in another's measured region.
+    /// Const-initialised and without a destructor, so reading it from
+    /// inside the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: pure delegation to `System` plus a relaxed counter bump; all
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: pure delegation to `System` plus a thread-local counter bump; all
 // layout/pointer contracts are forwarded unchanged.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -35,12 +49,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 }
@@ -131,15 +145,15 @@ fn match_event_into_allocates_nothing_at_steady_state() {
         .sum();
     assert!(warm > 0, "fixture must produce matches");
 
-    // The measured region can race with incidental allocations from the
-    // test harness itself (it has other threads), so allow a few retries:
-    // a real per-event allocation in the matcher shows up on every
-    // attempt, while one-off noise does not.
+    // The count is per thread, so parallel tests cannot disturb the
+    // measured region; the retries only absorb one-off lazy set-up on
+    // this thread. A real per-event allocation in the matcher shows up
+    // on every attempt.
     const PASSES: usize = 100;
     let mut zero_delta = false;
     let mut last_delta = u64::MAX;
     for _ in 0..5 {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let before = allocations();
         let mut total = 0usize;
         for _ in 0..PASSES {
             for e in &events {
@@ -147,7 +161,7 @@ fn match_event_into_allocates_nothing_at_steady_state() {
             }
         }
         std::hint::black_box(total);
-        last_delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+        last_delta = allocations() - before;
         if last_delta == 0 {
             zero_delta = true;
             break;
@@ -222,7 +236,7 @@ fn plan_kernel_allocates_nothing_with_large_population() {
     let mut zero_delta = false;
     let mut last_delta = u64::MAX;
     for _ in 0..5 {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let before = allocations();
         let mut total = 0usize;
         for _ in 0..PASSES {
             for e in &events {
@@ -230,7 +244,7 @@ fn plan_kernel_allocates_nothing_with_large_population() {
             }
         }
         std::hint::black_box(total);
-        last_delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+        last_delta = allocations() - before;
         if last_delta == 0 {
             zero_delta = true;
             break;
@@ -316,7 +330,7 @@ fn compiled_plan_probe_allocates_nothing_once_plan_is_warm() {
     let mut zero_delta = false;
     let mut last_delta = u64::MAX;
     for _ in 0..5 {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let before = allocations();
         let mut total = 0usize;
         for _ in 0..PASSES {
             for e in &events {
@@ -324,7 +338,7 @@ fn compiled_plan_probe_allocates_nothing_once_plan_is_warm() {
             }
         }
         std::hint::black_box(total);
-        last_delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+        last_delta = allocations() - before;
         if last_delta == 0 {
             zero_delta = true;
             break;
@@ -399,7 +413,7 @@ fn sharded_match_allocates_nothing_at_steady_state() {
     let mut zero_delta = false;
     let mut last_delta = u64::MAX;
     for _ in 0..5 {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let before = allocations();
         let mut total = 0usize;
         for _ in 0..PASSES {
             for scratch in &mut workers {
@@ -409,7 +423,7 @@ fn sharded_match_allocates_nothing_at_steady_state() {
             }
         }
         std::hint::black_box(total);
-        last_delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+        last_delta = allocations() - before;
         if last_delta == 0 {
             zero_delta = true;
             break;

@@ -238,7 +238,7 @@ fn chaos_tracer(cfg: &ExperimentConfig) -> Arc<Tracer> {
     for b in 0..cfg.topology.len() as u16 {
         for _ in 0..SUBS_PER_BROKER {
             let sub = workload.subscription(&mut rng);
-            run.subscribe(b, &sub);
+            run.subscribe(b, &sub).expect("id layout fits");
         }
     }
     run.checkpoint_all();

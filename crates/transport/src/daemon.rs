@@ -3,11 +3,11 @@
 //! A daemon is one broker of the paper's overlay, serving real sockets:
 //! it accepts peer connections from neighbor daemons and client
 //! connections from subscribers/publishers, all speaking the framed
-//! [`Msg`] protocol. The summary machinery is exactly the in-process
-//! one — `BrokerSummary` for its own subscriptions, one summary *view*
-//! per neighbor, `subsum-core::wire` bytes on the wire — so a daemon
-//! interoperates bit-for-bit with checkpoints and digests produced by
-//! the simulator.
+//! [`Msg`] protocol. The broker itself is the in-process one — a
+//! [`BrokerCore`] owns the exact store, the own summary, one *view* per
+//! neighbor and every decision about them; the daemon adds sockets and
+//! `subsum-core::wire` bytes — so it interoperates bit-for-bit with
+//! checkpoints and digests produced by the simulator.
 //!
 //! # Threads and ownership
 //!
@@ -28,39 +28,37 @@
 //! Every fresh peer link starts with `Hello`/`HelloAck` carrying the
 //! sender's broker id, its **connection epoch** (a counter the dialer
 //! bumps each dial, so both ends can tell a reconnect from a duplicate
-//! dial), and the [`SummaryDigest`](subsum_core::SummaryDigest) of its
-//! own summary. Each end compares the received digest with its stored
-//! view of that peer and sends `Pull` **only on mismatch** — a
-//! restarted peer that recovered its state from a checkpoint re-joins
-//! without a single summary crossing the wire in its direction, the
-//! same digest-gated anti-entropy the chaos suite proves convergent
-//! under faults.
+//! dial), and the [`SummaryDigest`] of its own summary. Each end hands
+//! the received digest to its core's gate and sends `Pull` **only on
+//! mismatch** (holding no view counts as one) — a restarted peer that
+//! recovered its state from a checkpoint re-joins without a single
+//! summary crossing the wire in its direction, the same digest-gated
+//! anti-entropy the chaos suite proves convergent under faults.
 //!
 //! # Event flow
 //!
-//! `Subscribe` inserts into the daemon's own summary and eagerly pushes
-//! the updated summary to every connected peer. `Publish` matches the
-//! event against the daemon's own summary (local deliveries) and every
-//! peer view (forwarding a `Route` to each matching neighbor); the
-//! client's `PublishAck` reports `accepted: false` if any required
-//! forward was rejected by backpressure. A `Route` arriving from a peer
-//! is matched against the local summary only and delivered to the
-//! owning clients.
+//! `Subscribe` admits the subscription into the core (a client the core
+//! refuses — id space exhausted — is disconnected) and eagerly pushes
+//! the updated summary to every connected peer. `Publish` delivers
+//! locally and forwards a `Route` to each neighbor whose view has a
+//! candidate; the `PublishAck` reports `accepted: false` if a required
+//! forward was rejected by backpressure, and how many local
+//! subscriptions truly match. A `Route` from a peer is delivered locally
+//! only. Local delivery is two-tier ([`BrokerCore::match_local`]): a
+//! client never sees a SACS false positive.
 
 use std::collections::BTreeMap;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use subsum_broker::BrokerCheckpoint;
-use subsum_core::{ArithWidth, BrokerSummary, SummaryCodec};
+use subsum_broker::{BrokerCheckpoint, BrokerCore};
+use subsum_core::{ArithWidth, SummaryCodec, SummaryDigest};
 use subsum_telemetry::{names, Count, Counter};
-use subsum_types::{
-    BrokerId, Event, IdLayout, LocalSubId, Schema, Subscription, SubscriptionId, TypeError,
-};
+use subsum_types::{BrokerId, Event, IdLayout, Schema, SubscriptionId, TypeError};
 
 use crate::frame::FrameDecoder;
 use crate::msg::Msg;
@@ -170,23 +168,20 @@ enum Ev {
 }
 
 /// What the event loop knows about one live connection.
-enum Conn {
-    /// Accepted but not yet classified by a first message.
-    Unknown { mailbox: Mailbox },
-    /// A neighbor daemon's link.
-    Peer { broker: BrokerId, mailbox: Mailbox },
-    /// A subscriber/publisher client.
-    Client { mailbox: Mailbox },
+struct Conn {
+    mailbox: Mailbox,
+    /// The socket, kept so the event loop can close a connection itself.
+    stream: TcpStream,
+    role: Role,
 }
 
-impl Conn {
-    fn mailbox(&self) -> &Mailbox {
-        match self {
-            Conn::Unknown { mailbox } | Conn::Peer { mailbox, .. } | Conn::Client { mailbox } => {
-                mailbox
-            }
-        }
-    }
+enum Role {
+    /// Accepted but not yet classified by a first message.
+    Unknown,
+    /// A neighbor daemon's link.
+    Peer(BrokerId),
+    /// A subscriber/publisher client.
+    Client,
 }
 
 /// The daemon builder; see the [module docs](self).
@@ -200,14 +195,14 @@ impl Subsumd {
     ///
     /// Returns the socket error if the listen address cannot be bound,
     /// or `InvalidData` if the schema exceeds the summary id layout.
-    pub fn start(config: DaemonConfig) -> std::io::Result<DaemonHandle> {
+    pub fn start(mut config: DaemonConfig) -> std::io::Result<DaemonHandle> {
         let listener = TcpListener::bind(config.listen)?;
         let addr = listener.local_addr()?;
         let stats = Arc::new(DaemonStats::default());
         let stopping = Arc::new(Mutex::new(false));
         let (ev_tx, ev_rx) = std::sync::mpsc::channel::<Ev>();
 
-        let core = DaemonCore::new(&config, Arc::clone(&stats))
+        let broker = Broker::new(&mut config, Arc::clone(&stats))
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
 
         let accept = spawn_acceptor(listener, ev_tx.clone(), Arc::clone(&stopping));
@@ -223,7 +218,8 @@ impl Subsumd {
 
         let loop_stop = Arc::clone(&stopping);
         let loop_tx = ev_tx.clone();
-        let join = std::thread::spawn(move || event_loop(core, config, ev_rx, loop_tx, loop_stop));
+        let join =
+            std::thread::spawn(move || event_loop(broker, config, ev_rx, loop_tx, loop_stop));
 
         Ok(DaemonHandle {
             addr,
@@ -378,92 +374,90 @@ fn spawn_reader(
 /// counter and the event loop's counter never collide.
 const DIALED_CONN_BASE: u64 = 1 << 32;
 
-/// The broker state owned by the event loop.
-struct DaemonCore {
-    broker: BrokerId,
+/// The broker owned by the event loop.
+struct Broker {
+    core: BrokerCore,
     codec: SummaryCodec,
-    schema: Schema,
-    /// Exact local subscription store (the durable state).
-    exact: Vec<(SubscriptionId, Subscription)>,
-    next_local: u32,
-    /// Summary of `exact`.
-    own: BrokerSummary,
-    /// Last received summary of each neighbor.
-    views: BTreeMap<BrokerId, BrokerSummary>,
     /// Which client connection owns each local subscription.
     sub_owner: BTreeMap<SubscriptionId, u64>,
     stats: Arc<DaemonStats>,
 }
 
-impl DaemonCore {
-    fn new(config: &DaemonConfig, stats: Arc<DaemonStats>) -> Result<DaemonCore, TypeError> {
+impl Broker {
+    fn new(config: &mut DaemonConfig, stats: Arc<DaemonStats>) -> Result<Broker, TypeError> {
         let layout = IdLayout::new(1 << 16, 1 << 20, config.schema.len() as u32)?;
-        let codec = SummaryCodec::new(layout, ArithWidth::Eight);
-        let (exact, next_local) = match &config.checkpoint {
-            Some(cp) => (cp.subs.clone(), cp.next_local),
-            None => (Vec::new(), 0),
-        };
-        let own = BrokerSummary::rebuild(
-            config.schema.clone(),
-            exact.iter().map(|(id, sub)| (*id, sub)),
-        );
-        Ok(DaemonCore {
-            broker: config.broker,
-            codec,
-            schema: config.schema.clone(),
-            exact,
-            next_local,
-            own,
-            views: BTreeMap::new(),
+        Ok(Broker {
+            core: BrokerCore::new(
+                config.broker.0,
+                config.schema.clone(),
+                layout,
+                config.checkpoint.take(),
+            ),
+            codec: SummaryCodec::new(layout, ArithWidth::Eight),
             sub_owner: BTreeMap::new(),
             stats,
         })
     }
 
-    fn checkpoint(&self) -> BrokerCheckpoint {
-        BrokerCheckpoint {
-            next_local: self.next_local,
-            subs: self.exact.clone(),
-        }
+    fn id(&self) -> BrokerId {
+        BrokerId(self.core.id())
     }
 
-    /// Serializes this daemon's own summary for a `Summary` message.
-    fn own_summary_msg(&self) -> Msg {
-        let bytes = self
-            .codec
-            .encode(&self.own)
-            .map(|b| b.to_vec())
-            .unwrap_or_default();
-        Msg::Summary {
-            from: self.broker,
-            bytes,
-        }
+    /// This daemon's own summary as a `Summary` message; `None` (send
+    /// nothing) if it does not fit the wire layout.
+    fn own_summary_msg(&self) -> Option<Msg> {
+        let bytes = self.codec.encode(self.core.own()).ok()?;
+        Some(Msg::Summary {
+            from: self.id(),
+            bytes: bytes.to_vec(),
+        })
     }
 
-    /// Digest-gates a peer's advertised summary digest: `Pull` only if
-    /// our stored view disagrees (or we have none).
+    /// Answers a peer's advertised summary digest with a `Pull` if the
+    /// core's digest gate finds the stored view stale.
     fn pull_if_stale(
         &self,
         conns: &BTreeMap<u64, Conn>,
         conn: u64,
         peer: BrokerId,
-        advertised: subsum_core::SummaryDigest,
+        advertised: SummaryDigest,
     ) {
-        let matches = self.views.get(&peer).map(BrokerSummary::digest) == Some(advertised);
-        if matches {
+        if !self.core.view_is_stale(peer.0, advertised) {
             return;
         }
         CNT_RESYNCS.inc();
         self.stats.resyncs.inc();
         if let Some(c) = conns.get(&conn) {
-            send_msg(c.mailbox(), &Msg::Pull { from: self.broker });
+            send_msg(&c.mailbox, &Msg::Pull { from: self.id() });
         }
     }
 }
 
+/// Wires up a fresh socket: writer thread behind a bounded mailbox,
+/// reader thread feeding the event loop.
+fn open(
+    conn: u64,
+    stream: TcpStream,
+    role: Role,
+    config: &DaemonConfig,
+    ev_tx: &Sender<Ev>,
+    stats: &Arc<DaemonStats>,
+) -> Option<Conn> {
+    let write_half = stream.try_clone().ok()?;
+    let handle = stream.try_clone().ok()?;
+    let (mailbox, rx) = Mailbox::new(config.mailbox_capacity, config.policy);
+    spawn_writer(write_half, rx, Arc::clone(&stats.tx));
+    spawn_reader(conn, stream, ev_tx.clone(), Arc::clone(stats));
+    Some(Conn {
+        mailbox,
+        stream: handle,
+        role,
+    })
+}
+
 /// Runs the daemon's event loop to completion (client `Shutdown`).
 fn event_loop(
-    mut core: DaemonCore,
+    mut broker: Broker,
     config: DaemonConfig,
     ev_rx: Receiver<Ev>,
     ev_tx: Sender<Ev>,
@@ -474,31 +468,24 @@ fn event_loop(
     let mut dial_epochs: Vec<u64> = vec![1; config.dial.len()];
     let mut dial_conns: Vec<Option<u64>> = vec![None; config.dial.len()];
     let mut next_dialed_conn = DIALED_CONN_BASE;
-    let stats = Arc::clone(&core.stats);
+    let stats = Arc::clone(&broker.stats);
 
     while let Ok(ev) = ev_rx.recv() {
         match ev {
             Ev::Accepted { conn, stream } => {
-                let Ok(write_half) = stream.try_clone() else {
-                    continue;
-                };
-                let (mailbox, rx) = Mailbox::new(config.mailbox_capacity, config.policy);
-                spawn_writer(write_half, rx, Arc::clone(&stats.tx));
-                spawn_reader(conn, stream, ev_tx.clone(), Arc::clone(&stats));
-                conns.insert(conn, Conn::Unknown { mailbox });
+                if let Some(c) = open(conn, stream, Role::Unknown, &config, &ev_tx, &stats) {
+                    conns.insert(conn, c);
+                }
             }
             Ev::Dialed { ix, epoch, stream } => {
                 let Some(&(peer, _)) = config.dial.get(ix) else {
                     continue;
                 };
-                let Ok(write_half) = stream.try_clone() else {
+                let conn = next_dialed_conn;
+                let Some(c) = open(conn, stream, Role::Peer(peer), &config, &ev_tx, &stats) else {
                     continue;
                 };
-                let conn = next_dialed_conn;
                 next_dialed_conn += 1;
-                let (mailbox, rx) = Mailbox::new(config.mailbox_capacity, config.policy);
-                spawn_writer(write_half, rx, Arc::clone(&stats.tx));
-                spawn_reader(conn, stream, ev_tx.clone(), Arc::clone(&stats));
                 if epoch > 1 {
                     CNT_RECONNECTS.inc();
                     stats.reconnects.inc();
@@ -508,20 +495,14 @@ fn event_loop(
                 dial_epochs[ix] = epoch + 1;
                 dial_conns[ix] = Some(conn);
                 send_msg(
-                    &mailbox,
+                    &c.mailbox,
                     &Msg::Hello {
-                        broker: core.broker,
+                        broker: broker.id(),
                         epoch,
-                        digest: core.own.digest(),
+                        digest: broker.core.own().digest(),
                     },
                 );
-                conns.insert(
-                    conn,
-                    Conn::Peer {
-                        broker: peer,
-                        mailbox,
-                    },
-                );
+                conns.insert(conn, c);
             }
             Ev::Closed { conn } => {
                 conns.remove(&conn);
@@ -546,115 +527,123 @@ fn event_loop(
                     }
                     break;
                 }
-                handle_msg(&mut core, &mut conns, conn, msg);
+                handle_msg(&mut broker, &mut conns, conn, msg);
             }
         }
     }
 
     DaemonFinal {
-        checkpoint: core.checkpoint(),
+        checkpoint: broker.core.checkpoint(),
     }
 }
 
-/// Re-tags an [`Conn::Unknown`] connection once its first message
+/// Re-tags a [`Role::Unknown`] connection once its first message
 /// reveals what it is; established connections keep their tag.
-fn classify(conns: &mut BTreeMap<u64, Conn>, conn: u64, make: impl FnOnce(Mailbox) -> Conn) {
+fn classify(conns: &mut BTreeMap<u64, Conn>, conn: u64, role: Role) {
     if let Some(c) = conns.get_mut(&conn) {
-        if matches!(c, Conn::Unknown { .. }) {
-            *c = make(c.mailbox().clone());
+        if matches!(c.role, Role::Unknown) {
+            c.role = role;
         }
+    }
+}
+
+/// Closes a connection from this end; the remote side sees EOF.
+fn close(conns: &mut BTreeMap<u64, Conn>, conn: u64) {
+    if let Some(c) = conns.remove(&conn) {
+        let _ = c.stream.shutdown(Shutdown::Both);
     }
 }
 
 /// The newest live link to a neighbor daemon, if any.
 fn peer_conn(conns: &BTreeMap<u64, Conn>, peer: BrokerId) -> Option<&Mailbox> {
-    conns.values().rev().find_map(|c| match c {
-        Conn::Peer { broker, mailbox } if *broker == peer => Some(mailbox),
-        _ => None,
-    })
+    conns
+        .values()
+        .rev()
+        .find(|c| matches!(c.role, Role::Peer(broker) if broker == peer))
+        .map(|c| &c.mailbox)
 }
 
-/// Applies one protocol message to the broker state.
-fn handle_msg(core: &mut DaemonCore, conns: &mut BTreeMap<u64, Conn>, conn: u64, msg: Msg) {
+/// Applies one protocol message to the broker.
+fn handle_msg(broker: &mut Broker, conns: &mut BTreeMap<u64, Conn>, conn: u64, msg: Msg) {
     match msg {
         Msg::Hello {
-            broker,
+            broker: peer,
             epoch,
             digest,
         } => {
-            classify(conns, conn, |mailbox| Conn::Peer { broker, mailbox });
+            classify(conns, conn, Role::Peer(peer));
             if let Some(c) = conns.get(&conn) {
                 send_msg(
-                    c.mailbox(),
+                    &c.mailbox,
                     &Msg::HelloAck {
-                        broker: core.broker,
+                        broker: broker.id(),
                         epoch,
-                        digest: core.own.digest(),
+                        digest: broker.core.own().digest(),
                     },
                 );
             }
-            core.pull_if_stale(conns, conn, broker, digest);
+            broker.pull_if_stale(conns, conn, peer, digest);
         }
         Msg::HelloAck {
-            broker,
+            broker: peer,
             epoch: _,
             digest,
         } => {
-            core.pull_if_stale(conns, conn, broker, digest);
+            broker.pull_if_stale(conns, conn, peer, digest);
         }
         Msg::Summary { from, bytes } => {
-            if let Ok(summary) = core.codec.decode(&bytes, &core.schema) {
-                core.views.insert(from, summary);
-                core.stats.summaries_rx.inc();
+            if let Ok(summary) = broker.codec.decode(&bytes, broker.core.schema()) {
+                broker.core.install_view(from.0, summary);
+                broker.stats.summaries_rx.inc();
             }
         }
         Msg::Digest { from, digest } => {
-            core.pull_if_stale(conns, conn, from, digest);
+            broker.pull_if_stale(conns, conn, from, digest);
         }
         Msg::Pull { from: _ } => {
-            if let Some(c) = conns.get(&conn) {
-                if send_msg(c.mailbox(), &core.own_summary_msg()) == SendOutcome::Sent {
-                    core.stats.summaries_tx.inc();
+            if let (Some(c), Some(own)) = (conns.get(&conn), broker.own_summary_msg()) {
+                if send_msg(&c.mailbox, &own) == SendOutcome::Sent {
+                    broker.stats.summaries_tx.inc();
                 }
             }
         }
         Msg::Route { origin: _, event } => {
-            deliver_local(core, conns, &event);
+            deliver_local(broker, conns, &event);
         }
         Msg::Subscribe { sub } => {
-            classify(conns, conn, |mailbox| Conn::Client { mailbox });
-            let id = SubscriptionId::new(core.broker, LocalSubId(core.next_local), sub.attr_mask());
-            core.next_local += 1;
-            core.exact.push((id, sub.clone()));
-            core.own.insert_with_id(id, &sub);
-            core.sub_owner.insert(id, conn);
+            classify(conns, conn, Role::Client);
+            let Ok(id) = broker.core.subscribe(&sub) else {
+                // No id left to acknowledge with: refuse by hanging up.
+                close(conns, conn);
+                return;
+            };
+            broker.sub_owner.insert(id, conn);
             if let Some(c) = conns.get(&conn) {
-                send_msg(c.mailbox(), &Msg::SubscribeAck { id });
+                send_msg(&c.mailbox, &Msg::SubscribeAck { id });
             }
             // Eager propagation: every connected neighbor gets the
             // updated summary immediately.
-            let push = core.own_summary_msg();
+            let Some(push) = broker.own_summary_msg() else {
+                return;
+            };
             for c in conns.values() {
-                if let Conn::Peer { mailbox, .. } = c {
-                    if send_msg(mailbox, &push) == SendOutcome::Sent {
-                        core.stats.summaries_tx.inc();
-                    }
+                if matches!(c.role, Role::Peer(_))
+                    && send_msg(&c.mailbox, &push) == SendOutcome::Sent
+                {
+                    broker.stats.summaries_tx.inc();
                 }
             }
         }
         Msg::Publish { seq, event } => {
-            classify(conns, conn, |mailbox| Conn::Client { mailbox });
-            let matched = deliver_local(core, conns, &event);
+            classify(conns, conn, Role::Client);
+            let matched = deliver_local(broker, conns, &event);
             let mut accepted = true;
-            for (&peer, view) in &core.views {
-                if view.match_event(&event).is_empty() {
-                    continue;
-                }
+            for peer in broker.core.interested_neighbours(&event) {
                 let forward = Msg::Route {
-                    origin: core.broker,
+                    origin: broker.id(),
                     event: event.clone(),
                 };
-                let sent = peer_conn(conns, peer)
+                let sent = peer_conn(conns, BrokerId(peer))
                     .map(|mailbox| send_msg(mailbox, &forward) == SendOutcome::Sent)
                     .unwrap_or(false);
                 if !sent {
@@ -663,14 +652,14 @@ fn handle_msg(core: &mut DaemonCore, conns: &mut BTreeMap<u64, Conn>, conn: u64,
             }
             if accepted {
                 CNT_ACKED.inc();
-                core.stats.acked.inc();
+                broker.stats.acked.inc();
             } else {
                 CNT_REJECTED.inc();
-                core.stats.rejected.inc();
+                broker.stats.rejected.inc();
             }
             if let Some(c) = conns.get(&conn) {
                 send_msg(
-                    c.mailbox(),
+                    &c.mailbox,
                     &Msg::PublishAck {
                         seq,
                         accepted,
@@ -687,29 +676,30 @@ fn handle_msg(core: &mut DaemonCore, conns: &mut BTreeMap<u64, Conn>, conn: u64,
     }
 }
 
-/// Matches `event` against the local summary and delivers to owning
-/// clients; returns the local match count.
-fn deliver_local(core: &mut DaemonCore, conns: &BTreeMap<u64, Conn>, event: &Event) -> u32 {
-    let ids = core.own.match_event(event);
-    let matched = ids.len() as u32;
-    for id in ids {
-        let Some(&owner) = core.sub_owner.get(&id) else {
-            continue; // subscriber from a restored checkpoint, not connected
+/// Delivers `event` to the local subscriptions it truly matches and
+/// returns how many there are (one restored from a checkpoint whose
+/// client has not reconnected counts but receives nothing).
+fn deliver_local(broker: &mut Broker, conns: &BTreeMap<u64, Conn>, event: &Event) -> u32 {
+    let Broker {
+        core,
+        sub_owner,
+        stats,
+        ..
+    } = broker;
+    let mut matched = 0;
+    core.match_local(event, |id| {
+        matched += 1;
+        let Some(c) = sub_owner.get(&id).and_then(|owner| conns.get(owner)) else {
+            return;
         };
-        let Some(c) = conns.get(&owner) else {
-            continue;
+        let deliver = Msg::Deliver {
+            id,
+            event: event.clone(),
         };
-        if send_msg(
-            c.mailbox(),
-            &Msg::Deliver {
-                id,
-                event: event.clone(),
-            },
-        ) == SendOutcome::Sent
-        {
-            core.stats.deliveries.inc();
+        if send_msg(&c.mailbox, &deliver) == SendOutcome::Sent {
+            stats.deliveries.inc();
         }
-    }
+    });
     matched
 }
 

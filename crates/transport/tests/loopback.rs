@@ -6,8 +6,9 @@
 
 use std::time::{Duration, Instant};
 
+use subsum_broker::BrokerCheckpoint;
 use subsum_transport::{Client, DaemonConfig, DaemonHandle, Subsumd};
-use subsum_types::{stock_schema, BrokerId, Event, NumOp, Subscription};
+use subsum_types::{stock_schema, BrokerId, Event, NumOp, StrOp, Subscription};
 
 fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -76,7 +77,9 @@ fn subscribe_propagate_publish_deliver_ack() {
         .expect("delivery must arrive at A's client");
     assert_eq!(id, sub_id);
     assert_eq!(event, cheap_event(5.0));
-    assert_eq!(a.stats().deliveries.get(), 1);
+    // The event loop bumps the counter after posting the frame, so the
+    // client can hold the delivery before the count shows it.
+    wait_for("A's delivery count", || a.stats().deliveries.get() == 1);
 
     // A non-matching publish is acked but never delivered.
     let ack = client_b.publish(&cheap_event(50.0)).unwrap();
@@ -163,6 +166,111 @@ fn restarted_peer_reconverges_via_digest_pull_not_resend() {
     client_b2.shutdown().unwrap();
     a.join();
     b2.join();
+}
+
+fn symbol_sub(op: StrOp, text: &str) -> Subscription {
+    Subscription::builder(&stock_schema())
+        .str_op("symbol", op, text)
+        .unwrap()
+        .build()
+        .unwrap()
+}
+
+/// SACS generalises `symbol = "OTE"` and `symbol prefix "OT"` under one
+/// `OT*` row, so the summary tier reports both for `OTX`. The owner's
+/// exact store must decide: one `Deliver`, under the prefix id, whether
+/// the event was published locally or routed in from a peer.
+#[test]
+fn owner_verification_keeps_summary_false_positives_from_clients() {
+    let (a, b) = start_pair();
+    let mut client_a = Client::connect(a.addr()).unwrap();
+    let summaries_at_b = b.stats().summaries_rx.get();
+    let id_exact = client_a.subscribe(&symbol_sub(StrOp::Eq, "OTE")).unwrap();
+    let id_prefix = client_a
+        .subscribe(&symbol_sub(StrOp::Prefix, "OT"))
+        .unwrap();
+    assert_ne!(id_exact, id_prefix);
+    wait_for("both pushes reaching B", || {
+        b.stats().summaries_rx.get() >= summaries_at_b + 2
+    });
+    let otx = Event::builder(&stock_schema())
+        .str("symbol", "OTX")
+        .unwrap()
+        .build();
+
+    // Published at the owner itself.
+    let ack = client_a.publish(&otx).unwrap();
+    assert_eq!(ack.matched, 1, "the ack counts verified matches");
+    // Routed in from the peer.
+    let mut client_b = Client::connect(b.addr()).unwrap();
+    let ack = client_b.publish(&otx).unwrap();
+    assert!(ack.accepted);
+    assert_eq!(ack.matched, 0);
+
+    for path in ["local publish", "peer route"] {
+        let (id, event) = client_a
+            .poll_delivery(Duration::from_secs(10))
+            .unwrap()
+            .unwrap_or_else(|| panic!("{path}: the prefix subscription matches"));
+        assert_eq!(id, id_prefix, "{path}");
+        assert_eq!(event, otx);
+    }
+    assert!(
+        client_a
+            .poll_delivery(Duration::from_millis(200))
+            .unwrap()
+            .is_none(),
+        "`symbol = OTE` does not match OTX: no third Deliver"
+    );
+    wait_for("A's delivery count", || a.stats().deliveries.get() == 2);
+
+    client_a.shutdown().unwrap();
+    client_b.shutdown().unwrap();
+    a.join();
+    b.join();
+}
+
+/// A daemon whose local id space is used up refuses the subscription by
+/// closing the client's connection; it neither mints an id outside the
+/// wire layout nor pushes a summary it cannot encode.
+#[test]
+fn id_space_exhaustion_disconnects_the_client_and_pushes_nothing() {
+    let a = Subsumd::start(DaemonConfig::new(BrokerId(0), stock_schema())).unwrap();
+    let mut config_b = DaemonConfig::new(BrokerId(1), stock_schema());
+    config_b.dial = vec![(BrokerId(0), a.addr())];
+    config_b.checkpoint = Some(BrokerCheckpoint {
+        next_local: 1 << 20,
+        subs: vec![],
+    });
+    let b = Subsumd::start(config_b).unwrap();
+    wait_for("initial handshake", || {
+        a.stats().summaries_rx.get() >= 1 && b.stats().summaries_rx.get() >= 1
+    });
+    let (rx_at_a, tx_at_b) = (a.stats().summaries_rx.get(), b.stats().summaries_tx.get());
+
+    let mut refused = Client::connect(b.addr()).unwrap();
+    assert!(
+        refused.subscribe(&cheap_sub()).is_err(),
+        "no id is left to acknowledge with"
+    );
+    // B is still serving (and a publish round-trip gives any stray push
+    // time to show up at A).
+    let mut client_b = Client::connect(b.addr()).unwrap();
+    let ack = client_b.publish(&cheap_event(5.0)).unwrap();
+    assert!(ack.accepted);
+    assert_eq!(ack.matched, 0);
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(b.stats().summaries_tx.get(), tx_at_b, "nothing pushed");
+    assert_eq!(a.stats().summaries_rx.get(), rx_at_a, "nothing received");
+
+    let fin = {
+        client_b.shutdown().unwrap();
+        b.join()
+    };
+    assert_eq!(fin.checkpoint.next_local, 1 << 20);
+    assert!(fin.checkpoint.subs.is_empty());
+    Client::connect(a.addr()).unwrap().shutdown().unwrap();
+    a.join();
 }
 
 /// The same loopback flow through the real `subsumd` binary: two

@@ -134,6 +134,9 @@ impl CheckConfig {
                 "probe_into".into(),
                 "query_into".into(),
                 "route_event*".into(),
+                "examine".into(),
+                "BrokerCore::verify".into(),
+                "handle_msg".into(),
                 "publish_batch".into(),
                 "SnapshotReader::pin".into(),
                 "SnapshotGuard::deref".into(),
