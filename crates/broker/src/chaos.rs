@@ -20,6 +20,12 @@
 //!   divergence. The naive baseline ([`ChaosConfig::naive_repair`])
 //!   re-sends the full summary every round instead.
 //!
+//! What a broker does with a digest, a pull or a summary is decided in
+//! [`BrokerCore::on_peer`], the protocol step `subsumd` runs behind its
+//! sockets; an update travels as the wire codec's bytes, so what a run
+//! charges to [`ChaosStats::full_summary_bytes`] is what the receiver
+//! decodes. This module adds faults, timers and counters.
+//!
 //! Updates are **view replacements**, so duplicated messages are
 //! naturally idempotent, and every run is a pure function of
 //! `(topology, subscriptions, plan, config)`: two runs with one seed
@@ -53,15 +59,14 @@
 
 use std::sync::Arc;
 
-use subsum_core::{ArithWidth, BrokerSummary, SummaryCodec, SummaryDigest};
+use subsum_core::{BrokerSummary, SummaryDigest};
 use subsum_net::{FaultPlan, LossyNet, NodeId, Topology};
 use subsum_telemetry::trace::{SpanRecord, TraceCtx, Tracer};
 use subsum_telemetry::Count;
 use subsum_types::{IdLayout, Schema, Subscription, SubscriptionId, TypeError};
 
-use crate::core::BrokerCore;
+use crate::core::{BrokerCore, PeerMsg};
 use crate::snapshot::BrokerCheckpoint;
-use crate::transport::Transport;
 
 static CNT_DROPS: Count = Count::new(subsum_telemetry::names::CHAOS_DROPS);
 static CNT_DUPS: Count = Count::new(subsum_telemetry::names::CHAOS_DUPS);
@@ -128,7 +133,8 @@ pub struct ChaosStats {
     /// Full summary updates sent (initial wave, pulls, restarts, naive
     /// rounds).
     pub full_updates: u64,
-    /// Bytes spent on full summary updates (real wire-codec sizes).
+    /// Bytes spent on full summary updates: the summed lengths of the
+    /// wire-codec payloads sent.
     pub full_summary_bytes: u64,
     /// Pull requests sent.
     pub pulls: u64,
@@ -174,20 +180,12 @@ struct Node {
     checkpoint: Option<Vec<u8>>,
 }
 
-/// The summary-synchronization protocol messages of a chaos run.
-///
-/// Public so scenarios can be driven over any [`Transport`]
-/// implementation (see [`ChaosRun::run_with`]); the payload-carrying
-/// variants are exactly the anti-entropy protocol a real deployment
-/// speaks, the control variants are simulation-only events.
+/// What the simulated network carries: the neighbour-view protocol's
+/// messages between brokers, and the simulation's own control events.
 #[derive(Debug, Clone)]
-pub enum ChaosMsg {
-    /// Full summary of the sender (view replacement — idempotent).
-    Update(BrokerSummary),
-    /// Digest advertisement of the sender's own summary.
-    Digest(SummaryDigest),
-    /// Request for a full summary re-send.
-    Pull,
+enum ChaosMsg {
+    /// A protocol message, subject to the fault plan.
+    Peer(PeerMsg),
     /// Control: the broker crashes, losing in-memory state.
     Crash,
     /// Control: the broker restarts from its checkpoint.
@@ -204,7 +202,6 @@ pub struct ChaosRun {
     topology: Topology,
     plan: FaultPlan,
     config: ChaosConfig,
-    codec: SummaryCodec,
     brokers: Vec<Node>,
     /// Optional causal tracer shared with the lossy network. `None`
     /// leaves every trace hook a no-op.
@@ -224,7 +221,6 @@ impl ChaosRun {
         config: ChaosConfig,
     ) -> Result<Self, TypeError> {
         let layout = IdLayout::new(topology.len() as u64, 1 << 20, schema.len() as u32)?;
-        let codec = SummaryCodec::new(layout, ArithWidth::Eight);
         let brokers = (0..topology.len() as NodeId)
             .map(|b| Node {
                 core: BrokerCore::new(b, schema.clone(), layout, None),
@@ -236,7 +232,6 @@ impl ChaosRun {
             topology,
             plan,
             config,
-            codec,
             brokers,
             tracer: None,
         })
@@ -344,9 +339,7 @@ impl ChaosRun {
 
     /// Executes the scenario to quiescence: initial summary wave, the
     /// fault plan's crashes/cuts/drops, `repair_rounds` anti-entropy
-    /// rounds, until the event queue drains. Equivalent to
-    /// [`ChaosRun::run_with`] over a fresh [`LossyNet`] governed by the
-    /// run's fault plan.
+    /// rounds, until the event queue drains.
     ///
     /// # Errors
     ///
@@ -357,47 +350,21 @@ impl ChaosRun {
         if let Some(tracer) = &self.tracer {
             net.set_tracer(Arc::clone(tracer));
         }
-        self.run_with(&mut net)
-    }
-
-    /// Executes the scenario over an arbitrary [`Transport`]. The
-    /// protocol logic is written once against the trait; the simulator
-    /// path ([`ChaosRun::run`]) and a socket-backed deployment drive
-    /// the exact same code.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TypeError`] if a summary exceeds the wire layout
-    /// (cannot happen for schema-consistent runs).
-    pub fn run_with<T: Transport<ChaosMsg>>(
-        &mut self,
-        net: &mut T,
-    ) -> Result<ChaosReport, TypeError> {
         let mut stats = ChaosStats::default();
         let mut crash_snapshots = Vec::new();
         let n = self.brokers.len() as NodeId;
 
         // Schedule the plan's crash/restart control events and the
         // anti-entropy rounds up front; everything else is reactive.
-        for crash in &self.plan.crashes.clone() {
-            net.schedule(crash.broker, crash.at, TraceCtx::NONE, ChaosMsg::Crash);
+        for crash in &self.plan.crashes {
+            net.schedule(crash.broker, crash.at, ChaosMsg::Crash);
             if crash.restart_at != u64::MAX {
-                net.schedule(
-                    crash.broker,
-                    crash.restart_at,
-                    TraceCtx::NONE,
-                    ChaosMsg::Restart,
-                );
+                net.schedule(crash.broker, crash.restart_at, ChaosMsg::Restart);
             }
         }
         for round in 1..=self.config.repair_rounds as u64 {
             for b in 0..n {
-                net.schedule(
-                    b,
-                    round * self.config.repair_interval,
-                    TraceCtx::NONE,
-                    ChaosMsg::RepairTick,
-                );
+                net.schedule(b, round * self.config.repair_interval, ChaosMsg::RepairTick);
             }
         }
 
@@ -406,37 +373,27 @@ impl ChaosRun {
         // sibling spans of a single trace.
         for b in 0..n {
             let ctx = self.root();
-            self.send_update_to_neighbors(&mut *net, &mut stats, b, ctx)?;
+            let update = self.broker(b).announce()?;
+            self.send_to_neighbors(&mut net, &mut stats, b, ctx, &update);
         }
 
         let quiet_after = self.plan_quiet_after();
         let mut converged_at = None;
-        while let Some((time, env)) = net.recv() {
+        while let Some((time, env)) = net.pop() {
             let me = env.to;
-            // Reactive sends extend the causal chain of the message that
-            // triggered them; the parent already points at this
-            // delivery's dequeue span.
-            let ctx = env.trace;
             match env.payload {
-                ChaosMsg::Update(summary) => {
+                ChaosMsg::Peer(msg) => {
                     let node = &mut self.brokers[me as usize];
-                    if node.alive {
-                        // View replacement: duplicates are no-ops.
-                        node.core.install_view(env.from, summary);
-                    }
-                }
-                ChaosMsg::Digest(digest) => {
-                    let node = &self.brokers[me as usize];
-                    if node.alive && node.core.view_is_stale(env.from, digest) {
-                        stats.resyncs += 1;
-                        stats.pulls += 1;
-                        stats.pull_bytes += PULL_BYTES;
-                        net.send(me, env.from, self.config.link_delay, ctx, ChaosMsg::Pull);
-                    }
-                }
-                ChaosMsg::Pull => {
-                    if self.brokers[me as usize].alive {
-                        self.send_update(&mut *net, &mut stats, me, env.from, ctx)?;
+                    let reply = node.alive.then(|| node.core.on_peer(env.from, msg));
+                    if let Some(reply) = reply.flatten() {
+                        // Only a stale digest is answered by a pull.
+                        if reply == PeerMsg::Pull {
+                            stats.resyncs += 1;
+                        }
+                        // The reply extends the causal chain of the
+                        // message that triggered it; the parent already
+                        // points at this delivery's dequeue span.
+                        self.send(&mut net, &mut stats, me, env.from, env.trace, reply);
                     }
                 }
                 ChaosMsg::Crash => {
@@ -466,34 +423,22 @@ impl ChaosRun {
                     // Announce the recovered summary and re-learn every
                     // neighbor's. Recovery is a fresh causal origin.
                     let ctx = self.root();
-                    self.send_update_to_neighbors(&mut *net, &mut stats, me, ctx)?;
-                    for &nb in self.topology.neighbors(me).to_vec().iter() {
-                        stats.pulls += 1;
-                        stats.pull_bytes += PULL_BYTES;
-                        net.send(me, nb, self.config.link_delay, ctx, ChaosMsg::Pull);
-                    }
+                    let update = self.broker(me).announce()?;
+                    self.send_to_neighbors(&mut net, &mut stats, me, ctx, &update);
+                    self.send_to_neighbors(&mut net, &mut stats, me, ctx, &PeerMsg::Pull);
                 }
                 ChaosMsg::RepairTick => {
                     if self.brokers[me as usize].alive {
                         // Each anti-entropy round at each broker is a
                         // fresh causal origin.
                         let ctx = self.root();
-                        if self.config.naive_repair {
-                            self.send_update_to_neighbors(&mut *net, &mut stats, me, ctx)?;
+                        let core = self.broker(me);
+                        let round = if self.config.naive_repair {
+                            core.announce()?
                         } else {
-                            let digest = self.brokers[me as usize].core.own().digest();
-                            for &nb in self.topology.neighbors(me).to_vec().iter() {
-                                stats.digest_msgs += 1;
-                                stats.digest_bytes += SummaryDigest::WIRE_BYTES as u64;
-                                net.send(
-                                    me,
-                                    nb,
-                                    self.config.link_delay,
-                                    ctx,
-                                    ChaosMsg::Digest(digest),
-                                );
-                            }
-                        }
+                            PeerMsg::Digest(core.own().digest())
+                        };
+                        self.send_to_neighbors(&mut net, &mut stats, me, ctx, &round);
                     }
                 }
             }
@@ -502,7 +447,7 @@ impl ChaosRun {
             }
         }
 
-        let fault = net.fault_stats();
+        let fault = net.stats();
         stats.offered = fault.offered;
         stats.delivered = fault.delivered;
         stats.dropped = fault.dropped;
@@ -539,37 +484,44 @@ impl ChaosRun {
             .unwrap_or(0)
     }
 
-    fn send_update<T: Transport<ChaosMsg>>(
-        &mut self,
-        net: &mut T,
+    /// Puts one protocol message on the link `from → to`, charging its
+    /// wire cost to the counters of its kind.
+    fn send(
+        &self,
+        net: &mut LossyNet<ChaosMsg>,
         stats: &mut ChaosStats,
         from: NodeId,
         to: NodeId,
         ctx: TraceCtx,
-    ) -> Result<(), TypeError> {
-        let summary = self.brokers[from as usize].core.own().clone();
-        stats.full_updates += 1;
-        stats.full_summary_bytes += self.codec.encoded_len(&summary)? as u64;
-        net.send(
-            from,
-            to,
-            self.config.link_delay,
-            ctx,
-            ChaosMsg::Update(summary),
-        );
-        Ok(())
+        msg: PeerMsg,
+    ) {
+        match &msg {
+            PeerMsg::Summary(bytes) => {
+                stats.full_updates += 1;
+                stats.full_summary_bytes += bytes.len() as u64;
+            }
+            PeerMsg::Digest(_) => {
+                stats.digest_msgs += 1;
+                stats.digest_bytes += SummaryDigest::WIRE_BYTES as u64;
+            }
+            PeerMsg::Pull => {
+                stats.pulls += 1;
+                stats.pull_bytes += PULL_BYTES;
+            }
+        }
+        net.send_traced(from, to, self.config.link_delay, ctx, ChaosMsg::Peer(msg));
     }
 
-    fn send_update_to_neighbors<T: Transport<ChaosMsg>>(
-        &mut self,
-        net: &mut T,
+    fn send_to_neighbors(
+        &self,
+        net: &mut LossyNet<ChaosMsg>,
         stats: &mut ChaosStats,
         from: NodeId,
         ctx: TraceCtx,
-    ) -> Result<(), TypeError> {
-        for &nb in self.topology.neighbors(from).to_vec().iter() {
-            self.send_update(net, stats, from, nb, ctx)?;
+        msg: &PeerMsg,
+    ) {
+        for &nb in self.topology.neighbors(from) {
+            self.send(net, stats, from, nb, ctx, msg.clone());
         }
-        Ok(())
     }
 }

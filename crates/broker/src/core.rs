@@ -10,12 +10,13 @@
 //! and only moves messages. Everything a broker decides on its own lives
 //! here and nowhere else: admitting and cancelling subscriptions,
 //! checkpoint and restore, rebuilding the summary from the exact store,
-//! the digest gate, and tier-2 verification. DESIGN.md §16 lists what
-//! each host adds.
+//! the neighbour-view protocol step ([`BrokerCore::on_peer`]: the digest
+//! gate, the answer to a pull, view replacement from wire bytes), and
+//! tier-2 verification. DESIGN.md §16 lists what each host adds.
 
 use std::collections::{BTreeMap, HashMap};
 
-use subsum_core::{BrokerSummary, MatchScratch, SummaryDigest};
+use subsum_core::{ArithWidth, BrokerSummary, MatchScratch, SummaryCodec, SummaryDigest};
 use subsum_net::NodeId;
 use subsum_telemetry::Stage;
 use subsum_types::{
@@ -26,12 +27,27 @@ use crate::snapshot::BrokerCheckpoint;
 
 static STAGE_SUBSCRIBE: Stage = Stage::new(subsum_telemetry::names::BROKER_SUBSCRIBE);
 
+/// One message of the neighbour-view protocol (DESIGN.md §10), the same
+/// whether a simulator or a socket carried it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PeerMsg {
+    /// The sender's whole own summary as [`SummaryCodec`] wire bytes. A
+    /// view *replacement*, so a duplicate is a no-op.
+    Summary(Vec<u8>),
+    /// The digest of the sender's own summary.
+    Digest(SummaryDigest),
+    /// A request for the receiver's own summary.
+    Pull,
+}
+
 /// The state machine of one broker. See the [module docs](self).
 #[derive(Debug)]
 pub struct BrokerCore {
     id: NodeId,
     schema: Schema,
-    layout: IdLayout,
+    /// Wire codec of neighbour summaries; its layout bounds the ids this
+    /// broker mints.
+    codec: SummaryCodec,
     /// Next local subscription number (`c2`) this broker assigns.
     next_local: u32,
     /// The exact store (tier 2). Iteration order is ascending id, the
@@ -64,7 +80,7 @@ impl BrokerCore {
             id,
             own: BrokerSummary::new(schema.clone()),
             schema,
-            layout,
+            codec: SummaryCodec::new(layout, ArithWidth::Eight),
             next_local: 0,
             exact: BTreeMap::new(),
             subsumption_filter: false,
@@ -146,11 +162,12 @@ impl BrokerCore {
     pub fn subscribe(&mut self, sub: &Subscription) -> Result<SubscriptionId, TypeError> {
         let _span = STAGE_SUBSCRIBE.start();
         let local = self.next_local;
-        if u64::from(local) >= (1u64 << self.layout.local_bits()) {
+        let local_bits = self.codec.layout().local_bits();
+        if u64::from(local) >= (1u64 << local_bits) {
             return Err(TypeError::IdOverflow {
                 component: "c2",
                 value: u64::from(local),
-                bits: self.layout.local_bits(),
+                bits: local_bits,
             });
         }
         self.next_local += 1;
@@ -287,13 +304,43 @@ impl BrokerCore {
     /// §6 dynamic schema: re-summarises under an extended schema.
     pub(crate) fn retype(&mut self, schema: Schema, layout: IdLayout) {
         self.schema = schema;
-        self.layout = layout;
+        self.codec = SummaryCodec::new(layout, ArithWidth::Eight);
         self.rebuild();
     }
 
-    /// Replaces the view of neighbour `peer` (idempotent).
-    pub fn install_view(&mut self, peer: NodeId, summary: BrokerSummary) {
-        self.views.insert(peer, summary);
+    /// The own summary as the [`PeerMsg::Summary`] a host ships
+    /// unasked: the initial wave, an eager push, a restart announcement.
+    ///
+    /// # Errors
+    ///
+    /// A [`TypeError`] if the summary does not fit the wire layout.
+    pub fn announce(&self) -> Result<PeerMsg, TypeError> {
+        let bytes = self.codec.encode(&self.own)?;
+        Ok(PeerMsg::Summary(bytes.to_vec()))
+    }
+
+    /// One step of the neighbour-view protocol: applies `msg` from
+    /// neighbour `from` and returns the reply to send back, if any.
+    ///
+    /// * a digest is answered by [`PeerMsg::Pull`] iff
+    ///   [`BrokerCore::view_is_stale`];
+    /// * a pull is answered by [`BrokerCore::announce`] (nothing, if the
+    ///   own summary does not fit the wire layout);
+    /// * a summary that decodes against this broker's schema replaces
+    ///   the view of `from`; one that does not leaves the view as it was.
+    pub fn on_peer(&mut self, from: NodeId, msg: PeerMsg) -> Option<PeerMsg> {
+        match msg {
+            PeerMsg::Digest(advertised) => self
+                .view_is_stale(from, advertised)
+                .then_some(PeerMsg::Pull),
+            PeerMsg::Pull => self.announce().ok(),
+            PeerMsg::Summary(bytes) => {
+                if let Ok(summary) = self.codec.decode(&bytes, &self.schema) {
+                    self.views.insert(from, summary);
+                }
+                None
+            }
+        }
     }
 
     /// The digest gate of anti-entropy: whether a pull is due because
@@ -390,6 +437,13 @@ mod tests {
             .unwrap()
             .build()
             .unwrap()
+    }
+
+    /// `summary` as broker `core(_)`'s neighbours put it on the wire.
+    fn wire(summary: &BrokerSummary) -> PeerMsg {
+        let layout = IdLayout::new(4, 100, stock_schema().len() as u32).unwrap();
+        let codec = SummaryCodec::new(layout, ArithWidth::Eight);
+        PeerMsg::Summary(codec.encode(summary).unwrap().to_vec())
     }
 
     fn price_event(price: f64) -> Event {
@@ -494,7 +548,8 @@ mod tests {
             core.subscribe(&price_lt(f64::from(k))).unwrap();
         }
         let live = core.own().digest();
-        core.install_view(2, BrokerSummary::new(stock_schema()));
+        core.on_peer(2, wire(&BrokerSummary::new(stock_schema())));
+        assert!(core.view(2).is_some());
         let cp = core.checkpoint();
         assert!(cp.subs.windows(2).all(|w| w[0].0 < w[1].0), "id-sorted");
 
@@ -513,14 +568,72 @@ mod tests {
         let mut core = core(100);
         let empty = BrokerSummary::new(stock_schema());
         assert!(core.view_is_stale(2, empty.digest()));
-        core.install_view(2, empty.clone());
+        core.on_peer(2, wire(&empty));
         assert!(!core.view_is_stale(2, empty.digest()));
 
         let mut other = empty;
         other.insert(BrokerId(2), LocalSubId(0), &price_lt(3.0));
         assert!(core.view_is_stale(2, other.digest()));
-        core.install_view(2, other);
+        core.on_peer(2, wire(&other));
         assert_eq!(core.interested_neighbours(&price_event(1.0)), vec![2]);
         assert!(core.interested_neighbours(&price_event(7.0)).is_empty());
+    }
+
+    #[test]
+    fn on_peer_decision_table() {
+        let mut core = core(100);
+        core.subscribe(&price_lt(5.0)).unwrap();
+        let empty = BrokerSummary::new(stock_schema());
+        let mut theirs = empty.clone();
+        theirs.insert(BrokerId(2), LocalSubId(0), &price_lt(3.0));
+        let digest = |s: &BrokerSummary| PeerMsg::Digest(s.digest());
+
+        // Digest: pull iff the stored view disagrees; absent is not empty.
+        assert_eq!(core.on_peer(2, digest(&empty)), Some(PeerMsg::Pull));
+        assert_eq!(core.on_peer(2, wire(&theirs)), None);
+        assert_eq!(core.view(2), Some(&theirs));
+        assert_eq!(core.on_peer(2, digest(&theirs)), None);
+        assert_eq!(core.on_peer(2, digest(&empty)), Some(PeerMsg::Pull));
+        assert_eq!(core.on_peer(3, digest(&theirs)), Some(PeerMsg::Pull));
+
+        // Summary: a duplicate changes nothing; bytes that do not decode
+        // (truncated, corrupt, empty) leave the view as it was.
+        assert_eq!(core.on_peer(2, wire(&theirs)), None);
+        assert_eq!(core.view(2), Some(&theirs));
+        let PeerMsg::Summary(good) = wire(&empty) else {
+            unreachable!()
+        };
+        let mut corrupt = good.clone();
+        corrupt[0] ^= 0xFF;
+        for bad in [good[..good.len() - 1].to_vec(), corrupt, Vec::new()] {
+            assert_eq!(core.on_peer(2, PeerMsg::Summary(bad)), None);
+            assert_eq!(core.view(2), Some(&theirs));
+        }
+        assert!(core.view(3).is_none());
+
+        // Pull: the own summary, decodable by the peer's codec.
+        let reply = core.on_peer(2, PeerMsg::Pull).unwrap();
+        assert_eq!(reply, core.announce().unwrap());
+        let mut peer = self::core(100);
+        peer.on_peer(1, reply);
+        assert_eq!(peer.view(1), Some(core.own()));
+    }
+
+    #[test]
+    fn a_pull_on_a_summary_outside_the_wire_layout_gets_no_reply() {
+        // A checkpoint written under a wider layout: local number 7 does
+        // not fit the two local ids this layout has bits for.
+        let schema = stock_schema();
+        let sub = price_lt(1.0);
+        let id = SubscriptionId::new(BrokerId(1), LocalSubId(7), sub.attr_mask());
+        let cp = BrokerCheckpoint {
+            next_local: 8,
+            subs: vec![(id, sub)],
+        };
+        let layout = IdLayout::new(4, 2, schema.len() as u32).unwrap();
+        let mut core = BrokerCore::new(1, schema, layout, Some(cp));
+        assert_eq!(core.own().subscription_ids(), vec![id]);
+        assert!(core.announce().is_err());
+        assert_eq!(core.on_peer(2, PeerMsg::Pull), None);
     }
 }

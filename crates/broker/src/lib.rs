@@ -6,8 +6,8 @@
 //!
 //! * [`core`](crate::core) — [`BrokerCore`], one broker without I/O: exact
 //!   store, own summary, neighbor views, and every decision a broker
-//!   takes alone (admission, checkpoint/restore, the digest gate, tier-2
-//!   verification);
+//!   takes alone (admission, checkpoint/restore, the neighbour-view
+//!   protocol step, tier-2 verification);
 //! * [`propagation`] — **Algorithm 2** (§4.2): degree-indexed propagation
 //!   of multi-broker summaries with `Merged_Brokers` bookkeeping;
 //! * [`routing`] — **Algorithm 3** (§4.3): one broker's BROCLI step
@@ -54,12 +54,10 @@ pub mod routing;
 pub mod runtime;
 mod snapshot;
 mod system;
-pub mod transport;
 
-pub use crate::core::BrokerCore;
-pub use chaos::{ChaosConfig, ChaosMsg, ChaosReport, ChaosRun, ChaosStats};
+pub use crate::core::{BrokerCore, PeerMsg};
+pub use chaos::{ChaosConfig, ChaosReport, ChaosRun, ChaosStats};
 pub use propagation::{propagate, MergedSummary, PropagationOutcome, PropagationSend};
 pub use routing::{route_event, Notification, RoutingOptions, RoutingOutcome};
 pub use snapshot::{BrokerCheckpoint, SnapshotError};
 pub use system::{Delivery, PublishOutcome, SummaryPubSub};
-pub use transport::Transport;

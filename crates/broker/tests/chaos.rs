@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use subsum_broker::{ChaosConfig, ChaosReport, ChaosRun};
+use subsum_broker::{ChaosConfig, ChaosReport, ChaosRun, PeerMsg};
 use subsum_net::{CrashEvent, FaultPlan, LinkProfile, Topology};
 use subsum_telemetry::trace::Tracer;
 use subsum_types::{stock_schema, Event, NumOp, Schema, StrOp, Subscription, SubscriptionId};
@@ -219,6 +219,40 @@ fn partition_heals_and_converges() {
         report.converged_at.unwrap_or(0) >= 150,
         "cannot converge before the partition heals: {report:?}"
     );
+}
+
+/// Updates cross the simulated links as the wire codec's bytes: a
+/// fault-free run with no repair rounds sends exactly the initial wave,
+/// is charged the payload lengths it sent, and leaves every broker
+/// holding — decoded from those bytes — its neighbours' own summaries.
+#[test]
+fn updates_are_wire_bytes_and_are_charged_their_payload_length() {
+    let config = ChaosConfig {
+        repair_rounds: 0,
+        ..ChaosConfig::default()
+    };
+    let mut run = populated_run(FaultPlan::reliable(9), config);
+    let topology = Topology::fig7_tree();
+    let (mut updates, mut bytes) = (0, 0);
+    for b in 0..13u16 {
+        let Ok(PeerMsg::Summary(payload)) = run.broker(b).announce() else {
+            panic!("broker {b}'s summary fits the wire layout");
+        };
+        let degree = topology.neighbors(b).len() as u64;
+        updates += degree;
+        bytes += degree * payload.len() as u64;
+    }
+
+    let report = run.run().unwrap();
+    assert!(report.converged, "{report:?}");
+    assert_eq!(report.stats.full_updates, updates);
+    assert_eq!(report.stats.full_summary_bytes, bytes);
+    assert_eq!(report.stats.total_bytes(), bytes, "no digests, no pulls");
+    for b in 0..13u16 {
+        for &nb in topology.neighbors(b) {
+            assert_eq!(run.broker(b).view(nb), Some(run.broker(nb).own()));
+        }
+    }
 }
 
 /// The paper's contract at the summary tier, after repair: once a

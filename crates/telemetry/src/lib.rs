@@ -51,19 +51,10 @@
 //! assert!(report.to_json().starts_with('{'));
 //! # telemetry::reset();
 //! ```
-//!
-//! # The `tracing` feature
-//!
-//! With the `tracing` cargo feature enabled, every closed span is also
-//! forwarded to a process-global observer callback ([`bridge`]) — the
-//! hook where a `tracing`-ecosystem subscriber attaches. The feature
-//! adds no dependency and is off by default.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-#[cfg(feature = "tracing")]
-pub mod bridge;
 mod hist;
 pub mod names;
 mod recorder;

@@ -252,7 +252,7 @@ impl Stage {
         }
         let hist = *self.cell.get_or_init(|| histogram(self.name));
         SpanTimer {
-            inner: Some((self.name, hist, Instant::now())),
+            inner: Some((hist, Instant::now())),
         }
     }
 }
@@ -300,7 +300,7 @@ impl Count {
 #[derive(Debug)]
 #[must_use = "a span timer records its stage latency when dropped"]
 pub struct SpanTimer {
-    inner: Option<(&'static str, &'static Histogram, Instant)>,
+    inner: Option<(&'static Histogram, Instant)>,
 }
 
 impl SpanTimer {
@@ -310,13 +310,9 @@ impl SpanTimer {
 
 impl Drop for SpanTimer {
     fn drop(&mut self) {
-        if let Some((name, hist, start)) = self.inner.take() {
+        if let Some((hist, start)) = self.inner.take() {
             let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             hist.record(nanos);
-            #[cfg(feature = "tracing")]
-            crate::bridge::emit(name, nanos);
-            #[cfg(not(feature = "tracing"))]
-            let _ = name;
         }
     }
 }

@@ -5,8 +5,8 @@
 //! connections from subscribers/publishers, all speaking the framed
 //! [`Msg`] protocol. The broker itself is the in-process one — a
 //! [`BrokerCore`] owns the exact store, the own summary, one *view* per
-//! neighbor and every decision about them; the daemon adds sockets and
-//! `subsum-core::wire` bytes — so it interoperates bit-for-bit with
+//! neighbor, the summary wire codec and every decision about them; the
+//! daemon adds sockets — so it interoperates bit-for-bit with
 //! checkpoints and digests produced by the simulator.
 //!
 //! # Threads and ownership
@@ -28,12 +28,16 @@
 //! Every fresh peer link starts with `Hello`/`HelloAck` carrying the
 //! sender's broker id, its **connection epoch** (a counter the dialer
 //! bumps each dial, so both ends can tell a reconnect from a duplicate
-//! dial), and the [`SummaryDigest`] of its own summary. Each end hands
-//! the received digest to its core's gate and sends `Pull` **only on
-//! mismatch** (holding no view counts as one) — a restarted peer that
-//! recovered its state from a checkpoint re-joins without a single
-//! summary crossing the wire in its direction, the same digest-gated
-//! anti-entropy the chaos suite proves convergent under faults.
+//! dial), and the `SummaryDigest` of its own summary. Each end hands
+//! the received digest to [`BrokerCore::on_peer`], which answers `Pull`
+//! **only on mismatch** (holding no view counts as one) — a restarted
+//! peer that recovered its state from a checkpoint re-joins without a
+//! single summary crossing the wire in its direction. `Summary`,
+//! `Digest` and `Pull` frames go through the same call: the protocol
+//! step here is the very function the chaos suite proves convergent
+//! under faults, not a copy of it. The three kinds count only on a peer
+//! link and only under that link's broker id; a client cannot speak for
+//! a neighbor.
 //!
 //! # Event flow
 //!
@@ -55,8 +59,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use subsum_broker::{BrokerCheckpoint, BrokerCore};
-use subsum_core::{ArithWidth, SummaryCodec, SummaryDigest};
+use subsum_broker::{BrokerCheckpoint, BrokerCore, PeerMsg};
 use subsum_telemetry::{names, Count, Counter};
 use subsum_types::{BrokerId, Event, IdLayout, Schema, SubscriptionId, TypeError};
 
@@ -92,7 +95,8 @@ pub struct DaemonStats {
     pub reconnects: Counter,
     /// Handshake digest mismatches that triggered a summary pull.
     pub resyncs: Counter,
-    /// Full summaries received (each one replaces a peer view).
+    /// `Summary` frames accepted from peer links (each decodable one
+    /// replaces that peer's view).
     pub summaries_rx: Counter,
     /// Full summaries sent (eager pushes plus pull responses).
     pub summaries_tx: Counter,
@@ -377,7 +381,6 @@ const DIALED_CONN_BASE: u64 = 1 << 32;
 /// The broker owned by the event loop.
 struct Broker {
     core: BrokerCore,
-    codec: SummaryCodec,
     /// Which client connection owns each local subscription.
     sub_owner: BTreeMap<SubscriptionId, u64>,
     stats: Arc<DaemonStats>,
@@ -393,7 +396,6 @@ impl Broker {
                 layout,
                 config.checkpoint.take(),
             ),
-            codec: SummaryCodec::new(layout, ArithWidth::Eight),
             sub_owner: BTreeMap::new(),
             stats,
         })
@@ -403,32 +405,13 @@ impl Broker {
         BrokerId(self.core.id())
     }
 
-    /// This daemon's own summary as a `Summary` message; `None` (send
-    /// nothing) if it does not fit the wire layout.
-    fn own_summary_msg(&self) -> Option<Msg> {
-        let bytes = self.codec.encode(self.core.own()).ok()?;
-        Some(Msg::Summary {
-            from: self.id(),
-            bytes: bytes.to_vec(),
-        })
-    }
-
-    /// Answers a peer's advertised summary digest with a `Pull` if the
-    /// core's digest gate finds the stored view stale.
-    fn pull_if_stale(
-        &self,
-        conns: &BTreeMap<u64, Conn>,
-        conn: u64,
-        peer: BrokerId,
-        advertised: SummaryDigest,
-    ) {
-        if !self.core.view_is_stale(peer.0, advertised) {
-            return;
-        }
-        CNT_RESYNCS.inc();
-        self.stats.resyncs.inc();
-        if let Some(c) = conns.get(&conn) {
-            send_msg(&c.mailbox, &Msg::Pull { from: self.id() });
+    /// `msg` as the frame this daemon puts on a peer link.
+    fn to_wire(&self, msg: PeerMsg) -> Msg {
+        let from = self.id();
+        match msg {
+            PeerMsg::Summary(bytes) => Msg::Summary { from, bytes },
+            PeerMsg::Digest(digest) => Msg::Digest { from, digest },
+            PeerMsg::Pull => Msg::Pull { from },
         }
     }
 }
@@ -563,6 +546,42 @@ fn peer_conn(conns: &BTreeMap<u64, Conn>, peer: BrokerId) -> Option<&Mailbox> {
         .map(|c| &c.mailbox)
 }
 
+/// One neighbour-view protocol message from connection `conn`: the core
+/// decides, the daemon posts the reply and counts. The sender is the
+/// broker the *link* belongs to; a frame on a client or unclassified
+/// connection, or one claiming another broker's id, is dropped.
+fn peer_step(
+    broker: &mut Broker,
+    conns: &BTreeMap<u64, Conn>,
+    conn: u64,
+    claimed: BrokerId,
+    msg: PeerMsg,
+) {
+    let Some(c) = conns.get(&conn) else {
+        return;
+    };
+    if !matches!(c.role, Role::Peer(peer) if peer == claimed) {
+        return;
+    }
+    let received_summary = matches!(msg, PeerMsg::Summary(_));
+    let reply = broker.core.on_peer(claimed.0, msg);
+    if received_summary {
+        // After the step: whoever reads the counter finds the view in place.
+        broker.stats.summaries_rx.inc();
+    }
+    let Some(reply) = reply else {
+        return;
+    };
+    if reply == PeerMsg::Pull {
+        CNT_RESYNCS.inc();
+        broker.stats.resyncs.inc();
+    }
+    let sends_summary = matches!(reply, PeerMsg::Summary(_));
+    if send_msg(&c.mailbox, &broker.to_wire(reply)) == SendOutcome::Sent && sends_summary {
+        broker.stats.summaries_tx.inc();
+    }
+}
+
 /// Applies one protocol message to the broker.
 fn handle_msg(broker: &mut Broker, conns: &mut BTreeMap<u64, Conn>, conn: u64, msg: Msg) {
     match msg {
@@ -582,31 +601,20 @@ fn handle_msg(broker: &mut Broker, conns: &mut BTreeMap<u64, Conn>, conn: u64, m
                     },
                 );
             }
-            broker.pull_if_stale(conns, conn, peer, digest);
+            peer_step(broker, conns, conn, peer, PeerMsg::Digest(digest));
         }
         Msg::HelloAck {
             broker: peer,
             epoch: _,
             digest,
-        } => {
-            broker.pull_if_stale(conns, conn, peer, digest);
-        }
+        } => peer_step(broker, conns, conn, peer, PeerMsg::Digest(digest)),
         Msg::Summary { from, bytes } => {
-            if let Ok(summary) = broker.codec.decode(&bytes, broker.core.schema()) {
-                broker.core.install_view(from.0, summary);
-                broker.stats.summaries_rx.inc();
-            }
+            peer_step(broker, conns, conn, from, PeerMsg::Summary(bytes))
         }
         Msg::Digest { from, digest } => {
-            broker.pull_if_stale(conns, conn, from, digest);
+            peer_step(broker, conns, conn, from, PeerMsg::Digest(digest))
         }
-        Msg::Pull { from: _ } => {
-            if let (Some(c), Some(own)) = (conns.get(&conn), broker.own_summary_msg()) {
-                if send_msg(&c.mailbox, &own) == SendOutcome::Sent {
-                    broker.stats.summaries_tx.inc();
-                }
-            }
-        }
+        Msg::Pull { from } => peer_step(broker, conns, conn, from, PeerMsg::Pull),
         Msg::Route { origin: _, event } => {
             deliver_local(broker, conns, &event);
         }
@@ -623,7 +631,7 @@ fn handle_msg(broker: &mut Broker, conns: &mut BTreeMap<u64, Conn>, conn: u64, m
             }
             // Eager propagation: every connected neighbor gets the
             // updated summary immediately.
-            let Some(push) = broker.own_summary_msg() else {
+            let Ok(push) = broker.core.announce().map(|own| broker.to_wire(own)) else {
                 return;
             };
             for c in conns.values() {

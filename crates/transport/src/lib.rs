@@ -1,8 +1,8 @@
 //! Framed TCP transport for subsum brokers.
 //!
-//! Everything in `subsum-broker` so far runs inside one process — over
-//! the deterministic `LossyNet` simulator or the threaded runtime. This
-//! crate takes the same broker logic onto real sockets:
+//! Everything in `subsum-broker` runs inside one process — over the
+//! deterministic `LossyNet` simulator or the threaded runtime. This
+//! crate puts the same `BrokerCore` behind real sockets:
 //!
 //! * [`frame`] — the length-prefixed frame layer and its panic-free
 //!   incremental decoder;
@@ -11,11 +11,9 @@
 //! * [`session`] — per-peer session state: epoch-stamped reconnects,
 //!   digest comparison on handshake, bounded outbound mailboxes with an
 //!   explicit backpressure policy;
-//! * [`tcp`] — [`TcpTransport`], a socket implementation of the broker
-//!   [`subsum_broker::Transport`] seam, so simulator scenarios (the
-//!   chaos suite included) run unmodified over real TCP loopback;
 //! * [`daemon`] — [`Subsumd`], the standalone broker daemon behind the
-//!   `subsumd` binary;
+//!   `subsumd` binary; its peer traffic is `BrokerCore::on_peer`, the
+//!   protocol step the chaos suite drives under faults;
 //! * [`client`] — a small blocking client library for subscribing and
 //!   publishing against a daemon.
 //!
@@ -29,11 +27,9 @@ pub mod daemon;
 pub mod frame;
 pub mod msg;
 pub mod session;
-pub mod tcp;
 
 pub use client::{Client, ClientError, PublishResult};
 pub use daemon::{DaemonConfig, DaemonFinal, DaemonHandle, DaemonStats, Subsumd};
 pub use frame::{Frame, FrameDecoder, FrameError};
 pub use msg::{Msg, MsgError};
 pub use session::{BackpressurePolicy, Mailbox, SendOutcome, TxStats};
-pub use tcp::{MsgCodec, TcpTransport};

@@ -6,9 +6,9 @@
 
 use std::time::{Duration, Instant};
 
-use subsum_broker::BrokerCheckpoint;
-use subsum_transport::{Client, DaemonConfig, DaemonHandle, Subsumd};
-use subsum_types::{stock_schema, BrokerId, Event, NumOp, StrOp, Subscription};
+use subsum_broker::{BrokerCheckpoint, BrokerCore, PeerMsg};
+use subsum_transport::{Client, DaemonConfig, DaemonHandle, Msg, Subsumd};
+use subsum_types::{stock_schema, BrokerId, Event, IdLayout, NumOp, StrOp, Subscription};
 
 fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -166,6 +166,73 @@ fn restarted_peer_reconverges_via_digest_pull_not_resend() {
     client_b2.shutdown().unwrap();
     a.join();
     b2.join();
+}
+
+/// `Summary`, `Digest` and `Pull` speak for the broker a peer link
+/// belongs to. A client connection claiming to be neighbour B must not
+/// replace A's view of B: with an empty view in its place A would stop
+/// forwarding B's matches — a false negative at the summary tier.
+#[test]
+fn a_client_cannot_replace_a_peer_view() {
+    use std::io::{Read, Write};
+
+    let (a, b) = start_pair();
+    let mut client_b = Client::connect(b.addr()).unwrap();
+    let summaries_at_a = a.stats().summaries_rx.get();
+    let sub_id = client_b.subscribe(&cheap_sub()).unwrap();
+    wait_for("summary propagation to A", || {
+        a.stats().summaries_rx.get() > summaries_at_a
+    });
+    let summaries_at_a = a.stats().summaries_rx.get();
+
+    // An empty summary under B's name, encoded as a daemon would.
+    let schema = stock_schema();
+    let layout = IdLayout::new(1 << 16, 1 << 20, schema.len() as u32).unwrap();
+    let Ok(PeerMsg::Summary(bytes)) = BrokerCore::new(1, schema, layout, None).announce() else {
+        panic!("an empty summary fits any layout");
+    };
+    let forged = Msg::Summary {
+        from: BrokerId(1),
+        bytes,
+    };
+    let fence = Msg::Publish {
+        seq: 7,
+        event: cheap_event(50.0),
+    };
+    // Once on an unclassified connection, once more after the publish
+    // has made it a client connection. A's event loop takes one
+    // connection's frames in order and answers nothing but the two
+    // publishes, so two acks' worth of bytes fences both forgeries.
+    let mut rogue = std::net::TcpStream::connect(a.addr()).unwrap();
+    for msg in [&forged, &fence, &forged, &fence] {
+        rogue.write_all(&msg.to_frame_bytes().unwrap()).unwrap();
+    }
+    let ack = Msg::PublishAck {
+        seq: 7,
+        accepted: true,
+        matched: 0,
+    };
+    let expected = ack.to_frame_bytes().unwrap().repeat(2);
+    let mut acks = vec![0u8; expected.len()];
+    rogue.read_exact(&mut acks).unwrap();
+    assert_eq!(acks, expected);
+    assert_eq!(a.stats().summaries_rx.get(), summaries_at_a);
+
+    // A still routes to B what B's subscription matches.
+    let mut client_a = Client::connect(a.addr()).unwrap();
+    let ack = client_a.publish(&cheap_event(5.0)).unwrap();
+    assert!(ack.accepted);
+    let (id, _) = client_b
+        .poll_delivery(Duration::from_secs(10))
+        .unwrap()
+        .expect("A kept its view of B and forwarded the event");
+    assert_eq!(id, sub_id);
+
+    drop(rogue);
+    client_a.shutdown().unwrap();
+    client_b.shutdown().unwrap();
+    a.join();
+    b.join();
 }
 
 fn symbol_sub(op: StrOp, text: &str) -> Subscription {

@@ -136,6 +136,7 @@ impl CheckConfig {
                 "route_event*".into(),
                 "examine".into(),
                 "BrokerCore::verify".into(),
+                "BrokerCore::on_peer".into(),
                 "handle_msg".into(),
                 "publish_batch".into(),
                 "SnapshotReader::pin".into(),
