@@ -315,8 +315,7 @@ impl BrokerCore {
     ///
     /// A [`TypeError`] if the summary does not fit the wire layout.
     pub fn announce(&self) -> Result<PeerMsg, TypeError> {
-        let bytes = self.codec.encode(&self.own)?;
-        Ok(PeerMsg::Summary(bytes.to_vec()))
+        Ok(PeerMsg::Summary(self.codec.encode(&self.own)?))
     }
 
     /// One step of the neighbour-view protocol: applies `msg` from
@@ -443,7 +442,7 @@ mod tests {
     fn wire(summary: &BrokerSummary) -> PeerMsg {
         let layout = IdLayout::new(4, 100, stock_schema().len() as u32).unwrap();
         let codec = SummaryCodec::new(layout, ArithWidth::Eight);
-        PeerMsg::Summary(codec.encode(summary).unwrap().to_vec())
+        PeerMsg::Summary(codec.encode(summary).unwrap())
     }
 
     fn price_event(price: f64) -> Event {

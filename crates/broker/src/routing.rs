@@ -99,14 +99,6 @@ impl RoutingOutcome {
     pub fn total_hops(&self) -> u64 {
         self.forward_hops + self.notify_hops
     }
-
-    /// The distinct candidate subscription ids.
-    pub fn candidate_ids(&self) -> Vec<SubscriptionId> {
-        let mut ids: Vec<SubscriptionId> = self.notifications.iter().map(|n| n.id).collect();
-        ids.sort();
-        ids.dedup();
-        ids
-    }
 }
 
 /// Routes an event published at `publisher` through the stored

@@ -71,20 +71,6 @@ impl From<subsum_net::TopologyError> for SnapshotError {
     }
 }
 
-fn put_id(w: &mut ByteWriter, id: SubscriptionId) {
-    w.u16(id.broker.0);
-    w.u32(id.local.0);
-    w.u64(id.mask.0);
-}
-
-fn get_id(r: &mut ByteReader<'_>) -> Result<SubscriptionId, DecodeError> {
-    Ok(SubscriptionId::new(
-        subsum_types::BrokerId(r.u16()?),
-        subsum_types::LocalSubId(r.u32()?),
-        subsum_types::AttrMask(r.u64()?),
-    ))
-}
-
 /// The durable state of a *single* broker: its local-id counter and its
 /// exact subscription store, id-sorted. This is what a broker writes to
 /// stable storage between crashes; everything else (summaries, neighbor
@@ -117,17 +103,19 @@ impl BrokerCheckpoint {
         w.u32(self.next_local);
         w.u32(self.subs.len() as u32);
         for (id, sub) in &self.subs {
-            put_id(&mut w, *id);
+            id.encode(&mut w);
             sub.encode(&mut w);
         }
-        w.into_bytes().to_vec()
+        w.into_bytes()
     }
 
     /// Parses a checkpoint produced by [`BrokerCheckpoint::to_bytes`].
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapshotError`] on a malformed or truncated stream.
+    /// Returns a [`SnapshotError`] on a malformed or truncated stream,
+    /// and on one a broker cannot safely restore from: a stored id at or
+    /// above `next_local`, or ids of more than one broker.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = ByteReader::new(bytes);
         if r.u32()? != CHECKPOINT_MAGIC {
@@ -140,7 +128,7 @@ impl BrokerCheckpoint {
         let n = r.u32()? as usize;
         let mut subs = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
-            let id = get_id(&mut r)?;
+            let id = SubscriptionId::decode(&mut r)?;
             let sub = Subscription::decode(&mut r)?;
             subs.push((id, sub));
         }
@@ -150,6 +138,15 @@ impl BrokerCheckpoint {
         // BOUND: windows(2) slices always hold exactly two elements.
         if !subs.windows(2).all(|w| w[0].0 < w[1].0) {
             return Err(SnapshotError::Format("checkpoint subs not id-sorted"));
+        }
+        // The restored broker mints `next_local` next: a stored id at or
+        // above it would be minted again and replace the restored entry.
+        if subs.iter().any(|(id, _)| id.local.0 >= next_local) {
+            return Err(SnapshotError::Format("checkpoint id not below next_local"));
+        }
+        let owner = subs.first().map(|(id, _)| id.broker);
+        if subs.iter().any(|(id, _)| Some(id.broker) != owner) {
+            return Err(SnapshotError::Format("checkpoint ids of several brokers"));
         }
         Ok(BrokerCheckpoint { next_local, subs })
     }
@@ -197,7 +194,7 @@ impl SummaryPubSub {
             w.u32(broker.next_local());
             w.u32(broker.exact().len() as u32);
             for (id, sub) in broker.exact() {
-                put_id(&mut w, *id);
+                id.encode(&mut w);
                 sub.encode(&mut w);
             }
             let mut shadow_edges: Vec<(SubscriptionId, SubscriptionId)> =
@@ -205,11 +202,11 @@ impl SummaryPubSub {
             shadow_edges.sort();
             w.u32(shadow_edges.len() as u32);
             for (covered, coverer) in shadow_edges {
-                put_id(&mut w, covered);
-                put_id(&mut w, coverer);
+                covered.encode(&mut w);
+                coverer.encode(&mut w);
             }
         }
-        w.into_bytes().to_vec()
+        w.into_bytes()
     }
 
     /// Restores a system from a snapshot produced by
@@ -263,15 +260,15 @@ impl SummaryPubSub {
             let n_subs = r.u32()? as usize;
             let mut subs = Vec::with_capacity(n_subs.min(1 << 20));
             for _ in 0..n_subs {
-                let id = get_id(&mut r)?;
+                let id = SubscriptionId::decode(&mut r)?;
                 let sub = Subscription::decode(&mut r)?;
                 subs.push((id, sub));
             }
             let n_shadows = r.u32()? as usize;
             let mut shadows = HashMap::with_capacity(n_shadows.min(1 << 20));
             for _ in 0..n_shadows {
-                let covered = get_id(&mut r)?;
-                let coverer = get_id(&mut r)?;
+                let covered = SubscriptionId::decode(&mut r)?;
+                let coverer = SubscriptionId::decode(&mut r)?;
                 shadows.insert(covered, coverer);
             }
             sys.brokers[b as usize].restore_durable(next_local, subs, shadows);
@@ -402,6 +399,25 @@ mod tests {
         ));
         // A whole-system snapshot is not a checkpoint.
         assert!(BrokerCheckpoint::from_bytes(&sys.to_snapshot()).is_err());
+        // Well-formed bytes a broker must not restore from: a counter
+        // that would mint a stored id again, and another broker's ids.
+        let cp = BrokerCheckpoint::capture(&sys, 0);
+        let stale_counter = BrokerCheckpoint {
+            next_local: cp.next_local - 1,
+            subs: cp.subs.clone(),
+        };
+        assert!(matches!(
+            BrokerCheckpoint::from_bytes(&stale_counter.to_bytes()),
+            Err(SnapshotError::Format("checkpoint id not below next_local"))
+        ));
+        let mut two_brokers = cp;
+        two_brokers
+            .subs
+            .extend(BrokerCheckpoint::capture(&sys, 1).subs);
+        assert!(matches!(
+            BrokerCheckpoint::from_bytes(&two_brokers.to_bytes()),
+            Err(SnapshotError::Format("checkpoint ids of several brokers"))
+        ));
     }
 
     #[test]

@@ -112,7 +112,6 @@ pub struct SummaryPubSub {
     topology: Topology,
     schema: Schema,
     codec: SummaryCodec,
-    routing: RoutingOptions,
     /// One state machine per broker of the overlay.
     pub(crate) brokers: Vec<BrokerCore>,
     /// The capacity this system was sized for (snapshot metadata).
@@ -152,7 +151,6 @@ impl SummaryPubSub {
         let n = topology.len();
         Ok(SummaryPubSub {
             codec: SummaryCodec::new(layout, ArithWidth::Four),
-            routing: RoutingOptions::new(),
             brokers: (0..n as NodeId)
                 .map(|b| BrokerCore::new(b, schema.clone(), layout, None))
                 .collect(),
@@ -192,11 +190,6 @@ impl SummaryPubSub {
     /// The wire codec in force (id layout and arithmetic width).
     pub fn codec(&self) -> &SummaryCodec {
         &self.codec
-    }
-
-    /// Replaces the routing options (e.g. to enable virtual degrees).
-    pub fn set_routing_options(&mut self, options: RoutingOptions) {
-        self.routing = options;
     }
 
     /// Enables or disables the §6 extension that combines summarization
@@ -445,7 +438,7 @@ impl SummaryPubSub {
             broker,
             event,
             event_bytes,
-            &self.routing,
+            &RoutingOptions::new(),
             scratch,
             self.tracer.as_deref().map(|t| (t, ctx)),
         );

@@ -24,8 +24,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use subsum_types::{Interval, IntervalSet, Num};
 
 use crate::idlist::{idlist_insert, idlist_merge, idlist_remap, idlist_remove_remap};
@@ -33,7 +31,7 @@ pub use crate::idlist::{DenseId, IdList};
 use crate::sacs::QueryCost;
 
 /// One sub-range row of AACS_SR.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RangeRow {
     /// The non-overlapping sub-range this row represents.
     pub interval: Interval,
@@ -59,7 +57,7 @@ pub struct RangeRow {
 /// assert_eq!(aacs.query(n(8.20)), vec![2]);
 /// assert!(aacs.query(n(9.0)).is_empty());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RangeSummary {
     /// AACS_SR: disjoint, sorted sub-ranges.
     ranges: Vec<RangeRow>,

@@ -576,6 +576,7 @@ impl PlanCell {
 
     /// The cached plan, if one has been compiled since the last
     /// mutation (validation cross-checks it against a fresh compile).
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn cached(&self) -> Option<&MatchPlan> {
         self.0.get().map(Arc::as_ref)
     }

@@ -47,11 +47,9 @@
 //!
 //! The index holds row *positions* and is rebuilt whenever rows are
 //! retained/removed; it is a pure function of the row vector, so derived
-//! equality stays consistent and (de)serialization reconstructs it.
+//! equality stays consistent and the wire decoder reconstructs it.
 
 use std::collections::HashMap;
-
-use serde::{Deserialize, Serialize};
 
 use subsum_telemetry::Count;
 use subsum_types::Pattern;
@@ -76,7 +74,7 @@ pub(crate) fn record_query_cost(cost: QueryCost) {
 
 /// One row of a SACS array: a general constraint and the ids of the
 /// subscriptions it stands for.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatternRow {
     /// The row's general constraint.
     pub pattern: Pattern,
@@ -207,48 +205,17 @@ impl PatternIndex {
 /// assert_eq!(sacs.row_count(), 1);
 /// assert_eq!(sacs.query("micronet"), vec![1, 2]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-#[serde(from = "PatternSummaryWire", into = "PatternSummaryWire")]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PatternSummary {
     /// Wildcard-free rows, keyed by their literal value.
     literals: HashMap<String, IdList>,
     /// Rows containing wildcards, in insertion order.
     patterns: Vec<PatternRow>,
-    /// Anchor-byte index over `patterns` (derived state; rebuilt on
-    /// deserialization and after row removals). The `lint: derived` tag
+    /// Anchor-byte index over `patterns` (derived state; rebuilt by
+    /// the wire decoder and after row removals). The `lint: derived` tag
     /// makes `cargo xtask check` reject any reference to this field from
     /// the wire codec.
     index: PatternIndex, // lint: derived
-}
-
-/// The serialized shape of a [`PatternSummary`]: the index is derived
-/// state and is reconstructed on deserialization instead of traveling.
-#[derive(Serialize, Deserialize)]
-#[serde(rename = "PatternSummary")]
-struct PatternSummaryWire {
-    literals: HashMap<String, IdList>,
-    patterns: Vec<PatternRow>,
-}
-
-impl From<PatternSummary> for PatternSummaryWire {
-    fn from(s: PatternSummary) -> Self {
-        PatternSummaryWire {
-            literals: s.literals,
-            patterns: s.patterns,
-        }
-    }
-}
-
-impl From<PatternSummaryWire> for PatternSummary {
-    fn from(w: PatternSummaryWire) -> Self {
-        let mut index = PatternIndex::default();
-        index.rebuild(&w.patterns);
-        PatternSummary {
-            literals: w.literals,
-            patterns: w.patterns,
-            index,
-        }
-    }
 }
 
 impl PatternSummary {
@@ -947,19 +914,5 @@ mod tests {
         });
         sacs.index.rebuild(&sacs.patterns);
         sacs.validate();
-    }
-
-    #[test]
-    fn wire_conversion_rebuilds_index() {
-        // The serde impls funnel through `PatternSummaryWire` (the index
-        // is derived state); the conversion pair must reconstruct it.
-        let mut sacs = PatternSummary::new();
-        sacs.insert(pat("OT*"), id(1));
-        sacs.insert(pat("*SE"), id(2));
-        sacs.insert(pat("lit"), id(3));
-        let back = PatternSummary::from(PatternSummaryWire::from(sacs.clone()));
-        assert_eq!(back, sacs);
-        assert_eq!(sorted(back.query("OTSE")), vec![id(1), id(2)]);
-        assert_eq!(back.query("lit"), vec![id(3)]);
     }
 }

@@ -51,8 +51,12 @@ use std::time::Instant;
 use subsum_telemetry::Count;
 use subsum_types::{Event, Schema, Subscription, SubscriptionId};
 
-use crate::idlist::{DenseId, SubIdList};
-use crate::plan::{lower_key, num_key, upper_key, MatchPlan, ProbeState};
+#[cfg(any(test, debug_assertions))]
+use crate::idlist::DenseId;
+use crate::idlist::SubIdList;
+#[cfg(any(test, debug_assertions))]
+use crate::plan::{lower_key, num_key, upper_key};
+use crate::plan::{MatchPlan, ProbeState};
 use crate::snapshot::{SnapshotCell, SnapshotReader};
 use crate::summary::{BrokerSummary, MatchOutcome, MatchStats};
 use crate::{PatternSummary, SummaryDigest};
@@ -92,6 +96,8 @@ impl Shard {
 pub(crate) struct ShardSet {
     /// Partition bounds over the global dense space: shard `k` owns
     /// `bounds[k] .. bounds[k+1]`; interior bounds are multiples of 64.
+    /// Each shard carries its own `base`; only `validate_set` reads this.
+    #[cfg(any(test, debug_assertions))]
     bounds: Vec<u32>,
     /// The flat intern-table id list (global dense id -> full id).
     ids: SubIdList,
@@ -125,6 +131,7 @@ impl ShardSet {
             })
             .collect();
         ShardSet {
+            #[cfg(any(test, debug_assertions))]
             bounds,
             ids: flat.intern_table().ids_slice().to_vec(),
             shards,

@@ -13,12 +13,10 @@
 //! extracts the counts from a [`BrokerSummary`] and [`SizeParams`] supplies
 //! the widths (Table 2 defaults: `s_st = s_id = 4`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::summary::BrokerSummary;
 
 /// Storage widths used by the size model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SizeParams {
     /// `s_st`: bytes per arithmetic value (Table 2: 4).
     pub arith_width: usize,
@@ -37,7 +35,7 @@ impl Default for SizeParams {
 }
 
 /// Aggregated structural counts of one summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SummaryStats {
     /// Σ n_sr: sub-range rows across arithmetic attributes.
     pub range_rows: usize,

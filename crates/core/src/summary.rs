@@ -12,8 +12,6 @@
 //! how many *attributes* were satisfied, and reports the ids whose counter
 //! equals the number of attributes recorded in their `c3` mask.
 
-use serde::{Deserialize, Serialize};
-
 use subsum_telemetry::{Count, Stage};
 use subsum_types::{Event, NormalizedAttr, Schema, Subscription, SubscriptionId};
 
@@ -46,33 +44,12 @@ static CNT_SCRATCH_GROWS: Count = Count::new(subsum_telemetry::names::MATCH_SCRA
 /// therefore resolve to sorted subscription-id lists with no per-event
 /// sorting. `required[d]` caches `ids[d].mask.count()` — the number of
 /// satisfied attributes the counter kernel must see before reporting
-/// dense id `d`; it is derived from the masks and is rebuilt, never
-/// serialized.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-#[serde(from = "InternTableWire", into = "InternTableWire")]
+/// dense id `d`; it is derived from the masks and is rebuilt by
+/// [`InternTable::from_ids`], never put on the wire.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct InternTable {
     ids: SubIdList,
     required: Vec<u32>, // lint: derived
-}
-
-/// The serialized shape of an [`InternTable`]: only the id list travels;
-/// the `required` counters are reconstructed from the id masks.
-#[derive(Serialize, Deserialize)]
-#[serde(rename = "InternTable")]
-struct InternTableWire {
-    ids: SubIdList,
-}
-
-impl From<InternTable> for InternTableWire {
-    fn from(t: InternTable) -> Self {
-        InternTableWire { ids: t.ids }
-    }
-}
-
-impl From<InternTableWire> for InternTable {
-    fn from(w: InternTableWire) -> Self {
-        InternTable::from_ids(w.ids)
-    }
 }
 
 impl InternTable {
@@ -202,7 +179,7 @@ impl InternTable {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BrokerSummary {
     schema: Schema,
     /// Indexed by attribute id; `None` for string attributes.
@@ -219,7 +196,6 @@ pub struct BrokerSummary {
     /// Lazily compiled columnar probe plan over the rows above. Pure
     /// derived state: skipped on the wire, invisible to `PartialEq` and
     /// digests, dropped on every mutation and rebuilt on the next match.
-    #[serde(skip)]
     plan: PlanCell, // lint: derived
 }
 

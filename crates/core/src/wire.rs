@@ -140,7 +140,7 @@ impl SummaryCodec {
     ///
     /// Returns [`TypeError::IdOverflow`] if a subscription id exceeds the
     /// codec's layout.
-    pub fn encode(&self, summary: &BrokerSummary) -> Result<bytes::Bytes, TypeError> {
+    pub fn encode(&self, summary: &BrokerSummary) -> Result<Vec<u8>, TypeError> {
         let mut w = ByteWriter::new();
         w.u8(VERSION);
         w.u8(match self.width {

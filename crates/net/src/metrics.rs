@@ -7,12 +7,10 @@
 //! neighbors* (§5.2.1). [`NetMetrics`] accumulates these quantities;
 //! algorithms call [`NetMetrics::record`] for every broker→broker message.
 
-use serde::{Deserialize, Serialize};
-
 use crate::topology::NodeId;
 
 /// Accumulated traffic counters for one experiment run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetMetrics {
     /// Total broker→broker messages (the paper's hop count).
     pub messages: u64,

@@ -18,7 +18,6 @@ use std::fmt;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a broker inside a [`Topology`] (mirrors
 /// `subsum_types::BrokerId`; kept as a plain index here so the network
@@ -64,7 +63,7 @@ impl std::error::Error for TopologyError {}
 /// // Paper: node 5 (0-based 4) is the degree-5 hub.
 /// assert_eq!(t.degree(4), 5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     adj: Vec<Vec<NodeId>>,
 }

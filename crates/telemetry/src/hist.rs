@@ -11,8 +11,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 /// Number of buckets: one per possible bit length of a `u64` (0..=64).
 pub const NUM_BUCKETS: usize = 65;
 
@@ -104,7 +102,7 @@ impl Histogram {
 }
 
 /// An immutable, mergeable histogram snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// Per-bucket sample counts ([`NUM_BUCKETS`] entries).
     pub buckets: Vec<u64>,

@@ -2,14 +2,11 @@
 //! distributions, counter and gauge values, and arbitrary embedded
 //! structures (e.g. the network-cost metrics of an experiment run).
 //!
-//! The workspace is built offline without `serde_json`, so this module
-//! carries its own minimal JSON value type ([`Json`]) and writer. All
-//! report types additionally implement [`serde::Serialize`], so any
-//! serde backend can also emit them.
+//! The workspace depends on no data-format crate, so this module
+//! carries its own minimal JSON value type ([`Json`]) and writer; every
+//! report type renders through it.
 
 use std::collections::BTreeMap;
-
-use serde::ser::{Serialize, SerializeSeq, Serializer};
 
 use crate::hist::Snapshot;
 use crate::recorder::{counters_snapshot, gauges_snapshot, histograms_snapshot};
@@ -142,30 +139,9 @@ impl From<String> for Json {
     }
 }
 
-impl Serialize for Json {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        match self {
-            Json::Null => s.serialize_unit(),
-            Json::Bool(b) => s.serialize_bool(*b),
-            Json::UInt(n) => s.serialize_u64(*n),
-            Json::Int(n) => s.serialize_i64(*n),
-            Json::Num(f) => s.serialize_f64(*f),
-            Json::Str(v) => s.serialize_str(v),
-            Json::Arr(items) => {
-                let mut seq = s.serialize_seq(Some(items.len()))?;
-                for item in items {
-                    seq.serialize_element(item)?;
-                }
-                seq.end()
-            }
-            Json::Obj(map) => map.serialize(s),
-        }
-    }
-}
-
 /// The latency digest of one named pipeline stage (all times in
 /// nanoseconds).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageReport {
     /// Number of recorded spans.
     pub count: u64,
@@ -179,8 +155,7 @@ pub struct StageReport {
     pub p90_ns: u64,
     /// 99th percentile.
     pub p99_ns: u64,
-    /// 99.9th percentile (absent in pre-trace reports; defaults to 0).
-    #[serde(default)]
+    /// 99.9th percentile.
     pub p999_ns: u64,
     /// Largest recorded span.
     pub max_ns: u64,
@@ -221,7 +196,7 @@ impl StageReport {
 
 /// One run's complete telemetry: stage latency digests, counters,
 /// gauges and embedded documents, exportable as a single JSON object.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// A caller-chosen run label, e.g. `"repro.fig8"`.
     pub name: String,

@@ -13,8 +13,7 @@
 
 use subsum_core::SummaryDigest;
 use subsum_types::{
-    AttrMask, BrokerId, ByteReader, ByteWriter, DecodeError, Event, LocalSubId, Subscription,
-    SubscriptionId,
+    BrokerId, ByteReader, ByteWriter, DecodeError, Event, Subscription, SubscriptionId,
 };
 
 use crate::frame::{encode_frame, Frame, FrameError};
@@ -172,20 +171,6 @@ fn read_digest(r: &mut ByteReader<'_>) -> Result<SummaryDigest, MsgError> {
     SummaryDigest::from_bytes(bytes).ok_or(MsgError::Malformed("summary digest"))
 }
 
-fn write_sub_id(w: &mut ByteWriter, id: SubscriptionId) {
-    w.u16(id.broker.0);
-    w.u32(id.local.0);
-    w.u64(id.mask.0);
-}
-
-fn read_sub_id(r: &mut ByteReader<'_>) -> Result<SubscriptionId, MsgError> {
-    Ok(SubscriptionId {
-        broker: BrokerId(r.u16()?),
-        local: LocalSubId(r.u32()?),
-        mask: AttrMask(r.u64()?),
-    })
-}
-
 impl Msg {
     /// The frame kind tag this message is carried under.
     pub fn kind(&self) -> u8 {
@@ -242,7 +227,7 @@ impl Msg {
                 sub.encode(&mut w);
             }
             Msg::SubscribeAck { id } => {
-                write_sub_id(&mut w, *id);
+                id.encode(&mut w);
             }
             Msg::Publish { seq, event } => {
                 w.u32(*seq);
@@ -258,12 +243,12 @@ impl Msg {
                 w.u32(*matched);
             }
             Msg::Deliver { id, event } => {
-                write_sub_id(&mut w, *id);
+                id.encode(&mut w);
                 event.encode(&mut w);
             }
             Msg::Shutdown => {}
         }
-        w.into_bytes().to_vec()
+        w.into_bytes()
     }
 
     /// Serializes the message as one complete frame, ready for a socket.
@@ -315,7 +300,7 @@ impl Msg {
                 sub: Subscription::decode(&mut r)?,
             },
             KIND_SUBSCRIBE_ACK => Msg::SubscribeAck {
-                id: read_sub_id(&mut r)?,
+                id: SubscriptionId::decode(&mut r)?,
             },
             KIND_PUBLISH => Msg::Publish {
                 seq: r.u32()?,
@@ -335,7 +320,7 @@ impl Msg {
                 }
             }
             KIND_DELIVER => Msg::Deliver {
-                id: read_sub_id(&mut r)?,
+                id: SubscriptionId::decode(&mut r)?,
                 event: Event::decode(&mut r)?,
             },
             KIND_SHUTDOWN => Msg::Shutdown,
@@ -360,7 +345,7 @@ impl Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use subsum_types::{stock_schema, NumOp};
+    use subsum_types::{stock_schema, AttrMask, LocalSubId, NumOp};
 
     fn sample_digest(seed: u64) -> SummaryDigest {
         SummaryDigest {
@@ -459,6 +444,17 @@ mod tests {
                 msg.kind()
             );
         }
+        // Two literal frames: header "SF", version 1, kind, u32 length,
+        // then the big-endian payload (the second is the 14-byte id).
+        assert_eq!(
+            Msg::Pull { from: BrokerId(12) }.to_frame_bytes().unwrap(),
+            [0x53, 0x46, 1, 5, 0, 0, 0, 2, 0, 12]
+        );
+        let ack = Msg::SubscribeAck { id: sample_id() };
+        assert_eq!(
+            ack.to_frame_bytes().unwrap(),
+            [0x53, 0x46, 1, 17, 0, 0, 0, 14, 0, 3, 0, 0, 0, 41, 0, 0, 0, 0, 0, 0, 0, 0b1010]
+        );
     }
 
     #[test]

@@ -8,7 +8,9 @@ use std::time::{Duration, Instant};
 
 use subsum_broker::{BrokerCheckpoint, BrokerCore, PeerMsg};
 use subsum_transport::{Client, DaemonConfig, DaemonHandle, Msg, Subsumd};
-use subsum_types::{stock_schema, BrokerId, Event, IdLayout, NumOp, StrOp, Subscription};
+use subsum_types::{
+    stock_schema, BrokerId, Event, IdLayout, LocalSubId, NumOp, StrOp, Subscription, SubscriptionId,
+};
 
 fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -438,4 +440,40 @@ fn subsumd_binary_two_process_loopback() {
     assert!(counter_value(&report_a, "transport.frames_rx") > 0);
     assert!(counter_value(&report_b, "transport.frames_rx") > 0);
     assert!(counter_value(&report_b, "publish.acked") > 0);
+}
+
+/// A checkpoint file is outside input: `subsumd` refuses one written by
+/// another broker instead of serving that broker's ids as its own.
+#[test]
+fn subsumd_binary_refuses_another_brokers_checkpoint() {
+    use std::process::{Command, Stdio};
+
+    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    std::fs::create_dir_all(tmp).unwrap();
+    let path = tmp.join("subsumd-b0.ckpt");
+    let sub = cheap_sub();
+    let id = SubscriptionId::new(BrokerId(0), LocalSubId(0), sub.attr_mask());
+    let bytes = BrokerCheckpoint {
+        next_local: 1,
+        subs: vec![(id, sub)],
+    }
+    .to_bytes();
+    std::fs::write(&path, &bytes).unwrap();
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_subsumd"))
+        .args(["--broker", "1", "--listen", "127.0.0.1:0", "--checkpoint"])
+        .arg(&path)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // A daemon that accepts the file serves until told to stop.
+    wait_for("subsumd refusing the checkpoint", || {
+        child.try_wait().unwrap().is_some()
+    });
+    let out = child.wait_with_output().unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("belongs to broker 0"), "stderr: {stderr}");
+    assert_eq!(std::fs::read(&path).unwrap(), bytes, "file left as it was");
 }

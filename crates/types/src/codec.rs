@@ -2,12 +2,10 @@
 //!
 //! The paper's bandwidth analysis (§5.1) counts exact byte sizes for the
 //! summary structures. [`ByteWriter`] and [`ByteReader`] provide a small,
-//! deterministic, length-accountable encoding layer over [`bytes`]
-//! buffers; the summary codec in `subsum-core` builds on it.
+//! deterministic, length-accountable encoding layer over a plain
+//! `Vec<u8>`; the summary codec in `subsum-core` builds on it.
 
 use std::fmt;
-
-use bytes::{Buf, BufMut, BytesMut};
 
 /// Errors from [`ByteReader`] when the input is truncated or malformed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,7 +31,7 @@ impl std::error::Error for DecodeError {}
 /// An append-only byte sink with exact size accounting.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl ByteWriter {
@@ -53,38 +51,38 @@ impl ByteWriter {
     }
 
     /// Consumes the writer, returning the encoded bytes.
-    pub fn into_bytes(self) -> bytes::Bytes {
-        self.buf.freeze()
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
     }
 
     /// Writes a single byte.
     pub fn u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Writes a big-endian `u16`.
     pub fn u16(&mut self, v: u16) {
-        self.buf.put_u16(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Writes a big-endian `u32`.
     pub fn u32(&mut self, v: u32) {
-        self.buf.put_u32(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Writes a big-endian `u64`.
     pub fn u64(&mut self, v: u64) {
-        self.buf.put_u64(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Writes a big-endian IEEE-754 `f64`.
     pub fn f64(&mut self, v: f64) {
-        self.buf.put_f64(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Writes raw bytes.
     pub fn bytes(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// Writes a `u16`-length-prefixed string.
@@ -131,6 +129,11 @@ impl<'a> ByteReader<'a> {
         Ok(head)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let head = self.take(N)?;
+        head.try_into().map_err(|_| DecodeError::UnexpectedEnd)
+    }
+
     /// Reads a single byte.
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
@@ -138,26 +141,22 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a big-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, DecodeError> {
-        let mut b = self.take(2)?;
-        Ok(b.get_u16())
+        Ok(u16::from_be_bytes(self.array()?))
     }
 
     /// Reads a big-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
-        let mut b = self.take(4)?;
-        Ok(b.get_u32())
+        Ok(u32::from_be_bytes(self.array()?))
     }
 
     /// Reads a big-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        let mut b = self.take(8)?;
-        Ok(b.get_u64())
+        Ok(u64::from_be_bytes(self.array()?))
     }
 
     /// Reads a big-endian IEEE-754 `f64`.
     pub fn f64(&mut self) -> Result<f64, DecodeError> {
-        let mut b = self.take(8)?;
-        Ok(b.get_f64())
+        Ok(f64::from_be_bytes(self.array()?))
     }
 
     /// Reads `n` raw bytes.
@@ -187,6 +186,15 @@ mod tests {
         w.f64(8.40);
         w.str16("NYSE");
         let bytes = w.into_bytes();
+        let want: [&[u8]; 6] = [
+            &[7],
+            &[0x01, 0x2C],
+            &[0x00, 0x01, 0x11, 0x70],
+            &[0, 0, 0x01, 0, 0, 0, 0, 0],
+            &[0x40, 0x20, 0xCC, 0xCC, 0xCC, 0xCC, 0xCC, 0xCD],
+            b"\x00\x04NYSE",
+        ];
+        assert_eq!(bytes[..], want.concat());
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u16().unwrap(), 300);

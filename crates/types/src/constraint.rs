@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TypeError;
 use crate::interval::{Interval, IntervalSet};
 use crate::pattern::Pattern;
@@ -11,7 +9,7 @@ use crate::schema::{AttrId, AttrKind, Schema};
 use crate::value::{Num, Value};
 
 /// Comparison operators over arithmetic attributes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NumOp {
     /// `=`
     Eq,
@@ -71,7 +69,7 @@ impl fmt::Display for NumOp {
 ///
 /// `Prefix`, `Suffix`, `Contains` and `Pattern` are all compiled to
 /// [`Pattern`]s; the paper writes them `>*`, `*<` and `*` respectively.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StrOp {
     /// Exact equality.
     Eq,
@@ -102,7 +100,7 @@ impl fmt::Display for StrOp {
 }
 
 /// The predicate of a [`Constraint`]: an operator applied to an operand.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// An arithmetic comparison.
     Num(NumOp, Num),
@@ -183,7 +181,7 @@ impl fmt::Display for Predicate {
 /// A subscription is a conjunction of constraints; several constraints may
 /// target the same attribute (Fig. 4 of the paper shows `price < 8.70 ∧
 /// price > 8.30` dissolving into one AACS sub-range).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
     /// The constrained attribute.
     pub attr: AttrId,

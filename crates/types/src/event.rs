@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TypeError;
 use crate::schema::{AttrId, Schema};
 use crate::value::{Num, Value};
@@ -32,7 +30,7 @@ use crate::value::{Num, Value};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Event {
     attrs: BTreeMap<AttrId, Value>,
 }

@@ -16,15 +16,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TypeError;
 use crate::schema::AttrId;
 
 /// Identifier of a broker in the overlay (the `c1` component).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BrokerId(pub u16);
 
 impl BrokerId {
@@ -41,9 +37,7 @@ impl fmt::Display for BrokerId {
 }
 
 /// Broker-local subscription number (the `c2` component).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LocalSubId(pub u32);
 
 impl fmt::Display for LocalSubId {
@@ -65,9 +59,7 @@ impl fmt::Display for LocalSubId {
 /// assert!(m.contains(AttrId(3)));
 /// assert!(!m.contains(AttrId(4)));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AttrMask(pub u64);
 
 impl AttrMask {
@@ -118,9 +110,7 @@ impl fmt::Binary for AttrMask {
 }
 
 /// A fully qualified subscription identifier `(c1, c2, c3)`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SubscriptionId {
     /// `c1`: the broker the subscription belongs to.
     pub broker: BrokerId,
@@ -163,7 +153,7 @@ impl fmt::Display for SubscriptionId {
 /// let layout = IdLayout::new(1000, 1_000_000, 10).unwrap();
 /// assert_eq!(layout.bit_len(), 10 + 20 + 10);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IdLayout {
     broker_bits: u32,
     local_bits: u32,

@@ -12,12 +12,10 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::Num;
 
 /// Lower endpoint of an [`Interval`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LowerBound {
     /// Unbounded below (−∞).
     NegInf,
@@ -28,7 +26,7 @@ pub enum LowerBound {
 }
 
 /// Upper endpoint of an [`Interval`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UpperBound {
     /// Unbounded above (+∞).
     PosInf,
@@ -111,7 +109,7 @@ impl UpperBound {
 /// assert!(r.contains(Num::new(8.40).unwrap()));
 /// assert!(!r.contains(Num::new(8.30).unwrap()));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Interval {
     lo: LowerBound,
     hi: UpperBound,
@@ -326,7 +324,7 @@ impl fmt::Display for Interval {
 /// assert!(!ne.contains(n(130000.0)));
 /// assert!(ne.contains(n(132700.0)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IntervalSet {
     /// Disjoint, non-adjacent, non-empty, sorted by lower bound.
     parts: Vec<Interval>,

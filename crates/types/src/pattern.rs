@@ -24,8 +24,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TypeError;
 
 /// A string pattern: literal segments separated by `*` wildcards.
@@ -43,7 +41,7 @@ use crate::error::TypeError;
 /// assert!(p.covers(&q));
 /// assert!(!q.covers(&p));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Pattern {
     /// `true` if the pattern does not begin with a wildcard.
     anchored_start: bool,

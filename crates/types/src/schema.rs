@@ -10,8 +10,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TypeError;
 use crate::value::Value;
 
@@ -20,7 +18,7 @@ use crate::value::Value;
 pub const MAX_ATTRIBUTES: usize = 64;
 
 /// The primitive kind of an attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttrKind {
     /// UTF-8 string, summarized via SACS.
     String,
@@ -66,9 +64,7 @@ impl fmt::Display for AttrKind {
 /// Index of an attribute within its [`Schema`] (position in the ordered
 /// attribute list). Doubles as the attribute's bit position in the `c3`
 /// component of subscription ids.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AttrId(pub u16);
 
 impl AttrId {
@@ -85,7 +81,7 @@ impl fmt::Display for AttrId {
 }
 
 /// The declaration of a single attribute: name and kind.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AttributeSpec {
     /// The attribute's unique name.
     pub name: String,
@@ -121,23 +117,6 @@ pub struct Schema {
 struct SchemaInner {
     attrs: Vec<AttributeSpec>,
     by_name: HashMap<String, AttrId>,
-}
-
-impl Serialize for Schema {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.inner.attrs.serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for Schema {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let attrs = Vec::<AttributeSpec>::deserialize(deserializer)?;
-        let mut b = Schema::builder();
-        for a in attrs {
-            b = b.attr(a.name, a.kind).map_err(serde::de::Error::custom)?;
-        }
-        Ok(b.build())
-    }
 }
 
 impl Schema {

@@ -8,6 +8,8 @@
 //! Format (all integers big-endian):
 //!
 //! ```text
+//! sub_id       := u16 broker, u32 local, u64 mask   (14 bytes, fixed)
+//!
 //! subscription := u16 n_constraints, constraint*
 //! constraint   := u16 attr, u8 tag, operand
 //! tag          := 0..=5 NumOp(Eq Ne Lt Le Gt Ge)  → f64 operand
@@ -23,6 +25,7 @@
 use crate::codec::{ByteReader, ByteWriter, DecodeError};
 use crate::constraint::{Constraint, NumOp, Predicate};
 use crate::event::Event;
+use crate::id::{AttrMask, BrokerId, LocalSubId, SubscriptionId};
 use crate::pattern::Pattern;
 use crate::schema::AttrId;
 use crate::subscription::Subscription;
@@ -46,6 +49,30 @@ const KIND_STR: u8 = 0;
 const KIND_INT: u8 = 1;
 const KIND_FLOAT: u8 = 2;
 const KIND_DATE: u8 = 3;
+
+impl SubscriptionId {
+    /// Writes the id at full width (14 bytes), independent of any
+    /// [`IdLayout`](crate::IdLayout): checkpoints, snapshots and the
+    /// client protocol carry ids this way.
+    pub fn encode(&self, w: &mut ByteWriter) {
+        w.u16(self.broker.0);
+        w.u32(self.local.0);
+        w.u64(self.mask.0);
+    }
+
+    /// Reads an id written by [`SubscriptionId::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError`] on truncated input.
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<SubscriptionId, DecodeError> {
+        Ok(SubscriptionId::new(
+            BrokerId(r.u16()?),
+            LocalSubId(r.u32()?),
+            AttrMask(r.u64()?),
+        ))
+    }
+}
 
 impl Subscription {
     /// Serializes the subscription to `w`.

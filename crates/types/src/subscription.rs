@@ -4,8 +4,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::constraint::{Constraint, NumOp, Predicate, StrOp};
 use crate::error::TypeError;
 use crate::event::Event;
@@ -33,7 +31,7 @@ use crate::value::{Num, Value};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Subscription {
     constraints: Vec<Constraint>,
 }
@@ -220,7 +218,7 @@ impl fmt::Display for Subscription {
 }
 
 /// A single normalized string-attribute constraint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StringConstraint {
     /// A pattern test (covers equality, prefix, suffix, containment, glob).
     Pattern(Pattern),
@@ -275,7 +273,7 @@ impl fmt::Display for StringConstraint {
 }
 
 /// Per-attribute normal form of one subscription's constraints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NormalizedAttr {
     /// The intersection of all arithmetic constraints on the attribute.
     Arithmetic(IntervalSet),
@@ -285,7 +283,7 @@ pub enum NormalizedAttr {
 
 /// A subscription dissolved into per-attribute constraints; see
 /// [`Subscription::normalize`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NormalizedSubscription {
     attrs: BTreeMap<AttrId, NormalizedAttr>,
 }

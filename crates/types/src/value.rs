@@ -3,8 +3,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TypeError;
 
 /// A finite, totally ordered numeric value.
@@ -27,8 +25,7 @@ use crate::error::TypeError;
 /// assert!(a < b);
 /// assert!(Num::new(f64::NAN).is_err());
 /// ```
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy)]
 pub struct Num(f64);
 
 impl Num {
@@ -122,7 +119,7 @@ impl fmt::Display for Num {
 /// schema (Fig. 2): strings, integers, floats and dates. Dates are
 /// represented as seconds since the Unix epoch and behave as arithmetic
 /// values throughout the system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// A UTF-8 string value.
     Str(String),

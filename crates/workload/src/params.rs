@@ -1,12 +1,10 @@
 //! The paper's experimental parameter space (Tables 1 and 2, §5.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Parameter values from Table 2 of the paper, with the derived workload
 /// shape of §5.1 ("the 'average' subscription or event includes `n_t/2`
 /// attributes, with 40% (60%) being arithmetic (strings); the average
 /// size of a subscription/event is 50 bytes").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperParams {
     /// Number of brokers (the C&W overlay has 24).
     pub brokers: usize,
