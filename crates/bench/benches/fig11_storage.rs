@@ -1,18 +1,17 @@
 //! Paper Fig11 regeneration bench: runs the experiment once per
-//! iteration at a reduced scale and prints the regenerated table.
+//! sample at a reduced scale and prints the regenerated table.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use subsum_experiments::{fig11, ExperimentConfig};
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let cfg = ExperimentConfig::fast();
     // Print the regenerated figure once so bench logs double as results.
-    println!("{}", fig11::run(&cfg));
-    let mut group = c.benchmark_group("fig11_storage");
-    group.sample_size(10);
-    group.bench_function("reduced_sweep", |b| b.iter(|| fig11::run(&cfg).rows.len()));
-    group.finish();
+    let table = fig11::run(&cfg);
+    println!("{table}");
+    subsum_bench::time(
+        "fig11_storage/reduced_sweep",
+        table.rows.len() as u64,
+        10,
+        || fig11::run(&cfg).rows.len(),
+    );
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

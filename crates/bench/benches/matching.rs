@@ -1,27 +1,24 @@
-//! §5.2.4 — event-matching cost: the summary matcher (Algorithm 1)
-//! against a naive per-subscription scan, for growing subscription
-//! populations and both selective and popular events, plus a
-//! high-row-count SACS scenario that isolates the pattern index's bucket
-//! pruning against the retained full-scan reference, and a large-P
-//! multi-attribute scenario that pits the compiled columnar match plan
-//! (the production path) against the plain-`SubscriptionId` scan
-//! reference.
+//! §5.2.4 — event-matching cost of the summary matcher (Algorithm 1):
+//! a high-row-count SACS scenario that isolates the pattern index's
+//! bucket pruning against the retained full-scan reference, and a
+//! large-P multi-attribute scenario that pits the compiled columnar
+//! match plan (the production path) against the plain-`SubscriptionId`
+//! scan reference. (Summary vs naive per-subscription scan over growing
+//! populations is `repro compute`, `experiments::compute`.)
 //!
-//! The harness is hand-rolled (no `criterion_main!`) so CI can smoke the
-//! report writers without timing anything: with `SUBSUM_BENCH_REPORT_ONLY`
-//! set, `main` skips criterion entirely and only emits the two JSON
-//! reports. A full run writes them after the timed benches:
+//! `main` writes two JSON reports, from 40 timed passes over each
+//! scenario's event set (one pass with `SUBSUM_BENCH_REPORT_ONLY` set,
+//! so CI can smoke the report writers in seconds):
 //!
 //! * `BENCH_matching.json` — before/after matching throughput and
 //!   latency percentiles (full scan vs pattern index) with the pruning
 //!   counters from an instrumented pass;
 //! * `BENCH_matching_stages.json` — a stage-level `RunReport` of one
 //!   instrumented matching pass (recorder enabled only for that pass, so
-//!   criterion's numbers are unaffected).
+//!   the timed passes are unaffected).
 
 use std::time::Instant;
 
-use criterion::{BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,130 +41,6 @@ const DENSE_EVENTS: usize = 256;
 const SCALING_SHARDS: usize = 8;
 /// Worker-thread counts swept by the shard-scaling scenario.
 const SCALING_WORKERS: [usize; 4] = [1, 2, 4, 8];
-
-fn bench_matching(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matching");
-    let mut rng = StdRng::seed_from_u64(0xBE7C);
-    let mut workload = Workload::new(PaperParams::default(), 0.7);
-    let schema = workload.schema().clone();
-
-    for &n in &[100usize, 1000, 5000] {
-        let subs: Vec<Subscription> = workload.subscriptions(n, &mut rng);
-        let mut summary = BrokerSummary::new(schema.clone());
-        for (i, sub) in subs.iter().enumerate() {
-            summary.insert(BrokerId(0), LocalSubId(i as u32), sub);
-        }
-        let selective: Vec<Event> = (0..64).map(|_| workload.event(0.2, &mut rng)).collect();
-        let popular: Vec<Event> = (0..64).map(|_| workload.event(0.7, &mut rng)).collect();
-
-        group.throughput(Throughput::Elements(selective.len() as u64));
-        group.bench_with_input(
-            BenchmarkId::new("summary_selective", n),
-            &selective,
-            |b, events| {
-                let mut scratch = MatchScratch::new();
-                b.iter(|| {
-                    events
-                        .iter()
-                        .map(|e| summary.match_event_into(e, &mut scratch).matched.len())
-                        .sum::<usize>()
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("summary_popular", n),
-            &popular,
-            |b, events| {
-                let mut scratch = MatchScratch::new();
-                b.iter(|| {
-                    events
-                        .iter()
-                        .map(|e| summary.match_event_into(e, &mut scratch).matched.len())
-                        .sum::<usize>()
-                })
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("naive_scan", n), &popular, |b, events| {
-            b.iter(|| {
-                events
-                    .iter()
-                    .map(|e| subs.iter().filter(|s| s.matches(e)).count())
-                    .sum::<usize>()
-            })
-        });
-    }
-    group.finish();
-
-    // The SACS-heavy scenario: a summary whose string dimension holds
-    // over a thousand incomparable prefix rows, where the pattern index
-    // prunes all but one prefix bucket per query.
-    let (summary, events) = sacs_heavy_fixture();
-    let mut group = c.benchmark_group("sacs_heavy");
-    group.throughput(Throughput::Elements(events.len() as u64));
-    group.bench_with_input(
-        BenchmarkId::new("indexed", SACS_HEAVY_SUBS),
-        &events,
-        |b, events| {
-            let mut scratch = MatchScratch::new();
-            b.iter(|| {
-                events
-                    .iter()
-                    .map(|e| summary.match_event_into(e, &mut scratch).matched.len())
-                    .sum::<usize>()
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("full_scan", SACS_HEAVY_SUBS),
-        &events,
-        |b, events| {
-            b.iter(|| {
-                events
-                    .iter()
-                    .map(|e| summary.match_event_scan(e).matched.len())
-                    .sum::<usize>()
-            })
-        },
-    );
-    group.finish();
-
-    // The compiled-kernel scenario: a large multi-attribute paper
-    // workload where every attribute contributes dense postings. The
-    // compiled plan is the production path; the full scan is the
-    // retained differential oracle.
-    let (summary, events, _schema) = compiled_kernel_fixture();
-    let mut group = c.benchmark_group("compiled_kernel");
-    group.throughput(Throughput::Elements(events.len() as u64));
-    group.bench_with_input(
-        BenchmarkId::new("compiled_plan", DENSE_SUBS),
-        &events,
-        |b, events| {
-            let mut scratch = MatchScratch::new();
-            b.iter(|| {
-                events
-                    .iter()
-                    .map(|e| summary.match_event_into(e, &mut scratch).matched.len())
-                    .sum::<usize>()
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("full_scan", DENSE_SUBS),
-        &events,
-        |b, events| {
-            b.iter(|| {
-                events
-                    .iter()
-                    .map(|e| summary.match_event_scan(e).matched.len())
-                    .sum::<usize>()
-            })
-        },
-    );
-    group.finish();
-
-    emit_matching_report();
-    emit_stage_report();
-}
 
 /// Builds the compiled-kernel scenario: `DENSE_SUBS` subscriptions from the
 /// paper's multi-attribute workload (arithmetic ranges, points and string
@@ -660,7 +533,7 @@ fn report_passes() -> usize {
 
 /// Runs one instrumented matching pass and writes its `RunReport` to the
 /// workspace root. Separate from the timed loops above: the recorder is
-/// off while criterion measures and on only here.
+/// off while they measure and on only here.
 fn emit_stage_report() {
     let mut rng = StdRng::seed_from_u64(0xBE7C);
     let mut workload = Workload::new(PaperParams::default(), 0.7);
@@ -696,14 +569,6 @@ fn emit_stage_report() {
 }
 
 fn main() {
-    if std::env::var_os("SUBSUM_BENCH_REPORT_ONLY").is_some() {
-        // CI smoke mode: no timing, just prove the report writers run
-        // end-to-end and leave the JSON artifacts behind.
-        emit_matching_report();
-        emit_stage_report();
-        return;
-    }
-    let mut criterion = Criterion::default().configure_from_args();
-    bench_matching(&mut criterion);
-    criterion.final_summary();
+    emit_matching_report();
+    emit_stage_report();
 }

@@ -1,11 +1,9 @@
 //! Microbenchmarks of the glob-pattern engine: matching and the covering
 //! (language inclusion) decision that SACS insertion relies on.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use subsum_types::Pattern;
 
-fn bench_pattern(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pattern");
+fn main() {
     let patterns: Vec<Pattern> = [
         "microsoft",
         "m*t",
@@ -29,39 +27,29 @@ fn bench_pattern(c: &mut Criterion) {
         "unrelated-value-here",
     ];
 
-    group.throughput(Throughput::Elements((patterns.len() * values.len()) as u64));
-    group.bench_function("matches_grid", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for p in &patterns {
-                for v in &values {
-                    if p.matches(v) {
-                        hits += 1;
-                    }
+    let grid = (patterns.len() * values.len()) as u64;
+    subsum_bench::time("pattern/matches_grid", grid, 100, || {
+        let mut hits = 0usize;
+        for p in &patterns {
+            for v in &values {
+                if p.matches(v) {
+                    hits += 1;
                 }
             }
-            hits
-        })
+        }
+        hits
     });
 
-    group.throughput(Throughput::Elements(
-        (patterns.len() * patterns.len()) as u64,
-    ));
-    group.bench_function("covers_grid", |b| {
-        b.iter(|| {
-            let mut covers = 0usize;
-            for p in &patterns {
-                for q in &patterns {
-                    if p.covers(q) {
-                        covers += 1;
-                    }
+    let grid = (patterns.len() * patterns.len()) as u64;
+    subsum_bench::time("pattern/covers_grid", grid, 100, || {
+        let mut covers = 0usize;
+        for p in &patterns {
+            for q in &patterns {
+                if p.covers(q) {
+                    covers += 1;
                 }
             }
-            covers
-        })
+        }
+        covers
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench_pattern);
-criterion_main!(benches);

@@ -1,10 +1,10 @@
 //! Microbenchmarks of the summary data structures: dissolution (insert),
 //! multi-broker merging, and the wire codec.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use subsum_bench::time;
 use subsum_core::{ArithWidth, BrokerSummary, SummaryCodec};
 use subsum_types::{BrokerId, IdLayout, LocalSubId, Subscription};
 use subsum_workload::{PaperParams, Workload};
@@ -21,65 +21,50 @@ fn prepared(n: usize, subsumption: f64, seed: u64) -> (Vec<Subscription>, Broker
     (subs, summary)
 }
 
-fn bench_insert(c: &mut Criterion) {
-    let mut group = c.benchmark_group("insert");
+fn bench_insert() {
     for &p in &[0.1, 0.9] {
         let (subs, _) = prepared(1000, p, 1);
         let schema = subsum_workload::experiment_schema(&PaperParams::default());
-        group.throughput(Throughput::Elements(subs.len() as u64));
-        group.bench_with_input(
-            BenchmarkId::new("dissolve_1000_subs", format!("p{}", (p * 100.0) as u32)),
-            &subs,
-            |b, subs| {
-                b.iter(|| {
-                    let mut s = BrokerSummary::new(schema.clone());
-                    for (i, sub) in subs.iter().enumerate() {
-                        s.insert(BrokerId(0), LocalSubId(i as u32), sub);
-                    }
-                    s.subscription_count()
-                })
-            },
-        );
+        let name = format!("insert/dissolve_1000_subs/p{}", (p * 100.0) as u32);
+        time(&name, subs.len() as u64, 30, || {
+            let mut s = BrokerSummary::new(schema.clone());
+            for (i, sub) in subs.iter().enumerate() {
+                s.insert(BrokerId(0), LocalSubId(i as u32), sub);
+            }
+            s.subscription_count()
+        });
     }
-    group.finish();
 }
 
-fn bench_merge(c: &mut Criterion) {
-    let mut group = c.benchmark_group("merge");
+fn bench_merge() {
     for &p in &[0.1, 0.9] {
         let (_, a) = prepared(500, p, 2);
         let (_, b) = prepared(500, p, 3);
-        group.bench_with_input(
-            BenchmarkId::new("merge_500_into_500", format!("p{}", (p * 100.0) as u32)),
-            &(a, b),
-            |bench, (a, b)| {
-                bench.iter(|| {
-                    let mut m = a.clone();
-                    m.merge(b);
-                    m.subscription_count()
-                })
-            },
-        );
+        let name = format!("merge/merge_500_into_500/p{}", (p * 100.0) as u32);
+        time(&name, 500, 30, || {
+            let mut m = a.clone();
+            m.merge(&b);
+            m.subscription_count()
+        });
     }
-    group.finish();
 }
 
-fn bench_codec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("codec");
+fn bench_codec() {
     let (_, summary) = prepared(1000, 0.5, 4);
     let schema = summary.schema().clone();
     let layout = IdLayout::new(24, 1024, schema.len() as u32).unwrap();
     let codec = SummaryCodec::new(layout, ArithWidth::Four);
     let bytes = codec.encode(&summary).unwrap();
-    group.throughput(Throughput::Bytes(bytes.len() as u64));
-    group.bench_function("encode_1000_subs", |b| {
-        b.iter(|| codec.encode(&summary).unwrap().len())
+    time("codec/encode_1000_subs", bytes.len() as u64, 30, || {
+        codec.encode(&summary).unwrap().len()
     });
-    group.bench_function("decode_1000_subs", |b| {
-        b.iter(|| codec.decode(&bytes, &schema).unwrap().subscription_count())
+    time("codec/decode_1000_subs", bytes.len() as u64, 30, || {
+        codec.decode(&bytes, &schema).unwrap().subscription_count()
     });
-    group.finish();
 }
 
-criterion_group!(benches, bench_insert, bench_merge, bench_codec);
-criterion_main!(benches);
+fn main() {
+    bench_insert();
+    bench_merge();
+    bench_codec();
+}

@@ -9,16 +9,15 @@
 //! no clock read, no allocation (the telemetry crate's zero-alloc
 //! harness enforces the no-allocation half of that claim).
 //!
-//! The harness is hand-rolled (no `criterion_main!`): with
-//! `SUBSUM_BENCH_REPORT_ONLY` set, `main` skips criterion and only
-//! writes `BENCH_trace_overhead.json` — per-mode publish throughput,
-//! the relative overhead against the disabled baseline, and the span
-//! accounting that proves the sampler actually sampled.
+//! `main` writes `BENCH_trace_overhead.json` — per-mode publish
+//! throughput (fastest of nine timed passes; two with
+//! `SUBSUM_BENCH_REPORT_ONLY` set, the CI smoke), the relative overhead
+//! against the disabled baseline, and the span accounting that proves
+//! the sampler actually sampled.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use criterion::{BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -88,23 +87,8 @@ fn publish_all(sys: &SummaryPubSub, events: &[(NodeId, Event)]) -> usize {
         .sum()
 }
 
-fn bench_trace_overhead(c: &mut Criterion) {
-    let mut group = c.benchmark_group("trace_overhead");
-    group.throughput(Throughput::Elements(EVENTS as u64));
-    for mode in MODES {
-        let (sys, events, _tracer) = fixture(mode);
-        group.bench_with_input(
-            BenchmarkId::new(mode_label(mode), EVENTS),
-            &events,
-            |b, events| b.iter(|| publish_all(&sys, events)),
-        );
-    }
-    group.finish();
-    emit_overhead_report();
-}
-
-/// Timed trials in report mode: quick in CI smoke, noise-robust
-/// otherwise (the report takes the fastest trial per mode).
+/// Timed trials: quick in CI smoke, noise-robust otherwise (the report
+/// takes the fastest trial per mode).
 fn report_trials() -> usize {
     if std::env::var_os("SUBSUM_BENCH_REPORT_ONLY").is_some() {
         2
@@ -181,11 +165,5 @@ fn emit_overhead_report() {
 }
 
 fn main() {
-    if std::env::var_os("SUBSUM_BENCH_REPORT_ONLY").is_some() {
-        emit_overhead_report();
-        return;
-    }
-    let mut criterion = Criterion::default().configure_from_args();
-    bench_trace_overhead(&mut criterion);
-    criterion.final_summary();
+    emit_overhead_report();
 }

@@ -5,7 +5,6 @@
 //! owner before any delivery (§4.3). This module is that broker, written
 //! once. It holds no sockets, channels, clocks or threads: a *host*
 //! ([`SummaryPubSub`](crate::SummaryPubSub),
-//! [`BrokerNetwork`](crate::runtime::BrokerNetwork),
 //! [`ChaosRun`](crate::ChaosRun), `subsumd`) owns one core per broker
 //! and only moves messages. Everything a broker decides on its own lives
 //! here and nowhere else: admitting and cancelling subscriptions,
@@ -121,11 +120,6 @@ impl BrokerCore {
     /// The last summary received from neighbour `peer`, if any.
     pub fn view(&self, peer: NodeId) -> Option<&BrokerSummary> {
         self.views.get(&peer)
-    }
-
-    /// The matcher scratch, for matching a summary the host holds.
-    pub fn scratch(&mut self) -> &mut MatchScratch {
-        &mut self.scratch
     }
 
     /// Enables or disables the §6 subsumption filter for subscriptions

@@ -14,11 +14,10 @@
 //!   ([`routing::examine`]) and the in-process loop over it, including
 //!   the paper's *virtual degrees* extension (§6);
 //!
-//! and three hosts that own one core per broker and only move messages
-//! (the fourth, `subsumd`, lives in `subsum-transport`):
+//! and two hosts that own one core per broker and only move messages
+//! (the third, `subsumd`, lives in `subsum-transport`):
 //!
 //! * [`SummaryPubSub`] — the deterministic end-to-end engine;
-//! * [`runtime`] — the same two algorithms, one OS thread per broker;
 //! * [`chaos`] — neighbor views under deterministic fault injection,
 //!   checkpoint recovery and digest-driven anti-entropy.
 //!
@@ -51,7 +50,6 @@ pub mod chaos;
 pub mod core;
 pub mod propagation;
 pub mod routing;
-pub mod runtime;
 mod snapshot;
 mod system;
 

@@ -6,7 +6,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use subsum_broker::runtime::BrokerNetwork;
 use subsum_broker::{BrokerCheckpoint, BrokerCore, ChaosConfig, ChaosRun, SummaryPubSub};
 use subsum_net::{FaultPlan, NodeId, Topology};
 use subsum_types::{IdLayout, SubscriptionId};
@@ -22,7 +21,6 @@ fn every_host_drives_the_same_broker() {
     let topology = Topology::line(4);
 
     let mut sys = SummaryPubSub::new(topology.clone(), schema.clone(), 1000).unwrap();
-    let net = BrokerNetwork::start(topology.clone(), schema.clone(), 1000).unwrap();
     let mut chaos = ChaosRun::new(
         topology,
         schema.clone(),
@@ -37,13 +35,11 @@ fn every_host_drives_the_same_broker() {
         if !live.is_empty() && rng.gen_range(0..10) < 3 {
             let id = live.swap_remove(rng.gen_range(0..live.len()));
             assert!(sys.unsubscribe(id));
-            assert!(net.unsubscribe(id));
             assert!(chaos.unsubscribe(id));
             cancelled += 1;
         } else {
             let sub = workload.subscription(&mut rng);
             let id = sys.subscribe(BROKER, &sub).unwrap();
-            assert_eq!(net.subscribe(BROKER, &sub).unwrap(), id);
             assert_eq!(chaos.subscribe(BROKER, &sub).unwrap(), id);
             live.push(id);
             subscribed += 1;
@@ -56,15 +52,11 @@ fn every_host_drives_the_same_broker() {
         subsum_types::LocalSubId(u32::MAX),
         live[0].mask,
     );
-    assert!(!sys.unsubscribe(gone) && !net.unsubscribe(gone) && !chaos.unsubscribe(gone));
+    assert!(!sys.unsubscribe(gone) && !chaos.unsubscribe(gone));
 
     // Same durable state, byte for byte.
     let bytes = BrokerCheckpoint::capture(&sys, BROKER).to_bytes();
-    let (net_checkpoint, net_live_digest) = net.inspect(BROKER);
-    assert_eq!(net_checkpoint.to_bytes(), bytes);
     assert_eq!(chaos.broker(BROKER).checkpoint().to_bytes(), bytes);
-    // Same incremental history, same live summary.
-    assert_eq!(sys.broker(BROKER).own().digest(), net_live_digest);
 
     // A bare core restored from those bytes, under yet another layout
     // (ids do not depend on it).
@@ -81,12 +73,9 @@ fn every_host_drives_the_same_broker() {
     // After a period boundary every host holds the canonical summary a
     // restart would rebuild (the chaos node re-summarises on cancel).
     sys.propagate().unwrap();
-    net.propagate();
     let canonical = restored.own().digest();
     assert_eq!(sys.broker(BROKER).own().digest(), canonical);
-    assert_eq!(net.inspect(BROKER).1, canonical);
     assert_eq!(chaos.broker(BROKER).own().digest(), canonical);
     #[cfg(debug_assertions)]
     restored.own().validate();
-    net.shutdown();
 }

@@ -2,9 +2,9 @@
 //! coverage and Algorithm 3 delivery exactness on random topologies and
 //! random interest sets.
 
-use proptest::prelude::*;
+use rand::check::check;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use subsum_broker::{propagate, route_event, BrokerCheckpoint, RoutingOptions, SummaryPubSub};
 use subsum_core::{ArithWidth, BrokerSummary, SummaryCodec};
@@ -46,15 +46,15 @@ fn check_invariants(summary: &BrokerSummary) {
     let _ = summary;
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Algorithm 2 on arbitrary connected topologies: every broker's set
-    /// contains itself, hops never exceed the broker count, and every
-    /// broker's subscriptions end up inside the stored summary of every
-    /// broker whose `Merged_Brokers` set claims them.
-    #[test]
-    fn propagation_claims_are_backed_by_content(seed in 0u64..500, n in 2usize..25) {
+/// Algorithm 2 on arbitrary connected topologies: every broker's set
+/// contains itself, hops never exceed the broker count, and every
+/// broker's subscriptions end up inside the stored summary of every
+/// broker whose `Merged_Brokers` set claims them.
+#[test]
+fn propagation_claims_are_backed_by_content() {
+    check("propagation_claims_are_backed_by_content", 48, |g| {
+        let seed = g.gen_range(0u64..500);
+        let n = g.gen_range(2usize..25);
         let topology = random_topology(seed, n);
         let n = topology.len();
         let schema = tag_schema();
@@ -68,30 +68,34 @@ proptest! {
             })
             .collect();
         let out = propagate(&topology, &own, &codec).unwrap();
-        prop_assert!(out.covers_all_brokers());
-        prop_assert!(out.hops() <= n as u64);
+        assert!(out.covers_all_brokers());
+        assert!(out.hops() <= n as u64);
         for (b, stored) in out.stored.iter().enumerate() {
             // Every hop of Algorithm 2 merges decoded summaries, so the
             // stored result exercises merge + wire round-trip; validate
             // each one deeply.
             check_invariants(&stored.summary);
-            prop_assert!(stored.merged_brokers.contains(&(b as NodeId)));
+            assert!(stored.merged_brokers.contains(&(b as NodeId)));
             let ids = stored.summary.subscription_ids();
             for &claimed in &stored.merged_brokers {
-                prop_assert!(
+                assert!(
                     ids.iter().any(|id| id.broker.0 == claimed),
                     "broker {b} claims {claimed} but lacks its subscription"
                 );
             }
         }
-    }
+    });
+}
 
-    /// Algorithm 3 notifies exactly the matched brokers, from any
-    /// publisher, with visit count bounded by the broker count.
-    #[test]
-    fn routing_is_exact_and_bounded(seed in 0u64..500, n in 2usize..25,
-                                    raw_matched in proptest::collection::vec(0usize..25, 1..6),
-                                    raw_pub in 0usize..25) {
+/// Algorithm 3 notifies exactly the matched brokers, from any
+/// publisher, with visit count bounded by the broker count.
+#[test]
+fn routing_is_exact_and_bounded() {
+    check("routing_is_exact_and_bounded", 48, |g| {
+        let seed = g.gen_range(0u64..500);
+        let n = g.gen_range(2usize..25);
+        let raw_matched = g.vec(1..6, |g| g.gen_range(0usize..25));
+        let raw_pub = g.gen_range(0usize..25);
         let topology = random_topology(seed, n);
         let n = topology.len();
         let schema = tag_schema();
@@ -113,25 +117,35 @@ proptest! {
         matched.dedup();
         let publisher = (raw_pub % n) as NodeId;
         let event = marker_event(&schema, &matched);
-        let out = route_event(&topology, &stored, publisher, &event, 50,
-                              &RoutingOptions::new());
+        let out = route_event(
+            &topology,
+            &stored,
+            publisher,
+            &event,
+            50,
+            &RoutingOptions::new(),
+        );
         let mut owners: Vec<NodeId> = out.notifications.iter().map(|x| x.owner).collect();
         owners.sort_unstable();
         owners.dedup();
-        prop_assert_eq!(owners, matched);
-        prop_assert!(out.visits.len() <= n);
+        assert_eq!(owners, matched);
+        assert!(out.visits.len() <= n);
         // No broker is visited twice.
         let mut v = out.visits.clone();
         v.sort_unstable();
         v.dedup();
-        prop_assert_eq!(v.len(), out.visits.len());
-    }
+        assert_eq!(v.len(), out.visits.len());
+    });
+}
 
-    /// End-to-end: deliveries equal the oracle even under the §6
-    /// subsumption filter, on random topologies.
-    #[test]
-    fn system_with_filter_equals_oracle(seed in 0u64..200, n in 2usize..12,
-                                        filter in any::<bool>()) {
+/// End-to-end: deliveries equal the oracle even under the §6
+/// subsumption filter, on random topologies.
+#[test]
+fn system_with_filter_equals_oracle() {
+    check("system_with_filter_equals_oracle", 48, |g| {
+        let seed = g.gen_range(0u64..200);
+        let n = g.gen_range(2usize..12);
+        let filter = g.gen::<bool>();
         let topology = random_topology(seed, n);
         let n = topology.len();
         let schema = tag_schema();
@@ -158,18 +172,22 @@ proptest! {
             let mut got: Vec<_> = out.deliveries.iter().map(|d| d.id).collect();
             got.sort();
             got.dedup();
-            prop_assert_eq!(got, sys.oracle_matches(&event));
+            assert_eq!(got, sys.oracle_matches(&event));
         }
-    }
+    });
+}
 
-    /// Checkpoint save → crash (state discarded) → restore rebuilds a
-    /// summary that is validate()-clean and digest-equal to the
-    /// pre-crash one, with the exact store, local-id counter, and the
-    /// dense-id intern table (exercised by `subscription_ids`, which
-    /// resolves every posting through it) all coherent.
-    #[test]
-    fn checkpoint_restore_is_digest_faithful(seed in 0u64..300, n in 2usize..12,
-                                             subs_per_broker in 1usize..8) {
+/// Checkpoint save → crash (state discarded) → restore rebuilds a
+/// summary that is validate()-clean and digest-equal to the
+/// pre-crash one, with the exact store, local-id counter, and the
+/// dense-id intern table (exercised by `subscription_ids`, which
+/// resolves every posting through it) all coherent.
+#[test]
+fn checkpoint_restore_is_digest_faithful() {
+    check("checkpoint_restore_is_digest_faithful", 48, |g| {
+        let seed = g.gen_range(0u64..300);
+        let n = g.gen_range(2usize..12);
+        let subs_per_broker = g.gen_range(1usize..8);
         let topology = random_topology(seed, n);
         let n = topology.len();
         let schema = tag_schema();
@@ -193,12 +211,13 @@ proptest! {
 
         for b in 0..n as NodeId {
             // Pre-crash state, built in the canonical ascending-id order.
-            let mut subs: Vec<_> = sys.exact_store(b).iter()
+            let mut subs: Vec<_> = sys
+                .exact_store(b)
+                .iter()
                 .map(|(id, s)| (*id, s.clone()))
                 .collect();
             subs.sort_by_key(|(id, _)| *id);
-            let pre = BrokerSummary::rebuild(
-                schema.clone(), subs.iter().map(|(id, s)| (*id, s)));
+            let pre = BrokerSummary::rebuild(schema.clone(), subs.iter().map(|(id, s)| (*id, s)));
             let pre_digest = pre.digest();
 
             // Save, then "crash": everything in memory is gone; only the
@@ -207,17 +226,17 @@ proptest! {
             drop(subs);
 
             let cp = BrokerCheckpoint::from_bytes(&bytes).unwrap();
-            prop_assert_eq!(cp.next_local, sys.next_local_at(b));
-            prop_assert_eq!(cp.subs.len(), sys.exact_store(b).len());
+            assert_eq!(cp.next_local, sys.next_local_at(b));
+            assert_eq!(cp.subs.len(), sys.exact_store(b).len());
 
-            let restored = BrokerSummary::rebuild(
-                schema.clone(), cp.subs.iter().map(|(id, s)| (*id, s)));
+            let restored =
+                BrokerSummary::rebuild(schema.clone(), cp.subs.iter().map(|(id, s)| (*id, s)));
             check_invariants(&restored);
-            prop_assert_eq!(restored.digest(), pre_digest);
+            assert_eq!(restored.digest(), pre_digest);
             // Intern-table coherence: the resolved, sorted id set of the
             // restored summary equals the pre-crash one.
-            prop_assert_eq!(restored.subscription_ids(), pre.subscription_ids());
-            prop_assert_eq!(restored.subscription_count(), cp.subs.len());
+            assert_eq!(restored.subscription_ids(), pre.subscription_ids());
+            assert_eq!(restored.subscription_count(), cp.subs.len());
         }
-    }
+    });
 }

@@ -689,7 +689,7 @@ mod tests {
         // structures with no empty rows or point entries, and removing
         // everything one side inserted must restore the exact structure
         // (digest equality is asserted at the broker-summary level by
-        // the proptests; structural equality here is stronger).
+        // the property tests; structural equality here is stronger).
         let build_base = || {
             let mut aacs = RangeSummary::new();
             aacs.insert_interval(Interval::closed(n(0.0), n(10.0)), id(1));

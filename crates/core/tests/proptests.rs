@@ -1,7 +1,9 @@
 //! Property-based tests for summary invariants: the no-false-negative
 //! guarantee under insertion, merging, removal and wire round-trips.
 
-use proptest::prelude::*;
+use rand::check::check;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 use subsum_core::{
     ArithWidth, BrokerSummary, MatchScratch, PatternSummary, ShardScratch, ShardedSummary,
@@ -14,34 +16,30 @@ use subsum_types::{
 
 /// Values drawn from a small shared domain so that subscriptions and
 /// events collide often enough to exercise matching.
-fn num_value() -> impl Strategy<Value = f64> {
-    (-16i32..16).prop_map(|v| v as f64 / 4.0)
+fn num_value(g: &mut StdRng) -> f64 {
+    g.gen_range(-16i32..16) as f64 / 4.0
 }
 
-fn str_value() -> impl Strategy<Value = String> {
-    "[ab]{0,4}".prop_map(|s| s)
+fn str_value(g: &mut StdRng) -> String {
+    g.string("ab", 0..=4)
 }
 
-fn num_op() -> impl Strategy<Value = NumOp> {
-    prop_oneof![
-        Just(NumOp::Eq),
-        Just(NumOp::Ne),
-        Just(NumOp::Lt),
-        Just(NumOp::Le),
-        Just(NumOp::Gt),
-        Just(NumOp::Ge),
-    ]
-}
+const NUM_OPS: [NumOp; 6] = [
+    NumOp::Eq,
+    NumOp::Ne,
+    NumOp::Lt,
+    NumOp::Le,
+    NumOp::Gt,
+    NumOp::Ge,
+];
 
-fn str_op() -> impl Strategy<Value = StrOp> {
-    prop_oneof![
-        Just(StrOp::Eq),
-        Just(StrOp::Ne),
-        Just(StrOp::Prefix),
-        Just(StrOp::Suffix),
-        Just(StrOp::Contains),
-    ]
-}
+const STR_OPS: [StrOp; 5] = [
+    StrOp::Eq,
+    StrOp::Ne,
+    StrOp::Prefix,
+    StrOp::Suffix,
+    StrOp::Contains,
+];
 
 /// One random constraint: attribute choice decides kind. The stock schema
 /// has string attributes {0: exchange, 1: symbol} and arithmetic
@@ -52,11 +50,12 @@ enum RawConstraint {
     Str(u16, StrOp, String),
 }
 
-fn raw_constraint() -> impl Strategy<Value = RawConstraint> {
-    prop_oneof![
-        (2u16..7, num_op(), num_value()).prop_map(|(a, o, v)| RawConstraint::Num(a, o, v)),
-        (0u16..2, str_op(), str_value()).prop_map(|(a, o, v)| RawConstraint::Str(a, o, v)),
-    ]
+fn raw_constraint(g: &mut StdRng) -> RawConstraint {
+    if g.gen() {
+        RawConstraint::Num(g.gen_range(2u16..7), g.one_of(&NUM_OPS), num_value(g))
+    } else {
+        RawConstraint::Str(g.gen_range(0u16..2), g.one_of(&STR_OPS), str_value(g))
+    }
 }
 
 fn build_sub(schema: &Schema, raw: &[RawConstraint]) -> Option<Subscription> {
@@ -76,19 +75,29 @@ fn build_sub(schema: &Schema, raw: &[RawConstraint]) -> Option<Subscription> {
     b.build().ok()
 }
 
-fn subscription() -> impl Strategy<Value = Vec<RawConstraint>> {
-    proptest::collection::vec(raw_constraint(), 1..5)
+type RawSub = Vec<RawConstraint>;
+type RawEvent = Vec<(u16, RawValue)>;
+
+fn subscription(g: &mut StdRng) -> RawSub {
+    g.vec(1..5, raw_constraint)
 }
 
 /// A random event covering a random subset of attributes.
-fn event_strategy() -> impl Strategy<Value = Vec<(u16, RawValue)>> {
-    proptest::collection::vec(
-        prop_oneof![
-            (2u16..7, num_value()).prop_map(|(a, v)| (a, RawValue::Num(v))),
-            (0u16..2, str_value()).prop_map(|(a, v)| (a, RawValue::Str(v))),
-        ],
-        0..7,
-    )
+fn event_strategy(g: &mut StdRng) -> RawEvent {
+    g.vec(0..7, |g| {
+        if g.gen() {
+            (g.gen_range(2u16..7), RawValue::Num(num_value(g)))
+        } else {
+            (g.gen_range(0u16..2), RawValue::Str(str_value(g)))
+        }
+    })
+}
+
+/// At most one `*` between two short literals: anchored, prefix, suffix
+/// and infix patterns (the regex `[ab]{0,3}\*?[ab]{0,3}`).
+fn starred_pattern(g: &mut StdRng) -> String {
+    let star = if g.gen() { "*" } else { "" };
+    format!("{}{star}{}", g.string("ab", 0..=3), g.string("ab", 0..=3))
 }
 
 #[derive(Debug, Clone)]
@@ -143,44 +152,47 @@ fn check_sharded_invariants(sharded: &ShardedSummary) {
 /// per-core target.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// The fundamental guarantee: summary matching is a superset of exact
+/// matching — no false negatives, ever.
+#[test]
+fn no_false_negatives() {
+    check("no_false_negatives", 128, |g| {
+        no_false_negatives_on(&g.vec(1..8, subscription), &g.vec(1..8, event_strategy));
+    });
+}
 
-    /// The fundamental guarantee: summary matching is a superset of exact
-    /// matching — no false negatives, ever.
-    #[test]
-    fn no_false_negatives(subs in proptest::collection::vec(subscription(), 1..8),
-                          events in proptest::collection::vec(event_strategy(), 1..8)) {
-        let schema = stock_schema();
-        let mut summary = BrokerSummary::new(schema.clone());
-        let mut exact: Vec<(SubscriptionId, Subscription)> = Vec::new();
-        for (i, raw) in subs.iter().enumerate() {
-            if let Some(sub) = build_sub(&schema, raw) {
-                let id = summary.insert(BrokerId(0), LocalSubId(i as u32), &sub);
-                exact.push((id, sub));
-            }
+fn no_false_negatives_on(subs: &[RawSub], events: &[RawEvent]) {
+    let schema = stock_schema();
+    let mut summary = BrokerSummary::new(schema.clone());
+    let mut exact: Vec<(SubscriptionId, Subscription)> = Vec::new();
+    for (i, raw) in subs.iter().enumerate() {
+        if let Some(sub) = build_sub(&schema, raw) {
+            let id = summary.insert(BrokerId(0), LocalSubId(i as u32), &sub);
+            exact.push((id, sub));
         }
-        check_invariants(&summary);
-        for raw_event in &events {
-            let event = build_event(&schema, raw_event);
-            let matched = summary.match_event(&event);
-            for (id, sub) in &exact {
-                if sub.matches(&event) {
-                    prop_assert!(
-                        matched.contains(id),
-                        "false negative: {sub} matches {event} but summary missed {id}"
-                    );
-                }
+    }
+    check_invariants(&summary);
+    for raw_event in events {
+        let event = build_event(&schema, raw_event);
+        let matched = summary.match_event(&event);
+        for (id, sub) in &exact {
+            if sub.matches(&event) {
+                assert!(
+                    matched.contains(id),
+                    "false negative: {sub} matches {event} but summary missed {id}"
+                );
             }
         }
     }
+}
 
-    /// Merging preserves the guarantee for subscriptions of all parties.
-    #[test]
-    fn merge_preserves_no_false_negatives(
-        subs_a in proptest::collection::vec(subscription(), 1..5),
-        subs_b in proptest::collection::vec(subscription(), 1..5),
-        events in proptest::collection::vec(event_strategy(), 1..6)) {
+/// Merging preserves the guarantee for subscriptions of all parties.
+#[test]
+fn merge_preserves_no_false_negatives() {
+    check("merge_preserves_no_false_negatives", 128, |g| {
+        let subs_a = g.vec(1..5, subscription);
+        let subs_b = g.vec(1..5, subscription);
+        let events = g.vec(1..6, event_strategy);
         let schema = stock_schema();
         let mut a = BrokerSummary::new(schema.clone());
         let mut b = BrokerSummary::new(schema.clone());
@@ -206,19 +218,21 @@ proptest! {
             let matched = a.match_event(&event);
             for (id, sub) in &exact {
                 if sub.matches(&event) {
-                    prop_assert!(matched.contains(id));
+                    assert!(matched.contains(id));
                 }
             }
         }
-    }
+    });
+}
 
-    /// Removing unrelated subscriptions cannot create false negatives for
-    /// the ones that remain.
-    #[test]
-    fn removal_preserves_remaining(
-        subs in proptest::collection::vec(subscription(), 2..8),
-        remove_mask in proptest::collection::vec(any::<bool>(), 2..8),
-        events in proptest::collection::vec(event_strategy(), 1..6)) {
+/// Removing unrelated subscriptions cannot create false negatives for
+/// the ones that remain.
+#[test]
+fn removal_preserves_remaining() {
+    check("removal_preserves_remaining", 128, |g| {
+        let subs = g.vec(2..8, subscription);
+        let remove_mask = g.vec(2..8, |g| g.gen::<bool>());
+        let events = g.vec(1..6, event_strategy);
         let schema = stock_schema();
         let mut summary = BrokerSummary::new(schema.clone());
         let mut all = Vec::new();
@@ -242,42 +256,50 @@ proptest! {
             let matched = summary.match_event(&event);
             for (id, sub) in &remaining {
                 if sub.matches(&event) {
-                    prop_assert!(matched.contains(id));
+                    assert!(matched.contains(id));
                 }
             }
         }
-    }
+    });
+}
 
-    /// Wire round-trip at 8-byte width is the identity, and the decoded
-    /// summary matches events identically.
-    #[test]
-    fn codec_roundtrip(subs in proptest::collection::vec(subscription(), 1..6),
-                       events in proptest::collection::vec(event_strategy(), 1..4)) {
-        let schema = stock_schema();
-        let layout = IdLayout::new(24, 1024, schema.len() as u32).unwrap();
-        let codec = SummaryCodec::new(layout, ArithWidth::Eight);
-        let mut summary = BrokerSummary::new(schema.clone());
-        for (i, raw) in subs.iter().enumerate() {
-            if let Some(sub) = build_sub(&schema, raw) {
-                summary.insert(BrokerId((i % 24) as u16), LocalSubId(i as u32), &sub);
-            }
-        }
-        let bytes = codec.encode(&summary).unwrap();
-        let decoded = codec.decode(&bytes, &schema).unwrap();
-        check_invariants(&summary);
-        check_invariants(&decoded);
-        prop_assert_eq!(&decoded, &summary);
-        for raw_event in &events {
-            let event = build_event(&schema, raw_event);
-            prop_assert_eq!(decoded.match_event(&event), summary.match_event(&event));
+/// Wire round-trip at 8-byte width is the identity, and the decoded
+/// summary matches events identically.
+#[test]
+fn codec_roundtrip() {
+    check("codec_roundtrip", 128, |g| {
+        codec_roundtrip_on(&g.vec(1..6, subscription), &g.vec(1..4, event_strategy));
+    });
+}
+
+fn codec_roundtrip_on(subs: &[RawSub], events: &[RawEvent]) {
+    let schema = stock_schema();
+    let layout = IdLayout::new(24, 1024, schema.len() as u32).unwrap();
+    let codec = SummaryCodec::new(layout, ArithWidth::Eight);
+    let mut summary = BrokerSummary::new(schema.clone());
+    for (i, raw) in subs.iter().enumerate() {
+        if let Some(sub) = build_sub(&schema, raw) {
+            summary.insert(BrokerId((i % 24) as u16), LocalSubId(i as u32), &sub);
         }
     }
+    let bytes = codec.encode(&summary).unwrap();
+    let decoded = codec.decode(&bytes, &schema).unwrap();
+    check_invariants(&summary);
+    check_invariants(&decoded);
+    assert_eq!(&decoded, &summary);
+    for raw_event in events {
+        let event = build_event(&schema, raw_event);
+        assert_eq!(decoded.match_event(&event), summary.match_event(&event));
+    }
+}
 
-    /// Match results never contain ids that were not inserted, and every
-    /// reported id's mask is fully covered by the event's attributes.
-    #[test]
-    fn matches_are_known_ids(subs in proptest::collection::vec(subscription(), 1..6),
-                             raw_event in event_strategy()) {
+/// Match results never contain ids that were not inserted, and every
+/// reported id's mask is fully covered by the event's attributes.
+#[test]
+fn matches_are_known_ids() {
+    check("matches_are_known_ids", 128, |g| {
+        let subs = g.vec(1..6, subscription);
+        let raw_event = event_strategy(g);
         let schema = stock_schema();
         let mut summary = BrokerSummary::new(schema.clone());
         let mut ids = Vec::new();
@@ -289,40 +311,50 @@ proptest! {
         check_invariants(&summary);
         let event = build_event(&schema, &raw_event);
         for id in summary.match_event(&event) {
-            prop_assert!(ids.contains(&id));
+            assert!(ids.contains(&id));
             for attr in id.mask.iter() {
-                prop_assert!(event.get(attr).is_some(),
-                    "matched id {id} constrains {attr} absent from the event");
+                assert!(
+                    event.get(attr).is_some(),
+                    "matched id {id} constrains {attr} absent from the event"
+                );
             }
         }
-    }
+    });
+}
 
-    /// Events whose values satisfy no subscription yield empty results
-    /// when domains are disjoint.
-    #[test]
-    fn disjoint_domains_never_match(v in 100f64..200f64) {
+/// Events whose values satisfy no subscription yield empty results
+/// when domains are disjoint.
+#[test]
+fn disjoint_domains_never_match() {
+    check("disjoint_domains_never_match", 128, |g| {
+        let v = g.gen_range(100f64..200f64);
         let schema = stock_schema();
         let mut summary = BrokerSummary::new(schema.clone());
         let sub = Subscription::builder(&schema)
-            .num("price", NumOp::Lt, 50.0).unwrap()
-            .build().unwrap();
+            .num("price", NumOp::Lt, 50.0)
+            .unwrap()
+            .build()
+            .unwrap();
         summary.insert(BrokerId(0), LocalSubId(0), &sub);
         let event = Event::builder(&schema)
-            .set("price", Value::float(v).unwrap()).unwrap()
+            .set("price", Value::float(v).unwrap())
+            .unwrap()
             .build();
-        prop_assert!(summary.match_event(&event).is_empty());
-    }
+        assert!(summary.match_event(&event).is_empty());
+    });
+}
 
-    /// Differential check of the SACS pattern index: the indexed query
-    /// must return exactly the ids the retained naive full scan returns —
-    /// no false negatives from bucket pruning, no spurious extras, and
-    /// byte-identical ordering after sorting both sides. Patterns draw
-    /// from a tiny alphabet with wildcards so the prefix, suffix and
-    /// residual buckets all get exercised and collide with the values.
-    #[test]
-    fn indexed_pattern_query_is_identical_to_scan(
-        patterns in proptest::collection::vec("[ab*]{1,6}", 1..12),
-        values in proptest::collection::vec("[ab]{0,6}", 1..12)) {
+/// Differential check of the SACS pattern index: the indexed query
+/// must return exactly the ids the retained naive full scan returns —
+/// no false negatives from bucket pruning, no spurious extras, and
+/// byte-identical ordering after sorting both sides. Patterns draw
+/// from a tiny alphabet with wildcards so the prefix, suffix and
+/// residual buckets all get exercised and collide with the values.
+#[test]
+fn indexed_pattern_query_is_identical_to_scan() {
+    check("indexed_pattern_query_is_identical_to_scan", 128, |g| {
+        let patterns = g.vec(1..12, |g| g.string("ab*", 1..=6));
+        let values = g.vec(1..12, |g| g.string("ab", 0..=6));
         let mut sacs = PatternSummary::new();
         for (i, text) in patterns.iter().enumerate() {
             if let Ok(p) = Pattern::parse(text) {
@@ -336,46 +368,62 @@ proptest! {
             let mut scanned = sacs.query_scan(v);
             indexed.sort_unstable();
             scanned.sort_unstable();
-            prop_assert_eq!(indexed, scanned, "value {:?} over patterns {:?}", v, patterns);
+            assert_eq!(
+                indexed, scanned,
+                "value {:?} over patterns {:?}",
+                v, patterns
+            );
+        }
+    });
+}
+
+/// Differential check of the full matcher: the scratch-reusing
+/// indexed path returns exactly the same id sets as the naive
+/// full-scan matcher. Both outputs are produced sorted, so equality
+/// covers ordering too; the scratch is reused across events to also
+/// exercise steady-state reuse.
+#[test]
+fn indexed_matcher_is_identical_to_scan() {
+    check("indexed_matcher_is_identical_to_scan", 128, |g| {
+        indexed_matcher_is_identical_to_scan_on(
+            &g.vec(1..8, subscription),
+            &g.vec(1..8, event_strategy),
+        );
+    });
+}
+
+fn indexed_matcher_is_identical_to_scan_on(subs: &[RawSub], events: &[RawEvent]) {
+    let schema = stock_schema();
+    let mut summary = BrokerSummary::new(schema.clone());
+    for (i, raw) in subs.iter().enumerate() {
+        if let Some(sub) = build_sub(&schema, raw) {
+            summary.insert(BrokerId(0), LocalSubId(i as u32), &sub);
         }
     }
-
-    /// Differential check of the full matcher: the scratch-reusing
-    /// indexed path returns exactly the same id sets as the naive
-    /// full-scan matcher. Both outputs are produced sorted, so equality
-    /// covers ordering too; the scratch is reused across events to also
-    /// exercise steady-state reuse.
-    #[test]
-    fn indexed_matcher_is_identical_to_scan(
-        subs in proptest::collection::vec(subscription(), 1..8),
-        events in proptest::collection::vec(event_strategy(), 1..8)) {
-        let schema = stock_schema();
-        let mut summary = BrokerSummary::new(schema.clone());
-        for (i, raw) in subs.iter().enumerate() {
-            if let Some(sub) = build_sub(&schema, raw) {
-                summary.insert(BrokerId(0), LocalSubId(i as u32), &sub);
-            }
-        }
-        let mut scratch = MatchScratch::new();
-        check_invariants(&summary);
-        for raw_event in &events {
-            let event = build_event(&schema, raw_event);
-            let indexed = summary.match_event_into(&event, &mut scratch).matched.clone();
-            let scanned = summary.match_event_scan(&event).matched;
-            prop_assert_eq!(indexed, scanned);
-        }
+    let mut scratch = MatchScratch::new();
+    check_invariants(&summary);
+    for raw_event in events {
+        let event = build_event(&schema, raw_event);
+        let indexed = summary
+            .match_event_into(&event, &mut scratch)
+            .matched
+            .clone();
+        let scanned = summary.match_event_scan(&event).matched;
+        assert_eq!(indexed, scanned);
     }
+}
 
-    /// Differential check of the dense epoch-counter kernel on a summary
-    /// built by merging: the union intern table renumbers both sides'
-    /// dense postings, after which the kernel must still return exactly
-    /// what the plain-`SubscriptionId` scan reference returns, in the
-    /// same sorted order.
-    #[test]
-    fn merged_dense_kernel_is_identical_to_scan(
-        subs_a in proptest::collection::vec(subscription(), 1..5),
-        subs_b in proptest::collection::vec(subscription(), 1..5),
-        events in proptest::collection::vec(event_strategy(), 1..6)) {
+/// Differential check of the dense epoch-counter kernel on a summary
+/// built by merging: the union intern table renumbers both sides'
+/// dense postings, after which the kernel must still return exactly
+/// what the plain-`SubscriptionId` scan reference returns, in the
+/// same sorted order.
+#[test]
+fn merged_dense_kernel_is_identical_to_scan() {
+    check("merged_dense_kernel_is_identical_to_scan", 128, |g| {
+        let subs_a = g.vec(1..5, subscription);
+        let subs_b = g.vec(1..5, subscription);
+        let events = g.vec(1..6, event_strategy);
         let schema = stock_schema();
         let mut a = BrokerSummary::new(schema.clone());
         let mut b = BrokerSummary::new(schema.clone());
@@ -398,49 +446,61 @@ proptest! {
             let event = build_event(&schema, raw_event);
             let dense = a.match_event_into(&event, &mut scratch).matched.clone();
             let scanned = a.match_event_scan(&event).matched;
-            prop_assert_eq!(dense, scanned);
+            assert_eq!(dense, scanned);
+        }
+    });
+}
+
+/// Differential check of the dense kernel after a wire round-trip:
+/// decode rebuilds the intern table from scratch, and the rebuilt
+/// dense state must match both the scan reference and the original
+/// summary event-for-event.
+#[test]
+fn decoded_dense_kernel_is_identical_to_scan() {
+    check("decoded_dense_kernel_is_identical_to_scan", 128, |g| {
+        decoded_dense_kernel_is_identical_to_scan_on(
+            &g.vec(1..6, subscription),
+            &g.vec(1..6, event_strategy),
+        );
+    });
+}
+
+fn decoded_dense_kernel_is_identical_to_scan_on(subs: &[RawSub], events: &[RawEvent]) {
+    let schema = stock_schema();
+    let layout = IdLayout::new(24, 1024, schema.len() as u32).unwrap();
+    let codec = SummaryCodec::new(layout, ArithWidth::Eight);
+    let mut summary = BrokerSummary::new(schema.clone());
+    for (i, raw) in subs.iter().enumerate() {
+        if let Some(sub) = build_sub(&schema, raw) {
+            summary.insert(BrokerId((i % 24) as u16), LocalSubId(i as u32), &sub);
         }
     }
-
-    /// Differential check of the dense kernel after a wire round-trip:
-    /// decode rebuilds the intern table from scratch, and the rebuilt
-    /// dense state must match both the scan reference and the original
-    /// summary event-for-event.
-    #[test]
-    fn decoded_dense_kernel_is_identical_to_scan(
-        subs in proptest::collection::vec(subscription(), 1..6),
-        events in proptest::collection::vec(event_strategy(), 1..6)) {
-        let schema = stock_schema();
-        let layout = IdLayout::new(24, 1024, schema.len() as u32).unwrap();
-        let codec = SummaryCodec::new(layout, ArithWidth::Eight);
-        let mut summary = BrokerSummary::new(schema.clone());
-        for (i, raw) in subs.iter().enumerate() {
-            if let Some(sub) = build_sub(&schema, raw) {
-                summary.insert(BrokerId((i % 24) as u16), LocalSubId(i as u32), &sub);
-            }
-        }
-        let bytes = codec.encode(&summary).unwrap();
-        let decoded = codec.decode(&bytes, &schema).unwrap();
-        check_invariants(&decoded);
-        let mut scratch = MatchScratch::new();
-        for raw_event in &events {
-            let event = build_event(&schema, raw_event);
-            let dense = decoded.match_event_into(&event, &mut scratch).matched.clone();
-            let scanned = decoded.match_event_scan(&event).matched;
-            prop_assert_eq!(&dense, &scanned);
-            prop_assert_eq!(dense, summary.match_event(&event));
-        }
+    let bytes = codec.encode(&summary).unwrap();
+    let decoded = codec.decode(&bytes, &schema).unwrap();
+    check_invariants(&decoded);
+    let mut scratch = MatchScratch::new();
+    for raw_event in events {
+        let event = build_event(&schema, raw_event);
+        let dense = decoded
+            .match_event_into(&event, &mut scratch)
+            .matched
+            .clone();
+        let scanned = decoded.match_event_scan(&event).matched;
+        assert_eq!(&dense, &scanned);
+        assert_eq!(dense, summary.match_event(&event));
     }
+}
 
-    /// Wire round-trip with a populated SACS anchor index. The index is
-    /// derived state — it never travels on the wire (`cargo xtask
-    /// check` enforces that) — so the decoder must rebuild it, and the
-    /// rebuilt index must answer `query_into` byte-identically to the
-    /// original's while passing deep validation.
-    #[test]
-    fn decoded_sacs_index_answers_identically(
-        patterns in proptest::collection::vec("[ab]{0,3}\\*?[ab]{0,3}", 1..10),
-        values in proptest::collection::vec("[ab]{0,6}", 1..10)) {
+/// Wire round-trip with a populated SACS anchor index. The index is
+/// derived state — it never travels on the wire (`cargo xtask
+/// check` enforces that) — so the decoder must rebuild it, and the
+/// rebuilt index must answer `query_into` byte-identically to the
+/// original's while passing deep validation.
+#[test]
+fn decoded_sacs_index_answers_identically() {
+    check("decoded_sacs_index_answers_identically", 128, |g| {
+        let patterns = g.vec(1..10, starred_pattern);
+        let values = g.vec(1..10, |g| g.string("ab", 0..=6));
         let schema = stock_schema();
         let layout = IdLayout::new(24, 1024, schema.len() as u32).unwrap();
         let codec = SummaryCodec::new(layout, ArithWidth::Eight);
@@ -468,59 +528,74 @@ proptest! {
                         let mut got = Vec::new();
                         orig.query_into(v, &mut want);
                         dec.query_into(v, &mut got);
-                        prop_assert_eq!(got, want, "attr {:?} value {:?}", attr, v);
+                        assert_eq!(got, want, "attr {:?} value {:?}", attr, v);
                     }
                 }
-                (orig, dec) => prop_assert_eq!(dec.is_none(), orig.is_none()),
+                (orig, dec) => assert_eq!(dec.is_none(), orig.is_none()),
             }
+        }
+    });
+}
+
+/// Differential check of the sharded matcher on insert-built
+/// summaries: for every shard count, the sharded kernel's output must
+/// equal both the single-summary dense kernel and the naive
+/// `match_event_scan` reference, event for event, in the same sorted
+/// order — and the sharded digest must equal the flat digest (shards
+/// are derived state; the canonical representation is untouched).
+#[test]
+fn sharded_matcher_is_identical_to_flat_and_scan() {
+    check("sharded_matcher_is_identical_to_flat_and_scan", 128, |g| {
+        sharded_matcher_is_identical_to_flat_and_scan_on(
+            &g.vec(1..8, subscription),
+            &g.vec(1..8, event_strategy),
+        );
+    });
+}
+
+fn sharded_matcher_is_identical_to_flat_and_scan_on(subs: &[RawSub], events: &[RawEvent]) {
+    let schema = stock_schema();
+    let mut flat = BrokerSummary::new(schema.clone());
+    for (i, raw) in subs.iter().enumerate() {
+        if let Some(sub) = build_sub(&schema, raw) {
+            flat.insert(BrokerId(0), LocalSubId(i as u32), &sub);
         }
     }
-
-    /// Differential check of the sharded matcher on insert-built
-    /// summaries: for every shard count, the sharded kernel's output must
-    /// equal both the single-summary dense kernel and the naive
-    /// `match_event_scan` reference, event for event, in the same sorted
-    /// order — and the sharded digest must equal the flat digest (shards
-    /// are derived state; the canonical representation is untouched).
-    #[test]
-    fn sharded_matcher_is_identical_to_flat_and_scan(
-        subs in proptest::collection::vec(subscription(), 1..8),
-        events in proptest::collection::vec(event_strategy(), 1..8)) {
-        let schema = stock_schema();
-        let mut flat = BrokerSummary::new(schema.clone());
-        for (i, raw) in subs.iter().enumerate() {
-            if let Some(sub) = build_sub(&schema, raw) {
-                flat.insert(BrokerId(0), LocalSubId(i as u32), &sub);
-            }
-        }
-        check_invariants(&flat);
-        let mut flat_scratch = MatchScratch::new();
-        for shards in SHARD_COUNTS {
-            let sharded = ShardedSummary::from_flat(flat.clone(), shards);
-            check_sharded_invariants(&sharded);
-            prop_assert_eq!(sharded.digest(), flat.digest());
-            let mut scratch = ShardScratch::new();
-            for raw_event in &events {
-                let event = build_event(&schema, raw_event);
-                let got = sharded.match_event_into(&event, &mut scratch).matched.clone();
-                let dense = flat.match_event_into(&event, &mut flat_scratch).matched.clone();
-                let scanned = flat.match_event_scan(&event).matched;
-                prop_assert_eq!(&got, &dense, "shards={}", shards);
-                prop_assert_eq!(got, scanned, "shards={}", shards);
-            }
+    check_invariants(&flat);
+    let mut flat_scratch = MatchScratch::new();
+    for shards in SHARD_COUNTS {
+        let sharded = ShardedSummary::from_flat(flat.clone(), shards);
+        check_sharded_invariants(&sharded);
+        assert_eq!(sharded.digest(), flat.digest());
+        let mut scratch = ShardScratch::new();
+        for raw_event in events {
+            let event = build_event(&schema, raw_event);
+            let got = sharded
+                .match_event_into(&event, &mut scratch)
+                .matched
+                .clone();
+            let dense = flat
+                .match_event_into(&event, &mut flat_scratch)
+                .matched
+                .clone();
+            let scanned = flat.match_event_scan(&event).matched;
+            assert_eq!(&got, &dense, "shards={}", shards);
+            assert_eq!(got, scanned, "shards={}", shards);
         }
     }
+}
 
-    /// Differential check of the sharded matcher on summaries built by
-    /// merging — the union intern table renumbers dense postings, and the
-    /// re-derived partition must still split the flat rows exactly. Both
-    /// merge orders are exercised: merging into a flat summary then
-    /// sharding, and merging through the `ShardedSummary` mutation API.
-    #[test]
-    fn sharded_matcher_identical_on_merged_summaries(
-        subs_a in proptest::collection::vec(subscription(), 1..5),
-        subs_b in proptest::collection::vec(subscription(), 1..5),
-        events in proptest::collection::vec(event_strategy(), 1..6)) {
+/// Differential check of the sharded matcher on summaries built by
+/// merging — the union intern table renumbers dense postings, and the
+/// re-derived partition must still split the flat rows exactly. Both
+/// merge orders are exercised: merging into a flat summary then
+/// sharding, and merging through the `ShardedSummary` mutation API.
+#[test]
+fn sharded_matcher_identical_on_merged_summaries() {
+    check("sharded_matcher_identical_on_merged_summaries", 128, |g| {
+        let subs_a = g.vec(1..5, subscription);
+        let subs_b = g.vec(1..5, subscription);
+        let events = g.vec(1..6, event_strategy);
         let schema = stock_schema();
         let mut a = BrokerSummary::new(schema.clone());
         let mut b = BrokerSummary::new(schema.clone());
@@ -539,7 +614,7 @@ proptest! {
         a.merge(&b);
         check_invariants(&a);
         check_sharded_invariants(&via_sharded);
-        prop_assert_eq!(via_sharded.digest(), a.digest());
+        assert_eq!(via_sharded.digest(), a.digest());
         let mut flat_scratch = MatchScratch::new();
         let mut scratch = ShardScratch::new();
         for shards in SHARD_COUNTS {
@@ -547,32 +622,43 @@ proptest! {
             check_sharded_invariants(&sharded);
             for raw_event in &events {
                 let event = build_event(&schema, raw_event);
-                let got = sharded.match_event_into(&event, &mut scratch).matched.clone();
-                let dense = a.match_event_into(&event, &mut flat_scratch).matched.clone();
+                let got = sharded
+                    .match_event_into(&event, &mut scratch)
+                    .matched
+                    .clone();
+                let dense = a
+                    .match_event_into(&event, &mut flat_scratch)
+                    .matched
+                    .clone();
                 let scanned = a.match_event_scan(&event).matched;
-                prop_assert_eq!(&got, &dense, "shards={}", shards);
-                prop_assert_eq!(&got, &scanned, "shards={}", shards);
-                prop_assert_eq!(
-                    via_sharded.match_event_into(&event, &mut scratch).matched.clone(),
+                assert_eq!(&got, &dense, "shards={}", shards);
+                assert_eq!(&got, &scanned, "shards={}", shards);
+                assert_eq!(
+                    via_sharded
+                        .match_event_into(&event, &mut scratch)
+                        .matched
+                        .clone(),
                     dense
                 );
             }
         }
-    }
+    });
+}
 
-    /// Differential check of the compiled-plan kernel on churn-built
-    /// summaries: after interleaved inserts and removals (which
-    /// invalidate and lazily recompile the plan), the plan path
-    /// (`match_event_into`) and the naive `match_event_scan` must
-    /// return identical sorted id sets — and compiling the plan must
-    /// leave the wire bytes and digest untouched, since plans are
-    /// derived state that never travels.
-    #[test]
-    fn plan_kernel_identical_to_scan_under_churn(
-        subs in proptest::collection::vec(subscription(), 2..8),
-        more in proptest::collection::vec(subscription(), 1..5),
-        remove_mask in proptest::collection::vec(any::<bool>(), 2..8),
-        events in proptest::collection::vec(event_strategy(), 1..6)) {
+/// Differential check of the compiled-plan kernel on churn-built
+/// summaries: after interleaved inserts and removals (which
+/// invalidate and lazily recompile the plan), the plan path
+/// (`match_event_into`) and the naive `match_event_scan` must
+/// return identical sorted id sets — and compiling the plan must
+/// leave the wire bytes and digest untouched, since plans are
+/// derived state that never travels.
+#[test]
+fn plan_kernel_identical_to_scan_under_churn() {
+    check("plan_kernel_identical_to_scan_under_churn", 128, |g| {
+        let subs = g.vec(2..8, subscription);
+        let more = g.vec(1..5, subscription);
+        let remove_mask = g.vec(2..8, |g| g.gen::<bool>());
+        let events = g.vec(1..6, event_strategy);
         let schema = stock_schema();
         let layout = IdLayout::new(24, 1024, schema.len() as u32).unwrap();
         let codec = SummaryCodec::new(layout, ArithWidth::Eight);
@@ -604,8 +690,11 @@ proptest! {
         let mut plan_scratch = MatchScratch::new();
         for raw_event in &events {
             let event = build_event(&schema, raw_event);
-            let plan = summary.match_event_into(&event, &mut plan_scratch).matched.clone();
-            prop_assert_eq!(plan, summary.match_event_scan(&event).matched);
+            let plan = summary
+                .match_event_into(&event, &mut plan_scratch)
+                .matched
+                .clone();
+            assert_eq!(plan, summary.match_event_scan(&event).matched);
         }
         let mut shard_scratch = ShardScratch::new();
         for shards in SHARD_COUNTS {
@@ -613,88 +702,149 @@ proptest! {
             check_sharded_invariants(&sharded);
             for raw_event in &events {
                 let event = build_event(&schema, raw_event);
-                let got = sharded.match_event_into(&event, &mut shard_scratch).matched.clone();
-                prop_assert_eq!(got, summary.match_event(&event), "shards={}", shards);
+                let got = sharded
+                    .match_event_into(&event, &mut shard_scratch)
+                    .matched
+                    .clone();
+                assert_eq!(got, summary.match_event(&event), "shards={}", shards);
             }
         }
         // Matching compiled and cached a plan; the canonical
         // representation must be byte-identical to before.
         check_invariants(&summary);
-        prop_assert_eq!(codec.encode(&summary).unwrap(), bytes_before);
-        prop_assert_eq!(summary.digest(), digest_before);
-    }
+        assert_eq!(codec.encode(&summary).unwrap(), bytes_before);
+        assert_eq!(summary.digest(), digest_before);
+    });
+}
 
-    /// The compiled plan also agrees with the scan oracle on merged and
-    /// wire-roundtripped summaries, where the intern table was
-    /// renumbered (merge) or rebuilt from scratch (decode).
-    #[test]
-    fn plan_kernel_identical_to_scan_on_merged_and_decoded(
-        subs_a in proptest::collection::vec(subscription(), 1..5),
-        subs_b in proptest::collection::vec(subscription(), 1..5),
-        events in proptest::collection::vec(event_strategy(), 1..6)) {
-        let schema = stock_schema();
-        let layout = IdLayout::new(24, 1024, schema.len() as u32).unwrap();
-        let codec = SummaryCodec::new(layout, ArithWidth::Eight);
-        let mut a = BrokerSummary::new(schema.clone());
-        let mut b = BrokerSummary::new(schema.clone());
-        for (i, raw) in subs_a.iter().enumerate() {
-            if let Some(sub) = build_sub(&schema, raw) {
-                a.insert(BrokerId((i % 3) as u16 * 2), LocalSubId(i as u32), &sub);
+/// The compiled plan also agrees with the scan oracle on merged and
+/// wire-roundtripped summaries, where the intern table was
+/// renumbered (merge) or rebuilt from scratch (decode).
+#[test]
+fn plan_kernel_identical_to_scan_on_merged_and_decoded() {
+    check(
+        "plan_kernel_identical_to_scan_on_merged_and_decoded",
+        128,
+        |g| {
+            let subs_a = g.vec(1..5, subscription);
+            let subs_b = g.vec(1..5, subscription);
+            let events = g.vec(1..6, event_strategy);
+            let schema = stock_schema();
+            let layout = IdLayout::new(24, 1024, schema.len() as u32).unwrap();
+            let codec = SummaryCodec::new(layout, ArithWidth::Eight);
+            let mut a = BrokerSummary::new(schema.clone());
+            let mut b = BrokerSummary::new(schema.clone());
+            for (i, raw) in subs_a.iter().enumerate() {
+                if let Some(sub) = build_sub(&schema, raw) {
+                    a.insert(BrokerId((i % 3) as u16 * 2), LocalSubId(i as u32), &sub);
+                }
             }
-        }
-        for (i, raw) in subs_b.iter().enumerate() {
-            if let Some(sub) = build_sub(&schema, raw) {
-                b.insert(BrokerId((i % 3) as u16 * 2 + 1), LocalSubId(i as u32), &sub);
+            for (i, raw) in subs_b.iter().enumerate() {
+                if let Some(sub) = build_sub(&schema, raw) {
+                    b.insert(BrokerId((i % 3) as u16 * 2 + 1), LocalSubId(i as u32), &sub);
+                }
             }
-        }
-        a.merge(&b);
-        check_invariants(&a);
-        let decoded = codec.decode(&codec.encode(&a).unwrap(), &schema).unwrap();
-        check_invariants(&decoded);
-        let mut plan_scratch = MatchScratch::new();
-        for raw_event in &events {
-            let event = build_event(&schema, raw_event);
-            for summary in [&a, &decoded] {
-                let plan = summary.match_event_into(&event, &mut plan_scratch).matched.clone();
-                prop_assert_eq!(plan, summary.match_event_scan(&event).matched);
-            }
-        }
-    }
-
-    /// Differential check of the sharded matcher on wire-roundtrip-built
-    /// summaries: decode rebuilds the intern table, sharding derives the
-    /// partition from it, and the result must match the original flat
-    /// summary event-for-event with an identical digest — the wire format
-    /// is untouched by sharding.
-    #[test]
-    fn sharded_matcher_identical_after_wire_roundtrip(
-        subs in proptest::collection::vec(subscription(), 1..6),
-        events in proptest::collection::vec(event_strategy(), 1..6)) {
-        let schema = stock_schema();
-        let layout = IdLayout::new(24, 1024, schema.len() as u32).unwrap();
-        let codec = SummaryCodec::new(layout, ArithWidth::Eight);
-        let mut summary = BrokerSummary::new(schema.clone());
-        for (i, raw) in subs.iter().enumerate() {
-            if let Some(sub) = build_sub(&schema, raw) {
-                summary.insert(BrokerId((i % 24) as u16), LocalSubId(i as u32), &sub);
-            }
-        }
-        let bytes = codec.encode(&summary).unwrap();
-        let decoded = codec.decode(&bytes, &schema).unwrap();
-        check_invariants(&decoded);
-        let mut scratch = ShardScratch::new();
-        for shards in SHARD_COUNTS {
-            let sharded = ShardedSummary::from_flat(decoded.clone(), shards);
-            check_sharded_invariants(&sharded);
-            prop_assert_eq!(sharded.digest(), summary.digest());
-            // Encoding through the sharded view is byte-identical too.
-            let re_encoded = sharded.with_flat(|flat| codec.encode(flat).unwrap());
-            prop_assert_eq!(&re_encoded, &bytes);
+            a.merge(&b);
+            check_invariants(&a);
+            let decoded = codec.decode(&codec.encode(&a).unwrap(), &schema).unwrap();
+            check_invariants(&decoded);
+            let mut plan_scratch = MatchScratch::new();
             for raw_event in &events {
                 let event = build_event(&schema, raw_event);
-                let got = sharded.match_event_into(&event, &mut scratch).matched.clone();
-                prop_assert_eq!(got, summary.match_event(&event), "shards={}", shards);
+                for summary in [&a, &decoded] {
+                    let plan = summary
+                        .match_event_into(&event, &mut plan_scratch)
+                        .matched
+                        .clone();
+                    assert_eq!(plan, summary.match_event_scan(&event).matched);
+                }
             }
+        },
+    );
+}
+
+/// Differential check of the sharded matcher on wire-roundtrip-built
+/// summaries: decode rebuilds the intern table, sharding derives the
+/// partition from it, and the result must match the original flat
+/// summary event-for-event with an identical digest — the wire format
+/// is untouched by sharding.
+#[test]
+fn sharded_matcher_identical_after_wire_roundtrip() {
+    check("sharded_matcher_identical_after_wire_roundtrip", 128, |g| {
+        sharded_matcher_identical_after_wire_roundtrip_on(
+            &g.vec(1..6, subscription),
+            &g.vec(1..6, event_strategy),
+        );
+    });
+}
+
+fn sharded_matcher_identical_after_wire_roundtrip_on(subs: &[RawSub], events: &[RawEvent]) {
+    let schema = stock_schema();
+    let layout = IdLayout::new(24, 1024, schema.len() as u32).unwrap();
+    let codec = SummaryCodec::new(layout, ArithWidth::Eight);
+    let mut summary = BrokerSummary::new(schema.clone());
+    for (i, raw) in subs.iter().enumerate() {
+        if let Some(sub) = build_sub(&schema, raw) {
+            summary.insert(BrokerId((i % 24) as u16), LocalSubId(i as u32), &sub);
         }
+    }
+    let bytes = codec.encode(&summary).unwrap();
+    let decoded = codec.decode(&bytes, &schema).unwrap();
+    check_invariants(&decoded);
+    let mut scratch = ShardScratch::new();
+    for shards in SHARD_COUNTS {
+        let sharded = ShardedSummary::from_flat(decoded.clone(), shards);
+        check_sharded_invariants(&sharded);
+        assert_eq!(sharded.digest(), summary.digest());
+        // Encoding through the sharded view is byte-identical too.
+        let re_encoded = sharded.with_flat(|flat| codec.encode(flat).unwrap());
+        assert_eq!(&re_encoded, &bytes);
+        for raw_event in events {
+            let event = build_event(&schema, raw_event);
+            let got = sharded
+                .match_event_into(&event, &mut scratch)
+                .matched
+                .clone();
+            assert_eq!(got, summary.match_event(&event), "shards={}", shards);
+        }
+    }
+}
+
+type SubsEventsProperty = fn(&[RawSub], &[RawEvent]);
+
+/// Every property over (subscriptions, events), for the recorded cases
+/// below.
+const SUBS_EVENTS_PROPERTIES: [SubsEventsProperty; 6] = [
+    no_false_negatives_on,
+    codec_roundtrip_on,
+    indexed_matcher_is_identical_to_scan_on,
+    decoded_dense_kernel_is_identical_to_scan_on,
+    sharded_matcher_is_identical_to_flat_and_scan_on,
+    sharded_matcher_identical_after_wire_roundtrip_on,
+];
+
+/// A once-failing input: one subscription whose two constraints on the
+/// same attribute exclude each other, and an event with no attributes.
+#[test]
+fn contradictory_constraints_and_an_empty_event() {
+    let subs = [vec![
+        RawConstraint::Num(2, NumOp::Eq, 0.0),
+        RawConstraint::Num(2, NumOp::Gt, 0.0),
+    ]];
+    for property in SUBS_EVENTS_PROPERTIES {
+        property(&subs, &[vec![]]);
+    }
+}
+
+/// A once-failing input: a `!=` row and an overlapping `>` row on one
+/// attribute, and an event with no attributes.
+#[test]
+fn ne_row_beside_gt_row_and_an_empty_event() {
+    let subs = [
+        vec![RawConstraint::Num(3, NumOp::Ne, 0.0)],
+        vec![RawConstraint::Num(3, NumOp::Gt, -0.25)],
+    ];
+    for property in SUBS_EVENTS_PROPERTIES {
+        property(&subs, &[vec![]]);
     }
 }

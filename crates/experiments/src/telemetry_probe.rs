@@ -2,16 +2,14 @@
 //! pipeline stage, for `repro --telemetry-json`.
 //!
 //! The figure experiments drive individual algorithms; depending on the
-//! figure chosen, some stages (e.g. the threaded runtime's message
-//! handler) never execute. The probe guarantees a populated [`RunReport`]
-//! regardless of the figure selection by running one small pass through:
+//! figure chosen, some stages (e.g. the Siena baseline's) never
+//! execute. The probe guarantees a populated [`RunReport`] regardless of
+//! the figure selection by running one small pass through:
 //!
 //! * [`SummaryPubSub`]: subscribe → propagate → publish, which times
 //!   `broker.subscribe`, `broker.propagate`, `propagate.round`,
 //!   `publish.route`, `publish.candidate_match`, `publish.owner_verify`
 //!   and the `core.summary.*` stages, and bumps the `publish.*` counters;
-//! * [`BrokerNetwork`]: a tiny threaded deployment, which times
-//!   `runtime.handle_msg` and sets the `runtime.mailbox.*` depth gauges;
 //! * the Siena baseline: `siena.propagate` and `siena.route`, so summary
 //!   and baseline timings land in the same report.
 //!
@@ -22,9 +20,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use subsum_broker::runtime::BrokerNetwork;
 use subsum_broker::SummaryPubSub;
-use subsum_net::{NetMetrics, NodeId, Topology};
+use subsum_net::{NetMetrics, NodeId};
 use subsum_siena::{propagate_probabilistic, reverse_path_route, SienaParams};
 use subsum_telemetry::Json;
 use subsum_workload::Workload;
@@ -93,7 +90,7 @@ pub fn run(cfg: &ExperimentConfig) -> ProbeOutcome {
     let mut net = NetMetrics::new(n);
 
     // Phase 1: the deterministic end-to-end engine.
-    let mut sys = SummaryPubSub::new(cfg.topology.clone(), schema.clone(), 10_000)
+    let mut sys = SummaryPubSub::new(cfg.topology.clone(), schema, 10_000)
         .expect("probe workload fits the id layout");
     let mut subscriptions = 0usize;
     for b in 0..n as NodeId {
@@ -129,18 +126,7 @@ pub fn run(cfg: &ExperimentConfig) -> ProbeOutcome {
         net.merge(&out.routing.metrics);
     }
 
-    // Phase 2: a tiny threaded deployment (runtime stages and mailbox
-    // gauges). Kept small: thread startup is the dominant cost.
-    let threaded = BrokerNetwork::start(Topology::line(4), schema.clone(), 100)
-        .expect("tiny threaded probe starts");
-    let sub = workload.subscription(&mut rng);
-    threaded.subscribe(2, &sub).expect("threaded subscribe");
-    threaded.propagate();
-    let event = workload.event(0.7, &mut rng);
-    let _ = threaded.publish(0, &event);
-    threaded.shutdown();
-
-    // Phase 3: the Siena baseline period and one reverse-path multicast.
+    // Phase 2: the Siena baseline period and one reverse-path multicast.
     let siena = propagate_probabilistic(&cfg.topology, 2, SienaParams::default(), &mut rng);
     net.merge(&siena.metrics);
     let matched: Vec<NodeId> = (0..n as NodeId).step_by(3).collect();
@@ -205,7 +191,6 @@ mod tests {
             names::PUBLISH_OWNER_VERIFY,
             names::CORE_SUMMARY_INSERT,
             names::CORE_SUMMARY_MATCH,
-            names::RUNTIME_HANDLE_MSG,
             names::SIENA_PROPAGATE,
             names::SIENA_ROUTE,
         ] {

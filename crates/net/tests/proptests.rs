@@ -1,8 +1,8 @@
 //! Property-based tests for the overlay graph algorithms.
 
-use proptest::prelude::*;
+use rand::check::check;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use subsum_net::{EventQueue, Topology};
 
@@ -11,52 +11,64 @@ fn random_topology(seed: u64, n: usize, extra: usize) -> Topology {
     Topology::random_connected(n.max(2), extra, &mut rng)
 }
 
-proptest! {
-    /// BFS distances are symmetric, zero on the diagonal and satisfy the
-    /// triangle inequality.
-    #[test]
-    fn distances_are_a_metric(seed in 0u64..1000, n in 2usize..30, extra in 0usize..10) {
+/// BFS distances are symmetric, zero on the diagonal and satisfy the
+/// triangle inequality.
+#[test]
+fn distances_are_a_metric() {
+    check("distances_are_a_metric", 256, |g| {
+        let seed = g.gen_range(0u64..1000);
+        let n = g.gen_range(2usize..30);
+        let extra = g.gen_range(0usize..10);
         let t = random_topology(seed, n, extra);
         let d = t.all_pairs_distances();
         let n = t.len();
         for a in 0..n {
-            prop_assert_eq!(d[a][a], 0);
+            assert_eq!(d[a][a], 0);
             for b in 0..n {
-                prop_assert_eq!(d[a][b], d[b][a]);
+                assert_eq!(d[a][b], d[b][a]);
                 for c in 0..n {
-                    prop_assert!(d[a][c] <= d[a][b] + d[b][c]);
+                    assert!(d[a][c] <= d[a][b] + d[b][c]);
                 }
             }
         }
-    }
+    });
+}
 
-    /// Spanning-tree paths to the root have exactly the BFS length, and
-    /// every non-root node has a parent one hop closer to the root.
-    #[test]
-    fn spanning_tree_is_shortest(seed in 0u64..1000, n in 2usize..30,
-                                 extra in 0usize..10, root_pick in 0usize..30) {
+/// Spanning-tree paths to the root have exactly the BFS length, and
+/// every non-root node has a parent one hop closer to the root.
+#[test]
+fn spanning_tree_is_shortest() {
+    check("spanning_tree_is_shortest", 256, |g| {
+        let seed = g.gen_range(0u64..1000);
+        let n = g.gen_range(2usize..30);
+        let extra = g.gen_range(0usize..10);
+        let root_pick = g.gen_range(0usize..30);
         let t = random_topology(seed, n, extra);
         let root = (root_pick % t.len()) as u16;
         let parent = t.shortest_path_tree(root);
         let dist = t.distances(root);
         for v in 0..t.len() as u16 {
             let path = Topology::path_to_root(&parent, v);
-            prop_assert_eq!(path.len() as u32, dist[v as usize] + 1);
-            prop_assert_eq!(*path.last().unwrap(), root);
+            assert_eq!(path.len() as u32, dist[v as usize] + 1);
+            assert_eq!(*path.last().unwrap(), root);
             if let Some(p) = parent[v as usize] {
-                prop_assert_eq!(dist[p as usize] + 1, dist[v as usize]);
-                prop_assert!(t.neighbors(v).contains(&p));
+                assert_eq!(dist[p as usize] + 1, dist[v as usize]);
+                assert!(t.neighbors(v).contains(&p));
             } else {
-                prop_assert_eq!(v, root);
+                assert_eq!(v, root);
             }
         }
-    }
+    });
+}
 
-    /// Multicast subtree size is bounded below by the farthest target and
-    /// above by both the sum of distances and the total edge budget.
-    #[test]
-    fn multicast_bounds(seed in 0u64..1000, n in 2usize..30,
-                        targets in proptest::collection::vec(0usize..30, 1..8)) {
+/// Multicast subtree size is bounded below by the farthest target and
+/// above by both the sum of distances and the total edge budget.
+#[test]
+fn multicast_bounds() {
+    check("multicast_bounds", 256, |g| {
+        let seed = g.gen_range(0u64..1000);
+        let n = g.gen_range(2usize..30);
+        let targets = g.vec(1..8, |g| g.gen_range(0usize..30));
         let t = random_topology(seed, n, 3);
         let root = 0u16;
         let parent = t.shortest_path_tree(root);
@@ -70,26 +82,33 @@ proptest! {
             uniq.dedup();
             uniq.iter().map(|&v| dist[v as usize] as usize).sum()
         };
-        prop_assert!(edges >= max_d);
-        prop_assert!(edges <= sum_d);
-        prop_assert!(edges < t.len());
-    }
+        assert!(edges >= max_d);
+        assert!(edges <= sum_d);
+        assert!(edges < t.len());
+    });
+}
 
-    /// The degree-descending order is genuinely sorted.
-    #[test]
-    fn degree_order_sorted(seed in 0u64..1000, n in 2usize..40) {
+/// The degree-descending order is genuinely sorted.
+#[test]
+fn degree_order_sorted() {
+    check("degree_order_sorted", 256, |g| {
+        let seed = g.gen_range(0u64..1000);
+        let n = g.gen_range(2usize..40);
         let t = random_topology(seed, n, n / 3);
         let order = t.by_degree_desc();
-        prop_assert_eq!(order.len(), t.len());
+        assert_eq!(order.len(), t.len());
         for w in order.windows(2) {
             let (a, b) = (t.degree(w[0]), t.degree(w[1]));
-            prop_assert!(a > b || (a == b && w[0] < w[1]));
+            assert!(a > b || (a == b && w[0] < w[1]));
         }
-    }
+    });
+}
 
-    /// The event queue is a stable priority queue.
-    #[test]
-    fn event_queue_ordering(times in proptest::collection::vec(0u64..50, 1..60)) {
+/// The event queue is a stable priority queue.
+#[test]
+fn event_queue_ordering() {
+    check("event_queue_ordering", 256, |g| {
+        let times = g.vec(1..60, |g| g.gen_range(0u64..50));
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
             q.push(t, i);
@@ -98,17 +117,21 @@ proptest! {
         while let Some(x) = q.pop() {
             popped.push(x);
         }
-        prop_assert_eq!(popped.len(), times.len());
+        assert_eq!(popped.len(), times.len());
         for w in popped.windows(2) {
-            prop_assert!(w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1));
+            assert!(w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1));
         }
-    }
+    });
+}
 
-    /// Edge iteration is consistent with degrees.
-    #[test]
-    fn handshake_lemma(seed in 0u64..1000, n in 2usize..40) {
+/// Edge iteration is consistent with degrees.
+#[test]
+fn handshake_lemma() {
+    check("handshake_lemma", 256, |g| {
+        let seed = g.gen_range(0u64..1000);
+        let n = g.gen_range(2usize..40);
         let t = random_topology(seed, n, n / 2);
         let degree_sum: usize = (0..t.len() as u16).map(|v| t.degree(v)).sum();
-        prop_assert_eq!(degree_sum, 2 * t.edge_count());
-    }
+        assert_eq!(degree_sum, 2 * t.edge_count());
+    });
 }

@@ -69,11 +69,6 @@ pub const PUBLISH_CANDIDATES: &str = "publish.candidates";
 pub const PUBLISH_DELIVERIES: &str = "publish.deliveries";
 /// Candidates rejected by exact verification (SACS false positives).
 pub const PUBLISH_FALSE_POSITIVES: &str = "publish.false_positives";
-/// One runtime mailbox message handled.
-pub const RUNTIME_HANDLE_MSG: &str = "runtime.handle_msg";
-/// Per-broker mailbox depth gauges: `runtime.mailbox.<broker>`. The only
-/// dynamically built family; sites append the broker id to this prefix.
-pub const RUNTIME_MAILBOX_PREFIX: &str = "runtime.mailbox.";
 
 /// Subscription flooding phase of the Siena-style baseline.
 pub const SIENA_PROPAGATE: &str = "siena.propagate";
@@ -153,8 +148,6 @@ mod tests {
             super::PUBLISH_CANDIDATES,
             super::PUBLISH_DELIVERIES,
             super::PUBLISH_FALSE_POSITIVES,
-            super::RUNTIME_HANDLE_MSG,
-            super::RUNTIME_MAILBOX_PREFIX,
             super::SIENA_PROPAGATE,
             super::SIENA_ROUTE,
             super::CHAOS_DROPS,

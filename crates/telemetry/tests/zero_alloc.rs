@@ -7,26 +7,33 @@
 //!   unsampled tracer — performs no heap allocation at all, and
 //! * the **sampled** path writes into the pre-allocated ring without
 //!   allocating either.
-//!
-//! Everything runs inside one `#[test]` because the allocation counter
-//! is process-global: parallel test threads would pollute the deltas.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::cell::Cell;
 
 use subsum_telemetry::trace::{SpanKind, TraceCtx, TraceId, Tracer};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread count: the test harness's own threads allocate while
+    /// the test runs, and must not show up in its measured regions.
+    /// Const-initialised and without a destructor, so reading it from
+    /// inside the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // The harness only counts; System does the work. `unsafe` is confined
 // to this test crate — the library itself forbids unsafe code.
-// SAFETY: pure delegation to `System` plus a counter bump; all
-// layout/pointer contracts are forwarded unchanged.
+// SAFETY: pure delegation to `System` plus a thread-local counter bump;
+// all layout/pointer contracts are forwarded unchanged.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, SeqCst);
+        count_allocation();
         // SAFETY: caller upholds GlobalAlloc's contract; delegated as-is.
         unsafe { System.alloc(layout) }
     }
@@ -37,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, SeqCst);
+        count_allocation();
         // SAFETY: caller upholds GlobalAlloc's contract; delegated as-is.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -48,9 +55,9 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Allocations performed while running `f`.
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(SeqCst);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(SeqCst) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[test]

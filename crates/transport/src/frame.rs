@@ -20,7 +20,7 @@
 //! poison the decoder (a byte stream is unrecoverable once framing is
 //! lost; the session must drop the connection), while a short buffer is
 //! simply "not yet" ([`Ok(None)`](FrameDecoder::next_frame)). The
-//! robustness proptests feed arbitrary streams split at every boundary
+//! robustness property tests feed arbitrary streams split at every boundary
 //! and require byte-for-byte agreement with one-shot decoding.
 
 use std::fmt;
@@ -206,7 +206,7 @@ impl FrameDecoder {
 /// One-shot decoding of a complete byte stream into frames; trailing
 /// partial bytes are reported as the number of unconsumed bytes.
 ///
-/// The incremental-equivalence proptests compare every chunked feeding
+/// The incremental-equivalence property tests compare every chunked feeding
 /// of a stream against this function.
 ///
 /// # Errors

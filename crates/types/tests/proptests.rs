@@ -1,6 +1,8 @@
 //! Property-based tests for the pattern, interval and identifier layers.
 
-use proptest::prelude::*;
+use rand::check::check;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 use subsum_types::{
     AttrId, AttrMask, BrokerId, IdLayout, Interval, IntervalSet, LocalSubId, Num, NumOp, Pattern,
@@ -8,13 +10,16 @@ use subsum_types::{
 };
 
 /// A random glob pattern over a tiny alphabet, as its textual form.
-fn pattern_text() -> impl Strategy<Value = String> {
+fn pattern_text(g: &mut StdRng) -> String {
     // Sequences of segments (length 1–3 over {a, b, c}) and stars.
-    proptest::collection::vec(
-        prop_oneof![Just("*".to_owned()), "[abc]{1,3}".prop_map(|s| s),],
-        0..6,
-    )
-    .prop_map(|parts| parts.concat())
+    g.vec(0..6, |g| {
+        if g.gen() {
+            "*".to_owned()
+        } else {
+            g.string("abc", 1..=3)
+        }
+    })
+    .concat()
 }
 
 /// A random string matched by `pat`: instantiate each wildcard with a
@@ -41,177 +46,232 @@ fn instantiate(pat: &Pattern, fills: &[String]) -> String {
     out
 }
 
-proptest! {
-    /// Instantiating a pattern's wildcards always yields a matching string.
-    #[test]
-    fn instantiation_matches(text in pattern_text(),
-                             fills in proptest::collection::vec("[abc]{0,4}", 1..4)) {
+/// Instantiating a pattern's wildcards always yields a matching string.
+#[test]
+fn instantiation_matches() {
+    check("instantiation_matches", 256, |g| {
+        let text = pattern_text(g);
+        let fills = g.vec(1..4, |g| g.string("abc", 0..=4));
         let pat = Pattern::parse(&text).unwrap();
         let s = instantiate(&pat, &fills);
-        prop_assert!(pat.matches(&s), "pattern {pat} rejects its instantiation {s:?}");
-    }
+        assert!(
+            pat.matches(&s),
+            "pattern {pat} rejects its instantiation {s:?}"
+        );
+    });
+}
 
-    /// Soundness of covering: if p covers q, every instantiation of q is
-    /// matched by p.
-    #[test]
-    fn covers_is_sound(ptext in pattern_text(), qtext in pattern_text(),
-                       fills in proptest::collection::vec("[abc]{0,4}", 1..4)) {
+/// Soundness of covering: if p covers q, every instantiation of q is
+/// matched by p.
+#[test]
+fn covers_is_sound() {
+    check("covers_is_sound", 256, |g| {
+        let ptext = pattern_text(g);
+        let qtext = pattern_text(g);
+        let fills = g.vec(1..4, |g| g.string("abc", 0..=4));
         let p = Pattern::parse(&ptext).unwrap();
         let q = Pattern::parse(&qtext).unwrap();
         if p.covers(&q) {
             let s = instantiate(&q, &fills);
-            prop_assert!(p.matches(&s),
-                "covers({p}, {q}) but {p} rejects {s:?}");
+            assert!(p.matches(&s), "covers({p}, {q}) but {p} rejects {s:?}");
         }
-    }
+    });
+}
 
-    /// Covering is reflexive.
-    #[test]
-    fn covers_is_reflexive(text in pattern_text()) {
+/// Covering is reflexive.
+#[test]
+fn covers_is_reflexive() {
+    check("covers_is_reflexive", 256, |g| {
+        let text = pattern_text(g);
         let p = Pattern::parse(&text).unwrap();
-        prop_assert!(p.covers(&p));
-    }
+        assert!(p.covers(&p));
+    });
+}
 
-    /// Covering is transitive on observed triples.
-    #[test]
-    fn covers_is_transitive(a in pattern_text(), b in pattern_text(), c in pattern_text()) {
+/// Covering is transitive on observed triples.
+#[test]
+fn covers_is_transitive() {
+    check("covers_is_transitive", 256, |g| {
+        let a = pattern_text(g);
+        let b = pattern_text(g);
+        let c = pattern_text(g);
         let (a, b, c) = (
             Pattern::parse(&a).unwrap(),
             Pattern::parse(&b).unwrap(),
             Pattern::parse(&c).unwrap(),
         );
         if a.covers(&b) && b.covers(&c) {
-            prop_assert!(a.covers(&c), "covers not transitive: {a} ⊇ {b} ⊇ {c}");
+            assert!(a.covers(&c), "covers not transitive: {a} ⊇ {b} ⊇ {c}");
         }
-    }
+    });
+}
 
-    /// Display/parse round-trips to the same pattern.
-    #[test]
-    fn pattern_display_roundtrip(text in pattern_text()) {
+/// Display/parse round-trips to the same pattern.
+#[test]
+fn pattern_display_roundtrip() {
+    check("pattern_display_roundtrip", 256, |g| {
+        let text = pattern_text(g);
         let p = Pattern::parse(&text).unwrap();
         let q = Pattern::parse(&p.to_string()).unwrap();
-        prop_assert_eq!(p, q);
-    }
+        assert_eq!(p, q);
+    });
 }
 
-fn num() -> impl Strategy<Value = Num> {
-    (-1000i32..1000).prop_map(|v| Num::new(v as f64 / 4.0).unwrap())
+fn num(g: &mut StdRng) -> Num {
+    Num::new(g.gen_range(-1000i32..1000) as f64 / 4.0).unwrap()
 }
 
-fn interval() -> impl Strategy<Value = Interval> {
-    (num(), num(), any::<bool>(), any::<bool>()).prop_map(|(a, b, lo_incl, hi_incl)| {
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        use subsum_types::{LowerBound, UpperBound};
-        Interval::new(
-            if lo_incl {
-                LowerBound::Incl(lo)
-            } else {
-                LowerBound::Excl(lo)
-            },
-            if hi_incl {
-                UpperBound::Incl(hi)
-            } else {
-                UpperBound::Excl(hi)
-            },
-        )
-    })
+fn interval(g: &mut StdRng) -> Interval {
+    let (a, b) = (num(g), num(g));
+    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+    use subsum_types::{LowerBound, UpperBound};
+    Interval::new(
+        if g.gen() {
+            LowerBound::Incl(lo)
+        } else {
+            LowerBound::Excl(lo)
+        },
+        if g.gen() {
+            UpperBound::Incl(hi)
+        } else {
+            UpperBound::Excl(hi)
+        },
+    )
 }
 
-fn interval_set() -> impl Strategy<Value = IntervalSet> {
-    proptest::collection::vec(interval(), 0..5).prop_map(|ivs| {
-        ivs.into_iter().fold(IntervalSet::empty(), |acc, iv| {
+fn interval_set(g: &mut StdRng) -> IntervalSet {
+    g.vec(0..5, interval)
+        .into_iter()
+        .fold(IntervalSet::empty(), |acc, iv| {
             acc.union(&IntervalSet::from_interval(iv))
         })
-    })
 }
 
-proptest! {
-    /// Union membership equals disjunction of memberships.
-    #[test]
-    fn union_is_pointwise_or(a in interval_set(), b in interval_set(), v in num()) {
+/// Union membership equals disjunction of memberships.
+#[test]
+fn union_is_pointwise_or() {
+    check("union_is_pointwise_or", 256, |g| {
+        let a = interval_set(g);
+        let b = interval_set(g);
+        let v = num(g);
         let u = a.union(&b);
-        prop_assert_eq!(u.contains(v), a.contains(v) || b.contains(v));
-    }
+        assert_eq!(u.contains(v), a.contains(v) || b.contains(v));
+    });
+}
 
-    /// Intersection membership equals conjunction of memberships.
-    #[test]
-    fn intersection_is_pointwise_and(a in interval_set(), b in interval_set(), v in num()) {
+/// Intersection membership equals conjunction of memberships.
+#[test]
+fn intersection_is_pointwise_and() {
+    check("intersection_is_pointwise_and", 256, |g| {
+        let a = interval_set(g);
+        let b = interval_set(g);
+        let v = num(g);
         let i = a.intersect(&b);
-        prop_assert_eq!(i.contains(v), a.contains(v) && b.contains(v));
-    }
+        assert_eq!(i.contains(v), a.contains(v) && b.contains(v));
+    });
+}
 
-    /// Canonical form: parts are sorted, disjoint and non-adjacent, so a
-    /// set equals the union of itself with itself.
-    #[test]
-    fn union_is_idempotent(a in interval_set()) {
-        prop_assert_eq!(a.union(&a), a);
-    }
+/// Canonical form: parts are sorted, disjoint and non-adjacent, so a
+/// set equals the union of itself with itself.
+#[test]
+fn union_is_idempotent() {
+    check("union_is_idempotent", 256, |g| {
+        let a = interval_set(g);
+        assert_eq!(a.union(&a), a);
+    });
+}
 
-    /// covers() agrees with pointwise membership on samples.
-    #[test]
-    fn covers_sound_on_samples(a in interval_set(), b in interval_set(),
-                               vs in proptest::collection::vec(num(), 1..20)) {
+/// covers() agrees with pointwise membership on samples.
+#[test]
+fn covers_sound_on_samples() {
+    check("covers_sound_on_samples", 256, |g| {
+        let a = interval_set(g);
+        let b = interval_set(g);
+        let vs = g.vec(1..20, num);
         if a.covers(&b) {
             for v in vs {
                 if b.contains(v) {
-                    prop_assert!(a.contains(v));
+                    assert!(a.contains(v));
                 }
             }
         }
-    }
-
-    /// without_point removes exactly the point.
-    #[test]
-    fn without_point_semantics(a in interval_set(), p in num(), v in num()) {
-        let w = a.without_point(p);
-        if v == p {
-            prop_assert!(!w.contains(v));
-        } else {
-            prop_assert_eq!(w.contains(v), a.contains(v));
-        }
-    }
-
-    /// NumOp solution sets agree with direct evaluation.
-    #[test]
-    fn numop_solution_pointwise(v in num(), bound in num()) {
-        for op in [NumOp::Eq, NumOp::Ne, NumOp::Lt, NumOp::Le, NumOp::Gt, NumOp::Ge] {
-            prop_assert_eq!(op.solution(bound).contains(v), op.eval(v, bound));
-        }
-    }
+    });
 }
 
-proptest! {
-    /// Subscription id packing round-trips through both the integer and
-    /// byte encodings for arbitrary in-range components.
-    #[test]
-    fn id_roundtrip(brokers in 1u64..5000, max_subs in 1u64..2_000_000,
-                    attrs in 1u32..33, broker in any::<u16>(),
-                    local in any::<u32>(), mask_bits in any::<u64>()) {
+/// without_point removes exactly the point.
+#[test]
+fn without_point_semantics() {
+    check("without_point_semantics", 256, |g| {
+        let a = interval_set(g);
+        let p = num(g);
+        let v = num(g);
+        let w = a.without_point(p);
+        if v == p {
+            assert!(!w.contains(v));
+        } else {
+            assert_eq!(w.contains(v), a.contains(v));
+        }
+    });
+}
+
+/// NumOp solution sets agree with direct evaluation.
+#[test]
+fn numop_solution_pointwise() {
+    check("numop_solution_pointwise", 256, |g| {
+        let v = num(g);
+        let bound = num(g);
+        for op in [
+            NumOp::Eq,
+            NumOp::Ne,
+            NumOp::Lt,
+            NumOp::Le,
+            NumOp::Gt,
+            NumOp::Ge,
+        ] {
+            assert_eq!(op.solution(bound).contains(v), op.eval(v, bound));
+        }
+    });
+}
+
+/// Subscription id packing round-trips through both the integer and
+/// byte encodings for arbitrary in-range components.
+#[test]
+fn id_roundtrip() {
+    check("id_roundtrip", 256, |g| {
+        let brokers = g.gen_range(1u64..5000);
+        let max_subs = g.gen_range(1u64..2_000_000);
+        let attrs = g.gen_range(1u32..33);
+        let broker = g.gen::<u16>();
+        let local = g.gen::<u32>();
+        let mask_bits = g.gen::<u64>();
         let layout = IdLayout::new(brokers, max_subs, attrs).unwrap();
         let broker = BrokerId(broker % brokers.min(u16::MAX as u64 + 1) as u16);
         let local = LocalSubId(local % max_subs.min(u32::MAX as u64 + 1) as u32);
         let mask = AttrMask(mask_bits & ((1u64 << attrs) - 1));
         let id = SubscriptionId::new(broker, local, mask);
         let packed = layout.encode(id).unwrap();
-        prop_assert_eq!(layout.decode(packed), id);
+        assert_eq!(layout.decode(packed), id);
         let mut buf = Vec::new();
         layout.encode_bytes(id, &mut buf).unwrap();
-        prop_assert_eq!(buf.len(), layout.byte_len());
+        assert_eq!(buf.len(), layout.byte_len());
         let (decoded, used) = layout.decode_bytes(&buf).unwrap();
-        prop_assert_eq!(decoded, id);
-        prop_assert_eq!(used, buf.len());
-    }
+        assert_eq!(decoded, id);
+        assert_eq!(used, buf.len());
+    });
+}
 
-    /// Mask iteration and count agree.
-    #[test]
-    fn mask_iter_count(bits in any::<u64>()) {
+/// Mask iteration and count agree.
+#[test]
+fn mask_iter_count() {
+    check("mask_iter_count", 256, |g| {
+        let bits = g.gen::<u64>();
         let mask = AttrMask(bits);
         let collected: AttrMask = mask.iter().collect();
-        prop_assert_eq!(collected, mask);
-        prop_assert_eq!(mask.iter().count() as u32, mask.count());
+        assert_eq!(collected, mask);
+        assert_eq!(mask.iter().count() as u32, mask.count());
         for a in mask.iter() {
-            prop_assert!(mask.contains(a));
+            assert!(mask.contains(a));
         }
-        prop_assert!(!mask.contains(AttrId(64)));
-    }
+        assert!(!mask.contains(AttrId(64)));
+    });
 }

@@ -157,7 +157,9 @@ impl Workload {
     /// Generates one event: `n_t/2` attributes; arithmetic values land in
     /// a canonical range with probability `hit_rate` (else a fresh
     /// value), string values extend a canonical prefix with probability
-    /// `hit_rate`.
+    /// `hit_rate`. The rate is per value: matching a subscription also
+    /// takes carrying all of its attributes, so even at 1.0 only about
+    /// one event in 3840 matches a given fully subsumed subscription.
     pub fn event<R: Rng>(&mut self, hit_rate: f64, rng: &mut R) -> Event {
         let arith_attrs: Vec<AttrId> = self.schema.arithmetic_attrs().collect();
         let string_attrs: Vec<AttrId> = self.schema.string_attrs().collect();
@@ -304,22 +306,49 @@ mod tests {
         );
     }
 
+    /// What [`Workload::event`] documents at hit rate 1: every value is
+    /// canonical. Whole-subscription hits are still rare — an event must
+    /// carry all five attributes a subscription constrains (2 of 4
+    /// arithmetic, 3 of 6 string: 1 in 6 × 20) and then land in the same
+    /// one of the `n_sr` = 2 ranges / 2 prefixes on each (1 in 2⁵), so
+    /// 1 in 3840 per (event, subscription) pair, ≈ 1.3 % per event
+    /// against 50 subscriptions. 2000 events expect ≈ 26 hits per seed;
+    /// 200 expected 2.6 and came up empty about one seed in fourteen.
     #[test]
     fn events_hit_subscriptions_at_high_hit_rate() {
-        let mut w = Workload::new(PaperParams::default(), 1.0);
-        let mut rng = StdRng::seed_from_u64(6);
-        let subs: Vec<Subscription> = w.subscriptions(50, &mut rng);
-        let mut matches = 0;
-        for _ in 0..200 {
-            let e = w.event(1.0, &mut rng);
-            if subs.iter().any(|s| s.matches(&e)) {
-                matches += 1;
+        let params = PaperParams::default();
+        let canonical = |attr: AttrId, value: &Value| match value.as_str() {
+            Some(s) => (0..params.nsr.max(2)).any(|k| s.starts_with(&canonical_prefix(attr, k))),
+            None => {
+                let v = value.as_num().expect("arithmetic value").get();
+                (0..params.nsr).any(|j| {
+                    let (lo, hi) = canonical_range(attr, j);
+                    (lo..hi).contains(&v)
+                })
             }
+        };
+        for seed in 0..5 {
+            let mut w = Workload::new(params, 1.0);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let subs: Vec<Subscription> = w.subscriptions(50, &mut rng);
+            let mut matches = 0;
+            for _ in 0..2000 {
+                let e = w.event(1.0, &mut rng);
+                for (attr, value) in e.iter() {
+                    assert!(
+                        canonical(attr, value),
+                        "{attr} = {value:?} is not canonical"
+                    );
+                }
+                if subs.iter().any(|s| s.matches(&e)) {
+                    matches += 1;
+                }
+            }
+            assert!(
+                matches > 0,
+                "seed {seed}: canonical events should hit canonical subscriptions"
+            );
         }
-        assert!(
-            matches > 0,
-            "canonical events should hit canonical subscriptions"
-        );
     }
 
     #[test]

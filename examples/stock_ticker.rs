@@ -1,4 +1,4 @@
-//! A live stock-ticker scenario on the threaded broker runtime: 24
+//! A live stock-ticker scenario on the deterministic engine: 24
 //! brokers (one per backbone PoP), traders subscribing price bands, a
 //! market feed publishing quotes — the workload the paper's introduction
 //! motivates.
@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use subsum::broker::runtime::BrokerNetwork;
+use subsum::broker::SummaryPubSub;
 use subsum::net::Topology;
 use subsum::workload::StockFeed;
 
@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let topology = Topology::cable_wireless_24();
     let mut feed = StockFeed::new();
     let schema = feed.schema().clone();
-    let net = BrokerNetwork::start(topology, schema, 10_000)?;
+    let mut system = SummaryPubSub::new(topology, schema, 10_000)?;
     let mut rng = StdRng::seed_from_u64(42);
 
     // 120 traders, five per broker, each with a symbol + price-band
@@ -25,18 +25,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for broker in 0..24u16 {
         for _ in 0..5 {
             let sub = feed.trader_subscription(&mut rng);
-            net.subscribe(broker, &sub)?;
+            system.subscribe(broker, &sub)?;
             subscriptions += 1;
         }
     }
     println!("registered {subscriptions} trader subscriptions");
 
     // One propagation period: brokers exchange subscription summaries.
-    let stats = net.propagate();
+    let period = system.propagate()?;
     println!(
         "summary propagation: {} hops, {} bytes (vs {} bytes of raw subscriptions)",
-        stats.hops,
-        stats.bytes,
+        period.hops(),
+        period.metrics.payload_bytes,
         subscriptions * 50 * 23 // naive broadcast estimate
     );
 
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for _ in 0..200 {
         let quote = feed.quote(&mut rng);
         let gateway = rng.gen_range(0..24u16);
-        let deliveries = net.publish(gateway, &quote);
+        let deliveries = system.publish(gateway, &quote).deliveries;
         if !deliveries.is_empty() {
             matched_quotes += 1;
             total_deliveries += deliveries.len();
@@ -58,6 +58,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "a realistic feed must trigger traders"
     );
 
-    net.shutdown();
     Ok(())
 }

@@ -11,14 +11,18 @@
 //!   matcher, merging, the size model and wire codec;
 //! * [`net`] — broker overlay topologies and traffic metering;
 //! * [`broker`] — Algorithm 2 summary propagation, Algorithm 3 event
-//!   routing, the end-to-end [`SummaryPubSub`] system and a threaded
-//!   [`runtime::BrokerNetwork`](broker::runtime::BrokerNetwork);
+//!   routing, the end-to-end [`SummaryPubSub`] system and the
+//!   [`ChaosRun`](broker::ChaosRun) fault-injection harness (the third
+//!   host of the one `BrokerCore`, `subsumd`, is `subsum-transport`);
 //! * [`siena`] — the reconstructed Siena-style and broadcast baselines;
 //! * [`workload`] — Table 2 workload generators, popularity workloads and
 //!   a stock feed;
 //! * [`experiments`] — regeneration of every figure in the paper's §5;
 //! * [`telemetry`] — pipeline-stage tracing, latency histograms and
 //!   exportable run reports across the broker stack.
+//!
+//! The workspace depends on no external crate: its one seeded random
+//! stream and its property-test runner are `crates/rand`.
 //!
 //! # Quickstart
 //!

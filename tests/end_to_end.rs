@@ -1,11 +1,10 @@
 //! Cross-crate integration tests: delivery completeness and exactness of
-//! the whole system against an omniscient oracle, across topologies,
-//! workloads and both execution engines (deterministic and threaded).
+//! the whole system against an omniscient oracle, across topologies
+//! and workloads.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use subsum::broker::runtime::BrokerNetwork;
 use subsum::broker::SummaryPubSub;
 use subsum::net::Topology;
 use subsum::types::{Event, SubscriptionId};
@@ -48,48 +47,30 @@ fn deliveries_equal_oracle_on_paper_workload() {
     }
 }
 
-/// The threaded runtime delivers exactly what the deterministic engine
-/// delivers, on a realistic stock workload.
+/// Deliveries equal the oracle on a realistic stock workload.
 #[test]
-fn threaded_and_deterministic_engines_agree_on_stock_feed() {
-    let topology = Topology::cable_wireless_24();
+fn deliveries_equal_oracle_on_stock_feed() {
     let mut feed = StockFeed::new();
     let schema = feed.schema().clone();
     let mut rng = StdRng::seed_from_u64(2);
 
-    let mut det = SummaryPubSub::new(topology.clone(), schema.clone(), 1000).unwrap();
-    let net = BrokerNetwork::start(topology, schema.clone(), 1000).unwrap();
+    let mut sys = SummaryPubSub::new(Topology::cable_wireless_24(), schema, 1000).unwrap();
     for b in 0..24u16 {
         for _ in 0..4 {
-            let sub = feed.trader_subscription(&mut rng);
-            det.subscribe(b, &sub).unwrap();
-            net.subscribe(b, &sub).unwrap();
+            sys.subscribe(b, &feed.trader_subscription(&mut rng))
+                .unwrap();
         }
     }
-    det.propagate().unwrap();
-    net.propagate();
+    sys.propagate().unwrap();
 
     for _ in 0..50 {
         let quote = feed.quote(&mut rng);
         let publisher = rng.gen_range(0..24u16);
-        let mut a: Vec<SubscriptionId> = det
-            .publish(publisher, &quote)
-            .deliveries
-            .iter()
-            .map(|d| d.id)
-            .collect();
-        let mut b: Vec<SubscriptionId> = net
-            .publish(publisher, &quote)
-            .iter()
-            .map(|d| d.id)
-            .collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-        // Both equal the oracle.
-        assert_eq!(a, det.oracle_matches(&quote));
+        let out = sys.publish(publisher, &quote);
+        let mut got: Vec<SubscriptionId> = out.deliveries.iter().map(|d| d.id).collect();
+        got.sort();
+        assert_eq!(got, sys.oracle_matches(&quote));
     }
-    net.shutdown();
 }
 
 /// Unsubscribing in the middle of a session never yields stale
