@@ -20,11 +20,21 @@
 //!   divergence. The naive baseline ([`ChaosConfig::naive_repair`])
 //!   re-sends the full summary every round instead.
 //!
-//! What a broker does with a digest, a pull or a summary is decided in
-//! [`BrokerCore::on_peer`], the protocol step `subsumd` runs behind its
-//! sockets; an update travels as the wire codec's bytes, so what a run
-//! charges to [`ChaosStats::full_summary_bytes`] is what the receiver
-//! decodes. This module adds faults, timers and counters.
+//! Each broker is a [`DaemonCore`] — the state machine `subsumd` runs
+//! behind its sockets — and every neighbour link is one of its peer
+//! connections. The links carry **encoded frame bytes**: a send is
+//! [`Msg::to_frame_bytes`], a delivery goes through a fresh
+//! [`FrameDecoder`] (the fault plan drops and duplicates whole frames)
+//! and [`Msg::decode_frame`] into [`DaemonCore::step`]. The scheduled
+//! waves are `DaemonCore` calls ([`DaemonCore::push_summary`] is the
+//! push a `Subscribe` triggers). This module adds faults, timers,
+//! counters — charged per message kind as the [`Msg`] passes the sink,
+//! so what a run charges to [`ChaosStats::full_summary_bytes`] is what
+//! the receiver decodes — and one simulated client per broker: it owns
+//! every subscription of its broker (across a crash too: a restored id
+//! keeps its owner), can `Subscribe` mid-run
+//! ([`ChaosRun::subscribe_at`]) and, once a run has drained, publishes
+//! and collects real `Deliver` frames ([`ChaosRun::publish`]).
 //!
 //! Updates are **view replacements**, so duplicated messages are
 //! naturally idempotent, and every run is a pure function of
@@ -63,9 +73,12 @@ use subsum_core::{BrokerSummary, SummaryDigest};
 use subsum_net::{FaultPlan, LossyNet, NodeId, Topology};
 use subsum_telemetry::trace::{SpanRecord, TraceCtx, Tracer};
 use subsum_telemetry::Count;
-use subsum_types::{IdLayout, Schema, Subscription, SubscriptionId, TypeError};
+use subsum_types::{BrokerId, Event, IdLayout, Schema, Subscription, SubscriptionId, TypeError};
 
-use crate::core::{BrokerCore, PeerMsg};
+use crate::core::BrokerCore;
+use crate::daemon::{ConnId, DaemonCore, Role, Sink};
+use crate::frame::FrameDecoder;
+use crate::msg::Msg;
 use crate::snapshot::BrokerCheckpoint;
 
 static CNT_DROPS: Count = Count::new(subsum_telemetry::names::CHAOS_DROPS);
@@ -77,6 +90,10 @@ static CNT_FULL_BYTES: Count = Count::new(subsum_telemetry::names::CHAOS_FULL_BY
 
 /// Wire cost charged for a pull request (opcode + sender id).
 const PULL_BYTES: u64 = 4;
+
+/// The simulated client's connection at every broker. The link to
+/// neighbour `nb` is connection `nb`, and a `NodeId` stays below this.
+const CLIENT: ConnId = 1 << 16;
 
 /// Tuning knobs of a chaos run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,23 +186,43 @@ pub struct ChaosReport {
     pub crash_snapshots: Vec<(NodeId, Vec<SpanRecord>)>,
 }
 
-/// One simulated broker of a chaos run: its [`BrokerCore`] plus what
+/// One simulated broker of a chaos run: its [`DaemonCore`] plus what
 /// the simulation adds — whether it is up, and its stable storage.
 #[derive(Debug)]
 struct Node {
-    core: BrokerCore,
+    daemon: DaemonCore,
     alive: bool,
     /// Durable checkpoint bytes, surviving crashes. `None` models a
     /// broker that never checkpointed and restarts empty.
     checkpoint: Option<Vec<u8>>,
 }
 
-/// What the simulated network carries: the neighbour-view protocol's
-/// messages between brokers, and the simulation's own control events.
+impl Node {
+    /// One frame's bytes arrive from neighbour `from`, or from this
+    /// broker's own client: through the codecs into the daemon's step,
+    /// unless the broker is down.
+    fn receive(&mut self, from: Option<NodeId>, bytes: &[u8], sink: &mut NetSink<'_>) {
+        if !self.alive {
+            return;
+        }
+        let Some(msg) = decode(bytes) else {
+            return;
+        };
+        let resyncs = self.daemon.counters().resyncs.get();
+        self.daemon
+            .step(from.map_or(CLIENT, ConnId::from), msg, sink);
+        // Only a stale digest is answered by a pull.
+        sink.stats.resyncs += self.daemon.counters().resyncs.get() - resyncs;
+    }
+}
+
+/// What the simulated network carries: encoded frames, and the
+/// simulation's own control events.
 #[derive(Debug, Clone)]
 enum ChaosMsg {
-    /// A protocol message, subject to the fault plan.
-    Peer(PeerMsg),
+    /// One frame's bytes: from a neighbour and subject to the fault
+    /// plan, or — as a control event — from the broker's own client.
+    Frame(Vec<u8>),
     /// Control: the broker crashes, losing in-memory state.
     Crash,
     /// Control: the broker restarts from its checkpoint.
@@ -203,6 +240,9 @@ pub struct ChaosRun {
     plan: FaultPlan,
     config: ChaosConfig,
     brokers: Vec<Node>,
+    /// What the simulated clients subscribe to during the next run:
+    /// (tick, broker, subscription).
+    client_sends: Vec<(u64, NodeId, Subscription)>,
     /// Optional causal tracer shared with the lossy network. `None`
     /// leaves every trace hook a no-op.
     tracer: Option<Arc<Tracer>>,
@@ -222,10 +262,17 @@ impl ChaosRun {
     ) -> Result<Self, TypeError> {
         let layout = IdLayout::new(topology.len() as u64, 1 << 20, schema.len() as u32)?;
         let brokers = (0..topology.len() as NodeId)
-            .map(|b| Node {
-                core: BrokerCore::new(b, schema.clone(), layout, None),
-                alive: true,
-                checkpoint: None,
+            .map(|b| {
+                let mut daemon = DaemonCore::new(BrokerCore::new(b, schema.clone(), layout, None));
+                for &nb in topology.neighbors(b) {
+                    daemon.connected(ConnId::from(nb), Role::Peer(BrokerId(nb)));
+                }
+                daemon.connected(CLIENT, Role::Client);
+                Node {
+                    daemon,
+                    alive: true,
+                    checkpoint: None,
+                }
             })
             .collect();
         Ok(ChaosRun {
@@ -233,6 +280,7 @@ impl ChaosRun {
             plan,
             config,
             brokers,
+            client_sends: Vec::new(),
             tracer: None,
         })
     }
@@ -261,9 +309,10 @@ impl ChaosRun {
             .unwrap_or(TraceCtx::NONE)
     }
 
-    /// Registers `sub` at broker `b`, returning its id. Ids ascend with
-    /// subscribe order, so summaries are always built in the canonical
-    /// ascending-id insertion order.
+    /// Registers `sub` at broker `b` under its simulated client,
+    /// returning its id; the next run's initial wave ships it. Ids ascend
+    /// with subscribe order, so summaries are always built in the
+    /// canonical ascending-id insertion order.
     ///
     /// # Errors
     ///
@@ -278,14 +327,20 @@ impl ChaosRun {
         b: NodeId,
         sub: &Subscription,
     ) -> Result<SubscriptionId, TypeError> {
-        self.brokers[b as usize].core.subscribe(sub)
+        self.brokers[b as usize].daemon.subscribe(CLIENT, sub)
+    }
+
+    /// Has broker `b`'s simulated client send a `Subscribe` frame at
+    /// `tick` of the next run. A broker that is down then never sees it.
+    pub fn subscribe_at(&mut self, tick: u64, b: NodeId, sub: &Subscription) {
+        self.client_sends.push((tick, b, sub.clone()));
     }
 
     /// Cancels a subscription and re-summarises its owner's store, so
     /// the summary keeps the canonical form the oracle (and a restart)
     /// would build. Returns whether the subscription existed.
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
-        let core = &mut self.brokers[id.broker.index()].core;
+        let core = self.brokers[id.broker.index()].daemon.broker_mut();
         let existed = core.unsubscribe(id);
         if existed {
             core.rebuild();
@@ -295,13 +350,13 @@ impl ChaosRun {
 
     /// The state machine of broker `b` (its store, summary and views).
     pub fn broker(&self, b: NodeId) -> &BrokerCore {
-        &self.brokers[b as usize].core
+        self.brokers[b as usize].daemon.broker()
     }
 
     /// Writes broker `b`'s durable checkpoint (survives crashes).
     pub fn checkpoint(&mut self, b: NodeId) {
         let node = &mut self.brokers[b as usize];
-        node.checkpoint = Some(node.core.checkpoint().to_bytes());
+        node.checkpoint = Some(node.daemon.broker().checkpoint().to_bytes());
     }
 
     /// Checkpoints every broker.
@@ -314,7 +369,10 @@ impl ChaosRun {
     /// The fault-free oracle: each broker's summary rebuilt from its
     /// durable subscription set in ascending-id order.
     pub fn oracle(&self) -> Vec<BrokerSummary> {
-        self.brokers.iter().map(|n| n.core.rebuilt()).collect()
+        self.brokers
+            .iter()
+            .map(|n| n.daemon.broker().rebuilt())
+            .collect()
     }
 
     /// Whether the system is converged: every broker alive, every own
@@ -325,7 +383,9 @@ impl ChaosRun {
         if !self.brokers.iter().all(|n| n.alive) {
             return false;
         }
-        let own: Vec<SummaryDigest> = self.brokers.iter().map(|n| n.core.own().digest()).collect();
+        let own: Vec<SummaryDigest> = (0..self.brokers.len() as NodeId)
+            .map(|b| self.broker(b).own().digest())
+            .collect();
         let oracle = self.oracle();
         self.brokers.iter().enumerate().all(|(b, node)| {
             own[b] == oracle[b].digest()
@@ -333,7 +393,7 @@ impl ChaosRun {
                     .topology
                     .neighbors(b as NodeId)
                     .iter()
-                    .all(|&nb| !node.core.view_is_stale(nb, own[nb as usize]))
+                    .all(|&nb| !node.daemon.broker().view_is_stale(nb, own[nb as usize]))
         })
     }
 
@@ -354,6 +414,10 @@ impl ChaosRun {
         let mut crash_snapshots = Vec::new();
         let n = self.brokers.len() as NodeId;
 
+        // What the simulated clients are sent (subscribe acks); no one
+        // reads it during a run.
+        let mut client_rx = Vec::new();
+
         // Schedule the plan's crash/restart control events and the
         // anti-entropy rounds up front; everything else is reactive.
         for crash in &self.plan.crashes {
@@ -367,34 +431,38 @@ impl ChaosRun {
                 net.schedule(b, round * self.config.repair_interval, ChaosMsg::RepairTick);
             }
         }
+        for (tick, b, sub) in self.client_sends.drain(..) {
+            if let Ok(bytes) = (Msg::Subscribe { sub }).to_frame_bytes() {
+                net.schedule(b, tick, ChaosMsg::Frame(bytes));
+            }
+        }
 
         // Initial propagation wave: everyone announces its summary. Each
         // broker's wave is one causal root, so its fan-out shows up as
         // sibling spans of a single trace.
         for b in 0..n {
-            let ctx = self.root();
-            let update = self.broker(b).announce()?;
-            self.send_to_neighbors(&mut net, &mut stats, b, ctx, &update);
+            let mut sink = self.sink(&mut net, &mut stats, &mut client_rx, b, self.root());
+            self.brokers[b as usize].daemon.push_summary(&mut sink)?;
         }
 
         let quiet_after = self.plan_quiet_after();
         let mut converged_at = None;
         while let Some((time, env)) = net.pop() {
             let me = env.to;
+            // Scheduled origins (repair ticks, restarts) start new causal
+            // roots; a reply extends the chain of the frame that
+            // triggered it, whose parent already points at this
+            // delivery's dequeue span.
+            let ctx = match env.payload {
+                ChaosMsg::Restart => self.root(),
+                ChaosMsg::RepairTick if self.brokers[me as usize].alive => self.root(),
+                _ => env.trace,
+            };
+            let mut sink = self.sink(&mut net, &mut stats, &mut client_rx, me, ctx);
+            let node = &mut self.brokers[me as usize];
             match env.payload {
-                ChaosMsg::Peer(msg) => {
-                    let node = &mut self.brokers[me as usize];
-                    let reply = node.alive.then(|| node.core.on_peer(env.from, msg));
-                    if let Some(reply) = reply.flatten() {
-                        // Only a stale digest is answered by a pull.
-                        if reply == PeerMsg::Pull {
-                            stats.resyncs += 1;
-                        }
-                        // The reply extends the causal chain of the
-                        // message that triggered it; the parent already
-                        // points at this delivery's dequeue span.
-                        self.send(&mut net, &mut stats, me, env.from, env.trace, reply);
-                    }
+                ChaosMsg::Frame(bytes) => {
+                    node.receive((!env.control).then_some(env.from), &bytes, &mut sink)
                 }
                 ChaosMsg::Crash => {
                     // Capture the black box before the state is wiped.
@@ -407,46 +475,32 @@ impl ChaosRun {
                         crash_snapshots.push((me, snap));
                     }
                     // Everything in memory is gone.
-                    let node = &mut self.brokers[me as usize];
                     node.alive = false;
-                    node.core.restore(None);
-                    stats.crashes += 1;
+                    node.daemon.broker_mut().restore(None);
+                    sink.stats.crashes += 1;
                 }
                 ChaosMsg::Restart => {
-                    let node = &mut self.brokers[me as usize];
                     node.alive = true;
                     let durable = node.checkpoint.as_deref();
-                    node.core.restore(
+                    node.daemon.broker_mut().restore(
                         durable.and_then(|bytes| BrokerCheckpoint::from_bytes(bytes).ok()),
                     );
-                    stats.restarts += 1;
+                    sink.stats.restarts += 1;
                     // Announce the recovered summary and re-learn every
-                    // neighbor's. Recovery is a fresh causal origin.
-                    let ctx = self.root();
-                    let update = self.broker(me).announce()?;
-                    self.send_to_neighbors(&mut net, &mut stats, me, ctx, &update);
-                    self.send_to_neighbors(&mut net, &mut stats, me, ctx, &PeerMsg::Pull);
+                    // neighbor's.
+                    node.daemon.push_summary(&mut sink)?;
+                    node.daemon.pull_views(&mut sink);
                 }
-                ChaosMsg::RepairTick => {
-                    if self.brokers[me as usize].alive {
-                        // Each anti-entropy round at each broker is a
-                        // fresh causal origin.
-                        let ctx = self.root();
-                        let core = self.broker(me);
-                        let round = if self.config.naive_repair {
-                            core.announce()?
-                        } else {
-                            PeerMsg::Digest(core.own().digest())
-                        };
-                        self.send_to_neighbors(&mut net, &mut stats, me, ctx, &round);
-                    }
+                ChaosMsg::RepairTick if !node.alive => {}
+                ChaosMsg::RepairTick if self.config.naive_repair => {
+                    node.daemon.push_summary(&mut sink)?
                 }
+                ChaosMsg::RepairTick => node.daemon.advertise_digest(&mut sink),
             }
             if converged_at.is_none() && time >= quiet_after && self.converged() {
                 converged_at = Some(time);
             }
         }
-
         let fault = net.stats();
         stats.offered = fault.offered;
         stats.delivered = fault.delivered;
@@ -484,44 +538,122 @@ impl ChaosRun {
             .unwrap_or(0)
     }
 
-    /// Puts one protocol message on the link `from → to`, charging its
-    /// wire cost to the counters of its kind.
-    fn send(
+    /// The sink of broker `me` for one step of a run.
+    fn sink<'a>(
         &self,
-        net: &mut LossyNet<ChaosMsg>,
-        stats: &mut ChaosStats,
-        from: NodeId,
-        to: NodeId,
+        net: &'a mut LossyNet<ChaosMsg>,
+        stats: &'a mut ChaosStats,
+        client_rx: &'a mut Vec<Vec<u8>>,
+        me: NodeId,
         ctx: TraceCtx,
-        msg: PeerMsg,
-    ) {
-        match &msg {
-            PeerMsg::Summary(bytes) => {
-                stats.full_updates += 1;
-                stats.full_summary_bytes += bytes.len() as u64;
-            }
-            PeerMsg::Digest(_) => {
-                stats.digest_msgs += 1;
-                stats.digest_bytes += SummaryDigest::WIRE_BYTES as u64;
-            }
-            PeerMsg::Pull => {
-                stats.pulls += 1;
-                stats.pull_bytes += PULL_BYTES;
-            }
+    ) -> NetSink<'a> {
+        NetSink {
+            net,
+            stats,
+            client_rx,
+            me,
+            delay: self.config.link_delay,
+            ctx,
         }
-        net.send_traced(from, to, self.config.link_delay, ctx, ChaosMsg::Peer(msg));
     }
 
-    fn send_to_neighbors(
-        &self,
-        net: &mut LossyNet<ChaosMsg>,
-        stats: &mut ChaosStats,
-        from: NodeId,
-        ctx: TraceCtx,
-        msg: &PeerMsg,
-    ) {
-        for &nb in self.topology.neighbors(from) {
-            self.send(net, stats, from, nb, ctx, msg.clone());
+    /// Publishes `event` through broker `b`'s simulated client and
+    /// returns, ascending, the id of every `Deliver` frame any broker's
+    /// client is sent: `Publish` → `Route` → `Deliver`, each through the
+    /// codecs. Meant for a drained run. The links are loss-free here —
+    /// an event forward has no retry, so a dropped `Route` is a lost
+    /// delivery by design, not a summary-tier false negative; what is
+    /// under test is the state the faults left behind.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is out of range.
+    pub fn publish(&mut self, b: NodeId, event: &Event) -> Vec<SubscriptionId> {
+        let publish = Msg::Publish {
+            seq: 0,
+            event: event.clone(),
+        };
+        let mut net: LossyNet<ChaosMsg> = LossyNet::new(FaultPlan::reliable(self.plan.seed));
+        // Not repair traffic: charged to no report.
+        let mut stats = ChaosStats::default();
+        let mut client_rx = Vec::new();
+        if let Ok(bytes) = publish.to_frame_bytes() {
+            net.schedule(b, 0, ChaosMsg::Frame(bytes));
         }
+        while let Some((_, env)) = net.pop() {
+            let ChaosMsg::Frame(bytes) = env.payload else {
+                continue;
+            };
+            let mut sink = self.sink(&mut net, &mut stats, &mut client_rx, env.to, TraceCtx::NONE);
+            let from = (!env.control).then_some(env.from);
+            self.brokers[env.to as usize].receive(from, &bytes, &mut sink);
+        }
+        let mut delivered: Vec<SubscriptionId> = client_rx
+            .iter()
+            .filter_map(|bytes| match decode(bytes)? {
+                Msg::Deliver { id, .. } => Some(id),
+                _ => None,
+            })
+            .collect();
+        delivered.sort();
+        delivered
     }
+}
+
+/// One frame's bytes back into a message, through a fresh decoder.
+fn decode(bytes: &[u8]) -> Option<Msg> {
+    let mut decoder = FrameDecoder::new();
+    decoder.feed(bytes);
+    let frame = decoder.next_frame().ok()??;
+    Msg::decode_frame(&frame).ok()
+}
+
+/// Where broker `me`'s [`DaemonCore`] outputs go during a run: encoded,
+/// then onto the faulty link to the neighbour the connection stands for
+/// (charging the message's wire cost to the counters of its kind), or
+/// into the simulated client's inbox.
+struct NetSink<'a> {
+    net: &'a mut LossyNet<ChaosMsg>,
+    stats: &'a mut ChaosStats,
+    client_rx: &'a mut Vec<Vec<u8>>,
+    me: NodeId,
+    delay: u64,
+    ctx: TraceCtx,
+}
+
+impl Sink for NetSink<'_> {
+    fn send(&mut self, conn: ConnId, msg: &Msg) -> bool {
+        let Ok(frame) = msg.to_frame_bytes() else {
+            return false;
+        };
+        if conn == CLIENT {
+            self.client_rx.push(frame);
+            return true;
+        }
+        let Ok(to) = NodeId::try_from(conn) else {
+            return false;
+        };
+        match msg {
+            Msg::Summary { bytes, .. } => {
+                self.stats.full_updates += 1;
+                self.stats.full_summary_bytes += bytes.len() as u64;
+            }
+            Msg::Digest { .. } => {
+                self.stats.digest_msgs += 1;
+                self.stats.digest_bytes += SummaryDigest::WIRE_BYTES as u64;
+            }
+            Msg::Pull { .. } => {
+                self.stats.pulls += 1;
+                self.stats.pull_bytes += PULL_BYTES;
+            }
+            _ => {}
+        }
+        self.net
+            .send_traced(self.me, to, self.delay, self.ctx, ChaosMsg::Frame(frame));
+        true
+    }
+
+    /// The simulated connections have nothing to close: a refused client
+    /// is simply no longer listened to.
+    fn close(&mut self, _conn: ConnId) {}
 }

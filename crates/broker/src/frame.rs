@@ -108,7 +108,7 @@ pub fn encode_frame(kind: u8, payload: &[u8]) -> Result<Vec<u8>, FrameError> {
 /// # Example
 ///
 /// ```
-/// use subsum_transport::frame::{encode_frame, FrameDecoder};
+/// use subsum_broker::frame::{encode_frame, FrameDecoder};
 ///
 /// let bytes = encode_frame(7, b"hello").unwrap();
 /// let mut dec = FrameDecoder::new();

@@ -8,6 +8,9 @@
 //!   store, own summary, neighbor views, and every decision a broker
 //!   takes alone (admission, checkpoint/restore, the neighbour-view
 //!   protocol step, tier-2 verification);
+//! * [`daemon`] — [`DaemonCore`], one broker daemon without I/O: the
+//!   framed [`Msg`] protocol ([`frame`], [`msg`]) over numbered
+//!   connections, with its outputs handed to a host's [`Sink`];
 //! * [`propagation`] — **Algorithm 2** (§4.2): degree-indexed propagation
 //!   of multi-broker summaries with `Merged_Brokers` bookkeeping;
 //! * [`routing`] — **Algorithm 3** (§4.3): one broker's BROCLI step
@@ -18,8 +21,9 @@
 //! (the third, `subsumd`, lives in `subsum-transport`):
 //!
 //! * [`SummaryPubSub`] — the deterministic end-to-end engine;
-//! * [`chaos`] — neighbor views under deterministic fault injection,
-//!   checkpoint recovery and digest-driven anti-entropy.
+//! * [`chaos`] — [`DaemonCore`]s exchanging frame bytes under
+//!   deterministic fault injection, with checkpoint recovery and
+//!   digest-driven anti-entropy.
 //!
 //! # Example
 //!
@@ -48,6 +52,9 @@
 
 pub mod chaos;
 pub mod core;
+pub mod daemon;
+pub mod frame;
+pub mod msg;
 pub mod propagation;
 pub mod routing;
 mod snapshot;
@@ -55,6 +62,9 @@ mod system;
 
 pub use crate::core::{BrokerCore, PeerMsg};
 pub use chaos::{ChaosConfig, ChaosReport, ChaosRun, ChaosStats};
+pub use daemon::{ConnId, DaemonCore, DaemonCounters, Role, Sink};
+pub use frame::{Frame, FrameDecoder, FrameError};
+pub use msg::{Msg, MsgError};
 pub use propagation::{propagate, MergedSummary, PropagationOutcome, PropagationSend};
 pub use routing::{route_event, Notification, RoutingOptions, RoutingOutcome};
 pub use snapshot::{BrokerCheckpoint, SnapshotError};

@@ -3,16 +3,19 @@
 //! A daemon is one broker of the paper's overlay, serving real sockets:
 //! it accepts peer connections from neighbor daemons and client
 //! connections from subscribers/publishers, all speaking the framed
-//! [`Msg`] protocol. The broker itself is the in-process one — a
-//! [`BrokerCore`] owns the exact store, the own summary, one *view* per
-//! neighbor, the summary wire codec and every decision about them; the
-//! daemon adds sockets — so it interoperates bit-for-bit with
-//! checkpoints and digests produced by the simulator.
+//! [`Msg`] protocol. What the daemon *does* with a message is not here:
+//! a [`DaemonCore`] (over the in-process [`BrokerCore`]) classifies
+//! connections, admits subscriptions, runs the neighbour-view protocol,
+//! routes, delivers, acknowledges and counts — the very state machine
+//! the chaos suite drives through the same frame bytes under faults. This
+//! module adds sockets, threads and mailboxes, and interoperates
+//! bit-for-bit with checkpoints and digests produced by the simulator.
 //!
 //! # Threads and ownership
 //!
-//! One **event loop** thread owns all broker state; everything else is
-//! I/O plumbing feeding it messages over a channel:
+//! One **event loop** thread owns the [`DaemonCore`]; everything else is
+//! I/O plumbing feeding it messages over a channel and carrying its
+//! outputs away:
 //!
 //! * an **accept** thread turns incoming connections into reader
 //!   threads;
@@ -28,28 +31,13 @@
 //! Every fresh peer link starts with `Hello`/`HelloAck` carrying the
 //! sender's broker id, its **connection epoch** (a counter the dialer
 //! bumps each dial, so both ends can tell a reconnect from a duplicate
-//! dial), and the `SummaryDigest` of its own summary. Each end hands
-//! the received digest to [`BrokerCore::on_peer`], which answers `Pull`
-//! **only on mismatch** (holding no view counts as one) — a restarted
-//! peer that recovered its state from a checkpoint re-joins without a
-//! single summary crossing the wire in its direction. `Summary`,
-//! `Digest` and `Pull` frames go through the same call: the protocol
-//! step here is the very function the chaos suite proves convergent
-//! under faults, not a copy of it. The three kinds count only on a peer
-//! link and only under that link's broker id; a client cannot speak for
-//! a neighbor.
-//!
-//! # Event flow
-//!
-//! `Subscribe` admits the subscription into the core (a client the core
-//! refuses — id space exhausted — is disconnected) and eagerly pushes
-//! the updated summary to every connected peer. `Publish` delivers
-//! locally and forwards a `Route` to each neighbor whose view has a
-//! candidate; the `PublishAck` reports `accepted: false` if a required
-//! forward was rejected by backpressure, and how many local
-//! subscriptions truly match. A `Route` from a peer is delivered locally
-//! only. Local delivery is two-tier ([`BrokerCore::match_local`]): a
-//! client never sees a SACS false positive.
+//! dial), and the `SummaryDigest` of its own summary. The dialer's
+//! `Hello` is written here; everything after it — the `HelloAck`, the
+//! `Pull` each end answers **only on a digest mismatch** (holding no
+//! view counts as one), every later `Summary`, `Digest` and `Pull` — is
+//! [`DaemonCore::step`]. A restarted peer that recovered its state from
+//! a checkpoint re-joins without a single summary crossing the wire in
+//! its direction.
 
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -59,31 +47,25 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use subsum_broker::{BrokerCheckpoint, BrokerCore, PeerMsg};
+use subsum_broker::{
+    BrokerCheckpoint, BrokerCore, ConnId, DaemonCore, DaemonCounters, FrameDecoder, Msg, Role, Sink,
+};
 use subsum_telemetry::{names, Count, Counter};
-use subsum_types::{BrokerId, Event, IdLayout, Schema, SubscriptionId, TypeError};
+use subsum_types::{BrokerId, IdLayout, Schema};
 
-use crate::frame::FrameDecoder;
-use crate::msg::Msg;
 use crate::session::{spawn_writer, BackpressurePolicy, Mailbox, SendOutcome, TxStats};
 
 static CNT_FRAMES_RX: Count = Count::new(names::TRANSPORT_FRAMES_RX);
 static CNT_BYTES_RX: Count = Count::new(names::TRANSPORT_BYTES_RX);
 static CNT_DECODE_ERRORS: Count = Count::new(names::TRANSPORT_DECODE_ERRORS);
 static CNT_RECONNECTS: Count = Count::new(names::TRANSPORT_RECONNECTS);
-static CNT_RESYNCS: Count = Count::new(names::TRANSPORT_RESYNCS);
-static CNT_ACKED: Count = Count::new(names::PUBLISH_ACKED);
-static CNT_REJECTED: Count = Count::new(names::PUBLISH_REJECTED);
 
 /// How long a dialer sleeps between failed connection attempts.
 const REDIAL_BACKOFF: Duration = Duration::from_millis(50);
 
-/// Per-daemon counters, readable while the daemon runs.
-///
-/// The process-global telemetry statics aggregate across every daemon
-/// in the process (fine for a real deployment of one daemon per
-/// process, useless for a test hosting several); these are scoped to
-/// one daemon.
+/// Per-daemon counters, readable while the daemon runs: the I/O counts
+/// kept here, and — through `Deref`, so `stats().summaries_rx` reads as
+/// a field — the [`DaemonCounters`] the [`DaemonCore`] keeps.
 #[derive(Debug, Default)]
 pub struct DaemonStats {
     /// Frames/bytes written by this daemon's writer threads. Shared
@@ -93,19 +75,15 @@ pub struct DaemonStats {
     pub frames_rx: Counter,
     /// Peer dials beyond each link's first (epoch re-handshakes).
     pub reconnects: Counter,
-    /// Handshake digest mismatches that triggered a summary pull.
-    pub resyncs: Counter,
-    /// `Summary` frames accepted from peer links (each decodable one
-    /// replaces that peer's view).
-    pub summaries_rx: Counter,
-    /// Full summaries sent (eager pushes plus pull responses).
-    pub summaries_tx: Counter,
-    /// Client publishes acknowledged as fully accepted.
-    pub acked: Counter,
-    /// Client publishes acknowledged as rejected by backpressure.
-    pub rejected: Counter,
-    /// `Deliver` messages sent to clients.
-    pub deliveries: Counter,
+    protocol: Arc<DaemonCounters>,
+}
+
+impl std::ops::Deref for DaemonStats {
+    type Target = DaemonCounters;
+
+    fn deref(&self) -> &DaemonCounters {
+        &self.protocol
+    }
 }
 
 /// Static configuration of one daemon.
@@ -158,7 +136,7 @@ pub struct DaemonFinal {
 /// Events feeding the daemon's single-threaded event loop.
 enum Ev {
     /// A connection was accepted; type unknown until its first message.
-    Accepted { conn: u64, stream: TcpStream },
+    Accepted { conn: ConnId, stream: TcpStream },
     /// A dialer established (or re-established) link `dial[ix]`.
     Dialed {
         ix: usize,
@@ -166,26 +144,34 @@ enum Ev {
         stream: TcpStream,
     },
     /// A message arrived on connection `conn`.
-    Msg { conn: u64, msg: Msg },
+    Msg { conn: ConnId, msg: Msg },
     /// Connection `conn` closed or failed.
-    Closed { conn: u64 },
+    Closed { conn: ConnId },
 }
 
-/// What the event loop knows about one live connection.
+/// The I/O half of one live connection.
 struct Conn {
     mailbox: Mailbox,
     /// The socket, kept so the event loop can close a connection itself.
     stream: TcpStream,
-    role: Role,
 }
 
-enum Role {
-    /// Accepted but not yet classified by a first message.
-    Unknown,
-    /// A neighbor daemon's link.
-    Peer(BrokerId),
-    /// A subscriber/publisher client.
-    Client,
+/// The live connections, as the [`DaemonCore`]'s [`Sink`]: an output is
+/// encoded and posted to its connection's mailbox.
+struct Conns(BTreeMap<ConnId, Conn>);
+
+impl Sink for Conns {
+    fn send(&mut self, conn: ConnId, msg: &Msg) -> bool {
+        self.0
+            .get(&conn)
+            .is_some_and(|c| send_msg(&c.mailbox, msg) == SendOutcome::Sent)
+    }
+
+    fn close(&mut self, conn: ConnId) {
+        if let Some(c) = self.0.remove(&conn) {
+            let _ = c.stream.shutdown(Shutdown::Both);
+        }
+    }
 }
 
 /// The daemon builder; see the [module docs](self).
@@ -202,12 +188,21 @@ impl Subsumd {
     pub fn start(mut config: DaemonConfig) -> std::io::Result<DaemonHandle> {
         let listener = TcpListener::bind(config.listen)?;
         let addr = listener.local_addr()?;
-        let stats = Arc::new(DaemonStats::default());
         let stopping = Arc::new(Mutex::new(false));
         let (ev_tx, ev_rx) = std::sync::mpsc::channel::<Ev>();
 
-        let broker = Broker::new(&mut config, Arc::clone(&stats))
+        let layout = IdLayout::new(1 << 16, 1 << 20, config.schema.len() as u32)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        let daemon = DaemonCore::new(BrokerCore::new(
+            config.broker.0,
+            config.schema.clone(),
+            layout,
+            config.checkpoint.take(),
+        ));
+        let stats = Arc::new(DaemonStats {
+            protocol: Arc::clone(daemon.counters()),
+            ..DaemonStats::default()
+        });
 
         let accept = spawn_acceptor(listener, ev_tx.clone(), Arc::clone(&stopping));
         for ix in 0..config.dial.len() {
@@ -222,8 +217,10 @@ impl Subsumd {
 
         let loop_stop = Arc::clone(&stopping);
         let loop_tx = ev_tx.clone();
-        let join =
-            std::thread::spawn(move || event_loop(broker, config, ev_rx, loop_tx, loop_stop));
+        let loop_stats = Arc::clone(&stats);
+        let join = std::thread::spawn(move || {
+            event_loop(daemon, config, loop_stats, ev_rx, loop_tx, loop_stop)
+        });
 
         Ok(DaemonHandle {
             addr,
@@ -258,20 +255,22 @@ impl DaemonHandle {
 
     /// Waits for the daemon to stop (a client must send `Shutdown`),
     /// then unblocks and joins the acceptor and returns durable state.
+    ///
+    /// # Panics
+    ///
+    /// Resumes the event loop's panic if it died of one: there is no
+    /// durable state to return, and an empty stand-in would be written
+    /// over the real checkpoint.
     pub fn join(mut self) -> DaemonFinal {
-        let fin = match self.join.join() {
-            Ok(fin) => fin,
-            Err(_) => DaemonFinal {
-                checkpoint: BrokerCheckpoint::default(),
-            },
-        };
-        // The event loop set `stopping` before exiting; one throwaway
-        // connection makes the blocked `accept` observe it and return.
+        let fin = self.join.join();
+        // The event loop set `stopping` before exiting (or dropped the
+        // channel the acceptor feeds); one throwaway connection makes the
+        // blocked `accept` observe it and return.
         let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
-        fin
+        fin.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 }
 
@@ -327,7 +326,7 @@ fn spawn_dialer(
 
 /// Reader loop for one socket: frames → [`Msg`]s → event channel.
 fn spawn_reader(
-    conn: u64,
+    conn: ConnId,
     mut stream: TcpStream,
     ev_tx: Sender<Ev>,
     stats: Arc<DaemonStats>,
@@ -376,52 +375,13 @@ fn spawn_reader(
 
 /// Dialed connections get ids in their own range so the acceptor's
 /// counter and the event loop's counter never collide.
-const DIALED_CONN_BASE: u64 = 1 << 32;
-
-/// The broker owned by the event loop.
-struct Broker {
-    core: BrokerCore,
-    /// Which client connection owns each local subscription.
-    sub_owner: BTreeMap<SubscriptionId, u64>,
-    stats: Arc<DaemonStats>,
-}
-
-impl Broker {
-    fn new(config: &mut DaemonConfig, stats: Arc<DaemonStats>) -> Result<Broker, TypeError> {
-        let layout = IdLayout::new(1 << 16, 1 << 20, config.schema.len() as u32)?;
-        Ok(Broker {
-            core: BrokerCore::new(
-                config.broker.0,
-                config.schema.clone(),
-                layout,
-                config.checkpoint.take(),
-            ),
-            sub_owner: BTreeMap::new(),
-            stats,
-        })
-    }
-
-    fn id(&self) -> BrokerId {
-        BrokerId(self.core.id())
-    }
-
-    /// `msg` as the frame this daemon puts on a peer link.
-    fn to_wire(&self, msg: PeerMsg) -> Msg {
-        let from = self.id();
-        match msg {
-            PeerMsg::Summary(bytes) => Msg::Summary { from, bytes },
-            PeerMsg::Digest(digest) => Msg::Digest { from, digest },
-            PeerMsg::Pull => Msg::Pull { from },
-        }
-    }
-}
+const DIALED_CONN_BASE: ConnId = 1 << 32;
 
 /// Wires up a fresh socket: writer thread behind a bounded mailbox,
 /// reader thread feeding the event loop.
 fn open(
-    conn: u64,
+    conn: ConnId,
     stream: TcpStream,
-    role: Role,
     config: &DaemonConfig,
     ev_tx: &Sender<Ev>,
     stats: &Arc<DaemonStats>,
@@ -434,30 +394,31 @@ fn open(
     Some(Conn {
         mailbox,
         stream: handle,
-        role,
     })
 }
 
-/// Runs the daemon's event loop to completion (client `Shutdown`).
+/// Runs the daemon's event loop to completion (client `Shutdown`):
+/// each event becomes a [`DaemonCore`] input, each output a mailbox post.
 fn event_loop(
-    mut broker: Broker,
+    mut daemon: DaemonCore,
     config: DaemonConfig,
+    stats: Arc<DaemonStats>,
     ev_rx: Receiver<Ev>,
     ev_tx: Sender<Ev>,
     stopping: Arc<Mutex<bool>>,
 ) -> DaemonFinal {
-    let mut conns: BTreeMap<u64, Conn> = BTreeMap::new();
+    let mut conns = Conns(BTreeMap::new());
     // Epoch of the next dial, and the live connection, per dial index.
     let mut dial_epochs: Vec<u64> = vec![1; config.dial.len()];
-    let mut dial_conns: Vec<Option<u64>> = vec![None; config.dial.len()];
+    let mut dial_conns: Vec<Option<ConnId>> = vec![None; config.dial.len()];
     let mut next_dialed_conn = DIALED_CONN_BASE;
-    let stats = Arc::clone(&broker.stats);
 
     while let Ok(ev) = ev_rx.recv() {
         match ev {
             Ev::Accepted { conn, stream } => {
-                if let Some(c) = open(conn, stream, Role::Unknown, &config, &ev_tx, &stats) {
-                    conns.insert(conn, c);
+                if let Some(c) = open(conn, stream, &config, &ev_tx, &stats) {
+                    conns.0.insert(conn, c);
+                    daemon.connected(conn, Role::Unknown);
                 }
             }
             Ev::Dialed { ix, epoch, stream } => {
@@ -465,7 +426,7 @@ fn event_loop(
                     continue;
                 };
                 let conn = next_dialed_conn;
-                let Some(c) = open(conn, stream, Role::Peer(peer), &config, &ev_tx, &stats) else {
+                let Some(c) = open(conn, stream, &config, &ev_tx, &stats) else {
                     continue;
                 };
                 next_dialed_conn += 1;
@@ -480,15 +441,17 @@ fn event_loop(
                 send_msg(
                     &c.mailbox,
                     &Msg::Hello {
-                        broker: broker.id(),
+                        broker: config.broker,
                         epoch,
-                        digest: broker.core.own().digest(),
+                        digest: daemon.broker().own().digest(),
                     },
                 );
-                conns.insert(conn, c);
+                conns.0.insert(conn, c);
+                daemon.connected(conn, Role::Peer(peer));
             }
             Ev::Closed { conn } => {
-                conns.remove(&conn);
+                conns.0.remove(&conn);
+                daemon.closed(conn);
                 // A broken dialed link is ours to re-establish.
                 if let Some(ix) = dial_conns.iter().position(|c| *c == Some(conn)) {
                     dial_conns[ix] = None;
@@ -510,210 +473,40 @@ fn event_loop(
                     }
                     break;
                 }
-                handle_msg(&mut broker, &mut conns, conn, msg);
+                daemon.step(conn, msg, &mut conns);
             }
         }
     }
 
     DaemonFinal {
-        checkpoint: broker.core.checkpoint(),
+        checkpoint: daemon.broker().checkpoint(),
     }
-}
-
-/// Re-tags a [`Role::Unknown`] connection once its first message
-/// reveals what it is; established connections keep their tag.
-fn classify(conns: &mut BTreeMap<u64, Conn>, conn: u64, role: Role) {
-    if let Some(c) = conns.get_mut(&conn) {
-        if matches!(c.role, Role::Unknown) {
-            c.role = role;
-        }
-    }
-}
-
-/// Closes a connection from this end; the remote side sees EOF.
-fn close(conns: &mut BTreeMap<u64, Conn>, conn: u64) {
-    if let Some(c) = conns.remove(&conn) {
-        let _ = c.stream.shutdown(Shutdown::Both);
-    }
-}
-
-/// The newest live link to a neighbor daemon, if any.
-fn peer_conn(conns: &BTreeMap<u64, Conn>, peer: BrokerId) -> Option<&Mailbox> {
-    conns
-        .values()
-        .rev()
-        .find(|c| matches!(c.role, Role::Peer(broker) if broker == peer))
-        .map(|c| &c.mailbox)
-}
-
-/// One neighbour-view protocol message from connection `conn`: the core
-/// decides, the daemon posts the reply and counts. The sender is the
-/// broker the *link* belongs to; a frame on a client or unclassified
-/// connection, or one claiming another broker's id, is dropped.
-fn peer_step(
-    broker: &mut Broker,
-    conns: &BTreeMap<u64, Conn>,
-    conn: u64,
-    claimed: BrokerId,
-    msg: PeerMsg,
-) {
-    let Some(c) = conns.get(&conn) else {
-        return;
-    };
-    if !matches!(c.role, Role::Peer(peer) if peer == claimed) {
-        return;
-    }
-    let received_summary = matches!(msg, PeerMsg::Summary(_));
-    let reply = broker.core.on_peer(claimed.0, msg);
-    if received_summary {
-        // After the step: whoever reads the counter finds the view in place.
-        broker.stats.summaries_rx.inc();
-    }
-    let Some(reply) = reply else {
-        return;
-    };
-    if reply == PeerMsg::Pull {
-        CNT_RESYNCS.inc();
-        broker.stats.resyncs.inc();
-    }
-    let sends_summary = matches!(reply, PeerMsg::Summary(_));
-    if send_msg(&c.mailbox, &broker.to_wire(reply)) == SendOutcome::Sent && sends_summary {
-        broker.stats.summaries_tx.inc();
-    }
-}
-
-/// Applies one protocol message to the broker.
-fn handle_msg(broker: &mut Broker, conns: &mut BTreeMap<u64, Conn>, conn: u64, msg: Msg) {
-    match msg {
-        Msg::Hello {
-            broker: peer,
-            epoch,
-            digest,
-        } => {
-            classify(conns, conn, Role::Peer(peer));
-            if let Some(c) = conns.get(&conn) {
-                send_msg(
-                    &c.mailbox,
-                    &Msg::HelloAck {
-                        broker: broker.id(),
-                        epoch,
-                        digest: broker.core.own().digest(),
-                    },
-                );
-            }
-            peer_step(broker, conns, conn, peer, PeerMsg::Digest(digest));
-        }
-        Msg::HelloAck {
-            broker: peer,
-            epoch: _,
-            digest,
-        } => peer_step(broker, conns, conn, peer, PeerMsg::Digest(digest)),
-        Msg::Summary { from, bytes } => {
-            peer_step(broker, conns, conn, from, PeerMsg::Summary(bytes))
-        }
-        Msg::Digest { from, digest } => {
-            peer_step(broker, conns, conn, from, PeerMsg::Digest(digest))
-        }
-        Msg::Pull { from } => peer_step(broker, conns, conn, from, PeerMsg::Pull),
-        Msg::Route { origin: _, event } => {
-            deliver_local(broker, conns, &event);
-        }
-        Msg::Subscribe { sub } => {
-            classify(conns, conn, Role::Client);
-            let Ok(id) = broker.core.subscribe(&sub) else {
-                // No id left to acknowledge with: refuse by hanging up.
-                close(conns, conn);
-                return;
-            };
-            broker.sub_owner.insert(id, conn);
-            if let Some(c) = conns.get(&conn) {
-                send_msg(&c.mailbox, &Msg::SubscribeAck { id });
-            }
-            // Eager propagation: every connected neighbor gets the
-            // updated summary immediately.
-            let Ok(push) = broker.core.announce().map(|own| broker.to_wire(own)) else {
-                return;
-            };
-            for c in conns.values() {
-                if matches!(c.role, Role::Peer(_))
-                    && send_msg(&c.mailbox, &push) == SendOutcome::Sent
-                {
-                    broker.stats.summaries_tx.inc();
-                }
-            }
-        }
-        Msg::Publish { seq, event } => {
-            classify(conns, conn, Role::Client);
-            let matched = deliver_local(broker, conns, &event);
-            let mut accepted = true;
-            for peer in broker.core.interested_neighbours(&event) {
-                let forward = Msg::Route {
-                    origin: broker.id(),
-                    event: event.clone(),
-                };
-                let sent = peer_conn(conns, BrokerId(peer))
-                    .map(|mailbox| send_msg(mailbox, &forward) == SendOutcome::Sent)
-                    .unwrap_or(false);
-                if !sent {
-                    accepted = false;
-                }
-            }
-            if accepted {
-                CNT_ACKED.inc();
-                broker.stats.acked.inc();
-            } else {
-                CNT_REJECTED.inc();
-                broker.stats.rejected.inc();
-            }
-            if let Some(c) = conns.get(&conn) {
-                send_msg(
-                    &c.mailbox,
-                    &Msg::PublishAck {
-                        seq,
-                        accepted,
-                        matched,
-                    },
-                );
-            }
-        }
-        // Client-bound messages arriving at a daemon are protocol
-        // noise; drop them.
-        Msg::SubscribeAck { .. } | Msg::PublishAck { .. } | Msg::Deliver { .. } => {}
-        // Handled by the event loop before dispatch.
-        Msg::Shutdown => {}
-    }
-}
-
-/// Delivers `event` to the local subscriptions it truly matches and
-/// returns how many there are (one restored from a checkpoint whose
-/// client has not reconnected counts but receives nothing).
-fn deliver_local(broker: &mut Broker, conns: &BTreeMap<u64, Conn>, event: &Event) -> u32 {
-    let Broker {
-        core,
-        sub_owner,
-        stats,
-        ..
-    } = broker;
-    let mut matched = 0;
-    core.match_local(event, |id| {
-        matched += 1;
-        let Some(c) = sub_owner.get(&id).and_then(|owner| conns.get(owner)) else {
-            return;
-        };
-        let deliver = Msg::Deliver {
-            id,
-            event: event.clone(),
-        };
-        if send_msg(&c.mailbox, &deliver) == SendOutcome::Sent {
-            stats.deliveries.inc();
-        }
-    });
-    matched
 }
 
 fn send_msg(mailbox: &Mailbox, msg: &Msg) -> SendOutcome {
     match msg.to_frame_bytes() {
         Ok(bytes) => mailbox.send(bytes),
         Err(_) => SendOutcome::Rejected,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A daemon whose event loop died has no checkpoint to hand over;
+    /// `join` must not make one up for `subsumd` to write to disk.
+    #[test]
+    fn join_propagates_an_event_loop_panic() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let handle = DaemonHandle {
+            addr: listener.local_addr().unwrap(),
+            stats: Arc::default(),
+            join: std::thread::spawn(|| panic!("event loop bug")),
+            accept: None,
+        };
+        let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.join()));
+        let panic = joined.expect_err("the panic reaches the caller");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"event loop bug"));
     }
 }

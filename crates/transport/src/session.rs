@@ -14,8 +14,11 @@
 //!   immediately and the frame is dropped. The daemon stays responsive;
 //!   the caller sees [`SendOutcome::Rejected`] and surfaces it (a
 //!   rejected peer forward turns the client's `PublishAck` into
-//!   `accepted: false`; summary-layer losses are repaired by
-//!   anti-entropy, exactly as under the simulator's fault plans).
+//!   `accepted: false`; a rejected summary push leaves the peer's view
+//!   stale until this daemon's next push replaces it or the link's next
+//!   `Hello`/`HelloAck` digest exchange pulls it — `subsumd` advertises
+//!   a digest only in that handshake, a periodic round is ROADMAP
+//!   item 9).
 //!
 //! Either way the `net.mailbox_full` counter records each full-queue
 //! encounter, so saturation is visible in telemetry before it becomes
@@ -40,7 +43,7 @@ pub enum BackpressurePolicy {
     Block,
     /// Drop the frame and report [`SendOutcome::Rejected`] (lossy but
     /// non-blocking). The default: matches the simulator's lossy-link
-    /// model, and the summary layer already repairs losses.
+    /// model; see the [module docs](self) for what repairs a lost push.
     #[default]
     Reject,
 }

@@ -2,14 +2,16 @@
 //! daemon → client path over real TCP sockets, plus the reconnect
 //! guarantee (a restarted peer reconverges via digest comparison and a
 //! single pull, not a full re-send), plus the same flow driven through
-//! the actual `subsumd` binary with telemetry dumps.
+//! the actual `subsumd` binary with telemetry dumps. What a daemon
+//! *decides* (role checks, owner verification, id exhaustion) is tested
+//! without sockets, on `subsum_broker::DaemonCore`.
 
 use std::time::{Duration, Instant};
 
-use subsum_broker::{BrokerCheckpoint, BrokerCore, PeerMsg};
-use subsum_transport::{Client, DaemonConfig, DaemonHandle, Msg, Subsumd};
+use subsum_broker::BrokerCheckpoint;
+use subsum_transport::{Client, DaemonConfig, DaemonHandle, Subsumd};
 use subsum_types::{
-    stock_schema, BrokerId, Event, IdLayout, LocalSubId, NumOp, StrOp, Subscription, SubscriptionId,
+    stock_schema, BrokerId, Event, LocalSubId, NumOp, Subscription, SubscriptionId,
 };
 
 fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
@@ -168,178 +170,6 @@ fn restarted_peer_reconverges_via_digest_pull_not_resend() {
     client_b2.shutdown().unwrap();
     a.join();
     b2.join();
-}
-
-/// `Summary`, `Digest` and `Pull` speak for the broker a peer link
-/// belongs to. A client connection claiming to be neighbour B must not
-/// replace A's view of B: with an empty view in its place A would stop
-/// forwarding B's matches — a false negative at the summary tier.
-#[test]
-fn a_client_cannot_replace_a_peer_view() {
-    use std::io::{Read, Write};
-
-    let (a, b) = start_pair();
-    let mut client_b = Client::connect(b.addr()).unwrap();
-    let summaries_at_a = a.stats().summaries_rx.get();
-    let sub_id = client_b.subscribe(&cheap_sub()).unwrap();
-    wait_for("summary propagation to A", || {
-        a.stats().summaries_rx.get() > summaries_at_a
-    });
-    let summaries_at_a = a.stats().summaries_rx.get();
-
-    // An empty summary under B's name, encoded as a daemon would.
-    let schema = stock_schema();
-    let layout = IdLayout::new(1 << 16, 1 << 20, schema.len() as u32).unwrap();
-    let Ok(PeerMsg::Summary(bytes)) = BrokerCore::new(1, schema, layout, None).announce() else {
-        panic!("an empty summary fits any layout");
-    };
-    let forged = Msg::Summary {
-        from: BrokerId(1),
-        bytes,
-    };
-    let fence = Msg::Publish {
-        seq: 7,
-        event: cheap_event(50.0),
-    };
-    // Once on an unclassified connection, once more after the publish
-    // has made it a client connection. A's event loop takes one
-    // connection's frames in order and answers nothing but the two
-    // publishes, so two acks' worth of bytes fences both forgeries.
-    let mut rogue = std::net::TcpStream::connect(a.addr()).unwrap();
-    for msg in [&forged, &fence, &forged, &fence] {
-        rogue.write_all(&msg.to_frame_bytes().unwrap()).unwrap();
-    }
-    let ack = Msg::PublishAck {
-        seq: 7,
-        accepted: true,
-        matched: 0,
-    };
-    let expected = ack.to_frame_bytes().unwrap().repeat(2);
-    let mut acks = vec![0u8; expected.len()];
-    rogue.read_exact(&mut acks).unwrap();
-    assert_eq!(acks, expected);
-    assert_eq!(a.stats().summaries_rx.get(), summaries_at_a);
-
-    // A still routes to B what B's subscription matches.
-    let mut client_a = Client::connect(a.addr()).unwrap();
-    let ack = client_a.publish(&cheap_event(5.0)).unwrap();
-    assert!(ack.accepted);
-    let (id, _) = client_b
-        .poll_delivery(Duration::from_secs(10))
-        .unwrap()
-        .expect("A kept its view of B and forwarded the event");
-    assert_eq!(id, sub_id);
-
-    drop(rogue);
-    client_a.shutdown().unwrap();
-    client_b.shutdown().unwrap();
-    a.join();
-    b.join();
-}
-
-fn symbol_sub(op: StrOp, text: &str) -> Subscription {
-    Subscription::builder(&stock_schema())
-        .str_op("symbol", op, text)
-        .unwrap()
-        .build()
-        .unwrap()
-}
-
-/// SACS generalises `symbol = "OTE"` and `symbol prefix "OT"` under one
-/// `OT*` row, so the summary tier reports both for `OTX`. The owner's
-/// exact store must decide: one `Deliver`, under the prefix id, whether
-/// the event was published locally or routed in from a peer.
-#[test]
-fn owner_verification_keeps_summary_false_positives_from_clients() {
-    let (a, b) = start_pair();
-    let mut client_a = Client::connect(a.addr()).unwrap();
-    let summaries_at_b = b.stats().summaries_rx.get();
-    let id_exact = client_a.subscribe(&symbol_sub(StrOp::Eq, "OTE")).unwrap();
-    let id_prefix = client_a
-        .subscribe(&symbol_sub(StrOp::Prefix, "OT"))
-        .unwrap();
-    assert_ne!(id_exact, id_prefix);
-    wait_for("both pushes reaching B", || {
-        b.stats().summaries_rx.get() >= summaries_at_b + 2
-    });
-    let otx = Event::builder(&stock_schema())
-        .str("symbol", "OTX")
-        .unwrap()
-        .build();
-
-    // Published at the owner itself.
-    let ack = client_a.publish(&otx).unwrap();
-    assert_eq!(ack.matched, 1, "the ack counts verified matches");
-    // Routed in from the peer.
-    let mut client_b = Client::connect(b.addr()).unwrap();
-    let ack = client_b.publish(&otx).unwrap();
-    assert!(ack.accepted);
-    assert_eq!(ack.matched, 0);
-
-    for path in ["local publish", "peer route"] {
-        let (id, event) = client_a
-            .poll_delivery(Duration::from_secs(10))
-            .unwrap()
-            .unwrap_or_else(|| panic!("{path}: the prefix subscription matches"));
-        assert_eq!(id, id_prefix, "{path}");
-        assert_eq!(event, otx);
-    }
-    assert!(
-        client_a
-            .poll_delivery(Duration::from_millis(200))
-            .unwrap()
-            .is_none(),
-        "`symbol = OTE` does not match OTX: no third Deliver"
-    );
-    wait_for("A's delivery count", || a.stats().deliveries.get() == 2);
-
-    client_a.shutdown().unwrap();
-    client_b.shutdown().unwrap();
-    a.join();
-    b.join();
-}
-
-/// A daemon whose local id space is used up refuses the subscription by
-/// closing the client's connection; it neither mints an id outside the
-/// wire layout nor pushes a summary it cannot encode.
-#[test]
-fn id_space_exhaustion_disconnects_the_client_and_pushes_nothing() {
-    let a = Subsumd::start(DaemonConfig::new(BrokerId(0), stock_schema())).unwrap();
-    let mut config_b = DaemonConfig::new(BrokerId(1), stock_schema());
-    config_b.dial = vec![(BrokerId(0), a.addr())];
-    config_b.checkpoint = Some(BrokerCheckpoint {
-        next_local: 1 << 20,
-        subs: vec![],
-    });
-    let b = Subsumd::start(config_b).unwrap();
-    wait_for("initial handshake", || {
-        a.stats().summaries_rx.get() >= 1 && b.stats().summaries_rx.get() >= 1
-    });
-    let (rx_at_a, tx_at_b) = (a.stats().summaries_rx.get(), b.stats().summaries_tx.get());
-
-    let mut refused = Client::connect(b.addr()).unwrap();
-    assert!(
-        refused.subscribe(&cheap_sub()).is_err(),
-        "no id is left to acknowledge with"
-    );
-    // B is still serving (and a publish round-trip gives any stray push
-    // time to show up at A).
-    let mut client_b = Client::connect(b.addr()).unwrap();
-    let ack = client_b.publish(&cheap_event(5.0)).unwrap();
-    assert!(ack.accepted);
-    assert_eq!(ack.matched, 0);
-    std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(b.stats().summaries_tx.get(), tx_at_b, "nothing pushed");
-    assert_eq!(a.stats().summaries_rx.get(), rx_at_a, "nothing received");
-
-    let fin = {
-        client_b.shutdown().unwrap();
-        b.join()
-    };
-    assert_eq!(fin.checkpoint.next_local, 1 << 20);
-    assert!(fin.checkpoint.subs.is_empty());
-    Client::connect(a.addr()).unwrap().shutdown().unwrap();
-    a.join();
 }
 
 /// The same loopback flow through the real `subsumd` binary: two

@@ -390,6 +390,12 @@ impl CallGraph {
             names.push(self.fns[p].name.clone());
             cur = p;
         }
+        // The head is spelled as a root spec spells it (`Type::method`).
+        if let Some(ty) = &self.fns[cur].impl_type {
+            if let Some(head) = names.last_mut() {
+                *head = format!("{ty}::{head}");
+            }
+        }
         names.reverse();
         names.join(" -> ")
     }

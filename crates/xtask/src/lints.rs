@@ -125,9 +125,9 @@ impl CheckConfig {
                 PathBuf::from("crates/types/src/codec.rs"),
                 PathBuf::from("crates/types/src/id.rs"),
                 PathBuf::from("crates/types/src/subcodec.rs"),
+                PathBuf::from("crates/broker/src/frame.rs"),
+                PathBuf::from("crates/broker/src/msg.rs"),
                 PathBuf::from("crates/broker/src/snapshot.rs"),
-                PathBuf::from("crates/transport/src/frame.rs"),
-                PathBuf::from("crates/transport/src/msg.rs"),
             ],
             panic_roots: vec![
                 "match_event_into".into(),
@@ -137,7 +137,7 @@ impl CheckConfig {
                 "examine".into(),
                 "BrokerCore::verify".into(),
                 "BrokerCore::on_peer".into(),
-                "handle_msg".into(),
+                "DaemonCore::step".into(),
                 "publish_batch".into(),
                 "SnapshotReader::pin".into(),
                 "SnapshotGuard::deref".into(),
