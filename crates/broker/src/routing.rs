@@ -132,8 +132,8 @@ pub fn route_event(
 }
 
 /// As [`route_event`], matching through a caller-owned [`MatchScratch`]
-/// so batched publishers avoid per-event allocations (see
-/// `SummaryPubSub::publish_batch`).
+/// so a publisher of many events avoids per-event allocations (see
+/// `SummaryPubSub::publish_with_scratch`).
 ///
 /// One scratch serves every broker on the routing path even though each
 /// hop matches against a different summary: the compiled-plan kernel

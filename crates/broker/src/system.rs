@@ -403,11 +403,10 @@ impl SummaryPubSub {
     }
 
     /// As [`SummaryPubSub::publish`], matching through a caller-owned
-    /// [`MatchScratch`]. Publishing takes `&self`, so each worker thread
-    /// of [`SummaryPubSub::publish_batch`] holds its own scratch, and the
-    /// scratch's epoch-stamped counter arrays are safely reused across
-    /// the different per-hop summaries of one route (see
-    /// [`route_event_with_scratch`](crate::routing::route_event_with_scratch)).
+    /// [`MatchScratch`]. The scratch's epoch-stamped counter arrays are
+    /// safely reused across the different per-hop summaries of one route
+    /// (see [`route_event_with_scratch`](crate::routing::route_event_with_scratch))
+    /// and across publishes from different brokers.
     pub fn publish_with_scratch(
         &self,
         broker: NodeId,
@@ -491,56 +490,6 @@ impl SummaryPubSub {
             false_positives,
             routing,
         }
-    }
-
-    /// Publishes a batch of `(publisher broker, event)` pairs, fanning
-    /// the events across worker threads.
-    ///
-    /// Publishing is a read-only operation over the installed summaries
-    /// (`&self`), so events are independent: the batch is split into
-    /// contiguous chunks, one scoped `std::thread` per chunk, each worker
-    /// reusing one [`MatchScratch`] across its events. Outcomes are
-    /// returned in input order, identical to sequential
-    /// [`SummaryPubSub::publish`] calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before any [`SummaryPubSub::propagate`], or if a
-    /// publisher is out of range.
-    pub fn publish_batch(&self, events: &[(NodeId, Event)]) -> Vec<PublishOutcome> {
-        if events.is_empty() {
-            return Vec::new();
-        }
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(events.len());
-        if threads <= 1 {
-            let mut scratch = MatchScratch::new();
-            return events
-                .iter()
-                .map(|(b, e)| self.publish_with_scratch(*b, e, &mut scratch))
-                .collect();
-        }
-        let chunk = events.len().div_ceil(threads);
-        let mut results: Vec<Option<PublishOutcome>> = Vec::new();
-        results.resize_with(events.len(), || None);
-        std::thread::scope(|scope| {
-            for (evs, out) in events.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    let mut scratch = MatchScratch::new();
-                    for ((b, e), slot) in evs.iter().zip(out.iter_mut()) {
-                        *slot = Some(self.publish_with_scratch(*b, e, &mut scratch));
-                    }
-                });
-            }
-        });
-        let out: Vec<PublishOutcome> = results.into_iter().flatten().collect();
-        assert!(
-            out.len() == events.len(),
-            "every batch slot is filled by its worker"
-        );
-        out
     }
 
     /// The exact matches an omniscient oracle would deliver — used by
@@ -676,7 +625,7 @@ mod tests {
     }
 
     #[test]
-    fn publish_batch_matches_sequential_publishes() {
+    fn a_reused_scratch_publishes_like_a_fresh_one() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xBA7C);
@@ -691,19 +640,16 @@ mod tests {
             }
         }
         sys.propagate().unwrap();
-        let batch: Vec<(NodeId, Event)> = (0..40)
-            .map(|_| (rng.gen_range(0..24u16), workload.event(0.7, &mut rng)))
-            .collect();
-        let batched = sys.publish_batch(&batch);
-        assert_eq!(batched.len(), batch.len());
-        for ((b, e), out) in batch.iter().zip(&batched) {
-            let seq = sys.publish(*b, e);
-            assert_eq!(out.deliveries, seq.deliveries);
-            assert_eq!(out.false_positives, seq.false_positives);
-            assert_eq!(out.routing.visits, seq.routing.visits);
-            assert_eq!(out.routing.metrics, seq.routing.metrics);
+        let mut scratch = MatchScratch::new();
+        for _ in 0..40 {
+            let (b, e) = (rng.gen_range(0..24u16), workload.event(0.7, &mut rng));
+            let reused = sys.publish_with_scratch(b, &e, &mut scratch);
+            let fresh = sys.publish(b, &e);
+            assert_eq!(reused.deliveries, fresh.deliveries);
+            assert_eq!(reused.false_positives, fresh.false_positives);
+            assert_eq!(reused.routing.visits, fresh.routing.visits);
+            assert_eq!(reused.routing.metrics, fresh.routing.metrics);
         }
-        assert!(sys.publish_batch(&[]).is_empty());
     }
 
     #[test]

@@ -525,20 +525,15 @@ impl BrokerSummary {
     /// Returns the ids of all subscriptions whose every constrained
     /// attribute is present in the event and satisfied by the summary
     /// structures (a superset of the exact matches; no false negatives).
-    pub fn match_event(&self, event: &Event) -> Vec<SubscriptionId> {
-        self.match_event_with_stats(event).matched
-    }
-
-    /// As [`BrokerSummary::match_event`], also reporting work counters
-    /// for the computational-cost experiments (§5.2.4).
     ///
     /// Thin wrapper over [`BrokerSummary::match_event_into`] with a
     /// one-shot scratch; hot paths should hold a [`MatchScratch`] and
-    /// call `match_event_into` directly.
-    pub fn match_event_with_stats(&self, event: &Event) -> MatchOutcome {
+    /// call `match_event_into` directly, which also reports the work
+    /// counters of the computational-cost experiments (§5.2.4).
+    pub fn match_event(&self, event: &Event) -> Vec<SubscriptionId> {
         let mut scratch = MatchScratch::new();
         self.match_event_into(event, &mut scratch);
-        scratch.outcome
+        scratch.outcome.matched
     }
 
     /// Matches an event against the summary using caller-owned scratch
@@ -960,7 +955,8 @@ mod tests {
         let mut summary = BrokerSummary::new(schema.clone());
         let id1 = summary.insert(BrokerId(0), LocalSubId(1), &sub1(&schema));
         let id2 = summary.insert(BrokerId(0), LocalSubId(2), &sub2(&schema));
-        let outcome = summary.match_event_with_stats(&fig2_event(&schema));
+        let mut scratch = MatchScratch::new();
+        let outcome = summary.match_event_into(&fig2_event(&schema), &mut scratch);
         assert_eq!(outcome.matched, vec![id1]);
         assert!(!outcome.matched.contains(&id2));
         // S1 and S2 were both candidates (both satisfied some attribute).
@@ -1180,7 +1176,9 @@ mod tests {
         summary.insert(BrokerId(0), LocalSubId(1), &sub1(&schema));
         summary.insert(BrokerId(0), LocalSubId(2), &sub2(&schema));
         let e = fig2_event(&schema);
-        let one_shot = summary.match_event_with_stats(&e);
+        let one_shot = summary
+            .match_event_into(&e, &mut MatchScratch::new())
+            .clone();
         let mut scratch = MatchScratch::new();
         for _ in 0..3 {
             let got = summary.match_event_into(&e, &mut scratch);
@@ -1373,7 +1371,8 @@ mod tests {
             .str("symbol", "AAPL")
             .unwrap()
             .build();
-        let outcome = summary.match_event_with_stats(&e);
+        let mut scratch = MatchScratch::new();
+        let outcome = summary.match_event_into(&e, &mut scratch);
         assert_eq!(outcome.matched.len(), 1);
         // Only the AA* row is probed; the other three are pruned.
         assert_eq!(outcome.stats.rows_scanned, 1);

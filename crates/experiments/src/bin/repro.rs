@@ -12,16 +12,12 @@
 //!
 //! With `--telemetry-json FILE`, the global telemetry recorder is
 //! switched on for the run; afterwards a [`RunReport`] — per-stage
-//! latency digests, the `publish.*` counters, mailbox gauges, and the
-//! probe's aggregated network metrics — is written to `FILE` as one JSON
-//! object. A deterministic stage-coverage probe
-//! ([`subsum_experiments::telemetry_probe`]) runs after the selected
-//! experiments so every instrumented stage appears in the report
-//! regardless of the figure chosen.
+//! latency digests, counters and gauges — is written to `FILE` as one
+//! JSON object. It holds what the selected experiments ran: a stage no
+//! selected experiment executes has no entry.
 
 use subsum_experiments::{
-    ablations, analysis, compute, fig10, fig11, fig8, fig9, latency, recovery, scaling,
-    telemetry_probe, traces,
+    ablations, analysis, compute, fig10, fig11, fig8, fig9, latency, recovery, scaling, traces,
 };
 use subsum_experiments::{ExperimentConfig, ResultTable};
 use subsum_telemetry::RunReport;
@@ -177,15 +173,7 @@ fn main() {
     }
 
     if let Some(path) = &args.telemetry_json {
-        // The probe guarantees stage coverage beyond what the selected
-        // figure exercised.
-        let probe = telemetry_probe::run(&cfg);
-        let mut report = RunReport::capture(format!("repro.{}", args.what));
-        report.embed(
-            "net_metrics",
-            telemetry_probe::net_metrics_to_json(&probe.net_metrics),
-        );
-        report.embed("probe", probe.to_json());
+        let report = RunReport::capture(format!("repro.{}", args.what));
         subsum_telemetry::set_enabled(false);
         if let Err(e) = std::fs::write(path, report.to_json()) {
             eprintln!("cannot write {path}: {e}");

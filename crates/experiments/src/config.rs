@@ -15,7 +15,7 @@ pub struct ExperimentConfig {
     /// Repetitions for experiments with random components.
     pub trials: usize,
     /// Events per broker for the event-routing experiment (the paper uses
-    /// 1000; the default here keeps `cargo bench` runs short).
+    /// 1000; the default here keeps runs short).
     pub events_per_broker: usize,
     /// The σ sweep (new subscriptions per broker per period).
     pub sigma_sweep: Vec<usize>,

@@ -14,7 +14,6 @@
 //! | [`analysis`] | Eq. (1)/(2) | analytic sizes vs measured wire bytes |
 //! | [`ablations`] | §6 / §5.2 | virtual degrees; subsumption models; the §6 filter |
 //! | [`latency`] | beyond the paper | delivery latency: sequential BROCLI vs parallel flood |
-//! | [`telemetry_probe`] | beyond the paper | deterministic stage-coverage run for `repro --telemetry-json` |
 //! | [`recovery`] | beyond the paper | crash/recovery convergence; anti-entropy vs naive repair traffic |
 //! | [`traces`] | beyond the paper | causal-trace latency attribution; tracing overhead |
 //!
@@ -44,7 +43,6 @@ pub mod fig9;
 pub mod latency;
 pub mod recovery;
 pub mod scaling;
-pub mod telemetry_probe;
 pub mod traces;
 
 pub use common::{mean, stddev, ResultTable};

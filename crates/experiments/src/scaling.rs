@@ -14,7 +14,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use subsum_core::{BrokerSummary, SizeParams, SummaryStats};
+use subsum_core::{BrokerSummary, MatchScratch, SizeParams, SummaryStats};
 use subsum_types::{BrokerId, Event, LocalSubId};
 use subsum_workload::{PaperParams, Workload};
 
@@ -60,7 +60,7 @@ pub fn run(cfg: &ExperimentConfig) -> ResultTable {
             us,
             stats.total_size(SizeParams::default()) as f64,
             summary
-                .match_event_with_stats(&events[0])
+                .match_event_into(&events[0], &mut MatchScratch::new())
                 .stats
                 .rows_scanned as f64,
         ]);

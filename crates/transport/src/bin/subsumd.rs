@@ -19,10 +19,12 @@
 //! * `--dial <id>=<addr>` — neighbor link to dial (repeatable). Each
 //!   overlay edge must be dialed from exactly one side.
 //! * `--checkpoint <path>` — durable state file: loaded at startup if
-//!   present, rewritten on clean shutdown.
+//!   present, replaced on clean shutdown (written to `<path>.tmp`,
+//!   synced, then renamed over `<path>`).
 //! * `--telemetry-json <path>` — write a telemetry report (counters +
 //!   stage histograms) to this file on clean shutdown.
-//! * `--mailbox <frames>` — per-connection outbound bound (default 256).
+//! * `--mailbox <frames>` — per-connection outbound bound (default 256,
+//!   at least 1).
 //! * `--policy <block|reject>` — backpressure policy (default reject).
 //!
 //! The daemon runs until a client sends `Shutdown`; it then writes its
@@ -30,6 +32,7 @@
 
 use std::io::Write;
 use std::net::SocketAddr;
+use std::path::Path;
 use std::process::ExitCode;
 
 use subsum_broker::BrokerCheckpoint;
@@ -97,6 +100,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 mailbox_capacity = value("--mailbox")?
                     .parse()
                     .map_err(|e| format!("--mailbox: {e}"))?;
+                // A zero-capacity channel is a rendezvous: `try_send`
+                // succeeds only while the writer is parked in `recv`.
+                if mailbox_capacity == 0 {
+                    return Err(format!("--mailbox wants at least 1 frame\n{}", usage()));
+                }
             }
             "--policy" => {
                 policy = match value("--policy")?.as_str() {
@@ -146,6 +154,22 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     })
 }
 
+/// Replaces `path` with `bytes` so that a crash at any point leaves
+/// either the old file or the new one, never a torn one.
+fn replace_file(path: &str, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = format!("{path}.tmp");
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    std::fs::rename(&tmp, path)?;
+    // The rename is durable once the directory entry is.
+    let dir = match Path::new(path).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
+}
+
 fn run(argv: &[String]) -> Result<(), String> {
     let args = parse_args(argv)?;
     if args.telemetry_path.is_some() {
@@ -166,7 +190,7 @@ fn run(argv: &[String]) -> Result<(), String> {
     let fin = handle.join();
 
     if let Some(path) = &args.checkpoint_path {
-        std::fs::write(path, fin.checkpoint.to_bytes())
+        replace_file(path, &fin.checkpoint.to_bytes())
             .map_err(|e| format!("write checkpoint {path}: {e}"))?;
     }
     if let Some(path) = &args.telemetry_path {
@@ -190,5 +214,45 @@ fn main() -> ExitCode {
             eprintln!("{msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(flags: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = ["--broker", "0", "--listen", "127.0.0.1:0"]
+            .iter()
+            .chain(flags)
+            .map(|s| s.to_string())
+            .collect();
+        parse_args(&argv)
+    }
+
+    fn refusal(flags: &[&str]) -> String {
+        match parse(flags) {
+            Ok(_) => panic!("{flags:?} accepted"),
+            Err(msg) => msg,
+        }
+    }
+
+    #[test]
+    fn parse_args_refuses_bad_values() {
+        let msg = refusal(&["--mailbox", "0"]);
+        assert!(msg.starts_with("--mailbox wants at least 1 frame"), "{msg}");
+        assert!(msg.contains("usage: subsumd"), "{msg}");
+        let one = parse(&["--mailbox", "1"]).map(|a| a.config.mailbox_capacity);
+        assert_eq!(one, Ok(1));
+        assert_eq!(
+            refusal(&["--policy", "drop"]),
+            "--policy wants block|reject, got \"drop\""
+        );
+        assert_eq!(
+            refusal(&["--dial", "127.0.0.1:7400"]),
+            "--dial wants <id>=<addr>, got \"127.0.0.1:7400\""
+        );
+        assert!(refusal(&["--dial", "x=127.0.0.1:7400"]).starts_with("--dial id: "));
+        assert!(refusal(&["--dial", "1=nowhere"]).starts_with("--dial addr: "));
     }
 }

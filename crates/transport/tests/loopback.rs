@@ -173,9 +173,9 @@ fn restarted_peer_reconverges_via_digest_pull_not_resend() {
 }
 
 /// The same loopback flow through the real `subsumd` binary: two
-/// processes, ephemeral ports, clean shutdown, telemetry dumps on disk.
-/// CI's `transport-smoke` job greps the dumps for nonzero
-/// `transport.frames_rx` and `publish.acked`.
+/// processes, ephemeral ports, clean shutdown, telemetry dumps and
+/// broker 0's checkpoint on disk. CI's `transport-smoke` job greps the
+/// dumps for nonzero `transport.frames_rx` and `publish.acked`.
 #[test]
 fn subsumd_binary_two_process_loopback() {
     use std::io::BufRead;
@@ -185,8 +185,11 @@ fn subsumd_binary_two_process_loopback() {
     std::fs::create_dir_all(tmp).unwrap();
     let dump_a = tmp.join("subsumd-b0.json");
     let dump_b = tmp.join("subsumd-b1.json");
+    let ckpt_a = tmp.join("subsumd-loopback-b0.ckpt");
+    let ckpt_a_tmp = tmp.join("subsumd-loopback-b0.ckpt.tmp");
     let _ = std::fs::remove_file(&dump_a);
     let _ = std::fs::remove_file(&dump_b);
+    let _ = std::fs::remove_file(&ckpt_a);
 
     fn spawn_daemon(args: &[&str]) -> (Child, std::net::SocketAddr) {
         let mut child = Command::new(env!("CARGO_BIN_EXE_subsumd"))
@@ -215,6 +218,8 @@ fn subsumd_binary_two_process_loopback() {
         "127.0.0.1:0",
         "--telemetry-json",
         dump_a.to_str().unwrap(),
+        "--checkpoint",
+        ckpt_a.to_str().unwrap(),
     ]);
     let dial = format!("0={addr_a}");
     let (mut proc_b, addr_b) = spawn_daemon(&[
@@ -270,6 +275,12 @@ fn subsumd_binary_two_process_loopback() {
     assert!(counter_value(&report_a, "transport.frames_rx") > 0);
     assert!(counter_value(&report_b, "transport.frames_rx") > 0);
     assert!(counter_value(&report_b, "publish.acked") > 0);
+
+    // The checkpoint was replaced whole: it decodes to the one
+    // subscription and the temporary it was written through is gone.
+    let cp = BrokerCheckpoint::from_bytes(&std::fs::read(&ckpt_a).unwrap()).unwrap();
+    assert_eq!(cp.subs, vec![(sub_id, cheap_sub())]);
+    assert!(!ckpt_a_tmp.exists(), "temporary left behind");
 }
 
 /// A checkpoint file is outside input: `subsumd` refuses one written by

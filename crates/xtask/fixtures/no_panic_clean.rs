@@ -1,7 +1,7 @@
 //! Fixture for the no-panic pass: a hot-path root with zero findings.
 //! `assert!`/`debug_assert!` are contract checks and stay allowed.
 
-pub fn publish_batch(input: Option<u32>) -> Result<u32, &'static str> {
+pub fn publish_with_scratch(input: Option<u32>) -> Result<u32, &'static str> {
     let value = input.ok_or("missing input")?;
     debug_assert!(value < 1_000_000, "caller bounds the domain");
     assert!(value != u32::MAX);
@@ -12,6 +12,6 @@ pub fn publish_batch(input: Option<u32>) -> Result<u32, &'static str> {
 mod tests {
     #[test]
     fn still_fine_to_unwrap_here() {
-        assert_eq!(super::publish_batch(Some(1)).unwrap(), 2);
+        assert_eq!(super::publish_with_scratch(Some(1)).unwrap(), 2);
     }
 }

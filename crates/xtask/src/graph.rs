@@ -329,7 +329,7 @@ impl CallGraph {
         CallGraph { fns, edges }
     }
 
-    /// Fn indices matching a root spec: a bare name (`publish_batch`),
+    /// Fn indices matching a root spec: a bare name (`examine`),
     /// a name prefix (`route_event*`), or a qualified associated fn
     /// (`SnapshotGuard::deref`).
     pub fn roots(&self, spec: &str) -> Vec<usize> {

@@ -7,12 +7,12 @@
 //!
 //! 1. **no-panic** — the no-panic requirement seeds at the hot-path
 //!    roots (`match_event_into`, `query_into`, `route_event*`,
-//!    `publish_batch`, the `SnapshotCell` read path, the wire decode
-//!    entry points) and propagates transitively through the call graph:
-//!    any reachable function must not contain `.unwrap()`, `.expect()`
-//!    or panicking macros outside `#[cfg(test)]`. `assert!` /
-//!    `debug_assert!` remain allowed: they state contracts, and the
-//!    debug validators depend on them.
+//!    `SummaryPubSub::publish_with_scratch`, the `SnapshotCell` read
+//!    path, the wire decode entry points) and propagates transitively
+//!    through the call graph: any reachable function must not contain
+//!    `.unwrap()`, `.expect()` or panicking macros outside
+//!    `#[cfg(test)]`. `assert!` / `debug_assert!` remain allowed: they
+//!    state contracts, and the debug validators depend on them.
 //! 2. **wire-robust** — functions in the wire codec files reachable
 //!    from a decode entry point face untrusted bytes: slice indexing
 //!    and `+`/`-`/`*` arithmetic near length-ish identifiers must carry
@@ -138,7 +138,7 @@ impl CheckConfig {
                 "BrokerCore::verify".into(),
                 "BrokerCore::on_peer".into(),
                 "DaemonCore::step".into(),
-                "publish_batch".into(),
+                "SummaryPubSub::publish_with_scratch".into(),
                 "SnapshotReader::pin".into(),
                 "SnapshotGuard::deref".into(),
                 "decode".into(),
@@ -857,7 +857,7 @@ mod tests {
             "match_event_into".into(),
             "query_into".into(),
             "route_event*".into(),
-            "publish_batch".into(),
+            "publish_with_scratch".into(),
         ];
         cfg
     }
@@ -1101,7 +1101,7 @@ mod tests {
             "match_event_into",
             "query_into",
             "route_event",
-            "publish_batch",
+            "publish_with_scratch",
             "pin",
             "deref",
             "decode",
