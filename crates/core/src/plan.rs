@@ -12,14 +12,29 @@
 //!   sub-range rows as two parallel `u64` key arrays (`lo_keys` /
 //!   `hi_keys`, the order-preserving IEEE-754 transform of [`num_key`]
 //!   with open/closed bounds folded in), the AACS_E values as one sorted
-//!   key array, and CSR offsets into the shared postings arena;
-//! * per string attribute, a [`StringBank`]: literal rows as a map to
-//!   arena ranges, wildcard rows as an arena range per row (candidate
-//!   selection and the pattern tests stay on the [`PatternSummary`]'s
-//!   anchor index — only the posting storage is recompiled);
-//! * one flat dense-`u32` **arena** holding every posting list of every
-//!   bank back to back, so a probe feeds the counter kernel contiguous
-//!   slices instead of per-row heap vectors.
+//!   key array, and per row a range of posting runs;
+//! * per string attribute, a [`StringBank`]: a run range per wildcard
+//!   row. Candidate selection, the pattern tests and the literal rows
+//!   stay on the [`PatternSummary`]: a literal is one hash probe there,
+//!   and copying every literal into the plan cost more than the rest of
+//!   a compile;
+//! * one set of [`Runs`]: every compiled row's postings in one flat
+//!   dense-`u32` arena, each row grouped into runs of one `c3` mask.
+//!
+//! # Mask runs
+//!
+//! Algorithm 1 reports an id once its hit count reaches `popcount(c3)`,
+//! and an id is posted only under attributes its `c3` mask names (the
+//! summary validator asserts it; the wire decoder rejects a summary that
+//! breaks it). An id whose mask names an attribute the event lacks can
+//! therefore never fire. Compilation lays each row's postings out as
+//! runs of one mask — a stable counting sort over a per-compile
+//! mask-group index read from the intern table's ids; a row that holds
+//! one mask is copied as it is — and the probe builds the event's
+//! attribute mask once and feeds the counter kernel only the runs whose
+//! mask ⊆ event mask. Literal postings are tested one by one against
+//! the same mask. The rows a probe finds, and the ids it reports, are
+//! those of a probe that counts every posting.
 //!
 //! The lower-bound search over the key arrays is branchless (a halving
 //! loop whose step is a conditional move, then a linear tail the
@@ -30,10 +45,11 @@
 //!
 //! # Plans are derived state
 //!
-//! A plan is a pure function of the summary rows: it never travels on
-//! the wire, never contributes to digests, and is rebuilt whenever the
-//! rows change. [`BrokerSummary`](crate::BrokerSummary) drops its cached
-//! plan on every mutation and recompiles lazily on the next match;
+//! A plan is a pure function of the summary rows and the intern table:
+//! it never travels on the wire, never contributes to digests, and is
+//! rebuilt whenever the rows change.
+//! [`BrokerSummary`](crate::BrokerSummary) drops its cached plan on every
+//! mutation and recompiles lazily on the next match;
 //! [`ShardedSummary`](crate::ShardedSummary) compiles one plan per shard
 //! at snapshot-flip time, so the publish path always probes a frozen
 //! plan and retired plans are reclaimed with their
@@ -41,10 +57,11 @@
 //! [`SnapshotCell`](crate::SnapshotCell).
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use subsum_telemetry::Count;
-use subsum_types::{Event, LowerBound, Num, UpperBound};
+use subsum_types::{AttrMask, Event, LowerBound, Num, SubscriptionId, UpperBound};
 
 use crate::aacs::RangeSummary;
 use crate::idlist::{idlist_range_slice, DenseId};
@@ -153,7 +170,7 @@ pub(crate) struct ProbeState {
     token: u64,
     /// The range of `words` the last probe wrote (empty when nothing
     /// matched).
-    written: std::ops::Range<usize>,
+    written: Range<usize>,
 }
 
 impl ProbeState {
@@ -188,36 +205,159 @@ impl ProbeState {
     }
 }
 
+/// Every compiled row's postings, back to back, as runs of one `c3`
+/// mask. A bank addresses a row by its run range `a..b`; the row's
+/// postings are `arena[offsets[a]..offsets[b]]`.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub(crate) struct Runs {
+    /// The `c3` mask every posting of run `k` carries.
+    pub(crate) masks: Vec<u64>,
+    /// Arena offset of each run's first posting, then the arena length:
+    /// run `k` is `arena[offsets[k]..offsets[k + 1]]`.
+    pub(crate) offsets: Vec<u32>,
+    /// Dense ids in the plan's local space.
+    pub(crate) arena: Vec<DenseId>,
+}
+
+impl Runs {
+    /// The number of runs so far — the end of the row just appended.
+    fn len(&self) -> u32 {
+        self.masks.len() as u32
+    }
+
+    /// The posting slices of the runs `runs` whose mask fits inside
+    /// `event_mask`.
+    #[inline]
+    fn admitted(
+        &self,
+        runs: Range<usize>,
+        event_mask: u64,
+    ) -> impl Iterator<Item = &[DenseId]> + '_ {
+        let masks = &self.masks[runs.clone()];
+        let starts = &self.offsets[runs.start..runs.end];
+        let ends = &self.offsets[runs.start + 1..runs.end + 1];
+        masks
+            .iter()
+            .zip(starts.iter().zip(ends))
+            .filter(move |(&m, _)| m & !event_mask == 0)
+            .map(|(_, (&a, &b))| &self.arena[a as usize..b as usize])
+    }
+
+    /// Every posting of the rows `runs`, in arena order.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn postings(&self, runs: Range<usize>) -> &[DenseId] {
+        &self.arena[self.offsets[runs.start] as usize..self.offsets[runs.end] as usize]
+    }
+}
+
+/// Lays rows out as mask runs while one plan compiles: the per-compile
+/// mask-group index plus the counting sort's working arrays.
+struct RunWriter {
+    /// Mask group of each local dense id.
+    group: Vec<u32>,
+    /// The `c3` mask of each group.
+    group_masks: Vec<u64>,
+    /// Per group: the row in flight's posting count, then its write
+    /// cursor. Zero between rows.
+    slot: Vec<u32>,
+    /// The groups the row in flight holds, in first-seen order.
+    touched: Vec<u32>,
+}
+
+impl RunWriter {
+    /// Indexes the masks of the plan's local dense ids (`ids[d]` is
+    /// local id `d`). Masks can arrive in a peer's summary, so the index
+    /// keeps `std`'s keyed hasher.
+    fn new(ids: &[SubscriptionId]) -> RunWriter {
+        let mut index: HashMap<u64, u32> = HashMap::new();
+        let mut group_masks = Vec::new();
+        let group = ids
+            .iter()
+            .map(|id| {
+                *index.entry(id.mask.0).or_insert_with(|| {
+                    group_masks.push(id.mask.0);
+                    group_masks.len() as u32 - 1
+                })
+            })
+            .collect();
+        RunWriter {
+            group,
+            slot: vec![0; group_masks.len()],
+            group_masks,
+            touched: Vec::new(),
+        }
+    }
+
+    /// Appends one row — the sorted postings `src`, rebased to `d - base`
+    /// — to `runs` as one run per mask group, each run in dense order.
+    fn push_row(&mut self, runs: &mut Runs, src: &[DenseId], base: DenseId) {
+        self.touched.clear();
+        for &d in src {
+            let g = self.group[(d - base) as usize];
+            let n = &mut self.slot[g as usize];
+            if *n == 0 {
+                self.touched.push(g);
+            }
+            *n += 1;
+        }
+        if let [g] = self.touched[..] {
+            self.slot[g as usize] = 0;
+            runs.arena.extend(src.iter().map(|&d| d - base));
+            runs.masks.push(self.group_masks[g as usize]);
+            runs.offsets.push(runs.arena.len() as u32);
+            return;
+        }
+        let mut at = runs.arena.len() as u32;
+        for &g in &self.touched {
+            let n = std::mem::replace(&mut self.slot[g as usize], at);
+            at += n;
+            runs.masks.push(self.group_masks[g as usize]);
+            runs.offsets.push(at);
+        }
+        runs.arena.resize(at as usize, 0);
+        for &d in src {
+            let local = d - base;
+            let cursor = &mut self.slot[self.group[local as usize] as usize];
+            runs.arena[*cursor as usize] = local;
+            *cursor += 1;
+        }
+        for &g in &self.touched {
+            self.slot[g as usize] = 0;
+        }
+    }
+}
+
 /// The compiled arithmetic bank of one attribute: SoA keys over the
-/// AACS_SR partition and the AACS_E values, with CSR offsets into the
-/// plan's shared arena.
+/// AACS_SR partition and the AACS_E values, each row a run range into
+/// the plan's [`Runs`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct ArithBank {
     /// Lower-bound key per sub-range row, ascending.
     pub(crate) lo_keys: Vec<u64>,
     /// Upper-bound key per sub-range row (same row order).
     pub(crate) hi_keys: Vec<u64>,
-    /// Absolute arena offsets of the sub-range rows, length `rows + 1`.
-    pub(crate) range_offsets: Vec<u32>,
+    /// Run bounds of the sub-range rows, length `rows + 1`: row `i` is
+    /// runs `range_runs[i]..range_runs[i + 1]`.
+    pub(crate) range_runs: Vec<u32>,
     /// Equality-row value keys, ascending.
     pub(crate) point_keys: Vec<u64>,
-    /// Absolute arena offsets of the equality rows, length `points + 1`.
-    pub(crate) point_offsets: Vec<u32>,
+    /// Run bounds of the equality rows, length `points + 1`.
+    pub(crate) point_runs: Vec<u32>,
 }
 
 impl ArithBank {
     /// Compiles `src`'s rows restricted to the dense range `[lo, hi)`,
-    /// rebased to `d - lo`, appending postings to `arena`. `None` when
-    /// no posting survives. The flat summary compiles with `lo = 0`,
-    /// `hi = population`.
+    /// rebased to `d - lo`. `None` when no posting survives. The flat
+    /// summary compiles with `lo = 0`, `hi = population`.
     fn build(
         src: &RangeSummary,
         lo: DenseId,
         hi: DenseId,
-        arena: &mut Vec<DenseId>,
+        writer: &mut RunWriter,
+        runs: &mut Runs,
     ) -> Option<ArithBank> {
         let mut bank = ArithBank::default();
-        bank.range_offsets.push(arena.len() as u32);
+        bank.range_runs.push(runs.len());
         for row in src.ranges() {
             let slice = idlist_range_slice(&row.ids, lo, hi);
             if slice.is_empty() {
@@ -225,18 +365,18 @@ impl ArithBank {
             }
             bank.lo_keys.push(lower_key(row.interval.lo()));
             bank.hi_keys.push(upper_key(row.interval.hi()));
-            arena.extend(slice.iter().map(|&d| d - lo));
-            bank.range_offsets.push(arena.len() as u32);
+            writer.push_row(runs, slice, lo);
+            bank.range_runs.push(runs.len());
         }
-        bank.point_offsets.push(arena.len() as u32);
+        bank.point_runs.push(runs.len());
         for (v, ids) in src.points() {
             let slice = idlist_range_slice(ids, lo, hi);
             if slice.is_empty() {
                 continue;
             }
             bank.point_keys.push(num_key(v));
-            arena.extend(slice.iter().map(|&d| d - lo));
-            bank.point_offsets.push(arena.len() as u32);
+            writer.push_row(runs, slice, lo);
+            bank.point_runs.push(runs.len());
         }
         if bank.lo_keys.is_empty() && bank.point_keys.is_empty() {
             None
@@ -246,103 +386,109 @@ impl ArithBank {
     }
 }
 
-/// The compiled string bank of one attribute: arena ranges for the
-/// literal rows and for each wildcard row (parallel to the source
-/// [`PatternSummary`]'s row vector, whose anchor index still selects
-/// the candidate rows and runs the pattern tests).
+/// The compiled string bank of one attribute: a run range per wildcard
+/// row, parallel to the source [`PatternSummary`]'s row vector, whose
+/// anchor index still selects the candidate rows and runs the pattern
+/// tests, and whose literal map the probe reads directly.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct StringBank {
-    /// Literal rows: value -> `(start, end)` arena range.
-    pub(crate) literals: HashMap<String, (u32, u32)>,
-    /// Wildcard rows: `(start, end)` arena range per row, in the source
-    /// summary's row order.
-    pub(crate) wild: Vec<(u32, u32)>,
+    /// Run bounds of the wildcard rows, length `rows + 1`: row `i` is
+    /// runs `wild_runs[i]..wild_runs[i + 1]`.
+    pub(crate) wild_runs: Vec<u32>,
 }
 
 impl StringBank {
-    /// Compiles `src`'s posting storage into the arena. The source ids
-    /// must already be in the plan's dense space (shard derivation
-    /// rebases the `PatternSummary` itself before compiling).
-    fn build(src: &PatternSummary, arena: &mut Vec<DenseId>) -> Option<StringBank> {
+    /// Compiles `src`'s wildcard postings. The source ids must already
+    /// be in the plan's dense space (shard derivation rebases the
+    /// `PatternSummary` itself before compiling).
+    fn build(src: &PatternSummary, writer: &mut RunWriter, runs: &mut Runs) -> Option<StringBank> {
         if src.is_empty() {
             return None;
         }
         let mut bank = StringBank::default();
-        for (lit, ids) in src.literal_rows() {
-            let start = arena.len() as u32;
-            arena.extend_from_slice(ids);
-            bank.literals
-                .insert(lit.clone(), (start, arena.len() as u32));
-        }
+        bank.wild_runs.push(runs.len());
         for ids in src.wildcard_postings() {
-            let start = arena.len() as u32;
-            arena.extend_from_slice(ids);
-            bank.wild.push((start, arena.len() as u32));
+            writer.push_row(runs, ids, 0);
+            bank.wild_runs.push(runs.len());
         }
         Some(bank)
+    }
+
+    /// The run range of wildcard row `pos`.
+    #[inline]
+    fn row(&self, pos: usize) -> Range<usize> {
+        self.wild_runs[pos] as usize..self.wild_runs[pos + 1] as usize
     }
 }
 
 /// A compiled, frozen probe structure over one summary (or one shard of
-/// one): per-attribute SoA banks over a single shared postings arena.
-/// Derived state — wire format and digests never see it.
+/// one): per-attribute SoA banks over one set of mask runs. Derived
+/// state — wire format and digests never see it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct MatchPlan {
     /// Indexed by attribute id; `None` for string attributes and for
     /// arithmetic attributes without surviving postings.
     pub(crate) arith: Vec<Option<ArithBank>>,
     /// Indexed by attribute id; `None` for arithmetic attributes and
-    /// for string attributes without surviving postings.
+    /// for string attributes without rows.
     pub(crate) strings: Vec<Option<StringBank>>,
-    /// Every bank's posting lists, back to back (dense ids in the
-    /// plan's local space).
-    pub(crate) arena: Vec<DenseId>,
+    /// Every bank's postings, as runs of one mask.
+    pub(crate) runs: Runs,
 }
 
 impl MatchPlan {
-    /// Compiles a plan over the summary slots. Arithmetic rows are
-    /// sliced to the dense range `[lo, hi)` and rebased to `d - lo`;
-    /// the string summaries must already be in the target dense space
-    /// (the flat summary's are, and shard derivation rebases its
-    /// per-shard `PatternSummary` views before calling this).
+    /// Compiles a plan over the summary slots for the dense ids
+    /// `[lo, lo + ids.len())`, where `ids` are those ids' intern-table
+    /// entries. Arithmetic rows are sliced to that range and rebased to
+    /// `d - lo`; the string summaries must already be in the target
+    /// dense space (the flat summary's are, and shard derivation rebases
+    /// its per-shard `PatternSummary` views before calling this).
     pub(crate) fn compile(
         arith: &[Option<RangeSummary>],
         strings: &[Option<PatternSummary>],
+        ids: &[SubscriptionId],
         lo: DenseId,
-        hi: DenseId,
     ) -> MatchPlan {
         CNT_PLAN_REBUILDS.inc();
+        let hi = lo + ids.len() as DenseId;
+        let mut writer = RunWriter::new(ids);
         let mut plan = MatchPlan::default();
+        plan.runs.offsets.push(0);
         for slot in arith {
             let bank = slot
                 .as_ref()
-                .and_then(|s| ArithBank::build(s, lo, hi, &mut plan.arena));
+                .and_then(|s| ArithBank::build(s, lo, hi, &mut writer, &mut plan.runs));
             plan.arith.push(bank);
         }
         for slot in strings {
             let bank = slot
                 .as_ref()
-                .and_then(|s| StringBank::build(s, &mut plan.arena));
+                .and_then(|s| StringBank::build(s, &mut writer, &mut plan.runs));
             plan.strings.push(bank);
         }
         plan
     }
 
-    /// Probes the plan with one event, streaming the satisfied posting
-    /// slices through the packed epoch-counter kernel: per posting one
+    /// Probes the plan with one event, streaming the admitted posting
+    /// runs through the packed epoch-counter kernel: per posting one
     /// random access loads `state[d] = (epoch << 16) | count`, bumps the
     /// count (or restarts it when the epoch is stale), and marks the
     /// match bit the moment the count reaches `required[d]` — counts
     /// are monotone within an event, so the threshold fires exactly
     /// once per matched id and no candidate list or second pass exists.
+    /// A run or literal posting is admitted when its `c3` mask names no
+    /// attribute the event lacks (see the module docs).
     ///
     /// `strings` must be the summaries this plan was compiled from
     /// (their anchor indexes select candidate wildcard rows and run the
-    /// pattern tests). Arithmetic banks skip per-attribute dedup entirely:
-    /// the AACS partition is disjoint and `validate()` enforces that no
-    /// id carries both a sub-range row containing a value and an
-    /// equality row at it. String postings take the `seen`-stamped
-    /// dedup path only when more than one row contributes.
+    /// pattern tests; their literal maps hold the literal rows), and
+    /// `ids` / `required` the intern-table entries and thresholds of the
+    /// plan's dense ids. Arithmetic banks skip per-attribute dedup
+    /// entirely: the AACS partition is disjoint and `validate()`
+    /// enforces that no id carries both a sub-range row containing a
+    /// value and an equality row at it. String postings take the
+    /// `seen`-stamped dedup path only when more than one row
+    /// contributes.
     ///
     /// `probe` must be [`ProbeState::prepare`]d to `required.len()`; the
     /// matched ids are left in its bitmap for
@@ -351,6 +497,7 @@ impl MatchPlan {
         &self,
         event: &Event,
         strings: &[Option<PatternSummary>],
+        ids: &[SubscriptionId],
         required: &[u32],
         probe: &mut ProbeState,
         stats: &mut MatchStats,
@@ -363,11 +510,21 @@ impl MatchPlan {
             token,
             written,
         } = probe;
-        let epoch = *token + 1;
-        let mut attr_token = epoch;
+        let event_mask = event.iter().map(|(attr, _)| attr).collect::<AttrMask>().0;
+        let admits = |d: DenseId| ids[d as usize].mask.0 & !event_mask == 0;
+        let mut kernel = Kernel {
+            epoch: *token + 1,
+            required,
+            state,
+            seen,
+            words,
+            lo_w: usize::MAX,
+            hi_w: 0,
+            ids_collected: 0,
+            candidates: 0,
+        };
+        let mut attr_token = kernel.epoch;
         let mut probe_rows = 0u64;
-        let mut lo_w = usize::MAX;
-        let mut hi_w = 0usize;
         for (attr, value) in event.iter() {
             attr_token += 1;
             let idx = attr.index();
@@ -376,7 +533,7 @@ impl MatchPlan {
                     continue;
                 };
                 let key = num_key(v);
-                let mut range_slice: &[DenseId] = &[];
+                let mut range_row = 0..0;
                 if !bank.lo_keys.is_empty() {
                     // Cost model mirrors `RangeSummary::query_into`:
                     // ⌈log₂ n⌉ + 1 probes, the rest pruned.
@@ -385,32 +542,26 @@ impl MatchPlan {
                     stats.rows_pruned += bank.lo_keys.len().saturating_sub(probes);
                     let r = rank_le(&bank.lo_keys, key);
                     if r > 0 && key <= bank.hi_keys[r - 1] {
-                        let a = bank.range_offsets[r - 1] as usize;
-                        let b = bank.range_offsets[r] as usize;
-                        range_slice = &self.arena[a..b];
+                        range_row = bank.range_runs[r - 1] as usize..bank.range_runs[r] as usize;
                     }
                 }
-                let mut point_slice: &[DenseId] = &[];
+                let mut point_row = 0..0;
                 if !bank.point_keys.is_empty() {
                     stats.rows_scanned += 1;
                     stats.rows_pruned += bank.point_keys.len() - 1;
                     let r = rank_le(&bank.point_keys, key);
                     if r > 0 && bank.point_keys[r - 1] == key {
-                        let a = bank.point_offsets[r - 1] as usize;
-                        let b = bank.point_offsets[r] as usize;
-                        point_slice = &self.arena[a..b];
+                        point_row = bank.point_runs[r - 1] as usize..bank.point_runs[r] as usize;
                     }
                 }
-                probe_rows +=
-                    u64::from(!range_slice.is_empty()) + u64::from(!point_slice.is_empty());
-                // Both slices are internally sorted-dedup, and per-id
+                probe_rows += u64::from(!range_row.is_empty()) + u64::from(!point_row.is_empty());
+                // Both rows are internally sorted-dedup, and per-id
                 // disjoint across each other (see the method docs), so
                 // every posting is a distinct id for this attribute.
-                stats.ids_collected += range_slice.len() + point_slice.len();
-                for slice in [range_slice, point_slice] {
-                    count_postings(
-                        slice, epoch, required, state, words, &mut lo_w, &mut hi_w, stats,
-                    );
+                for row in [range_row, point_row] {
+                    for run in self.runs.admitted(row, event_mask) {
+                        kernel.count(run);
+                    }
                 }
             } else if let Some(bank) = self.strings.get(idx).and_then(Option::as_ref) {
                 let Some(src) = strings.get(idx).and_then(Option::as_ref) else {
@@ -424,12 +575,10 @@ impl MatchPlan {
                 // every index-selected wildcard row (tested, whether or
                 // not it matched).
                 let mut cost = QueryCost::default();
-                let mut lit_slice: &[DenseId] = &[];
-                if !bank.literals.is_empty() {
+                let mut literal: &[DenseId] = &[];
+                if src.has_literals() {
                     cost.rows_touched += 1;
-                    if let Some(&(a, b)) = bank.literals.get(s) {
-                        lit_slice = &self.arena[a as usize..b as usize];
-                    }
+                    literal = src.literal_postings(s);
                 }
                 rows.clear();
                 let mut tested = 0usize;
@@ -440,118 +589,165 @@ impl MatchPlan {
                     }
                 }
                 cost.rows_touched += tested;
-                cost.rows_pruned = bank.wild.len() - tested;
+                cost.rows_pruned = bank.wild_runs.len() - 1 - tested;
                 stats.rows_scanned += cost.rows_touched;
                 stats.rows_pruned += cost.rows_pruned;
                 crate::sacs::record_query_cost(cost);
-                let contributors = usize::from(!lit_slice.is_empty()) + rows.len();
+                let contributors = usize::from(!literal.is_empty()) + rows.len();
                 probe_rows += contributors as u64;
                 if contributors <= 1 {
                     // A single contributing row is internally deduped:
                     // skip the `seen` stamps.
-                    stats.ids_collected += lit_slice.len();
-                    count_postings(
-                        lit_slice, epoch, required, state, words, &mut lo_w, &mut hi_w, stats,
-                    );
+                    for &d in literal {
+                        if admits(d) {
+                            kernel.bump(d);
+                        }
+                    }
                     for &pos in rows.iter() {
-                        let (a, b) = bank.wild[pos as usize];
-                        let slice = &self.arena[a as usize..b as usize];
-                        stats.ids_collected += slice.len();
-                        count_postings(
-                            slice, epoch, required, state, words, &mut lo_w, &mut hi_w, stats,
-                        );
+                        for run in self.runs.admitted(bank.row(pos as usize), event_mask) {
+                            kernel.count(run);
+                        }
                     }
                 } else {
                     // A subscription with several satisfied constraints
                     // on this attribute appears in several rows; count
                     // it once per attribute via the `seen` stamps.
-                    count_postings_dedup(
-                        lit_slice, epoch, attr_token, required, state, seen, words, &mut lo_w,
-                        &mut hi_w, stats,
-                    );
+                    for &d in literal {
+                        if admits(d) {
+                            kernel.bump_once(d, attr_token);
+                        }
+                    }
                     for &pos in rows.iter() {
-                        let (a, b) = bank.wild[pos as usize];
-                        let slice = &self.arena[a as usize..b as usize];
-                        count_postings_dedup(
-                            slice, epoch, attr_token, required, state, seen, words, &mut lo_w,
-                            &mut hi_w, stats,
-                        );
+                        for run in self.runs.admitted(bank.row(pos as usize), event_mask) {
+                            for &d in run {
+                                kernel.bump_once(d, attr_token);
+                            }
+                        }
                     }
                 }
             }
         }
         *token = attr_token;
-        *written = if lo_w <= hi_w { lo_w..hi_w + 1 } else { 0..0 };
+        *written = if kernel.lo_w <= kernel.hi_w {
+            kernel.lo_w..kernel.hi_w + 1
+        } else {
+            0..0
+        };
+        stats.ids_collected += kernel.ids_collected;
+        stats.candidates += kernel.candidates;
         CNT_PLAN_PROBE_ROWS.add(probe_rows);
     }
-}
 
-/// Streams one duplicate-free posting slice through the packed counter
-/// kernel: one load, one store per posting, with the stale-epoch reset
-/// folded into arithmetic instead of a branch.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn count_postings(
-    slice: &[DenseId],
-    epoch: u64,
-    required: &[u32],
-    state: &mut [u64],
-    words: &mut [u64],
-    lo_w: &mut usize,
-    hi_w: &mut usize,
-    stats: &mut MatchStats,
-) {
-    let mut candidates = 0usize;
-    for &d in slice {
-        let di = d as usize;
-        let prev = state[di];
-        let fresh = u64::from(prev >> COUNT_BITS != epoch);
-        candidates += fresh as usize;
-        let cnt = (prev & COUNT_MASK) * (1 - fresh) + 1;
-        state[di] = (epoch << COUNT_BITS) | cnt;
-        if cnt == u64::from(required[di]) {
-            let w = di / 64;
-            words[w] |= 1u64 << (di % 64);
-            *lo_w = (*lo_w).min(w);
-            *hi_w = (*hi_w).max(w);
+    /// Asserts the run layout: run bounds monotone and covering the
+    /// arena, every bank's row bounds monotone within the runs, and
+    /// every posting a local dense id whose intern-table mask (`ids`)
+    /// is its run's mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violated invariant.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn assert_layout(&self, ids: &[SubscriptionId]) {
+        let runs = &self.runs;
+        assert_eq!(runs.offsets.len(), runs.masks.len() + 1, "run bounds");
+        assert!(
+            runs.offsets.windows(2).all(|w| w[0] <= w[1]),
+            "run bounds monotone"
+        );
+        assert_eq!(
+            runs.offsets.last().map(|&end| end as usize),
+            Some(runs.arena.len()),
+            "runs cover the arena"
+        );
+        let banks = self.arith.iter().flatten();
+        let row_bounds = banks
+            .flat_map(|b| [&b.range_runs, &b.point_runs])
+            .chain(self.strings.iter().flatten().map(|b| &b.wild_runs));
+        for bounds in row_bounds {
+            assert!(
+                bounds.windows(2).all(|w| w[0] <= w[1]),
+                "row run bounds monotone"
+            );
+            assert!(
+                bounds.iter().all(|&k| k <= runs.len()),
+                "row run bounds inside the runs"
+            );
+        }
+        for (k, w) in runs.offsets.windows(2).enumerate() {
+            for &d in &runs.arena[w[0] as usize..w[1] as usize] {
+                assert!((d as usize) < ids.len(), "posting in local range");
+                assert_eq!(
+                    ids[d as usize].mask.0, runs.masks[k],
+                    "posting {d} sits in a run of another mask"
+                );
+            }
         }
     }
-    stats.candidates += candidates;
 }
 
-/// As [`count_postings`] with per-attribute dedup: a posting already
-/// stamped with this attribute's token is skipped.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn count_postings_dedup(
-    slice: &[DenseId],
+/// The packed counter kernel's state for one probe.
+struct Kernel<'a> {
     epoch: u64,
-    attr_token: u64,
-    required: &[u32],
-    state: &mut [u64],
-    seen: &mut [u64],
-    words: &mut [u64],
-    lo_w: &mut usize,
-    hi_w: &mut usize,
-    stats: &mut MatchStats,
-) {
-    for &d in slice {
+    required: &'a [u32],
+    state: &'a mut [u64],
+    seen: &'a mut [u64],
+    words: &'a mut [u64],
+    /// First and last bitmap word the probe set a bit in.
+    lo_w: usize,
+    hi_w: usize,
+    /// Postings counted (`MatchStats::ids_collected`).
+    ids_collected: usize,
+    /// Ids counted for the first time this event
+    /// (`MatchStats::candidates`).
+    candidates: usize,
+}
+
+impl Kernel<'_> {
+    /// Counts one posting: one load, one store, with the stale-epoch
+    /// reset folded into arithmetic instead of a branch. Returns whether
+    /// the id was fresh this event.
+    #[inline]
+    fn step(&mut self, d: DenseId) -> bool {
         let di = d as usize;
-        if seen[di] == attr_token {
-            continue;
-        }
-        seen[di] = attr_token;
-        stats.ids_collected += 1;
-        let prev = state[di];
-        let fresh = u64::from(prev >> COUNT_BITS != epoch);
-        stats.candidates += fresh as usize;
+        let prev = self.state[di];
+        let fresh = u64::from(prev >> COUNT_BITS != self.epoch);
         let cnt = (prev & COUNT_MASK) * (1 - fresh) + 1;
-        state[di] = (epoch << COUNT_BITS) | cnt;
-        if cnt == u64::from(required[di]) {
+        self.state[di] = (self.epoch << COUNT_BITS) | cnt;
+        if cnt == u64::from(self.required[di]) {
             let w = di / 64;
-            words[w] |= 1u64 << (di % 64);
-            *lo_w = (*lo_w).min(w);
-            *hi_w = (*hi_w).max(w);
+            self.words[w] |= 1u64 << (di % 64);
+            self.lo_w = self.lo_w.min(w);
+            self.hi_w = self.hi_w.max(w);
+        }
+        fresh == 1
+    }
+
+    /// Counts one posting known to be new for this attribute.
+    #[inline]
+    fn bump(&mut self, d: DenseId) {
+        self.ids_collected += 1;
+        self.candidates += usize::from(self.step(d));
+    }
+
+    /// Streams one duplicate-free run.
+    #[inline]
+    fn count(&mut self, run: &[DenseId]) {
+        let mut fresh = 0usize;
+        for &d in run {
+            fresh += usize::from(self.step(d));
+        }
+        self.ids_collected += run.len();
+        self.candidates += fresh;
+    }
+
+    /// As [`Kernel::bump`], skipping a posting already stamped with this
+    /// attribute's token.
+    #[inline]
+    fn bump_once(&mut self, d: DenseId, attr_token: u64) {
+        let seen = &mut self.seen[d as usize];
+        if *seen != attr_token {
+            *seen = attr_token;
+            self.bump(d);
         }
     }
 }
@@ -603,6 +799,8 @@ impl PartialEq for PlanCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BrokerSummary, MatchScratch};
+    use subsum_types::{stock_schema, BrokerId, LocalSubId, NumOp, Schema, StrOp, Subscription};
 
     fn n(v: f64) -> Num {
         Num::new(v).unwrap()
@@ -690,13 +888,165 @@ mod tests {
         assert!(d.cached().is_none());
     }
 
+    fn stock_event(schema: &Schema, with_low: bool) -> Event {
+        let b = Event::builder(schema)
+            .str("exchange", "NYSE")
+            .unwrap()
+            .str("symbol", "OTE")
+            .unwrap()
+            .date("when", 1057055125)
+            .unwrap()
+            .num("price", 8.40)
+            .unwrap()
+            .int("volume", 132700)
+            .unwrap()
+            .num("high", 8.80)
+            .unwrap();
+        if with_low {
+            b.num("low", 8.22).unwrap().build()
+        } else {
+            b.build()
+        }
+    }
+
+    #[test]
+    fn ids_constraining_an_absent_attribute_are_never_counted() {
+        let schema = stock_schema();
+        let mut summary = BrokerSummary::new(schema.clone());
+        // Every subscription constrains `low`, which the event lacks; the
+        // rows they sit in (a range, a point, a prefix and a literal) are
+        // all hit by the event's other values.
+        let subs = [
+            Subscription::builder(&schema)
+                .num("price", NumOp::Gt, 8.0)
+                .unwrap()
+                .num("low", NumOp::Lt, 9.0)
+                .unwrap(),
+            Subscription::builder(&schema)
+                .num("price", NumOp::Eq, 8.40)
+                .unwrap()
+                .num("low", NumOp::Gt, 1.0)
+                .unwrap(),
+            Subscription::builder(&schema)
+                .str_op("exchange", StrOp::Prefix, "NY")
+                .unwrap()
+                .num("low", NumOp::Lt, 9.0)
+                .unwrap(),
+            Subscription::builder(&schema)
+                .str_op("symbol", StrOp::Eq, "OTE")
+                .unwrap()
+                .num("low", NumOp::Lt, 9.0)
+                .unwrap(),
+        ];
+        for (i, b) in subs.into_iter().enumerate() {
+            summary.insert(BrokerId(0), LocalSubId(i as u32), &b.build().unwrap());
+        }
+        let mut scratch = MatchScratch::new();
+        let all = summary
+            .match_event_into(&stock_event(&schema, true), &mut scratch)
+            .clone();
+        assert_eq!(all.matched.len(), 4, "with `low` every id matches");
+        let lacking = summary.match_event_into(&stock_event(&schema, false), &mut scratch);
+        assert!(lacking.matched.is_empty());
+        assert_eq!(lacking.stats.candidates, 0);
+        assert_eq!(lacking.stats.ids_collected, 0);
+        assert!(lacking.stats.rows_scanned > 0, "the rows are still probed");
+    }
+
+    #[test]
+    fn an_event_with_every_attribute_counts_every_hit_posting() {
+        let schema = stock_schema();
+        let mut summary = BrokerSummary::new(schema.clone());
+        let subs = [
+            Subscription::builder(&schema)
+                .str_pattern("exchange", "N*SE")
+                .unwrap()
+                .num("price", NumOp::Lt, 8.70)
+                .unwrap()
+                .num("price", NumOp::Gt, 8.30)
+                .unwrap(),
+            Subscription::builder(&schema)
+                .str_op("exchange", StrOp::Eq, "NYSE")
+                .unwrap()
+                .num("price", NumOp::Eq, 8.40)
+                .unwrap(),
+            Subscription::builder(&schema)
+                .str_op("symbol", StrOp::Prefix, "OT")
+                .unwrap()
+                .str_op("symbol", StrOp::Suffix, "TE")
+                .unwrap()
+                .num("volume", NumOp::Gt, 130000.0)
+                .unwrap(),
+            Subscription::builder(&schema)
+                .num("low", NumOp::Lt, 9.0)
+                .unwrap()
+                .num("high", NumOp::Gt, 8.0)
+                .unwrap()
+                .num("when", NumOp::Gt, 0.0)
+                .unwrap(),
+            Subscription::builder(&schema)
+                .str_op("symbol", StrOp::Contains, "T")
+                .unwrap()
+                .num("low", NumOp::Gt, 8.0)
+                .unwrap(),
+        ];
+        for (i, b) in subs.into_iter().enumerate() {
+            summary.insert(BrokerId(0), LocalSubId(i as u32), &b.build().unwrap());
+        }
+        let event = stock_event(&schema, true);
+        // The hit rows' postings, deduplicated per attribute as the
+        // counter kernel counts them.
+        let mut hit_postings = 0;
+        for (attr, value) in event.iter() {
+            let mut ids = match (summary.arith_summary(attr), summary.string_summary(attr)) {
+                (Some(a), _) => a.query(value.as_num().unwrap()),
+                (_, Some(s)) => s.query(value.as_str().unwrap()),
+                _ => continue,
+            };
+            ids.sort_unstable();
+            ids.dedup();
+            hit_postings += ids.len();
+        }
+        let mut scratch = MatchScratch::new();
+        let outcome = summary.match_event_into(&event, &mut scratch);
+        assert_eq!(outcome.stats.ids_collected, hit_postings);
+        assert_eq!(outcome.stats.candidates, 5);
+        assert_eq!(outcome.matched, summary.match_event_scan(&event).matched);
+    }
+
+    #[test]
+    fn rows_of_several_masks_are_laid_out_as_runs() {
+        let schema = stock_schema();
+        let mut summary = BrokerSummary::new(schema.clone());
+        // Alternating masks in one `price` row: {price} and {price, low}.
+        for i in 0..6u32 {
+            let mut b = Subscription::builder(&schema)
+                .num("price", NumOp::Gt, 1.0)
+                .unwrap();
+            if i % 2 == 1 {
+                b = b.num("low", NumOp::Lt, 9.0).unwrap();
+            }
+            summary.insert(BrokerId(0), LocalSubId(i), &b.build().unwrap());
+        }
+        let ids = summary.intern_table().ids_slice();
+        let plan = MatchPlan::compile(summary.arith_slots(), summary.string_slots(), ids, 0);
+        plan.assert_layout(ids);
+        let price = schema.attr_id("price").unwrap().index();
+        let bank = plan.arith[price].as_ref().unwrap();
+        assert_eq!(bank.range_runs, vec![0, 2], "one row, two runs");
+        // Each run keeps dense order.
+        assert_eq!(plan.runs.postings(0..1), &[0, 2, 4]);
+        assert_eq!(plan.runs.postings(1..2), &[1, 3, 5]);
+    }
+
     #[test]
     fn empty_summaries_compile_to_empty_banks() {
         let arith = vec![None, Some(RangeSummary::new())];
         let strings = vec![Some(PatternSummary::new()), None];
-        let plan = MatchPlan::compile(&arith, &strings, 0, 0);
+        let plan = MatchPlan::compile(&arith, &strings, &[], 0);
         assert!(plan.arith.iter().all(Option::is_none));
         assert!(plan.strings.iter().all(Option::is_none));
-        assert!(plan.arena.is_empty());
+        assert!(plan.runs.arena.is_empty());
+        plan.assert_layout(&[]);
     }
 }

@@ -380,9 +380,9 @@ impl PatternSummary {
     }
 
     /// Positions of every wildcard row the anchor index selects for the
-    /// value `s`. Compiled-plan probe path: the plan stores only arena
-    /// posting ranges and borrows candidate selection and the pattern
-    /// tests from the summary it was compiled from.
+    /// value `s`. Compiled-plan probe path: the plan stores only the
+    /// wildcard rows' posting runs and borrows candidate selection and
+    /// the pattern tests from the summary it was compiled from.
     pub(crate) fn plan_candidates(&self, s: &str) -> impl Iterator<Item = usize> + '_ {
         self.index.value_candidates(s)
     }
@@ -393,23 +393,29 @@ impl PatternSummary {
         self.patterns[pos].pattern.matches(s)
     }
 
-    /// Literal rows in the map's own iteration order — stable for an
-    /// unmodified map instance, which plan compilation and the
-    /// plan-coherence validation cross-check rely on.
-    pub(crate) fn literal_rows(&self) -> impl Iterator<Item = (&String, &IdList)> {
-        self.literals.iter()
+    /// Whether any literal row exists (compiled-plan probe path: the
+    /// cost model charges one literal-map probe when it does).
+    pub(crate) fn has_literals(&self) -> bool {
+        !self.literals.is_empty()
+    }
+
+    /// The postings of the literal row equal to `s`, empty when there is
+    /// none (compiled-plan probe path: literal rows are not compiled).
+    pub(crate) fn literal_postings(&self, s: &str) -> &[DenseId] {
+        self.literals.get(s).map_or(&[], Vec::as_slice)
     }
 
     /// Wildcard-row posting lists in row order (parallel to the
-    /// compiled `StringBank::wild` ranges).
+    /// compiled `StringBank::wild_runs` rows).
     pub(crate) fn wildcard_postings(&self) -> impl Iterator<Item = &IdList> {
         self.patterns.iter().map(|r| &r.ids)
     }
 
     /// Reference implementation of [`PatternSummary::query`] as a flat
     /// scan over every wildcard row, bypassing the pattern index.
-    /// Retained for differential testing and the benchmark's
-    /// before/after comparison; results equal `query` up to ordering.
+    /// Retained for differential testing and as the string half of
+    /// [`crate::BrokerSummary::match_event_scan`]; results equal `query`
+    /// up to ordering.
     pub fn query_scan(&self, s: &str) -> IdList {
         let mut out = IdList::new();
         self.query_scan_into(s, &mut out);

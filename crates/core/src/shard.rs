@@ -39,8 +39,10 @@
 //! the disjoint sorted AACS sub-ranges as two flat `u64` key arrays
 //! (struct-of-arrays, branchless lower-bound search, containment as two
 //! unsigned compares with no `Interval` enum dispatch), AACS_E values
-//! as a sorted key array, and every posting list — AACS, AACS_E and
-//! SACS — laid back to back in one dense-u32 arena with CSR offsets.
+//! as a sorted key array, and every AACS, AACS_E and SACS wildcard
+//! posting list laid back to back in one dense-u32 arena as runs of one
+//! `c3` mask — the flat layout with the mask-group index read from the
+//! intern-table ids sliced to the shard's range.
 //! Plans are compiled once per shard at snapshot-flip time, so the
 //! publish path always probes a frozen plan; retired plans leave with
 //! their [`ShardSet`] through the snapshot epoch machinery.
@@ -76,8 +78,8 @@ pub(crate) struct Shard {
     /// The compiled columnar plan over this shard's rows.
     plan: MatchPlan,
     /// Per-attribute SACS restrictions (`None` where empty). The plan
-    /// borrows candidate selection and the pattern tests from these
-    /// summaries; only posting storage is compiled into the arena.
+    /// borrows candidate selection, the pattern tests and the literal
+    /// rows from these summaries; only wildcard postings are compiled.
     strings: Vec<Option<PatternSummary>>,
     /// `required[local]` — the flat table's counter thresholds for this
     /// shard's dense slice.
@@ -87,6 +89,11 @@ pub(crate) struct Shard {
 impl Shard {
     fn len(&self) -> usize {
         self.required.len()
+    }
+
+    /// The intern-table entries of this shard's dense ids.
+    fn ids<'s>(&self, set: &'s ShardSet) -> &'s [SubscriptionId] {
+        &set.ids[self.base as usize..self.base as usize + self.len()]
     }
 }
 
@@ -110,8 +117,8 @@ impl ShardSet {
     /// by the time the set is published through the [`SnapshotCell`],
     /// every plan is immutable and the publish path never compiles.
     fn derive(flat: &BrokerSummary, shard_count: usize) -> ShardSet {
-        let n = flat.intern_table().ids_slice().len();
-        let bounds = partition_bounds(n, shard_count);
+        let ids = flat.intern_table().ids_slice();
+        let bounds = partition_bounds(ids.len(), shard_count);
         let shards = bounds
             .windows(2)
             .map(|w| {
@@ -120,7 +127,8 @@ impl ShardSet {
                     .iter()
                     .map(|s| s.as_ref().and_then(|s| s.filter_rebase(w[0], w[1])))
                     .collect();
-                let plan = MatchPlan::compile(flat.arith_slots(), &strings, w[0], w[1]);
+                let local = &ids[w[0] as usize..w[1] as usize];
+                let plan = MatchPlan::compile(flat.arith_slots(), &strings, local, w[0]);
                 Shard {
                     base: w[0],
                     plan,
@@ -133,7 +141,7 @@ impl ShardSet {
         ShardSet {
             #[cfg(any(test, debug_assertions))]
             bounds,
-            ids: flat.intern_table().ids_slice().to_vec(),
+            ids: ids.to_vec(),
             shards,
         }
     }
@@ -368,6 +376,7 @@ impl ShardedSummary {
             shard.plan.probe_into(
                 event,
                 &shard.strings,
+                shard.ids(&set),
                 &shard.required,
                 kernel,
                 &mut outcome.stats,
@@ -422,9 +431,11 @@ impl Clone for ShardedSummary {
 ///   interior bounds, and the id table equals the flat intern table;
 /// * per shard, `required` mirrors the flat thresholds and every
 ///   posting is in shard-local range;
-/// * per-shard plan keys are sorted with each row's `lo <= hi`, CSR
-///   offsets are monotone within the arena, and the whole plan equals a
-///   fresh compile of the flat rows restricted to the shard;
+/// * per-shard plan keys are sorted with each row's `lo <= hi`, the run
+///   layout holds ([`MatchPlan::assert_layout`]: monotone bounds, every
+///   posting in shard-local range and in a run of its own mask), and
+///   the whole plan equals a fresh compile of the flat rows restricted
+///   to the shard;
 /// * splitting loses nothing: for every attribute, the multiset of
 ///   (row, global id) postings across shards — read back out of the
 ///   compiled plan banks — equals the flat summary's rows exactly
@@ -469,23 +480,18 @@ pub(crate) fn validate_set(flat: &BrokerSummary, set: &ShardSet) {
             for (i, &lo_k) in bank.lo_keys.iter().enumerate() {
                 assert!(lo_k <= bank.hi_keys[i], "row keys ordered");
             }
-            assert_csr(
-                &bank.range_offsets,
-                bank.lo_keys.len(),
-                &shard.plan.arena,
-                shard.len(),
-            );
+            assert_eq!(bank.range_runs.len(), bank.lo_keys.len() + 1, "range rows");
             assert!(
                 bank.point_keys.windows(2).all(|w| w[0] < w[1]),
                 "shard point keys strictly ascending"
             );
-            assert_csr(
-                &bank.point_offsets,
-                bank.point_keys.len(),
-                &shard.plan.arena,
-                shard.len(),
+            assert_eq!(
+                bank.point_runs.len(),
+                bank.point_keys.len() + 1,
+                "point rows"
             );
         }
+        shard.plan.assert_layout(shard.ids(set));
         for sacs in shard.strings.iter().flatten() {
             sacs.validate();
             for (_, ids) in sacs.rows() {
@@ -496,7 +502,7 @@ pub(crate) fn validate_set(flat: &BrokerSummary, set: &ShardSet) {
         }
         // The frozen plan is a pure function of the flat rows restricted
         // to the shard: a fresh compile must reproduce it byte for byte.
-        let recompiled = MatchPlan::compile(flat.arith_slots(), &shard.strings, lo, hi);
+        let recompiled = MatchPlan::compile(flat.arith_slots(), &shard.strings, shard.ids(set), lo);
         assert!(
             shard.plan == recompiled,
             "shard plan out of sync with the flat rows"
@@ -525,21 +531,14 @@ pub(crate) fn validate_set(flat: &BrokerSummary, set: &ShardSet) {
         let mut shard_rows: Vec<(u64, u64, DenseId)> = Vec::new();
         for shard in &set.shards {
             if let Some(bank) = shard.plan.arith.get(attr).and_then(Option::as_ref) {
+                let row = |bounds: &[u32], i: usize| bounds[i] as usize..bounds[i + 1] as usize;
                 for (i, &lo_k) in bank.lo_keys.iter().enumerate() {
-                    let (a, b) = (
-                        bank.range_offsets[i] as usize,
-                        bank.range_offsets[i + 1] as usize,
-                    );
-                    for &d in &shard.plan.arena[a..b] {
+                    for &d in shard.plan.runs.postings(row(&bank.range_runs, i)) {
                         shard_rows.push((lo_k, bank.hi_keys[i], shard.base + d));
                     }
                 }
                 for (i, &pk) in bank.point_keys.iter().enumerate() {
-                    let (a, b) = (
-                        bank.point_offsets[i] as usize,
-                        bank.point_offsets[i + 1] as usize,
-                    );
-                    for &d in &shard.plan.arena[a..b] {
+                    for &d in shard.plan.runs.postings(row(&bank.point_runs, i)) {
                         shard_rows.push((pk, u64::MAX, shard.base + d));
                     }
                 }
@@ -577,25 +576,6 @@ pub(crate) fn validate_set(flat: &BrokerSummary, set: &ShardSet) {
             flat_rows, shard_rows,
             "SACS postings reassemble (attr {attr})"
         );
-    }
-}
-
-/// CSR offsets of one plan bank: `rows + 1` long, monotone, pointing
-/// into the shared arena, every referenced posting in shard-local
-/// range. Offsets are absolute arena positions (banks share one arena),
-/// so no leading zero is required.
-#[cfg(any(test, debug_assertions))]
-fn assert_csr(offsets: &[u32], rows: usize, arena: &[DenseId], local_len: usize) {
-    assert_eq!(offsets.len(), rows + 1, "CSR spans the rows");
-    assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "CSR monotone");
-    assert!(
-        *offsets.last().unwrap_or(&0) as usize <= arena.len(),
-        "CSR inside the arena"
-    );
-    for w in offsets.windows(2) {
-        for &d in &arena[w[0] as usize..w[1] as usize] {
-            assert!((d as usize) < local_len, "posting in shard range");
-        }
     }
 }
 
@@ -852,7 +832,19 @@ mod tests {
     fn validate_rejects_dropped_posting() {
         assert!(corrupt_panics(|set| {
             for shard in &mut set.shards {
-                if shard.plan.arena.pop().is_some() {
+                if shard.plan.runs.arena.pop().is_some() {
+                    return;
+                }
+            }
+        }));
+    }
+
+    #[test]
+    fn validate_rejects_relabelled_run() {
+        assert!(corrupt_panics(|set| {
+            for shard in &mut set.shards {
+                if let Some(m) = shard.plan.runs.masks.first_mut() {
+                    *m ^= 1;
                     return;
                 }
             }
@@ -874,7 +866,7 @@ mod tests {
     fn validate_rejects_out_of_range_posting() {
         assert!(corrupt_panics(|set| {
             for shard in &mut set.shards {
-                if let Some(p) = shard.plan.arena.first_mut() {
+                if let Some(p) = shard.plan.runs.arena.first_mut() {
                     *p = u32::MAX;
                     return;
                 }

@@ -409,7 +409,9 @@ impl BrokerSummary {
     /// rebuilt wholesale here: union all row ids, then translate each
     /// row's sorted id list to dense postings. Rebuilding in two passes
     /// keeps decode linear; interning row by row would renumber postings
-    /// quadratically on adversarial id orders.
+    /// quadratically on adversarial id orders. The decoder has already
+    /// refused any id posted under an attribute its `c3` mask lacks, so
+    /// the plan's mask filter holds for decoded summaries too.
     pub(crate) fn install_decoded_rows(
         &mut self,
         arith_rows: &[(subsum_types::AttrId, subsum_types::Interval, SubIdList)],
@@ -542,9 +544,11 @@ impl BrokerSummary {
     ///
     /// The summary's rows are compiled (lazily, cached until the next
     /// mutation) into per-attribute structure-of-arrays banks over one
-    /// flat dense-id postings arena. A probe walks sorted key arrays
-    /// with a branchless lower-bound search and streams contiguous
-    /// posting slices through a packed epoch-counter kernel: one random
+    /// flat dense-id postings arena, each row grouped into runs of one
+    /// `c3` mask. A probe walks sorted key arrays with a branchless
+    /// lower-bound search and streams the runs whose mask fits inside
+    /// the event's attributes (no other id can reach its count) through
+    /// a packed epoch-counter kernel: one random
     /// access per posting loads `(epoch, count)` in a single word, and
     /// the match bit is set the moment a counter reaches the summary's
     /// precomputed `required` count (its `c3` mask popcount) — no
@@ -565,16 +569,13 @@ impl BrokerSummary {
         scratch: &'s mut MatchScratch,
     ) -> &'s MatchOutcome {
         let _span = STAGE_MATCH.start();
-        let n = self.intern.len();
-        let plan = self
-            .plan
-            .get_or_compile(|| MatchPlan::compile(&self.arith, &self.strings, 0, n as DenseId));
+        let plan = self.plan.get_or_compile(|| self.compile_plan());
         if scratch.used {
             CNT_SCRATCH_REUSE.inc();
         }
         scratch.used = true;
         let MatchScratch { probe, outcome, .. } = scratch;
-        if probe.prepare(n) {
+        if probe.prepare(self.intern.len()) {
             CNT_SCRATCH_GROWS.inc();
         }
         outcome.matched.clear();
@@ -582,6 +583,7 @@ impl BrokerSummary {
         plan.probe_into(
             event,
             &self.strings,
+            self.intern.ids_slice(),
             self.intern.required_slice(),
             probe,
             &mut outcome.stats,
@@ -590,11 +592,17 @@ impl BrokerSummary {
         outcome
     }
 
+    /// A fresh compile of the plan over every row.
+    fn compile_plan(&self) -> MatchPlan {
+        MatchPlan::compile(&self.arith, &self.strings, self.intern.ids_slice(), 0)
+    }
+
     /// Reference implementation of Algorithm 1 as flat scans over every
-    /// summary row, bypassing the SACS pattern index. Retained for
-    /// differential testing and the benchmark's before/after comparison;
-    /// `matched` equals [`BrokerSummary::match_event`] exactly (same
-    /// sorted order).
+    /// summary row, bypassing the SACS pattern index and the compiled
+    /// plan's mask filter. Retained for differential testing and for
+    /// `repro compute`'s `scan_popular_us` column (the plan against the
+    /// oracle as `N` grows); `matched` equals
+    /// [`BrokerSummary::match_event`] exactly (same sorted order).
     pub fn match_event_scan(&self, event: &Event) -> MatchOutcome {
         let mut collected = SubIdList::new();
         let mut per_attr = SubIdList::new();
@@ -682,7 +690,11 @@ impl BrokerSummary {
     /// * intern-table coherence: the interned ids are strictly sorted,
     ///   `required[d]` equals each id's mask popcount, every dense
     ///   posting is in table range, and the referenced dense ids are
-    ///   exactly `0..len` (contiguous — no zombie slots, no danglers).
+    ///   exactly `0..len` (contiguous — no zombie slots, no danglers);
+    /// * every posting of dense id `d` sits on an attribute in
+    ///   `ids[d].mask` — the precondition of the plan's mask filter;
+    /// * a cached plan equals a fresh compile, whose runs each hold the
+    ///   postings of one mask.
     ///
     /// # Panics
     ///
@@ -755,15 +767,37 @@ impl BrokerSummary {
             "intern table out of sync with the summary rows"
         );
         // Plan/summary coherence: a cached compiled plan must equal a
-        // fresh compile of the current rows. (Deterministic: both
-        // compiles iterate the same literal-map instances, so the arena
-        // layout comes out identical.)
+        // fresh compile of the current rows (compiles are deterministic:
+        // mask groups are numbered in dense order).
+        let fresh = self.compile_plan();
+        fresh.assert_layout(&self.intern.ids);
         if let Some(cached) = self.plan.cached() {
-            let fresh =
-                MatchPlan::compile(&self.arith, &self.strings, 0, self.intern.len() as DenseId);
             assert!(
                 *cached == fresh,
                 "cached match plan out of sync with the summary rows"
+            );
+        }
+        for (idx, s) in self.arith.iter().enumerate() {
+            if let Some(s) = s {
+                self.assert_postings_in_mask(idx, s.all_ids());
+            }
+        }
+        for (idx, s) in self.strings.iter().enumerate() {
+            if let Some(s) = s {
+                self.assert_postings_in_mask(idx, s.all_ids());
+            }
+        }
+    }
+
+    /// Asserts that every dense id in `postings`, found under attribute
+    /// `idx`, names that attribute in its `c3` mask.
+    #[cfg(any(test, debug_assertions))]
+    fn assert_postings_in_mask(&self, idx: usize, postings: impl Iterator<Item = DenseId>) {
+        let attr = subsum_types::AttrId(idx as u16);
+        for d in postings {
+            assert!(
+                self.intern.ids[d as usize].mask.contains(attr),
+                "dense id {d} posted under attribute {idx} outside its c3 mask"
             );
         }
     }
@@ -885,9 +919,14 @@ pub struct MatchStats {
     /// SACS wildcard rows the pattern index skipped without testing —
     /// the scan work the pre-index matcher would have performed.
     pub rows_pruned: usize,
-    /// Total ids collected from satisfied rows (the P of the T₂ term).
+    /// Ids collected from satisfied rows (the P of the T₂ term). The
+    /// compiled plan counts only admissible postings — those of ids whose
+    /// `c3` mask fits inside the event's attributes, the only ids that
+    /// can match; [`BrokerSummary::match_event_scan`] counts every id it
+    /// collects.
     pub ids_collected: usize,
-    /// Distinct candidate subscriptions whose counters were checked.
+    /// Distinct candidate subscriptions whose counters were checked —
+    /// for the compiled plan, admissible ids only (see `ids_collected`).
     pub candidates: usize,
 }
 
@@ -1293,6 +1332,21 @@ mod tests {
         // Shrink the table out from under the rows.
         summary.intern.ids.pop();
         summary.intern.required.pop();
+        summary.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "outside its c3 mask")]
+    fn validate_rejects_a_posting_outside_the_id_mask() {
+        let schema = schema();
+        let mut summary = BrokerSummary::new(schema.clone());
+        summary.insert(BrokerId(0), LocalSubId(1), &sub1(&schema));
+        // Drop `price` from the id's mask (and its threshold with it, so
+        // only the new check can fire): its price row now holds an id
+        // that does not name price.
+        let price = schema.attr_id("price").unwrap();
+        summary.intern.ids[0].mask.0 &= !(1 << price.index());
+        summary.intern.required[0] -= 1;
         summary.validate();
     }
 

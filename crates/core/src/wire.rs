@@ -14,8 +14,8 @@
 use std::fmt;
 
 use subsum_types::{
-    ByteReader, ByteWriter, DecodeError, IdLayout, Interval, LowerBound, Num, Pattern, Schema,
-    SubscriptionId, TypeError, UpperBound,
+    AttrId, ByteReader, ByteWriter, DecodeError, IdLayout, Interval, LowerBound, Num, Pattern,
+    Schema, SubscriptionId, TypeError, UpperBound,
 };
 
 use crate::idlist::SubIdList;
@@ -55,6 +55,11 @@ pub enum WireError {
     UnsupportedVersion(u8),
     /// An attribute index exceeded the schema.
     AttributeOutOfRange(u16),
+    /// A subscription id sat in a row of this attribute although its
+    /// `c3` mask does not name the attribute. The matcher skips every id
+    /// whose mask names an attribute the event lacks, which is exact
+    /// only when no id is posted outside its mask.
+    PostingOutsideMask(u16),
 }
 
 impl fmt::Display for WireError {
@@ -65,6 +70,12 @@ impl fmt::Display for WireError {
             WireError::UnsupportedVersion(v) => write!(f, "unsupported summary version {v}"),
             WireError::AttributeOutOfRange(a) => {
                 write!(f, "attribute index {a} outside the schema")
+            }
+            WireError::PostingOutsideMask(a) => {
+                write!(
+                    f,
+                    "an id posted under attribute {a} lacks it in its c3 mask"
+                )
             }
         }
     }
@@ -284,17 +295,17 @@ impl SummaryCodec {
             if attr as usize >= schema.len() {
                 return Err(WireError::AttributeOutOfRange(attr));
             }
-            let attr = subsum_types::AttrId(attr);
+            let attr = AttrId(attr);
             let n_ranges = r.u32()?;
             let n_points = r.u32()?;
             for _ in 0..n_ranges {
                 let iv = self.get_interval(&mut r, width)?;
-                let ids = self.get_idlist(&mut r)?;
+                let ids = self.get_idlist(&mut r, attr)?;
                 arith_rows.push((attr, iv, ids));
             }
             for _ in 0..n_points {
                 let v = self.get_num(&mut r, width)?;
-                let ids = self.get_idlist(&mut r)?;
+                let ids = self.get_idlist(&mut r, attr)?;
                 point_rows.push((attr, v, ids));
             }
         }
@@ -305,12 +316,12 @@ impl SummaryCodec {
             if attr as usize >= schema.len() {
                 return Err(WireError::AttributeOutOfRange(attr));
             }
-            let attr = subsum_types::AttrId(attr);
+            let attr = AttrId(attr);
             let n_rows = r.u32()?;
             for _ in 0..n_rows {
                 let text = r.str16()?.to_owned();
                 let pattern = Pattern::parse(&text)?;
-                let ids = self.get_idlist(&mut r)?;
+                let ids = self.get_idlist(&mut r, attr)?;
                 string_rows.push((attr, pattern, ids));
             }
         }
@@ -395,7 +406,9 @@ impl SummaryCodec {
         Ok(())
     }
 
-    fn get_idlist(&self, r: &mut ByteReader<'_>) -> Result<SubIdList, WireError> {
+    /// Reads the id list of one row of attribute `attr`, refusing an id
+    /// whose `c3` mask does not name `attr`.
+    fn get_idlist(&self, r: &mut ByteReader<'_>, attr: AttrId) -> Result<SubIdList, WireError> {
         let n = r.u32()? as usize;
         let id_len = self.layout.byte_len();
         let mut out = SubIdList::with_capacity(n.min(4096));
@@ -405,6 +418,9 @@ impl SummaryCodec {
                 .layout
                 .decode_bytes(raw)
                 .ok_or(WireError::Decode(DecodeError::UnexpectedEnd))?;
+            if !id.mask.contains(attr) {
+                return Err(WireError::PostingOutsideMask(attr.0));
+            }
             out.push(id);
         }
         // Wire input is untrusted: restore the sorted-dedup invariant the
@@ -527,6 +543,28 @@ mod tests {
         w.u16(0);
         let err = c.decode(&w.into_bytes(), &schema).unwrap_err();
         assert_eq!(err, WireError::AttributeOutOfRange(99));
+    }
+
+    #[test]
+    fn an_id_posted_outside_its_mask_is_rejected() {
+        let schema = stock_schema();
+        let c = codec(&schema, ArithWidth::Four);
+        let price = schema.attr_id("price").unwrap();
+        let volume = schema.attr_id("volume").unwrap();
+        // A `price` row holding an id whose mask names `volume` only.
+        let stray = SubscriptionId::new(BrokerId(1), LocalSubId(2), [volume].into_iter().collect());
+        let mut w = ByteWriter::new();
+        w.u8(VERSION);
+        w.u8(TAG_WIDTH_FOUR);
+        w.u16(1); // one arithmetic attr
+        w.u16(price.0);
+        w.u32(0); // no ranges
+        w.u32(1); // one point
+        w.u32(8.25f32.to_bits());
+        c.put_idlist(&mut w, &[stray]).unwrap();
+        w.u16(0); // no string attrs
+        let err = c.decode(&w.into_bytes(), &schema).unwrap_err();
+        assert_eq!(err, WireError::PostingOutsideMask(price.0));
     }
 
     #[test]

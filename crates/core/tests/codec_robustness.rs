@@ -6,7 +6,7 @@ use rand::check::check;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use subsum_core::{ArithWidth, BrokerSummary, SummaryCodec};
+use subsum_core::{ArithWidth, BrokerSummary, SummaryCodec, WireError};
 use subsum_types::{stock_schema, BrokerId, IdLayout, LocalSubId, NumOp, StrOp, Subscription};
 
 fn sample_bytes(seed: u64) -> (Vec<u8>, SummaryCodec) {
@@ -82,6 +82,40 @@ fn flip_and_decode(seed: u64, flips: &[(usize, u8)]) {
 #[test]
 fn one_low_bit_flipped_at_offset_2917() {
     flip_and_decode(6, &[(2917, 0)]);
+}
+
+/// The matcher skips ids whose `c3` mask names an attribute the event
+/// lacks, which is exact only if every id sits on attributes its mask
+/// names. Flipping off, in an encoded summary, the mask bit of the
+/// attribute an id is posted under must get an error, not an install.
+#[test]
+fn an_id_whose_mask_loses_its_row_attribute_is_refused() {
+    let schema = stock_schema();
+    let layout = IdLayout::new(24, 1000, schema.len() as u32).unwrap();
+    let codec = SummaryCodec::new(layout, ArithWidth::Four);
+    let sub = Subscription::builder(&schema)
+        .num("price", NumOp::Lt, 10.0)
+        .unwrap()
+        .build()
+        .unwrap();
+    let mut summary = BrokerSummary::new(schema.clone());
+    let id = summary.insert(BrokerId(5), LocalSubId(7), &sub);
+    let mut bytes = codec.encode(&summary).unwrap();
+    assert_eq!(codec.decode(&bytes, &schema).unwrap(), summary);
+    let mut packed = Vec::new();
+    layout.encode_bytes(id, &mut packed).unwrap();
+    let at: Vec<usize> = (0..=bytes.len() - packed.len())
+        .filter(|&i| bytes[i..i + packed.len()] == packed[..])
+        .collect();
+    assert_eq!(at.len(), 1, "the id's bytes occur once");
+    // `c3` is the low end of the packed id, attribute 0 least significant.
+    let price = schema.attr_id("price").unwrap();
+    let byte = at[0] + packed.len() - 1 - price.index() / 8;
+    bytes[byte] ^= 1 << (price.index() % 8);
+    assert_eq!(
+        codec.decode(&bytes, &schema).unwrap_err(),
+        WireError::PostingOutsideMask(price.0)
+    );
 }
 
 /// Pure garbage never panics.

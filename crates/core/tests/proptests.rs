@@ -3,6 +3,7 @@
 
 use rand::check::check;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::Rng;
 
 use subsum_core::{
@@ -757,6 +758,109 @@ fn plan_kernel_identical_to_scan_on_merged_and_decoded() {
                         .matched
                         .clone();
                     assert_eq!(plan, summary.match_event_scan(&event).matched);
+                }
+            }
+        },
+    );
+}
+
+/// An event carrying exactly the attributes `attrs`, each with a random
+/// value of its kind.
+fn event_on(g: &mut StdRng, attrs: &[u16]) -> RawEvent {
+    attrs
+        .iter()
+        .map(|&a| {
+            let value = if a < 2 {
+                RawValue::Str(str_value(g))
+            } else {
+                RawValue::Num(num_value(g))
+            };
+            (a, value)
+        })
+        .collect()
+}
+
+/// Events over attribute subsets of the 7-attribute stock schema: none,
+/// one, all, and the workload model's `n_t / 2` — the shapes where the
+/// plan's mask filter skips none, most or some of the postings.
+fn partial_events(g: &mut StdRng) -> Vec<RawEvent> {
+    let mut attrs: Vec<u16> = (0..7).collect();
+    let one = [g.gen_range(0u16..7)];
+    let all = event_on(g, &attrs);
+    attrs.shuffle(g);
+    vec![
+        Vec::new(),
+        event_on(g, &one),
+        all,
+        event_on(g, &attrs[..attrs.len() / 2]),
+    ]
+}
+
+/// The plan with its mask filter against the scan oracle, which counts
+/// every posting, on events that lack attributes — over insert-, merge-,
+/// churn- and decode-built summaries, with `sharded == flat` at every
+/// shard count.
+#[test]
+fn plan_kernel_identical_to_scan_on_partial_events() {
+    check(
+        "plan_kernel_identical_to_scan_on_partial_events",
+        128,
+        |g| {
+            let subs_a = g.vec(1..6, subscription);
+            let subs_b = g.vec(1..6, subscription);
+            let remove_mask = g.vec(1..6, |g| g.gen::<bool>());
+            let events: Vec<RawEvent> = (0..2).flat_map(|_| partial_events(g)).collect();
+            let schema = stock_schema();
+            let layout = IdLayout::new(24, 1024, schema.len() as u32).unwrap();
+            let codec = SummaryCodec::new(layout, ArithWidth::Eight);
+            let mut inserted = BrokerSummary::new(schema.clone());
+            let mut other = BrokerSummary::new(schema.clone());
+            let mut ids = Vec::new();
+            for (i, raw) in subs_a.iter().enumerate() {
+                if let Some(sub) = build_sub(&schema, raw) {
+                    ids.push(inserted.insert(
+                        BrokerId((i % 3) as u16 * 2),
+                        LocalSubId(i as u32),
+                        &sub,
+                    ));
+                }
+            }
+            for (i, raw) in subs_b.iter().enumerate() {
+                if let Some(sub) = build_sub(&schema, raw) {
+                    other.insert(BrokerId((i % 3) as u16 * 2 + 1), LocalSubId(i as u32), &sub);
+                }
+            }
+            let mut merged = inserted.clone();
+            merged.merge(&other);
+            let mut churned = merged.clone();
+            for (id, remove) in ids.iter().zip(&remove_mask) {
+                if *remove {
+                    churned.remove(*id);
+                }
+            }
+            let decoded = codec
+                .decode(&codec.encode(&merged).unwrap(), &schema)
+                .unwrap();
+            let mut flat_scratch = MatchScratch::new();
+            let mut shard_scratch = ShardScratch::new();
+            for summary in [&inserted, &merged, &churned, &decoded] {
+                check_invariants(summary);
+                let sharded: Vec<ShardedSummary> = SHARD_COUNTS
+                    .iter()
+                    .map(|&shards| ShardedSummary::from_flat(summary.clone(), shards))
+                    .collect();
+                sharded.iter().for_each(check_sharded_invariants);
+                for raw_event in &events {
+                    let event = build_event(&schema, raw_event);
+                    let flat = summary
+                        .match_event_into(&event, &mut flat_scratch)
+                        .matched
+                        .clone();
+                    assert_eq!(flat, summary.match_event_scan(&event).matched, "{event}");
+                    for (s, shards) in sharded.iter().zip(SHARD_COUNTS) {
+                        let got = &s.match_event_into(&event, &mut shard_scratch).matched;
+                        assert_eq!(got, &flat, "shards={shards} {event}");
+                    }
                 }
             }
         },

@@ -351,6 +351,81 @@ fn compiled_plan_probe_allocates_nothing_once_plan_is_warm() {
     );
 }
 
+/// SACS literal rows are not compiled into the plan: a warm probe looks
+/// the value up in the source summary's literal map and tests each
+/// posting's `c3` mask against the event. That lookup and test must be
+/// as allocation-free as the compiled runs.
+#[test]
+fn a_warm_probe_through_a_literal_row_allocates_nothing() {
+    let schema = stock_schema();
+    let mut summary = BrokerSummary::new(schema.clone());
+    for i in 0..300u32 {
+        let symbol = format!("S{}", i % 30);
+        let mut b = Subscription::builder(&schema)
+            .str_op("symbol", StrOp::Eq, &symbol)
+            .unwrap();
+        // Half the ids also constrain `price`, which only some events
+        // carry, so the per-posting mask test admits and rejects.
+        if i % 2 == 0 {
+            b = b.num("price", NumOp::Lt, 50.0).unwrap();
+        }
+        summary.insert(BrokerId(3), LocalSubId(i), &b.build().unwrap());
+    }
+    let symbol = schema.attr_id("symbol").unwrap();
+    let literal_rows = summary
+        .string_summary(symbol)
+        .unwrap()
+        .rows()
+        .filter(|(p, _)| p.as_literal().is_some())
+        .count();
+    assert_eq!(literal_rows, 30, "every symbol is a literal row");
+
+    let events: Vec<Event> = ["S3", "S22", "S7"]
+        .iter()
+        .enumerate()
+        .map(|(k, s)| {
+            let b = Event::builder(&schema)
+                .str("symbol", s.to_string())
+                .unwrap();
+            if k % 2 == 0 {
+                b.num("price", 10.0).unwrap().build()
+            } else {
+                b.build()
+            }
+        })
+        .collect();
+
+    let mut scratch = MatchScratch::new();
+    let warm: usize = events
+        .iter()
+        .map(|e| summary.match_event_into(e, &mut scratch).matched.len())
+        .sum();
+    assert!(warm > 0, "fixture must produce matches");
+
+    const PASSES: usize = 100;
+    let mut zero_delta = false;
+    let mut last_delta = u64::MAX;
+    for _ in 0..5 {
+        let before = allocations();
+        let mut total = 0usize;
+        for _ in 0..PASSES {
+            for e in &events {
+                total += summary.match_event_into(e, &mut scratch).matched.len();
+            }
+        }
+        std::hint::black_box(total);
+        last_delta = allocations() - before;
+        if last_delta == 0 {
+            zero_delta = true;
+            break;
+        }
+    }
+    assert!(
+        zero_delta,
+        "literal-row probe allocated ({last_delta} allocations across {PASSES} passes)"
+    );
+}
+
 /// The sharded steady-state match path: pinning the shard-partition
 /// snapshot is two atomic stores and a load — no allocation — and the
 /// per-shard kernels reuse the scratch's per-shard arrays, so once a
