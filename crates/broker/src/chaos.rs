@@ -9,9 +9,11 @@
 //!
 //! * **Crash/recovery** — a crashed broker loses all in-memory state
 //!   (summary, neighbor views, even its exact store). On restart it
-//!   reloads its durable [`BrokerCheckpoint`] (or comes up empty),
-//!   announces its rebuilt summary, and pulls its neighbors' summaries
-//!   to re-learn its views.
+//!   reloads its durable [`BrokerCheckpoint`] (or comes up empty) and
+//!   sends every neighbour the `Hello` a redialling `subsumd` sends
+//!   ([`DaemonCore::hello`]). The digests in `Hello` and `HelloAck`
+//!   gate both directions: each side pulls only a view that differs, so
+//!   a checkpointed restart ships no summary of its own.
 //! * **Anti-entropy** — every `repair_interval` ticks each broker
 //!   advertises a 24-byte [`SummaryDigest`] of its own summary to every
 //!   neighbor. A receiver whose stored view digest disagrees answers
@@ -28,9 +30,9 @@
 //! and [`Msg::decode_frame`] into [`DaemonCore::step`]. The scheduled
 //! waves are `DaemonCore` calls ([`DaemonCore::push_summary`] is the
 //! push a `Subscribe` triggers). This module adds faults, timers,
-//! counters — charged per message kind as the [`Msg`] passes the sink,
-//! so what a run charges to [`ChaosStats::full_summary_bytes`] is what
-//! the receiver decodes — and one simulated client per broker: it owns
+//! counters — each frame's length charged to its message kind as it
+//! passes the sink, so a run's byte counts are what its links carry —
+//! and one simulated client per broker: it owns
 //! every subscription of its broker (across a crash too: a restored id
 //! keeps its owner), can `Subscribe` mid-run
 //! ([`ChaosRun::subscribe_at`]) and, once a run has drained, publishes
@@ -88,9 +90,6 @@ static CNT_RESYNCS: Count = Count::new(subsum_telemetry::names::CHAOS_RESYNCS);
 static CNT_DIGEST_BYTES: Count = Count::new(subsum_telemetry::names::CHAOS_DIGEST_BYTES);
 static CNT_FULL_BYTES: Count = Count::new(subsum_telemetry::names::CHAOS_FULL_BYTES);
 
-/// Wire cost charged for a pull request (opcode + sender id).
-const PULL_BYTES: u64 = 4;
-
 /// The simulated client's connection at every broker. The link to
 /// neighbour `nb` is connection `nb`, and a `NodeId` stays below this.
 const CLIENT: ConnId = 1 << 16;
@@ -143,24 +142,26 @@ pub struct ChaosStats {
     pub restarts: u64,
     /// Digest mismatches that triggered a pull (anti-entropy resyncs).
     pub resyncs: u64,
-    /// Digest advertisements sent.
+    /// Digest advertisements sent: anti-entropy `Digest` frames and the
+    /// `Hello`/`HelloAck` of a restart's handshake.
     pub digest_msgs: u64,
-    /// Bytes spent on digest advertisements.
+    /// Frame bytes of those digest advertisements.
     pub digest_bytes: u64,
-    /// Full summary updates sent (initial wave, pulls, restarts, naive
+    /// Full summary updates sent (initial wave, pull answers, naive
     /// rounds).
     pub full_updates: u64,
-    /// Bytes spent on full summary updates: the summed lengths of the
-    /// wire-codec payloads sent.
+    /// Frame bytes of those updates: each wire-codec payload plus its
+    /// message and frame headers.
     pub full_summary_bytes: u64,
     /// Pull requests sent.
     pub pulls: u64,
-    /// Bytes spent on pull requests.
+    /// Frame bytes of those pull requests.
     pub pull_bytes: u64,
 }
 
 impl ChaosStats {
-    /// Total bytes put on the wire (updates + digests + pulls).
+    /// Total frame bytes put on the peer links (updates + digests +
+    /// pulls).
     pub fn total_bytes(&self) -> u64 {
         self.full_summary_bytes + self.digest_bytes + self.pull_bytes
     }
@@ -192,6 +193,8 @@ pub struct ChaosReport {
 struct Node {
     daemon: DaemonCore,
     alive: bool,
+    /// Restarts so far: the epoch of the next restart's `Hello`.
+    restarts: u64,
     /// Durable checkpoint bytes, surviving crashes. `None` models a
     /// broker that never checkpointed and restarts empty.
     checkpoint: Option<Vec<u8>>,
@@ -271,6 +274,7 @@ impl ChaosRun {
                 Node {
                     daemon,
                     alive: true,
+                    restarts: 0,
                     checkpoint: None,
                 }
             })
@@ -486,10 +490,13 @@ impl ChaosRun {
                         durable.and_then(|bytes| BrokerCheckpoint::from_bytes(bytes).ok()),
                     );
                     sink.stats.restarts += 1;
-                    // Announce the recovered summary and re-learn every
-                    // neighbor's.
-                    node.daemon.push_summary(&mut sink)?;
-                    node.daemon.pull_views(&mut sink);
+                    // Re-join as a redialling daemon does: one `Hello`
+                    // per link, and the digests decide what is pulled.
+                    node.restarts += 1;
+                    let hello = node.daemon.hello(node.restarts);
+                    for &nb in self.topology.neighbors(me) {
+                        sink.send(ConnId::from(nb), &hello);
+                    }
                 }
                 ChaosMsg::RepairTick if !node.alive => {}
                 ChaosMsg::RepairTick if self.config.naive_repair => {
@@ -610,8 +617,8 @@ fn decode(bytes: &[u8]) -> Option<Msg> {
 
 /// Where broker `me`'s [`DaemonCore`] outputs go during a run: encoded,
 /// then onto the faulty link to the neighbour the connection stands for
-/// (charging the message's wire cost to the counters of its kind), or
-/// into the simulated client's inbox.
+/// (charging the frame's length to the counters of its kind), or into
+/// the simulated client's inbox.
 struct NetSink<'a> {
     net: &'a mut LossyNet<ChaosMsg>,
     stats: &'a mut ChaosStats,
@@ -633,18 +640,19 @@ impl Sink for NetSink<'_> {
         let Ok(to) = NodeId::try_from(conn) else {
             return false;
         };
+        let len = frame.len() as u64;
         match msg {
-            Msg::Summary { bytes, .. } => {
+            Msg::Summary { .. } => {
                 self.stats.full_updates += 1;
-                self.stats.full_summary_bytes += bytes.len() as u64;
+                self.stats.full_summary_bytes += len;
             }
-            Msg::Digest { .. } => {
+            Msg::Digest { .. } | Msg::Hello { .. } | Msg::HelloAck { .. } => {
                 self.stats.digest_msgs += 1;
-                self.stats.digest_bytes += SummaryDigest::WIRE_BYTES as u64;
+                self.stats.digest_bytes += len;
             }
             Msg::Pull { .. } => {
                 self.stats.pulls += 1;
-                self.stats.pull_bytes += PULL_BYTES;
+                self.stats.pull_bytes += len;
             }
             _ => {}
         }

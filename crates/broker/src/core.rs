@@ -303,7 +303,8 @@ impl BrokerCore {
     }
 
     /// The own summary as the [`PeerMsg::Summary`] a host ships
-    /// unasked: the initial wave, an eager push, a restart announcement.
+    /// unasked (the initial wave, an eager push, a naive repair round)
+    /// and as the answer to a pull.
     ///
     /// # Errors
     ///

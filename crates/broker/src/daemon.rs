@@ -162,8 +162,8 @@ impl DaemonCore {
     }
 
     /// Pushes the own summary on every peer link: the eager push after
-    /// a `Subscribe`, and a host's unasked waves (start-up, a restart's
-    /// announcement, a naive repair round).
+    /// a `Subscribe`, and a host's unasked waves (start-up, a naive
+    /// repair round).
     ///
     /// # Errors
     ///
@@ -180,9 +180,15 @@ impl DaemonCore {
         self.to_peers(PeerMsg::Digest(self.core.own().digest()), sink);
     }
 
-    /// Asks every peer for its summary: a restart re-learning its views.
-    pub fn pull_views(&self, sink: &mut impl Sink) {
-        self.to_peers(PeerMsg::Pull, sink);
+    /// The `Hello` that opens a peer link at connection `epoch`: this
+    /// broker's id and own digest. The far end answers `HelloAck` with
+    /// its digest, and each end pulls only a view that differs.
+    pub fn hello(&self, epoch: u64) -> Msg {
+        Msg::Hello {
+            broker: self.id(),
+            epoch,
+            digest: self.core.own().digest(),
+        }
     }
 
     /// One neighbour-view message under this broker's id on every peer
@@ -435,11 +441,7 @@ mod tests {
             };
             pair.daemons[0].connected(LINK, Role::Unknown);
             pair.daemons[1].connected(LINK, Role::Peer(BrokerId(0)));
-            let hello = Msg::Hello {
-                broker: BrokerId(1),
-                epoch: 1,
-                digest: pair.daemons[1].broker().own().digest(),
-            };
+            let hello = pair.daemons[1].hello(1);
             assert_eq!(pair.step(0, LINK, hello), []);
             for d in 0..2 {
                 assert_eq!(pair.counters(d).summaries_rx.get(), 1, "daemon {d}");

@@ -47,10 +47,9 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the crate is safe code except for the
-// epoch-based snapshot reclamation in `snapshot`, which carries a
-// module-scoped `allow(unsafe_code)` and a written safety argument.
-#![deny(unsafe_code)]
+// Safe code throughout: the sharded store publishes its partitions
+// through `Arc`, so no module may opt back in.
+#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod aacs;
@@ -59,7 +58,6 @@ mod idlist;
 mod plan;
 mod sacs;
 mod shard;
-mod snapshot;
 mod stats;
 mod summary;
 mod wire;
@@ -71,7 +69,6 @@ pub use idlist::validate_idlist;
 pub use idlist::{DenseId, IdList, SubIdList};
 pub use sacs::{PatternRow, PatternSummary, QueryCost};
 pub use shard::{ShardScratch, ShardedSummary};
-pub use snapshot::{SnapshotCell, SnapshotGuard, SnapshotReader, SnapshotStats};
 pub use stats::{SizeParams, SummaryStats};
 pub use summary::{BrokerSummary, MatchOutcome, MatchScratch, MatchStats};
 pub use wire::{ArithWidth, SummaryCodec, WireError};

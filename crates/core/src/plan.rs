@@ -51,10 +51,9 @@
 //! [`BrokerSummary`](crate::BrokerSummary) drops its cached plan on every
 //! mutation and recompiles lazily on the next match;
 //! [`ShardedSummary`](crate::ShardedSummary) compiles one plan per shard
-//! at snapshot-flip time, so the publish path always probes a frozen
-//! plan and retired plans are reclaimed with their
-//! [`ShardSet`](crate::shard) through the epoch machinery of
-//! [`SnapshotCell`](crate::SnapshotCell).
+//! when it derives a partition, so the publish path always probes a
+//! frozen plan, and a retired plan is freed with its
+//! [`ShardSet`](crate::shard) when the last `Arc` to that set drops.
 
 use std::collections::HashMap;
 use std::ops::Range;

@@ -1,16 +1,18 @@
 //! Shard-per-core matching: a [`BrokerSummary`] partitioned by dense-id
-//! range behind lock-free snapshot reads. A core-only structure: every
-//! broker host matches and mutates its stored summaries from one owner
-//! and routes over the flat summary, so nothing outside this crate's
-//! tests, the bench and the ledger's reference rows holds one.
+//! range. A core-only structure: every broker host matches and mutates
+//! its stored summaries from one owner and routes over the flat summary,
+//! so nothing outside this crate's tests and the ledger's reference rows
+//! holds one.
 //!
 //! [`ShardedSummary`] keeps the canonical, wire-faithful summary (the
 //! *flat* [`BrokerSummary`]) behind a writer mutex and publishes a
-//! **derived** [`ShardSet`] through a [`SnapshotCell`]: `subscribe` /
-//! `unsubscribe` / `merge` mutate the flat summary and, when its rows
-//! changed, re-derive the shard partition off to the side and flip it
-//! in with one pointer swap — matching never blocks, and matching
-//! threads never block a writer.
+//! **derived** [`ShardSet`] as an `Arc`: `insert` / `remove` / `merge`
+//! mutate the flat summary and, when its rows changed, re-derive the
+//! shard partition off to the side and swap the new `Arc` in. A matcher
+//! clones the current `Arc` and probes with no lock held, so a writer
+//! never waits for a probe and a probe waits for a writer only across
+//! the pointer swap; a retired partition is freed when its last matcher
+//! drops it.
 //!
 //! # Shards are representation-free derived state
 //!
@@ -43,11 +45,11 @@
 //! posting list laid back to back in one dense-u32 arena as runs of one
 //! `c3` mask — the flat layout with the mask-group index read from the
 //! intern-table ids sliced to the shard's range.
-//! Plans are compiled once per shard at snapshot-flip time, so the
+//! Plans are compiled once per shard when a partition is derived, so the
 //! publish path always probes a frozen plan; retired plans leave with
-//! their [`ShardSet`] through the snapshot epoch machinery.
+//! their [`ShardSet`] when its last `Arc` drops.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use subsum_telemetry::Count;
@@ -59,7 +61,6 @@ use crate::idlist::SubIdList;
 #[cfg(any(test, debug_assertions))]
 use crate::plan::{lower_key, num_key, upper_key};
 use crate::plan::{MatchPlan, ProbeState};
-use crate::snapshot::{SnapshotCell, SnapshotReader};
 use crate::summary::{BrokerSummary, MatchOutcome, MatchStats};
 use crate::{PatternSummary, SummaryDigest};
 
@@ -113,9 +114,8 @@ pub(crate) struct ShardSet {
 
 impl ShardSet {
     /// Derives the partition from the flat rows and compiles one frozen
-    /// [`MatchPlan`] per shard — this is the snapshot-flip-time compile:
-    /// by the time the set is published through the [`SnapshotCell`],
-    /// every plan is immutable and the publish path never compiles.
+    /// [`MatchPlan`] per shard: by the time the set is published, every
+    /// plan is immutable and the publish path never compiles.
     fn derive(flat: &BrokerSummary, shard_count: usize) -> ShardSet {
         let ids = flat.intern_table().ids_slice();
         let bounds = partition_bounds(ids.len(), shard_count);
@@ -173,15 +173,11 @@ pub(crate) fn partition_bounds(n: usize, shard_count: usize) -> Vec<u32> {
 /// Reusable working memory for [`ShardedSummary::match_event_into`]:
 /// one probe state per shard (the same packed-counter working memory
 /// [`crate::MatchScratch`] holds, sized to the shard's local dense
-/// space), the snapshot reader slot, and the outcome buffer. Like
-/// [`crate::MatchScratch`], a warm scratch makes the sharded
-/// steady-state match loop allocation-free — pinning a snapshot is two
-/// atomic stores and a load.
+/// space) and the outcome buffer. Like [`crate::MatchScratch`], a warm
+/// scratch makes the sharded steady-state match loop allocation-free —
+/// taking the current partition is one lock and one `Arc` clone.
 #[derive(Debug, Default)]
 pub struct ShardScratch {
-    /// Registered lazily against the summary's snapshot cell on first
-    /// use (the only allocating step besides kernel growth).
-    reader: Option<SnapshotReader<ShardSet>>,
     kernels: Vec<ProbeState>,
     outcome: MatchOutcome,
 }
@@ -198,14 +194,14 @@ impl ShardScratch {
     }
 }
 
-/// A [`BrokerSummary`] sharded by dense-id range behind an epoch-stamped
-/// snapshot pointer.
+/// A [`BrokerSummary`] sharded by dense-id range, its partition
+/// published as an `Arc`.
 ///
 /// All methods take `&self`: writers serialize on an internal mutex
-/// around the canonical flat summary and publish derived [`ShardSet`]
-/// versions through a [`SnapshotCell`]; readers pin a snapshot without
-/// locking, so a `ShardedSummary` can be shared across a worker pool
-/// while subscribe/unsubscribe churn runs concurrently.
+/// around the canonical flat summary and swap in derived [`ShardSet`]
+/// versions; matchers clone the current version and probe it unlocked,
+/// so a `ShardedSummary` can be shared across a worker pool while
+/// subscribe/unsubscribe churn runs concurrently.
 ///
 /// The sharded matcher's `matched` output is **identical** to the flat
 /// [`BrokerSummary::match_event_into`] — same candidates, same sorted
@@ -215,7 +211,21 @@ impl ShardScratch {
 pub struct ShardedSummary {
     flat: Mutex<BrokerSummary>,
     shard_count: usize,
-    cell: Arc<SnapshotCell<ShardSet>>,
+    /// The partition derived from `flat`'s rows; held only to clone or
+    /// to replace the `Arc`.
+    current: Mutex<Arc<ShardSet>>,
+}
+
+// A worker pool shares one summary: that needs `Send + Sync`.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<ShardedSummary>();
+};
+
+/// Locks `m`; a poisoned lock is recovered, not propagated, so no
+/// caller panics.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl ShardedSummary {
@@ -233,7 +243,7 @@ impl ShardedSummary {
         ShardedSummary {
             flat: Mutex::new(flat),
             shard_count,
-            cell: Arc::new(SnapshotCell::new(set)),
+            current: Mutex::new(Arc::new(set)),
         }
     }
 
@@ -242,53 +252,56 @@ impl ShardedSummary {
         self.shard_count
     }
 
-    fn lock_flat(&self) -> MutexGuard<'_, BrokerSummary> {
-        match self.flat.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+    /// The current partition; its lock is held only for the clone.
+    fn current(&self) -> Arc<ShardSet> {
+        Arc::clone(&lock(&self.current))
     }
 
     /// Runs `f` over the canonical flat summary (wire encoding, stats,
     /// digests — everything representation-level goes through here).
     pub fn with_flat<R>(&self, f: impl FnOnce(&BrokerSummary) -> R) -> R {
-        f(&self.lock_flat())
+        f(&lock(&self.flat))
     }
 
     /// A clone of the canonical flat summary.
     pub fn to_flat(&self) -> BrokerSummary {
-        self.lock_flat().clone()
+        lock(&self.flat).clone()
     }
 
     /// Consumes the sharded view, returning the canonical flat summary.
     pub fn into_flat(self) -> BrokerSummary {
-        self.flat.into_inner().unwrap_or_else(|p| p.into_inner())
+        self.flat
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The canonical digest — computed on the flat summary, so it is
     /// byte-identical to an unsharded build of the same subscriptions.
     pub fn digest(&self) -> SummaryDigest {
-        self.lock_flat().digest()
+        lock(&self.flat).digest()
     }
 
     /// The number of subscriptions summarized.
     pub fn subscription_count(&self) -> usize {
-        self.lock_flat().subscription_count()
+        lock(&self.flat).subscription_count()
     }
 
     /// Mutates the flat summary under the writer lock; when `f` reports
-    /// that the rows changed, derives and publishes a fresh shard
-    /// partition. Readers keep matching against the previous version
-    /// until the pointer flip, and a no-op mutation flips nothing.
+    /// that the rows changed, derives a fresh shard partition and swaps
+    /// it in. Matchers keep probing the version they cloned, and a no-op
+    /// mutation swaps nothing.
     fn mutate(&self, f: impl FnOnce(&mut BrokerSummary) -> bool) {
-        let mut flat = self.lock_flat();
+        let mut flat = lock(&self.flat);
         if f(&mut flat) {
-            self.cell.publish(ShardSet::derive(&flat, self.shard_count));
+            let set = Arc::new(ShardSet::derive(&flat, self.shard_count));
+            // Swapped under the lock, dropped outside it: when no matcher
+            // holds the old version, freeing it does not stall the next.
+            let retired = std::mem::replace(&mut *lock(&self.current), set);
+            drop(retired);
         }
     }
 
-    /// As [`BrokerSummary::insert`]; concurrent matching is never
-    /// stalled.
+    /// As [`BrokerSummary::insert`].
     pub fn insert(
         &self,
         broker: subsum_types::BrokerId,
@@ -326,16 +339,11 @@ impl ShardedSummary {
         });
     }
 
-    /// Snapshot/reclamation counters of the underlying cell.
-    pub fn snapshot_stats(&self) -> crate::snapshot::SnapshotStats {
-        self.cell.stats()
-    }
-
-    /// Matches one event against the current shard snapshot — the
+    /// Matches one event against the current shard partition — the
     /// sharded drop-in for [`BrokerSummary::match_event_into`], with
     /// byte-identical `matched` output.
     ///
-    /// Pins the snapshot lock-free, runs the per-shard counter kernels
+    /// Clones the current partition, runs the per-shard counter kernels
     /// in ascending shard order, then merges the per-shard bitmaps
     /// word-wise and extracts set bits in ascending global dense order —
     /// which is ascending [`SubscriptionId`] order, so the output is
@@ -345,26 +353,8 @@ impl ShardedSummary {
         event: &Event,
         scratch: &'s mut ShardScratch,
     ) -> &'s MatchOutcome {
-        // A scratch may be re-targeted across summaries (like
-        // `MatchScratch` across brokers): drop a reader registered on a
-        // different cell, then (re)register — the only non-steady-state
-        // step.
-        if scratch
-            .reader
-            .as_ref()
-            .is_some_and(|r| !r.reads(&self.cell))
-        {
-            scratch.reader = None;
-        }
-        // Destructured so the pin guard borrows only the reader field
-        // while the kernels and the outcome stay independently mutable.
-        let ShardScratch {
-            reader,
-            kernels,
-            outcome,
-        } = scratch;
-        let reader = reader.get_or_insert_with(|| self.cell.reader());
-        let set = reader.pin();
+        let set = self.current();
+        let ShardScratch { kernels, outcome } = scratch;
         if kernels.len() < set.shards.len() {
             kernels.resize_with(set.shards.len(), ProbeState::default);
         }
@@ -404,11 +394,9 @@ impl ShardedSummary {
     /// Panics on the first violated invariant.
     #[cfg(any(test, debug_assertions))]
     pub fn validate(&self) {
-        let flat = self.lock_flat();
+        let flat = lock(&self.flat);
         flat.validate();
-        let mut reader = self.cell.reader();
-        let set = reader.pin();
-        validate_set(&flat, &set);
+        validate_set(&flat, &self.current());
     }
 }
 
@@ -418,8 +406,7 @@ fn interned(flat: &BrokerSummary, id: &SubscriptionId) -> bool {
 }
 
 impl Clone for ShardedSummary {
-    /// Clones the canonical summary and derives a fresh partition (the
-    /// snapshot cell and its reader registrations are per-instance).
+    /// Clones the canonical summary and derives a fresh partition.
     fn clone(&self) -> Self {
         ShardedSummary::from_flat(self.to_flat(), self.shard_count)
     }
@@ -688,11 +675,12 @@ mod tests {
         let sharded = ShardedSummary::new(schema.clone(), 3);
         let mut flat = BrokerSummary::new(schema.clone());
         for (id, sub) in &subs {
+            let before = sharded.current();
             sharded.insert_with_id(*id, sub);
             flat.insert_with_id(*id, sub);
+            assert!(!Arc::ptr_eq(&sharded.current(), &before), "{id:?}");
         }
         assert_eq!(sharded.digest(), flat.digest());
-        assert_eq!(sharded.snapshot_stats().flips, subs.len() as u64);
         sharded.validate();
         // Remove half, still coherent and equal to the flat build.
         for (id, _) in subs.iter().step_by(2) {
@@ -712,17 +700,19 @@ mod tests {
     }
 
     #[test]
-    fn noop_mutations_do_not_flip_the_snapshot() {
+    fn noop_mutations_do_not_swap_the_partition() {
         let (schema, subs) = population(40);
         let sharded = ShardedSummary::new(schema.clone(), 3);
         for (id, sub) in &subs[..39] {
             sharded.insert_with_id(*id, sub);
         }
-        let flips = || sharded.snapshot_stats().flips;
-        let before = flips();
+        // Holding `before` keeps its allocation alive, so a new partition
+        // can never reuse its address.
+        let before = sharded.current();
+        let kept = || Arc::ptr_eq(&sharded.current(), &before);
         let (absent, absent_sub) = &subs[39];
         sharded.remove(*absent);
-        assert_eq!(flips(), before, "remove of an unknown id");
+        assert!(kept(), "remove of an unknown id");
         let unsat = Subscription::builder(&schema)
             .num("price", NumOp::Lt, 1.0)
             .unwrap()
@@ -731,14 +721,78 @@ mod tests {
             .build()
             .unwrap();
         sharded.insert(BrokerId(9), LocalSubId(9), &unsat);
-        assert_eq!(flips(), before, "insert of an unsatisfiable subscription");
+        assert!(kept(), "insert of an unsatisfiable subscription");
         sharded.merge(&BrokerSummary::new(schema));
-        assert_eq!(flips(), before, "merge of an empty summary");
+        assert!(kept(), "merge of an empty summary");
         sharded.validate();
         sharded.insert_with_id(*absent, absent_sub);
-        assert_eq!(flips(), before + 1, "real insert");
+        let inserted = sharded.current();
+        assert!(!Arc::ptr_eq(&inserted, &before), "real insert");
         sharded.remove(*absent);
-        assert_eq!(flips(), before + 2, "real remove");
+        assert!(!Arc::ptr_eq(&sharded.current(), &inserted), "real remove");
+        sharded.validate();
+    }
+
+    /// Two matchers, each with its own scratch, race a writer that
+    /// inserts and then removes a population. Whatever partition a
+    /// matcher cloned, its output is sorted and drawn from what was
+    /// inserted; once the writer is done, every matcher sees the final
+    /// state, which equals the flat build.
+    #[test]
+    fn matchers_race_a_writer() {
+        let (schema, subs) = population(240);
+        let events = events(&schema);
+        let sharded = ShardedSummary::new(schema.clone(), 3);
+        let done = &Mutex::new(false);
+        // Both matchers are running before the writer's first swap.
+        let start = &std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut scratch = ShardScratch::new();
+                        start.wait();
+                        loop {
+                            for event in &events {
+                                let out = sharded.match_event_into(event, &mut scratch);
+                                assert!(out.matched.windows(2).all(|w| w[0] < w[1]));
+                                for id in &out.matched {
+                                    assert!(subs.iter().any(|(s, _)| s == id), "{id:?}");
+                                }
+                            }
+                            if *lock(done) {
+                                return scratch;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            start.wait();
+            for (id, sub) in &subs {
+                sharded.insert_with_id(*id, sub);
+            }
+            for (id, _) in subs.iter().step_by(3) {
+                sharded.remove(*id);
+            }
+            *lock(done) = true;
+            let mut flat = BrokerSummary::new(schema.clone());
+            for (id, sub) in &subs {
+                flat.insert_with_id(*id, sub);
+            }
+            for (id, _) in subs.iter().step_by(3) {
+                flat.remove(*id);
+            }
+            let mut flat_scratch = crate::MatchScratch::new();
+            for reader in readers {
+                let mut scratch = reader.join().unwrap();
+                for event in &events {
+                    assert_eq!(
+                        sharded.match_event_into(event, &mut scratch).matched,
+                        flat.match_event_into(event, &mut flat_scratch).matched
+                    );
+                }
+            }
+        });
         sharded.validate();
     }
 

@@ -426,13 +426,13 @@ fn a_warm_probe_through_a_literal_row_allocates_nothing() {
     );
 }
 
-/// The sharded steady-state match path: pinning the shard-partition
-/// snapshot is two atomic stores and a load — no allocation — and the
+/// The sharded steady-state match path: taking the current shard
+/// partition is one lock and one `Arc` clone — no allocation — and the
 /// per-shard kernels reuse the scratch's per-shard arrays, so once a
-/// per-worker [`ShardScratch`] is warm (reader registered, kernels grown
-/// to the shard sizes), matching through a [`ShardedSummary`] must be as
+/// per-worker [`ShardScratch`] is warm (kernels grown to the shard
+/// sizes), matching through a [`ShardedSummary`] must be as
 /// allocation-free as the flat kernel. Two scratches stand in for two
-/// pool workers, each with its own registered reader slot.
+/// pool workers.
 #[test]
 fn sharded_match_allocates_nothing_at_steady_state() {
     let schema = stock_schema();

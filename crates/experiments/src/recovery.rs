@@ -134,8 +134,9 @@ mod tests {
             smart < naive,
             "anti-entropy bytes {smart} must beat naive {naive}"
         );
-        assert!(col("digest_bytes", 0) > 0.0);
-        assert_eq!(col("digest_bytes", 1), 0.0);
+        // Naive repair runs no digest rounds: its only digest frames are
+        // the restart's `Hello`/`HelloAck` handshake.
+        assert!(col("digest_bytes", 0) > 10.0 * col("digest_bytes", 1));
     }
 
     #[test]

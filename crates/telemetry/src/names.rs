@@ -28,7 +28,7 @@ pub const MATCH_INTERN_REBUILDS: &str = "match.intern_rebuilds";
 /// Out-of-order inserts that renumbered existing dense postings.
 pub const MATCH_INTERN_RENUMBERS: &str = "match.intern_renumbers";
 /// Compiled match-plan builds (lazy flat rebuilds plus per-shard
-/// snapshot compiles).
+/// compiles of a derived partition).
 pub const MATCH_PLAN_REBUILDS: &str = "match.plan_rebuilds";
 /// Plan rows whose posting slices fed the compiled counter kernel.
 pub const MATCH_PLAN_PROBE_ROWS: &str = "match.plan_probe_rows";
@@ -43,11 +43,6 @@ pub const SACS_ROWS_PRUNED: &str = "sacs.rows_pruned";
 pub const MATCH_SHARD_FANOUT: &str = "match.shard_fanout";
 /// Nanoseconds merging per-shard match bitmaps into sorted outputs.
 pub const MATCH_SHARD_MERGE_NS: &str = "match.shard_merge_ns";
-/// Shard-partition snapshot pointer flips (one per summary mutation
-/// that changed a row).
-pub const SUMMARY_SNAPSHOT_FLIPS: &str = "summary.snapshot_flips";
-/// Snapshot versions whose reclamation was deferred by an active reader.
-pub const SUMMARY_DEFERRED_RECLAIMS: &str = "summary.deferred_reclaims";
 
 /// Subscribe path of the summary broker (`subsum-broker`).
 pub const BROKER_SUBSCRIBE: &str = "broker.subscribe";
@@ -136,8 +131,6 @@ mod tests {
             super::SACS_ROWS_PRUNED,
             super::MATCH_SHARD_FANOUT,
             super::MATCH_SHARD_MERGE_NS,
-            super::SUMMARY_SNAPSHOT_FLIPS,
-            super::SUMMARY_DEFERRED_RECLAIMS,
             super::BROKER_SUBSCRIBE,
             super::BROKER_PROPAGATE,
             super::PROPAGATE_ROUND,

@@ -32,12 +32,12 @@
 //! sender's broker id, its **connection epoch** (a counter the dialer
 //! bumps each dial, so both ends can tell a reconnect from a duplicate
 //! dial), and the `SummaryDigest` of its own summary. The dialer's
-//! `Hello` is written here; everything after it — the `HelloAck`, the
-//! `Pull` each end answers **only on a digest mismatch** (holding no
-//! view counts as one), every later `Summary`, `Digest` and `Pull` — is
-//! [`DaemonCore::step`]. A restarted peer that recovered its state from
-//! a checkpoint re-joins without a single summary crossing the wire in
-//! its direction.
+//! `Hello` ([`DaemonCore::hello`]) is posted here; everything after it —
+//! the `HelloAck`, the `Pull` each end answers **only on a digest
+//! mismatch** (holding no view counts as one), every later `Summary`,
+//! `Digest` and `Pull` — is [`DaemonCore::step`]. A restarted peer
+//! that recovered its state from a checkpoint re-joins without a single
+//! summary crossing the wire in its direction.
 
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -438,14 +438,7 @@ fn event_loop(
                 // both vectors were sized to `config.dial.len()`.
                 dial_epochs[ix] = epoch + 1;
                 dial_conns[ix] = Some(conn);
-                send_msg(
-                    &c.mailbox,
-                    &Msg::Hello {
-                        broker: config.broker,
-                        epoch,
-                        digest: daemon.broker().own().digest(),
-                    },
-                );
+                send_msg(&c.mailbox, &daemon.hello(epoch));
                 conns.0.insert(conn, c);
                 daemon.connected(conn, Role::Peer(peer));
             }

@@ -10,8 +10,8 @@ pub const APP_TRACE_HEAD_DROPS: &str = "trace.head_drops";
 pub const APP_TRACE_SAMPLED: &str = "trace.sampled";
 pub const APP_SHARD_FANOUT: &str = "match.shard_fanout";
 pub const APP_SHARD_MERGE_NS: &str = "match.shard_merge_ns";
-pub const APP_SNAPSHOT_FLIPS: &str = "summary.snapshot_flips";
-pub const APP_DEFERRED_RECLAIMS: &str = "summary.deferred_reclaims";
+pub const APP_SHARD_SWAPS: &str = "summary.shard_swaps";
+pub const APP_SHARD_RETIRED: &str = "summary.shard_retired";
 pub const APP_TRANSPORT_FRAMES_RX: &str = "transport.frames_rx";
 pub const APP_TRANSPORT_RECONNECTS: &str = "transport.reconnects";
 pub const APP_NET_MAILBOX_FULL: &str = "net.mailbox_full";

@@ -4,12 +4,12 @@
 
 static FANOUT: Count = Count::new("match.shard_fanout"); // registered literal: fine
 static MERGE_NS: Count = Count::new(names::APP_SHARD_MERGE_NS); // constant: fine
-static FLIPS: Count = Count::new("summary.snapshot_flips"); // registered literal: fine
+static SWAPS: Count = Count::new("summary.shard_swaps"); // registered literal: fine
 static ROGUE: Count = Count::new("summary.shard_unregistered"); // violation
 
 pub fn record() {
-    let c = counter("summary.deferred_reclaims"); // registered literal: fine
-    let _ = (c, &FANOUT, &MERGE_NS, &FLIPS, &ROGUE);
+    let c = counter("summary.shard_retired"); // registered literal: fine
+    let _ = (c, &FANOUT, &MERGE_NS, &SWAPS, &ROGUE);
 }
 
 #[cfg(test)]

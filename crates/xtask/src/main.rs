@@ -28,8 +28,8 @@ conservative intra-workspace call graph:
   no-panic         no unwrap/expect/panic!/unreachable!/todo! in any
                    function reachable from a hot-path root
                    (match_event_into, query_into, route_event*,
-                   SummaryPubSub::publish_with_scratch, the SnapshotCell
-                   read path, and the wire decode entry points)
+                   SummaryPubSub::publish_with_scratch, and the wire
+                   decode entry points)
   wire-robust      decode-reachable functions in the wire codec files
                    justify slice indexing and length arithmetic with
                    `// BOUND:` comments
