@@ -8,8 +8,9 @@
 //! crashes — and layers two recovery mechanisms on top:
 //!
 //! * **Crash/recovery** — a crashed broker loses all in-memory state
-//!   (summary, neighbor views, even its exact store). On restart it
-//!   reloads its durable [`BrokerCheckpoint`] (or comes up empty) and
+//!   (summary, neighbor views, even its exact store:
+//!   [`DaemonCore::restore`]). On restart it reloads its durable
+//!   [`BrokerCheckpoint`] (or comes up empty) and
 //!   sends every neighbour the `Hello` a redialling `subsumd` sends
 //!   ([`DaemonCore::hello`]). The digests in `Hello` and `HelloAck`
 //!   gate both directions: each side pulls only a view that differs, so
@@ -352,9 +353,14 @@ impl ChaosRun {
         existed
     }
 
-    /// The state machine of broker `b` (its store, summary and views).
+    /// The daemon of broker `b` (its neighbour views and connections).
+    pub fn daemon(&self, b: NodeId) -> &DaemonCore {
+        &self.brokers[b as usize].daemon
+    }
+
+    /// The state machine of broker `b` (its store and summary).
     pub fn broker(&self, b: NodeId) -> &BrokerCore {
-        self.brokers[b as usize].daemon.broker()
+        self.daemon(b).broker()
     }
 
     /// Writes broker `b`'s durable checkpoint (survives crashes).
@@ -397,7 +403,7 @@ impl ChaosRun {
                     .topology
                     .neighbors(b as NodeId)
                     .iter()
-                    .all(|&nb| !node.daemon.broker().view_is_stale(nb, own[nb as usize]))
+                    .all(|&nb| !node.daemon.view_is_stale(nb, own[nb as usize]))
         })
     }
 
@@ -480,13 +486,13 @@ impl ChaosRun {
                     }
                     // Everything in memory is gone.
                     node.alive = false;
-                    node.daemon.broker_mut().restore(None);
+                    node.daemon.restore(None);
                     sink.stats.crashes += 1;
                 }
                 ChaosMsg::Restart => {
                     node.alive = true;
                     let durable = node.checkpoint.as_deref();
-                    node.daemon.broker_mut().restore(
+                    node.daemon.restore(
                         durable.and_then(|bytes| BrokerCheckpoint::from_bytes(bytes).ok()),
                     );
                     sink.stats.restarts += 1;

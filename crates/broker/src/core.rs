@@ -9,13 +9,14 @@
 //! and only moves messages. Everything a broker decides on its own lives
 //! here and nowhere else: admitting and cancelling subscriptions,
 //! checkpoint and restore, rebuilding the summary from the exact store,
-//! the neighbour-view protocol step ([`BrokerCore::on_peer`]: the digest
-//! gate, the answer to a pull, view replacement from wire bytes), and
-//! tier-2 verification. DESIGN.md §16 lists what each host adds.
+//! and tier-2 verification. What reaches neighbours, and what they
+//! sent, is the host's protocol: the neighbour views of the socket
+//! deployment live in [`DaemonCore`](crate::DaemonCore). DESIGN.md §16
+//! lists what each host adds.
 
 use std::collections::{BTreeMap, HashMap};
 
-use subsum_core::{ArithWidth, BrokerSummary, MatchScratch, SummaryCodec, SummaryDigest};
+use subsum_core::BrokerSummary;
 use subsum_net::NodeId;
 use subsum_telemetry::Stage;
 use subsum_types::{
@@ -26,27 +27,13 @@ use crate::snapshot::BrokerCheckpoint;
 
 static STAGE_SUBSCRIBE: Stage = Stage::new(subsum_telemetry::names::BROKER_SUBSCRIBE);
 
-/// One message of the neighbour-view protocol (DESIGN.md §10), the same
-/// whether a simulator or a socket carried it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PeerMsg {
-    /// The sender's whole own summary as [`SummaryCodec`] wire bytes. A
-    /// view *replacement*, so a duplicate is a no-op.
-    Summary(Vec<u8>),
-    /// The digest of the sender's own summary.
-    Digest(SummaryDigest),
-    /// A request for the receiver's own summary.
-    Pull,
-}
-
 /// The state machine of one broker. See the [module docs](self).
 #[derive(Debug)]
 pub struct BrokerCore {
     id: NodeId,
     schema: Schema,
-    /// Wire codec of neighbour summaries; its layout bounds the ids this
-    /// broker mints.
-    codec: SummaryCodec,
+    /// The id layout; it bounds the ids this broker mints.
+    layout: IdLayout,
     /// Next local subscription number (`c2`) this broker assigns.
     next_local: u32,
     /// The exact store (tier 2). Iteration order is ascending id, the
@@ -61,10 +48,6 @@ pub struct BrokerCore {
     shadowed_by: HashMap<SubscriptionId, SubscriptionId>,
     /// Summary of the non-shadowed part of `exact` (tier 1).
     own: BrokerSummary,
-    /// Last received summary of each neighbour.
-    views: BTreeMap<NodeId, BrokerSummary>,
-    /// Matcher scratch reused across every event this broker examines.
-    scratch: MatchScratch,
 }
 
 impl BrokerCore {
@@ -79,14 +62,12 @@ impl BrokerCore {
             id,
             own: BrokerSummary::new(schema.clone()),
             schema,
-            codec: SummaryCodec::new(layout, ArithWidth::Eight),
+            layout,
             next_local: 0,
             exact: BTreeMap::new(),
             subsumption_filter: false,
             shadows: HashMap::new(),
             shadowed_by: HashMap::new(),
-            views: BTreeMap::new(),
-            scratch: MatchScratch::new(),
         };
         core.restore(checkpoint);
         core
@@ -102,6 +83,11 @@ impl BrokerCore {
         &self.schema
     }
 
+    /// The id layout this broker mints ids under.
+    pub fn layout(&self) -> IdLayout {
+        self.layout
+    }
+
     /// The next local subscription number this broker will assign.
     pub fn next_local(&self) -> u32 {
         self.next_local
@@ -115,11 +101,6 @@ impl BrokerCore {
     /// The summary of this broker's own (non-shadowed) subscriptions.
     pub fn own(&self) -> &BrokerSummary {
         &self.own
-    }
-
-    /// The last summary received from neighbour `peer`, if any.
-    pub fn view(&self, peer: NodeId) -> Option<&BrokerSummary> {
-        self.views.get(&peer)
     }
 
     /// Enables or disables the §6 subsumption filter for subscriptions
@@ -138,13 +119,6 @@ impl BrokerCore {
         self.shadowed_by.len()
     }
 
-    /// Iterates over `(covered, coverer)` shadow edges.
-    pub fn shadow_edges(&self) -> impl Iterator<Item = (SubscriptionId, SubscriptionId)> + '_ {
-        self.shadowed_by
-            .iter()
-            .map(|(covered, coverer)| (*covered, *coverer))
-    }
-
     /// Admits a subscription: mints its id, stores it exactly and — unless
     /// the §6 filter shadows it under a resident coverer — dissolves it
     /// into the own summary.
@@ -156,7 +130,7 @@ impl BrokerCore {
     pub fn subscribe(&mut self, sub: &Subscription) -> Result<SubscriptionId, TypeError> {
         let _span = STAGE_SUBSCRIBE.start();
         let local = self.next_local;
-        let local_bits = self.codec.layout().local_bits();
+        let local_bits = self.layout.local_bits();
         if u64::from(local) >= (1u64 << local_bits) {
             return Err(TypeError::IdOverflow {
                 component: "c2",
@@ -166,9 +140,7 @@ impl BrokerCore {
         }
         self.next_local += 1;
         let id = SubscriptionId::new(BrokerId(self.id), LocalSubId(local), sub.attr_mask());
-        if self.subsumption_filter {
-            self.shadow_or_summarize(id, sub, None);
-        } else {
+        if !(self.subsumption_filter && self.shadow(id, sub, None)) {
             self.own.insert_with_id(id, sub);
         }
         self.exact.insert(id, sub.clone());
@@ -176,27 +148,26 @@ impl BrokerCore {
     }
 
     /// Shadows `id` under the lowest-id resident (non-shadowed)
-    /// subscription other than `exclude` that covers `sub`, or inserts
-    /// it into the own summary when there is none.
-    fn shadow_or_summarize(
+    /// subscription other than `exclude` that covers `sub`; returns
+    /// whether there was one.
+    fn shadow(
         &mut self,
         id: SubscriptionId,
         sub: &Subscription,
         exclude: Option<SubscriptionId>,
-    ) {
+    ) -> bool {
         let coverer = self
             .exact
             .iter()
             .filter(|(c, _)| Some(**c) != exclude && !self.shadowed_by.contains_key(c))
             .find(|(_, resident)| resident.covers(sub))
             .map(|(c, _)| *c);
-        match coverer {
-            Some(coverer) => {
-                self.shadows.entry(coverer).or_default().push(id);
-                self.shadowed_by.insert(id, coverer);
-            }
-            None => self.own.insert_with_id(id, sub),
-        }
+        let Some(coverer) = coverer else {
+            return false;
+        };
+        self.shadows.entry(coverer).or_default().push(id);
+        self.shadowed_by.insert(id, coverer);
+        true
     }
 
     /// Cancels a subscription; returns whether it existed. Summaries held
@@ -218,7 +189,9 @@ impl BrokerCore {
         for orphan in self.shadows.remove(&id).unwrap_or_default() {
             self.shadowed_by.remove(&orphan);
             if let Some(sub) = self.exact.get(&orphan).cloned() {
-                self.shadow_or_summarize(orphan, &sub, Some(orphan));
+                if !self.shadow(orphan, &sub, Some(orphan)) {
+                    self.own.insert_with_id(orphan, &sub);
+                }
             }
         }
         true
@@ -237,30 +210,22 @@ impl BrokerCore {
     }
 
     /// Replaces everything in memory by `checkpoint` (`None`: a crash).
-    /// The own summary is rebuilt; views and shadow maps are gone.
+    /// The own summary is rebuilt. With the §6 filter on, the shadow maps
+    /// are re-derived by admitting the store again in ascending-id order,
+    /// the order its ids were minted in.
     pub fn restore(&mut self, checkpoint: Option<BrokerCheckpoint>) {
         let cp = checkpoint.unwrap_or_default();
-        self.restore_durable(cp.next_local, cp.subs, HashMap::new());
-    }
-
-    /// [`BrokerCore::restore`] plus a system snapshot's §6 shadow edges.
-    pub(crate) fn restore_durable(
-        &mut self,
-        next_local: u32,
-        subs: Vec<(SubscriptionId, Subscription)>,
-        shadowed_by: HashMap<SubscriptionId, SubscriptionId>,
-    ) {
-        self.next_local = next_local;
-        self.exact = subs.into_iter().collect();
+        self.next_local = cp.next_local;
+        self.exact.clear();
         self.shadows.clear();
-        for (covered, coverer) in &shadowed_by {
-            self.shadows.entry(*coverer).or_default().push(*covered);
+        self.shadowed_by.clear();
+        let subs: BTreeMap<SubscriptionId, Subscription> = cp.subs.into_iter().collect();
+        for (id, sub) in subs {
+            if self.subsumption_filter {
+                self.shadow(id, &sub, None);
+            }
+            self.exact.insert(id, sub);
         }
-        for list in self.shadows.values_mut() {
-            list.sort();
-        }
-        self.shadowed_by = shadowed_by;
-        self.views.clear();
         self.rebuild();
     }
 
@@ -298,70 +263,8 @@ impl BrokerCore {
     /// §6 dynamic schema: re-summarises under an extended schema.
     pub(crate) fn retype(&mut self, schema: Schema, layout: IdLayout) {
         self.schema = schema;
-        self.codec = SummaryCodec::new(layout, ArithWidth::Eight);
+        self.layout = layout;
         self.rebuild();
-    }
-
-    /// The own summary as the [`PeerMsg::Summary`] a host ships
-    /// unasked (the initial wave, an eager push, a naive repair round)
-    /// and as the answer to a pull.
-    ///
-    /// # Errors
-    ///
-    /// A [`TypeError`] if the summary does not fit the wire layout.
-    pub fn announce(&self) -> Result<PeerMsg, TypeError> {
-        Ok(PeerMsg::Summary(self.codec.encode(&self.own)?))
-    }
-
-    /// One step of the neighbour-view protocol: applies `msg` from
-    /// neighbour `from` and returns the reply to send back, if any.
-    ///
-    /// * a digest is answered by [`PeerMsg::Pull`] iff
-    ///   [`BrokerCore::view_is_stale`];
-    /// * a pull is answered by [`BrokerCore::announce`] (nothing, if the
-    ///   own summary does not fit the wire layout);
-    /// * a summary that decodes against this broker's schema replaces
-    ///   the view of `from`; one that does not leaves the view as it was.
-    pub fn on_peer(&mut self, from: NodeId, msg: PeerMsg) -> Option<PeerMsg> {
-        match msg {
-            PeerMsg::Digest(advertised) => self
-                .view_is_stale(from, advertised)
-                .then_some(PeerMsg::Pull),
-            PeerMsg::Pull => self.announce().ok(),
-            PeerMsg::Summary(bytes) => {
-                if let Ok(summary) = self.codec.decode(&bytes, &self.schema) {
-                    self.views.insert(from, summary);
-                }
-                None
-            }
-        }
-    }
-
-    /// The digest gate of anti-entropy: whether a pull is due because
-    /// the stored view of `peer` disagrees with its advertised digest.
-    /// Holding no view is always stale — absent is not empty.
-    pub fn view_is_stale(&self, peer: NodeId, advertised: SummaryDigest) -> bool {
-        self.views.get(&peer).map(BrokerSummary::digest) != Some(advertised)
-    }
-
-    /// Neighbours whose view holds a candidate for `event`.
-    pub fn interested_neighbours(&mut self, event: &Event) -> Vec<NodeId> {
-        let scratch = &mut self.scratch;
-        self.views
-            .iter()
-            .filter(|(_, view)| !view.match_event_into(event, scratch).matched.is_empty())
-            .map(|(&peer, _)| peer)
-            .collect()
-    }
-
-    /// Both tiers at the owner: matches `event` against the own summary
-    /// and calls `deliver` for every subscription [`BrokerCore::verify`]
-    /// confirms.
-    pub fn match_local(&mut self, event: &Event, mut deliver: impl FnMut(SubscriptionId)) {
-        let matched = &self.own.match_event_into(event, &mut self.scratch).matched;
-        for &candidate in matched {
-            verify_against(&self.exact, &self.shadows, event, candidate, &mut deliver);
-        }
     }
 
     /// Tier-2 verification of one summary-tier candidate: calls
@@ -375,7 +278,20 @@ impl BrokerCore {
         candidate: SubscriptionId,
         mut deliver: impl FnMut(SubscriptionId),
     ) -> bool {
-        verify_against(&self.exact, &self.shadows, event, candidate, &mut deliver)
+        let matches =
+            |id: &SubscriptionId| self.exact.get(id).is_some_and(|sub| sub.matches(event));
+        let confirmed = matches(&candidate);
+        if confirmed {
+            deliver(candidate);
+        }
+        // §6 extension: a candidate coverer stands in for its shadowed
+        // subscriptions; verify them too.
+        if let Some(shadowed) = self.shadows.get(&candidate) {
+            for id in shadowed.iter().filter(|id| matches(id)) {
+                deliver(*id);
+            }
+        }
+        confirmed
     }
 
     /// The subscriptions of the exact store `event` matches, ascending —
@@ -389,29 +305,6 @@ impl BrokerCore {
             .filter(move |(_, sub)| sub.matches(event))
             .map(|(id, _)| *id)
     }
-}
-
-/// [`BrokerCore::verify`] over fields, usable while the scratch is lent.
-fn verify_against(
-    exact: &BTreeMap<SubscriptionId, Subscription>,
-    shadows: &HashMap<SubscriptionId, Vec<SubscriptionId>>,
-    event: &Event,
-    candidate: SubscriptionId,
-    deliver: &mut impl FnMut(SubscriptionId),
-) -> bool {
-    let matches = |id: &SubscriptionId| exact.get(id).is_some_and(|sub| sub.matches(event));
-    let confirmed = matches(&candidate);
-    if confirmed {
-        deliver(candidate);
-    }
-    // §6 extension: a candidate coverer stands in for its shadowed
-    // subscriptions; verify them too.
-    if let Some(shadowed) = shadows.get(&candidate) {
-        for id in shadowed.iter().filter(|id| matches(id)) {
-            deliver(*id);
-        }
-    }
-    confirmed
 }
 
 #[cfg(test)]
@@ -433,18 +326,20 @@ mod tests {
             .unwrap()
     }
 
-    /// `summary` as broker `core(_)`'s neighbours put it on the wire.
-    fn wire(summary: &BrokerSummary) -> PeerMsg {
-        let layout = IdLayout::new(4, 100, stock_schema().len() as u32).unwrap();
-        let codec = SummaryCodec::new(layout, ArithWidth::Eight);
-        PeerMsg::Summary(codec.encode(summary).unwrap())
-    }
-
     fn price_event(price: f64) -> Event {
         Event::builder(&stock_schema())
             .num("price", price)
             .unwrap()
             .build()
+    }
+
+    /// Both tiers at the owner: the ids `core` delivers for `event`.
+    fn delivered(core: &BrokerCore, event: &Event) -> Vec<SubscriptionId> {
+        let mut delivered = Vec::new();
+        for candidate in core.own().match_event(event) {
+            core.verify(event, candidate, |id| delivered.push(id));
+        }
+        delivered
     }
 
     #[test]
@@ -503,9 +398,7 @@ mod tests {
         // SACS generalises both under `OT*`: the summary tier reports
         // both, the exact store keeps only the prefix subscription.
         assert_eq!(core.own().match_event(&event), vec![id_exact, id_prefix]);
-        let mut delivered = Vec::new();
-        core.match_local(&event, |id| delivered.push(id));
-        assert_eq!(delivered, vec![id_prefix]);
+        assert_eq!(delivered(&core, &event), vec![id_prefix]);
         assert!(!core.verify(&event, id_exact, |_| panic!("false positive")));
         assert!(core.verify(&event, id_prefix, |_| {}));
 
@@ -523,12 +416,8 @@ mod tests {
         assert_eq!(core.shadowed_count(), 1);
         assert_eq!(core.own().subscription_ids(), vec![broad]);
 
-        let mut delivered = Vec::new();
-        core.match_local(&price_event(5.0), |id| delivered.push(id));
-        assert_eq!(delivered, vec![broad, narrow]);
-        delivered.clear();
-        core.match_local(&price_event(50.0), |id| delivered.push(id));
-        assert_eq!(delivered, vec![broad]);
+        assert_eq!(delivered(&core, &price_event(5.0)), vec![broad, narrow]);
+        assert_eq!(delivered(&core, &price_event(50.0)), vec![broad]);
 
         assert!(core.unsubscribe(broad));
         assert_eq!(core.shadowed_count(), 0);
@@ -536,14 +425,12 @@ mod tests {
     }
 
     #[test]
-    fn restore_is_digest_faithful_and_forgets_views() {
+    fn restore_is_digest_faithful() {
         let mut core = core(100);
         for k in 0..6 {
             core.subscribe(&price_lt(f64::from(k))).unwrap();
         }
         let live = core.own().digest();
-        core.on_peer(2, wire(&BrokerSummary::new(stock_schema())));
-        assert!(core.view(2).is_some());
         let cp = core.checkpoint();
         assert!(cp.subs.windows(2).all(|w| w[0].0 < w[1].0), "id-sorted");
 
@@ -554,80 +441,5 @@ mod tests {
         core.restore(Some(cp.clone()));
         assert_eq!(core.own().digest(), live);
         assert_eq!(core.checkpoint(), cp);
-        assert!(core.view(2).is_none());
-    }
-
-    #[test]
-    fn an_absent_view_is_stale_even_against_the_empty_digest() {
-        let mut core = core(100);
-        let empty = BrokerSummary::new(stock_schema());
-        assert!(core.view_is_stale(2, empty.digest()));
-        core.on_peer(2, wire(&empty));
-        assert!(!core.view_is_stale(2, empty.digest()));
-
-        let mut other = empty;
-        other.insert(BrokerId(2), LocalSubId(0), &price_lt(3.0));
-        assert!(core.view_is_stale(2, other.digest()));
-        core.on_peer(2, wire(&other));
-        assert_eq!(core.interested_neighbours(&price_event(1.0)), vec![2]);
-        assert!(core.interested_neighbours(&price_event(7.0)).is_empty());
-    }
-
-    #[test]
-    fn on_peer_decision_table() {
-        let mut core = core(100);
-        core.subscribe(&price_lt(5.0)).unwrap();
-        let empty = BrokerSummary::new(stock_schema());
-        let mut theirs = empty.clone();
-        theirs.insert(BrokerId(2), LocalSubId(0), &price_lt(3.0));
-        let digest = |s: &BrokerSummary| PeerMsg::Digest(s.digest());
-
-        // Digest: pull iff the stored view disagrees; absent is not empty.
-        assert_eq!(core.on_peer(2, digest(&empty)), Some(PeerMsg::Pull));
-        assert_eq!(core.on_peer(2, wire(&theirs)), None);
-        assert_eq!(core.view(2), Some(&theirs));
-        assert_eq!(core.on_peer(2, digest(&theirs)), None);
-        assert_eq!(core.on_peer(2, digest(&empty)), Some(PeerMsg::Pull));
-        assert_eq!(core.on_peer(3, digest(&theirs)), Some(PeerMsg::Pull));
-
-        // Summary: a duplicate changes nothing; bytes that do not decode
-        // (truncated, corrupt, empty) leave the view as it was.
-        assert_eq!(core.on_peer(2, wire(&theirs)), None);
-        assert_eq!(core.view(2), Some(&theirs));
-        let PeerMsg::Summary(good) = wire(&empty) else {
-            unreachable!()
-        };
-        let mut corrupt = good.clone();
-        corrupt[0] ^= 0xFF;
-        for bad in [good[..good.len() - 1].to_vec(), corrupt, Vec::new()] {
-            assert_eq!(core.on_peer(2, PeerMsg::Summary(bad)), None);
-            assert_eq!(core.view(2), Some(&theirs));
-        }
-        assert!(core.view(3).is_none());
-
-        // Pull: the own summary, decodable by the peer's codec.
-        let reply = core.on_peer(2, PeerMsg::Pull).unwrap();
-        assert_eq!(reply, core.announce().unwrap());
-        let mut peer = self::core(100);
-        peer.on_peer(1, reply);
-        assert_eq!(peer.view(1), Some(core.own()));
-    }
-
-    #[test]
-    fn a_pull_on_a_summary_outside_the_wire_layout_gets_no_reply() {
-        // A checkpoint written under a wider layout: local number 7 does
-        // not fit the two local ids this layout has bits for.
-        let schema = stock_schema();
-        let sub = price_lt(1.0);
-        let id = SubscriptionId::new(BrokerId(1), LocalSubId(7), sub.attr_mask());
-        let cp = BrokerCheckpoint {
-            next_local: 8,
-            subs: vec![(id, sub)],
-        };
-        let layout = IdLayout::new(4, 2, schema.len() as u32).unwrap();
-        let mut core = BrokerCore::new(1, schema, layout, Some(cp));
-        assert_eq!(core.own().subscription_ids(), vec![id]);
-        assert!(core.announce().is_err());
-        assert_eq!(core.on_peer(2, PeerMsg::Pull), None);
     }
 }

@@ -4,13 +4,13 @@
 //! [`Msg`] protocol on numbered connections: links to neighbour daemons
 //! and client connections of subscribers and publishers. This module is
 //! everything such a daemon *decides* — which connection is what, whom a
-//! neighbour-view frame may speak for, who owns a subscription, what a
-//! publish forwards and acknowledges, what it counts — written once. It
-//! holds no socket, thread, channel or clock. A *host* reports
-//! connections as they come and go ([`DaemonCore::connected`],
-//! [`DaemonCore::closed`]), hands over each decoded message
-//! ([`DaemonCore::step`]) and supplies a [`Sink`] that carries the
-//! outputs away: `subsumd` posts them to socket mailboxes,
+//! neighbour-view frame may speak for, what a neighbour's summary says,
+//! who owns a subscription, what a publish forwards and acknowledges,
+//! what it counts — written once. It holds no socket, thread, channel or
+//! clock. A *host* reports connections as they come and go
+//! ([`DaemonCore::connected`], [`DaemonCore::closed`]), hands over each
+//! decoded message ([`DaemonCore::step`]) and supplies a [`Sink`] that
+//! carries the outputs away: `subsumd` posts them to socket mailboxes,
 //! [`ChaosRun`](crate::ChaosRun) puts their frame bytes on a faulty
 //! simulated network. DESIGN.md §16 lists what each host adds.
 //!
@@ -23,20 +23,25 @@
 //! candidate; the `PublishAck` reports `accepted: false` if the sink
 //! refused a required forward, and how many local subscriptions truly
 //! match. A `Route` is delivered locally only. Local delivery is
-//! two-tier ([`BrokerCore::match_local`]): a client never sees a SACS
-//! false positive. `Hello`/`HelloAck` digests and `Summary`, `Digest`
-//! and `Pull` frames all go through [`BrokerCore::on_peer`]. Those kinds
-//! and `Route` count only on a peer link, the first three only under
-//! that link's broker id: a client cannot speak for a neighbour.
+//! two-tier ([`BrokerCore::verify`]): a client never sees a SACS false
+//! positive. A neighbour's *view* is the last `Summary` it sent that
+//! decodes (DESIGN.md §10); a `Digest`, or the digest in `Hello` and
+//! `HelloAck`, is answered by a `Pull` iff the view is stale, and a
+//! `Pull` by the own summary. Those kinds and `Route` count only on a
+//! peer link, all but `Route` only under that link's broker id: a client
+//! cannot speak for a neighbour.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use subsum_core::{ArithWidth, BrokerSummary, MatchScratch, SummaryCodec, SummaryDigest};
+use subsum_net::NodeId;
 use subsum_telemetry::{names, Count, Counter};
 use subsum_types::{BrokerId, Event, Subscription, SubscriptionId, TypeError};
 
-use crate::core::{BrokerCore, PeerMsg};
+use crate::core::BrokerCore;
 use crate::msg::Msg;
+use crate::snapshot::BrokerCheckpoint;
 
 static CNT_RESYNCS: Count = Count::new(names::TRANSPORT_RESYNCS);
 static CNT_ACKED: Count = Count::new(names::PUBLISH_ACKED);
@@ -95,6 +100,12 @@ pub struct DaemonCounters {
 #[derive(Debug)]
 pub struct DaemonCore {
     core: BrokerCore,
+    /// Last received summary of each neighbour.
+    views: BTreeMap<NodeId, BrokerSummary>,
+    /// Wire codec of summaries in both directions, over the core's layout.
+    codec: SummaryCodec,
+    /// Matcher scratch reused across every event this daemon matches.
+    scratch: MatchScratch,
     /// Which client connection owns each local subscription.
     sub_owner: BTreeMap<SubscriptionId, ConnId>,
     /// Every live connection, ascending: newer connections sort last.
@@ -103,10 +114,13 @@ pub struct DaemonCore {
 }
 
 impl DaemonCore {
-    /// A daemon around `core`, with no connections yet.
+    /// A daemon around `core`, with no connections and no views yet.
     pub fn new(core: BrokerCore) -> Self {
         DaemonCore {
+            codec: SummaryCodec::new(core.layout(), ArithWidth::Eight),
             core,
+            views: BTreeMap::new(),
+            scratch: MatchScratch::new(),
             sub_owner: BTreeMap::new(),
             roles: BTreeMap::new(),
             counters: Arc::default(),
@@ -119,7 +133,7 @@ impl DaemonCore {
     }
 
     /// The broker, for what a host does to it outside the protocol
-    /// (crash and restore, cancelling a subscription).
+    /// (cancelling a subscription).
     pub fn broker_mut(&mut self) -> &mut BrokerCore {
         &mut self.core
     }
@@ -131,6 +145,25 @@ impl DaemonCore {
 
     fn id(&self) -> BrokerId {
         BrokerId(self.core.id())
+    }
+
+    /// The last summary received from neighbour `peer`, if any.
+    pub fn view(&self, peer: NodeId) -> Option<&BrokerSummary> {
+        self.views.get(&peer)
+    }
+
+    /// The digest gate of anti-entropy: whether a pull is due because
+    /// the stored view of `peer` disagrees with its advertised digest.
+    /// Holding no view is always stale — absent is not empty.
+    pub fn view_is_stale(&self, peer: NodeId, advertised: SummaryDigest) -> bool {
+        self.views.get(&peer).map(BrokerSummary::digest) != Some(advertised)
+    }
+
+    /// Replaces the broker's state by `checkpoint` (`None`: a crash) and
+    /// forgets every view: a restarted daemon re-learns its neighbours.
+    pub fn restore(&mut self, checkpoint: Option<BrokerCheckpoint>) {
+        self.core.restore(checkpoint);
+        self.views.clear();
     }
 
     /// A connection came up. A dialled link is born `Peer(_)`; an
@@ -170,14 +203,16 @@ impl DaemonCore {
     /// A [`TypeError`] if the summary does not fit the wire layout;
     /// nothing is sent.
     pub fn push_summary(&self, sink: &mut impl Sink) -> Result<(), TypeError> {
-        self.to_peers(self.core.announce()?, sink);
+        let sent = self.to_peers(&self.summary_frame()?, sink);
+        self.counters.summaries_tx.add(sent);
         Ok(())
     }
 
     /// Advertises the own summary's digest on every peer link: one
     /// anti-entropy round.
     pub fn advertise_digest(&self, sink: &mut impl Sink) {
-        self.to_peers(PeerMsg::Digest(self.core.own().digest()), sink);
+        let (from, digest) = (self.id(), self.core.own().digest());
+        self.to_peers(&Msg::Digest { from, digest }, sink);
     }
 
     /// The `Hello` that opens a peer link at connection `epoch`: this
@@ -191,16 +226,21 @@ impl DaemonCore {
         }
     }
 
-    /// One neighbour-view message under this broker's id on every peer
-    /// link, oldest link first.
-    fn to_peers(&self, msg: PeerMsg, sink: &mut impl Sink) {
-        let sends_summary = matches!(msg, PeerMsg::Summary(_));
-        let msg = self.to_wire(msg);
-        for (&conn, role) in &self.roles {
-            if matches!(role, Role::Peer(_)) && sink.send(conn, &msg) && sends_summary {
-                self.counters.summaries_tx.inc();
-            }
-        }
+    /// The own summary as the `Summary` frame this daemon ships, unasked
+    /// or as the answer to a pull.
+    fn summary_frame(&self) -> Result<Msg, TypeError> {
+        let (from, bytes) = (self.id(), self.codec.encode(self.core.own())?);
+        Ok(Msg::Summary { from, bytes })
+    }
+
+    /// Sends `msg` on every peer link, oldest link first; returns how
+    /// many links queued it.
+    fn to_peers(&self, msg: &Msg, sink: &mut impl Sink) -> u64 {
+        let links = self
+            .roles
+            .iter()
+            .filter(|(_, role)| matches!(role, Role::Peer(_)));
+        links.filter(|(&conn, _)| sink.send(conn, msg)).count() as u64
     }
 
     /// Applies one message that arrived on `conn`. A connection never
@@ -222,7 +262,7 @@ impl DaemonCore {
         let role = *role;
         match msg {
             Msg::Hello {
-                broker: peer,
+                broker,
                 epoch,
                 digest,
             } => {
@@ -234,20 +274,45 @@ impl DaemonCore {
                         digest: self.core.own().digest(),
                     },
                 );
-                self.peer_step(conn, role, peer, PeerMsg::Digest(digest), sink);
+                // Then the digest it carries, as from a `Digest`.
+                let from = broker;
+                self.step(conn, Msg::Digest { from, digest }, sink);
             }
+            // A neighbour-view frame speaks only for the broker its link
+            // belongs to: on a client or unclassified connection, or
+            // under another broker's id, it is dropped.
             Msg::HelloAck {
-                broker: peer,
-                epoch: _,
+                broker: from,
                 digest,
-            } => self.peer_step(conn, role, peer, PeerMsg::Digest(digest), sink),
-            Msg::Summary { from, bytes } => {
-                self.peer_step(conn, role, from, PeerMsg::Summary(bytes), sink)
+                ..
             }
-            Msg::Digest { from, digest } => {
-                self.peer_step(conn, role, from, PeerMsg::Digest(digest), sink)
+            | Msg::Digest { from, digest }
+                if role == Role::Peer(from) =>
+            {
+                // The digest gate: pull iff the view is stale.
+                if self.view_is_stale(from.0, digest) {
+                    CNT_RESYNCS.inc();
+                    self.counters.resyncs.inc();
+                    sink.send(conn, &Msg::Pull { from: self.id() });
+                }
             }
-            Msg::Pull { from } => self.peer_step(conn, role, from, PeerMsg::Pull, sink),
+            Msg::Pull { from } if role == Role::Peer(from) => {
+                // A summary outside the wire layout is not answered.
+                if let Ok(summary) = self.summary_frame() {
+                    if sink.send(conn, &summary) {
+                        self.counters.summaries_tx.inc();
+                    }
+                }
+            }
+            Msg::Summary { from, bytes } if role == Role::Peer(from) => {
+                // One that does not decode leaves the view as it was.
+                if let Ok(summary) = self.codec.decode(&bytes, self.core.schema()) {
+                    self.views.insert(from.0, summary);
+                }
+                // Counted last: whoever reads the counter finds the view in place.
+                self.counters.summaries_rx.inc();
+            }
+            Msg::HelloAck { .. } | Msg::Digest { .. } | Msg::Pull { .. } | Msg::Summary { .. } => {}
             Msg::Route { origin: _, event } => {
                 if matches!(role, Role::Peer(_)) {
                     self.deliver_local(&event, sink);
@@ -269,7 +334,7 @@ impl DaemonCore {
             Msg::Publish { seq, event } => {
                 let matched = self.deliver_local(&event, sink);
                 let mut accepted = true;
-                for peer in self.core.interested_neighbours(&event) {
+                for peer in self.interested_neighbours(&event) {
                     let forward = Msg::Route {
                         origin: self.id(),
                         event: event.clone(),
@@ -304,16 +369,6 @@ impl DaemonCore {
         }
     }
 
-    /// `msg` as the frame this daemon puts on a peer link.
-    fn to_wire(&self, msg: PeerMsg) -> Msg {
-        let from = self.id();
-        match msg {
-            PeerMsg::Summary(bytes) => Msg::Summary { from, bytes },
-            PeerMsg::Digest(digest) => Msg::Digest { from, digest },
-            PeerMsg::Pull => Msg::Pull { from },
-        }
-    }
-
     /// The newest live link to a neighbour daemon, if any.
     fn peer_conn(&self, peer: BrokerId) -> Option<ConnId> {
         self.roles
@@ -323,39 +378,14 @@ impl DaemonCore {
             .map(|(&conn, _)| conn)
     }
 
-    /// One neighbour-view protocol message from connection `conn`: the
-    /// core decides, the daemon posts the reply and counts. The sender is
-    /// the broker the *link* belongs to; a frame on a client or
-    /// unclassified connection, or one claiming another broker's id, is
-    /// dropped.
-    fn peer_step(
-        &mut self,
-        conn: ConnId,
-        role: Role,
-        claimed: BrokerId,
-        msg: PeerMsg,
-        sink: &mut impl Sink,
-    ) {
-        if role != Role::Peer(claimed) {
-            return;
-        }
-        let received_summary = matches!(msg, PeerMsg::Summary(_));
-        let reply = self.core.on_peer(claimed.0, msg);
-        if received_summary {
-            // After the step: whoever reads the counter finds the view in place.
-            self.counters.summaries_rx.inc();
-        }
-        let Some(reply) = reply else {
-            return;
-        };
-        if reply == PeerMsg::Pull {
-            CNT_RESYNCS.inc();
-            self.counters.resyncs.inc();
-        }
-        let sends_summary = matches!(reply, PeerMsg::Summary(_));
-        if sink.send(conn, &self.to_wire(reply)) && sends_summary {
-            self.counters.summaries_tx.inc();
-        }
+    /// Neighbours whose view holds a candidate for `event`.
+    fn interested_neighbours(&mut self, event: &Event) -> Vec<NodeId> {
+        let scratch = &mut self.scratch;
+        self.views
+            .iter()
+            .filter(|(_, view)| !view.match_event_into(event, scratch).matched.is_empty())
+            .map(|(&peer, _)| peer)
+            .collect()
     }
 
     /// Delivers `event` to the local subscriptions it truly matches and
@@ -365,24 +395,28 @@ impl DaemonCore {
     fn deliver_local(&mut self, event: &Event, sink: &mut impl Sink) -> u32 {
         let DaemonCore {
             core,
+            scratch,
             sub_owner,
             roles,
             counters,
+            ..
         } = self;
         let mut matched = 0;
-        core.match_local(event, |id| {
-            matched += 1;
-            let Some(&owner) = sub_owner.get(&id).filter(|c| roles.contains_key(c)) else {
-                return;
-            };
-            let deliver = Msg::Deliver {
-                id,
-                event: event.clone(),
-            };
-            if sink.send(owner, &deliver) {
-                counters.deliveries.inc();
-            }
-        });
+        for &candidate in &core.own().match_event_into(event, scratch).matched {
+            core.verify(event, candidate, |id| {
+                matched += 1;
+                let Some(&owner) = sub_owner.get(&id).filter(|c| roles.contains_key(c)) else {
+                    return;
+                };
+                let deliver = Msg::Deliver {
+                    id,
+                    event: event.clone(),
+                };
+                if sink.send(owner, &deliver) {
+                    counters.deliveries.inc();
+                }
+            });
+        }
         matched
     }
 }
@@ -390,9 +424,8 @@ impl DaemonCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::BrokerCheckpoint;
     use std::collections::VecDeque;
-    use subsum_types::{stock_schema, IdLayout, NumOp, StrOp};
+    use subsum_types::{stock_schema, IdLayout, LocalSubId, NumOp, StrOp};
 
     /// The link between the two daemons of a [`Pair`], at both ends.
     const LINK: ConnId = 0;
@@ -406,17 +439,13 @@ mod tests {
     /// What one daemon sends during one step; nothing is refused.
     #[derive(Default)]
     struct Sent {
-        link: Vec<Msg>,
-        other: Vec<(ConnId, Msg)>,
+        sent: Vec<(ConnId, Msg)>,
         closed: Vec<ConnId>,
     }
 
     impl Sink for Sent {
         fn send(&mut self, conn: ConnId, msg: &Msg) -> bool {
-            match conn {
-                LINK => self.link.push(msg.clone()),
-                _ => self.other.push((conn, msg.clone())),
-            }
+            self.sent.push((conn, msg.clone()));
             true
         }
 
@@ -432,9 +461,6 @@ mod tests {
         /// Daemon 1 (restored from `checkpoint`) dials daemon 0; the
         /// handshake pulls both summaries across.
         fn start(checkpoint: Option<BrokerCheckpoint>) -> Pair {
-            let schema = stock_schema();
-            let layout = IdLayout::new(1 << 16, 1 << 20, schema.len() as u32).unwrap();
-            let daemon = |b, cp| DaemonCore::new(BrokerCore::new(b, schema.clone(), layout, cp));
             let mut pair = Pair {
                 daemons: [daemon(0, None), daemon(1, checkpoint)],
                 closed: Vec::new(),
@@ -458,8 +484,12 @@ mod tests {
             while let Some((d, conn, msg)) = queue.pop_front() {
                 let mut sent = Sent::default();
                 self.daemons[d].step(conn, msg, &mut sent);
-                queue.extend(sent.link.into_iter().map(|msg| (1 - d, LINK, msg)));
-                out.extend(sent.other.into_iter().map(|(conn, msg)| (d, conn, msg)));
+                for (conn, msg) in sent.sent {
+                    match conn {
+                        LINK => queue.push_back((1 - d, LINK, msg)),
+                        _ => out.push((d, conn, msg)),
+                    }
+                }
                 self.closed
                     .extend(sent.closed.into_iter().map(|conn| (d, conn)));
             }
@@ -489,6 +519,54 @@ mod tests {
         }
     }
 
+    fn layout() -> IdLayout {
+        IdLayout::new(1 << 16, 1 << 20, stock_schema().len() as u32).unwrap()
+    }
+
+    /// Daemon `b`, empty or restored from `checkpoint`, with no
+    /// connections.
+    fn daemon(b: NodeId, checkpoint: Option<BrokerCheckpoint>) -> DaemonCore {
+        DaemonCore::new(BrokerCore::new(b, stock_schema(), layout(), checkpoint))
+    }
+
+    /// Everything `d` sends, on any connection, while it applies `msg`.
+    fn answer(d: &mut DaemonCore, conn: ConnId, msg: Msg) -> Vec<(ConnId, Msg)> {
+        let mut sent = Sent::default();
+        d.step(conn, msg, &mut sent);
+        sent.sent
+    }
+
+    /// `summary` as broker `from` puts it on the wire.
+    fn wire(from: NodeId, summary: &BrokerSummary) -> Msg {
+        let codec = SummaryCodec::new(layout(), ArithWidth::Eight);
+        summary_bytes(from, codec.encode(summary).unwrap())
+    }
+
+    fn summary_bytes(from: NodeId, bytes: Vec<u8>) -> Msg {
+        let from = BrokerId(from);
+        Msg::Summary { from, bytes }
+    }
+
+    fn digest(from: NodeId, summary: &BrokerSummary) -> Msg {
+        Msg::Digest {
+            from: BrokerId(from),
+            digest: summary.digest(),
+        }
+    }
+
+    fn pull(from: NodeId) -> Msg {
+        Msg::Pull {
+            from: BrokerId(from),
+        }
+    }
+
+    /// A summary holding one `price < 3` subscription of broker `b`.
+    fn summary_of(b: NodeId) -> BrokerSummary {
+        let mut summary = BrokerSummary::new(stock_schema());
+        summary.insert(BrokerId(b), LocalSubId(0), &price_lt(3.0));
+        summary
+    }
+
     fn ack(accepted: bool, matched: u32) -> Msg {
         Msg::PublishAck {
             seq: 7,
@@ -502,9 +580,9 @@ mod tests {
         Msg::Deliver { id, event }
     }
 
-    fn cheap_sub() -> Subscription {
+    fn price_lt(bound: f64) -> Subscription {
         Subscription::builder(&stock_schema())
-            .num("price", NumOp::Lt, 10.0)
+            .num("price", NumOp::Lt, bound)
             .unwrap()
             .build()
             .unwrap()
@@ -525,37 +603,40 @@ mod tests {
             .unwrap()
     }
 
-    /// `Summary`, `Digest` and `Pull` speak for the broker a peer link
-    /// belongs to. A client connection claiming to be neighbour B must not
-    /// replace A's view of B: with an empty view in its place A would stop
-    /// forwarding B's matches — a false negative at the summary tier.
+    /// `Summary`, `Digest`, `Pull` and `HelloAck` speak for the broker a
+    /// peer link belongs to. A client connection claiming to be neighbour
+    /// B must not replace A's view of B — with an empty view in its place A
+    /// would stop forwarding B's matches, a false negative at the summary
+    /// tier — nor make A pull or answer.
     #[test]
-    fn a_client_cannot_replace_a_peer_view() {
+    fn peer_frames_off_a_peer_link_get_no_reply_and_change_no_view() {
         let mut pair = Pair::start(None);
         let client_b = pair.accept(1, 10);
-        let sub_id = pair.subscribe(1, client_b, cheap_sub());
+        let sub_id = pair.subscribe(1, client_b, price_lt(10.0));
         assert_eq!(pair.counters(0).summaries_rx.get(), 2, "B's push reached A");
 
-        // An empty summary under B's name, encoded as a daemon would.
-        let schema = stock_schema();
-        let layout = IdLayout::new(1 << 16, 1 << 20, schema.len() as u32).unwrap();
-        let Ok(PeerMsg::Summary(bytes)) = BrokerCore::new(1, schema, layout, None).announce()
-        else {
-            panic!("an empty summary fits any layout");
+        // Under B's name, as a daemon would send them; A's view of B is
+        // stale against the empty digest.
+        let empty = BrokerSummary::new(stock_schema());
+        let hello_ack = Msg::HelloAck {
+            broker: BrokerId(1),
+            epoch: 1,
+            digest: empty.digest(),
         };
-        let forged = Msg::Summary {
-            from: BrokerId(1),
-            bytes,
-        };
+        let forged = [wire(1, &empty), digest(1, &empty), pull(1), hello_ack];
         // Once on an unclassified connection, once more after a publish
         // has made it a client connection.
         let rogue = pair.accept(0, 11);
         for _ in 0..2 {
-            assert_eq!(pair.step(0, rogue, forged.clone()), []);
+            for msg in forged.clone() {
+                assert_eq!(pair.step(0, rogue, msg), []);
+            }
             let acked = pair.publish(0, rogue, &cheap_event(50.0));
             assert_eq!(acked, [(0, rogue, ack(true, 0))]);
         }
-        assert_eq!(pair.counters(0).summaries_rx.get(), 2);
+        let a = pair.counters(0);
+        let counts = (a.summaries_rx.get(), a.resyncs.get(), a.summaries_tx.get());
+        assert_eq!(counts, (2, 1, 1), "B's push and the handshake only");
 
         // A still routes to B what B's subscription matches.
         let client_a = pair.accept(0, 12);
@@ -611,7 +692,7 @@ mod tests {
             subs: vec![],
         }));
         let refused = pair.accept(1, 10);
-        let sub = cheap_sub();
+        let sub = price_lt(10.0);
         assert_eq!(pair.step(1, refused, Msg::Subscribe { sub }), []);
         assert_eq!(pair.closed, [(1, refused)], "no id to acknowledge with");
         // The refused connection is gone for good.
@@ -637,7 +718,7 @@ mod tests {
     fn a_route_counts_only_on_a_peer_link() {
         let mut pair = Pair::start(None);
         let client_a = pair.accept(0, 10);
-        let sub_id = pair.subscribe(0, client_a, cheap_sub());
+        let sub_id = pair.subscribe(0, client_a, price_lt(10.0));
         let event = cheap_event(5.0);
         let route = Msg::Route {
             origin: BrokerId(1),
@@ -674,18 +755,117 @@ mod tests {
         }
         let mut pair = Pair::start(None);
         let client_a = pair.accept(0, 10);
-        pair.subscribe(0, client_a, cheap_sub());
+        pair.subscribe(0, client_a, price_lt(10.0));
         let client_b = pair.accept(1, 11);
         let b = &mut pair.daemons[1];
         let mut sink = LinkFull(Vec::new());
 
         let tx = b.counters().summaries_tx.get();
-        b.step(client_b, Msg::Subscribe { sub: cheap_sub() }, &mut sink);
+        b.step(
+            client_b,
+            Msg::Subscribe {
+                sub: price_lt(10.0),
+            },
+            &mut sink,
+        );
         assert_eq!(b.counters().summaries_tx.get(), tx, "the push was refused");
         let event = cheap_event(5.0);
         b.step(client_b, Msg::Publish { seq: 7, event }, &mut sink);
         assert_eq!(sink.0.last(), Some(&(client_b, ack(false, 1))));
         assert_eq!(b.counters().rejected.get(), 1);
         assert_eq!(b.counters().acked.get(), 0);
+    }
+
+    /// The digest gate, the answer to a pull and view replacement, frame
+    /// by frame on the links to brokers 2 (`LINK`) and 3.
+    #[test]
+    fn peer_frame_decision_table() {
+        let mut d = daemon(1, None);
+        d.connected(LINK, Role::Peer(BrokerId(2)));
+        d.connected(3, Role::Peer(BrokerId(3)));
+        d.subscribe(10, &price_lt(5.0)).unwrap();
+        let empty = BrokerSummary::new(stock_schema());
+        let theirs = summary_of(2);
+        let Msg::Summary { bytes: good, .. } = wire(2, &empty) else {
+            unreachable!()
+        };
+        let mut corrupt = good.clone();
+        corrupt[0] ^= 0xFF;
+        let truncated = good[..good.len() - 1].to_vec();
+        let pulled = |conn| vec![(conn, pull(1))];
+        // (connection, frame, what is sent back, the view of broker 2 after)
+        let table = [
+            // Digest: pull iff the stored view disagrees; absent is not empty.
+            (LINK, digest(2, &empty), pulled(LINK), None),
+            (LINK, wire(2, &theirs), vec![], Some(&theirs)),
+            (LINK, digest(2, &theirs), vec![], Some(&theirs)),
+            (LINK, digest(2, &empty), pulled(LINK), Some(&theirs)),
+            (3, digest(3, &theirs), pulled(3), Some(&theirs)),
+            // Summary: a duplicate changes nothing; bytes that do not decode
+            // (truncated, corrupt, empty) leave the view as it was.
+            (LINK, wire(2, &theirs), vec![], Some(&theirs)),
+            (LINK, summary_bytes(2, truncated), vec![], Some(&theirs)),
+            (LINK, summary_bytes(2, corrupt), vec![], Some(&theirs)),
+            (LINK, summary_bytes(2, Vec::new()), vec![], Some(&theirs)),
+        ];
+        for (conn, frame, reply, view) in table {
+            assert_eq!(answer(&mut d, conn, frame), reply);
+            assert_eq!(d.view(2), view);
+        }
+        assert!(d.view(3).is_none());
+        let counters = d.counters();
+        let counts = (counters.resyncs.get(), counters.summaries_rx.get());
+        assert_eq!(counts, (3, 5), "every peer frame counts");
+
+        // Pull: the own summary, decodable by the peer's codec.
+        let [(LINK, reply)] = &answer(&mut d, LINK, pull(2))[..] else {
+            panic!("one answer on the link");
+        };
+        assert_eq!(d.counters().summaries_tx.get(), 1);
+        let mut peer = daemon(2, None);
+        peer.connected(LINK, Role::Peer(BrokerId(1)));
+        assert_eq!(answer(&mut peer, LINK, reply.clone()), []);
+        assert_eq!(peer.view(1), Some(d.broker().own()));
+    }
+
+    #[test]
+    fn an_absent_view_is_stale_even_against_the_empty_digest() {
+        let mut d = daemon(1, None);
+        d.connected(LINK, Role::Peer(BrokerId(2)));
+        let empty = BrokerSummary::new(stock_schema());
+        assert!(d.view_is_stale(2, empty.digest()));
+        answer(&mut d, LINK, wire(2, &empty));
+        assert!(!d.view_is_stale(2, empty.digest()));
+
+        let other = summary_of(2);
+        assert!(d.view_is_stale(2, other.digest()));
+        answer(&mut d, LINK, wire(2, &other));
+        assert_eq!(d.interested_neighbours(&cheap_event(1.0)), vec![2]);
+        assert!(d.interested_neighbours(&cheap_event(7.0)).is_empty());
+
+        // A restore forgets every view: stale again, pulled again.
+        d.restore(Some(d.broker().checkpoint()));
+        assert!(d.view(2).is_none());
+        assert_eq!(answer(&mut d, LINK, digest(2, &other)), [(LINK, pull(1))]);
+    }
+
+    #[test]
+    fn a_pull_on_a_summary_outside_the_wire_layout_gets_no_reply() {
+        // A checkpoint written under a wider layout: local number 7 does
+        // not fit the two local ids this layout has bits for.
+        let schema = stock_schema();
+        let sub = price_lt(1.0);
+        let id = SubscriptionId::new(BrokerId(1), LocalSubId(7), sub.attr_mask());
+        let cp = BrokerCheckpoint {
+            next_local: 8,
+            subs: vec![(id, sub)],
+        };
+        let layout = IdLayout::new(4, 2, schema.len() as u32).unwrap();
+        let mut d = DaemonCore::new(BrokerCore::new(1, schema, layout, Some(cp)));
+        d.connected(LINK, Role::Peer(BrokerId(2)));
+        assert_eq!(d.broker().own().subscription_ids(), vec![id]);
+        assert!(d.push_summary(&mut Sent::default()).is_err());
+        assert_eq!(answer(&mut d, LINK, pull(2)), []);
+        assert_eq!(d.counters().summaries_tx.get(), 0);
     }
 }

@@ -5,12 +5,13 @@
 //! the paper's broker and its distributed algorithms, each written once:
 //!
 //! * [`core`](crate::core) — [`BrokerCore`], one broker without I/O: exact
-//!   store, own summary, neighbor views, and every decision a broker
-//!   takes alone (admission, checkpoint/restore, the neighbour-view
-//!   protocol step, tier-2 verification);
+//!   store, own summary, and every decision a broker takes alone
+//!   (admission, checkpoint/restore, tier-2 verification), the same
+//!   under every host;
 //! * [`daemon`] — [`DaemonCore`], one broker daemon without I/O: the
 //!   framed [`Msg`] protocol ([`frame`], [`msg`]) over numbered
-//!   connections, with its outputs handed to a host's [`Sink`];
+//!   connections, including the neighbour views and their digest gate,
+//!   with its outputs handed to a host's [`Sink`];
 //! * [`propagation`] — **Algorithm 2** (§4.2): degree-indexed propagation
 //!   of multi-broker summaries with `Merged_Brokers` bookkeeping;
 //! * [`routing`] — **Algorithm 3** (§4.3): one broker's BROCLI step
@@ -60,7 +61,7 @@ pub mod routing;
 mod snapshot;
 mod system;
 
-pub use crate::core::{BrokerCore, PeerMsg};
+pub use crate::core::BrokerCore;
 pub use chaos::{ChaosConfig, ChaosReport, ChaosRun, ChaosStats};
 pub use daemon::{ConnId, DaemonCore, DaemonCounters, Role, Sink};
 pub use frame::{Frame, FrameDecoder, FrameError};

@@ -2,16 +2,15 @@
 //!
 //! A production pub/sub deployment must survive restarts without losing
 //! the outstanding subscriptions. A snapshot captures everything not
-//! derivable from code: the schema, the overlay, each broker's exact
-//! subscription store (with ids and local counters) and the §6 shadow
-//! maps. Summaries and multi-broker state are *not* persisted — they are
-//! summaries, rebuilt exactly by the first propagation after restore.
+//! derivable from code: the schema, the overlay, and each broker's
+//! durable state — its [`BrokerCheckpoint`]. Summaries, §6 shadow maps
+//! and multi-broker state are *not* persisted: a restore re-derives the
+//! shadow maps, and the first propagation rebuilds the summaries exactly.
 //!
 //! Format: magic, version, schema (names + kinds), topology (edge list),
-//! flags, per-broker `next_local`, subscription records and shadow edges,
-//! all via the deterministic byte codec.
-
-use std::collections::HashMap;
+//! flags and capacity, then each broker's checkpoint bytes, all via the
+//! deterministic byte codec. Either kind of durable input is checked by
+//! [`BrokerCheckpoint::from_bytes`] before anything restores from it.
 
 use subsum_net::{NodeId, Topology};
 use subsum_types::{
@@ -21,7 +20,7 @@ use subsum_types::{
 use crate::system::SummaryPubSub;
 
 const MAGIC: u32 = 0x5355_4253; // "SUBS"
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 
 const CHECKPOINT_MAGIC: u32 = 0x5342_4B50; // "SBKP"
 const CHECKPOINT_VERSION: u8 = 1;
@@ -90,11 +89,6 @@ pub struct BrokerCheckpoint {
 }
 
 impl BrokerCheckpoint {
-    /// Captures broker `b`'s durable state out of a running system.
-    pub fn capture(sys: &SummaryPubSub, b: NodeId) -> Self {
-        sys.broker(b).checkpoint()
-    }
-
     /// Serializes the checkpoint with the deterministic byte codec.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
@@ -115,7 +109,8 @@ impl BrokerCheckpoint {
     ///
     /// Returns a [`SnapshotError`] on a malformed or truncated stream,
     /// and on one a broker cannot safely restore from: a stored id at or
-    /// above `next_local`, or ids of more than one broker.
+    /// above `next_local`, ids of more than one broker, or an id whose
+    /// `c3` mask is not the set of attributes its subscription constrains.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = ByteReader::new(bytes);
         if r.u32()? != CHECKPOINT_MAGIC {
@@ -148,14 +143,22 @@ impl BrokerCheckpoint {
         if subs.iter().any(|(id, _)| Some(id.broker) != owner) {
             return Err(SnapshotError::Format("checkpoint ids of several brokers"));
         }
+        // The summary counts an id's postings up to its mask's popcount:
+        // a mask short of an attribute is refused by every peer
+        // (`PostingOutsideMask`), one with an extra attribute never matches.
+        if subs.iter().any(|(id, sub)| id.mask != sub.attr_mask()) {
+            return Err(SnapshotError::Format(
+                "checkpoint id mask is not its attributes",
+            ));
+        }
         Ok(BrokerCheckpoint { next_local, subs })
     }
 }
 
 impl SummaryPubSub {
-    /// Serializes the durable state (schema, overlay, exact
-    /// stores, shadow maps). See the [module docs](self) for what is and
-    /// is not captured.
+    /// Serializes the durable state (schema, overlay, each broker's
+    /// checkpoint). See the [module docs](self) for what is and is not
+    /// captured.
     pub fn to_snapshot(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.u32(MAGIC);
@@ -188,23 +191,11 @@ impl SummaryPubSub {
         w.u8(u8::from(self.subsumption_filter_enabled()));
         w.u64(self.max_subs_per_broker());
 
-        // Per-broker stores.
+        // Per-broker checkpoints.
         for b in 0..topology.len() as NodeId {
-            let broker = self.broker(b);
-            w.u32(broker.next_local());
-            w.u32(broker.exact().len() as u32);
-            for (id, sub) in broker.exact() {
-                id.encode(&mut w);
-                sub.encode(&mut w);
-            }
-            let mut shadow_edges: Vec<(SubscriptionId, SubscriptionId)> =
-                broker.shadow_edges().collect();
-            shadow_edges.sort();
-            w.u32(shadow_edges.len() as u32);
-            for (covered, coverer) in shadow_edges {
-                covered.encode(&mut w);
-                coverer.encode(&mut w);
-            }
+            let checkpoint = self.broker(b).checkpoint().to_bytes();
+            w.u32(checkpoint.len() as u32);
+            w.bytes(&checkpoint);
         }
         w.into_bytes()
     }
@@ -216,7 +207,9 @@ impl SummaryPubSub {
     /// # Errors
     ///
     /// Returns a [`SnapshotError`] if the stream is malformed or
-    /// internally inconsistent.
+    /// internally inconsistent: a broker's checkpoint that
+    /// [`BrokerCheckpoint::from_bytes`] refuses, or one holding another
+    /// broker's ids.
     pub fn from_snapshot(bytes: &[u8]) -> Result<SummaryPubSub, SnapshotError> {
         let mut r = ByteReader::new(bytes);
         if r.u32()? != MAGIC {
@@ -256,22 +249,12 @@ impl SummaryPubSub {
         sys.set_subsumption_filter(filter);
 
         for b in 0..n_brokers as NodeId {
-            let next_local = r.u32()?;
-            let n_subs = r.u32()? as usize;
-            let mut subs = Vec::with_capacity(n_subs.min(1 << 20));
-            for _ in 0..n_subs {
-                let id = SubscriptionId::decode(&mut r)?;
-                let sub = Subscription::decode(&mut r)?;
-                subs.push((id, sub));
+            let len = r.u32()? as usize;
+            let checkpoint = BrokerCheckpoint::from_bytes(r.bytes(len)?)?;
+            if checkpoint.subs.iter().any(|(id, _)| id.broker.0 != b) {
+                return Err(SnapshotError::Format("snapshot broker holds foreign ids"));
             }
-            let n_shadows = r.u32()? as usize;
-            let mut shadows = HashMap::with_capacity(n_shadows.min(1 << 20));
-            for _ in 0..n_shadows {
-                let covered = SubscriptionId::decode(&mut r)?;
-                let coverer = SubscriptionId::decode(&mut r)?;
-                shadows.insert(covered, coverer);
-            }
-            sys.brokers[b as usize].restore_durable(next_local, subs, shadows);
+            sys.brokers[b as usize].restore(Some(checkpoint));
         }
         if !r.is_exhausted() {
             return Err(SnapshotError::Format("trailing bytes"));
@@ -285,7 +268,21 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use subsum_types::{stock_schema, Event, NumOp, StrOp};
+    use subsum_types::{stock_schema, AttrMask, Event, NumOp, StrOp};
+
+    /// `sys`'s snapshot with broker `b`'s checkpoint replaced by `cp`.
+    fn snapshot_with(sys: &SummaryPubSub, b: NodeId, cp: &BrokerCheckpoint) -> Vec<u8> {
+        let n = sys.topology().len() as NodeId;
+        let bodies: Vec<_> = (0..n).map(|i| sys.broker(i).checkpoint()).collect();
+        let mut bytes = sys.to_snapshot();
+        let old: usize = bodies.iter().map(|body| 4 + body.to_bytes().len()).sum();
+        bytes.truncate(bytes.len() - old);
+        for (i, body) in bodies.iter().enumerate() {
+            let body = if i == b as usize { cp } else { body }.to_bytes();
+            bytes.extend((body.len() as u32).to_be_bytes().into_iter().chain(body));
+        }
+        bytes
+    }
 
     fn populated_system(filter: bool) -> (SummaryPubSub, Vec<SubscriptionId>) {
         let schema = stock_schema();
@@ -363,6 +360,10 @@ mod tests {
         let mut restored = SummaryPubSub::from_snapshot(&snapshot).unwrap();
         let restored_shadowed: usize = (0..13u16).map(|b| restored.shadowed_count(b)).sum();
         assert_eq!(shadowed, restored_shadowed);
+        // Re-derived, not stored: the same coverers, so the same summaries.
+        for b in 0..13u16 {
+            assert_eq!(restored.broker(b).own(), original.broker(b).own());
+        }
         restored.propagate().unwrap();
 
         // Ids keep working: new subscriptions continue the local counters
@@ -384,7 +385,7 @@ mod tests {
     fn checkpoint_roundtrip_and_rejection() {
         let (sys, _) = populated_system(false);
         for b in 0..13u16 {
-            let cp = BrokerCheckpoint::capture(&sys, b);
+            let cp = sys.broker(b).checkpoint();
             assert!(cp.subs.windows(2).all(|w| w[0].0 < w[1].0), "id-sorted");
             let bytes = cp.to_bytes();
             assert_eq!(BrokerCheckpoint::from_bytes(&bytes).unwrap(), cp);
@@ -399,25 +400,53 @@ mod tests {
         ));
         // A whole-system snapshot is not a checkpoint.
         assert!(BrokerCheckpoint::from_bytes(&sys.to_snapshot()).is_err());
-        // Well-formed bytes a broker must not restore from: a counter
-        // that would mint a stored id again, and another broker's ids.
-        let cp = BrokerCheckpoint::capture(&sys, 0);
-        let stale_counter = BrokerCheckpoint {
-            next_local: cp.next_local - 1,
-            subs: cp.subs.clone(),
+    }
+
+    /// Well-formed bytes a broker must not restore from, refused alike as
+    /// a checkpoint file and as broker 0's body in a snapshot.
+    #[test]
+    fn refused_checkpoints_restore_from_neither_a_file_nor_a_snapshot() {
+        let (sys, _) = populated_system(false);
+        let cp = sys.broker(0).checkpoint();
+        assert_eq!(snapshot_with(&sys, 0, &cp), sys.to_snapshot());
+        // What `bad` is refused with as a file and as a snapshot body.
+        let refuse = |bad: &BrokerCheckpoint| {
+            let snapshot = snapshot_with(&sys, 0, bad);
+            let file = BrokerCheckpoint::from_bytes(&bad.to_bytes()).err();
+            (file, SummaryPubSub::from_snapshot(&snapshot).err())
         };
-        assert!(matches!(
-            BrokerCheckpoint::from_bytes(&stale_counter.to_bytes()),
-            Err(SnapshotError::Format("checkpoint id not below next_local"))
-        ));
-        let mut two_brokers = cp;
-        two_brokers
-            .subs
-            .extend(BrokerCheckpoint::capture(&sys, 1).subs);
-        assert!(matches!(
-            BrokerCheckpoint::from_bytes(&two_brokers.to_bytes()),
-            Err(SnapshotError::Format("checkpoint ids of several brokers"))
-        ));
+        let both = |what| {
+            let refused = SnapshotError::Format(what);
+            (Some(refused.clone()), Some(refused))
+        };
+        // A counter that would mint a stored id again.
+        let mut stale_counter = cp.clone();
+        stale_counter.next_local -= 1;
+        assert_eq!(
+            refuse(&stale_counter),
+            both("checkpoint id not below next_local")
+        );
+        // Ids of several brokers, and in a snapshot another broker's ids.
+        let mut two_brokers = cp.clone();
+        two_brokers.subs.extend(sys.broker(1).checkpoint().subs);
+        assert_eq!(
+            refuse(&two_brokers),
+            both("checkpoint ids of several brokers")
+        );
+        let foreign = refuse(&sys.broker(1).checkpoint());
+        let owned_elsewhere = Some(SnapshotError::Format("snapshot broker holds foreign ids"));
+        assert_eq!(foreign, (None, owned_elsewhere));
+        // An id whose `c3` mask lacks its one attribute, or names one more.
+        let mut extra = cp.subs[0].0.mask;
+        extra.set(sys.schema().attr_id("volume").unwrap());
+        for mask in [AttrMask::empty(), extra] {
+            let mut bad_mask = cp.clone();
+            bad_mask.subs[0].0.mask = mask;
+            assert_eq!(
+                refuse(&bad_mask),
+                both("checkpoint id mask is not its attributes")
+            );
+        }
     }
 
     #[test]

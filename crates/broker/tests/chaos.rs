@@ -5,7 +5,8 @@
 
 use std::sync::Arc;
 
-use subsum_broker::{ChaosConfig, ChaosReport, ChaosRun, Msg, PeerMsg};
+use subsum_broker::{ChaosConfig, ChaosReport, ChaosRun, Msg};
+use subsum_core::{ArithWidth, SummaryCodec};
 use subsum_net::{CrashEvent, FaultPlan, LinkProfile, Topology};
 use subsum_telemetry::trace::Tracer;
 use subsum_types::{
@@ -244,12 +245,11 @@ fn updates_are_wire_bytes_and_are_charged_their_frame_length() {
     let topology = Topology::fig7_tree();
     let (mut updates, mut bytes) = (0, 0);
     for b in 0..13u16 {
-        let Ok(PeerMsg::Summary(bytes_b)) = run.broker(b).announce() else {
-            panic!("broker {b}'s summary fits the wire layout");
-        };
+        let broker = run.broker(b);
+        let codec = SummaryCodec::new(broker.layout(), ArithWidth::Eight);
         let frame = Msg::Summary {
             from: BrokerId(b),
-            bytes: bytes_b,
+            bytes: codec.encode(broker.own()).unwrap(),
         }
         .to_frame_bytes()
         .unwrap();
@@ -265,7 +265,7 @@ fn updates_are_wire_bytes_and_are_charged_their_frame_length() {
     assert_eq!(report.stats.total_bytes(), bytes, "no digests, no pulls");
     for b in 0..13u16 {
         for &nb in topology.neighbors(b) {
-            assert_eq!(run.broker(b).view(nb), Some(run.broker(nb).own()));
+            assert_eq!(run.daemon(b).view(nb), Some(run.broker(nb).own()));
         }
     }
 }
@@ -332,7 +332,7 @@ fn delivered_sets_equal_exact_matches_after_repair() {
         // What delivery rests on: each view is its neighbour's summary.
         for b in 0..13u16 {
             for &nb in topology.neighbors(b) {
-                assert_eq!(run.broker(b).view(nb), Some(run.broker(nb).own()));
+                assert_eq!(run.daemon(b).view(nb), Some(run.broker(nb).own()));
             }
         }
         (report, delivered)

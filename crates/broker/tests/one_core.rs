@@ -55,7 +55,7 @@ fn every_host_drives_the_same_broker() {
     assert!(!sys.unsubscribe(gone) && !chaos.unsubscribe(gone));
 
     // Same durable state, byte for byte.
-    let bytes = BrokerCheckpoint::capture(&sys, BROKER).to_bytes();
+    let bytes = sys.broker(BROKER).checkpoint().to_bytes();
     assert_eq!(chaos.broker(BROKER).checkpoint().to_bytes(), bytes);
 
     // A bare core restored from those bytes, under yet another layout

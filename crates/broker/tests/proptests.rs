@@ -222,7 +222,7 @@ fn checkpoint_restore_is_digest_faithful() {
 
             // Save, then "crash": everything in memory is gone; only the
             // checkpoint bytes survive.
-            let bytes = BrokerCheckpoint::capture(&sys, b).to_bytes();
+            let bytes = sys.broker(b).checkpoint().to_bytes();
             drop(subs);
 
             let cp = BrokerCheckpoint::from_bytes(&bytes).unwrap();

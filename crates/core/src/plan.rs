@@ -569,10 +569,9 @@ impl MatchPlan {
                 let Some(s) = value.as_str() else {
                     continue;
                 };
-                // Cost model mirrors `PatternSummary::query_into`: one
-                // literal-map probe when the map is non-empty, plus
-                // every index-selected wildcard row (tested, whether or
-                // not it matched).
+                // Cost model: one literal-map probe when the map is
+                // non-empty, plus every index-selected wildcard row
+                // (tested, whether or not it matched).
                 let mut cost = QueryCost::default();
                 let mut literal: &[DenseId] = &[];
                 if src.has_literals() {
@@ -999,7 +998,7 @@ mod tests {
         for (attr, value) in event.iter() {
             let mut ids = match (summary.arith_summary(attr), summary.string_summary(attr)) {
                 (Some(a), _) => a.query(value.as_num().unwrap()),
-                (_, Some(s)) => s.query(value.as_str().unwrap()),
+                (_, Some(s)) => s.query_scan(value.as_str().unwrap()),
                 _ => continue,
             };
             ids.sort_unstable();

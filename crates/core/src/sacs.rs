@@ -83,8 +83,8 @@ pub struct PatternRow {
     pub ids: IdList,
 }
 
-/// The work one indexed [`PatternSummary::query_into`] performed, for the
-/// honest §5.2.4 cost accounting.
+/// The work one indexed SACS probe of the compiled plan performed, for
+/// the honest §5.2.4 cost accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueryCost {
     /// Rows actually probed: the literal-map probe (when the map is
@@ -203,7 +203,7 @@ impl PatternIndex {
 /// sacs.insert(Pattern::parse("m*t").unwrap(), 2);
 /// // "m*t" covers "microsoft": one row remains, carrying both ids.
 /// assert_eq!(sacs.row_count(), 1);
-/// assert_eq!(sacs.query("micronet"), vec![1, 2]);
+/// assert_eq!(sacs.query_scan("micronet"), vec![1, 2]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PatternSummary {
@@ -232,12 +232,6 @@ impl PatternSummary {
     /// The number of rows (`n_r` in the paper's size equations).
     pub fn row_count(&self) -> usize {
         self.literals.len() + self.patterns.len()
-    }
-
-    /// The number of wildcard rows in the residual (unanchored) index
-    /// bucket — the rows every query must test.
-    pub fn residual_rows(&self) -> usize {
-        self.index.residual.len()
     }
 
     /// Iterates over all rows in a deterministic order: wildcard rows in
@@ -341,44 +335,6 @@ impl PatternSummary {
         }
     }
 
-    /// All subscription ids whose summarized constraint is satisfied by
-    /// the value `s` — the `Check_for_a_value_match (type string)`
-    /// procedure of §3.3, served through the pattern index.
-    pub fn query(&self, s: &str) -> IdList {
-        let mut out = IdList::new();
-        self.query_into(s, &mut out);
-        out
-    }
-
-    /// As [`PatternSummary::query`], appending into a caller buffer (hot
-    /// path for the matcher) and reporting the rows actually probed.
-    ///
-    /// The output may contain duplicate ids when a subscription holds
-    /// several constraints on this attribute; the matcher deduplicates
-    /// per attribute.
-    pub fn query_into(&self, s: &str, out: &mut IdList) -> QueryCost {
-        let mut cost = QueryCost::default();
-        if !self.literals.is_empty() {
-            cost.rows_touched += 1;
-            if let Some(ids) = self.literals.get(s) {
-                out.extend_from_slice(ids);
-            }
-        }
-        let mut tested = 0usize;
-        for pos in self.index.value_candidates(s) {
-            tested += 1;
-            let row = &self.patterns[pos];
-            if row.pattern.matches(s) {
-                out.extend_from_slice(&row.ids);
-            }
-        }
-        cost.rows_touched += tested;
-        cost.rows_pruned = self.patterns.len() - tested;
-        CNT_INDEX_HITS.add(cost.rows_touched as u64);
-        CNT_ROWS_PRUNED.add(cost.rows_pruned as u64);
-        cost
-    }
-
     /// Positions of every wildcard row the anchor index selects for the
     /// value `s`. Compiled-plan probe path: the plan stores only the
     /// wildcard rows' posting runs and borrows candidate selection and
@@ -411,11 +367,15 @@ impl PatternSummary {
         self.patterns.iter().map(|r| &r.ids)
     }
 
-    /// Reference implementation of [`PatternSummary::query`] as a flat
-    /// scan over every wildcard row, bypassing the pattern index.
-    /// Retained for differential testing and as the string half of
-    /// [`crate::BrokerSummary::match_event_scan`]; results equal `query`
-    /// up to ordering.
+    /// All subscription ids whose summarized constraint is satisfied by
+    /// the value `s` — the `Check_for_a_value_match (type string)`
+    /// procedure of §3.3 — as a flat scan over every wildcard row,
+    /// bypassing the pattern index. The string half of
+    /// [`crate::BrokerSummary::match_event_scan`], the oracle the
+    /// compiled plan's indexed probe is tested against.
+    ///
+    /// The output may contain duplicate ids when a subscription holds
+    /// several constraints on this attribute.
     pub fn query_scan(&self, s: &str) -> IdList {
         let mut out = IdList::new();
         self.query_scan_into(s, &mut out);
@@ -633,12 +593,6 @@ mod tests {
         Pattern::parse(s).unwrap()
     }
 
-    /// Sorted copies, for comparisons that ignore bucket visit order.
-    fn sorted(mut ids: IdList) -> IdList {
-        ids.sort();
-        ids
-    }
-
     #[test]
     fn paper_fig5_example() {
         // SACS for attribute symbol: row `OT*` (prefix, paper's `>* OT`)
@@ -648,10 +602,10 @@ mod tests {
         sacs.insert(pat("OT*"), id(2));
         assert_eq!(sacs.row_count(), 1);
         assert_eq!(sacs.rows().next().unwrap().0, pat("OT*"));
-        assert_eq!(sacs.query("OTE"), vec![id(1), id(2)]);
+        assert_eq!(sacs.query_scan("OTE"), vec![id(1), id(2)]);
         // False positive by design: the generalized row matches OTX for S1.
-        assert_eq!(sacs.query("OTX"), vec![id(1), id(2)]);
-        assert!(sacs.query("XOT").is_empty());
+        assert_eq!(sacs.query_scan("OTX"), vec![id(1), id(2)]);
+        assert!(sacs.query_scan("XOT").is_empty());
     }
 
     #[test]
@@ -661,7 +615,7 @@ mod tests {
         sacs.insert(pat("microsoft"), id(2));
         sacs.insert(pat("micronet"), id(3));
         assert_eq!(sacs.row_count(), 1);
-        assert_eq!(sacs.query("mt"), vec![id(1), id(2), id(3)]);
+        assert_eq!(sacs.query_scan("mt"), vec![id(1), id(2), id(3)]);
     }
 
     #[test]
@@ -674,8 +628,8 @@ mod tests {
         sacs.insert(pat("m*t"), id(4));
         // microsoft and micronet are absorbed; apple stays.
         assert_eq!(sacs.row_count(), 2);
-        assert_eq!(sacs.query("microsoft"), vec![id(1), id(2), id(4)]);
-        assert_eq!(sacs.query("apple"), vec![id(3)]);
+        assert_eq!(sacs.query_scan("microsoft"), vec![id(1), id(2), id(4)]);
+        assert_eq!(sacs.query_scan("apple"), vec![id(3)]);
     }
 
     #[test]
@@ -684,9 +638,9 @@ mod tests {
         sacs.insert(pat("OT*"), id(1));
         sacs.insert(pat("*SE"), id(2));
         assert_eq!(sacs.row_count(), 2);
-        assert_eq!(sorted(sacs.query("OTSE")), vec![id(1), id(2)]);
-        assert_eq!(sacs.query("OTE"), vec![id(1)]);
-        assert_eq!(sacs.query("NYSE"), vec![id(2)]);
+        assert_eq!(sacs.query_scan("OTSE"), vec![id(1), id(2)]);
+        assert_eq!(sacs.query_scan("OTE"), vec![id(1)]);
+        assert_eq!(sacs.query_scan("NYSE"), vec![id(2)]);
     }
 
     #[test]
@@ -697,7 +651,7 @@ mod tests {
         sacs.insert(pat("lit"), id(4));
         sacs.insert(pat("*"), id(3));
         assert_eq!(sacs.row_count(), 1);
-        assert_eq!(sacs.query("zzz"), vec![id(1), id(2), id(3), id(4)]);
+        assert_eq!(sacs.query_scan("zzz"), vec![id(1), id(2), id(3), id(4)]);
     }
 
     #[test]
@@ -706,7 +660,7 @@ mod tests {
         sacs.insert(pat("microsoft"), id(1));
         sacs.insert(pat("m*t"), id(2));
         // Every value matching the original constraint still matches.
-        assert!(sacs.query("microsoft").contains(&id(1)));
+        assert!(sacs.query_scan("microsoft").contains(&id(1)));
     }
 
     #[test]
@@ -730,7 +684,7 @@ mod tests {
         sacs.remove(id(1));
         assert_eq!(sacs.row_count(), 1);
         // The generalized row remains for id(2); still no false negatives.
-        assert_eq!(sacs.query("OTE"), vec![id(2)]);
+        assert_eq!(sacs.query_scan("OTE"), vec![id(2)]);
         sacs.remove(id(2));
         assert!(sacs.is_empty());
     }
@@ -743,8 +697,8 @@ mod tests {
         sacs.insert(pat("*SE"), id(3));
         // Vacate slot 2: id 3 becomes id 2, id 1 stays.
         sacs.remove_remap(id(2));
-        assert_eq!(sacs.query("OTE"), vec![id(1)]);
-        assert_eq!(sacs.query("NYSE"), vec![id(2)]);
+        assert_eq!(sacs.query_scan("OTE"), vec![id(1)]);
+        assert_eq!(sacs.query_scan("NYSE"), vec![id(2)]);
         sacs.validate();
     }
 
@@ -755,8 +709,8 @@ mod tests {
         sacs.insert(pat("lit"), id(1));
         // Open a hole at slot 1 (a new id interned in the middle).
         sacs.remap_ids(|d| if d >= 1 { d + 1 } else { d });
-        assert_eq!(sacs.query("OTX"), vec![id(0)]);
-        assert_eq!(sacs.query("lit"), vec![id(2)]);
+        assert_eq!(sacs.query_scan("OTX"), vec![id(0)]);
+        assert_eq!(sacs.query_scan("lit"), vec![id(2)]);
         sacs.validate();
     }
 
@@ -769,7 +723,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.row_count(), 1);
         assert_eq!(a.rows().next().unwrap().0, pat("m*t"));
-        assert_eq!(a.query("microsoft"), vec![id(1), id(2)]);
+        assert_eq!(a.query_scan("microsoft"), vec![id(1), id(2)]);
         // And the symmetric direction.
         let mut c = PatternSummary::new();
         c.insert(pat("m*t"), id(2));
@@ -777,7 +731,7 @@ mod tests {
         d.insert(pat("microsoft"), id(1));
         c.merge(&d);
         assert_eq!(c.row_count(), 1);
-        assert_eq!(c.query("microsoft"), vec![id(1), id(2)]);
+        assert_eq!(c.query_scan("microsoft"), vec![id(1), id(2)]);
     }
 
     #[test]
@@ -802,7 +756,7 @@ mod tests {
     #[test]
     fn query_empty_summary() {
         let sacs = PatternSummary::new();
-        assert!(sacs.query("anything").is_empty());
+        assert!(sacs.query_scan("anything").is_empty());
     }
 
     #[test]
@@ -812,12 +766,12 @@ mod tests {
             sacs.insert(pat(&format!("lit{k}")), id(k));
         }
         assert_eq!(sacs.row_count(), 5000);
-        assert_eq!(sacs.query("lit4999"), vec![id(4999)]);
+        assert_eq!(sacs.query_scan("lit4999"), vec![id(4999)]);
         // A late wildcard absorbs the lot.
         sacs.insert(pat("lit*"), id(9999));
         assert_eq!(sacs.row_count(), 1);
         assert_eq!(sacs.id_list_len(), 5001);
-        assert!(sacs.query("lit77").contains(&id(77)));
+        assert!(sacs.query_scan("lit77").contains(&id(77)));
     }
 
     #[test]
@@ -846,36 +800,13 @@ mod tests {
         }
         sacs.insert(pat("*zz"), id(100));
         sacs.insert(pat("*mid*"), id(101));
-        assert_eq!(sacs.residual_rows(), 1);
 
-        let mut out = IdList::new();
-        let cost = sacs.query_into("qqx", &mut out);
-        assert_eq!(out, vec![id(16)]);
-        // Tested: prefix['q'] (1 row) + no suffix bucket for 'x' + the
+        assert_eq!(sacs.query_scan("qqx"), vec![id(16)]);
+        // Selected: prefix['q'] (1 row) + no suffix bucket for 'x' + the
         // residual row = 2 of 28 wildcard rows.
-        assert_eq!(cost.rows_touched, 2);
-        assert_eq!(cost.rows_pruned, 26);
-
-        let cost = sacs.query_into("zzz", &mut out);
-        assert_eq!(cost.rows_pruned, 25); // prefix['z'] + suffix['z'] + residual
-    }
-
-    #[test]
-    fn indexed_query_equals_scan_reference() {
-        let mut sacs = PatternSummary::new();
-        let patterns = [
-            "OT*", "*SE", "O*E", "*T*", "lit", "", "*", "a*b*c", "zz*", "*zz",
-        ];
-        for (k, s) in patterns.iter().enumerate() {
-            sacs.insert(pat(s), id(k as u32));
-        }
-        for value in ["", "OTSE", "OTE", "abc", "aXbYc", "lit", "zz", "zzz", "q"] {
-            assert_eq!(
-                sorted(sacs.query(value)),
-                sorted(sacs.query_scan(value)),
-                "value {value:?}"
-            );
-        }
+        assert_eq!(sacs.plan_candidates("qqx").count(), 2);
+        // prefix['z'] + suffix['z'] + residual.
+        assert_eq!(sacs.plan_candidates("zzz").count(), 3);
     }
 
     #[test]

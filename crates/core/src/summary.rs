@@ -1013,7 +1013,7 @@ mod tests {
         let e = fig2_event(&schema);
         // Check indirectly through per-attribute queries.
         let symbol = schema.attr_id("symbol").unwrap();
-        let ids = summary.string_summary(symbol).unwrap().query("OTE");
+        let ids = summary.string_summary(symbol).unwrap().query_scan("OTE");
         assert_eq!(ids.len(), 2);
         let price = schema.attr_id("price").unwrap();
         let ids = summary

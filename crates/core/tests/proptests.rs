@@ -11,8 +11,8 @@ use subsum_core::{
     SummaryCodec,
 };
 use subsum_types::{
-    stock_schema, BrokerId, Event, IdLayout, LocalSubId, NumOp, Pattern, Schema, StrOp,
-    Subscription, SubscriptionId, Value,
+    stock_schema, BrokerId, Event, IdLayout, LocalSubId, NumOp, Schema, StrOp, Subscription,
+    SubscriptionId, Value,
 };
 
 /// Values drawn from a small shared domain so that subscriptions and
@@ -345,37 +345,51 @@ fn disjoint_domains_never_match() {
     });
 }
 
-/// Differential check of the SACS pattern index: the indexed query
-/// must return exactly the ids the retained naive full scan returns —
-/// no false negatives from bucket pruning, no spurious extras, and
-/// byte-identical ordering after sorting both sides. Patterns draw
-/// from a tiny alphabet with wildcards so the prefix, suffix and
-/// residual buckets all get exercised and collide with the values.
+/// Differential check of the SACS pattern index: the compiled plan's
+/// indexed probe must return exactly the ids the naive full scan
+/// returns — no false negatives from bucket pruning, no spurious
+/// extras. Each subscription is one `symbol` pattern drawn from a tiny
+/// alphabet with wildcards, so the prefix, suffix and residual buckets
+/// all get exercised and collide with the values.
 #[test]
 fn indexed_pattern_query_is_identical_to_scan() {
     check("indexed_pattern_query_is_identical_to_scan", 128, |g| {
         let patterns = g.vec(1..12, |g| g.string("ab*", 1..=6));
         let values = g.vec(1..12, |g| g.string("ab", 0..=6));
-        let mut sacs = PatternSummary::new();
+        let schema = stock_schema();
+        let mut summary = BrokerSummary::new(schema.clone());
         for (i, text) in patterns.iter().enumerate() {
-            if let Ok(p) = Pattern::parse(text) {
-                // Standalone SACS rows hold dense ids; any distinct u32s do.
-                sacs.insert(p, i as u32);
+            if let Some(sub) = pattern_sub(&schema, "symbol", text) {
+                summary.insert(BrokerId(0), LocalSubId(i as u32), &sub);
             }
         }
-        check_sacs_invariants(&sacs);
+        check_invariants(&summary);
+        let mut scratch = MatchScratch::new();
         for v in &values {
-            let mut indexed = sacs.query(v);
-            let mut scanned = sacs.query_scan(v);
-            indexed.sort_unstable();
-            scanned.sort_unstable();
+            let event = string_event(&schema, "symbol", v);
+            let indexed = &summary.match_event_into(&event, &mut scratch).matched;
+            let scanned = summary.match_event_scan(&event).matched;
             assert_eq!(
-                indexed, scanned,
+                indexed, &scanned,
                 "value {:?} over patterns {:?}",
                 v, patterns
             );
         }
     });
+}
+
+/// A subscription whose one constraint is the glob `text` on `attr`.
+fn pattern_sub(schema: &Schema, attr: &str, text: &str) -> Option<Subscription> {
+    Subscription::builder(schema)
+        .str_pattern(attr, text)
+        .ok()?
+        .build()
+        .ok()
+}
+
+/// An event carrying only `attr = value`.
+fn string_event(schema: &Schema, attr: &str, value: &str) -> Event {
+    Event::builder(schema).str(attr, value).unwrap().build()
 }
 
 /// Differential check of the full matcher: the scratch-reusing
@@ -495,8 +509,8 @@ fn decoded_dense_kernel_is_identical_to_scan_on(subs: &[RawSub], events: &[RawEv
 /// Wire round-trip with a populated SACS anchor index. The index is
 /// derived state — it never travels on the wire (`cargo xtask
 /// check` enforces that) — so the decoder must rebuild it, and the
-/// rebuilt index must answer `query_into` byte-identically to the
-/// original's while passing deep validation.
+/// rebuilt index must let the decoded summary match identically to the
+/// original while passing deep validation.
 #[test]
 fn decoded_sacs_index_answers_identically() {
     check("decoded_sacs_index_answers_identically", 128, |g| {
@@ -511,28 +525,31 @@ fn decoded_sacs_index_answers_identically() {
             // instances (and their prefix/suffix/residual buckets) are
             // exercised.
             let attr = if i % 2 == 0 { "exchange" } else { "symbol" };
-            if let Ok(b) = Subscription::builder(&schema).str_pattern(attr, text) {
-                if let Ok(sub) = b.build() {
-                    summary.insert(BrokerId((i % 24) as u16), LocalSubId(i as u32), &sub);
-                }
+            if let Some(sub) = pattern_sub(&schema, attr, text) {
+                summary.insert(BrokerId((i % 24) as u16), LocalSubId(i as u32), &sub);
             }
         }
         let bytes = codec.encode(&summary).unwrap();
         let decoded = codec.decode(&bytes, &schema).unwrap();
         check_invariants(&decoded);
         for attr in [subsum_types::AttrId(0), subsum_types::AttrId(1)] {
-            match (summary.string_summary(attr), decoded.string_summary(attr)) {
-                (Some(orig), Some(dec)) => {
-                    check_sacs_invariants(dec);
-                    for v in &values {
-                        let mut want = Vec::new();
-                        let mut got = Vec::new();
-                        orig.query_into(v, &mut want);
-                        dec.query_into(v, &mut got);
-                        assert_eq!(got, want, "attr {:?} value {:?}", attr, v);
-                    }
-                }
-                (orig, dec) => assert_eq!(dec.is_none(), orig.is_none()),
+            assert_eq!(
+                decoded.string_summary(attr).is_none(),
+                summary.string_summary(attr).is_none()
+            );
+            if let Some(dec) = decoded.string_summary(attr) {
+                check_sacs_invariants(dec);
+            }
+        }
+        let (mut want, mut got) = (MatchScratch::new(), MatchScratch::new());
+        for v in &values {
+            for attr in ["exchange", "symbol"] {
+                let event = string_event(&schema, attr, v);
+                assert_eq!(
+                    decoded.match_event_into(&event, &mut got).matched,
+                    summary.match_event_into(&event, &mut want).matched,
+                    "{event:?}"
+                );
             }
         }
     });

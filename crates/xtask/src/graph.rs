@@ -331,7 +331,7 @@ impl CallGraph {
 
     /// Fn indices matching a root spec: a bare name (`examine`),
     /// a name prefix (`route_event*`), or a qualified associated fn
-    /// (`BrokerCore::on_peer`).
+    /// (`BrokerCore::verify`).
     pub fn roots(&self, spec: &str) -> Vec<usize> {
         let (ty, name) = match spec.split_once("::") {
             Some((t, n)) => (Some(t), n),

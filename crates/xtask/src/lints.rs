@@ -136,7 +136,6 @@ impl CheckConfig {
                 "route_event*".into(),
                 "examine".into(),
                 "BrokerCore::verify".into(),
-                "BrokerCore::on_peer".into(),
                 "DaemonCore::step".into(),
                 "SummaryPubSub::publish_with_scratch".into(),
                 "decode".into(),
