@@ -261,11 +261,14 @@ impl DaemonCore {
         }
         let role = *role;
         match msg {
+            // A neighbour-view frame speaks only for the broker its link
+            // belongs to: on a client or unclassified connection, or
+            // under another broker's id, it is dropped.
             Msg::Hello {
                 broker,
                 epoch,
                 digest,
-            } => {
+            } if role == Role::Peer(broker) => {
                 sink.send(
                     conn,
                     &Msg::HelloAck {
@@ -278,9 +281,6 @@ impl DaemonCore {
                 let from = broker;
                 self.step(conn, Msg::Digest { from, digest }, sink);
             }
-            // A neighbour-view frame speaks only for the broker its link
-            // belongs to: on a client or unclassified connection, or
-            // under another broker's id, it is dropped.
             Msg::HelloAck {
                 broker: from,
                 digest,
@@ -312,7 +312,11 @@ impl DaemonCore {
                 // Counted last: whoever reads the counter finds the view in place.
                 self.counters.summaries_rx.inc();
             }
-            Msg::HelloAck { .. } | Msg::Digest { .. } | Msg::Pull { .. } | Msg::Summary { .. } => {}
+            Msg::Hello { .. }
+            | Msg::HelloAck { .. }
+            | Msg::Digest { .. }
+            | Msg::Pull { .. }
+            | Msg::Summary { .. } => {}
             Msg::Route { origin: _, event } => {
                 if matches!(role, Role::Peer(_)) {
                     self.deliver_local(&event, sink);
@@ -603,11 +607,11 @@ mod tests {
             .unwrap()
     }
 
-    /// `Summary`, `Digest`, `Pull` and `HelloAck` speak for the broker a
-    /// peer link belongs to. A client connection claiming to be neighbour
-    /// B must not replace A's view of B — with an empty view in its place A
-    /// would stop forwarding B's matches, a false negative at the summary
-    /// tier — nor make A pull or answer.
+    /// `Summary`, `Digest`, `Pull`, `Hello` and `HelloAck` speak for the
+    /// broker a peer link belongs to. A client connection claiming to be
+    /// neighbour B must not replace A's view of B — with an empty view in
+    /// its place A would stop forwarding B's matches, a false negative at
+    /// the summary tier — nor make A pull or answer.
     #[test]
     fn peer_frames_off_a_peer_link_get_no_reply_and_change_no_view() {
         let mut pair = Pair::start(None);
@@ -634,6 +638,15 @@ mod tests {
             let acked = pair.publish(0, rogue, &cheap_event(50.0));
             assert_eq!(acked, [(0, rogue, ack(true, 0))]);
         }
+        // A `Hello` on the now-client connection, or on B's link under
+        // another broker's id, speaks for nobody.
+        let hello = |broker| Msg::Hello {
+            broker: BrokerId(broker),
+            epoch: 2,
+            digest: empty.digest(),
+        };
+        assert_eq!(pair.step(0, rogue, hello(1)), []);
+        assert_eq!(answer(&mut pair.daemons[0], LINK, hello(2)), []);
         let a = pair.counters(0);
         let counts = (a.summaries_rx.get(), a.resyncs.get(), a.summaries_tx.get());
         assert_eq!(counts, (2, 1, 1), "B's push and the handshake only");

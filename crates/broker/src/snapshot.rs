@@ -8,9 +8,10 @@
 //! shadow maps, and the first propagation rebuilds the summaries exactly.
 //!
 //! Format: magic, version, schema (names + kinds), topology (edge list),
-//! flags and capacity, then each broker's checkpoint bytes, all via the
-//! deterministic byte codec. Either kind of durable input is checked by
-//! [`BrokerCheckpoint::from_bytes`] before anything restores from it.
+//! flags and capacity, then each broker's checkpoint bytes (each ending
+//! in its own checksum), all via the deterministic byte codec. Either
+//! kind of durable input is checked by [`BrokerCheckpoint::from_bytes`]
+//! before anything restores from it.
 
 use subsum_net::{NodeId, Topology};
 use subsum_types::{
@@ -23,7 +24,16 @@ const MAGIC: u32 = 0x5355_4253; // "SUBS"
 const VERSION: u8 = 2;
 
 const CHECKPOINT_MAGIC: u32 = 0x5342_4B50; // "SBKP"
-const CHECKPOINT_VERSION: u8 = 1;
+/// Version 2 appends the checksum; version 1 files are refused.
+const CHECKPOINT_VERSION: u8 = 2;
+
+/// 64-bit FNV-1a. Its per-byte step is a bijection of the state, so
+/// any single-byte change to the input changes the hash.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 /// Errors from [`SummaryPubSub::from_snapshot`].
 #[derive(Debug, Clone, PartialEq)]
@@ -89,7 +99,8 @@ pub struct BrokerCheckpoint {
 }
 
 impl BrokerCheckpoint {
-    /// Serializes the checkpoint with the deterministic byte codec.
+    /// Serializes the checkpoint with the deterministic byte codec,
+    /// followed by the big-endian FNV-1a checksum of every byte before it.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.u32(CHECKPOINT_MAGIC);
@@ -100,17 +111,23 @@ impl BrokerCheckpoint {
             id.encode(&mut w);
             sub.encode(&mut w);
         }
-        w.into_bytes()
+        let mut bytes = w.into_bytes();
+        let sum = fnv1a(&bytes);
+        bytes.extend_from_slice(&sum.to_be_bytes());
+        bytes
     }
 
     /// Parses a checkpoint produced by [`BrokerCheckpoint::to_bytes`].
+    /// After the magic and version, the checksum is verified before
+    /// anything else is read.
     ///
     /// # Errors
     ///
     /// Returns a [`SnapshotError`] on a malformed or truncated stream,
-    /// and on one a broker cannot safely restore from: a stored id at or
-    /// above `next_local`, ids of more than one broker, or an id whose
-    /// `c3` mask is not the set of attributes its subscription constrains.
+    /// on a checksum mismatch, and on one a broker cannot safely restore
+    /// from: a stored id at or above `next_local`, ids of more than one
+    /// broker, or an id whose `c3` mask is not the set of attributes its
+    /// subscription constrains.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = ByteReader::new(bytes);
         if r.u32()? != CHECKPOINT_MAGIC {
@@ -119,6 +136,16 @@ impl BrokerCheckpoint {
         if r.u8()? != CHECKPOINT_VERSION {
             return Err(SnapshotError::Format("unsupported checkpoint version"));
         }
+        let body_len = bytes
+            .len()
+            .checked_sub(8)
+            .ok_or(DecodeError::UnexpectedEnd)?;
+        let (body, sum) = bytes.split_at(body_len);
+        if fnv1a(body) != ByteReader::new(sum).u64()? {
+            return Err(SnapshotError::Format("checkpoint checksum mismatch"));
+        }
+        let mut r = ByteReader::new(body);
+        r.bytes(5)?; // magic and version, checked above
         let next_local = r.u32()?;
         let n = r.u32()? as usize;
         let mut subs = Vec::with_capacity(n.min(1 << 20));
@@ -270,16 +297,20 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use subsum_types::{stock_schema, AttrMask, Event, NumOp, StrOp};
 
-    /// `sys`'s snapshot with broker `b`'s checkpoint replaced by `cp`.
-    fn snapshot_with(sys: &SummaryPubSub, b: NodeId, cp: &BrokerCheckpoint) -> Vec<u8> {
+    /// `sys`'s snapshot with broker `b`'s checkpoint bytes replaced by
+    /// `body`.
+    fn snapshot_with(sys: &SummaryPubSub, b: NodeId, body: &[u8]) -> Vec<u8> {
         let n = sys.topology().len() as NodeId;
-        let bodies: Vec<_> = (0..n).map(|i| sys.broker(i).checkpoint()).collect();
+        let bodies: Vec<_> = (0..n)
+            .map(|i| sys.broker(i).checkpoint().to_bytes())
+            .collect();
         let mut bytes = sys.to_snapshot();
-        let old: usize = bodies.iter().map(|body| 4 + body.to_bytes().len()).sum();
+        let old: usize = bodies.iter().map(|own| 4 + own.len()).sum();
         bytes.truncate(bytes.len() - old);
-        for (i, body) in bodies.iter().enumerate() {
-            let body = if i == b as usize { cp } else { body }.to_bytes();
-            bytes.extend((body.len() as u32).to_be_bytes().into_iter().chain(body));
+        for (i, own) in bodies.iter().enumerate() {
+            let body = if i == b as usize { body } else { own };
+            bytes.extend_from_slice(&(body.len() as u32).to_be_bytes());
+            bytes.extend_from_slice(body);
         }
         bytes
     }
@@ -398,6 +429,13 @@ mod tests {
             BrokerCheckpoint::from_bytes(&[0, 0, 0, 0, 1]),
             Err(SnapshotError::Format("bad checkpoint magic"))
         ));
+        // A version-1 file (no checksum) is refused.
+        let mut v1 = sys.broker(0).checkpoint().to_bytes();
+        v1[4] = 1;
+        assert_eq!(
+            BrokerCheckpoint::from_bytes(&v1),
+            Err(SnapshotError::Format("unsupported checkpoint version"))
+        );
         // A whole-system snapshot is not a checkpoint.
         assert!(BrokerCheckpoint::from_bytes(&sys.to_snapshot()).is_err());
     }
@@ -408,11 +446,12 @@ mod tests {
     fn refused_checkpoints_restore_from_neither_a_file_nor_a_snapshot() {
         let (sys, _) = populated_system(false);
         let cp = sys.broker(0).checkpoint();
-        assert_eq!(snapshot_with(&sys, 0, &cp), sys.to_snapshot());
+        assert_eq!(snapshot_with(&sys, 0, &cp.to_bytes()), sys.to_snapshot());
         // What `bad` is refused with as a file and as a snapshot body.
         let refuse = |bad: &BrokerCheckpoint| {
-            let snapshot = snapshot_with(&sys, 0, bad);
-            let file = BrokerCheckpoint::from_bytes(&bad.to_bytes()).err();
+            let bytes = bad.to_bytes();
+            let file = BrokerCheckpoint::from_bytes(&bytes).err();
+            let snapshot = snapshot_with(&sys, 0, &bytes);
             (file, SummaryPubSub::from_snapshot(&snapshot).err())
         };
         let both = |what| {
@@ -446,6 +485,22 @@ mod tests {
                 refuse(&bad_mask),
                 both("checkpoint id mask is not its attributes")
             );
+        }
+    }
+
+    /// A flipped bit anywhere in a checkpoint — in a constraint operand,
+    /// or in a local id that stays sorted — would restore a different
+    /// broker: the checksum refuses it, as a file and as a snapshot body.
+    #[test]
+    fn bit_flipped_checkpoints_restore_from_neither_a_file_nor_a_snapshot() {
+        let (sys, _) = populated_system(false);
+        let bytes = sys.broker(0).checkpoint().to_bytes();
+        for i in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[i] ^= 1 << (i % 8);
+            assert!(BrokerCheckpoint::from_bytes(&flipped).is_err(), "byte {i}");
+            let snapshot = snapshot_with(&sys, 0, &flipped);
+            assert!(SummaryPubSub::from_snapshot(&snapshot).is_err(), "byte {i}");
         }
     }
 

@@ -94,15 +94,6 @@ pub(crate) fn idlist_merge<T: Ord + Copy>(list: &mut Vec<T>, other: &[T]) {
     *list = merged;
 }
 
-/// The contiguous subslice of a sorted dense posting list whose ids lie
-/// in `[lo, hi)` — the shard-derivation primitive: two binary searches,
-/// no copying.
-pub(crate) fn idlist_range_slice(list: &IdList, lo: DenseId, hi: DenseId) -> &[DenseId] {
-    let a = list.partition_point(|&d| d < lo);
-    let b = list.partition_point(|&d| d < hi);
-    &list[a..b]
-}
-
 /// Applies a strictly monotone renumbering to a sorted dense posting list
 /// in place. Monotonicity preserves both sortedness and dedup, so the
 /// list invariant survives intern-table renumbering without a re-sort.

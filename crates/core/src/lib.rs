@@ -47,8 +47,8 @@
 //! # }
 //! ```
 
-// Safe code throughout: the sharded store publishes its partitions
-// through `Arc`, so no module may opt back in.
+// Safe code throughout: `ShardedSummary` publishes its snapshots through
+// `Mutex<Arc<_>>`, so no module may opt back in.
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 

@@ -49,11 +49,8 @@
 //! it never travels on the wire, never contributes to digests, and is
 //! rebuilt whenever the rows change.
 //! [`BrokerSummary`](crate::BrokerSummary) drops its cached plan on every
-//! mutation and recompiles lazily on the next match;
-//! [`ShardedSummary`](crate::ShardedSummary) compiles one plan per shard
-//! when it derives a partition, so the publish path always probes a
-//! frozen plan, and a retired plan is freed with its
-//! [`ShardSet`](crate::shard) when the last `Arc` to that set drops.
+//! mutation and recompiles lazily on the next match; clones share the
+//! compiled plan until either side mutates.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -63,12 +60,11 @@ use subsum_telemetry::Count;
 use subsum_types::{AttrMask, Event, LowerBound, Num, SubscriptionId, UpperBound};
 
 use crate::aacs::RangeSummary;
-use crate::idlist::{idlist_range_slice, DenseId};
+use crate::idlist::DenseId;
 use crate::sacs::{PatternSummary, QueryCost};
 use crate::summary::MatchStats;
 
-/// Plan compilations (lazy flat rebuilds plus per-shard snapshot
-/// compiles).
+/// Plan compilations.
 static CNT_PLAN_REBUILDS: Count = Count::new(subsum_telemetry::names::MATCH_PLAN_REBUILDS);
 /// Plan rows whose posting slices fed the counter kernel (satisfied
 /// range/point/literal rows plus matched wildcard rows), across events.
@@ -84,7 +80,7 @@ const COUNT_MASK: u64 = (1 << COUNT_BITS) - 1;
 /// bits. Total-order-isomorphic to `Num`'s `Ord` because `Num` excludes
 /// NaN and normalizes `-0.0` at construction.
 #[inline]
-pub(crate) fn num_key(v: Num) -> u64 {
+fn num_key(v: Num) -> u64 {
     let bits = v.get().to_bits();
     if bits >> 63 == 1 {
         !bits
@@ -98,7 +94,7 @@ pub(crate) fn num_key(v: Num) -> u64 {
 /// `x`"; `Excl(+inf)` saturates to an unsatisfiable key, which is the
 /// correct (empty) semantics.
 #[inline]
-pub(crate) fn lower_key(b: LowerBound) -> u64 {
+fn lower_key(b: LowerBound) -> u64 {
     match b {
         LowerBound::NegInf => 0,
         LowerBound::Incl(x) => num_key(x),
@@ -109,7 +105,7 @@ pub(crate) fn lower_key(b: LowerBound) -> u64 {
 /// The largest value key satisfying an upper bound (mirror of
 /// [`lower_key`]).
 #[inline]
-pub(crate) fn upper_key(b: UpperBound) -> u64 {
+fn upper_key(b: UpperBound) -> u64 {
     match b {
         UpperBound::PosInf => u64::MAX,
         UpperBound::Incl(x) => num_key(x),
@@ -128,7 +124,7 @@ const RANK_TAIL: usize = 8;
 /// comparison results over a contiguous window — an auto-vectorizable
 /// reduction with no data-dependent branches.
 #[inline]
-pub(crate) fn rank_le(keys: &[u64], key: u64) -> usize {
+fn rank_le(keys: &[u64], key: u64) -> usize {
     let mut base = 0usize;
     let mut n = keys.len();
     // Invariant: rank ∈ [base, base + n]; every element before `base`
@@ -152,7 +148,7 @@ pub(crate) fn rank_le(keys: &[u64], key: u64) -> usize {
 /// dense space it has served; epoch stamping makes stale entries
 /// self-invalidating, so nothing is cleared between events and a warm
 /// state probes without heap allocation. [`crate::MatchScratch`] holds
-/// one; [`crate::ShardScratch`] holds one per shard.
+/// one.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ProbeState {
     /// Matched wildcard-row positions of the string attribute in flight.
@@ -208,14 +204,14 @@ impl ProbeState {
 /// mask. A bank addresses a row by its run range `a..b`; the row's
 /// postings are `arena[offsets[a]..offsets[b]]`.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub(crate) struct Runs {
+struct Runs {
     /// The `c3` mask every posting of run `k` carries.
-    pub(crate) masks: Vec<u64>,
+    masks: Vec<u64>,
     /// Arena offset of each run's first posting, then the arena length:
     /// run `k` is `arena[offsets[k]..offsets[k + 1]]`.
-    pub(crate) offsets: Vec<u32>,
-    /// Dense ids in the plan's local space.
-    pub(crate) arena: Vec<DenseId>,
+    offsets: Vec<u32>,
+    /// Dense ids, run after run.
+    arena: Vec<DenseId>,
 }
 
 impl Runs {
@@ -243,8 +239,8 @@ impl Runs {
     }
 
     /// Every posting of the rows `runs`, in arena order.
-    #[cfg(any(test, debug_assertions))]
-    pub(crate) fn postings(&self, runs: Range<usize>) -> &[DenseId] {
+    #[cfg(test)]
+    fn postings(&self, runs: Range<usize>) -> &[DenseId] {
         &self.arena[self.offsets[runs.start] as usize..self.offsets[runs.end] as usize]
     }
 }
@@ -252,7 +248,7 @@ impl Runs {
 /// Lays rows out as mask runs while one plan compiles: the per-compile
 /// mask-group index plus the counting sort's working arrays.
 struct RunWriter {
-    /// Mask group of each local dense id.
+    /// Mask group of each dense id.
     group: Vec<u32>,
     /// The `c3` mask of each group.
     group_masks: Vec<u64>,
@@ -264,9 +260,9 @@ struct RunWriter {
 }
 
 impl RunWriter {
-    /// Indexes the masks of the plan's local dense ids (`ids[d]` is
-    /// local id `d`). Masks can arrive in a peer's summary, so the index
-    /// keeps `std`'s keyed hasher.
+    /// Indexes the masks of the plan's dense ids (`ids[d]` is dense id
+    /// `d`). Masks can arrive in a peer's summary, so the index keeps
+    /// `std`'s keyed hasher.
     fn new(ids: &[SubscriptionId]) -> RunWriter {
         let mut index: HashMap<u64, u32> = HashMap::new();
         let mut group_masks = Vec::new();
@@ -287,12 +283,12 @@ impl RunWriter {
         }
     }
 
-    /// Appends one row — the sorted postings `src`, rebased to `d - base`
-    /// — to `runs` as one run per mask group, each run in dense order.
-    fn push_row(&mut self, runs: &mut Runs, src: &[DenseId], base: DenseId) {
+    /// Appends one row — the sorted postings `src` — to `runs` as one
+    /// run per mask group, each run in dense order.
+    fn push_row(&mut self, runs: &mut Runs, src: &[DenseId]) {
         self.touched.clear();
         for &d in src {
-            let g = self.group[(d - base) as usize];
+            let g = self.group[d as usize];
             let n = &mut self.slot[g as usize];
             if *n == 0 {
                 self.touched.push(g);
@@ -301,7 +297,7 @@ impl RunWriter {
         }
         if let [g] = self.touched[..] {
             self.slot[g as usize] = 0;
-            runs.arena.extend(src.iter().map(|&d| d - base));
+            runs.arena.extend_from_slice(src);
             runs.masks.push(self.group_masks[g as usize]);
             runs.offsets.push(runs.arena.len() as u32);
             return;
@@ -315,9 +311,8 @@ impl RunWriter {
         }
         runs.arena.resize(at as usize, 0);
         for &d in src {
-            let local = d - base;
-            let cursor = &mut self.slot[self.group[local as usize] as usize];
-            runs.arena[*cursor as usize] = local;
+            let cursor = &mut self.slot[self.group[d as usize] as usize];
+            runs.arena[*cursor as usize] = d;
             *cursor += 1;
         }
         for &g in &self.touched {
@@ -330,58 +325,42 @@ impl RunWriter {
 /// AACS_SR partition and the AACS_E values, each row a run range into
 /// the plan's [`Runs`].
 #[derive(Debug, Clone, PartialEq, Default)]
-pub(crate) struct ArithBank {
+struct ArithBank {
     /// Lower-bound key per sub-range row, ascending.
-    pub(crate) lo_keys: Vec<u64>,
+    lo_keys: Vec<u64>,
     /// Upper-bound key per sub-range row (same row order).
-    pub(crate) hi_keys: Vec<u64>,
+    hi_keys: Vec<u64>,
     /// Run bounds of the sub-range rows, length `rows + 1`: row `i` is
     /// runs `range_runs[i]..range_runs[i + 1]`.
-    pub(crate) range_runs: Vec<u32>,
+    range_runs: Vec<u32>,
     /// Equality-row value keys, ascending.
-    pub(crate) point_keys: Vec<u64>,
+    point_keys: Vec<u64>,
     /// Run bounds of the equality rows, length `points + 1`.
-    pub(crate) point_runs: Vec<u32>,
+    point_runs: Vec<u32>,
 }
 
 impl ArithBank {
-    /// Compiles `src`'s rows restricted to the dense range `[lo, hi)`,
-    /// rebased to `d - lo`. `None` when no posting survives. The flat
-    /// summary compiles with `lo = 0`, `hi = population`.
-    fn build(
-        src: &RangeSummary,
-        lo: DenseId,
-        hi: DenseId,
-        writer: &mut RunWriter,
-        runs: &mut Runs,
-    ) -> Option<ArithBank> {
+    /// Compiles `src`'s rows (every row holds a posting, by the AACS
+    /// invariant). `None` when `src` has no rows.
+    fn build(src: &RangeSummary, writer: &mut RunWriter, runs: &mut Runs) -> Option<ArithBank> {
+        if src.is_empty() {
+            return None;
+        }
         let mut bank = ArithBank::default();
         bank.range_runs.push(runs.len());
         for row in src.ranges() {
-            let slice = idlist_range_slice(&row.ids, lo, hi);
-            if slice.is_empty() {
-                continue;
-            }
             bank.lo_keys.push(lower_key(row.interval.lo()));
             bank.hi_keys.push(upper_key(row.interval.hi()));
-            writer.push_row(runs, slice, lo);
+            writer.push_row(runs, &row.ids);
             bank.range_runs.push(runs.len());
         }
         bank.point_runs.push(runs.len());
         for (v, ids) in src.points() {
-            let slice = idlist_range_slice(ids, lo, hi);
-            if slice.is_empty() {
-                continue;
-            }
             bank.point_keys.push(num_key(v));
-            writer.push_row(runs, slice, lo);
+            writer.push_row(runs, ids);
             bank.point_runs.push(runs.len());
         }
-        if bank.lo_keys.is_empty() && bank.point_keys.is_empty() {
-            None
-        } else {
-            Some(bank)
-        }
+        Some(bank)
     }
 }
 
@@ -390,16 +369,14 @@ impl ArithBank {
 /// anchor index still selects the candidate rows and runs the pattern
 /// tests, and whose literal map the probe reads directly.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub(crate) struct StringBank {
+struct StringBank {
     /// Run bounds of the wildcard rows, length `rows + 1`: row `i` is
     /// runs `wild_runs[i]..wild_runs[i + 1]`.
-    pub(crate) wild_runs: Vec<u32>,
+    wild_runs: Vec<u32>,
 }
 
 impl StringBank {
-    /// Compiles `src`'s wildcard postings. The source ids must already
-    /// be in the plan's dense space (shard derivation rebases the
-    /// `PatternSummary` itself before compiling).
+    /// Compiles `src`'s wildcard postings.
     fn build(src: &PatternSummary, writer: &mut RunWriter, runs: &mut Runs) -> Option<StringBank> {
         if src.is_empty() {
             return None;
@@ -407,7 +384,7 @@ impl StringBank {
         let mut bank = StringBank::default();
         bank.wild_runs.push(runs.len());
         for ids in src.wildcard_postings() {
-            writer.push_row(runs, ids, 0);
+            writer.push_row(runs, ids);
             bank.wild_runs.push(runs.len());
         }
         Some(bank)
@@ -420,43 +397,37 @@ impl StringBank {
     }
 }
 
-/// A compiled, frozen probe structure over one summary (or one shard of
-/// one): per-attribute SoA banks over one set of mask runs. Derived
-/// state — wire format and digests never see it.
+/// A compiled, frozen probe structure over one summary: per-attribute
+/// SoA banks over one set of mask runs. Derived state — wire format and
+/// digests never see it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct MatchPlan {
     /// Indexed by attribute id; `None` for string attributes and for
-    /// arithmetic attributes without surviving postings.
-    pub(crate) arith: Vec<Option<ArithBank>>,
+    /// arithmetic attributes without rows.
+    arith: Vec<Option<ArithBank>>,
     /// Indexed by attribute id; `None` for arithmetic attributes and
     /// for string attributes without rows.
-    pub(crate) strings: Vec<Option<StringBank>>,
+    strings: Vec<Option<StringBank>>,
     /// Every bank's postings, as runs of one mask.
-    pub(crate) runs: Runs,
+    runs: Runs,
 }
 
 impl MatchPlan {
-    /// Compiles a plan over the summary slots for the dense ids
-    /// `[lo, lo + ids.len())`, where `ids` are those ids' intern-table
-    /// entries. Arithmetic rows are sliced to that range and rebased to
-    /// `d - lo`; the string summaries must already be in the target
-    /// dense space (the flat summary's are, and shard derivation rebases
-    /// its per-shard `PatternSummary` views before calling this).
+    /// Compiles a plan over a summary's slots, whose postings are dense
+    /// ids into `ids`, the intern table.
     pub(crate) fn compile(
         arith: &[Option<RangeSummary>],
         strings: &[Option<PatternSummary>],
         ids: &[SubscriptionId],
-        lo: DenseId,
     ) -> MatchPlan {
         CNT_PLAN_REBUILDS.inc();
-        let hi = lo + ids.len() as DenseId;
         let mut writer = RunWriter::new(ids);
         let mut plan = MatchPlan::default();
         plan.runs.offsets.push(0);
         for slot in arith {
             let bank = slot
                 .as_ref()
-                .and_then(|s| ArithBank::build(s, lo, hi, &mut writer, &mut plan.runs));
+                .and_then(|s| ArithBank::build(s, &mut writer, &mut plan.runs));
             plan.arith.push(bank);
         }
         for slot in strings {
@@ -638,8 +609,8 @@ impl MatchPlan {
 
     /// Asserts the run layout: run bounds monotone and covering the
     /// arena, every bank's row bounds monotone within the runs, and
-    /// every posting a local dense id whose intern-table mask (`ids`)
-    /// is its run's mask.
+    /// every posting a dense id whose intern-table mask (`ids`) is its
+    /// run's mask.
     ///
     /// # Panics
     ///
@@ -673,7 +644,7 @@ impl MatchPlan {
         }
         for (k, w) in runs.offsets.windows(2).enumerate() {
             for &d in &runs.arena[w[0] as usize..w[1] as usize] {
-                assert!((d as usize) < ids.len(), "posting in local range");
+                assert!((d as usize) < ids.len(), "posting in intern-table range");
                 assert_eq!(
                     ids[d as usize].mask.0, runs.masks[k],
                     "posting {d} sits in a run of another mask"
@@ -761,6 +732,13 @@ impl PlanCell {
     /// The compiled plan, compiling (and caching) on first use.
     pub(crate) fn get_or_compile(&self, compile: impl FnOnce() -> MatchPlan) -> &MatchPlan {
         self.0.get_or_init(|| Arc::new(compile()))
+    }
+
+    /// As [`PlanCell::get_or_compile`]; returns whether it compiled.
+    pub(crate) fn compile_if_stale(&self, compile: impl FnOnce() -> MatchPlan) -> bool {
+        let stale = self.0.get().is_none();
+        self.get_or_compile(compile);
+        stale
     }
 
     /// Drops the cached plan (every row mutation calls this).
@@ -1026,9 +1004,8 @@ mod tests {
             }
             summary.insert(BrokerId(0), LocalSubId(i), &b.build().unwrap());
         }
-        let ids = summary.intern_table().ids_slice();
-        let plan = MatchPlan::compile(summary.arith_slots(), summary.string_slots(), ids, 0);
-        plan.assert_layout(ids);
+        let plan = summary.compile_plan();
+        plan.assert_layout(summary.intern_table().ids_slice());
         let price = schema.attr_id("price").unwrap().index();
         let bank = plan.arith[price].as_ref().unwrap();
         assert_eq!(bank.range_runs, vec![0, 2], "one row, two runs");
@@ -1041,7 +1018,7 @@ mod tests {
     fn empty_summaries_compile_to_empty_banks() {
         let arith = vec![None, Some(RangeSummary::new())];
         let strings = vec![Some(PatternSummary::new()), None];
-        let plan = MatchPlan::compile(&arith, &strings, &[], 0);
+        let plan = MatchPlan::compile(&arith, &strings, &[]);
         assert!(plan.arith.iter().all(Option::is_none));
         assert!(plan.strings.iter().all(Option::is_none));
         assert!(plan.runs.arena.is_empty());

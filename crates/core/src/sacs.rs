@@ -449,44 +449,6 @@ impl PatternSummary {
         }
     }
 
-    /// The shard-derivation view of this summary: the same rows with
-    /// posting lists restricted to dense ids `[lo, hi)` and rebased to
-    /// `d - lo`, empty rows dropped, index rebuilt. Returns `None` when
-    /// nothing survives.
-    ///
-    /// This deliberately does **not** re-insert patterns (row formation
-    /// is insertion-order dependent under covering): the filtered view
-    /// keeps the flat summary's exact row structure, so a value matches
-    /// a shard row iff it matches the corresponding flat row — the
-    /// sharded matcher inherits the flat matcher's candidate set (false
-    /// positives included) split by id range. Row subsets also inherit
-    /// every [`PatternSummary::validate`] invariant (incomparability and
-    /// literal/wildcard disjointness only shrink).
-    pub(crate) fn filter_rebase(&self, lo: DenseId, hi: DenseId) -> Option<PatternSummary> {
-        let mut out = PatternSummary::new();
-        for (lit, ids) in &self.literals {
-            let slice = crate::idlist::idlist_range_slice(ids, lo, hi);
-            if !slice.is_empty() {
-                out.literals
-                    .insert(lit.clone(), slice.iter().map(|&d| d - lo).collect());
-            }
-        }
-        for row in &self.patterns {
-            let slice = crate::idlist::idlist_range_slice(&row.ids, lo, hi);
-            if !slice.is_empty() {
-                out.patterns.push(PatternRow {
-                    pattern: row.pattern.clone(),
-                    ids: slice.iter().map(|&d| d - lo).collect(),
-                });
-            }
-        }
-        if out.is_empty() {
-            return None;
-        }
-        out.index.rebuild(&out.patterns);
-        Some(out)
-    }
-
     /// Merges another attribute summary into this one (multi-broker
     /// summaries, §4.1: the union of the rows, re-normalized under
     /// covering). Both sides must already share one dense id space; the

@@ -496,20 +496,9 @@ impl BrokerSummary {
         }
     }
 
-    /// The intern table (shard derivation: the partition is split off
-    /// the flat rows in dense-id space).
+    /// The intern table (wire sizing resolves dense postings through it).
     pub(crate) fn intern_table(&self) -> &InternTable {
         &self.intern
-    }
-
-    /// All AACS slots in attribute order (shard derivation).
-    pub(crate) fn arith_slots(&self) -> &[Option<RangeSummary>] {
-        &self.arith
-    }
-
-    /// All SACS slots in attribute order (shard derivation).
-    pub(crate) fn string_slots(&self) -> &[Option<PatternSummary>] {
-        &self.strings
     }
 
     /// The AACS for an attribute, if any constraint was recorded.
@@ -593,8 +582,15 @@ impl BrokerSummary {
     }
 
     /// A fresh compile of the plan over every row.
-    fn compile_plan(&self) -> MatchPlan {
-        MatchPlan::compile(&self.arith, &self.strings, self.intern.ids_slice(), 0)
+    pub(crate) fn compile_plan(&self) -> MatchPlan {
+        MatchPlan::compile(&self.arith, &self.strings, self.intern.ids_slice())
+    }
+
+    /// Compiles and caches the plan unless one is cached; returns
+    /// whether it compiled, i.e. whether the rows changed since the last
+    /// compile. Clones share the cached plan.
+    pub(crate) fn compile_if_stale(&self) -> bool {
+        self.plan.compile_if_stale(|| self.compile_plan())
     }
 
     /// Reference implementation of Algorithm 1 as flat scans over every

@@ -139,20 +139,6 @@ fn check_sacs_invariants(sacs: &PatternSummary) {
     let _ = sacs;
 }
 
-/// Same for a sharded summary (shard-coherence checks against the flat
-/// canonical summary).
-fn check_sharded_invariants(sharded: &ShardedSummary) {
-    #[cfg(debug_assertions)]
-    sharded.validate();
-    #[cfg(not(debug_assertions))]
-    let _ = sharded;
-}
-
-/// The shard counts every sharded differential test sweeps: the
-/// single-shard degenerate case, small odd/even partitions and the
-/// per-core target.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
-
 /// The fundamental guarantee: summary matching is a superset of exact
 /// matching — no false negatives, ever.
 #[test]
@@ -555,114 +541,6 @@ fn decoded_sacs_index_answers_identically() {
     });
 }
 
-/// Differential check of the sharded matcher on insert-built
-/// summaries: for every shard count, the sharded kernel's output must
-/// equal both the single-summary dense kernel and the naive
-/// `match_event_scan` reference, event for event, in the same sorted
-/// order — and the sharded digest must equal the flat digest (shards
-/// are derived state; the canonical representation is untouched).
-#[test]
-fn sharded_matcher_is_identical_to_flat_and_scan() {
-    check("sharded_matcher_is_identical_to_flat_and_scan", 128, |g| {
-        sharded_matcher_is_identical_to_flat_and_scan_on(
-            &g.vec(1..8, subscription),
-            &g.vec(1..8, event_strategy),
-        );
-    });
-}
-
-fn sharded_matcher_is_identical_to_flat_and_scan_on(subs: &[RawSub], events: &[RawEvent]) {
-    let schema = stock_schema();
-    let mut flat = BrokerSummary::new(schema.clone());
-    for (i, raw) in subs.iter().enumerate() {
-        if let Some(sub) = build_sub(&schema, raw) {
-            flat.insert(BrokerId(0), LocalSubId(i as u32), &sub);
-        }
-    }
-    check_invariants(&flat);
-    let mut flat_scratch = MatchScratch::new();
-    for shards in SHARD_COUNTS {
-        let sharded = ShardedSummary::from_flat(flat.clone(), shards);
-        check_sharded_invariants(&sharded);
-        assert_eq!(sharded.digest(), flat.digest());
-        let mut scratch = ShardScratch::new();
-        for raw_event in events {
-            let event = build_event(&schema, raw_event);
-            let got = sharded
-                .match_event_into(&event, &mut scratch)
-                .matched
-                .clone();
-            let dense = flat
-                .match_event_into(&event, &mut flat_scratch)
-                .matched
-                .clone();
-            let scanned = flat.match_event_scan(&event).matched;
-            assert_eq!(&got, &dense, "shards={}", shards);
-            assert_eq!(got, scanned, "shards={}", shards);
-        }
-    }
-}
-
-/// Differential check of the sharded matcher on summaries built by
-/// merging — the union intern table renumbers dense postings, and the
-/// re-derived partition must still split the flat rows exactly. Both
-/// merge orders are exercised: merging into a flat summary then
-/// sharding, and merging through the `ShardedSummary` mutation API.
-#[test]
-fn sharded_matcher_identical_on_merged_summaries() {
-    check("sharded_matcher_identical_on_merged_summaries", 128, |g| {
-        let subs_a = g.vec(1..5, subscription);
-        let subs_b = g.vec(1..5, subscription);
-        let events = g.vec(1..6, event_strategy);
-        let schema = stock_schema();
-        let mut a = BrokerSummary::new(schema.clone());
-        let mut b = BrokerSummary::new(schema.clone());
-        for (i, raw) in subs_a.iter().enumerate() {
-            if let Some(sub) = build_sub(&schema, raw) {
-                a.insert(BrokerId((i % 3) as u16 * 2), LocalSubId(i as u32), &sub);
-            }
-        }
-        for (i, raw) in subs_b.iter().enumerate() {
-            if let Some(sub) = build_sub(&schema, raw) {
-                b.insert(BrokerId((i % 3) as u16 * 2 + 1), LocalSubId(i as u32), &sub);
-            }
-        }
-        let via_sharded = ShardedSummary::from_flat(a.clone(), 3);
-        via_sharded.merge(&b);
-        a.merge(&b);
-        check_invariants(&a);
-        check_sharded_invariants(&via_sharded);
-        assert_eq!(via_sharded.digest(), a.digest());
-        let mut flat_scratch = MatchScratch::new();
-        let mut scratch = ShardScratch::new();
-        for shards in SHARD_COUNTS {
-            let sharded = ShardedSummary::from_flat(a.clone(), shards);
-            check_sharded_invariants(&sharded);
-            for raw_event in &events {
-                let event = build_event(&schema, raw_event);
-                let got = sharded
-                    .match_event_into(&event, &mut scratch)
-                    .matched
-                    .clone();
-                let dense = a
-                    .match_event_into(&event, &mut flat_scratch)
-                    .matched
-                    .clone();
-                let scanned = a.match_event_scan(&event).matched;
-                assert_eq!(&got, &dense, "shards={}", shards);
-                assert_eq!(&got, &scanned, "shards={}", shards);
-                assert_eq!(
-                    via_sharded
-                        .match_event_into(&event, &mut scratch)
-                        .matched
-                        .clone(),
-                    dense
-                );
-            }
-        }
-    });
-}
-
 /// Differential check of the compiled-plan kernel on churn-built
 /// summaries: after interleaved inserts and removals (which
 /// invalidate and lazily recompile the plan), the plan path
@@ -713,19 +591,6 @@ fn plan_kernel_identical_to_scan_under_churn() {
                 .matched
                 .clone();
             assert_eq!(plan, summary.match_event_scan(&event).matched);
-        }
-        let mut shard_scratch = ShardScratch::new();
-        for shards in SHARD_COUNTS {
-            let sharded = ShardedSummary::from_flat(summary.clone(), shards);
-            check_sharded_invariants(&sharded);
-            for raw_event in &events {
-                let event = build_event(&schema, raw_event);
-                let got = sharded
-                    .match_event_into(&event, &mut shard_scratch)
-                    .matched
-                    .clone();
-                assert_eq!(got, summary.match_event(&event), "shards={}", shards);
-            }
         }
         // Matching compiled and cached a plan; the canonical
         // representation must be byte-identical to before.
@@ -815,8 +680,8 @@ fn partial_events(g: &mut StdRng) -> Vec<RawEvent> {
 
 /// The plan with its mask filter against the scan oracle, which counts
 /// every posting, on events that lack attributes — over insert-, merge-,
-/// churn- and decode-built summaries, with `sharded == flat` at every
-/// shard count.
+/// churn- and decode-built summaries, with `sharded == flat` on the
+/// one-partition store the ledger's reference rows build.
 #[test]
 fn plan_kernel_identical_to_scan_on_partial_events() {
     check(
@@ -862,11 +727,7 @@ fn plan_kernel_identical_to_scan_on_partial_events() {
             let mut shard_scratch = ShardScratch::new();
             for summary in [&inserted, &merged, &churned, &decoded] {
                 check_invariants(summary);
-                let sharded: Vec<ShardedSummary> = SHARD_COUNTS
-                    .iter()
-                    .map(|&shards| ShardedSummary::from_flat(summary.clone(), shards))
-                    .collect();
-                sharded.iter().for_each(check_sharded_invariants);
+                let sharded = ShardedSummary::from_flat(summary.clone(), 1);
                 for raw_event in &events {
                     let event = build_event(&schema, raw_event);
                     let flat = summary
@@ -874,74 +735,23 @@ fn plan_kernel_identical_to_scan_on_partial_events() {
                         .matched
                         .clone();
                     assert_eq!(flat, summary.match_event_scan(&event).matched, "{event}");
-                    for (s, shards) in sharded.iter().zip(SHARD_COUNTS) {
-                        let got = &s.match_event_into(&event, &mut shard_scratch).matched;
-                        assert_eq!(got, &flat, "shards={shards} {event}");
-                    }
+                    let got = &sharded.match_event_into(&event, &mut shard_scratch).matched;
+                    assert_eq!(got, &flat, "sharded {event}");
                 }
             }
         },
     );
 }
 
-/// Differential check of the sharded matcher on wire-roundtrip-built
-/// summaries: decode rebuilds the intern table, sharding derives the
-/// partition from it, and the result must match the original flat
-/// summary event-for-event with an identical digest — the wire format
-/// is untouched by sharding.
-#[test]
-fn sharded_matcher_identical_after_wire_roundtrip() {
-    check("sharded_matcher_identical_after_wire_roundtrip", 128, |g| {
-        sharded_matcher_identical_after_wire_roundtrip_on(
-            &g.vec(1..6, subscription),
-            &g.vec(1..6, event_strategy),
-        );
-    });
-}
-
-fn sharded_matcher_identical_after_wire_roundtrip_on(subs: &[RawSub], events: &[RawEvent]) {
-    let schema = stock_schema();
-    let layout = IdLayout::new(24, 1024, schema.len() as u32).unwrap();
-    let codec = SummaryCodec::new(layout, ArithWidth::Eight);
-    let mut summary = BrokerSummary::new(schema.clone());
-    for (i, raw) in subs.iter().enumerate() {
-        if let Some(sub) = build_sub(&schema, raw) {
-            summary.insert(BrokerId((i % 24) as u16), LocalSubId(i as u32), &sub);
-        }
-    }
-    let bytes = codec.encode(&summary).unwrap();
-    let decoded = codec.decode(&bytes, &schema).unwrap();
-    check_invariants(&decoded);
-    let mut scratch = ShardScratch::new();
-    for shards in SHARD_COUNTS {
-        let sharded = ShardedSummary::from_flat(decoded.clone(), shards);
-        check_sharded_invariants(&sharded);
-        assert_eq!(sharded.digest(), summary.digest());
-        // Encoding through the sharded view is byte-identical too.
-        let re_encoded = sharded.with_flat(|flat| codec.encode(flat).unwrap());
-        assert_eq!(&re_encoded, &bytes);
-        for raw_event in events {
-            let event = build_event(&schema, raw_event);
-            let got = sharded
-                .match_event_into(&event, &mut scratch)
-                .matched
-                .clone();
-            assert_eq!(got, summary.match_event(&event), "shards={}", shards);
-        }
-    }
-}
-
 type SubsEventsProperty = fn(&[RawSub], &[RawEvent]);
 
 /// Every property over (subscriptions, events), for the recorded cases
 /// below.
-const SUBS_EVENTS_PROPERTIES: [SubsEventsProperty; 6] = [
+const SUBS_EVENTS_PROPERTIES: [SubsEventsProperty; 4] = [
     no_false_negatives_on,
     codec_roundtrip_on,
     indexed_matcher_is_identical_to_scan_on,
     decoded_dense_kernel_is_identical_to_scan_on,
-    sharded_matcher_is_identical_to_flat_and_scan_on,
-    sharded_matcher_identical_after_wire_roundtrip_on,
 ];
 
 /// A once-failing input: one subscription whose two constraints on the

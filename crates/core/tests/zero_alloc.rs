@@ -426,13 +426,12 @@ fn a_warm_probe_through_a_literal_row_allocates_nothing() {
     );
 }
 
-/// The sharded steady-state match path: taking the current shard
-/// partition is one lock and one `Arc` clone — no allocation — and the
-/// per-shard kernels reuse the scratch's per-shard arrays, so once a
-/// per-worker [`ShardScratch`] is warm (kernels grown to the shard
-/// sizes), matching through a [`ShardedSummary`] must be as
-/// allocation-free as the flat kernel. Two scratches stand in for two
-/// pool workers.
+/// The one-partition store's steady-state match path: taking the
+/// current snapshot is one lock and one `Arc` clone — no allocation —
+/// and the probe reuses the scratch, so once a per-worker
+/// [`ShardScratch`] is warm, matching through a [`ShardedSummary`] must
+/// be as allocation-free as the flat kernel. Two scratches stand in for
+/// two workers.
 #[test]
 fn sharded_match_allocates_nothing_at_steady_state() {
     let schema = stock_schema();
@@ -459,7 +458,7 @@ fn sharded_match_allocates_nothing_at_steady_state() {
         }
         flat.insert(BrokerId(1), LocalSubId(i), &b.build().unwrap());
     }
-    let sharded = ShardedSummary::from_flat(flat, 8);
+    let sharded = ShardedSummary::from_flat(flat, 1);
 
     let events: Vec<Event> = (0..8)
         .map(|k| {

@@ -27,8 +27,8 @@ pub const MATCH_SCRATCH_REUSE: &str = "match.scratch_reuse";
 pub const MATCH_INTERN_REBUILDS: &str = "match.intern_rebuilds";
 /// Out-of-order inserts that renumbered existing dense postings.
 pub const MATCH_INTERN_RENUMBERS: &str = "match.intern_renumbers";
-/// Compiled match-plan builds (lazy flat rebuilds plus per-shard
-/// compiles of a derived partition).
+/// Compiled match-plan builds: the first match, or `ShardedSummary`
+/// publication, after a row change.
 pub const MATCH_PLAN_REBUILDS: &str = "match.plan_rebuilds";
 /// Plan rows whose posting slices fed the compiled counter kernel.
 pub const MATCH_PLAN_PROBE_ROWS: &str = "match.plan_probe_rows";
@@ -39,10 +39,6 @@ pub const MATCH_SCRATCH_GROWS: &str = "match.scratch_grows";
 pub const SACS_INDEX_HITS: &str = "sacs.index_hits";
 /// SACS wildcard rows the anchor buckets skipped without testing.
 pub const SACS_ROWS_PRUNED: &str = "sacs.rows_pruned";
-/// Per-shard kernel invocations of the sharded matcher (fan-out width).
-pub const MATCH_SHARD_FANOUT: &str = "match.shard_fanout";
-/// Nanoseconds merging per-shard match bitmaps into sorted outputs.
-pub const MATCH_SHARD_MERGE_NS: &str = "match.shard_merge_ns";
 
 /// Subscribe path of the summary broker (`subsum-broker`).
 pub const BROKER_SUBSCRIBE: &str = "broker.subscribe";
@@ -129,8 +125,6 @@ mod tests {
             super::MATCH_SCRATCH_GROWS,
             super::SACS_INDEX_HITS,
             super::SACS_ROWS_PRUNED,
-            super::MATCH_SHARD_FANOUT,
-            super::MATCH_SHARD_MERGE_NS,
             super::BROKER_SUBSCRIBE,
             super::BROKER_PROPAGATE,
             super::PROPAGATE_ROUND,

@@ -8,10 +8,10 @@ pub const APP_CHAOS_RESYNCS: &str = "chaos.resyncs";
 pub const APP_TRACE_SPANS: &str = "trace.spans";
 pub const APP_TRACE_HEAD_DROPS: &str = "trace.head_drops";
 pub const APP_TRACE_SAMPLED: &str = "trace.sampled";
-pub const APP_SHARD_FANOUT: &str = "match.shard_fanout";
-pub const APP_SHARD_MERGE_NS: &str = "match.shard_merge_ns";
-pub const APP_SHARD_SWAPS: &str = "summary.shard_swaps";
-pub const APP_SHARD_RETIRED: &str = "summary.shard_retired";
+pub const APP_PLAN_REBUILDS: &str = "match.plan_rebuilds";
+pub const APP_PLAN_PROBE_ROWS: &str = "match.plan_probe_rows";
+pub const APP_PLAN_SWAPS: &str = "summary.plan_swaps";
+pub const APP_PLAN_RETIRED: &str = "summary.plan_retired";
 pub const APP_TRANSPORT_FRAMES_RX: &str = "transport.frames_rx";
 pub const APP_TRANSPORT_RECONNECTS: &str = "transport.reconnects";
 pub const APP_NET_MAILBOX_FULL: &str = "net.mailbox_full";

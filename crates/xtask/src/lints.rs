@@ -988,13 +988,13 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_names_accepts_registered_shard_family() {
+    fn telemetry_names_accepts_registered_plan_family() {
         let mut cfg = empty_config(fixtures());
         cfg.registry = Some(PathBuf::from("names_registry.rs"));
-        cfg.scan_files = vec![PathBuf::from("telemetry_shard.rs")];
+        cfg.scan_files = vec![PathBuf::from("telemetry_plan.rs")];
         let v = run_check(&cfg).unwrap();
         assert_eq!(rules(&v), vec!["telemetry-names"], "{v:#?}");
-        assert!(v[0].msg.contains("summary.shard_unregistered"));
+        assert!(v[0].msg.contains("summary.plan_unregistered"));
     }
 
     #[test]
