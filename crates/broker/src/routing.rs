@@ -9,6 +9,9 @@
 //! complete, the event forwards to the highest-degree broker outside
 //! BROCLI (nearest first among ties), and the process repeats.
 //!
+//! "Nearest" and each notification's cost read the hop-distance matrix
+//! the [`Topology`] derives at construction: a route runs no BFS.
+//!
 //! The *virtual degrees* extension (§6, the paper's ongoing work on load
 //! balancing) lets maximum-degree brokers advertise a smaller degree for
 //! the purposes of the next-broker choice, spreading the examination load.
@@ -77,7 +80,7 @@ pub struct Notification {
 }
 
 /// The result of routing one event.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoutingOutcome {
     /// Brokers that examined the event, in visit order (starting with the
     /// publisher's broker).
@@ -172,8 +175,12 @@ pub fn route_event_with_scratch(
 ///    (ascending ids: one run per owner, see [`owner_runs`]).
 /// 2. Adds `at` and the whole `Merged_Brokers` set to `brocli`.
 /// 3. Returns the next hop and its overlay distance — highest (virtual)
-///    degree outside BROCLI, then nearest, then lowest id — or `None`
-///    once BROCLI is complete.
+///    degree outside BROCLI, then nearest by `at`'s row of the
+///    topology's distance matrix, then lowest id — or `None` once BROCLI
+///    is complete.
+///
+/// With `scratch`, `brocli` and `unexamined` warm, a step allocates
+/// nothing.
 #[allow(clippy::too_many_arguments)]
 pub fn examine(
     topology: &Topology,
@@ -201,9 +208,6 @@ pub fn examine(
         brocli[b as usize] = true;
     }
 
-    if brocli.iter().all(|&examined| examined) {
-        return None;
-    }
     let dist = topology.distances(at);
     (0..topology.len() as NodeId)
         .filter(|&v| !brocli[v as usize])
@@ -292,12 +296,11 @@ pub(crate) fn route_inner(
 
         // Report each candidate to its owner; a notification to the
         // examining broker itself costs no hop.
-        let mut dist_here = None;
+        let dist = topology.distances(current);
         for (owner, ids) in owner_runs(&unexamined) {
             let eta = if owner == current {
                 clock
             } else {
-                let dist = dist_here.get_or_insert_with(|| topology.distances(current));
                 metrics.record(current, owner, event_bytes, dist[owner as usize]);
                 notify_hops += 1;
                 clock + u64::from(dist[owner as usize])
@@ -467,20 +470,25 @@ mod tests {
     #[test]
     fn virtual_degrees_spread_load() {
         let schema = stock_schema();
-        let topo = Topology::star(12);
-        let own = summaries_with_interest(&schema, 12, &[]);
-        let prop = propagate(&topo, &own, &codec(&schema, 12)).unwrap();
+        let topo = Topology::fig7_tree();
+        let interested: Vec<NodeId> = vec![3, 7, 12];
+        let own = summaries_with_interest(&schema, 13, &interested);
+        let prop = propagate(&topo, &own, &codec(&schema, 13)).unwrap();
         let event = price_event(&schema, 42.0);
-        // Base: leaves forward straight to the hub (degree 11).
-        let base = route_event(&topo, &prop.stored, 1, &event, 50, &RoutingOptions::new());
-        assert_eq!(base.visits[1], 0);
-        // With the hub's degree capped to 1, it loses its priority; ties
-        // then resolve by distance, so the hub (1 hop away) is still
-        // next, but the choice went through the virtual-degree path.
-        let opts = RoutingOptions::with_virtual_degrees(&topo, 1);
-        let capped = route_event(&topo, &prop.stored, 1, &event, 50, &opts);
-        // Routing still terminates with full coverage.
-        assert!(capped.visits.len() <= 12);
+        // Base: the degree-5 hub (node 4), then the degree-3 brokers.
+        let base = route_event(&topo, &prop.stored, 0, &event, 50, &RoutingOptions::new());
+        assert_eq!(base.visits, vec![0, 4, 7, 10]);
+        // Capped at 2, the hub ties with the degree-2 brokers, and the
+        // nearest of them (node 1) is examined first: the load spreads
+        // over more brokers.
+        let opts = RoutingOptions::with_virtual_degrees(&topo, 2);
+        let capped = route_event(&topo, &prop.stored, 0, &event, 50, &opts);
+        assert_eq!(capped.visits, vec![0, 1, 4, 6, 7, 10]);
+        // Every interested owner is still notified.
+        let mut owners: Vec<NodeId> = capped.notifications.iter().map(|n| n.owner).collect();
+        owners.sort();
+        owners.dedup();
+        assert_eq!(owners, interested);
     }
 
     #[test]

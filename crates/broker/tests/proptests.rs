@@ -2,14 +2,22 @@
 //! coverage and Algorithm 3 delivery exactness on random topologies and
 //! random interest sets.
 
+use std::cmp::Reverse;
+use std::collections::VecDeque;
+
 use rand::check::check;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use subsum_broker::{propagate, route_event, BrokerCheckpoint, RoutingOptions, SummaryPubSub};
-use subsum_core::{ArithWidth, BrokerSummary, SummaryCodec};
-use subsum_net::{NodeId, Topology};
-use subsum_types::{AttrKind, BrokerId, Event, IdLayout, LocalSubId, Schema, StrOp, Subscription};
+use subsum_broker::{
+    propagate, route_event, BrokerCheckpoint, MergedSummary, Notification, RoutingOptions,
+    RoutingOutcome, SummaryPubSub,
+};
+use subsum_core::{ArithWidth, BrokerSummary, MatchScratch, SummaryCodec};
+use subsum_net::{NetMetrics, NodeId, Topology};
+use subsum_types::{
+    AttrKind, BrokerId, Event, IdLayout, LocalSubId, Schema, StrOp, Subscription, SubscriptionId,
+};
 
 fn random_topology(seed: u64, n: usize) -> Topology {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -135,6 +143,146 @@ fn routing_is_exact_and_bounded() {
         v.sort_unstable();
         v.dedup();
         assert_eq!(v.len(), out.visits.len());
+    });
+}
+
+/// A fresh BFS from `from`, independent of the matrix the topology
+/// derives at construction.
+fn bfs(topology: &Topology, from: NodeId) -> Vec<u32> {
+    let mut dist = vec![u32::MAX; topology.len()];
+    dist[from as usize] = 0;
+    let mut queue = VecDeque::from([from]);
+    while let Some(v) = queue.pop_front() {
+        for &w in topology.neighbors(v) {
+            if dist[w as usize] == u32::MAX {
+                dist[w as usize] = dist[v as usize] + 1;
+                queue.push_back(w);
+            }
+        }
+    }
+    dist
+}
+
+/// Algorithm 3 computed the slow way: a BFS for every next-hop choice
+/// and for every notification, with its own BROCLI bookkeeping and
+/// owner grouping. Untraced, so every notification's span is 0.
+fn reference_route(
+    topology: &Topology,
+    stored: &[MergedSummary],
+    publisher: NodeId,
+    event: &Event,
+    event_bytes: usize,
+    options: &RoutingOptions,
+) -> RoutingOutcome {
+    let n = topology.len();
+    let degree = |v: NodeId| match &options.virtual_degrees {
+        Some(d) => d[v as usize],
+        None => topology.degree(v),
+    };
+    let mut out = RoutingOutcome {
+        metrics: NetMetrics::new(n),
+        ..RoutingOutcome::default()
+    };
+    let mut scratch = MatchScratch::new();
+    let mut brocli = vec![false; n];
+    let mut clock = 0u64;
+    let mut current = publisher;
+    loop {
+        out.visits.push(current);
+        let here = &stored[current as usize];
+        let unexamined: Vec<SubscriptionId> = here
+            .summary
+            .match_event_into(event, &mut scratch)
+            .matched
+            .iter()
+            .filter(|id| !brocli[id.broker.index()])
+            .copied()
+            .collect();
+        brocli[current as usize] = true;
+        for &b in &here.merged_brokers {
+            brocli[b as usize] = true;
+        }
+
+        let mut owners: Vec<NodeId> = unexamined.iter().map(|id| id.broker.0).collect();
+        owners.dedup();
+        for owner in owners {
+            let eta = if owner == current {
+                clock
+            } else {
+                let d = bfs(topology, current)[owner as usize];
+                out.metrics.record(current, owner, event_bytes, d);
+                out.notify_hops += 1;
+                clock + u64::from(d)
+            };
+            let run = unexamined.iter().filter(|id| id.broker.0 == owner);
+            out.notifications.extend(run.map(|&id| Notification {
+                found_at: current,
+                owner,
+                id,
+                eta,
+                span: 0,
+            }));
+        }
+
+        let dist = bfs(topology, current);
+        let next = (0..n as NodeId)
+            .filter(|&v| !brocli[v as usize])
+            .min_by_key(|&v| (Reverse(degree(v)), dist[v as usize], v));
+        let Some(next) = next else { break };
+        let hop_len = dist[next as usize];
+        out.metrics
+            .record(current, next, event_bytes + n.div_ceil(8), hop_len);
+        out.forward_hops += 1;
+        clock += u64::from(hop_len.max(1));
+        current = next;
+    }
+    out
+}
+
+/// Routing over the topology's cached distance rows is exactly the
+/// BFS-per-hop reference: same visits, hop counts, notifications (with
+/// their arrival ticks) and traffic counters, with true or capped
+/// virtual degrees.
+#[test]
+fn routing_matches_bfs_reference() {
+    check("routing_matches_bfs_reference", 48, |g| {
+        let seed = g.gen_range(0u64..500);
+        let n = g.gen_range(2usize..25);
+        let raw_matched = g.vec(0..8, |g| g.gen_range(0usize..25));
+        let raw_pub = g.gen_range(0usize..25);
+        let capped = g.gen::<bool>();
+        let raw_cap = g.gen_range(0usize..25);
+        let event_bytes = g.gen_range(1usize..200);
+        let topology = random_topology(seed, n);
+        let n = topology.len();
+        let schema = tag_schema();
+        let layout = IdLayout::new(n as u64, 4, 1).unwrap();
+        let codec = SummaryCodec::new(layout, ArithWidth::Four);
+        // Even brokers hold two ids for their marker, so an owner's run
+        // can carry more than one notification.
+        let own: Vec<BrokerSummary> = (0..n as NodeId)
+            .map(|b| {
+                let mut s = BrokerSummary::new(schema.clone());
+                s.insert(BrokerId(b), LocalSubId(0), &marker_sub(&schema, b));
+                if b % 2 == 0 {
+                    s.insert(BrokerId(b), LocalSubId(1), &marker_sub(&schema, b));
+                }
+                s
+            })
+            .collect();
+        let stored = propagate(&topology, &own, &codec).unwrap().stored;
+        let matched: Vec<NodeId> = raw_matched.iter().map(|&x| (x % n) as NodeId).collect();
+        let publisher = (raw_pub % n) as NodeId;
+        let options = if capped {
+            let cap = 1 + raw_cap % topology.max_degree();
+            RoutingOptions::with_virtual_degrees(&topology, cap)
+        } else {
+            RoutingOptions::new()
+        };
+        let event = marker_event(&schema, &matched);
+        let got = route_event(&topology, &stored, publisher, &event, event_bytes, &options);
+        let want = reference_route(&topology, &stored, publisher, &event, event_bytes, &options);
+        assert_eq!(got, want);
     });
 }
 

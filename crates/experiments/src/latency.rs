@@ -62,7 +62,6 @@ pub fn run(cfg: &ExperimentConfig) -> ResultTable {
     let stored = propagate(&cfg.topology, &own, &codec)
         .expect("ids fit")
         .stored;
-    let apsp = cfg.topology.all_pairs_distances();
     let options = RoutingOptions::new();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
@@ -87,7 +86,7 @@ pub fn run(cfg: &ExperimentConfig) -> ResultTable {
                 let mut arrival = vec![0u32; out.visits.len()];
                 for k in 1..out.visits.len() {
                     let (a, b) = (out.visits[k - 1], out.visits[k]);
-                    arrival[k] = arrival[k - 1] + apsp[a as usize][b as usize];
+                    arrival[k] = arrival[k - 1] + cfg.topology.distances(a)[b as usize];
                 }
                 let visit_time = |broker: NodeId| {
                     out.visits
@@ -98,7 +97,7 @@ pub fn run(cfg: &ExperimentConfig) -> ResultTable {
                 let mut per_event = Vec::with_capacity(out.notifications.len());
                 for note in &out.notifications {
                     let t = visit_time(note.found_at).expect("found_at was visited")
-                        + apsp[note.found_at as usize][note.owner as usize];
+                        + cfg.topology.distances(note.found_at)[note.owner as usize];
                     per_event.push(t as f64);
                 }
                 if !per_event.is_empty() {
@@ -106,9 +105,10 @@ pub fn run(cfg: &ExperimentConfig) -> ResultTable {
                     summary_max.push(per_event.iter().cloned().fold(0.0, f64::max));
                 }
                 // Siena: parallel flood along reverse paths.
+                let from_publisher = cfg.topology.distances(publisher);
                 let siena: Vec<f64> = matched
                     .iter()
-                    .map(|&m| apsp[publisher as usize][m as usize] as f64)
+                    .map(|&m| from_publisher[m as usize] as f64)
                     .collect();
                 if !siena.is_empty() {
                     siena_lat.push(mean(&siena));

@@ -8,7 +8,8 @@
 //!   the experiments need (the Fig. 7 example tree, a 24-node backbone
 //!   model) and artificial families (lines, rings, stars, trees, grids,
 //!   random connected, Barabási–Albert), plus the graph algorithms the
-//!   propagation/routing layers build on (BFS distances, per-source
+//!   propagation/routing layers build on (the hop-distance matrix each
+//!   topology derives once at construction, per-source
 //!   spanning trees, multicast subtree sizes);
 //! * [`NetMetrics`] — byte/message/hop accounting following the paper's
 //!   conventions (a hop is any broker→broker message);

@@ -53,6 +53,11 @@ impl std::error::Error for TopologyError {}
 
 /// An undirected, connected broker overlay graph.
 ///
+/// The overlay is fixed for the value's lifetime, so construction also
+/// derives its all-pairs hop-distance matrix (n² `u32`, 2.3 KB on the
+/// 24-node backbone): [`Topology::distances`] is a row lookup, never a
+/// BFS.
+///
 /// # Example
 ///
 /// ```
@@ -66,10 +71,14 @@ impl std::error::Error for TopologyError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     adj: Vec<Vec<NodeId>>,
+    /// Row-major hop distances derived from `adj`: `dist[a * n + b]` is
+    /// the BFS distance from `a` to `b`.
+    dist: Vec<u32>,
 }
 
 impl Topology {
-    /// Builds a topology from an edge list over nodes `0..n`.
+    /// Builds a topology from an edge list over nodes `0..n`, deriving
+    /// its hop-distance matrix with one BFS per broker (n² `u32`).
     ///
     /// # Errors
     ///
@@ -98,11 +107,17 @@ impl Topology {
         for list in &mut adj {
             list.sort_unstable();
         }
-        let t = Topology { adj };
-        if !t.is_connected() {
+        // Row 0 decides connectivity before the other n − 1 rows are paid for.
+        let mut dist = Vec::new();
+        push_bfs_row(&adj, 0, &mut dist);
+        if dist.contains(&u32::MAX) {
             return Err(TopologyError::Disconnected);
         }
-        Ok(t)
+        dist.reserve_exact(n * (n - 1));
+        for from in 1..n as NodeId {
+            push_bfs_row(&adj, from, &mut dist);
+        }
+        Ok(Topology { adj, dist })
     }
 
     /// The number of brokers.
@@ -149,48 +164,18 @@ impl Topology {
         self.edges().count()
     }
 
-    /// Whether every broker can reach every other.
+    /// Whether every broker can reach every other (always, for a
+    /// constructed topology).
     pub fn is_connected(&self) -> bool {
-        if self.adj.is_empty() {
-            return false;
-        }
-        let mut seen = vec![false; self.len()];
-        let mut queue = VecDeque::from([0 as NodeId]);
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(v) = queue.pop_front() {
-            for &w in self.neighbors(v) {
-                if !seen[w as usize] {
-                    seen[w as usize] = true;
-                    count += 1;
-                    queue.push_back(w);
-                }
-            }
-        }
-        count == self.len()
+        !self.is_empty() && !self.distances(0).contains(&u32::MAX)
     }
 
-    /// BFS hop distances from `from` to every broker.
-    pub fn distances(&self, from: NodeId) -> Vec<u32> {
-        let mut dist = vec![u32::MAX; self.len()];
-        dist[from as usize] = 0;
-        let mut queue = VecDeque::from([from]);
-        while let Some(v) = queue.pop_front() {
-            for &w in self.neighbors(v) {
-                if dist[w as usize] == u32::MAX {
-                    dist[w as usize] = dist[v as usize] + 1;
-                    queue.push_back(w);
-                }
-            }
-        }
-        dist
-    }
-
-    /// All-pairs BFS distances (`result[a][b]` = hops from `a` to `b`).
-    pub fn all_pairs_distances(&self) -> Vec<Vec<u32>> {
-        (0..self.len() as NodeId)
-            .map(|v| self.distances(v))
-            .collect()
+    /// The hop distances from `from` to every broker: row `from` of the
+    /// matrix derived at construction.
+    pub fn distances(&self, from: NodeId) -> &[u32] {
+        let n = self.len();
+        let start = from as usize * n;
+        &self.dist[start..start + n]
     }
 
     /// The mean hop distance over all ordered pairs of distinct brokers —
@@ -200,21 +185,13 @@ impl Topology {
         if n < 2 {
             return 0.0;
         }
-        let mut total = 0u64;
-        for v in 0..n as NodeId {
-            for d in self.distances(v) {
-                total += d as u64;
-            }
-        }
+        let total: u64 = self.dist.iter().map(|&d| u64::from(d)).sum();
         total as f64 / (n as f64 * (n as f64 - 1.0))
     }
 
     /// The graph diameter in hops.
     pub fn diameter(&self) -> u32 {
-        (0..self.len() as NodeId)
-            .flat_map(|v| self.distances(v))
-            .max()
-            .unwrap_or(0)
+        self.dist.iter().copied().max().unwrap_or(0)
     }
 
     /// A BFS shortest-path (spanning) tree rooted at `root`: `parent[v]`
@@ -548,6 +525,24 @@ impl Topology {
     }
 }
 
+/// Appends one row to a distance matrix under construction: the BFS hop
+/// distances from `from` over `adj` (`u32::MAX` where unreachable).
+fn push_bfs_row(adj: &[Vec<NodeId>], from: NodeId, dist: &mut Vec<u32>) {
+    let start = dist.len();
+    dist.resize(start + adj.len(), u32::MAX);
+    let row = &mut dist[start..];
+    row[from as usize] = 0;
+    let mut queue = VecDeque::from([from]);
+    while let Some(v) = queue.pop_front() {
+        for &w in &adj[v as usize] {
+            if row[w as usize] == u32::MAX {
+                row[w as usize] = row[v as usize] + 1;
+                queue.push_back(w);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -725,12 +720,12 @@ mod tests {
     #[test]
     fn all_pairs_symmetry() {
         let t = Topology::cable_wireless_24();
-        let d = t.all_pairs_distances();
-        for (a, row) in d.iter().enumerate() {
+        for a in 0..t.len() as NodeId {
+            let row = t.distances(a);
             for (b, &dist) in row.iter().enumerate() {
-                assert_eq!(dist, d[b][a]);
+                assert_eq!(dist, t.distances(b as NodeId)[a as usize]);
             }
-            assert_eq!(row[a], 0);
+            assert_eq!(row[a as usize], 0);
         }
     }
 }

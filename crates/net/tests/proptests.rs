@@ -1,5 +1,7 @@
 //! Property-based tests for the overlay graph algorithms.
 
+use std::collections::VecDeque;
+
 use rand::check::check;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -11,7 +13,7 @@ fn random_topology(seed: u64, n: usize, extra: usize) -> Topology {
     Topology::random_connected(n.max(2), extra, &mut rng)
 }
 
-/// BFS distances are symmetric, zero on the diagonal and satisfy the
+/// Hop distances are symmetric, zero on the diagonal and satisfy the
 /// triangle inequality.
 #[test]
 fn distances_are_a_metric() {
@@ -20,17 +22,58 @@ fn distances_are_a_metric() {
         let n = g.gen_range(2usize..30);
         let extra = g.gen_range(0usize..10);
         let t = random_topology(seed, n, extra);
-        let d = t.all_pairs_distances();
+        let d = |a: usize, b: usize| t.distances(a as u16)[b];
         let n = t.len();
         for a in 0..n {
-            assert_eq!(d[a][a], 0);
+            assert_eq!(d(a, a), 0);
             for b in 0..n {
-                assert_eq!(d[a][b], d[b][a]);
+                assert_eq!(d(a, b), d(b, a));
                 for c in 0..n {
-                    assert!(d[a][c] <= d[a][b] + d[b][c]);
+                    assert!(d(a, c) <= d(a, b) + d(b, c));
                 }
             }
         }
+    });
+}
+
+/// BFS from `from` over the topology's adjacency, independent of the
+/// matrix the topology derives at construction.
+fn bfs(t: &Topology, from: u16) -> Vec<u32> {
+    let mut dist = vec![u32::MAX; t.len()];
+    dist[from as usize] = 0;
+    let mut queue = VecDeque::from([from]);
+    while let Some(v) = queue.pop_front() {
+        for &w in t.neighbors(v) {
+            if dist[w as usize] == u32::MAX {
+                dist[w as usize] = dist[v as usize] + 1;
+                queue.push_back(w);
+            }
+        }
+    }
+    dist
+}
+
+/// Every cached distance row equals a fresh BFS from that broker, and
+/// the diameter and mean distance the matrix yields agree with it.
+#[test]
+fn cached_rows_equal_bfs() {
+    check("cached_rows_equal_bfs", 256, |g| {
+        let seed = g.gen_range(0u64..1000);
+        let n = g.gen_range(2usize..30);
+        let extra = g.gen_range(0usize..10);
+        let t = random_topology(seed, n, extra);
+        let n = t.len();
+        let rows: Vec<Vec<u32>> = (0..n as u16).map(|v| bfs(&t, v)).collect();
+        for (v, row) in rows.iter().enumerate() {
+            assert_eq!(t.distances(v as u16), &row[..], "row {v}");
+        }
+        let all = rows.iter().flatten().copied();
+        assert_eq!(t.diameter(), all.clone().max().unwrap());
+        let total: u64 = all.map(u64::from).sum();
+        assert_eq!(
+            t.mean_pairwise_distance(),
+            total as f64 / (n as f64 * (n as f64 - 1.0))
+        );
     });
 }
 

@@ -73,9 +73,8 @@ pub fn reverse_path_route(
 /// idealized shortest reverse paths of [`reverse_path_route`].
 #[derive(Debug, Clone)]
 pub struct SienaEventRouting {
+    /// The overlay; its derived distance matrix steers the detours.
     topology: Topology,
-    /// All-pairs BFS distances.
-    apsp: Vec<Vec<u32>>,
     /// Per-source spanning tree (parent pointers toward the source).
     trees: Vec<Vec<Option<NodeId>>>,
     /// `reach[m][v]`: does broker `v` hold `m`'s subscription state?
@@ -89,7 +88,6 @@ impl SienaEventRouting {
     /// as [`propagate_probabilistic`](crate::propagate_probabilistic)).
     pub fn build<R: rand::Rng>(topology: &Topology, subsumption_max: f64, rng: &mut R) -> Self {
         let n = topology.len();
-        let apsp = topology.all_pairs_distances();
         let mut trees = Vec::with_capacity(n);
         let mut reach = Vec::with_capacity(n);
         for m in 0..n as NodeId {
@@ -118,7 +116,6 @@ impl SienaEventRouting {
         }
         SienaEventRouting {
             topology: topology.clone(),
-            apsp,
             trees,
             reach,
         }
@@ -142,22 +139,24 @@ impl SienaEventRouting {
             let entry = if reach[publisher as usize] {
                 publisher
             } else {
+                let from_publisher = self.topology.distances(publisher);
                 (0..self.topology.len() as NodeId)
                     .filter(|&v| reach[v as usize])
-                    .min_by_key(|&v| (self.apsp[publisher as usize][v as usize], v))
+                    .min_by_key(|&v| (from_publisher[v as usize], v))
                     .expect("the source always holds its own state")
             };
             // Detour: covering state carries the event to the entry
             // broker along a shortest overlay path.
+            let to_entry = self.topology.distances(entry);
             let mut cur = publisher;
             while cur != entry {
-                let d = self.apsp[cur as usize][entry as usize];
+                let d = to_entry[cur as usize];
                 let next = self
                     .topology
                     .neighbors(cur)
                     .iter()
                     .copied()
-                    .find(|&nb| self.apsp[nb as usize][entry as usize] == d - 1)
+                    .find(|&nb| to_entry[nb as usize] == d - 1)
                     .expect("BFS distances admit a descending neighbor");
                 add(cur, next);
                 cur = next;

@@ -155,6 +155,7 @@ impl CheckConfig {
             ],
             atomics_policy: Some(PathBuf::from("crates/xtask/atomics.policy")),
             unsafe_allow: vec![
+                PathBuf::from("crates/broker/tests/zero_alloc.rs"),
                 PathBuf::from("crates/core/tests/zero_alloc.rs"),
                 PathBuf::from("crates/telemetry/tests/zero_alloc.rs"),
             ],
