@@ -504,6 +504,30 @@ mod tests {
         }
     }
 
+    /// A 262 KB snapshot naming 65 535 brokers on a connected path would
+    /// ask the topology for a 16 GiB distance matrix: it is refused
+    /// before anything is allocated.
+    #[test]
+    fn snapshot_naming_too_many_brokers_is_refused() {
+        let n = NodeId::MAX;
+        let mut w = ByteWriter::new();
+        w.u32(MAGIC);
+        w.u8(VERSION);
+        w.u16(0); // no attributes
+        w.u16(n);
+        w.u32(u32::from(n) - 1);
+        for v in 1..n {
+            w.u16(v - 1);
+            w.u16(v);
+        }
+        assert_eq!(
+            SummaryPubSub::from_snapshot(&w.into_bytes()).err(),
+            Some(SnapshotError::Topology(
+                subsum_net::TopologyError::TooLarge(usize::from(n))
+            ))
+        );
+    }
+
     #[test]
     fn malformed_snapshots_rejected() {
         assert!(matches!(

@@ -28,7 +28,6 @@ use subsum_types::{Interval, IntervalSet, Num};
 
 use crate::idlist::{idlist_insert, idlist_merge, idlist_remap, idlist_remove_remap};
 pub use crate::idlist::{DenseId, IdList};
-use crate::sacs::QueryCost;
 
 /// One sub-range row of AACS_SR.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,6 +37,17 @@ pub struct RangeRow {
     /// Subscriptions whose constraint is satisfied by every value in the
     /// sub-range (dense ids, sorted).
     pub ids: IdList,
+}
+
+/// The work one [`RangeSummary::query_into`] performed, for the honest
+/// §5.2.4 cost accounting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct QueryCost {
+    /// Rows actually probed: the binary-search comparisons plus the
+    /// equality-map probe.
+    pub rows_touched: usize,
+    /// Rows a linear scan would have visited but the searches skipped.
+    pub rows_pruned: usize,
 }
 
 /// The arithmetic constraint summary for a single attribute.
@@ -220,12 +230,11 @@ impl RangeSummary {
     /// As [`RangeSummary::query`], appending into a caller buffer (hot
     /// path for the matcher).
     ///
-    /// Returns the honest probe cost for the §5.2.4 accounting, in the
-    /// same [`QueryCost`] shape the SACS index reports: `rows_touched`
-    /// counts the `⌈log₂ n_sr⌉ + 1` comparisons of the binary search over
-    /// the sub-range partition plus one equality-map probe when AACS_E is
-    /// non-empty; `rows_pruned` counts the rows a naive linear scan would
-    /// have visited but the searches skipped.
+    /// Returns the honest probe cost for the §5.2.4 accounting:
+    /// `rows_touched` counts the `⌈log₂ n_sr⌉ + 1` comparisons of the
+    /// binary search over the sub-range partition plus one equality-map
+    /// probe when AACS_E is non-empty; `rows_pruned` counts the rows a
+    /// naive linear scan would have visited but the searches skipped.
     pub fn query_into(&self, v: Num, out: &mut IdList) -> QueryCost {
         let mut cost = QueryCost::default();
         if !self.ranges.is_empty() {

@@ -62,12 +62,12 @@ mod stats;
 mod summary;
 mod wire;
 
-pub use aacs::{RangeRow, RangeSummary};
+pub use aacs::{QueryCost, RangeRow, RangeSummary};
 pub use digest::SummaryDigest;
 #[cfg(any(test, debug_assertions))]
 pub use idlist::validate_idlist;
 pub use idlist::{DenseId, IdList, SubIdList};
-pub use sacs::{PatternRow, PatternSummary, QueryCost};
+pub use sacs::{PatternRow, PatternSummary};
 pub use shard::{ShardScratch, ShardedSummary};
 pub use stats::{SizeParams, SummaryStats};
 pub use summary::{BrokerSummary, MatchOutcome, MatchScratch, MatchStats};

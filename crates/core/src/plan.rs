@@ -14,8 +14,8 @@
 //!   with open/closed bounds folded in), the AACS_E values as one sorted
 //!   key array, and per row a range of posting runs;
 //! * per string attribute, a [`StringBank`]: a run range per wildcard
-//!   row. Candidate selection, the pattern tests and the literal rows
-//!   stay on the [`PatternSummary`]: a literal is one hash probe there,
+//!   row. The pattern tests and the literal rows stay on the
+//!   [`PatternSummary`]: a literal is one hash probe there,
 //!   and copying every literal into the plan cost more than the rest of
 //!   a compile;
 //! * one set of [`Runs`]: every compiled row's postings in one flat
@@ -61,7 +61,7 @@ use subsum_types::{AttrMask, Event, LowerBound, Num, SubscriptionId, UpperBound}
 
 use crate::aacs::RangeSummary;
 use crate::idlist::DenseId;
-use crate::sacs::{PatternSummary, QueryCost};
+use crate::sacs::PatternSummary;
 use crate::summary::MatchStats;
 
 /// Plan compilations.
@@ -366,8 +366,7 @@ impl ArithBank {
 
 /// The compiled string bank of one attribute: a run range per wildcard
 /// row, parallel to the source [`PatternSummary`]'s row vector, whose
-/// anchor index still selects the candidate rows and runs the pattern
-/// tests, and whose literal map the probe reads directly.
+/// patterns the probe tests and whose literal map it reads directly.
 #[derive(Debug, Clone, PartialEq, Default)]
 struct StringBank {
     /// Run bounds of the wildcard rows, length `rows + 1`: row `i` is
@@ -383,8 +382,8 @@ impl StringBank {
         }
         let mut bank = StringBank::default();
         bank.wild_runs.push(runs.len());
-        for ids in src.wildcard_postings() {
-            writer.push_row(runs, ids);
+        for row in src.wildcards() {
+            writer.push_row(runs, &row.ids);
             bank.wild_runs.push(runs.len());
         }
         Some(bank)
@@ -450,8 +449,8 @@ impl MatchPlan {
     /// attribute the event lacks (see the module docs).
     ///
     /// `strings` must be the summaries this plan was compiled from
-    /// (their anchor indexes select candidate wildcard rows and run the
-    /// pattern tests; their literal maps hold the literal rows), and
+    /// (the probe tests their wildcard rows' patterns in row order;
+    /// their literal maps hold the literal rows), and
     /// `ids` / `required` the intern-table entries and thresholds of the
     /// plan's dense ids. Arithmetic banks skip per-attribute dedup
     /// entirely: the AACS partition is disjoint and `validate()`
@@ -541,27 +540,20 @@ impl MatchPlan {
                     continue;
                 };
                 // Cost model: one literal-map probe when the map is
-                // non-empty, plus every index-selected wildcard row
-                // (tested, whether or not it matched).
-                let mut cost = QueryCost::default();
+                // non-empty, plus every wildcard row (each is tested).
                 let mut literal: &[DenseId] = &[];
                 if src.has_literals() {
-                    cost.rows_touched += 1;
+                    stats.rows_scanned += 1;
                     literal = src.literal_postings(s);
                 }
+                let wildcards = src.wildcards();
+                stats.rows_scanned += wildcards.len();
                 rows.clear();
-                let mut tested = 0usize;
-                for pos in src.plan_candidates(s) {
-                    tested += 1;
-                    if src.pattern_matches(pos, s) {
+                for (pos, row) in wildcards.iter().enumerate() {
+                    if row.pattern.matches(s) {
                         rows.push(pos as u32);
                     }
                 }
-                cost.rows_touched += tested;
-                cost.rows_pruned = bank.wild_runs.len() - 1 - tested;
-                stats.rows_scanned += cost.rows_touched;
-                stats.rows_pruned += cost.rows_pruned;
-                crate::sacs::record_query_cost(cost);
                 let contributors = usize::from(!literal.is_empty()) + rows.len();
                 probe_rows += contributors as u64;
                 if contributors <= 1 {

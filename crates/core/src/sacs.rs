@@ -25,52 +25,17 @@
 //! with wildcards in a vector. The covering invariant — no row's pattern
 //! covers another row's — holds across both groups.
 //!
-//! # The pattern index
-//!
-//! Wildcard rows are additionally indexed by their *anchor bytes* so a
-//! query only tests rows whose anchors can possibly match the value:
-//!
-//! * rows whose pattern is anchored at the start (`OT*`, `a*c`) are
-//!   bucketed by the first byte of their first literal segment — a value
-//!   `s` can only match them if `s` starts with that byte;
-//! * rows anchored only at the end (`*SE`) are bucketed by the last byte
-//!   of their last literal segment — `s` must end with that byte;
-//! * rows with no usable anchor (`*a*`, the universal pattern) live in a
-//!   residual bucket that every query tests.
-//!
-//! The same buckets prune the covering checks on insertion and merging:
-//! a row can only *cover* a start-anchored pattern if it is itself
-//! start-anchored on the same first byte (or unanchored), symmetrically
-//! for end anchors, so only those buckets are probed. The substitution
-//! path (a new pattern absorbing the rows it covers) remains a full scan:
-//! it fires rarely and must visit every absorbed row anyway.
-//!
-//! The index holds row *positions* and is rebuilt whenever rows are
-//! retained/removed; it is a pure function of the row vector, so derived
-//! equality stays consistent and the wire decoder reconstructs it.
+//! Queries, covering checks and merges walk the wildcard rows in row
+//! order, with no side index: the workloads this crate serves hold a
+//! handful of wildcard rows per attribute (a few shared prefixes and
+//! unanchored `Contains` globs), so there is nothing for an index to
+//! prune that a `starts_with` test does not reject as fast.
 
 use std::collections::HashMap;
 
-use subsum_telemetry::Count;
 use subsum_types::Pattern;
 
 use crate::idlist::{idlist_merge, idlist_remap, idlist_remove_remap, DenseId, IdList};
-
-/// Wildcard rows tested because an index bucket selected them (plus
-/// literal-map hits), across all queries.
-static CNT_INDEX_HITS: Count = Count::new(subsum_telemetry::names::SACS_INDEX_HITS);
-/// Wildcard rows skipped by the anchor buckets, across all queries — the
-/// work the flat scan of the pre-index matcher would have done.
-static CNT_ROWS_PRUNED: Count = Count::new(subsum_telemetry::names::SACS_ROWS_PRUNED);
-
-/// Records one query's cost into the global SACS index counters. The
-/// compiled-plan probe path performs candidate selection itself and
-/// calls this to keep `sacs.index_hits` / `sacs.rows_pruned` honest
-/// across both matchers.
-pub(crate) fn record_query_cost(cost: QueryCost) {
-    CNT_INDEX_HITS.add(cost.rows_touched as u64);
-    CNT_ROWS_PRUNED.add(cost.rows_pruned as u64);
-}
 
 /// One row of a SACS array: a general constraint and the ids of the
 /// subscriptions it stands for.
@@ -83,111 +48,11 @@ pub struct PatternRow {
     pub ids: IdList,
 }
 
-/// The work one indexed SACS probe of the compiled plan performed, for
-/// the honest §5.2.4 cost accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct QueryCost {
-    /// Rows actually probed: the literal-map probe (when the map is
-    /// non-empty) plus every wildcard row an index bucket selected.
-    pub rows_touched: usize,
-    /// Wildcard rows the index skipped without testing.
-    pub rows_pruned: usize,
-}
-
-/// Anchor-byte buckets over the wildcard-row positions.
-#[derive(Debug, Clone, PartialEq, Default)]
-struct PatternIndex {
-    /// Positions of start-anchored rows, keyed by the first byte of the
-    /// first literal segment.
-    prefix: HashMap<u8, Vec<usize>>,
-    /// Positions of rows anchored only at the end, keyed by the last
-    /// byte of the last literal segment.
-    suffix: HashMap<u8, Vec<usize>>,
-    /// Positions of rows with no usable anchor (incl. the universal
-    /// pattern).
-    residual: Vec<usize>,
-}
-
-impl PatternIndex {
-    fn insert(&mut self, pos: usize, pattern: &Pattern) {
-        if pattern.anchored_start() {
-            if let Some(&b) = pattern
-                .segments()
-                .first()
-                .and_then(|s| s.as_bytes().first())
-            {
-                self.prefix.entry(b).or_default().push(pos);
-                return;
-            }
-        } else if pattern.anchored_end() {
-            if let Some(&b) = pattern.segments().last().and_then(|s| s.as_bytes().last()) {
-                self.suffix.entry(b).or_default().push(pos);
-                return;
-            }
-        }
-        self.residual.push(pos);
-    }
-
-    fn rebuild(&mut self, rows: &[PatternRow]) {
-        self.prefix.clear();
-        self.suffix.clear();
-        self.residual.clear();
-        for (pos, row) in rows.iter().enumerate() {
-            self.insert(pos, &row.pattern);
-        }
-    }
-
-    /// Positions of every row that could match the value `s`: the prefix
-    /// bucket of `s`'s first byte, the suffix bucket of its last byte,
-    /// and the residual bucket. Anchored rows have non-empty segments, so
-    /// the empty value is served by the residual bucket alone.
-    fn value_candidates(&self, s: &str) -> impl Iterator<Item = usize> + '_ {
-        let first = s.as_bytes().first().and_then(|b| self.prefix.get(b));
-        let last = s.as_bytes().last().and_then(|b| self.suffix.get(b));
-        first
-            .into_iter()
-            .flatten()
-            .chain(last.into_iter().flatten())
-            .chain(self.residual.iter())
-            .copied()
-    }
-
-    /// Positions of every row that could *cover* the wildcard pattern
-    /// `p`. A start-anchored coverer's first segment must be a prefix of
-    /// `p`'s (same first byte), so only `p`'s own prefix bucket applies —
-    /// and only when `p` is start-anchored itself, since a start-anchored
-    /// row never covers a pattern that can start arbitrarily.
-    /// Symmetrically for end anchors; residual rows can cover anything.
-    fn coverer_candidates(&self, p: &Pattern) -> impl Iterator<Item = usize> + '_ {
-        let pref = if p.anchored_start() {
-            p.segments()
-                .first()
-                .and_then(|s| s.as_bytes().first())
-                .and_then(|b| self.prefix.get(b))
-        } else {
-            None
-        };
-        let suf = if p.anchored_end() {
-            p.segments()
-                .last()
-                .and_then(|s| s.as_bytes().last())
-                .and_then(|b| self.suffix.get(b))
-        } else {
-            None
-        };
-        pref.into_iter()
-            .flatten()
-            .chain(suf.into_iter().flatten())
-            .chain(self.residual.iter())
-            .copied()
-    }
-}
-
 /// The string constraint summary for a single attribute.
 ///
 /// Rows are kept pairwise incomparable under [`Pattern::covers`]: on
-/// insertion, a covered constraint joins its covering row, and a covering
-/// constraint absorbs every row it covers.
+/// insertion, a covered constraint joins the first covering row in row
+/// order, and a covering constraint absorbs every row it covers.
 ///
 /// Rows carry dense ids (`u32` indices into the owning broker summary's
 /// intern table); a standalone `PatternSummary` treats them as opaque
@@ -211,11 +76,6 @@ pub struct PatternSummary {
     literals: HashMap<String, IdList>,
     /// Rows containing wildcards, in insertion order.
     patterns: Vec<PatternRow>,
-    /// Anchor-byte index over `patterns` (derived state; rebuilt by
-    /// the wire decoder and after row removals). The `lint: derived` tag
-    /// makes `cargo xtask check` reject any reference to this field from
-    /// the wire codec.
-    index: PatternIndex, // lint: derived
 }
 
 impl PatternSummary {
@@ -276,37 +136,22 @@ impl PatternSummary {
             return;
         }
         if let Some(lit) = pattern.as_literal() {
-            // Covered by a wildcard row: join it. Only rows in the
-            // value's anchor buckets can match the literal.
-            if let Some(pos) = self
-                .index
-                .value_candidates(lit)
-                .find(|&i| self.patterns[i].pattern.matches(lit))
-            {
-                idlist_merge(&mut self.patterns[pos].ids, ids);
-                return;
-            }
-            // Exact literal row (or a new one).
-            let lit = lit.to_owned();
-            idlist_merge(self.literals.entry(lit).or_default(), ids);
+            self.insert_literal(lit, ids);
             return;
         }
         // A wildcard pattern. Covered by an existing wildcard row: join.
-        if let Some(pos) = self
-            .index
-            .coverer_candidates(&pattern)
-            .find(|&i| self.patterns[i].pattern.covers(&pattern))
+        if let Some(row) = self
+            .patterns
+            .iter_mut()
+            .find(|row| row.pattern.covers(&pattern))
         {
-            idlist_merge(&mut self.patterns[pos].ids, ids);
+            idlist_merge(&mut row.ids, ids);
             return;
         }
-        // The new constraint substitutes every row it covers. This is
-        // the rare path and must visit every absorbed row, so it stays a
-        // full scan; the index is rebuilt over the survivors.
+        // The new constraint substitutes every row it covers.
         let mut merged: IdList = ids.to_vec();
         merged.sort();
         merged.dedup();
-        let before = self.patterns.len();
         self.patterns.retain(|row| {
             if pattern.covers(&row.pattern) {
                 idlist_merge(&mut merged, &row.ids);
@@ -323,30 +168,31 @@ impl PatternSummary {
                 true
             }
         });
-        let absorbed = before != self.patterns.len();
         self.patterns.push(PatternRow {
-            pattern: pattern.clone(),
+            pattern,
             ids: merged,
         });
-        if absorbed {
-            self.index.rebuild(&self.patterns);
+    }
+
+    /// Adds `ids` under the literal `lit`: to the first wildcard row
+    /// that matches it, else to its exact literal row (or a new one).
+    fn insert_literal(&mut self, lit: &str, ids: &[DenseId]) {
+        if let Some(row) = self
+            .patterns
+            .iter_mut()
+            .find(|row| row.pattern.matches(lit))
+        {
+            idlist_merge(&mut row.ids, ids);
         } else {
-            self.index.insert(self.patterns.len() - 1, &pattern);
+            idlist_merge(self.literals.entry(lit.to_owned()).or_default(), ids);
         }
     }
 
-    /// Positions of every wildcard row the anchor index selects for the
-    /// value `s`. Compiled-plan probe path: the plan stores only the
-    /// wildcard rows' posting runs and borrows candidate selection and
-    /// the pattern tests from the summary it was compiled from.
-    pub(crate) fn plan_candidates(&self, s: &str) -> impl Iterator<Item = usize> + '_ {
-        self.index.value_candidates(s)
-    }
-
-    /// Whether wildcard row `pos` matches the value `s` (compiled-plan
-    /// probe path).
-    pub(crate) fn pattern_matches(&self, pos: usize, s: &str) -> bool {
-        self.patterns[pos].pattern.matches(s)
+    /// The wildcard rows in row order (compiled-plan path: the plan
+    /// stores their posting runs in this order and its probe tests each
+    /// row's pattern here).
+    pub(crate) fn wildcards(&self) -> &[PatternRow] {
+        &self.patterns
     }
 
     /// Whether any literal row exists (compiled-plan probe path: the
@@ -361,18 +207,11 @@ impl PatternSummary {
         self.literals.get(s).map_or(&[], Vec::as_slice)
     }
 
-    /// Wildcard-row posting lists in row order (parallel to the
-    /// compiled `StringBank::wild_runs` rows).
-    pub(crate) fn wildcard_postings(&self) -> impl Iterator<Item = &IdList> {
-        self.patterns.iter().map(|r| &r.ids)
-    }
-
     /// All subscription ids whose summarized constraint is satisfied by
     /// the value `s` — the `Check_for_a_value_match (type string)`
-    /// procedure of §3.3 — as a flat scan over every wildcard row,
-    /// bypassing the pattern index. The string half of
-    /// [`crate::BrokerSummary::match_event_scan`], the oracle the
-    /// compiled plan's indexed probe is tested against.
+    /// procedure of §3.3 — as a flat scan over every row. The string
+    /// half of [`crate::BrokerSummary::match_event_scan`], the oracle
+    /// the compiled plan's probe is tested against.
     ///
     /// The output may contain duplicate ids when a subscription holds
     /// several constraints on this attribute.
@@ -408,16 +247,12 @@ impl PatternSummary {
             }
             !ids.is_empty()
         });
-        for row in &mut self.patterns {
+        self.patterns.retain_mut(|row| {
             if let Ok(pos) = row.ids.binary_search(&id) {
                 row.ids.remove(pos);
             }
-        }
-        let before = self.patterns.len();
-        self.patterns.retain(|r| !r.ids.is_empty());
-        if self.patterns.len() != before {
-            self.index.rebuild(&self.patterns);
-        }
+            !row.ids.is_empty()
+        });
     }
 
     /// Removes `gone` from every posting list and decrements every dense
@@ -428,14 +263,10 @@ impl PatternSummary {
             idlist_remove_remap(ids, gone);
             !ids.is_empty()
         });
-        for row in &mut self.patterns {
+        self.patterns.retain_mut(|row| {
             idlist_remove_remap(&mut row.ids, gone);
-        }
-        let before = self.patterns.len();
-        self.patterns.retain(|r| !r.ids.is_empty());
-        if self.patterns.len() != before {
-            self.index.rebuild(&self.patterns);
-        }
+            !row.ids.is_empty()
+        });
     }
 
     /// Applies a strictly monotone dense-id renumbering to every posting
@@ -459,18 +290,7 @@ impl PatternSummary {
             self.insert_ids(row.pattern.clone(), &row.ids);
         }
         for (lit, ids) in &other.literals {
-            // Fast path: if no wildcard row covers the literal, merge
-            // directly into the literal map. Only anchor-bucket rows can
-            // match the literal.
-            if let Some(pos) = self
-                .index
-                .value_candidates(lit)
-                .find(|&i| self.patterns[i].pattern.matches(lit))
-            {
-                idlist_merge(&mut self.patterns[pos].ids, ids);
-            } else {
-                idlist_merge(self.literals.entry(lit.clone()).or_default(), ids);
-            }
+            self.insert_literal(lit, ids);
         }
     }
 
@@ -492,10 +312,7 @@ impl PatternSummary {
     ///   and deduplicated;
     /// * rows are pairwise incomparable under [`Pattern::covers`] — no
     ///   wildcard row covers another row, and no literal key is matched
-    ///   by any wildcard row (it would have joined that row);
-    /// * the anchor-byte index is exactly what a fresh rebuild over the
-    ///   row vector produces (index↔row coherence — the index is derived
-    ///   state and must never drift from the rows it summarizes).
+    ///   by any wildcard row (it would have joined that row).
     ///
     /// # Panics
     ///
@@ -532,12 +349,6 @@ impl PatternSummary {
                 );
             }
         }
-        let mut fresh = PatternIndex::default();
-        fresh.rebuild(&self.patterns);
-        assert!(
-            fresh == self.index,
-            "pattern index out of sync with the row vector"
-        );
     }
 }
 
@@ -753,22 +564,25 @@ mod tests {
     }
 
     #[test]
-    fn index_prunes_disjoint_anchors() {
-        // 26 prefix rows, one suffix row, one residual row: a query only
-        // tests its own buckets plus the residual.
+    fn literal_joins_first_covering_row() {
+        // `*E` and `OT*` both cover `OTE`; the literal joins the earlier
+        // row, whichever end it is anchored at.
         let mut sacs = PatternSummary::new();
-        for (k, c) in ('a'..='z').enumerate() {
-            sacs.insert(pat(&format!("{c}{c}*")), id(k as u32));
-        }
-        sacs.insert(pat("*zz"), id(100));
-        sacs.insert(pat("*mid*"), id(101));
-
-        assert_eq!(sacs.query_scan("qqx"), vec![id(16)]);
-        // Selected: prefix['q'] (1 row) + no suffix bucket for 'x' + the
-        // residual row = 2 of 28 wildcard rows.
-        assert_eq!(sacs.plan_candidates("qqx").count(), 2);
-        // prefix['z'] + suffix['z'] + residual.
-        assert_eq!(sacs.plan_candidates("zzz").count(), 3);
+        sacs.insert(pat("*E"), id(1));
+        sacs.insert(pat("OT*"), id(2));
+        sacs.insert(pat("OTE"), id(3));
+        let rows: Vec<(String, IdList)> = sacs
+            .rows()
+            .map(|(p, ids)| (p.to_string(), ids.clone()))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                ("*E".to_owned(), vec![id(1), id(3)]),
+                ("OT*".to_owned(), vec![id(2)]),
+            ]
+        );
+        sacs.validate();
     }
 
     #[test]
@@ -789,20 +603,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of sync")]
-    fn validate_rejects_stale_index() {
-        let mut sacs = PatternSummary::new();
-        sacs.insert(pat("OT*"), id(1));
-        // Corrupt the derived state behind the API's back: a new row the
-        // anchor buckets know nothing about.
-        sacs.patterns.push(PatternRow {
-            pattern: pat("*SE"),
-            ids: vec![id(2)],
-        });
-        sacs.validate();
-    }
-
-    #[test]
     #[should_panic(expected = "covers")]
     fn validate_rejects_comparable_rows() {
         let mut sacs = PatternSummary::new();
@@ -811,7 +611,6 @@ mod tests {
             pattern: pat("OT*"),
             ids: vec![id(2)],
         });
-        sacs.index.rebuild(&sacs.patterns);
         sacs.validate();
     }
 }

@@ -594,10 +594,10 @@ impl BrokerSummary {
     }
 
     /// Reference implementation of Algorithm 1 as flat scans over every
-    /// summary row, bypassing the SACS pattern index and the compiled
-    /// plan's mask filter. Retained for differential testing and for
-    /// `repro compute`'s `scan_popular_us` column (the plan against the
-    /// oracle as `N` grows); `matched` equals
+    /// summary row, bypassing the compiled plan and its mask filter.
+    /// Retained for differential testing and for `repro compute`'s
+    /// `scan_popular_us` column (the plan against the oracle as `N`
+    /// grows); `matched` equals
     /// [`BrokerSummary::match_event`] exactly (same sorted order).
     pub fn match_event_scan(&self, event: &Event) -> MatchOutcome {
         let mut collected = SubIdList::new();
@@ -910,10 +910,10 @@ pub struct MatchOutcome {
 pub struct MatchStats {
     /// Summary rows actually probed across all event attributes (the T₁
     /// term): binary-search comparisons plus the equality probe for
-    /// AACS, literal probe plus index-selected wildcard rows for SACS.
+    /// AACS, literal probe plus every wildcard row for SACS.
     pub rows_scanned: usize,
-    /// SACS wildcard rows the pattern index skipped without testing —
-    /// the scan work the pre-index matcher would have performed.
+    /// AACS rows the binary searches skipped — the work a linear scan
+    /// would have performed. SACS prunes nothing.
     pub rows_pruned: usize,
     /// Ids collected from satisfied rows (the P of the T₂ term). The
     /// compiled plan counts only admissible postings — those of ids whose
@@ -1407,8 +1407,7 @@ mod tests {
     fn honest_stats_report_probes_and_pruning() {
         let schema = schema();
         let mut summary = BrokerSummary::new(schema.clone());
-        // Disjoint prefix rows: a query should prune all but its own
-        // anchor bucket.
+        // Disjoint prefix rows: the probe tests every one of them.
         for (k, sym) in ["AA*", "BB*", "CC*", "DD*"].iter().enumerate() {
             let sub = Subscription::builder(&schema)
                 .str_pattern("symbol", sym)
@@ -1424,8 +1423,9 @@ mod tests {
         let mut scratch = MatchScratch::new();
         let outcome = summary.match_event_into(&e, &mut scratch);
         assert_eq!(outcome.matched.len(), 1);
-        // Only the AA* row is probed; the other three are pruned.
-        assert_eq!(outcome.stats.rows_scanned, 1);
-        assert_eq!(outcome.stats.rows_pruned, 3);
+        // All four wildcard rows are scanned (no literal rows, so no
+        // literal probe), and none is pruned.
+        assert_eq!(outcome.stats.rows_scanned, 4);
+        assert_eq!(outcome.stats.rows_pruned, 0);
     }
 }

@@ -331,36 +331,51 @@ fn disjoint_domains_never_match() {
     });
 }
 
-/// Differential check of the SACS pattern index: the compiled plan's
-/// indexed probe must return exactly the ids the naive full scan
-/// returns — no false negatives from bucket pruning, no spurious
-/// extras. Each subscription is one `symbol` pattern drawn from a tiny
-/// alphabet with wildcards, so the prefix, suffix and residual buckets
-/// all get exercised and collide with the values.
+/// Differential check of the SACS wildcard rows: the compiled plan's
+/// probe must return exactly the ids the naive full scan returns, on a
+/// summary built by inserts, a merge and removals. Each subscription is
+/// one `symbol` pattern drawn from a tiny alphabet with wildcards, so
+/// prefix, suffix, infix and literal rows all collide with the values
+/// and with each other (covering, absorption, several covering rows).
 #[test]
-fn indexed_pattern_query_is_identical_to_scan() {
-    check("indexed_pattern_query_is_identical_to_scan", 128, |g| {
-        let patterns = g.vec(1..12, |g| g.string("ab*", 1..=6));
+fn pattern_rows_match_like_scan() {
+    check("pattern_rows_match_like_scan", 128, |g| {
+        let patterns = g.vec(1..64, |g| g.string("ab*", 1..=6));
         let values = g.vec(1..12, |g| g.string("ab", 0..=6));
         let schema = stock_schema();
+        // Even-numbered patterns go to `summary`, odd ones to `other`,
+        // which is merged in.
         let mut summary = BrokerSummary::new(schema.clone());
+        let mut other = BrokerSummary::new(schema.clone());
+        let mut ids = Vec::new();
         for (i, text) in patterns.iter().enumerate() {
             if let Some(sub) = pattern_sub(&schema, "symbol", text) {
-                summary.insert(BrokerId(0), LocalSubId(i as u32), &sub);
+                let target = if i % 2 == 0 { &mut summary } else { &mut other };
+                ids.push(target.insert(BrokerId((i % 2) as u16), LocalSubId(i as u32), &sub));
+                check_invariants(target);
             }
         }
+        summary.merge(&other);
         check_invariants(&summary);
         let mut scratch = MatchScratch::new();
-        for v in &values {
-            let event = string_event(&schema, "symbol", v);
-            let indexed = &summary.match_event_into(&event, &mut scratch).matched;
-            let scanned = summary.match_event_scan(&event).matched;
-            assert_eq!(
-                indexed, &scanned,
-                "value {:?} over patterns {:?}",
-                v, patterns
-            );
+        let mut assert_like_scan = |summary: &BrokerSummary| {
+            for v in &values {
+                let event = string_event(&schema, "symbol", v);
+                let probed = &summary.match_event_into(&event, &mut scratch).matched;
+                let scanned = summary.match_event_scan(&event).matched;
+                assert_eq!(
+                    probed, &scanned,
+                    "value {:?} over patterns {:?}",
+                    v, patterns
+                );
+            }
+        };
+        assert_like_scan(&summary);
+        for id in ids.iter().step_by(3) {
+            summary.remove(*id);
+            check_invariants(&summary);
         }
+        assert_like_scan(&summary);
     });
 }
 
@@ -492,14 +507,13 @@ fn decoded_dense_kernel_is_identical_to_scan_on(subs: &[RawSub], events: &[RawEv
     }
 }
 
-/// Wire round-trip with a populated SACS anchor index. The index is
-/// derived state — it never travels on the wire (`cargo xtask
-/// check` enforces that) — so the decoder must rebuild it, and the
-/// rebuilt index must let the decoded summary match identically to the
-/// original while passing deep validation.
+/// Wire round-trip of summaries holding wildcard rows on both string
+/// attributes. The decoder re-inserts every row, so the decoded
+/// pattern rows must pass deep validation and match identically to the
+/// original's.
 #[test]
-fn decoded_sacs_index_answers_identically() {
-    check("decoded_sacs_index_answers_identically", 128, |g| {
+fn decoded_pattern_rows_answer_identically() {
+    check("decoded_pattern_rows_answer_identically", 128, |g| {
         let patterns = g.vec(1..10, starred_pattern);
         let values = g.vec(1..10, |g| g.string("ab", 0..=6));
         let schema = stock_schema();
@@ -508,8 +522,7 @@ fn decoded_sacs_index_answers_identically() {
         let mut summary = BrokerSummary::new(schema.clone());
         for (i, text) in patterns.iter().enumerate() {
             // Alternate between the two string attributes so both SACS
-            // instances (and their prefix/suffix/residual buckets) are
-            // exercised.
+            // instances are exercised.
             let attr = if i % 2 == 0 { "exchange" } else { "symbol" };
             if let Some(sub) = pattern_sub(&schema, attr, text) {
                 summary.insert(BrokerId((i % 24) as u16), LocalSubId(i as u32), &sub);

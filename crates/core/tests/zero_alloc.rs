@@ -68,7 +68,7 @@ fn match_event_into_allocates_nothing_at_steady_state() {
     let mut summary = BrokerSummary::new(schema.clone());
 
     // A mixed population: arithmetic ranges and points, string prefixes,
-    // suffixes and literals, so both the AACS and the indexed SACS query
+    // suffixes and literals, so both the AACS and the SACS query
     // paths run during every match.
     let subs: Vec<Subscription> = vec![
         Subscription::builder(&schema)

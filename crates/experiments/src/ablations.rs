@@ -12,17 +12,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use subsum_broker::{propagate, route_event, RoutingOptions};
-use subsum_core::{ArithWidth, BrokerSummary, SummaryCodec};
+use subsum_broker::{route_event, RoutingOptions};
 use subsum_net::{NetMetrics, NodeId};
 use subsum_siena::{propagate_content, propagate_probabilistic, SienaParams};
-use subsum_types::{BrokerId, IdLayout, LocalSubId, Subscription};
-use subsum_workload::popularity::{
-    event_for, interest_schema, interest_subscription, random_matched_set,
-};
+use subsum_types::Subscription;
+use subsum_workload::popularity::{event_for, random_matched_set};
 use subsum_workload::Workload;
 
-use crate::common::{mean, ResultTable};
+use crate::common::{interest_overlay, mean, ResultTable};
 use crate::config::ExperimentConfig;
 
 /// Virtual-degree ablation: routing load vs the degree cap.
@@ -38,23 +35,7 @@ pub fn run_virtual_degrees(cfg: &ExperimentConfig) -> ResultTable {
         ],
     );
     let n = cfg.topology.len();
-    let schema = interest_schema();
-    let layout = IdLayout::new(n as u64, 16, schema.len() as u32).expect("tiny schema");
-    let codec = SummaryCodec::new(layout, ArithWidth::Four);
-    let own: Vec<BrokerSummary> = (0..n)
-        .map(|b| {
-            let mut s = BrokerSummary::new(schema.clone());
-            s.insert(
-                BrokerId(b as u16),
-                LocalSubId(0),
-                &interest_subscription(&schema, b as NodeId),
-            );
-            s
-        })
-        .collect();
-    let stored = propagate(&cfg.topology, &own, &codec)
-        .expect("ids fit")
-        .stored;
+    let (schema, stored) = interest_overlay(cfg);
 
     let max_degree = cfg.topology.max_degree();
     let caps: Vec<Option<usize>> = [None]

@@ -1,6 +1,42 @@
-//! Shared experiment infrastructure: result tables and statistics.
+//! Shared experiment infrastructure: result tables, statistics and the
+//! interest overlay of the event-routing experiments.
 
 use std::fmt;
+
+use subsum_broker::{propagate, MergedSummary};
+use subsum_core::{ArithWidth, BrokerSummary, SummaryCodec};
+use subsum_net::NodeId;
+use subsum_types::{BrokerId, IdLayout, LocalSubId, Schema};
+use subsum_workload::popularity::{interest_schema, interest_subscription};
+
+use crate::config::ExperimentConfig;
+
+/// The overlay the event-routing experiments (Fig. 10, latency, virtual
+/// degrees) publish into: every broker of `cfg.topology` holds its one
+/// interest-marker subscription, and Algorithm 2 has propagated the
+/// summaries. Returns the marker schema and each broker's stored merged
+/// summary. Draws no randomness.
+pub(crate) fn interest_overlay(cfg: &ExperimentConfig) -> (Schema, Vec<MergedSummary>) {
+    let n = cfg.topology.len();
+    let schema = interest_schema();
+    let layout = IdLayout::new(n as u64, 16, schema.len() as u32).expect("tiny schema fits");
+    let codec = SummaryCodec::new(layout, ArithWidth::Four);
+    let own: Vec<BrokerSummary> = (0..n)
+        .map(|b| {
+            let mut s = BrokerSummary::new(schema.clone());
+            s.insert(
+                BrokerId(b as u16),
+                LocalSubId(0),
+                &interest_subscription(&schema, b as NodeId),
+            );
+            s
+        })
+        .collect();
+    let stored = propagate(&cfg.topology, &own, &codec)
+        .expect("ids fit the layout")
+        .stored;
+    (schema, stored)
+}
 
 /// A labelled result table: one experiment's regenerated figure/table.
 #[derive(Debug, Clone, PartialEq)]

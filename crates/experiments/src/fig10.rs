@@ -15,16 +15,12 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use subsum_broker::{propagate, route_event, RoutingOptions};
-use subsum_core::{ArithWidth, BrokerSummary, SummaryCodec};
+use subsum_broker::{route_event, RoutingOptions};
 use subsum_net::NodeId;
 use subsum_siena::{reverse_path_route, SienaEventRouting};
-use subsum_types::{BrokerId, IdLayout, LocalSubId};
-use subsum_workload::popularity::{
-    event_for, interest_schema, interest_subscription, random_matched_set,
-};
+use subsum_workload::popularity::{event_for, random_matched_set};
 
-use crate::common::{mean, ResultTable};
+use crate::common::{interest_overlay, mean, ResultTable};
 use crate::config::ExperimentConfig;
 
 /// Runs the Fig. 10 experiment.
@@ -35,25 +31,7 @@ pub fn run(cfg: &ExperimentConfig) -> ResultTable {
         &["popularity_pct", "summary", "siena", "siena_ideal"],
     );
     let n = cfg.topology.len();
-    let schema = interest_schema();
-    let layout = IdLayout::new(n as u64, 16, schema.len() as u32).expect("tiny schema fits");
-    let codec = SummaryCodec::new(layout, ArithWidth::Four);
-
-    // Every broker registers its interest marker subscription once.
-    let own: Vec<BrokerSummary> = (0..n)
-        .map(|b| {
-            let mut s = BrokerSummary::new(schema.clone());
-            s.insert(
-                BrokerId(b as u16),
-                LocalSubId(0),
-                &interest_subscription(&schema, b as NodeId),
-            );
-            s
-        })
-        .collect();
-    let stored = propagate(&cfg.topology, &own, &codec)
-        .expect("ids fit the layout")
-        .stored;
+    let (schema, stored) = interest_overlay(cfg);
     let options = RoutingOptions::new();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     // Siena's routing state after a propagation period at 50% stated

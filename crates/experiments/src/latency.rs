@@ -9,7 +9,8 @@
 //!
 //! * **Summary**: the event reaches visit *k* after the cumulative length
 //!   of the forwarding chain's first *k* legs; a notification sent from
-//!   that visit reaches its owner after the owner's distance on top.
+//!   that visit reaches its owner after the owner's distance on top
+//!   (the router's `Notification::eta`).
 //! * **Siena (idealized)**: every matched broker receives the event after
 //!   its shortest-path distance from the publisher (parallel flood).
 //!
@@ -20,15 +21,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use subsum_broker::{propagate, route_event, RoutingOptions};
-use subsum_core::{ArithWidth, BrokerSummary, SummaryCodec};
+use subsum_broker::{route_event, RoutingOptions};
 use subsum_net::NodeId;
-use subsum_types::{BrokerId, IdLayout, LocalSubId};
-use subsum_workload::popularity::{
-    event_for, interest_schema, interest_subscription, random_matched_set,
-};
+use subsum_workload::popularity::{event_for, random_matched_set};
 
-use crate::common::{mean, ResultTable};
+use crate::common::{interest_overlay, mean, ResultTable};
 use crate::config::ExperimentConfig;
 
 /// Runs the delivery-latency experiment.
@@ -45,23 +42,7 @@ pub fn run(cfg: &ExperimentConfig) -> ResultTable {
         ],
     );
     let n = cfg.topology.len();
-    let schema = interest_schema();
-    let layout = IdLayout::new(n as u64, 16, schema.len() as u32).expect("tiny schema");
-    let codec = SummaryCodec::new(layout, ArithWidth::Four);
-    let own: Vec<BrokerSummary> = (0..n)
-        .map(|b| {
-            let mut s = BrokerSummary::new(schema.clone());
-            s.insert(
-                BrokerId(b as u16),
-                LocalSubId(0),
-                &interest_subscription(&schema, b as NodeId),
-            );
-            s
-        })
-        .collect();
-    let stored = propagate(&cfg.topology, &own, &codec)
-        .expect("ids fit")
-        .stored;
+    let (schema, stored) = interest_overlay(cfg);
     let options = RoutingOptions::new();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
@@ -82,24 +63,12 @@ pub fn run(cfg: &ExperimentConfig) -> ResultTable {
                     cfg.params.sub_size,
                     &options,
                 );
-                // Arrival time of the event at each visited broker.
-                let mut arrival = vec![0u32; out.visits.len()];
-                for k in 1..out.visits.len() {
-                    let (a, b) = (out.visits[k - 1], out.visits[k]);
-                    arrival[k] = arrival[k - 1] + cfg.topology.distances(a)[b as usize];
-                }
-                let visit_time = |broker: NodeId| {
-                    out.visits
-                        .iter()
-                        .position(|&v| v == broker)
-                        .map(|k| arrival[k])
-                };
-                let mut per_event = Vec::with_capacity(out.notifications.len());
-                for note in &out.notifications {
-                    let t = visit_time(note.found_at).expect("found_at was visited")
-                        + cfg.topology.distances(note.found_at)[note.owner as usize];
-                    per_event.push(t as f64);
-                }
+                // Each notification's arrival tick at its owner.
+                let per_event: Vec<f64> = out
+                    .notifications
+                    .iter()
+                    .map(|note| note.eta as f64)
+                    .collect();
                 if !per_event.is_empty() {
                     summary_lat.push(mean(&per_event));
                     summary_max.push(per_event.iter().cloned().fold(0.0, f64::max));

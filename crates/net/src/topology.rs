@@ -36,6 +36,8 @@ pub enum TopologyError {
     Disconnected,
     /// A topology must have at least one node.
     Empty,
+    /// More brokers than [`Topology::MAX_BROKERS`].
+    TooLarge(usize),
 }
 
 impl fmt::Display for TopologyError {
@@ -45,6 +47,11 @@ impl fmt::Display for TopologyError {
             TopologyError::SelfLoop(v) => write!(f, "self loop at node {v}"),
             TopologyError::Disconnected => write!(f, "topology is not connected"),
             TopologyError::Empty => write!(f, "topology has no nodes"),
+            TopologyError::TooLarge(n) => write!(
+                f,
+                "topology of {n} brokers exceeds the limit of {}",
+                Topology::MAX_BROKERS
+            ),
         }
     }
 }
@@ -77,16 +84,26 @@ pub struct Topology {
 }
 
 impl Topology {
+    /// The most brokers a topology may have: its distance matrix is then
+    /// 64 MiB. Every named topology is far below it (the largest,
+    /// [`Topology::isp_backbone_33`], has 33), and a count read from
+    /// outside input cannot ask for more.
+    pub const MAX_BROKERS: usize = 4096;
+
     /// Builds a topology from an edge list over nodes `0..n`, deriving
     /// its hop-distance matrix with one BFS per broker (n² `u32`).
     ///
     /// # Errors
     ///
-    /// Rejects empty graphs, out-of-range endpoints, self loops and
-    /// disconnected graphs. Duplicate edges are ignored.
+    /// Rejects empty graphs, more than [`Topology::MAX_BROKERS`] nodes
+    /// (before allocating anything), out-of-range endpoints, self loops
+    /// and disconnected graphs. Duplicate edges are ignored.
     pub fn from_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Result<Self, TopologyError> {
         if n == 0 {
             return Err(TopologyError::Empty);
+        }
+        if n > Self::MAX_BROKERS {
+            return Err(TopologyError::TooLarge(n));
         }
         let mut adj = vec![Vec::new(); n];
         for &(a, b) in edges {
@@ -617,6 +634,32 @@ mod tests {
         // Duplicate edges collapse.
         let t = Topology::from_edges(2, &[(0, 1), (1, 0)]).unwrap();
         assert_eq!(t.edge_count(), 1);
+    }
+
+    /// The edges of a path over nodes `0..n`.
+    fn path_edges(n: usize) -> Vec<(NodeId, NodeId)> {
+        (1..n).map(|v| ((v - 1) as NodeId, v as NodeId)).collect()
+    }
+
+    #[test]
+    fn from_edges_refuses_more_than_max_brokers() {
+        let n = Topology::MAX_BROKERS;
+        assert_eq!(Topology::from_edges(n, &path_edges(n)).unwrap().len(), n);
+        assert_eq!(
+            Topology::from_edges(n + 1, &path_edges(n + 1)).unwrap_err(),
+            TopologyError::TooLarge(n + 1)
+        );
+    }
+
+    #[test]
+    fn from_edges_refuses_a_count_past_node_ids() {
+        // 65 536 nodes: node ids stop at 65 535, and the matrix would be
+        // 16 GiB. Refused before either matters.
+        let n = usize::from(NodeId::MAX) + 1;
+        assert_eq!(
+            Topology::from_edges(n, &path_edges(n)).unwrap_err(),
+            TopologyError::TooLarge(n)
+        );
     }
 
     #[test]

@@ -71,6 +71,19 @@ pub fn broker_subsumption_probability(topology: &Topology, broker: NodeId, p_max
     p_max * topology.degree(broker) as f64 / max_degree as f64
 }
 
+/// The children lists of a spanning tree given by `parent` (as
+/// [`Topology::shortest_path_tree`] returns it): `children[v]` holds the
+/// nodes whose parent is `v`, in ascending id order.
+pub(crate) fn tree_children(parent: &[Option<NodeId>]) -> Vec<Vec<NodeId>> {
+    let mut children = vec![Vec::new(); parent.len()];
+    for (v, &p) in parent.iter().enumerate() {
+        if let Some(p) = p {
+            children[p as usize].push(v as NodeId);
+        }
+    }
+    children
+}
+
 /// Runs the probabilistic model: each broker sources `sigma` new
 /// subscriptions which flood its spanning tree subject to per-broker
 /// subsumption pruning.
@@ -85,15 +98,8 @@ pub fn propagate_probabilistic<R: Rng>(
     let mut metrics = NetMetrics::new(n);
     let mut stored = vec![0u64; n];
 
-    // Precompute children lists of each source's spanning tree.
     for source in 0..n as NodeId {
-        let parent = topology.shortest_path_tree(source);
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for v in 0..n as NodeId {
-            if let Some(p) = parent[v as usize] {
-                children[p as usize].push(v);
-            }
-        }
+        let children = tree_children(&topology.shortest_path_tree(source));
         let probs: Vec<f64> = (0..n as NodeId)
             .map(|v| broker_subsumption_probability(topology, v, params.subsumption_max))
             .collect();
@@ -144,13 +150,7 @@ pub fn propagate_content(
         std::collections::HashMap::new();
 
     for source in 0..n as NodeId {
-        let parent = topology.shortest_path_tree(source);
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for v in 0..n as NodeId {
-            if let Some(p) = parent[v as usize] {
-                children[p as usize].push(v);
-            }
-        }
+        let children = tree_children(&topology.shortest_path_tree(source));
         for sub in &subs[source as usize] {
             stored[source as usize] += 1;
             let size = sub.wire_size(schema, arith_width);

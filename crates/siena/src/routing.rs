@@ -92,12 +92,7 @@ impl SienaEventRouting {
         let mut reach = Vec::with_capacity(n);
         for m in 0..n as NodeId {
             let parent = topology.shortest_path_tree(m);
-            let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-            for v in 0..n as NodeId {
-                if let Some(p) = parent[v as usize] {
-                    children[p as usize].push(v);
-                }
-            }
+            let children = crate::propagation::tree_children(&parent);
             let mut reached = vec![false; n];
             reached[m as usize] = true;
             let mut queue = vec![m];

@@ -35,10 +35,6 @@ pub const MATCH_PLAN_PROBE_ROWS: &str = "match.plan_probe_rows";
 /// Match-scratch growth events (array resizes to a larger population);
 /// steady-state matching against a fixed summary records zero.
 pub const MATCH_SCRATCH_GROWS: &str = "match.scratch_grows";
-/// SACS wildcard rows actually tested (index-selected plus literal hits).
-pub const SACS_INDEX_HITS: &str = "sacs.index_hits";
-/// SACS wildcard rows the anchor buckets skipped without testing.
-pub const SACS_ROWS_PRUNED: &str = "sacs.rows_pruned";
 
 /// Subscribe path of the summary broker (`subsum-broker`).
 pub const BROKER_SUBSCRIBE: &str = "broker.subscribe";
@@ -123,8 +119,6 @@ mod tests {
             super::MATCH_PLAN_REBUILDS,
             super::MATCH_PLAN_PROBE_ROWS,
             super::MATCH_SCRATCH_GROWS,
-            super::SACS_INDEX_HITS,
-            super::SACS_ROWS_PRUNED,
             super::BROKER_SUBSCRIBE,
             super::BROKER_PROPAGATE,
             super::PROPAGATE_ROUND,
