@@ -154,6 +154,23 @@ impl RangeSummary {
             idlist_merge(list, ids);
             return;
         }
+        // A row wholly above the last row (the order a decoded stream
+        // lists its rows in) lies above every row and splits none: it is
+        // appended, and only the last row can coalesce with it.
+        let above_all = self.ranges.last().map_or(true, |last| {
+            cmp_lo(&last.interval, &iv) == std::cmp::Ordering::Less
+                && last.interval.intersect(&iv).is_empty()
+        });
+        if above_all {
+            push_coalesced(
+                &mut self.ranges,
+                RangeRow {
+                    interval: iv,
+                    ids: ids.to_vec(),
+                },
+            );
+            return;
+        }
         let mut result: Vec<RangeRow> = Vec::with_capacity(self.ranges.len() + 2);
         // Degenerate fragments produced by splitting are routed to
         // AACS_E so the partition holds only proper ranges (keeps the
@@ -195,24 +212,38 @@ impl RangeSummary {
         }
     }
 
+    /// The first equality row that lies inside a sub-range row sharing
+    /// an id with it, as `(value, shared id, sub-range)`. The insertion
+    /// paths never build one; the compiled plan's dedup-free arithmetic
+    /// probe would count that id twice.
+    pub(crate) fn point_inside_shared_range(&self) -> Option<(Num, DenseId, Interval)> {
+        let mut rows = self.ranges.iter().peekable();
+        for (&v, ids) in &self.points {
+            while rows.next_if(|row| upper_below(&row.interval, v)).is_some() {}
+            let Some(row) = rows.peek() else {
+                break;
+            };
+            if !row.interval.contains(v) {
+                continue;
+            }
+            let (mut i, mut j) = (0, 0);
+            while let (Some(&a), Some(&b)) = (ids.get(i), row.ids.get(j)) {
+                match a.cmp(&b) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => return Some((v, a, row.interval)),
+                }
+            }
+        }
+        None
+    }
+
     /// Merges adjacent rows with identical id lists back into one row
     /// (keeps `n_sr` minimal after splits and removals).
     fn coalesce(&mut self) {
         let mut out: Vec<RangeRow> = Vec::with_capacity(self.ranges.len());
         for row in self.ranges.drain(..) {
-            match out.last_mut() {
-                Some(last) if last.ids == row.ids => {
-                    let union = IntervalSet::from_interval(last.interval)
-                        .union(&IntervalSet::from_interval(row.interval));
-                    let mut parts = union.iter();
-                    if let (Some(&merged), None) = (parts.next(), parts.next()) {
-                        last.interval = merged;
-                        continue;
-                    }
-                    out.push(row);
-                }
-                _ => out.push(row),
-            }
+            push_coalesced(&mut out, row);
         }
         self.ranges = out;
     }
@@ -383,32 +414,29 @@ impl RangeSummary {
         // Per-id range/point disjointness: an id never carries both a
         // sub-range row containing a value and an equality row at that
         // value. IntervalSet normalization guarantees this at insert
-        // time (a point adjacent to a range unions into it); the
-        // compiled plan's probe relies on it to skip per-attribute
-        // dedup on arithmetic banks.
-        for (v, ids) in &self.points {
-            let idx = self
-                .ranges
-                .partition_point(|row| upper_below(&row.interval, *v));
-            let Some(row) = self.ranges.get(idx) else {
-                continue;
-            };
-            if !row.interval.contains(*v) {
-                continue;
-            }
-            let (mut i, mut j) = (0, 0);
-            while i < ids.len() && j < row.ids.len() {
-                match ids[i].cmp(&row.ids[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => panic!(
-                        "dense id {} appears in AACS_E {v} and the covering AACS_SR row {}",
-                        ids[i], row.interval
-                    ),
-                }
-            }
+        // time (a point adjacent to a range unions into it), and the
+        // decoder refuses a stream that breaks it; the compiled plan's
+        // probe relies on it to skip per-attribute dedup on arithmetic
+        // banks.
+        if let Some((v, d, interval)) = self.point_inside_shared_range() {
+            panic!("dense id {d} appears in AACS_E {v} and the covering AACS_SR row {interval}");
         }
     }
+}
+
+/// Appends `row` to sorted, disjoint `rows`, joining it to the last row
+/// when the two carry the same ids and their union is one interval.
+fn push_coalesced(rows: &mut Vec<RangeRow>, row: RangeRow) {
+    if let Some(last) = rows.last_mut().filter(|last| last.ids == row.ids) {
+        let union = IntervalSet::from_interval(last.interval)
+            .union(&IntervalSet::from_interval(row.interval));
+        let mut parts = union.iter();
+        if let (Some(&merged), None) = (parts.next(), parts.next()) {
+            last.interval = merged;
+            return;
+        }
+    }
+    rows.push(row);
 }
 
 /// `true` if the interval lies entirely below `v`.
@@ -593,6 +621,55 @@ mod tests {
         assert_eq!(a.query(n(4.0)), vec![id(1), id(2)]);
         assert_eq!(a.query(n(9.0)), vec![id(1), id(2)]);
         assert_eq!(a.query(n(7.0)), vec![id(2)]);
+    }
+
+    /// Rows inserted in ascending order take the append path, the same
+    /// rows in descending order the splitting one: both build the same
+    /// partition, adjacent rows with equal ids joined into one.
+    #[test]
+    fn ascending_inserts_build_what_descending_ones_do() {
+        use rand::Rng;
+        use subsum_types::{LowerBound, UpperBound};
+        rand::check::check(
+            "ascending_inserts_build_what_descending_ones_do",
+            256,
+            |g| {
+                let mut rows: Vec<(Interval, IdList)> = Vec::new();
+                let mut lo = g.gen_range(-8i32..0);
+                for _ in 0..g.gen_range(1..10) {
+                    let hi = lo + g.gen_range(1..4);
+                    let lower = if g.gen() {
+                        LowerBound::Incl(n(lo.into()))
+                    } else {
+                        LowerBound::Excl(n(lo.into()))
+                    };
+                    let iv = Interval::new(lower, UpperBound::Excl(n(hi.into())));
+                    let ids = match g.gen_range(0..3) {
+                        0 => vec![id(1)],
+                        1 => vec![id(2)],
+                        _ => vec![id(1), id(2)],
+                    };
+                    rows.push((iv, ids));
+                    lo = hi + g.gen_range(0..2);
+                }
+                if g.gen() {
+                    rows[0].0 = Interval::new(LowerBound::NegInf, rows[0].0.hi());
+                }
+                if let Some(last) = rows.last_mut().filter(|_| g.gen()) {
+                    last.0 = Interval::new(last.0.lo(), UpperBound::PosInf);
+                }
+                let mut ascending = RangeSummary::new();
+                for (iv, ids) in &rows {
+                    ascending.insert_interval_ids(*iv, ids);
+                }
+                let mut descending = RangeSummary::new();
+                for (iv, ids) in rows.iter().rev() {
+                    descending.insert_interval_ids(*iv, ids);
+                }
+                ascending.validate();
+                assert_eq!(ascending, descending);
+            },
+        );
     }
 
     #[test]

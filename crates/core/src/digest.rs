@@ -72,17 +72,24 @@ fn hash_pattern(mut h: u64, p: &Pattern) -> u64 {
     h
 }
 
-/// Folds the resolved (sorted) subscription ids of one row.
-fn hash_row_ids(
-    summary: &BrokerSummary,
-    dense: &IdList,
-    mut h: u64,
-    scratch: &mut Vec<SubscriptionId>,
-) -> u64 {
-    summary.resolve_postings(dense, scratch);
-    h = fold(h, scratch.len() as u64);
-    for &id in scratch.iter() {
-        h = fold(h, hash_id(id));
+/// `hash_pattern` of `Pattern::literal(s)`, without building it: both
+/// ends anchored, and one segment unless `s` is empty.
+fn hash_literal(mut h: u64, s: &str) -> u64 {
+    h = fold(h, 0b11);
+    h = fold(h, u64::from(!s.is_empty()));
+    if !s.is_empty() {
+        h = hash_bytes(h, s.as_bytes());
+    }
+    h
+}
+
+/// Folds the subscription ids of one row, resolved through `ids` (the
+/// intern table, sorted, so the row's ids fold in id order).
+fn hash_row_ids(ids: &[SubscriptionId], dense: &IdList, mut h: u64) -> u64 {
+    h = fold(h, dense.len() as u64);
+    for &d in dense {
+        // BOUND: a posting is a rank in the intern table.
+        h = fold(h, hash_id(ids[d as usize]));
     }
     h
 }
@@ -158,12 +165,12 @@ impl BrokerSummary {
     /// Computes the summary's anti-entropy digest. Linear in the total
     /// row/posting count; no ordering of rows is assumed.
     pub fn digest(&self) -> SummaryDigest {
-        let ids = self.subscription_ids();
+        // The intern table holds exactly the ids the rows name, sorted.
+        let ids = self.intern_table().ids_slice();
         let id_hash = ids
             .iter()
             .fold(0u64, |acc, &id| acc.wrapping_add(hash_id(id)));
 
-        let mut scratch = Vec::new();
         let mut structure = 0u64;
         for (attr, _spec) in self.schema().iter() {
             let attr_salt = mix64(0xA77A ^ attr.0 as u64);
@@ -181,18 +188,24 @@ impl BrokerSummary {
                         UpperBound::Incl(n) => hash_num(fold(h, 1), n),
                         UpperBound::Excl(n) => hash_num(fold(h, 2), n),
                     };
-                    attr_hash =
-                        attr_hash.wrapping_add(hash_row_ids(self, &row.ids, h, &mut scratch));
+                    attr_hash = attr_hash.wrapping_add(hash_row_ids(ids, &row.ids, h));
                 }
                 for (num, idlist) in aacs.points() {
                     let h = hash_num(fold(attr_salt, 0x50_49_4E_54), num);
-                    attr_hash = attr_hash.wrapping_add(hash_row_ids(self, idlist, h, &mut scratch));
+                    attr_hash = attr_hash.wrapping_add(hash_row_ids(ids, idlist, h));
                 }
             }
             if let Some(sacs) = self.string_summary(attr) {
-                for (pattern, idlist) in sacs.rows() {
-                    let h = hash_pattern(fold(attr_salt, 0x504154), &pattern);
-                    attr_hash = attr_hash.wrapping_add(hash_row_ids(self, idlist, h, &mut scratch));
+                // Rows fold by a commutative add, so each group is walked
+                // where it lies.
+                let salt = fold(attr_salt, 0x504154);
+                for row in sacs.wildcards() {
+                    let h = hash_pattern(salt, &row.pattern);
+                    attr_hash = attr_hash.wrapping_add(hash_row_ids(ids, &row.ids, h));
+                }
+                for (lit, idlist) in sacs.literals() {
+                    let h = hash_literal(salt, lit);
+                    attr_hash = attr_hash.wrapping_add(hash_row_ids(ids, idlist, h));
                 }
             }
             structure = structure.wrapping_add(mix64(attr_salt ^ attr_hash));
@@ -310,6 +323,31 @@ mod tests {
         let bytes = d.to_bytes();
         assert_eq!(SummaryDigest::from_bytes(&bytes), Some(d));
         assert_eq!(SummaryDigest::from_bytes(&bytes[..23]), None);
+    }
+
+    /// Digests travel between daemons, so how `digest` walks the rows
+    /// may change but its values may not.
+    #[test]
+    fn digests_match_the_pinned_values() {
+        let (schema, subs) = subs();
+        let mut fixture = BrokerSummary::new(schema);
+        for (i, sub) in subs.iter().enumerate() {
+            fixture.insert(BrokerId(3), LocalSubId(i as u32), sub);
+        }
+        let seeded = crate::testkit::seeded_summary(21, 800);
+        let pinned = |count, id_hash, structure| SummaryDigest {
+            count,
+            id_hash,
+            structure,
+        };
+        assert_eq!(
+            fixture.digest(),
+            pinned(3, 0xd072_51b2_cf53_c54e, 0xf465_d72f_3c42_1012)
+        );
+        assert_eq!(
+            seeded.digest(),
+            pinned(796, 0xd36f_af19_17bb_ed17, 0x6c55_5a09_0cb5_170f)
+        );
     }
 
     #[test]

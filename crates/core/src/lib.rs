@@ -60,6 +60,8 @@ mod sacs;
 mod shard;
 mod stats;
 mod summary;
+#[cfg(test)]
+mod testkit;
 mod wire;
 
 pub use aacs::{QueryCost, RangeRow, RangeSummary};

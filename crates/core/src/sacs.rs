@@ -97,15 +97,27 @@ impl PatternSummary {
     /// Iterates over all rows in a deterministic order: wildcard rows in
     /// insertion order, then literal rows sorted by value.
     pub fn rows(&self) -> impl Iterator<Item = (Pattern, &IdList)> {
-        let mut lits: Vec<(&String, &IdList)> = self.literals.iter().collect();
-        lits.sort_by(|a, b| a.0.cmp(b.0));
         self.patterns
             .iter()
             .map(|r| (r.pattern.clone(), &r.ids))
             .chain(
-                lits.into_iter()
-                    .map(|(s, ids)| (Pattern::literal(s.clone()), ids)),
+                self.sorted_literals()
+                    .into_iter()
+                    .map(|(s, ids)| (Pattern::literal(s), ids)),
             )
+    }
+
+    /// The literal rows in no particular order.
+    pub(crate) fn literals(&self) -> impl Iterator<Item = (&str, &IdList)> {
+        self.literals.iter().map(|(s, ids)| (s.as_str(), ids))
+    }
+
+    /// The literal rows sorted by value (the order `rows` and the wire
+    /// list them in).
+    pub(crate) fn sorted_literals(&self) -> Vec<(&str, &IdList)> {
+        let mut lits: Vec<_> = self.literals().collect();
+        lits.sort_unstable_by_key(|&(s, _)| s);
+        lits
     }
 
     /// Total id-list length across rows (`L_s` in the size equations).
@@ -176,7 +188,9 @@ impl PatternSummary {
 
     /// Adds `ids` under the literal `lit`: to the first wildcard row
     /// that matches it, else to its exact literal row (or a new one).
-    fn insert_literal(&mut self, lit: &str, ids: &[DenseId]) {
+    /// Equals `insert_ids(Pattern::literal(lit), ids)` without building
+    /// the pattern (the decoder inserts wire text this way).
+    pub(crate) fn insert_literal(&mut self, lit: &str, ids: &[DenseId]) {
         if let Some(row) = self
             .patterns
             .iter_mut()
@@ -186,6 +200,12 @@ impl PatternSummary {
         } else {
             idlist_merge(self.literals.entry(lit.to_owned()).or_default(), ids);
         }
+    }
+
+    /// Makes room for `n` more literal rows (the decoder sizes each map
+    /// once rather than by doubling as its rows arrive).
+    pub(crate) fn reserve_literals(&mut self, n: usize) {
+        self.literals.reserve(n);
     }
 
     /// The wildcard rows in row order (compiled-plan path: the plan

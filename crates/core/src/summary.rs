@@ -403,100 +403,108 @@ impl BrokerSummary {
         }
     }
 
-    /// Installs the rows of a decoded summary in one pass (decoder
-    /// internals). The wire carries plain `SubscriptionId` lists — the
-    /// dense representation never travels — so the intern table is
-    /// rebuilt wholesale here: union all row ids, then translate each
-    /// row's sorted id list to dense postings. Rebuilding in two passes
-    /// keeps decode linear; interning row by row would renumber postings
-    /// quadratically on adversarial id orders. The decoder has already
-    /// refused any id posted under an attribute its `c3` mask lacks, so
-    /// the plan's mask filter holds for decoded summaries too.
+    /// Installs the rows of a decoded stream (decoder internals). The
+    /// wire carries plain `SubscriptionId` lists — the dense
+    /// representation never travels — so the decoder has already sorted
+    /// the ids of every row that installs into `rows.ids`, which becomes
+    /// the intern table as it is, and named each posting by its rank
+    /// there. The rows then install one by one in wire order; rows laid
+    /// out as `encode` writes them take the append path of
+    /// [`RangeSummary::insert_interval_ids`], and each literal row is
+    /// tested only against its attribute's few wildcard rows, so the pass
+    /// is linear in the rows. The decoder
+    /// has already refused any id posted under an attribute its `c3`
+    /// mask lacks, so the plan's mask filter holds for decoded summaries
+    /// too.
+    ///
+    /// # Errors
+    ///
+    /// The attribute of the first AACS whose equality row lies inside a
+    /// sub-range row sharing an id with it (see
+    /// [`RangeSummary::point_inside_shared_range`]); the compiled plan
+    /// would count that id twice, so such a stream is refused.
     pub(crate) fn install_decoded_rows(
         &mut self,
-        arith_rows: &[(subsum_types::AttrId, subsum_types::Interval, SubIdList)],
-        point_rows: &[(subsum_types::AttrId, subsum_types::Num, SubIdList)],
-        string_rows: &[(subsum_types::AttrId, subsum_types::Pattern, SubIdList)],
-    ) {
+        rows: crate::wire::DecodedRows<'_>,
+    ) -> Result<(), subsum_types::AttrId> {
+        use crate::wire::RowPattern;
         self.plan.invalidate();
         CNT_INTERN_REBUILDS.inc();
-        // Pass 1: the union of the ids of every row that will actually
-        // install (skipping the rows the old per-row inserters skipped,
-        // so no table slot ends up without a posting).
-        let mut all = SubIdList::new();
-        for (_, iv, ids) in arith_rows {
-            if !iv.is_empty() && !ids.is_empty() {
-                all.extend_from_slice(ids);
-            }
-        }
-        for (_, _, ids) in point_rows {
-            all.extend_from_slice(ids);
-        }
-        for (_, _, ids) in string_rows {
-            all.extend_from_slice(ids);
-        }
-        all.sort_unstable();
-        all.dedup();
-        self.intern = InternTable::from_ids(all);
-        // Pass 2: install each row with its ids translated to dense
-        // postings (a sorted id list maps to a sorted dense list).
-        let mut buf = IdList::new();
-        for (attr, iv, ids) in arith_rows {
-            if iv.is_empty() || ids.is_empty() {
-                continue;
-            }
-            buf.clear();
-            for id in ids {
-                if let Ok(pos) = self.intern.position(id) {
-                    buf.push(pos as DenseId);
+        self.intern = InternTable::from_ids(rows.ids);
+        let postings = |span: std::ops::Range<usize>| rows.postings.get(span).unwrap_or(&[]);
+        for (attr, iv, span) in rows.ranges {
+            let ids = postings(span);
+            if let Some(slot) = self.arith.get_mut(attr.index()) {
+                if !iv.is_empty() && !ids.is_empty() {
+                    slot.get_or_insert_with(RangeSummary::new)
+                        .insert_interval_ids(iv, ids);
                 }
             }
-            self.arith[attr.index()]
-                .get_or_insert_with(RangeSummary::new)
-                .insert_interval_ids(*iv, &buf);
         }
-        for (attr, v, ids) in point_rows {
-            if ids.is_empty() {
-                continue;
-            }
-            buf.clear();
-            for id in ids {
-                if let Ok(pos) = self.intern.position(id) {
-                    buf.push(pos as DenseId);
+        for (attr, v, span) in rows.points {
+            let ids = postings(span);
+            if let Some(slot) = self.arith.get_mut(attr.index()) {
+                if !ids.is_empty() {
+                    slot.get_or_insert_with(RangeSummary::new)
+                        .insert_point_ids(v, ids);
                 }
             }
-            self.arith[attr.index()]
-                .get_or_insert_with(RangeSummary::new)
-                .insert_point_ids(*v, &buf);
         }
-        for (attr, pattern, ids) in string_rows {
-            if ids.is_empty() {
-                continue;
+        if let Some(idx) = self.arith.iter().position(|slot| {
+            slot.as_ref()
+                .is_some_and(|s| s.point_inside_shared_range().is_some())
+        }) {
+            return Err(subsum_types::AttrId(idx as u16));
+        }
+        // Each literal map is sized once, not by doubling as rows arrive.
+        let mut literal_rows = vec![0; self.strings.len()];
+        for (attr, pattern, span) in &rows.strings {
+            if let (RowPattern::Literal(_), Some(n)) = (pattern, literal_rows.get_mut(attr.index()))
+            {
+                *n += usize::from(!span.is_empty());
             }
-            buf.clear();
-            for id in ids {
-                if let Ok(pos) = self.intern.position(id) {
-                    buf.push(pos as DenseId);
+        }
+        for (slot, n) in self.strings.iter_mut().zip(literal_rows) {
+            if n > 0 {
+                slot.get_or_insert_with(PatternSummary::new)
+                    .reserve_literals(n);
+            }
+        }
+        for (attr, pattern, span) in rows.strings {
+            let ids = postings(span);
+            if let Some(slot) = self.strings.get_mut(attr.index()) {
+                if !ids.is_empty() {
+                    let s = slot.get_or_insert_with(PatternSummary::new);
+                    match pattern {
+                        RowPattern::Literal(lit) => s.insert_literal(lit, ids),
+                        RowPattern::Wildcard(pattern) => s.insert_ids(pattern, ids),
+                    }
                 }
             }
-            self.strings[attr.index()]
-                .get_or_insert_with(PatternSummary::new)
-                .insert_ids(pattern.clone(), &buf);
+        }
+        Ok(())
+    }
+
+    /// A summary assembled from its parts: the row-by-row reference the
+    /// decoder is tested against builds its result this way.
+    #[cfg(test)]
+    pub(crate) fn from_parts(
+        schema: Schema,
+        ids: SubIdList,
+        arith: Vec<Option<RangeSummary>>,
+        strings: Vec<Option<PatternSummary>>,
+    ) -> Self {
+        BrokerSummary {
+            schema,
+            arith,
+            strings,
+            intern: InternTable::from_ids(ids),
+            plan: PlanCell::default(),
         }
     }
 
-    /// Resolves a dense posting list to full subscription ids, replacing
-    /// the contents of `out` (encoder support — the wire codec stays
-    /// representation-free and never sees dense ids). Dense order equals
-    /// id order, so the output is sorted.
-    pub(crate) fn resolve_postings(&self, dense: &[DenseId], out: &mut SubIdList) {
-        out.clear();
-        for &d in dense {
-            out.push(self.intern.resolve(d));
-        }
-    }
-
-    /// The intern table (wire sizing resolves dense postings through it).
+    /// The intern table (the encoder packs its ids once, and digests
+    /// resolve dense postings through it).
     pub(crate) fn intern_table(&self) -> &InternTable {
         &self.intern
     }

@@ -73,7 +73,10 @@ fn flip_and_decode(seed: u64, flips: &[(usize, u8)]) {
     }
     if let Ok(decoded) = codec.decode(&bytes, &schema) {
         // A successfully decoded summary must be internally
-        // consistent enough to encode again.
+        // consistent: it validates (in debug builds, where `validate`
+        // exists) and encodes again.
+        #[cfg(debug_assertions)]
+        decoded.validate();
         let _ = codec.encode(&decoded);
     }
 }

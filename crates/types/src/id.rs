@@ -177,10 +177,27 @@ impl IdLayout {
     ///
     /// # Errors
     ///
-    /// Returns [`TypeError::TooManyAttributes`] if `attrs > 64`.
+    /// Returns [`TypeError::TooManyAttributes`] if `attrs > 64`, and
+    /// [`TypeError::IdOverflow`] if `brokers > 2¹⁶` or `max_subs > 2³²`:
+    /// [`BrokerId`] and [`LocalSubId`] hold no more, so a wider `c1` or
+    /// `c2` would let two packed ids decode to one id.
     pub fn new(brokers: u64, max_subs: u64, attrs: u32) -> Result<Self, TypeError> {
         if attrs > 64 {
             return Err(TypeError::TooManyAttributes(attrs as usize));
+        }
+        if brokers > 1 << u16::BITS {
+            return Err(TypeError::IdOverflow {
+                component: "c1",
+                value: brokers,
+                bits: u16::BITS,
+            });
+        }
+        if max_subs > 1 << u32::BITS {
+            return Err(TypeError::IdOverflow {
+                component: "c2",
+                value: max_subs,
+                bits: u32::BITS,
+            });
         }
         Ok(IdLayout {
             broker_bits: bits_for(brokers.max(1)),
@@ -252,7 +269,8 @@ impl IdLayout {
         Ok(packed)
     }
 
-    /// Unpacks an id packed by [`IdLayout::encode`].
+    /// Unpacks an id packed by [`IdLayout::encode`]. Bits above `c1`'s
+    /// low 16 are dropped.
     pub fn decode(&self, packed: u128) -> SubscriptionId {
         let attr_mask = low_bits(self.attr_bits);
         let local_mask = low_bits(self.local_bits);
@@ -390,6 +408,32 @@ mod tests {
     fn too_many_attrs_rejected() {
         assert!(IdLayout::new(4, 8, 65).is_err());
         assert!(IdLayout::new(4, 8, 64).is_ok());
+    }
+
+    /// A layout with a wider `c1` or `c2` than `BrokerId`/`LocalSubId`
+    /// hold would decode two packed ids to one: a packed `c1` of 65 536
+    /// came back as `BrokerId(0)`.
+    #[test]
+    fn layouts_wider_than_the_id_fields_are_refused() {
+        assert!(IdLayout::new(1 << 16, 1 << 32, 64).is_ok());
+        assert!(matches!(
+            IdLayout::new((1 << 16) + 1, 8, 7),
+            Err(TypeError::IdOverflow {
+                component: "c1",
+                ..
+            })
+        ));
+        assert!(matches!(
+            IdLayout::new(4, (1 << 32) + 1, 7),
+            Err(TypeError::IdOverflow {
+                component: "c2",
+                ..
+            })
+        ));
+        let widest = IdLayout::new(1 << 16, 1 << 32, 64).unwrap();
+        assert_eq!(widest.bit_len(), 16 + 32 + 64);
+        let id = SubscriptionId::new(BrokerId(u16::MAX), LocalSubId(u32::MAX), AttrMask(u64::MAX));
+        assert_eq!(widest.decode(widest.encode(id).unwrap()), id);
     }
 
     #[test]
