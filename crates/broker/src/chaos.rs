@@ -29,20 +29,23 @@
 //! [`Msg::to_frame_bytes`], a delivery goes through a fresh
 //! [`FrameDecoder`] (the fault plan drops and duplicates whole frames)
 //! and [`Msg::decode_frame`] into [`DaemonCore::step`]. The scheduled
-//! waves are `DaemonCore` calls ([`DaemonCore::push_summary`] is the
-//! push a `Subscribe` triggers). This module adds faults, timers,
-//! counters — each frame's length charged to its message kind as it
-//! passes the sink, so a run's byte counts are what its links carry —
-//! and one simulated client per broker: it owns
+//! waves are `DaemonCore` calls ([`DaemonCore::push_summary`]); a
+//! `Subscribe` frame makes the step push a `SummaryDelta`. This module
+//! adds faults, timers, counters — each frame's length charged to its
+//! message kind as it passes the sink, so a run's byte counts are what
+//! its links carry — and one simulated client per broker: it owns
 //! every subscription of its broker (across a crash too: a restored id
 //! keeps its owner), can `Subscribe` mid-run
 //! ([`ChaosRun::subscribe_at`]) and, once a run has drained, publishes
 //! and collects real `Deliver` frames ([`ChaosRun::publish`]).
 //!
-//! Updates are **view replacements**, so duplicated messages are
-//! naturally idempotent, and every run is a pure function of
-//! `(topology, subscriptions, plan, config)`: two runs with one seed
-//! produce identical [`ChaosStats`], byte for byte.
+//! A full update **replaces** a view and a delta **merges** into it
+//! behind its before/after digest gate: a duplicate finds the view
+//! already at the after digest and is ignored, and a delta whose base
+//! the view is not at (an earlier one was dropped) is answered by a
+//! pull. So duplicated messages stay idempotent, and every run is a
+//! pure function of `(topology, subscriptions, plan, config)`: two runs
+//! with one seed produce identical [`ChaosStats`], byte for byte.
 //!
 //! # Example
 //!
@@ -154,6 +157,10 @@ pub struct ChaosStats {
     /// Frame bytes of those updates: each wire-codec payload plus its
     /// message and frame headers.
     pub full_summary_bytes: u64,
+    /// `SummaryDelta` frames sent: one per `Subscribe` and peer link.
+    pub delta_updates: u64,
+    /// Frame bytes of those deltas.
+    pub delta_bytes: u64,
     /// Pull requests sent.
     pub pulls: u64,
     /// Frame bytes of those pull requests.
@@ -161,10 +168,10 @@ pub struct ChaosStats {
 }
 
 impl ChaosStats {
-    /// Total frame bytes put on the peer links (updates + digests +
-    /// pulls).
+    /// Total frame bytes put on the peer links (full and delta updates
+    /// + digests + pulls).
     pub fn total_bytes(&self) -> u64 {
-        self.full_summary_bytes + self.digest_bytes + self.pull_bytes
+        self.full_summary_bytes + self.delta_bytes + self.digest_bytes + self.pull_bytes
     }
 }
 
@@ -215,7 +222,7 @@ impl Node {
         let resyncs = self.daemon.counters().resyncs.get();
         self.daemon
             .step(from.map_or(CLIENT, ConnId::from), msg, sink);
-        // Only a stale digest is answered by a pull.
+        // Only a stale digest or an unappliable delta is answered by a pull.
         sink.stats.resyncs += self.daemon.counters().resyncs.get() - resyncs;
     }
 }
@@ -651,6 +658,10 @@ impl Sink for NetSink<'_> {
             Msg::Summary { .. } => {
                 self.stats.full_updates += 1;
                 self.stats.full_summary_bytes += len;
+            }
+            Msg::SummaryDelta { .. } => {
+                self.stats.delta_updates += 1;
+                self.stats.delta_bytes += len;
             }
             Msg::Digest { .. } | Msg::Hello { .. } | Msg::HelloAck { .. } => {
                 self.stats.digest_msgs += 1;

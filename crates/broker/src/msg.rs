@@ -1,6 +1,6 @@
 //! Messages carried in [`crate::frame`] frames.
 //!
-//! The tag space splits in two: kinds `1..=6` are the **peer protocol**
+//! The tag space splits in two: kinds `1..=7` are the **peer protocol**
 //! (daemon ↔ daemon — handshake, summary propagation, anti-entropy,
 //! event routing) and kinds `16..=21` are the **client protocol**
 //! (client ↔ daemon — subscribe, publish, deliver). Summary payloads
@@ -31,6 +31,9 @@ pub const KIND_DIGEST: u8 = 4;
 pub const KIND_PULL: u8 = 5;
 /// Peer protocol: an event routed toward a broker whose summary matched.
 pub const KIND_ROUTE: u8 = 6;
+/// Peer protocol: the rows one subscribe added to the sender's summary,
+/// between its digests before and after.
+pub const KIND_SUMMARY_DELTA: u8 = 7;
 
 /// Client protocol: register a subscription.
 pub const KIND_SUBSCRIBE: u8 = 16;
@@ -117,6 +120,20 @@ pub enum Msg {
         /// The requesting broker.
         from: BrokerId,
     },
+    /// Incremental summary push: what one subscribe added to the
+    /// sender's own summary. A receiver whose view of the sender is at
+    /// `base` merges `bytes` into it and expects to arrive at `digest`.
+    SummaryDelta {
+        /// The broker whose summary grew.
+        from: BrokerId,
+        /// Digest of that summary before the subscribe.
+        base: SummaryDigest,
+        /// Digest of that summary after it.
+        digest: SummaryDigest,
+        /// `subsum-core::wire` codec bytes of a summary holding only the
+        /// added rows (none when the summary did not change).
+        bytes: Vec<u8>,
+    },
     /// An event forwarded to a broker whose summary matched it.
     Route {
         /// The broker the event was published at.
@@ -181,6 +198,7 @@ impl Msg {
             Msg::Digest { .. } => KIND_DIGEST,
             Msg::Pull { .. } => KIND_PULL,
             Msg::Route { .. } => KIND_ROUTE,
+            Msg::SummaryDelta { .. } => KIND_SUMMARY_DELTA,
             Msg::Subscribe { .. } => KIND_SUBSCRIBE,
             Msg::SubscribeAck { .. } => KIND_SUBSCRIBE_ACK,
             Msg::Publish { .. } => KIND_PUBLISH,
@@ -222,6 +240,20 @@ impl Msg {
             Msg::Route { origin, event } => {
                 w.u16(origin.0);
                 event.encode(&mut w);
+            }
+            Msg::SummaryDelta {
+                from,
+                base,
+                digest,
+                bytes,
+            } => {
+                w.u16(from.0);
+                write_digest(&mut w, base);
+                write_digest(&mut w, digest);
+                // Length-prefixed, so a truncated frame cannot pass for
+                // a shorter delta.
+                w.u32(bytes.len() as u32);
+                w.bytes(bytes);
             }
             Msg::Subscribe { sub } => {
                 sub.encode(&mut w);
@@ -296,6 +328,18 @@ impl Msg {
                 origin: BrokerId(r.u16()?),
                 event: Event::decode(&mut r)?,
             },
+            KIND_SUMMARY_DELTA => {
+                let from = BrokerId(r.u16()?);
+                let base = read_digest(&mut r)?;
+                let digest = read_digest(&mut r)?;
+                let len = r.u32()? as usize;
+                Msg::SummaryDelta {
+                    from,
+                    base,
+                    digest,
+                    bytes: r.bytes(len)?.to_vec(),
+                }
+            }
             KIND_SUBSCRIBE => Msg::Subscribe {
                 sub: Subscription::decode(&mut r)?,
             },
@@ -355,6 +399,15 @@ mod tests {
         }
     }
 
+    fn sample_delta(bytes: Vec<u8>) -> Msg {
+        Msg::SummaryDelta {
+            from: BrokerId(4),
+            base: sample_digest(1),
+            digest: sample_digest(2),
+            bytes,
+        }
+    }
+
     fn sample_id() -> SubscriptionId {
         SubscriptionId::new(BrokerId(3), LocalSubId(41), AttrMask(0b1010))
     }
@@ -410,6 +463,8 @@ mod tests {
                 origin: BrokerId(2),
                 event: sample_event(),
             },
+            sample_delta(vec![9, 8, 7]),
+            sample_delta(Vec::new()),
             Msg::Subscribe { sub: sample_sub() },
             Msg::SubscribeAck { id: sample_id() },
             Msg::Publish {
@@ -484,6 +539,8 @@ mod tests {
                 origin: BrokerId(2),
                 event: sample_event(),
             },
+            sample_delta(vec![9, 8, 7]),
+            sample_delta(Vec::new()),
             Msg::Subscribe { sub: sample_sub() },
             Msg::Deliver {
                 id: sample_id(),

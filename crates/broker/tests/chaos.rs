@@ -280,19 +280,6 @@ fn updates_are_wire_bytes_and_are_charged_their_frame_length() {
 #[test]
 fn delivered_sets_equal_exact_matches_after_repair() {
     let schema = stock_schema();
-    let topology = Topology::fig7_tree();
-    let mut probes: Vec<Event> = (0..14)
-        .map(|k| {
-            Event::builder(&schema)
-                .num("price", f64::from(k) - 0.5)
-                .unwrap()
-                .str("symbol", format!("S{}x", k % 6))
-                .unwrap()
-                .build()
-        })
-        .collect();
-    probes.push(Event::builder(&schema).num("price", 1e6).unwrap().build());
-
     let once = |seed: u64| {
         let mut run = populated_run(stormy_plan(seed), ChaosConfig::default());
         // Late arrivals: before the hub's crash (one at the hub itself,
@@ -308,36 +295,95 @@ fn delivered_sets_equal_exact_matches_after_repair() {
         let late = |b: u16| run.broker(b).exact().len() - 4;
         assert_eq!([late(9), late(5), late(0)], [1, 1, 1]);
         assert_eq!(late(4), 1, "the hub keeps only what came after its restart");
-
-        let mut delivered = Vec::new();
-        let mut true_matches = 0;
-        for event in &probes {
-            for b in 0..13u16 {
-                let mut expected: Vec<SubscriptionId> = std::iter::once(b)
-                    .chain(topology.neighbors(b).iter().copied())
-                    .flat_map(|owner| run.broker(owner).exact_matches(event))
-                    .collect();
-                expected.sort();
-                true_matches += expected.len();
-                let got = run.publish(b, event);
-                assert_eq!(got, expected, "seed {seed:#x}, broker {b}, {event:?}");
-                delivered.push(got);
-            }
-        }
-        assert!(true_matches > 100, "the sample exercises real matches");
-        assert!(
-            delivered.iter().flatten().any(|id| id.local.0 >= 4),
-            "a late subscription is among the delivered"
-        );
-        // What delivery rests on: each view is its neighbour's summary.
-        for b in 0..13u16 {
-            for &nb in topology.neighbors(b) {
-                assert_eq!(run.daemon(b).view(nb), Some(run.broker(nb).own()));
-            }
-        }
+        let delivered = delivers_exactly(&mut run, &format!("seed {seed:#x}"));
         (report, delivered)
     };
     for seed in [0x5EED, 0xBEEF, 0xD15EA5E] {
+        assert_eq!(once(seed), once(seed), "seed {seed:#x} replays exactly");
+    }
+}
+
+/// Publishes probes at every broker of a drained fig. 7 `run` and checks
+/// each is delivered to exactly the subscriptions it matches at the
+/// publisher and its neighbours, a late one (local number 4 or above)
+/// among them, and that each view is its neighbour's own summary, what
+/// that rests on. Returns the delivered sets.
+fn delivers_exactly(run: &mut ChaosRun, what: &str) -> Vec<Vec<SubscriptionId>> {
+    let schema = stock_schema();
+    let topology = Topology::fig7_tree();
+    let mut probes: Vec<Event> = (0..14)
+        .map(|k| {
+            Event::builder(&schema)
+                .num("price", f64::from(k) - 0.5)
+                .unwrap()
+                .str("symbol", format!("S{}x", k % 6))
+                .unwrap()
+                .build()
+        })
+        .collect();
+    probes.push(Event::builder(&schema).num("price", 1e6).unwrap().build());
+
+    let mut delivered = Vec::new();
+    let mut true_matches = 0;
+    for event in &probes {
+        for b in 0..13u16 {
+            let mut expected: Vec<SubscriptionId> = std::iter::once(b)
+                .chain(topology.neighbors(b).iter().copied())
+                .flat_map(|owner| run.broker(owner).exact_matches(event))
+                .collect();
+            expected.sort();
+            true_matches += expected.len();
+            let got = run.publish(b, event);
+            assert_eq!(got, expected, "{what}, broker {b}, {event:?}");
+            delivered.push(got);
+        }
+    }
+    assert!(true_matches > 100, "the sample exercises real matches");
+    assert!(
+        delivered.iter().flatten().any(|id| id.local.0 >= 4),
+        "a late subscription is among the delivered"
+    );
+    for b in 0..13u16 {
+        for &nb in topology.neighbors(b) {
+            assert_eq!(run.daemon(b).view(nb), Some(run.broker(nb).own()));
+        }
+    }
+    delivered
+}
+
+/// A subscribe ships only what it added: waves of client `Subscribe`
+/// frames at every broker, under drops, duplicates and delays, travel as
+/// `SummaryDelta` frames. A delta whose base a view missed is pulled; a
+/// duplicate is ignored. The run converges, replays exactly, and
+/// delivers every probe to exactly the subscriptions it matches.
+#[test]
+fn subscribe_waves_ship_deltas_and_deliver_exactly() {
+    let schema = stock_schema();
+    let once = |seed: u64| {
+        let mut plan = FaultPlan::reliable(seed);
+        plan.default_link = LinkProfile {
+            drop: 0.10,
+            duplicate: 0.20,
+            max_extra_delay: 6,
+        };
+        let mut run = populated_run(plan, ChaosConfig::default());
+        for wave in 0..4u32 {
+            for b in 0..13u16 {
+                let tick = 10 + 40 * u64::from(wave) + u64::from(b % 3);
+                run.subscribe_at(tick, b, &mixed_sub(&schema, b, 4 + wave));
+            }
+        }
+        let report = run.run().unwrap();
+        assert!(report.converged, "{report:?}");
+        let stats = report.stats;
+        assert!(stats.dropped > 0 && stats.duplicated > 0, "{stats:?}");
+        // Each broker's 4 subscribes went out on each of its links, of
+        // which the tree's 12 edges make 24.
+        assert_eq!(stats.delta_updates, 4 * 24, "{stats:?}");
+        let delivered = delivers_exactly(&mut run, &format!("seed {seed:#x}"));
+        (report, delivered)
+    };
+    for seed in [0x5EED, 0xDE17A] {
         assert_eq!(once(seed), once(seed), "seed {seed:#x} replays exactly");
     }
 }

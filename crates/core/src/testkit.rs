@@ -23,42 +23,48 @@ const STR_OPS: [StrOp; 5] = [
     StrOp::Contains,
 ];
 
-/// A summary over the stock schema built from `n` subscriptions drawn
-/// from `rng`: one to three constraints each, on every arithmetic
-/// attribute (quarter values, and thirds that 4-byte floats round) and
-/// both string attributes (every operator, and globs with an interior
-/// `*`), owned by any of 24 brokers.
-pub(crate) fn random_summary(rng: &mut StdRng, n: u32) -> BrokerSummary {
+/// A subscription over the stock schema drawn from `rng`: one to three
+/// constraints on any arithmetic attribute (quarter values, and thirds
+/// that 4-byte floats round) or either string attribute (every
+/// operator, and globs with an interior `*`); `None` when the drawn
+/// constraints do not build.
+pub(crate) fn random_subscription(rng: &mut StdRng) -> Option<Subscription> {
     let schema = stock_schema();
-    let mut summary = BrokerSummary::new(schema.clone());
-    for local in 0..n {
-        let mut b = Subscription::builder(&schema);
-        for _ in 0..rng.gen_range(1..4) {
-            b = if rng.gen() {
-                let attr = &schema
-                    .spec(subsum_types::AttrId(rng.gen_range(2u16..7)))
-                    .name;
-                let k = rng.gen_range(-40i32..40) as f64;
-                let v = if rng.gen_range(0..4) == 0 {
-                    k / 3.0
-                } else {
-                    k / 4.0
-                };
-                let op = NUM_OPS[rng.gen_range(0..NUM_OPS.len())];
-                b.num(attr, op, v).expect("arithmetic attribute")
+    let mut b = Subscription::builder(&schema);
+    for _ in 0..rng.gen_range(1..4) {
+        b = if rng.gen() {
+            let attr = &schema
+                .spec(subsum_types::AttrId(rng.gen_range(2u16..7)))
+                .name;
+            let k = rng.gen_range(-40i32..40) as f64;
+            let v = if rng.gen_range(0..4) == 0 {
+                k / 3.0
             } else {
-                let attr = if rng.gen() { "exchange" } else { "symbol" };
-                let text = rng.string("abc", 1..=3);
-                if rng.gen_range(0..5) == 0 {
-                    b.str_pattern(attr, &format!("{text}*{}", rng.string("abc", 1..=2)))
-                        .expect("string attribute")
-                } else {
-                    let op = STR_OPS[rng.gen_range(0..STR_OPS.len())];
-                    b.str_op(attr, op, &text).expect("string attribute")
-                }
+                k / 4.0
             };
-        }
-        if let Ok(sub) = b.build() {
+            let op = NUM_OPS[rng.gen_range(0..NUM_OPS.len())];
+            b.num(attr, op, v).expect("arithmetic attribute")
+        } else {
+            let attr = if rng.gen() { "exchange" } else { "symbol" };
+            let text = rng.string("abc", 1..=3);
+            if rng.gen_range(0..5) == 0 {
+                b.str_pattern(attr, &format!("{text}*{}", rng.string("abc", 1..=2)))
+                    .expect("string attribute")
+            } else {
+                let op = STR_OPS[rng.gen_range(0..STR_OPS.len())];
+                b.str_op(attr, op, &text).expect("string attribute")
+            }
+        };
+    }
+    b.build().ok()
+}
+
+/// A summary over the stock schema built from `n` draws of
+/// [`random_subscription`], each owned by any of 24 brokers.
+pub(crate) fn random_summary(rng: &mut StdRng, n: u32) -> BrokerSummary {
+    let mut summary = BrokerSummary::new(stock_schema());
+    for local in 0..n {
+        if let Some(sub) = random_subscription(rng) {
             summary.insert(BrokerId(rng.gen_range(0..24)), LocalSubId(local), &sub);
         }
     }

@@ -360,6 +360,19 @@ impl SummaryCodec {
         Ok(summary)
     }
 
+    /// Decodes `bytes` under `view`'s schema and merges the rows into
+    /// it: how a delta frame installs at the neighbour. `view` is left
+    /// as it was when the bytes do not decode.
+    ///
+    /// # Errors
+    ///
+    /// As [`SummaryCodec::decode`].
+    pub fn merge_decoded(&self, bytes: &[u8], view: &mut BrokerSummary) -> Result<(), WireError> {
+        let delta = self.decode(bytes, view.schema())?;
+        view.merge_rows(&delta);
+        Ok(())
+    }
+
     /// Reads every row after the width tag, each row's ids onto the end
     /// of `keys` as packed integers: `c1` in the high bits, then `c2`,
     /// then `c3`, so integer order is `SubscriptionId` order.

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use subsum_broker::BrokerCheckpoint;
 use subsum_transport::{Client, DaemonConfig, DaemonHandle, Subsumd};
 use subsum_types::{
-    stock_schema, BrokerId, Event, LocalSubId, NumOp, Subscription, SubscriptionId,
+    stock_schema, BrokerId, Event, LocalSubId, NumOp, StrOp, Subscription, SubscriptionId,
 };
 
 fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
@@ -168,6 +168,108 @@ fn restarted_peer_reconverges_via_digest_pull_not_resend() {
 
     client_a.shutdown().unwrap();
     client_b2.shutdown().unwrap();
+    a.join();
+    b2.join();
+}
+
+/// Bytes daemon `d` has written, once its writers have gone quiet.
+fn settled_bytes_tx(d: &DaemonHandle) -> u64 {
+    let mut last = d.stats().tx.bytes_tx.get();
+    loop {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = d.stats().tx.bytes_tx.get();
+        if now == last {
+            return now;
+        }
+        last = now;
+    }
+}
+
+/// Subscription `k` of a mixed population: disjoint price bands,
+/// symbols, and exchange prefixes under fifty volume floors.
+fn mixed_sub(k: u32) -> Subscription {
+    let schema = stock_schema();
+    let b = Subscription::builder(&schema);
+    let b = match k % 3 {
+        0 => {
+            let lo = f64::from(k % 500) / 4.0;
+            b.num("price", NumOp::Ge, lo)
+                .and_then(|b| b.num("price", NumOp::Lt, lo + 0.25))
+        }
+        1 => b.str_op("symbol", StrOp::Eq, &format!("S{k}")),
+        _ => b
+            .num("volume", NumOp::Gt, f64::from(k % 50 * 1000))
+            .and_then(|b| b.str_op("exchange", StrOp::Prefix, &format!("N{}", k % 40))),
+    };
+    b.unwrap().build().unwrap()
+}
+
+/// A subscribe ships only what it added. B restores 2 000
+/// subscriptions (its summary alone is over a hundred kilobytes), yet
+/// each further subscribe adds under a kilobyte to what B writes: the
+/// ack and one `SummaryDelta`. A merges each delta into its view of B,
+/// which ends equal to B's own summary: restarted from its checkpoint,
+/// B says `Hello` with its digest and A finds nothing to pull.
+#[test]
+fn a_subscribe_ships_only_what_it_added() {
+    const RESIDENT: u32 = 2_000;
+    let subs = (0..RESIDENT)
+        .map(|k| {
+            let sub = mixed_sub(k);
+            let id = SubscriptionId::new(BrokerId(1), LocalSubId(k), sub.attr_mask());
+            (id, sub)
+        })
+        .collect();
+    let checkpoint = BrokerCheckpoint {
+        next_local: RESIDENT,
+        subs,
+    };
+    let a = Subsumd::start(DaemonConfig::new(BrokerId(0), stock_schema())).unwrap();
+    let start_b = |checkpoint| {
+        let mut config_b = DaemonConfig::new(BrokerId(1), stock_schema());
+        config_b.dial = vec![(BrokerId(0), a.addr())];
+        config_b.checkpoint = Some(checkpoint);
+        Subsumd::start(config_b).unwrap()
+    };
+    let b = start_b(checkpoint);
+    wait_for("initial handshake", || {
+        a.stats().summaries_rx.get() >= 1 && b.stats().summaries_rx.get() >= 1
+    });
+    let handshake = settled_bytes_tx(&b);
+    assert!(
+        handshake > 100_000,
+        "B's summary crossed whole: {handshake} bytes"
+    );
+
+    let mut client_b = Client::connect(b.addr()).unwrap();
+    for k in 0..8 {
+        let (rx, written) = (a.stats().summaries_rx.get(), settled_bytes_tx(&b));
+        client_b.subscribe(&mixed_sub(RESIDENT + k)).unwrap();
+        wait_for("the push at A", || a.stats().summaries_rx.get() > rx);
+        let added = settled_bytes_tx(&b) - written;
+        assert!(added < 1024, "subscribe {k} wrote {added} bytes");
+    }
+    let resyncs_at_a = a.stats().resyncs.get();
+    assert_eq!(
+        resyncs_at_a, 1,
+        "the handshake's pull only: every delta merged"
+    );
+
+    client_b.shutdown().unwrap();
+    let fin = b.join();
+    assert_eq!(fin.checkpoint.subs.len(), RESIDENT as usize + 8);
+    let b2 = start_b(fin.checkpoint);
+    wait_for("B' pulling A's summary", || {
+        b2.stats().summaries_rx.get() >= 1
+    });
+    assert_eq!(
+        a.stats().resyncs.get(),
+        resyncs_at_a,
+        "A's view of B is B's own summary"
+    );
+
+    Client::connect(a.addr()).unwrap().shutdown().unwrap();
+    Client::connect(b2.addr()).unwrap().shutdown().unwrap();
     a.join();
     b2.join();
 }
