@@ -10,6 +10,8 @@
 //! library itself forbids `unsafe`, while a `GlobalAlloc` impl requires
 //! it.
 
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -6,7 +6,7 @@
 //! matcher clones the current `Arc` and probes with no lock held, so a
 //! writer never waits for a probe, and a retired clone is freed when its
 //! last matcher drops it. It holds one partition whatever shard count it
-//! is given; ROADMAP item 5(g) deletes the type with the two rows.
+//! is given; ROADMAP item 7(a) deletes the type with the two rows.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 

@@ -49,7 +49,7 @@ static CNT_SCRATCH_GROWS: Count = Count::new(subsum_telemetry::names::MATCH_SCRA
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct InternTable {
     ids: SubIdList,
-    required: Vec<u32>, // lint: derived
+    required: Vec<u32>,
 }
 
 impl InternTable {
@@ -190,13 +190,16 @@ pub struct BrokerSummary {
     /// list equals [`BrokerSummary::subscription_ids`], so it doubles as
     /// the known-id counter cache. Relative to the byte wire this is
     /// derived state: `SummaryCodec` ships plain `SubscriptionId` lists
-    /// and the decoder rebuilds the table (the `lint: derived` tag makes
-    /// `cargo xtask check` reject any reference from the wire codec).
-    intern: InternTable, // lint: derived
+    /// (read through `intern_table`), the field's privacy keeps the codec
+    /// off the rest, and `decode` rebuilds the table
+    /// (`install_decoded_rows`).
+    intern: InternTable,
     /// Lazily compiled columnar probe plan over the rows above. Pure
-    /// derived state: skipped on the wire, invisible to `PartialEq` and
-    /// digests, dropped on every mutation and rebuilt on the next match.
-    plan: PlanCell, // lint: derived
+    /// derived state: invisible to `PartialEq` and digests, dropped on
+    /// every mutation and rebuilt on the next match. The field's privacy
+    /// keeps the wire codec off it; `decode` drops it
+    /// (`install_decoded_rows`).
+    plan: PlanCell,
 }
 
 impl BrokerSummary {

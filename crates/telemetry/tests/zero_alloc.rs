@@ -8,6 +8,8 @@
 //! * the **sampled** path writes into the pre-allocated ring without
 //!   allocating either.
 
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

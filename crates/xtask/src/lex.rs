@@ -115,7 +115,7 @@ impl Lexed {
 
     /// Whether the line holding token `i`, or one of the `above` lines
     /// before it, contains `marker` inside a `//` comment. Used for the
-    /// justification-comment conventions (`// SAFETY:`, `// BOUND:`).
+    /// `// BOUND:` justification comments.
     pub fn comment_marker_near(&self, i: usize, marker: &str, above: usize) -> bool {
         let line = line_of(&self.src, self.tokens[i].start);
         let lo = line.saturating_sub(above);

@@ -17,24 +17,27 @@
 //!    from a decode entry point face untrusted bytes: slice indexing
 //!    and `+`/`-`/`*` arithmetic near length-ish identifiers must carry
 //!    a `// BOUND:` justification comment stating the bound.
-//! 3. **atomic-policy** — every `Ordering::*` use in a file listed in
-//!    the checked-in policy table must be in that file's allowed set,
-//!    so weakening a counter's ordering, or growing atomics in a file
-//!    declared `none`, fails `xtask check` before tsan ever runs.
-//! 4. **unsafe-audit** — `unsafe` may only appear in explicitly
-//!    allowlisted modules, and every `unsafe` block or `unsafe impl`
-//!    must carry a `// SAFETY:` comment.
-//! 5. **telemetry-names** — every string literal passed to
+//! 3. **atomic-ordering** — outside `#[cfg(test)]` and attributes, the
+//!    orderings `Release`, `Acquire`, `AcqRel` and `SeqCst` are
+//!    violations: every atomic in the workspace is a `Relaxed`
+//!    telemetry counter, and shared state is published through `std`'s
+//!    locks, so a hand-rolled publication protocol fails `xtask check`
+//!    before tsan ever runs.
+//! 4. **telemetry-names** — every string literal passed to
 //!    `Count::new`, `Stage::new`, `counter`, `gauge` or `histogram`
 //!    must be declared in `subsum_telemetry::names` (test-only names
 //!    under the `test.` prefix are exempt), and every constant declared
 //!    there must be referenced by non-test code outside the registry.
-//! 6. **derived-state** — a field tagged `// lint: derived` is rebuilt,
-//!    never serialized; the wire codec files must not reference it.
-//! 7. **wire-tags** — a `const TAG_*/KIND_*: u8` wire tag must be
+//! 5. **wire-tags** — a `const TAG_*/KIND_*: u8` wire tag must be
 //!    referenced at least twice beyond its declaration *and* appear in
 //!    a `match` arm pattern, so a tag cannot silently lose its decode
 //!    arm.
+//!
+//! What rustc and clippy check is left to them: the workspace lints deny
+//! `unsafe_code` in every target (each library root forbids it) and
+//! `clippy::undocumented_unsafe_blocks`, and the summary's derived state
+//! (intern table, compiled plan) is private to `core::summary`, so the
+//! wire codec cannot reach it.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -72,21 +75,12 @@ pub struct CheckConfig {
     pub scan_files: Vec<PathBuf>,
     /// The telemetry name registry (`subsum_telemetry::names`), if any.
     pub registry: Option<PathBuf>,
-    /// Wire codec files that must not reference derived fields.
-    pub wire_files: Vec<PathBuf>,
     /// Files whose decode-reachable functions face untrusted bytes.
     pub wire_robust_files: Vec<PathBuf>,
     /// Root specs seeding the transitive no-panic requirement.
     pub panic_roots: Vec<String>,
     /// Root specs naming the wire decode entry points.
     pub wire_roots: Vec<String>,
-    /// The atomic-ordering policy table, if any.
-    pub atomics_policy: Option<PathBuf>,
-    /// Modules allowed to contain `unsafe` at all.
-    pub unsafe_allow: Vec<PathBuf>,
-    /// Extra files (integration tests, the xtask sources themselves)
-    /// audited for unsafe on top of `scan_files`.
-    pub unsafe_extra: Vec<PathBuf>,
 }
 
 impl CheckConfig {
@@ -103,22 +97,14 @@ impl CheckConfig {
             .filter(|p| p.is_dir() && p.file_name().is_some_and(|n| n != "xtask"))
             .collect();
         members.sort();
-        let mut unsafe_extra = Vec::new();
         for member in &members {
             collect_rs(&member.join("src"), root, &mut scan_files)?;
-            collect_rs(&member.join("tests"), root, &mut unsafe_extra)?;
         }
-        collect_rs(&root.join("tests"), root, &mut unsafe_extra)?;
-        collect_rs(&root.join("crates/xtask/src"), root, &mut unsafe_extra)?;
 
         Ok(CheckConfig {
             root: root.to_path_buf(),
             scan_files,
             registry: Some(PathBuf::from("crates/telemetry/src/names.rs")),
-            wire_files: vec![
-                PathBuf::from("crates/core/src/wire.rs"),
-                PathBuf::from("crates/types/src/subcodec.rs"),
-            ],
             wire_robust_files: vec![
                 PathBuf::from("crates/core/src/digest.rs"),
                 PathBuf::from("crates/core/src/wire.rs"),
@@ -153,13 +139,6 @@ impl CheckConfig {
                 "decode_all".into(),
                 "decode_frame".into(),
             ],
-            atomics_policy: Some(PathBuf::from("crates/xtask/atomics.policy")),
-            unsafe_allow: vec![
-                PathBuf::from("crates/broker/tests/zero_alloc.rs"),
-                PathBuf::from("crates/core/tests/zero_alloc.rs"),
-                PathBuf::from("crates/telemetry/tests/zero_alloc.rs"),
-            ],
-            unsafe_extra,
         })
     }
 }
@@ -204,10 +183,8 @@ fn load(root: &Path, rel: &Path) -> Result<Source, String> {
     })
 }
 
-/// Runs every lint and returns all findings, sorted by file and line.
-pub fn run_check(cfg: &CheckConfig) -> Result<Vec<Violation>, String> {
-    let mut violations = Vec::new();
-
+/// Loads and lexes every scan file and builds their call graph.
+fn load_scan(cfg: &CheckConfig) -> Result<(Vec<Source>, CallGraph), String> {
     let sources: Vec<Source> = cfg
         .scan_files
         .iter()
@@ -215,11 +192,21 @@ pub fn run_check(cfg: &CheckConfig) -> Result<Vec<Violation>, String> {
         .collect::<Result<_, _>>()?;
     let lexed_refs: Vec<&Lexed> = sources.iter().map(|s| &s.lexed).collect();
     let graph = CallGraph::build(&lexed_refs);
+    Ok((sources, graph))
+}
+
+/// The functions seeded by any of the root `specs`.
+fn seeds(graph: &CallGraph, specs: &[String]) -> Vec<usize> {
+    specs.iter().flat_map(|spec| graph.roots(spec)).collect()
+}
+
+/// Runs every lint and returns all findings, sorted by file and line.
+pub fn run_check(cfg: &CheckConfig) -> Result<Vec<Violation>, String> {
+    let mut violations = Vec::new();
+    let (sources, graph) = load_scan(cfg)?;
 
     no_panic(cfg, &sources, &graph, &mut violations);
     wire_robust(cfg, &sources, &graph, &mut violations);
-    atomic_policy(cfg, &mut violations)?;
-    unsafe_audit(cfg, &sources, &mut violations)?;
 
     let registry_src = match &cfg.registry {
         Some(rel) => Some(load(&cfg.root, rel)?),
@@ -233,17 +220,12 @@ pub fn run_check(cfg: &CheckConfig) -> Result<Vec<Violation>, String> {
             dead_telemetry_names(reg, &sources, &mut violations);
         }
     }
-    let mut derived_fields = Vec::new();
     for src in &sources {
+        atomic_ordering(src, &mut violations);
         if let Some(names) = &registry {
             telemetry_names(src, names, &mut violations);
         }
         wire_tags(src, &mut violations);
-        derived_fields.extend(derived_tags(src));
-    }
-    for rel in &cfg.wire_files {
-        let src = load(&cfg.root, rel)?;
-        derived_state(&src, &derived_fields, &mut violations);
     }
 
     violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
@@ -255,18 +237,8 @@ pub fn run_check(cfg: &CheckConfig) -> Result<Vec<Violation>, String> {
 /// The functions reachable from the configured no-panic roots, as
 /// `(chain, file, line)` — used by `--list-reachable`.
 pub fn reachable_report(cfg: &CheckConfig) -> Result<Vec<String>, String> {
-    let sources: Vec<Source> = cfg
-        .scan_files
-        .iter()
-        .map(|rel| load(&cfg.root, rel))
-        .collect::<Result<_, _>>()?;
-    let lexed_refs: Vec<&Lexed> = sources.iter().map(|s| &s.lexed).collect();
-    let graph = CallGraph::build(&lexed_refs);
-    let mut seeds = Vec::new();
-    for spec in &cfg.panic_roots {
-        seeds.extend(graph.roots(spec));
-    }
-    let parents = graph.reach(&seeds);
+    let (sources, graph) = load_scan(cfg)?;
+    let parents = graph.reach(&seeds(&graph, &cfg.panic_roots));
     Ok(parents
         .keys()
         .map(|&idx| {
@@ -286,11 +258,7 @@ const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"]
 /// Lint 1: panicking constructs in any function reachable from a
 /// hot-path root.
 fn no_panic(cfg: &CheckConfig, sources: &[Source], graph: &CallGraph, out: &mut Vec<Violation>) {
-    let mut seeds = Vec::new();
-    for spec in &cfg.panic_roots {
-        seeds.extend(graph.roots(spec));
-    }
-    let parents = graph.reach(&seeds);
+    let parents = graph.reach(&seeds(graph, &cfg.panic_roots));
     for &idx in parents.keys() {
         let f = &graph.fns[idx];
         let Some((lo, hi)) = f.body else { continue };
@@ -344,11 +312,7 @@ fn panic_sites(lexed: &Lexed, lo: usize, hi: usize) -> Vec<(usize, String)> {
 /// Lint 2: unguarded indexing/arithmetic in decode-reachable functions
 /// of the wire codec files.
 fn wire_robust(cfg: &CheckConfig, sources: &[Source], graph: &CallGraph, out: &mut Vec<Violation>) {
-    let mut seeds = Vec::new();
-    for spec in &cfg.wire_roots {
-        seeds.extend(graph.roots(spec));
-    }
-    let parents = graph.reach(&seeds);
+    let parents = graph.reach(&seeds(graph, &cfg.wire_roots));
     for &idx in parents.keys() {
         let f = &graph.fns[idx];
         let src = &sources[f.file];
@@ -433,127 +397,28 @@ fn operand_is_lengthish(lexed: &Lexed, i: usize, lo: usize, hi: usize) -> bool {
     })
 }
 
-const ORDERINGS: &[&str] = &["Relaxed", "Release", "Acquire", "AcqRel", "SeqCst"];
+const STRONG_ORDERINGS: &[&str] = &["Release", "Acquire", "AcqRel", "SeqCst"];
 
-/// Lint 3: atomic-ordering uses against the checked-in policy table.
-///
-/// Policy file format (one entry per line, `#` comments):
-/// ```text
-/// <relative path>: <Ordering> [<Ordering> ...]
-/// <relative path>: none
-/// ```
-fn atomic_policy(cfg: &CheckConfig, out: &mut Vec<Violation>) -> Result<(), String> {
-    let Some(policy_rel) = &cfg.atomics_policy else {
-        return Ok(());
-    };
-    let policy_path = cfg.root.join(policy_rel);
-    let text = std::fs::read_to_string(&policy_path)
-        .map_err(|e| format!("{}: {e}", policy_path.display()))?;
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
+/// Lint 3: an atomic ordering other than `Relaxed` outside tests.
+fn atomic_ordering(src: &Source, out: &mut Vec<Violation>) {
+    let lexed = &src.lexed;
+    for i in 0..lexed.tokens.len() {
+        if lexed.in_test(i) || lexed.in_attr(i) {
             continue;
         }
-        let (path, allowed) = line.split_once(':').ok_or_else(|| {
-            format!(
-                "{}:{}: malformed policy line (expected `path: orderings`)",
-                policy_rel.display(),
-                lineno + 1
-            )
-        })?;
-        let rel = PathBuf::from(path.trim());
-        let allowed: BTreeSet<&str> = match allowed.trim() {
-            "none" => BTreeSet::new(),
-            list => {
-                let set: BTreeSet<&str> = list.split_whitespace().collect();
-                if let Some(bad) = set.iter().find(|o| !ORDERINGS.contains(*o)) {
-                    return Err(format!(
-                        "{}:{}: unknown ordering `{bad}` in policy",
-                        policy_rel.display(),
-                        lineno + 1
-                    ));
-                }
-                set
-            }
-        };
-        let src = load(&cfg.root, &rel)?;
-        for i in 0..src.lexed.tokens.len() {
-            if src.lexed.in_attr(i) {
-                continue;
-            }
-            let Some(ord) = ORDERINGS.iter().find(|o| src.lexed.is_ident(i, o)) else {
-                continue;
-            };
-            if !allowed.contains(*ord) {
-                out.push(Violation {
-                    file: rel.clone(),
-                    line: src.lexed.line(i),
-                    rule: "atomic-policy",
-                    msg: format!(
-                        "`Ordering::{ord}` is not in the declared policy for this file \
-                         (allowed: {}); update {} only with a written protocol argument",
-                        if allowed.is_empty() {
-                            "none".to_string()
-                        } else {
-                            allowed.iter().cloned().collect::<Vec<_>>().join(" ")
-                        },
-                        policy_rel.display()
-                    ),
-                });
-            }
+        if let Some(ord) = STRONG_ORDERINGS.iter().find(|o| lexed.is_ident(i, o)) {
+            out.push(Violation {
+                file: src.rel.clone(),
+                line: lexed.line(i),
+                rule: "atomic-ordering",
+                msg: format!(
+                    "`Ordering::{ord}` outside tests; the workspace's atomics are `Relaxed` \
+                     counters, so publish shared state through std's locks instead of a \
+                     hand-rolled protocol"
+                ),
+            });
         }
     }
-    Ok(())
-}
-
-/// Lint 4: `unsafe` outside allowlisted modules, or without a
-/// `// SAFETY:` comment on blocks and impls.
-fn unsafe_audit(
-    cfg: &CheckConfig,
-    sources: &[Source],
-    out: &mut Vec<Violation>,
-) -> Result<(), String> {
-    let extra: Vec<Source> = cfg
-        .unsafe_extra
-        .iter()
-        .map(|rel| load(&cfg.root, rel))
-        .collect::<Result<_, _>>()?;
-    for src in sources.iter().chain(extra.iter()) {
-        let lexed = &src.lexed;
-        let allowed = cfg.unsafe_allow.contains(&src.rel);
-        for i in 0..lexed.tokens.len() {
-            if !lexed.is_ident(i, "unsafe") || lexed.in_attr(i) {
-                continue;
-            }
-            if !allowed {
-                out.push(Violation {
-                    file: src.rel.clone(),
-                    line: lexed.line(i),
-                    rule: "unsafe-audit",
-                    msg: "`unsafe` in a module not on the unsafe allowlist; \
-                          move the code into an allowlisted module or extend the \
-                          allowlist with a written justification"
-                        .to_string(),
-                });
-                continue;
-            }
-            let next = i + 1;
-            let needs_safety = next < lexed.tokens.len()
-                && (matches!(lexed.tokens[next].kind, TokenKind::Open(b'{'))
-                    || lexed.is_ident(next, "impl"));
-            if needs_safety && !lexed.comment_marker_near(i, "SAFETY:", 3) {
-                out.push(Violation {
-                    file: src.rel.clone(),
-                    line: lexed.line(i),
-                    rule: "unsafe-audit",
-                    msg: "`unsafe` block/impl without a `// SAFETY:` comment stating \
-                          the invariant it relies on"
-                        .to_string(),
-                });
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Every string literal declared in the names registry (outside tests).
@@ -569,7 +434,7 @@ fn registry_names(src: &Source) -> BTreeSet<String> {
     names
 }
 
-/// Lint 5: telemetry name literals outside the registry.
+/// Lint 4: telemetry name literals outside the registry.
 fn telemetry_names(src: &Source, registry: &BTreeSet<String>, out: &mut Vec<Violation>) {
     let lexed = &src.lexed;
     let toks = &lexed.tokens;
@@ -622,7 +487,7 @@ fn telemetry_names(src: &Source, registry: &BTreeSet<String>, out: &mut Vec<Viol
     }
 }
 
-/// Lint 5, second half: a registered `const NAME: &str = "value"` that no
+/// Lint 4, second half: a registered `const NAME: &str = "value"` that no
 /// non-test code outside the registry references — by identifier or by
 /// its literal value — names a metric nothing records.
 fn dead_telemetry_names(registry: &Source, sources: &[Source], out: &mut Vec<Violation>) {
@@ -671,77 +536,7 @@ fn dead_telemetry_names(registry: &Source, sources: &[Source], out: &mut Vec<Vio
     }
 }
 
-/// A field tagged `// lint: derived`, with where it was declared.
-#[derive(Debug)]
-struct DerivedField {
-    name: String,
-    file: PathBuf,
-    line: usize,
-}
-
-/// Collects `// lint: derived` field tags from the raw source (the tag
-/// lives in a comment, which never becomes a token).
-fn derived_tags(src: &Source) -> Vec<DerivedField> {
-    const TAG: &[u8] = b"// lint: derived";
-    let raw = &src.lexed.src;
-    let mut fields = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = lex::find(raw, TAG, from) {
-        from = pos + TAG.len();
-        // The field declaration shares the tag's line:
-        // `name: Type, // lint: derived`
-        let line_start = raw[..pos]
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map_or(0, |p| p + 1);
-        let decl = &raw[line_start..pos];
-        let Some(colon) = decl.iter().position(|&b| b == b':') else {
-            continue;
-        };
-        let mut end = colon;
-        while end > 0 && decl[end - 1].is_ascii_whitespace() {
-            end -= 1;
-        }
-        let mut start = end;
-        while start > 0 && (decl[start - 1].is_ascii_alphanumeric() || decl[start - 1] == b'_') {
-            start -= 1;
-        }
-        if start < end {
-            fields.push(DerivedField {
-                name: String::from_utf8_lossy(&decl[start..end]).into_owned(),
-                file: src.rel.clone(),
-                line: lex::line_of(raw, pos),
-            });
-        }
-    }
-    fields
-}
-
-/// Lint 6: wire codecs referencing derived fields.
-fn derived_state(src: &Source, fields: &[DerivedField], out: &mut Vec<Violation>) {
-    let lexed = &src.lexed;
-    for field in fields {
-        for i in 0..lexed.tokens.len() {
-            if !lexed.is_ident(i, &field.name) || lexed.in_test(i) || lexed.in_attr(i) {
-                continue;
-            }
-            out.push(Violation {
-                file: src.rel.clone(),
-                line: lexed.line(i),
-                rule: "derived-state",
-                msg: format!(
-                    "wire codec references `{}`, tagged `lint: derived` at {}:{}; \
-                     derived state is rebuilt after decode, never serialized",
-                    field.name,
-                    field.file.display(),
-                    field.line
-                ),
-            });
-        }
-    }
-}
-
-/// Lint 7: wire tag constants must be used by both sides and appear in
+/// Lint 5: wire tag constants must be used by both sides and appear in
 /// a decode `match` arm pattern.
 fn wire_tags(src: &Source, out: &mut Vec<Violation>) {
     let lexed = &src.lexed;
@@ -837,13 +632,9 @@ mod tests {
             root,
             scan_files: Vec::new(),
             registry: None,
-            wire_files: Vec::new(),
             wire_robust_files: Vec::new(),
             panic_roots: Vec::new(),
             wire_roots: Vec::new(),
-            atomics_policy: None,
-            unsafe_allow: Vec::new(),
-            unsafe_extra: Vec::new(),
         }
     }
 
@@ -914,46 +705,15 @@ mod tests {
     }
 
     #[test]
-    fn atomic_policy_flags_downgraded_ordering() {
+    fn atomic_ordering_flags_all_but_relaxed_outside_tests() {
         let mut cfg = empty_config(fixtures());
-        cfg.atomics_policy = Some(PathBuf::from("atomics_bad.policy"));
+        cfg.scan_files = vec![PathBuf::from("atomics.rs")];
         let v = run_check(&cfg).unwrap();
-        // `atomics_bad.rs` stores the epoch with Relaxed; the policy
-        // allows only SeqCst. The two SeqCst uses pass.
-        assert_eq!(rules(&v), vec!["atomic-policy"], "{v:#?}");
-        assert!(v[0].msg.contains("Relaxed"));
-    }
-
-    #[test]
-    fn atomic_policy_passes_conforming_file() {
-        let mut cfg = empty_config(fixtures());
-        cfg.atomics_policy = Some(PathBuf::from("atomics_clean.policy"));
-        let v = run_check(&cfg).unwrap();
-        assert!(v.is_empty(), "{v:#?}");
-    }
-
-    #[test]
-    fn atomic_policy_rejects_unknown_ordering_in_policy() {
-        let mut cfg = empty_config(fixtures());
-        cfg.atomics_policy = Some(PathBuf::from("atomics_malformed.policy"));
-        let err = run_check(&cfg).unwrap_err();
-        assert!(err.contains("unknown ordering"), "{err}");
-    }
-
-    #[test]
-    fn unsafe_audit_flags_uncommented_and_unlisted() {
-        let mut cfg = empty_config(fixtures());
-        cfg.scan_files = vec![
-            PathBuf::from("unsafe_bad.rs"),
-            PathBuf::from("unsafe_unlisted.rs"),
-        ];
-        cfg.unsafe_allow = vec![PathBuf::from("unsafe_bad.rs")];
-        let v = run_check(&cfg).unwrap();
-        // unsafe_bad.rs: one block without SAFETY (the commented one
-        // passes). unsafe_unlisted.rs: one module-allowlist violation.
-        assert_eq!(rules(&v), vec!["unsafe-audit"; 2], "{v:#?}");
-        assert!(v.iter().any(|x| x.msg.contains("SAFETY")));
-        assert!(v.iter().any(|x| x.msg.contains("allowlist")));
+        // The SeqCst store and the Acquire load; the Relaxed counter and
+        // the SeqCst in the test module stay clean.
+        assert_eq!(rules(&v), vec!["atomic-ordering"; 2], "{v:#?}");
+        assert!(v[0].msg.contains("SeqCst"));
+        assert!(v[1].msg.contains("Acquire"));
     }
 
     #[test]
@@ -1026,31 +786,6 @@ mod tests {
     }
 
     #[test]
-    fn derived_state_flags_wire_reference() {
-        let mut cfg = empty_config(fixtures());
-        cfg.scan_files = vec![PathBuf::from("derived_struct.rs")];
-        cfg.wire_files = vec![PathBuf::from("derived_wire_bad.rs")];
-        let v = run_check(&cfg).unwrap();
-        // One anchor_index reference, two intern-table references, one
-        // required-counts reference and one compiled-plan reference; the
-        // comment mentions must not fire.
-        assert_eq!(rules(&v), vec!["derived-state"; 5], "{v:#?}");
-        assert!(v.iter().any(|x| x.msg.contains("`anchor_index`")));
-        assert!(v.iter().any(|x| x.msg.contains("`intern`")));
-        assert!(v.iter().any(|x| x.msg.contains("`required`")));
-        assert!(v.iter().any(|x| x.msg.contains("`plan`")));
-    }
-
-    #[test]
-    fn derived_state_passes_clean_wire_file() {
-        let mut cfg = empty_config(fixtures());
-        cfg.scan_files = vec![PathBuf::from("derived_struct.rs")];
-        cfg.wire_files = vec![PathBuf::from("derived_wire_clean.rs")];
-        let v = run_check(&cfg).unwrap();
-        assert!(v.is_empty(), "{v:#?}");
-    }
-
-    #[test]
     fn wire_tags_flags_unpaired_constant() {
         let mut cfg = empty_config(fixtures());
         cfg.scan_files = vec![PathBuf::from("wire_tags_bad.rs")];
@@ -1091,31 +826,26 @@ mod tests {
     fn real_workspace_reaches_the_seeded_roots() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
         let cfg = CheckConfig::workspace(&root).unwrap();
+        // Every configured root must actually seed the graph — a renamed
+        // root would otherwise silently drop coverage.
+        let (_, graph) = load_scan(&cfg).unwrap();
+        for spec in &cfg.panic_roots {
+            assert!(!graph.roots(spec).is_empty(), "root `{spec}` seeds no fn");
+        }
+        // And propagation is genuinely transitive: the plan compile under
+        // the probe, and a received delta's merge under the daemon step.
         let reachable = reachable_report(&cfg).unwrap();
-        // Every configured root family must actually seed the graph —
-        // a renamed root would otherwise silently drop coverage.
-        for root_fn in [
-            "match_event_into",
-            "query_into",
-            "route_event",
-            "publish_with_scratch",
-            "decode",
-            "from_bytes",
-            "next_frame",
-            "decode_all",
+        for chain in [
+            "-> compile",
+            "DaemonCore::step -> apply_delta -> merge_decoded",
         ] {
             assert!(
-                reachable.iter().any(|line| line.contains(root_fn)),
-                "no reachable fn matches `{root_fn}`:\n{}",
+                reachable
+                    .iter()
+                    .any(|line| line.ends_with(chain) || line.contains(&format!("{chain} "))),
+                "no reachable chain `{chain}`:\n{}",
                 reachable.join("\n")
             );
         }
-        // And propagation is genuinely transitive: helpers that are not
-        // roots themselves must appear with a multi-hop chain.
-        assert!(
-            reachable.iter().any(|line| line.contains(" -> ")),
-            "{}",
-            reachable.join("\n")
-        );
     }
 }

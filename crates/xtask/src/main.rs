@@ -33,12 +33,9 @@ conservative intra-workspace call graph:
   wire-robust      decode-reachable functions in the wire codec files
                    justify slice indexing and length arithmetic with
                    `// BOUND:` comments
-  atomic-policy    every Ordering::* use matches the checked-in policy
-                   table (crates/xtask/atomics.policy)
-  unsafe-audit     `unsafe` only in allowlisted modules, and every
-                   unsafe block/impl carries a `// SAFETY:` comment
+  atomic-ordering  no Release/Acquire/AcqRel/SeqCst outside tests: the
+                   workspace's atomics are Relaxed counters
   telemetry-names  metric name literals live in subsum_telemetry::names
-  derived-state    wire codecs do not touch `lint: derived` fields
   wire-tags        every wire tag constant is encoded AND matched in a
                    decode arm
 
