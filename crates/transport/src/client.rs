@@ -84,6 +84,9 @@ pub struct Client {
     /// Deliveries read while waiting for an ack.
     pending: VecDeque<(SubscriptionId, Event)>,
     seq: u32,
+    /// The read timeout armed on `stream`, so that a call that keeps it
+    /// makes no `setsockopt`.
+    read_timeout: Option<Duration>,
 }
 
 impl Client {
@@ -98,7 +101,16 @@ impl Client {
             decoder: FrameDecoder::new(),
             pending: VecDeque::new(),
             seq: 0,
+            read_timeout: None,
         })
+    }
+
+    fn arm_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
+        if self.read_timeout != timeout {
+            self.stream.set_read_timeout(timeout)?;
+            self.read_timeout = timeout;
+        }
+        Ok(())
     }
 
     fn send(&mut self, msg: &Msg) -> Result<(), ClientError> {
@@ -133,7 +145,7 @@ impl Client {
 
     /// Reads until `want` yields, queueing deliveries seen on the way.
     fn wait_for<T>(&mut self, want: impl Fn(&Msg) -> Option<T>) -> Result<T, ClientError> {
-        self.stream.set_read_timeout(None)?;
+        self.arm_read_timeout(None)?;
         loop {
             let msg = self.read_msg()?.ok_or(ClientError::Disconnected)?;
             if let Some(out) = want(&msg) {
@@ -219,7 +231,7 @@ impl Client {
         if let Some(d) = self.pending.pop_front() {
             return Ok(Some(d));
         }
-        self.stream.set_read_timeout(Some(timeout))?;
+        self.arm_read_timeout(Some(timeout))?;
         loop {
             match self.read_msg()? {
                 Some(Msg::Deliver { id, event }) => return Ok(Some((id, event))),
@@ -236,5 +248,52 @@ impl Client {
     /// Fails if the shutdown message cannot be written.
     pub fn shutdown(mut self) -> Result<(), ClientError> {
         self.send(&Msg::Shutdown)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use subsum_types::{stock_schema, BrokerId, LocalSubId, NumOp};
+
+    /// A poll that timed out leaves its timeout armed; the ack wait
+    /// after it must disarm it, or a slow ack reads as a hang-up.
+    #[test]
+    fn an_ack_wait_outlasts_an_expired_poll() {
+        let sub = Subscription::builder(&stock_schema())
+            .num("price", NumOp::Lt, 10.0)
+            .unwrap()
+            .build()
+            .unwrap();
+        let id = SubscriptionId::new(BrokerId(0), LocalSubId(7), sub.attr_mask());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let daemon = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut decoder = FrameDecoder::new();
+            let mut buf = [0u8; 1024];
+            let frame = loop {
+                if let Some(frame) = decoder.next_frame().unwrap() {
+                    break frame;
+                }
+                let n = stream.read(&mut buf).unwrap();
+                assert!(n > 0, "client hung up before subscribing");
+                decoder.feed(&buf[..n]);
+            };
+            assert!(matches!(
+                Msg::decode_frame(&frame).unwrap(),
+                Msg::Subscribe { .. }
+            ));
+            std::thread::sleep(Duration::from_millis(50));
+            let ack = Msg::SubscribeAck { id }.to_frame_bytes().unwrap();
+            stream.write_all(&ack).unwrap();
+        });
+
+        let mut client = Client::connect(addr).unwrap();
+        let polled = client.poll_delivery(Duration::from_millis(10)).unwrap();
+        assert!(polled.is_none());
+        assert_eq!(client.subscribe(&sub).unwrap(), id);
+        daemon.join().unwrap();
     }
 }

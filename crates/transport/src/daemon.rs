@@ -20,8 +20,17 @@
 //! * an **accept** thread turns incoming connections into reader
 //!   threads;
 //! * one **reader** thread per socket decodes frames into [`Msg`]s;
-//! * one **writer** thread per socket drains that connection's bounded
-//!   [`Mailbox`] (see [`crate::session`] for the backpressure policy);
+//! * the event loop **writes** its own outputs: the frames one
+//!   [`DaemonCore::step`] sends to a connection leave in one `write`
+//!   when the step ends, in the order the step first sent to each
+//!   connection — except that a frame to the connection the step serves
+//!   (an ack) is written at once, with whatever the step queued on it
+//!   before. Each socket has a short send timeout, so a slow reader
+//!   never holds the loop for long;
+//! * one **writer** thread per socket drains only a backlog: what the
+//!   socket did not take at once, and everything sent after it until
+//!   the backlog is written (see [`crate::session`], which also holds
+//!   the backpressure policy);
 //! * one **dialer** thread per configured neighbor link establishes
 //!   the outbound connection with backoff; the event loop spawns a
 //!   fresh dialer with a bumped epoch when a dialed link breaks.
@@ -41,7 +50,7 @@
 
 use std::collections::BTreeMap;
 use std::io::Read;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -53,7 +62,7 @@ use subsum_broker::{
 use subsum_telemetry::{names, Count, Counter};
 use subsum_types::{BrokerId, IdLayout, Schema};
 
-use crate::session::{spawn_writer, BackpressurePolicy, Mailbox, SendOutcome, TxStats};
+use crate::session::{BackpressurePolicy, Outbox, TxStats};
 
 static CNT_FRAMES_RX: Count = Count::new(names::TRANSPORT_FRAMES_RX);
 static CNT_BYTES_RX: Count = Count::new(names::TRANSPORT_BYTES_RX);
@@ -68,8 +77,10 @@ const REDIAL_BACKOFF: Duration = Duration::from_millis(50);
 /// a field — the [`DaemonCounters`] the [`DaemonCore`] keeps.
 #[derive(Debug, Default)]
 pub struct DaemonStats {
-    /// Frames/bytes written by this daemon's writer threads. Shared
-    /// with the writers, hence the extra `Arc`.
+    /// Frames/bytes written to this daemon's sockets, by its event loop
+    /// or, for a backlog, its writer threads: each frame and byte counts
+    /// once, whichever thread finishes it. Shared with the writers,
+    /// hence the extra `Arc`.
     pub tx: Arc<TxStats>,
     /// Frames decoded off this daemon's sockets.
     pub frames_rx: Counter,
@@ -149,27 +160,52 @@ enum Ev {
     Closed { conn: ConnId },
 }
 
-/// The I/O half of one live connection.
-struct Conn {
-    mailbox: Mailbox,
-    /// The socket, kept so the event loop can close a connection itself.
-    stream: TcpStream,
+/// The live connections, as the [`DaemonCore`]'s [`Sink`]: an output is
+/// encoded into its connection's [`Outbox`], which the event loop
+/// flushes when the step ends.
+struct Conns {
+    live: BTreeMap<ConnId, Outbox>,
+    /// Connections holding pending frames, in first-send order.
+    dirty: Vec<ConnId>,
+    /// The connection whose message the current step serves. A frame
+    /// to it is written at once: the `SubscribeAck` must not wait for
+    /// the `Subscribe` arm to digest and encode the delta it pushes.
+    serving: Option<ConnId>,
 }
 
-/// The live connections, as the [`DaemonCore`]'s [`Sink`]: an output is
-/// encoded and posted to its connection's mailbox.
-struct Conns(BTreeMap<ConnId, Conn>);
+impl Conns {
+    /// Ends a step: writes every connection it sent to.
+    fn flush(&mut self) {
+        self.serving = None;
+        for conn in self.dirty.drain(..) {
+            if let Some(out) = self.live.get_mut(&conn) {
+                out.flush();
+            }
+        }
+    }
+}
 
 impl Sink for Conns {
     fn send(&mut self, conn: ConnId, msg: &Msg) -> bool {
-        self.0
-            .get(&conn)
-            .is_some_and(|c| send_msg(&c.mailbox, msg) == SendOutcome::Sent)
+        let Some(out) = self.live.get_mut(&conn) else {
+            return false;
+        };
+        let Ok(frame) = msg.to_frame_bytes() else {
+            return false;
+        };
+        let first = !out.has_pending();
+        let sent = out.post(frame);
+        if self.serving == Some(conn) {
+            out.flush();
+        } else if first && out.has_pending() {
+            self.dirty.push(conn);
+        }
+        sent
     }
 
     fn close(&mut self, conn: ConnId) {
-        if let Some(c) = self.0.remove(&conn) {
-            let _ = c.stream.shutdown(Shutdown::Both);
+        if let Some(out) = self.live.remove(&conn) {
+            out.shutdown();
         }
     }
 }
@@ -183,9 +219,16 @@ impl Subsumd {
     ///
     /// # Errors
     ///
-    /// Returns the socket error if the listen address cannot be bound,
-    /// or `InvalidData` if the schema exceeds the summary id layout.
+    /// Returns `InvalidInput` if `mailbox_capacity` is 0, the socket
+    /// error if the listen address cannot be bound, or `InvalidData` if
+    /// the schema exceeds the summary id layout.
     pub fn start(mut config: DaemonConfig) -> std::io::Result<DaemonHandle> {
+        if config.mailbox_capacity == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "mailbox_capacity must be at least 1 frame",
+            ));
+        }
         let listener = TcpListener::bind(config.listen)?;
         let addr = listener.local_addr()?;
         let stopping = Arc::new(Mutex::new(false));
@@ -377,28 +420,30 @@ fn spawn_reader(
 /// counter and the event loop's counter never collide.
 const DIALED_CONN_BASE: ConnId = 1 << 32;
 
-/// Wires up a fresh socket: writer thread behind a bounded mailbox,
-/// reader thread feeding the event loop.
+/// Wires up a fresh socket: its outbox (with the writer thread behind
+/// it), and a reader thread feeding the event loop.
 fn open(
     conn: ConnId,
     stream: TcpStream,
     config: &DaemonConfig,
     ev_tx: &Sender<Ev>,
     stats: &Arc<DaemonStats>,
-) -> Option<Conn> {
-    let write_half = stream.try_clone().ok()?;
-    let handle = stream.try_clone().ok()?;
-    let (mailbox, rx) = Mailbox::new(config.mailbox_capacity, config.policy);
-    spawn_writer(write_half, rx, Arc::clone(&stats.tx));
-    spawn_reader(conn, stream, ev_tx.clone(), Arc::clone(stats));
-    Some(Conn {
-        mailbox,
-        stream: handle,
-    })
+) -> Option<Outbox> {
+    let read_half = stream.try_clone().ok()?;
+    let out = Outbox::open(
+        stream,
+        config.mailbox_capacity,
+        config.policy,
+        Arc::clone(&stats.tx),
+    )
+    .ok()?;
+    spawn_reader(conn, read_half, ev_tx.clone(), Arc::clone(stats));
+    Some(out)
 }
 
 /// Runs the daemon's event loop to completion (client `Shutdown`):
-/// each event becomes a [`DaemonCore`] input, each output a mailbox post.
+/// each event becomes a [`DaemonCore`] input, and each step's outputs
+/// are written when it ends.
 fn event_loop(
     mut daemon: DaemonCore,
     config: DaemonConfig,
@@ -407,7 +452,11 @@ fn event_loop(
     ev_tx: Sender<Ev>,
     stopping: Arc<Mutex<bool>>,
 ) -> DaemonFinal {
-    let mut conns = Conns(BTreeMap::new());
+    let mut conns = Conns {
+        live: BTreeMap::new(),
+        dirty: Vec::new(),
+        serving: None,
+    };
     // Epoch of the next dial, and the live connection, per dial index.
     let mut dial_epochs: Vec<u64> = vec![1; config.dial.len()];
     let mut dial_conns: Vec<Option<ConnId>> = vec![None; config.dial.len()];
@@ -416,8 +465,8 @@ fn event_loop(
     while let Ok(ev) = ev_rx.recv() {
         match ev {
             Ev::Accepted { conn, stream } => {
-                if let Some(c) = open(conn, stream, &config, &ev_tx, &stats) {
-                    conns.0.insert(conn, c);
+                if let Some(out) = open(conn, stream, &config, &ev_tx, &stats) {
+                    conns.live.insert(conn, out);
                     daemon.connected(conn, Role::Unknown);
                 }
             }
@@ -426,7 +475,7 @@ fn event_loop(
                     continue;
                 };
                 let conn = next_dialed_conn;
-                let Some(c) = open(conn, stream, &config, &ev_tx, &stats) else {
+                let Some(out) = open(conn, stream, &config, &ev_tx, &stats) else {
                     continue;
                 };
                 next_dialed_conn += 1;
@@ -438,12 +487,15 @@ fn event_loop(
                 // both vectors were sized to `config.dial.len()`.
                 dial_epochs[ix] = epoch + 1;
                 dial_conns[ix] = Some(conn);
-                send_msg(&c.mailbox, &daemon.hello(epoch));
-                conns.0.insert(conn, c);
+                conns.live.insert(conn, out);
+                conns.send(conn, &daemon.hello(epoch));
+                conns.flush();
                 daemon.connected(conn, Role::Peer(peer));
             }
             Ev::Closed { conn } => {
-                conns.0.remove(&conn);
+                // Shut down, not only dropped: a writer retrying a
+                // stalled write on it fails and exits.
+                conns.close(conn);
                 daemon.closed(conn);
                 // A broken dialed link is ours to re-establish.
                 if let Some(ix) = dial_conns.iter().position(|c| *c == Some(conn)) {
@@ -466,20 +518,15 @@ fn event_loop(
                     }
                     break;
                 }
+                conns.serving = Some(conn);
                 daemon.step(conn, msg, &mut conns);
+                conns.flush();
             }
         }
     }
 
     DaemonFinal {
         checkpoint: daemon.broker().checkpoint(),
-    }
-}
-
-fn send_msg(mailbox: &Mailbox, msg: &Msg) -> SendOutcome {
-    match msg.to_frame_bytes() {
-        Ok(bytes) => mailbox.send(bytes),
-        Err(_) => SendOutcome::Rejected,
     }
 }
 
@@ -501,5 +548,15 @@ mod tests {
         let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.join()));
         let panic = joined.expect_err("the panic reaches the caller");
         assert_eq!(panic.downcast_ref::<&str>(), Some(&"event loop bug"));
+    }
+
+    /// A zero-frame mailbox would refuse nearly every frame: the
+    /// library refuses it up front, as the binary refuses `--mailbox 0`.
+    #[test]
+    fn start_refuses_a_zero_frame_mailbox() {
+        let mut config = DaemonConfig::new(BrokerId(0), subsum_types::stock_schema());
+        config.mailbox_capacity = 0;
+        let refused = Subsumd::start(config).map(|_| ()).unwrap_err();
+        assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
     }
 }

@@ -9,12 +9,15 @@
 //!   the length-prefixed frame layer with its panic-free incremental
 //!   decoder, and the peer and client protocol messages carried in
 //!   frames (summary payloads are `subsum-core::wire` bytes, unchanged);
-//! * [`session`] — per-connection plumbing: bounded outbound mailboxes
-//!   with an explicit backpressure policy, and their writer threads;
+//! * [`session`] — per-connection output: the event loop writes each
+//!   step's frames itself, one `write` per connection, and hands what a
+//!   socket does not take at once to that connection's writer thread
+//!   through a bounded mailbox with an explicit backpressure policy;
 //! * [`daemon`] — [`Subsumd`], the standalone broker daemon behind the
 //!   `subsumd` binary: acceptor, dialers with epoch-stamped reconnects,
-//!   readers and writers around one `DaemonCore::step`, the protocol
-//!   step the chaos suite drives under faults;
+//!   readers, and an event loop around one `DaemonCore::step` (the
+//!   protocol step the chaos suite drives under faults) that writes
+//!   its outputs;
 //! * [`client`] — a small blocking client library for subscribing and
 //!   publishing against a daemon.
 //!

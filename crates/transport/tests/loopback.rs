@@ -6,12 +6,16 @@
 //! *decides* (role checks, owner verification, id exhaustion) is tested
 //! without sockets, on `subsum_broker::DaemonCore`.
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use subsum_broker::BrokerCheckpoint;
-use subsum_transport::{Client, DaemonConfig, DaemonHandle, Subsumd};
+use subsum_transport::{
+    BackpressurePolicy, Client, DaemonConfig, DaemonHandle, FrameDecoder, Msg, Subsumd,
+};
 use subsum_types::{
-    stock_schema, BrokerId, Event, LocalSubId, NumOp, StrOp, Subscription, SubscriptionId,
+    stock_schema, BrokerId, Event, LocalSubId, NumOp, StrOp, Subscription, SubscriptionId, Value,
 };
 
 fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
@@ -272,6 +276,196 @@ fn a_subscribe_ships_only_what_it_added() {
     Client::connect(b2.addr()).unwrap().shutdown().unwrap();
     a.join();
     b2.join();
+}
+
+/// How long a raw client waits for a frame before the test fails.
+const PATIENCE: Duration = Duration::from_secs(5);
+
+/// A client on a raw socket: it can stop reading, gives up on a frame
+/// after `PATIENCE`, and counts every byte it reads.
+struct RawClient {
+    stream: TcpStream,
+    decoder: FrameDecoder,
+    bytes: u64,
+}
+
+impl RawClient {
+    fn connect(addr: SocketAddr) -> RawClient {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(PATIENCE)).unwrap();
+        RawClient {
+            stream,
+            decoder: FrameDecoder::new(),
+            bytes: 0,
+        }
+    }
+
+    /// A client holding `cheap_sub`.
+    fn subscriber(addr: SocketAddr) -> RawClient {
+        let mut c = RawClient::connect(addr);
+        c.send(&Msg::Subscribe { sub: cheap_sub() });
+        assert!(matches!(c.next(), Msg::SubscribeAck { .. }));
+        c
+    }
+
+    fn send(&mut self, msg: &Msg) {
+        self.stream
+            .write_all(&msg.to_frame_bytes().unwrap())
+            .unwrap();
+    }
+
+    /// Publishes `event` and checks the ack: accepted, one match.
+    fn publish(&mut self, seq: u32, event: Event) {
+        self.send(&Msg::Publish { seq, event });
+        let ack = self.next();
+        let want = Msg::PublishAck {
+            seq,
+            accepted: true,
+            matched: 1,
+        };
+        assert_eq!(ack, want);
+    }
+
+    /// The next message; panics if none decodes within `PATIENCE`.
+    fn next(&mut self) -> Msg {
+        let mut buf = [0u8; 64 * 1024];
+        loop {
+            if let Some(frame) = self.decoder.next_frame().unwrap() {
+                return Msg::decode_frame(&frame).unwrap();
+            }
+            let n = self.stream.read(&mut buf).expect("a frame in time");
+            assert!(n > 0, "the daemon hung up");
+            self.bytes += n as u64;
+            self.decoder.feed(&buf[..n]);
+        }
+    }
+
+    /// The volume of the next message, a delivery of a `bulky_event`.
+    fn next_delivery(&mut self) -> u64 {
+        let Msg::Deliver { event, .. } = self.next() else {
+            panic!("only deliveries follow the subscribe ack");
+        };
+        let attr = stock_schema().attr_id("volume").unwrap();
+        let Some(&Value::Int(k)) = event.get(attr) else {
+            panic!("a bulky event carries its volume");
+        };
+        k as u64
+    }
+}
+
+/// Event `k` of a stall: matches `cheap_sub`, carries `k` as its volume,
+/// and two strings near the wire limit, so a few dozen fill a socket.
+fn bulky_event(k: u64) -> Event {
+    let filler = "x".repeat(60_000);
+    Event::builder(&stock_schema())
+        .num("price", 5.0)
+        .and_then(|b| b.int("volume", k as i64))
+        .and_then(|b| b.str("symbol", filler.clone()))
+        .and_then(|b| b.str("exchange", filler))
+        .unwrap()
+        .build()
+}
+
+/// Process-wide count of full-outbox encounters, recording from the
+/// first call on. Other tests only add to it, so a lower bound on the
+/// difference holds.
+fn mailbox_full() -> u64 {
+    subsum_telemetry::set_enabled(true);
+    subsum_telemetry::counter(subsum_telemetry::names::NET_MAILBOX_FULL).get()
+}
+
+/// A daemon with a four-frame outbound bound under `policy`.
+fn start_small(policy: BackpressurePolicy) -> DaemonHandle {
+    let mut config = DaemonConfig::new(BrokerId(0), stock_schema());
+    config.mailbox_capacity = 4;
+    config.policy = policy;
+    Subsumd::start(config).unwrap()
+}
+
+/// What the daemon counted as written equals what its clients read.
+/// Every frame and byte counts once, whether the event loop or the
+/// writer finished it.
+fn assert_tx_counted_once(d: &DaemonHandle, frames: u64, clients: [&RawClient; 2]) {
+    let want = (frames, clients.iter().map(|c| c.bytes).sum());
+    let tx = &d.stats().tx;
+    // The writer records a frame after its last byte left.
+    let deadline = Instant::now() + PATIENCE;
+    while (tx.frames_tx.get(), tx.bytes_tx.get()) != want && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!((tx.frames_tx.get(), tx.bytes_tx.get()), want);
+}
+
+/// A client that stops reading costs the others nothing under
+/// `Reject`: once its socket and its four-frame backlog are full, its
+/// deliveries are dropped and counted, and the publisher's acks keep
+/// coming at once. What was not dropped reaches it whole and in order.
+#[test]
+fn reject_drops_a_stalled_clients_frames_and_keeps_acking() {
+    let d = start_small(BackpressurePolicy::Reject);
+    let mut stalled = RawClient::subscriber(d.addr());
+    let mut publisher = RawClient::connect(d.addr());
+    let full_at = mailbox_full();
+    let mut published = 0;
+    while published < d.stats().deliveries.get() + 8 {
+        assert!(
+            published < 1_000,
+            "the stalled client's socket never filled"
+        );
+        let sent = Instant::now();
+        publisher.publish(published as u32, bulky_event(published));
+        let waited = sent.elapsed();
+        assert!(
+            waited < Duration::from_millis(100),
+            "ack {published} took {waited:?}"
+        );
+        published += 1;
+    }
+    let delivered = d.stats().deliveries.get();
+    assert!(mailbox_full() - full_at >= published - delivered);
+
+    let mut last = None;
+    for _ in 0..delivered {
+        let k = Some(stalled.next_delivery());
+        assert!(last < k, "{k:?} after {last:?}");
+        last = k;
+    }
+    assert_tx_counted_once(&d, 1 + delivered + published, [&stalled, &publisher]);
+
+    publisher.send(&Msg::Shutdown);
+    d.join();
+}
+
+/// Under `Block` nothing is dropped: the daemon waits for a client that
+/// stopped reading, its writer retrying every write the send timeout
+/// cuts short, and once the client reads again every delivery arrives
+/// in order.
+#[test]
+fn block_stalls_on_a_stalled_client_and_loses_nothing() {
+    const EVENTS: u64 = 200;
+    let d = start_small(BackpressurePolicy::Block);
+    let mut stalled = RawClient::subscriber(d.addr());
+    let mut publisher = RawClient::connect(d.addr());
+    let full_at = mailbox_full();
+    let publishing = std::thread::spawn(move || {
+        for k in 0..EVENTS {
+            publisher.publish(k as u32, bulky_event(k));
+        }
+        publisher
+    });
+    wait_for("the daemon to stall", || mailbox_full() > full_at);
+    // Stay stalled for many send timeouts.
+    std::thread::sleep(Duration::from_millis(50));
+
+    for k in 0..EVENTS {
+        assert_eq!(stalled.next_delivery(), k);
+    }
+    let mut publisher = publishing.join().unwrap();
+    assert_eq!(d.stats().deliveries.get(), EVENTS);
+    assert_tx_counted_once(&d, 1 + 2 * EVENTS, [&stalled, &publisher]);
+
+    publisher.send(&Msg::Shutdown);
+    d.join();
 }
 
 /// The same loopback flow through the real `subsumd` binary: two
