@@ -48,6 +48,10 @@ pub struct BrokerCore {
     shadowed_by: HashMap<SubscriptionId, SubscriptionId>,
     /// Summary of the non-shadowed part of `exact` (tier 1).
     own: BrokerSummary,
+    /// Whether an unsubscribe touched `own` since it was last rebuilt.
+    /// While clear, `own` equals [`BrokerCore::rebuilt`]: admissions
+    /// insert in ascending-id order, the order a rebuild inserts in.
+    removed_since_rebuild: bool,
 }
 
 impl BrokerCore {
@@ -68,6 +72,7 @@ impl BrokerCore {
             subsumption_filter: false,
             shadows: HashMap::new(),
             shadowed_by: HashMap::new(),
+            removed_since_rebuild: false,
         };
         core.restore(checkpoint);
         core
@@ -184,6 +189,7 @@ impl BrokerCore {
             return true;
         }
         self.own.remove(id);
+        self.removed_since_rebuild = true;
         // Orphaned shadows re-enter the summary (possibly under a
         // different resident coverer).
         for orphan in self.shadows.remove(&id).unwrap_or_default() {
@@ -226,7 +232,8 @@ impl BrokerCore {
             }
             self.exact.insert(id, sub);
         }
-        self.rebuild();
+        self.own = self.rebuilt();
+        self.removed_since_rebuild = false;
     }
 
     /// A fresh summary of the exact store in canonical (ascending-id)
@@ -236,9 +243,15 @@ impl BrokerCore {
     }
 
     /// Sheds the generalisations removals left in the own summary (§3
-    /// maintenance at a period boundary).
+    /// maintenance at a period boundary). Without an unsubscribe since
+    /// the last rebuild there are none, and the summary is kept.
     pub fn rebuild(&mut self) {
+        if !self.removed_since_rebuild {
+            debug_assert!(self.own == self.rebuilt(), "own summary drifted");
+            return;
+        }
         self.own = self.rebuilt();
+        self.removed_since_rebuild = false;
     }
 
     /// A summary of those of `ids` that are still live and not shadowed
@@ -264,7 +277,8 @@ impl BrokerCore {
     pub(crate) fn retype(&mut self, schema: Schema, layout: IdLayout) {
         self.schema = schema;
         self.layout = layout;
-        self.rebuild();
+        self.own = self.rebuilt();
+        self.removed_since_rebuild = false;
     }
 
     /// Tier-2 verification of one summary-tier candidate: calls
@@ -422,6 +436,47 @@ mod tests {
         assert!(core.unsubscribe(broad));
         assert_eq!(core.shadowed_count(), 0);
         assert_eq!(core.own().subscription_ids(), vec![narrow]);
+    }
+
+    /// Admissions alone keep the own summary equal to a rebuild, with
+    /// and without the §6 filter, so a period-boundary rebuild may skip
+    /// it; an unsubscribe that touches the summary leaves one to do.
+    #[test]
+    fn only_an_unsubscribe_leaves_a_rebuild_to_do() {
+        let schema = stock_schema();
+        let symbol = |op, text| {
+            Subscription::builder(&schema)
+                .str_op("symbol", op, text)
+                .unwrap()
+                .build()
+                .unwrap()
+        };
+        for filter in [false, true] {
+            let mut core = core(100);
+            core.set_subsumption_filter(filter);
+            let broad = core.subscribe(&price_lt(50.0)).unwrap();
+            let narrow = core.subscribe(&price_lt(5.0)).unwrap();
+            core.subscribe(&price_lt(70.0)).unwrap();
+            core.subscribe(&symbol(StrOp::Eq, "OTE")).unwrap();
+            core.subscribe(&symbol(StrOp::Prefix, "OT")).unwrap();
+            core.subscribe(&symbol(StrOp::Eq, "OTX")).unwrap();
+            assert_eq!(core.shadowed_count(), if filter { 2 } else { 0 });
+            assert!(!core.removed_since_rebuild);
+            assert_eq!(*core.own(), core.rebuilt());
+            assert_eq!(core.own().digest(), core.rebuilt().digest());
+            // Under the filter `narrow` is shadowed: its cancellation
+            // leaves the summary alone.
+            core.unsubscribe(narrow);
+            assert_eq!(core.removed_since_rebuild, !filter);
+            core.rebuild();
+            assert!(!core.removed_since_rebuild);
+            // The coverer's cancellation touches the summary.
+            core.unsubscribe(broad);
+            assert!(core.removed_since_rebuild);
+            core.rebuild();
+            assert!(!core.removed_since_rebuild);
+            assert_eq!(core.own().digest(), core.rebuilt().digest());
+        }
     }
 
     #[test]

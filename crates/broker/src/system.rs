@@ -334,9 +334,11 @@ impl SummaryPubSub {
     /// layout.
     pub fn propagate(&mut self) -> Result<&PropagationOutcome, TypeError> {
         let _span = STAGE_PROPAGATE.start();
-        // Rebuild own summaries from the exact stores so unsubscriptions
-        // shed their generalizations at each period boundary. Shadowed
-        // subscriptions stay out of the summaries (§6 extension).
+        // Rebuild from the exact stores the own summaries an unsubscribe
+        // touched, so they shed the generalizations and dead intern slots
+        // removals left, at each period boundary; the others already
+        // equal a rebuild. Shadowed subscriptions stay out of the
+        // summaries (§6 extension).
         for broker in &mut self.brokers {
             broker.rebuild();
         }

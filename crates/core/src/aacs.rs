@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 
 use subsum_types::{Interval, IntervalSet, Num};
 
-use crate::idlist::{idlist_insert, idlist_merge, idlist_remap, idlist_remove_remap};
+use crate::idlist::{idlist_insert, idlist_merge, idlist_remap};
 pub use crate::idlist::{DenseId, IdList};
 
 /// One sub-range row of AACS_SR.
@@ -238,14 +238,10 @@ impl RangeSummary {
         None
     }
 
-    /// Merges adjacent rows with identical id lists back into one row
-    /// (keeps `n_sr` minimal after splits and removals).
+    /// Merges adjacent rows with identical id lists back into one row, in
+    /// place (keeps `n_sr` minimal after splits and removals).
     fn coalesce(&mut self) {
-        let mut out: Vec<RangeRow> = Vec::with_capacity(self.ranges.len());
-        for row in self.ranges.drain(..) {
-            push_coalesced(&mut out, row);
-        }
-        self.ranges = out;
+        self.ranges.dedup_by(|row, last| join_into(last, row));
     }
 
     /// All subscription ids whose constraint on this attribute is
@@ -292,17 +288,23 @@ impl RangeSummary {
         cost
     }
 
-    /// Removes every occurrence of `id`, dropping empty rows. The dense
-    /// space is left unchanged — use [`RangeSummary::remove_remap`] when
-    /// the intern table slot itself is being vacated.
+    /// Removes every occurrence of `id`, dropping empty rows and joining
+    /// the neighbours the removal left equal. The dense space is left
+    /// unchanged: the owning summary marks the id's intern slot dead.
     pub fn remove(&mut self, id: DenseId) {
+        let mut touched = false;
         for row in &mut self.ranges {
             if let Ok(pos) = row.ids.binary_search(&id) {
                 row.ids.remove(pos);
+                touched = true;
             }
         }
-        self.ranges.retain(|r| !r.ids.is_empty());
-        self.coalesce();
+        // Rows are kept coalesced, so only a removal can make two
+        // neighbours equal.
+        if touched {
+            self.ranges.retain(|r| !r.ids.is_empty());
+            self.coalesce();
+        }
         self.points.retain(|_, list| {
             if let Ok(pos) = list.binary_search(&id) {
                 list.remove(pos);
@@ -311,23 +313,8 @@ impl RangeSummary {
         });
     }
 
-    /// Removes `gone` from every posting list and decrements every dense
-    /// id above it — one pass over all postings, performed when the
-    /// owning summary drops slot `gone` from its intern table.
-    pub(crate) fn remove_remap(&mut self, gone: DenseId) {
-        for row in &mut self.ranges {
-            idlist_remove_remap(&mut row.ids, gone);
-        }
-        self.ranges.retain(|r| !r.ids.is_empty());
-        self.coalesce();
-        self.points.retain(|_, list| {
-            idlist_remove_remap(list, gone);
-            !list.is_empty()
-        });
-    }
-
     /// Applies a strictly monotone dense-id renumbering to every posting
-    /// list (intern-table growth or merge translation).
+    /// list (intern-table growth, compaction or merge translation).
     pub(crate) fn remap_ids(&mut self, map: impl Fn(DenseId) -> DenseId + Copy) {
         for row in &mut self.ranges {
             idlist_remap(&mut row.ids, map);
@@ -427,16 +414,25 @@ impl RangeSummary {
 /// Appends `row` to sorted, disjoint `rows`, joining it to the last row
 /// when the two carry the same ids and their union is one interval.
 fn push_coalesced(rows: &mut Vec<RangeRow>, row: RangeRow) {
-    if let Some(last) = rows.last_mut().filter(|last| last.ids == row.ids) {
-        let union = IntervalSet::from_interval(last.interval)
-            .union(&IntervalSet::from_interval(row.interval));
-        let mut parts = union.iter();
-        if let (Some(&merged), None) = (parts.next(), parts.next()) {
-            last.interval = merged;
-            return;
-        }
+    if !rows.last_mut().is_some_and(|last| join_into(last, &row)) {
+        rows.push(row);
     }
-    rows.push(row);
+}
+
+/// Widens `last` over the next row `row` when the two carry the same
+/// ids and their union is one interval; returns whether it did.
+fn join_into(last: &mut RangeRow, row: &RangeRow) -> bool {
+    if last.ids != row.ids {
+        return false;
+    }
+    let union =
+        IntervalSet::from_interval(last.interval).union(&IntervalSet::from_interval(row.interval));
+    let mut parts = union.iter();
+    if let (Some(&merged), None) = (parts.next(), parts.next()) {
+        last.interval = merged;
+        return true;
+    }
+    false
 }
 
 /// `true` if the interval lies entirely below `v`.
@@ -581,20 +577,6 @@ mod tests {
         assert_eq!(aacs.query(n(5.0)), vec![id(1)]);
         aacs.remove(id(1));
         assert!(aacs.is_empty());
-    }
-
-    #[test]
-    fn remove_remap_shifts_survivors() {
-        let mut aacs = RangeSummary::new();
-        aacs.insert_interval(Interval::closed(n(0.0), n(10.0)), id(1));
-        aacs.insert_interval(Interval::closed(n(4.0), n(6.0)), id(2));
-        aacs.insert_point(n(20.0), id(3));
-        // Vacate slot 2: id 3 becomes id 2, id 1 stays.
-        aacs.remove_remap(id(2));
-        assert_eq!(aacs.range_rows(), 1);
-        assert_eq!(aacs.query(n(5.0)), vec![id(1)]);
-        assert_eq!(aacs.query(n(20.0)), vec![id(2)]);
-        aacs.validate();
     }
 
     #[test]
@@ -770,7 +752,7 @@ mod tests {
 
     #[test]
     fn churn_leaves_no_empty_rows_and_restores_structure() {
-        // Regression guard for remove/remove_remap compaction: churn
+        // Regression guard for removal's row compaction: churn
         // (insert → remove → re-insert) must leave validate()-clean
         // structures with no empty rows or point entries, and removing
         // everything one side inserted must restore the exact structure
@@ -805,15 +787,5 @@ mod tests {
         let mut fresh = build_base();
         fresh.insert_interval(Interval::closed(n(3.0), n(12.0)), id(2));
         assert_eq!(churned, fresh, "re-insert after removal diverged");
-        // `remove_remap` compacts the same way while shifting the dense
-        // space.
-        let mut remapped = build_base();
-        remapped.insert_interval(Interval::closed(n(3.0), n(12.0)), id(2));
-        remapped.remove_remap(id(2));
-        remapped.validate();
-        for row in remapped.ranges() {
-            assert!(!row.ids.is_empty(), "empty row survived remove_remap");
-        }
-        assert!(remapped.points().all(|(_, ids)| !ids.is_empty()));
     }
 }

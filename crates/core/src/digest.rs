@@ -165,11 +165,13 @@ impl BrokerSummary {
     /// Computes the summary's anti-entropy digest. Linear in the total
     /// row/posting count; no ordering of rows is assumed.
     pub fn digest(&self) -> SummaryDigest {
-        // The intern table holds exactly the ids the rows name, sorted.
-        let ids = self.intern_table().ids_slice();
-        let id_hash = ids
-            .iter()
-            .fold(0u64, |acc, &id| acc.wrapping_add(hash_id(id)));
+        // The intern table's live slots hold exactly the ids the rows
+        // name; rows resolve through the whole table.
+        let table = self.intern_table();
+        let ids = table.ids_slice();
+        let id_hash = table
+            .live_ids()
+            .fold(0u64, |acc, id| acc.wrapping_add(hash_id(id)));
 
         let mut structure = 0u64;
         for (attr, _spec) in self.schema().iter() {
@@ -212,7 +214,7 @@ impl BrokerSummary {
         }
 
         SummaryDigest {
-            count: ids.len() as u64,
+            count: self.subscription_count() as u64,
             id_hash,
             structure,
         }

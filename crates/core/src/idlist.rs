@@ -107,22 +107,6 @@ pub(crate) fn idlist_remap(list: &mut IdList, map: impl Fn(DenseId) -> DenseId) 
     );
 }
 
-/// Deletes `gone` from the list (if present) and decrements every dense id
-/// above it — the posting-list half of removing one intern-table slot.
-/// Single pass, keeps the list sorted and deduplicated.
-pub(crate) fn idlist_remove_remap(list: &mut IdList, gone: DenseId) {
-    let mut w = 0;
-    for r in 0..list.len() {
-        let d = list[r];
-        if d == gone {
-            continue;
-        }
-        list[w] = if d > gone { d - 1 } else { d };
-        w += 1;
-    }
-    list.truncate(w);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,16 +164,5 @@ mod tests {
         let mut l: IdList = vec![0, 2, 5];
         idlist_remap(&mut l, |d| if d >= 2 { d + 1 } else { d });
         assert_eq!(l, vec![0, 3, 6]);
-    }
-
-    #[test]
-    fn remove_remap_deletes_and_shifts() {
-        let mut l: IdList = vec![0, 2, 5];
-        idlist_remove_remap(&mut l, 2);
-        assert_eq!(l, vec![0, 4]);
-        // Absent id: only the shift applies.
-        let mut m: IdList = vec![0, 4];
-        idlist_remove_remap(&mut m, 1);
-        assert_eq!(m, vec![0, 3]);
     }
 }

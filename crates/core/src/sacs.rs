@@ -35,7 +35,7 @@ use std::collections::HashMap;
 
 use subsum_types::Pattern;
 
-use crate::idlist::{idlist_merge, idlist_remap, idlist_remove_remap, DenseId, IdList};
+use crate::idlist::{idlist_merge, idlist_remap, DenseId, IdList};
 
 /// One row of a SACS array: a general constraint and the ids of the
 /// subscriptions it stands for.
@@ -258,8 +258,8 @@ impl PatternSummary {
     /// Removal never *narrows* rows: a row generalized by a departed
     /// subscription keeps its pattern (no false negatives are possible;
     /// extra generality only costs precision until a rebuild). The dense
-    /// space is left unchanged — use [`PatternSummary::remove_remap`]
-    /// when the intern table slot itself is being vacated.
+    /// space is left unchanged: the owning summary marks the id's intern
+    /// slot dead.
     pub fn remove(&mut self, id: DenseId) {
         self.literals.retain(|_, ids| {
             if let Ok(pos) = ids.binary_search(&id) {
@@ -275,22 +275,8 @@ impl PatternSummary {
         });
     }
 
-    /// Removes `gone` from every posting list and decrements every dense
-    /// id above it — one pass over all postings, performed when the
-    /// owning summary drops slot `gone` from its intern table.
-    pub(crate) fn remove_remap(&mut self, gone: DenseId) {
-        self.literals.retain(|_, ids| {
-            idlist_remove_remap(ids, gone);
-            !ids.is_empty()
-        });
-        self.patterns.retain_mut(|row| {
-            idlist_remove_remap(&mut row.ids, gone);
-            !row.ids.is_empty()
-        });
-    }
-
     /// Applies a strictly monotone dense-id renumbering to every posting
-    /// list (intern-table growth or merge translation).
+    /// list (intern-table growth, compaction or merge translation).
     pub(crate) fn remap_ids(&mut self, map: impl Fn(DenseId) -> DenseId + Copy) {
         for ids in self.literals.values_mut() {
             idlist_remap(ids, map);
@@ -480,19 +466,6 @@ mod tests {
         assert_eq!(sacs.query_scan("OTE"), vec![id(2)]);
         sacs.remove(id(2));
         assert!(sacs.is_empty());
-    }
-
-    #[test]
-    fn remove_remap_shifts_survivors() {
-        let mut sacs = PatternSummary::new();
-        sacs.insert(pat("OT*"), id(1));
-        sacs.insert(pat("OTE"), id(2));
-        sacs.insert(pat("*SE"), id(3));
-        // Vacate slot 2: id 3 becomes id 2, id 1 stays.
-        sacs.remove_remap(id(2));
-        assert_eq!(sacs.query_scan("OTE"), vec![id(1)]);
-        assert_eq!(sacs.query_scan("NYSE"), vec![id(2)]);
-        sacs.validate();
     }
 
     #[test]

@@ -30,8 +30,9 @@ static STAGE_MATCH: Stage = Stage::new(subsum_telemetry::names::CORE_SUMMARY_MAT
 static CNT_SCRATCH_REUSE: Count = Count::new(subsum_telemetry::names::MATCH_SCRATCH_REUSE);
 /// Wholesale intern-table rebuilds (wire decode and summary merge).
 static CNT_INTERN_REBUILDS: Count = Count::new(subsum_telemetry::names::MATCH_INTERN_REBUILDS);
-/// Posting renumberings caused by an interactive insert landing in the
-/// middle of the dense order (out-of-order subscription ids).
+/// Posting renumberings: an interactive insert landing in the middle of
+/// the dense order (out-of-order subscription ids), or a compaction of
+/// dead slots.
 static CNT_INTERN_RENUMBERS: Count = Count::new(subsum_telemetry::names::MATCH_INTERN_RENUMBERS);
 /// Match-scratch growth events (probe state resized to a larger
 /// population); zero at steady state.
@@ -40,16 +41,24 @@ static CNT_SCRATCH_GROWS: Count = Count::new(subsum_telemetry::names::MATCH_SCRA
 /// The per-summary intern table: dense id `d` stands for `ids[d]`.
 ///
 /// Invariant: `ids` is sorted and deduplicated, so **dense order equals
-/// `SubscriptionId` order** at all times. Sorted dense posting lists
-/// therefore resolve to sorted subscription-id lists with no per-event
-/// sorting. `required[d]` caches `ids[d].mask.count()` — the number of
-/// satisfied attributes the counter kernel must see before reporting
-/// dense id `d`; it is derived from the masks and is rebuilt by
-/// [`InternTable::from_ids`], never put on the wire.
+/// `SubscriptionId` order** among the live slots at all times. Sorted
+/// dense posting lists therefore resolve to sorted subscription-id lists
+/// with no per-event sorting. `required[d]` caches `ids[d].mask.count()`
+/// — the number of satisfied attributes the counter kernel must see
+/// before reporting dense id `d`; it is derived from the masks and is
+/// rebuilt by [`InternTable::from_ids`], never put on the wire.
+///
+/// A removed id keeps its slot, marked dead by `required[d] = 0` (a live
+/// id has popcount ≥ 1: only ids that touch a row are interned), so no
+/// other dense id moves. No posting names a dead slot, re-interning the
+/// id revives the slot in place, and `dead` counts them; once they
+/// outnumber the live slots, [`BrokerSummary::compact`] drops them all
+/// in one monotone renumbering.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct InternTable {
     ids: SubIdList,
     required: Vec<u32>,
+    dead: usize,
 }
 
 impl InternTable {
@@ -57,12 +66,35 @@ impl InternTable {
     fn from_ids(ids: SubIdList) -> Self {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "intern ids sorted");
         let required = ids.iter().map(|id| id.mask.count()).collect();
-        InternTable { ids, required }
+        InternTable {
+            ids,
+            required,
+            dead: 0,
+        }
     }
 
-    /// Number of interned ids (== the dense id space size).
+    /// Number of slots, live and dead (== the dense id space size).
     fn len(&self) -> usize {
         self.ids.len()
+    }
+
+    /// Number of live slots.
+    fn live(&self) -> usize {
+        self.ids.len() - self.dead
+    }
+
+    /// Whether slot `pos` holds a live id.
+    fn is_live(&self, pos: usize) -> bool {
+        self.required[pos] != 0
+    }
+
+    /// The live ids, in dense order.
+    pub(crate) fn live_ids(&self) -> impl Iterator<Item = SubscriptionId> + '_ {
+        self.ids
+            .iter()
+            .zip(&self.required)
+            .filter(|(_, &r)| r != 0)
+            .map(|(&id, _)| id)
     }
 
     /// The dense id of `id`, or the rank where it would be interned.
@@ -81,10 +113,16 @@ impl InternTable {
         self.required.insert(pos, id.mask.count());
     }
 
-    /// Drops the slot at rank `pos` (caller renumbers postings).
-    fn remove_at(&mut self, pos: usize) {
-        self.ids.remove(pos);
-        self.required.remove(pos);
+    /// Marks the live slot `pos` dead (caller drops its postings).
+    fn kill(&mut self, pos: usize) {
+        self.required[pos] = 0;
+        self.dead += 1;
+    }
+
+    /// Marks the dead slot `pos` live again.
+    fn revive(&mut self, pos: usize) {
+        self.required[pos] = self.ids[pos].mask.count();
+        self.dead -= 1;
     }
 
     /// The sorted interned id list (dense id `d` ↦ `ids[d]`).
@@ -97,10 +135,12 @@ impl InternTable {
         &self.required
     }
 
-    /// Unions two tables into a fresh one, returning monotone translation
-    /// arrays from each side's dense space into the union's. Linear in
-    /// the total id count, so summary merging stays linear overall.
+    /// Unions two tables without dead slots into a fresh one, returning
+    /// monotone translation arrays from each side's dense space into the
+    /// union's. Linear in the total id count, so summary merging stays
+    /// linear overall.
     fn union_translate(&self, other: &InternTable) -> (InternTable, Vec<DenseId>, Vec<DenseId>) {
+        debug_assert!(self.dead == 0 && other.dead == 0, "union of compact tables");
         let mut ids = SubIdList::with_capacity(self.ids.len() + other.ids.len());
         let mut trans_self = Vec::with_capacity(self.ids.len());
         let mut trans_other = Vec::with_capacity(other.ids.len());
@@ -179,15 +219,15 @@ impl InternTable {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct BrokerSummary {
     schema: Schema,
     /// Indexed by attribute id; `None` for string attributes.
     arith: Vec<Option<RangeSummary>>,
     /// Indexed by attribute id; `None` for arithmetic attributes.
     strings: Vec<Option<PatternSummary>>,
-    /// The intern table behind every row's dense posting list. Its id
-    /// list equals [`BrokerSummary::subscription_ids`], so it doubles as
+    /// The intern table behind every row's dense posting list. Its live
+    /// ids equal [`BrokerSummary::subscription_ids`], so it doubles as
     /// the known-id counter cache. Relative to the byte wire this is
     /// derived state: `SummaryCodec` ships plain `SubscriptionId` lists
     /// (read through `intern_table`), the field's privacy keeps the codec
@@ -200,6 +240,30 @@ pub struct BrokerSummary {
     /// keeps the wire codec off it; `decode` drops it
     /// (`install_decoded_rows`).
     plan: PlanCell,
+}
+
+/// Content equality: two summaries are equal when they hold the same
+/// rows over the same ids. Neither dead intern slots nor the empty
+/// structures removals leave behind are content: a side with dead slots
+/// is compared in its compacted form, and an empty structure as an
+/// absent one, so a decoded view equals the summary it was encoded from.
+impl PartialEq for BrokerSummary {
+    fn eq(&self, other: &Self) -> bool {
+        fn rows<T>(
+            slots: &[Option<T>],
+            is_empty: fn(&T) -> bool,
+        ) -> impl Iterator<Item = Option<&T>> {
+            slots
+                .iter()
+                .map(move |slot| slot.as_ref().filter(|s| !is_empty(s)))
+        }
+        let (a, b) = (self.compacted(), other.compacted());
+        a.schema == b.schema
+            && rows(&a.arith, RangeSummary::is_empty).eq(rows(&b.arith, RangeSummary::is_empty))
+            && rows(&a.strings, PatternSummary::is_empty)
+                .eq(rows(&b.strings, PatternSummary::is_empty))
+            && a.intern == b.intern
+    }
 }
 
 impl BrokerSummary {
@@ -304,13 +368,19 @@ impl BrokerSummary {
         }
     }
 
-    /// Interns `id`, returning its dense id. When a new id lands in the
-    /// middle of the dense order (ids usually arrive ascending), every
-    /// posting at or above the insertion rank is renumbered up by one —
-    /// a monotone shift, so all posting lists stay sorted.
+    /// Interns `id`, returning its dense id. A dead slot of `id` is
+    /// revived where it is. When a new id lands in the middle of the
+    /// dense order (ids usually arrive ascending), every posting at or
+    /// above the insertion rank is renumbered up by one — a monotone
+    /// shift, so all posting lists stay sorted.
     fn intern_id(&mut self, id: SubscriptionId) -> DenseId {
         match self.intern.position(&id) {
-            Ok(pos) => pos as DenseId,
+            Ok(pos) => {
+                if !self.intern.is_live(pos) {
+                    self.intern.revive(pos);
+                }
+                pos as DenseId
+            }
             Err(pos) => {
                 if pos < self.intern.len() {
                     CNT_INTERN_RENUMBERS.inc();
@@ -334,27 +404,60 @@ impl BrokerSummary {
         }
     }
 
-    /// Removes a subscription's traces from every attribute structure
-    /// and vacates its intern slot (every surviving posting above the
-    /// slot shifts down by one — a single linear pass; removal is a
-    /// maintenance path, not the hot path).
+    /// Removes a subscription's traces and marks its intern slot dead.
+    /// Only the structures of the attributes in the id's `c3` mask are
+    /// visited — every posting of an id sits under one of those — and no
+    /// other dense id moves. An absent or already removed id is a no-op
+    /// and keeps the compiled plan. Once dead slots outnumber live ones,
+    /// they are compacted away in one renumbering pass.
     ///
     /// SACS rows keep their (possibly generalized) patterns; summaries
     /// only ever become *more* precise again through
     /// [`BrokerSummary::rebuild`].
     pub fn remove(&mut self, id: SubscriptionId) {
-        let Ok(pos) = self.intern.position(&id) else {
+        let Some(pos) = (self.intern.position(&id).ok()).filter(|&p| self.intern.is_live(p)) else {
             return;
         };
         self.plan.invalidate();
         let gone = pos as DenseId;
-        for s in self.arith.iter_mut().flatten() {
-            s.remove_remap(gone);
+        for attr in id.mask.iter() {
+            if let Some(Some(s)) = self.arith.get_mut(attr.index()) {
+                s.remove(gone);
+            }
+            if let Some(Some(s)) = self.strings.get_mut(attr.index()) {
+                s.remove(gone);
+            }
         }
-        for s in self.strings.iter_mut().flatten() {
-            s.remove_remap(gone);
+        self.intern.kill(pos);
+        if self.intern.dead > self.intern.live() {
+            self.compact();
         }
-        self.intern.remove_at(pos);
+    }
+
+    /// Drops every dead intern slot: each posting is renumbered to its
+    /// slot's rank among the live ones (a strictly monotone map, so all
+    /// posting lists stay sorted) and the table is rebuilt from the live
+    /// ids.
+    fn compact(&mut self) {
+        CNT_INTERN_RENUMBERS.inc();
+        let mut rank = Vec::with_capacity(self.intern.len());
+        let mut live: DenseId = 0;
+        for &r in &self.intern.required {
+            rank.push(live);
+            live += DenseId::from(r != 0);
+        }
+        self.remap_all(|d| rank[d as usize]);
+        self.intern = InternTable::from_ids(self.intern.live_ids().collect());
+    }
+
+    /// This summary without dead slots: borrowed when it has none.
+    fn compacted(&self) -> std::borrow::Cow<'_, BrokerSummary> {
+        if self.intern.dead == 0 {
+            return std::borrow::Cow::Borrowed(self);
+        }
+        let mut compact = self.clone();
+        compact.compact();
+        std::borrow::Cow::Owned(compact)
     }
 
     /// Reconstructs a summary from an exact subscription store, shedding
@@ -391,6 +494,12 @@ impl BrokerSummary {
     pub(crate) fn merge_rows(&mut self, other: &BrokerSummary) {
         let _span = STAGE_MERGE.start();
         self.plan.invalidate();
+        // The union below reads compact tables: a side with dead slots
+        // drops them first.
+        if self.intern.dead > 0 {
+            self.compact();
+        }
+        let other = other.compacted();
         // Union the two dense id spaces once, up front, producing
         // monotone translation arrays — both sides' postings then remap
         // in linear passes instead of re-interning id by id.
@@ -701,9 +810,9 @@ impl BrokerSummary {
     }
 
     /// The number of distinct subscriptions summarized — `O(1)`, served
-    /// from the intern table.
+    /// from the intern table's live slots.
     pub fn subscription_count(&self) -> usize {
-        self.intern.len()
+        self.intern.live()
     }
 
     /// Checks the deep structural invariants of the whole summary.
@@ -717,9 +826,11 @@ impl BrokerSummary {
     /// * every per-attribute structure passes its own
     ///   [`RangeSummary::validate`] / [`PatternSummary::validate`];
     /// * intern-table coherence: the interned ids are strictly sorted,
-    ///   `required[d]` equals each id's mask popcount, every dense
-    ///   posting is in table range, and the referenced dense ids are
-    ///   exactly `0..len` (contiguous — no zombie slots, no danglers);
+    ///   `required[d]` equals each live id's mask popcount and is 0 for a
+    ///   dead slot, the dead count is right and at most the live count,
+    ///   every dense posting is in table range, no posting names a dead
+    ///   slot, and the referenced dense ids are exactly the live slots
+    ///   (no zombie slots, no danglers);
     /// * every posting of dense id `d` sits on an attribute in
     ///   `ids[d].mask` — the precondition of the plan's mask filter;
     /// * a cached plan equals a fresh compile, whose runs each hold the
@@ -771,10 +882,16 @@ impl BrokerSummary {
         );
         for (d, id) in self.intern.ids.iter().enumerate() {
             assert!(
-                self.intern.required[d] == id.mask.count(),
+                !self.intern.is_live(d) || self.intern.required[d] == id.mask.count(),
                 "required[] inconsistent with the id mask at dense id {d}"
             );
         }
+        let dead = self.intern.required.iter().filter(|&&r| r == 0).count();
+        assert_eq!(dead, self.intern.dead, "dead-slot count out of sync");
+        assert!(
+            dead <= self.intern.live(),
+            "{dead} dead slots outnumber the live ones"
+        );
         let mut dense: Vec<DenseId> = self
             .arith
             .iter()
@@ -789,10 +906,13 @@ impl BrokerSummary {
                 (d as usize) < self.intern.ids.len(),
                 "dense id {d} out of intern-table range"
             );
+            assert!(
+                self.intern.is_live(d as usize),
+                "dense id {d} names a dead slot"
+            );
         }
         assert!(
-            dense.len() == self.intern.ids.len()
-                && dense.iter().enumerate().all(|(i, &d)| i == d as usize),
+            dense.len() == self.intern.live(),
             "intern table out of sync with the summary rows"
         );
         // Plan/summary coherence: a cached compiled plan must equal a
@@ -1280,10 +1400,11 @@ mod tests {
     fn known_ids_track_subscription_ids() {
         let schema = schema();
         let mut summary = BrokerSummary::new(schema.clone());
+        let live = |s: &BrokerSummary| s.intern.live_ids().collect::<Vec<_>>();
         let id1 = summary.insert(BrokerId(0), LocalSubId(1), &sub1(&schema));
         let id2 = summary.insert(BrokerId(0), LocalSubId(2), &sub2(&schema));
         assert_eq!(summary.subscription_count(), 2);
-        assert_eq!(summary.subscription_ids(), summary.intern.ids);
+        assert_eq!(summary.subscription_ids(), live(&summary));
         // Unsatisfiable arithmetic conjunctions leave no trace and are
         // not counted.
         let unsat = Subscription::builder(&schema)
@@ -1295,11 +1416,25 @@ mod tests {
             .unwrap();
         summary.insert(BrokerId(0), LocalSubId(3), &unsat);
         assert_eq!(summary.subscription_count(), 2);
-        assert_eq!(summary.subscription_ids(), summary.intern.ids);
+        assert_eq!(summary.subscription_ids(), live(&summary));
+        // The removed id's slot stays, dead: one dead, one live.
         summary.remove(id1);
         assert_eq!(summary.subscription_count(), 1);
         assert_eq!(summary.subscription_ids(), vec![id2]);
-        assert_eq!(summary.subscription_ids(), summary.intern.ids);
+        assert_eq!(summary.subscription_ids(), live(&summary));
+        assert_eq!(summary.intern.ids, [id1, id2]);
+        // Re-inserting revives the slot where it is.
+        summary.insert(BrokerId(0), LocalSubId(1), &sub1(&schema));
+        assert_eq!(summary.subscription_ids(), live(&summary));
+        assert_eq!(summary.intern.ids, [id1, id2]);
+        // One dead slot beside one live one stays; once dead slots
+        // outnumber live ones they are compacted away.
+        summary.remove(id1);
+        assert_eq!(summary.intern.ids, [id1, id2]);
+        summary.remove(id2);
+        assert_eq!(summary.subscription_count(), 0);
+        assert!(summary.intern.ids.is_empty());
+        summary.validate();
     }
 
     #[test]
@@ -1323,12 +1458,24 @@ mod tests {
         let schema = schema();
         let mut summary = BrokerSummary::new(schema.clone());
         summary.insert(BrokerId(0), LocalSubId(1), &sub1(&schema));
-        // Corrupt the intern table behind the API's back: a slot no row
-        // references breaks the contiguity invariant.
-        let bogus =
-            SubscriptionId::new(BrokerId(9), LocalSubId(9), subsum_types::AttrMask::empty());
+        // Corrupt the intern table behind the API's back: a live slot no
+        // row references breaks the invariant.
+        let bogus = SubscriptionId::new(BrokerId(9), LocalSubId(9), sub1(&schema).attr_mask());
         summary.intern.required.push(bogus.mask.count());
         summary.intern.ids.push(bogus);
+        summary.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "names a dead slot")]
+    fn validate_rejects_a_posting_that_names_a_dead_slot() {
+        let schema = schema();
+        let mut summary = BrokerSummary::new(schema.clone());
+        summary.insert(BrokerId(0), LocalSubId(1), &sub1(&schema));
+        summary.insert(BrokerId(0), LocalSubId(2), &sub2(&schema));
+        // Mark the first slot dead behind the API's back, leaving its
+        // postings in place.
+        summary.intern.kill(0);
         summary.validate();
     }
 
@@ -1506,6 +1653,62 @@ mod tests {
                 assert_eq!(view.digest(), want.digest());
             }
         });
+    }
+
+    /// A seeded churn sequence: 200 inserts from 24 brokers (so some
+    /// land mid-order), 150 removals in a random order, then a merge in
+    /// each direction with a second seeded summary. Digests and encode
+    /// fingerprints were recorded while removal still renumbered every
+    /// posting at once, so they witness that dead slots and their
+    /// compaction leave the content exactly as that did.
+    #[test]
+    fn churned_summary_matches_the_pinned_values() {
+        use crate::testkit::{fingerprint, random_subscription, seeded_summary};
+        use crate::wire::{ArithWidth, SummaryCodec};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let layout = subsum_types::IdLayout::new(1 << 16, 1 << 20, 7).unwrap();
+        let c = SummaryCodec::new(layout, ArithWidth::Eight);
+        let pin = |s: &BrokerSummary| {
+            let d = s.digest();
+            let bytes = c.encode(s).unwrap();
+            (d.count, d.id_hash, d.structure, fingerprint(&bytes))
+        };
+        let mut g = StdRng::seed_from_u64(36);
+        let mut churned = BrokerSummary::new(schema());
+        let mut ids = Vec::new();
+        for local in 0..200 {
+            if let Some(sub) = random_subscription(&mut g) {
+                let broker = BrokerId(g.gen_range(0..24));
+                ids.push(churned.insert(broker, LocalSubId(local), &sub));
+            }
+        }
+        for _ in 0..150.min(ids.len()) {
+            let k = g.gen_range(0..ids.len());
+            churned.remove(ids.swap_remove(k));
+        }
+        let other = seeded_summary(37, 60);
+        let mut into_other = other.clone();
+        into_other.merge(&churned);
+        let mut into_churned = churned.clone();
+        into_churned.merge(&other);
+        let merged = (
+            109,
+            0xc661_4ce8_1e65_25e3,
+            0xfb8b_3cae_0039_c477,
+            0x2531_5a33_afea_c227,
+        );
+        assert_eq!(
+            pin(&churned),
+            (
+                49,
+                0x0820_735c_9937_be99,
+                0x9e8e_4be4_ce92_ff56,
+                0xf53e_a1f9_ee66_1896
+            )
+        );
+        assert_eq!(pin(&into_other), merged);
+        assert_eq!(pin(&into_churned), merged);
     }
 
     /// The shape `merged_delta_equals_inserted_summary` rarely draws: a

@@ -792,3 +792,118 @@ fn ne_row_beside_gt_row_and_an_empty_event() {
         property(&subs, &[vec![]]);
     }
 }
+
+/// Removal leaves a dead intern slot behind, and no reader may see it.
+/// Seeded insert / remove / re-insert / merge sequences — some
+/// removal-heavy enough to cross the compaction threshold, some merging
+/// a side that holds dead slots — are checked after every step: the
+/// summary validates; it equals, digests and encodes as its compacted
+/// clone (merged into an empty summary, which drops dead slots); it
+/// survives a wire round trip; and its compiled matcher agrees with the
+/// scan and reports no removed id.
+#[test]
+fn dead_slots_are_invisible() {
+    check("dead_slots_are_invisible", 128, |g| {
+        let schema = stock_schema();
+        let layout = IdLayout::new(1 << 8, 1 << 12, schema.len() as u32).unwrap();
+        let codec = SummaryCodec::new(layout, ArithWidth::Eight);
+        let events: Vec<Event> = g
+            .vec(1..4, event_strategy)
+            .iter()
+            .map(|raw| build_event(&schema, raw))
+            .collect();
+        let mut summary = BrokerSummary::new(schema.clone());
+        // Live ids with their subscriptions, and removed ones that may
+        // come back under the same id.
+        let mut live: Vec<(SubscriptionId, Subscription)> = Vec::new();
+        let mut removed: Vec<(SubscriptionId, Subscription)> = Vec::new();
+        let mut next_local = 0u32;
+        let mut fresh = |g: &mut StdRng, brokers: std::ops::Range<u16>| {
+            let sub = build_sub(&schema, &subscription(g))?;
+            next_local += 1;
+            let broker = BrokerId(g.gen_range(brokers));
+            let id = SubscriptionId::new(broker, LocalSubId(next_local), sub.attr_mask());
+            Some((id, sub))
+        };
+        let churn = g.gen_range(4..14);
+        for _ in 0..g.gen_range(8..60) {
+            let op = g.gen_range(0..20);
+            if op < churn {
+                // Remove a live id, or (a no-op) one already removed.
+                let pool = if live.is_empty() || g.gen_range(0..8) == 0 {
+                    &mut removed
+                } else {
+                    &mut live
+                };
+                if !pool.is_empty() {
+                    let entry = pool.swap_remove(g.gen_range(0..pool.len()));
+                    summary.remove(entry.0);
+                    removed.push(entry);
+                }
+            } else if op < churn + 3 {
+                if !removed.is_empty() {
+                    let (id, sub) = removed.swap_remove(g.gen_range(0..removed.len()));
+                    summary.insert_with_id(id, &sub);
+                    live.push((id, sub));
+                }
+            } else if op == 19 {
+                // A side from other brokers, with dead slots of its own.
+                let mut side = BrokerSummary::new(schema.clone());
+                let mut side_live = Vec::new();
+                for _ in 0..g.gen_range(1..8) {
+                    if let Some((id, sub)) = fresh(g, 8..12) {
+                        side.insert_with_id(id, &sub);
+                        side_live.push((id, sub));
+                    }
+                }
+                for _ in 0..side_live.len() / 2 {
+                    let (id, _) = side_live.swap_remove(g.gen_range(0..side_live.len()));
+                    side.remove(id);
+                }
+                if g.gen() {
+                    summary.merge(&side);
+                } else {
+                    side.merge(&summary);
+                    summary = side;
+                }
+                live.extend(side_live);
+            } else if let Some((id, sub)) = fresh(g, 0..4) {
+                summary.insert_with_id(id, &sub);
+                live.push((id, sub));
+            }
+            assert_reads_as_compacted(&summary, &codec, &events, &live);
+        }
+    });
+}
+
+/// The checks of `dead_slots_are_invisible` after one step.
+fn assert_reads_as_compacted(
+    summary: &BrokerSummary,
+    codec: &SummaryCodec,
+    events: &[Event],
+    live: &[(SubscriptionId, Subscription)],
+) {
+    let schema = summary.schema();
+    check_invariants(summary);
+    let mut compact = BrokerSummary::new(schema.clone());
+    compact.merge(summary);
+    check_invariants(&compact);
+    assert_eq!(summary, &compact);
+    assert_eq!(summary.digest(), compact.digest());
+    let bytes = codec.encode(summary).unwrap();
+    assert_eq!(bytes, codec.encode(&compact).unwrap());
+    assert_eq!(&codec.decode(&bytes, schema).unwrap(), summary);
+    assert_eq!(
+        summary.subscription_count(),
+        summary.subscription_ids().len()
+    );
+    let mut scratch = MatchScratch::new();
+    for event in events {
+        let matched = summary
+            .match_event_into(event, &mut scratch)
+            .matched
+            .clone();
+        assert_eq!(matched, summary.match_event_scan(event).matched);
+        assert!(matched.iter().all(|m| live.iter().any(|(id, _)| id == m)));
+    }
+}
