@@ -45,8 +45,8 @@ impl MergedSummary {
     /// Application is **idempotent**: a payload whose `Merged_Brokers`
     /// set is already covered by this broker's set has been applied
     /// before (the set names exactly the summaries folded in) and is
-    /// skipped outright, so a duplicated message on a lossy network is a
-    /// no-op — the stored summary's digest does not change.
+    /// skipped outright: applying it again is a no-op — the stored
+    /// summary's digest does not change.
     pub fn apply(&mut self, payload: &MergedSummary) -> bool {
         if payload
             .merged_brokers
@@ -368,9 +368,9 @@ mod tests {
 
     #[test]
     fn duplicate_application_is_a_no_op() {
-        // Under message duplication (see the `chaos` module) the same
-        // propagation payload can be delivered twice; the second apply
-        // must leave the stored state bit-identical.
+        // A payload whose `Merged_Brokers` set is already covered is
+        // skipped: applying the same payload twice leaves the stored
+        // state bit-identical.
         let schema = stock_schema();
         let own = own_summaries(&schema, 4);
         let mut stored = MergedSummary {

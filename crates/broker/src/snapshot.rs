@@ -281,6 +281,8 @@ impl SummaryPubSub {
             if checkpoint.subs.iter().any(|(id, _)| id.broker.0 != b) {
                 return Err(SnapshotError::Format("snapshot broker holds foreign ids"));
             }
+            // BOUND: b < n_brokers = topology.len(), and SummaryPubSub::new
+            // built one core per topology node.
             sys.brokers[b as usize].restore(Some(checkpoint));
         }
         if !r.is_exhausted() {

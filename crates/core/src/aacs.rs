@@ -405,9 +405,12 @@ impl RangeSummary {
         // decoder refuses a stream that breaks it; the compiled plan's
         // probe relies on it to skip per-attribute dedup on arithmetic
         // banks.
-        if let Some((v, d, interval)) = self.point_inside_shared_range() {
-            panic!("dense id {d} appears in AACS_E {v} and the covering AACS_SR row {interval}");
-        }
+        let shared = self.point_inside_shared_range();
+        assert!(
+            shared.is_none(),
+            "an id appears in AACS_E and in the AACS_SR row covering that value \
+             (value, dense id, row): {shared:?}"
+        );
     }
 }
 

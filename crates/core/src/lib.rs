@@ -50,6 +50,17 @@
 // Safe code throughout: `ShardedSummary` publishes its snapshots through
 // `Mutex<Arc<_>>`, so no module may opt back in.
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod aacs;

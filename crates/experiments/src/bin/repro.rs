@@ -126,7 +126,7 @@ fn main() {
         "latency" => vec![latency::run(&cfg)],
         "scaling" => vec![scaling::run(&cfg)],
         "recovery" => vec![recovery::run(&cfg)],
-        "traces" => vec![traces::run(&cfg), traces::run_overhead(&cfg)],
+        "traces" => vec![traces::run(&cfg)],
         "all" => subsum_experiments::run_all(&cfg),
         other => {
             eprintln!(

@@ -15,7 +15,7 @@
 //! | [`ablations`] | §6 / §5.2 | virtual degrees; subsumption models; the §6 filter |
 //! | [`latency`] | beyond the paper | delivery latency: sequential BROCLI vs parallel flood |
 //! | [`recovery`] | beyond the paper | crash/recovery convergence; anti-entropy vs naive repair traffic |
-//! | [`traces`] | beyond the paper | causal-trace latency attribution; tracing overhead |
+//! | [`traces`] | beyond the paper | causal-trace latency attribution |
 //!
 //! All experiments are deterministic under [`ExperimentConfig::seed`].
 //!
@@ -65,6 +65,5 @@ pub fn run_all(cfg: &ExperimentConfig) -> Vec<ResultTable> {
         scaling::run(cfg),
         recovery::run(cfg),
         traces::run(cfg),
-        traces::run_overhead(cfg),
     ]
 }

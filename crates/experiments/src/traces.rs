@@ -14,12 +14,6 @@
 //! where a hop's latency went (per-[`SpanKind`] breakdown), how much
 //! fan-out one published event caused (spans per trace), and how long
 //! the causal critical path is (deepest parent chain).
-//!
-//! [`run_overhead`] measures the tracing tax directly: the same publish
-//! loop with tracing disabled, sampled 1-in-64, and always-on. The
-//! acceptance bar (<5 % at 1-in-64) is enforced statistically by the
-//! `trace_overhead` bench; the table here reports the measured ratios
-//! for the repro report.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -190,9 +184,9 @@ impl TraceAnalysis {
     }
 }
 
-/// Builds the traced publish scenario and returns its tracer after the
-/// event stream has been routed.
-fn backbone_tracer(cfg: &ExperimentConfig, sample_one_in: u64) -> (Arc<Tracer>, usize) {
+/// Builds the traced publish scenario (every trace sampled) and returns
+/// its tracer after the event stream has been routed.
+fn backbone_tracer(cfg: &ExperimentConfig) -> (Arc<Tracer>, usize) {
     let mut workload = Workload::new(cfg.params, 0.5);
     let schema = workload.schema().clone();
     let mut sys =
@@ -209,7 +203,7 @@ fn backbone_tracer(cfg: &ExperimentConfig, sample_one_in: u64) -> (Arc<Tracer>, 
         cfg.topology.len(),
         RECORDER_CAPACITY,
         cfg.seed,
-        sample_one_in,
+        1,
     ));
     sys.set_tracer(Arc::clone(&tracer));
     let events = cfg.events_per_broker.max(4) * 2;
@@ -301,94 +295,17 @@ pub fn run(cfg: &ExperimentConfig) -> ResultTable {
             "head_drops",
         ],
     );
-    let (publish_tracer, _) = backbone_tracer(cfg, 1);
+    let (publish_tracer, _) = backbone_tracer(cfg);
     push_analysis(&mut table, 0.0, &publish_tracer);
     let chaos = chaos_tracer(cfg);
     push_analysis(&mut table, 1.0, &chaos);
     table
 }
 
-/// Measures the tracing tax on the publish path: the same seeded event
-/// stream with tracing disabled, sampled 1-in-64, and always-on. One
-/// row per mode (`sample_one_in` 0 = no tracer attached).
-pub fn run_overhead(cfg: &ExperimentConfig) -> ResultTable {
-    let mut table = ResultTable::new(
-        "trace_overhead",
-        "Publish throughput with tracing disabled / sampled 1-in-64 / \
-         always-on (overhead_pct is relative to the disabled run)",
-        &[
-            "sample_one_in",
-            "events",
-            "elapsed_ns",
-            "events_per_sec",
-            "overhead_pct",
-            "spans",
-        ],
-    );
-    let mut baseline_ns = 0.0f64;
-    for &mode in &[0u64, 64, 1] {
-        let mut workload = Workload::new(cfg.params, 0.5);
-        let schema = workload.schema().clone();
-        let mut sys = SummaryPubSub::new(cfg.topology.clone(), schema, 1000)
-            .expect("schema fits the id layout");
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7AACE5);
-        for b in 0..cfg.topology.len() as u16 {
-            for _ in 0..SUBS_PER_BROKER {
-                let sub = workload.subscription(&mut rng);
-                sys.subscribe(b, &sub).expect("id layout fits");
-            }
-        }
-        sys.propagate().expect("propagation is schema-consistent");
-        let tracer = (mode > 0).then(|| {
-            Arc::new(Tracer::new(
-                cfg.topology.len(),
-                RECORDER_CAPACITY,
-                cfg.seed,
-                mode,
-            ))
-        });
-        if let Some(t) = &tracer {
-            sys.set_tracer(Arc::clone(t));
-        }
-        let events: Vec<_> = (0..cfg.events_per_broker.max(4) * 2)
-            .map(|_| {
-                (
-                    rng.gen_range(0..cfg.topology.len() as u16) as NodeId,
-                    workload.event(0.7, &mut rng),
-                )
-            })
-            .collect();
-        let start = std::time::Instant::now();
-        let mut sink = 0usize;
-        for (publisher, event) in &events {
-            sink += sys.publish(*publisher, event).deliveries.len();
-        }
-        let elapsed = start.elapsed().as_nanos().max(1) as f64;
-        std::hint::black_box(sink);
-        if mode == 0 {
-            baseline_ns = elapsed;
-        }
-        let overhead = if baseline_ns > 0.0 {
-            (elapsed / baseline_ns - 1.0) * 100.0
-        } else {
-            0.0
-        };
-        table.push(vec![
-            mode as f64,
-            events.len() as f64,
-            elapsed,
-            events.len() as f64 / (elapsed / 1e9),
-            overhead,
-            tracer.map_or(0.0, |t| t.spans().len() as f64),
-        ]);
-    }
-    table
-}
-
 /// Exports the backbone publish scenario as Chrome `trace_event` JSON
 /// (Perfetto-loadable) for `repro --trace-json`.
 pub fn export_chrome(cfg: &ExperimentConfig) -> String {
-    backbone_tracer(cfg, 1).0.chrome_trace_string()
+    backbone_tracer(cfg).0.chrome_trace_string()
 }
 
 #[cfg(test)]
@@ -447,7 +364,7 @@ mod tests {
     #[test]
     fn backbone_scenario_produces_causally_complete_traces() {
         let cfg = ExperimentConfig::fast();
-        let (tracer, deliveries) = backbone_tracer(&cfg, 1);
+        let (tracer, deliveries) = backbone_tracer(&cfg);
         let spans = tracer.spans();
         let a = TraceAnalysis::from_spans(&spans);
         assert!(a.traces > 0, "publishes must open traces");
@@ -475,23 +392,6 @@ mod tests {
         assert!(spans[0] > 0.0 && spans[1] > 0.0);
         // The analysis is a pure function of the seeded runs.
         assert_eq!(run(&cfg).rows, t.rows);
-    }
-
-    #[test]
-    fn overhead_table_reports_all_three_modes() {
-        let cfg = ExperimentConfig {
-            events_per_broker: 4,
-            ..ExperimentConfig::fast()
-        };
-        let t = run_overhead(&cfg);
-        assert_eq!(t.name, "trace_overhead");
-        assert_eq!(t.column_values("sample_one_in"), vec![0.0, 64.0, 1.0]);
-        let spans = t.column_values("spans");
-        assert_eq!(spans[0], 0.0, "no tracer attached in the disabled run");
-        assert!(
-            spans[2] >= spans[1],
-            "always-on records at least as much as 1-in-64"
-        );
     }
 
     #[test]

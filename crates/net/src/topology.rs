@@ -243,26 +243,16 @@ impl Topology {
         path
     }
 
-    /// The number of tree edges in the minimal subtree of `parent`
-    /// (rooted at the tree root) spanning `targets` — the hop count of a
-    /// reverse-path multicast from the root to the targets.
-    pub fn multicast_edges(parent: &[Option<NodeId>], targets: &[NodeId]) -> usize {
-        let mut in_subtree = vec![false; parent.len()];
-        let mut edges = 0;
-        for &t in targets {
-            let mut v = t;
-            while !in_subtree[v as usize] {
-                in_subtree[v as usize] = true;
-                match parent[v as usize] {
-                    Some(p) => {
-                        edges += 1;
-                        v = p;
-                    }
-                    None => break,
-                }
-            }
-        }
-        edges
+    /// Builds a named topology from edges valid by construction: every
+    /// constructor below funnels through here, so this is the one place
+    /// their `expect` lives.
+    #[expect(
+        clippy::expect_used,
+        reason = "the named topologies' edges are valid by construction; \
+                  only a family size of 0 or above MAX_BROKERS reaches it"
+    )]
+    fn named(n: usize, edges: &[(NodeId, NodeId)], what: &str) -> Self {
+        Topology::from_edges(n, edges).expect(what)
     }
 
     // ------------------------------------------------------------------
@@ -276,7 +266,7 @@ impl Topology {
     pub fn fig7_tree() -> Self {
         // Paper (1-based): 2-1, 2-5, 3-5, 4-5, 5-6, 5-7, 7-8, 8-9, 8-10,
         // 10-11, 11-12, 11-13.
-        Topology::from_edges(
+        Topology::named(
             13,
             &[
                 (1, 0),
@@ -292,15 +282,15 @@ impl Topology {
                 (10, 11),
                 (10, 12),
             ],
+            "fig7 tree is valid",
         )
-        .expect("fig7 tree is valid")
     }
 
     /// A representative 24-node ISP backbone modeled on the US Cable &
     /// Wireless network used by the paper (hub-and-spoke continental
     /// backbone; max degree 8, mean degree ≈ 3.3).
     pub fn cable_wireless_24() -> Self {
-        Topology::from_edges(
+        Topology::named(
             24,
             &[
                 // Northeast hub (0) and neighbors.
@@ -350,8 +340,8 @@ impl Topology {
                 (7, 21),
                 (19, 23),
             ],
+            "backbone topology is valid",
         )
-        .expect("backbone topology is valid")
     }
 
     /// A larger 33-node ISP backbone model (the paper cites single-ISP
@@ -359,7 +349,7 @@ impl Topology {
     /// Wireless and AT&T): three regional hub clusters with redundant
     /// inter-region trunks, max degree 7.
     pub fn isp_backbone_33() -> Self {
-        Topology::from_edges(
+        Topology::named(
             33,
             &[
                 // East region: hub 0 with a secondary hub 4.
@@ -411,14 +401,14 @@ impl Topology {
                 (21, 24),
                 (20, 23),
             ],
+            "backbone topology is valid",
         )
-        .expect("backbone topology is valid")
     }
 
     /// A path of `n` brokers.
     pub fn line(n: usize) -> Self {
         let edges: Vec<_> = (1..n as NodeId).map(|v| (v - 1, v)).collect();
-        Topology::from_edges(n, &edges).expect("line is valid")
+        Topology::named(n, &edges, "line is valid")
     }
 
     /// A cycle of `n ≥ 3` brokers.
@@ -426,13 +416,13 @@ impl Topology {
         assert!(n >= 3, "a ring needs at least 3 nodes");
         let mut edges: Vec<_> = (1..n as NodeId).map(|v| (v - 1, v)).collect();
         edges.push((n as NodeId - 1, 0));
-        Topology::from_edges(n, &edges).expect("ring is valid")
+        Topology::named(n, &edges, "ring is valid")
     }
 
     /// A star: broker 0 connected to all others.
     pub fn star(n: usize) -> Self {
         let edges: Vec<_> = (1..n as NodeId).map(|v| (0, v)).collect();
-        Topology::from_edges(n, &edges).expect("star is valid")
+        Topology::named(n, &edges, "star is valid")
     }
 
     /// A balanced tree with the given branching factor and depth
@@ -453,7 +443,7 @@ impl Topology {
             }
             frontier = new_frontier;
         }
-        Topology::from_edges(next as usize, &edges).expect("balanced tree is valid")
+        Topology::named(next as usize, &edges, "balanced tree is valid")
     }
 
     /// A `w × h` grid.
@@ -471,7 +461,7 @@ impl Topology {
                 }
             }
         }
-        Topology::from_edges(w * h, &edges).expect("grid is valid")
+        Topology::named(w * h, &edges, "grid is valid")
     }
 
     /// A connected random graph: a random spanning tree plus
@@ -496,7 +486,7 @@ impl Topology {
                 added += 1;
             }
         }
-        Topology::from_edges(n, &edges).expect("random connected graph is valid")
+        Topology::named(n, &edges, "random connected graph is valid")
     }
 
     /// Barabási–Albert preferential attachment: each new node attaches to
@@ -530,15 +520,7 @@ impl Topology {
                 endpoints.push(v);
             }
         }
-        Topology::from_edges(n, &edges).expect("BA graph is valid")
-    }
-
-    /// Brokers sorted by decreasing degree (ties by ascending id) — the
-    /// visit order preference of the paper's Algorithm 3.
-    pub fn by_degree_desc(&self) -> Vec<NodeId> {
-        let mut order: Vec<NodeId> = (0..self.len() as NodeId).collect();
-        order.sort_by_key(|&v| (std::cmp::Reverse(self.degree(v)), v));
-        order
+        Topology::named(n, &edges, "BA graph is valid")
     }
 }
 
@@ -712,23 +694,6 @@ mod tests {
     }
 
     #[test]
-    fn multicast_edge_counts() {
-        let t = Topology::fig7_tree();
-        let parent = t.shortest_path_tree(0);
-        // Multicast to a single leaf = its distance.
-        assert_eq!(
-            Topology::multicast_edges(&parent, &[12]) as u32,
-            t.distances(0)[12]
-        );
-        // Multicast to two leaves sharing a path costs less than the sum.
-        let both = Topology::multicast_edges(&parent, &[11, 12]);
-        let sum = t.distances(0)[11] as usize + t.distances(0)[12] as usize;
-        assert!(both < sum);
-        assert_eq!(Topology::multicast_edges(&parent, &[0]), 0);
-        assert_eq!(Topology::multicast_edges(&parent, &[]), 0);
-    }
-
-    #[test]
     fn random_connected_is_connected() {
         let mut rng = StdRng::seed_from_u64(7);
         for n in [2usize, 5, 24, 60] {
@@ -747,17 +712,6 @@ mod tests {
         assert!(t.is_connected());
         // Preferential attachment produces at least one well-connected hub.
         assert!(t.max_degree() >= 6);
-    }
-
-    #[test]
-    fn by_degree_desc_order() {
-        let t = Topology::fig7_tree();
-        let order = t.by_degree_desc();
-        assert_eq!(order[0], 4); // degree 5 hub first.
-        assert_eq!(t.degree(order[1]), 3);
-        assert_eq!(t.degree(order[2]), 3);
-        assert!(order[1] < order[2]); // tie broken by id.
-        assert_eq!(t.degree(*order.last().unwrap()), 1);
     }
 
     #[test]

@@ -104,49 +104,6 @@ fn spanning_tree_is_shortest() {
     });
 }
 
-/// Multicast subtree size is bounded below by the farthest target and
-/// above by both the sum of distances and the total edge budget.
-#[test]
-fn multicast_bounds() {
-    check("multicast_bounds", 256, |g| {
-        let seed = g.gen_range(0u64..1000);
-        let n = g.gen_range(2usize..30);
-        let targets = g.vec(1..8, |g| g.gen_range(0usize..30));
-        let t = random_topology(seed, n, 3);
-        let root = 0u16;
-        let parent = t.shortest_path_tree(root);
-        let dist = t.distances(root);
-        let targets: Vec<u16> = targets.iter().map(|&x| (x % t.len()) as u16).collect();
-        let edges = Topology::multicast_edges(&parent, &targets);
-        let max_d = targets.iter().map(|&v| dist[v as usize]).max().unwrap() as usize;
-        let sum_d: usize = {
-            let mut uniq = targets.clone();
-            uniq.sort_unstable();
-            uniq.dedup();
-            uniq.iter().map(|&v| dist[v as usize] as usize).sum()
-        };
-        assert!(edges >= max_d);
-        assert!(edges <= sum_d);
-        assert!(edges < t.len());
-    });
-}
-
-/// The degree-descending order is genuinely sorted.
-#[test]
-fn degree_order_sorted() {
-    check("degree_order_sorted", 256, |g| {
-        let seed = g.gen_range(0u64..1000);
-        let n = g.gen_range(2usize..40);
-        let t = random_topology(seed, n, n / 3);
-        let order = t.by_degree_desc();
-        assert_eq!(order.len(), t.len());
-        for w in order.windows(2) {
-            let (a, b) = (t.degree(w[0]), t.degree(w[1]));
-            assert!(a > b || (a == b && w[0] < w[1]));
-        }
-    });
-}
-
 /// The event queue is a stable priority queue.
 #[test]
 fn event_queue_ordering() {

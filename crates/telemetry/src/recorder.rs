@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::hist::{Histogram, Snapshot};
@@ -110,18 +110,21 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
+/// Locks one registry map, recovering from poisoning instead of
+/// panicking: a map only ever gains leaked entries, so one abandoned
+/// mid-insert is still structurally sound.
+fn locked<'a, T>(
+    map: &'a Mutex<BTreeMap<&'static str, &'static T>>,
+) -> MutexGuard<'a, BTreeMap<&'static str, &'static T>> {
+    map.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn intern<T>(
     map: &Mutex<BTreeMap<&'static str, &'static T>>,
     name: &str,
     make: fn() -> T,
 ) -> &'static T {
-    // Recover from poisoning instead of panicking on the hot path: the
-    // registry only ever gains leaked entries, so a map abandoned
-    // mid-insert is still structurally sound.
-    let mut map = match map.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
+    let mut map = locked(map);
     if let Some(&existing) = map.get(name) {
         return existing;
     }
@@ -151,38 +154,14 @@ pub fn histogram(name: &str) -> &'static Histogram {
 /// Handles stay valid.
 pub fn reset() {
     let reg = registry();
-    for c in reg
-        .counters
-        .lock()
-        .expect("telemetry registry poisoned")
-        .values()
-    {
-        c.reset();
-    }
-    for g in reg
-        .gauges
-        .lock()
-        .expect("telemetry registry poisoned")
-        .values()
-    {
-        g.reset();
-    }
-    for h in reg
-        .histograms
-        .lock()
-        .expect("telemetry registry poisoned")
-        .values()
-    {
-        h.reset();
-    }
+    locked(&reg.counters).values().for_each(|c| c.reset());
+    locked(&reg.gauges).values().for_each(|g| g.reset());
+    locked(&reg.histograms).values().for_each(|h| h.reset());
 }
 
 /// Name-sorted snapshot of every registered counter.
 pub fn counters_snapshot() -> Vec<(String, u64)> {
-    registry()
-        .counters
-        .lock()
-        .expect("telemetry registry poisoned")
+    locked(&registry().counters)
         .iter()
         .map(|(name, c)| (name.to_string(), c.get()))
         .collect()
@@ -190,10 +169,7 @@ pub fn counters_snapshot() -> Vec<(String, u64)> {
 
 /// Name-sorted snapshot of every registered gauge.
 pub fn gauges_snapshot() -> Vec<(String, i64)> {
-    registry()
-        .gauges
-        .lock()
-        .expect("telemetry registry poisoned")
+    locked(&registry().gauges)
         .iter()
         .map(|(name, g)| (name.to_string(), g.get()))
         .collect()
@@ -201,10 +177,7 @@ pub fn gauges_snapshot() -> Vec<(String, i64)> {
 
 /// Name-sorted snapshot of every registered stage histogram.
 pub fn histograms_snapshot() -> Vec<(String, Snapshot)> {
-    registry()
-        .histograms
-        .lock()
-        .expect("telemetry registry poisoned")
+    locked(&registry().histograms)
         .iter()
         .map(|(name, h)| (name.to_string(), h.snapshot()))
         .collect()
@@ -386,5 +359,25 @@ mod tests {
         assert_eq!(c.get(), 5);
         reset();
         assert_eq!(c.get(), 0);
+    }
+
+    #[test]
+    fn a_poisoned_registry_still_resets_and_snapshots() {
+        let _g = guard();
+        let c = counter("test.recorder.poisoned");
+        let panicked = std::thread::spawn(|| {
+            let _held = registry().counters.lock();
+            panic!("poison the counters lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(registry().counters.is_poisoned());
+        c.add(3);
+        assert!(counters_snapshot()
+            .iter()
+            .any(|(n, v)| n == "test.recorder.poisoned" && *v == 3));
+        reset();
+        assert_eq!(c.get(), 0);
+        assert!(std::ptr::eq(c, counter("test.recorder.poisoned")));
     }
 }

@@ -24,6 +24,17 @@
 //! Only `std::net` and `std::thread` are used — no async runtime.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod client;

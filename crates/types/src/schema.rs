@@ -281,6 +281,10 @@ impl SchemaBuilder {
 /// The stock-quote schema used throughout the paper's examples
 /// (Fig. 2): `exchange`, `symbol`, `when`, `price`, `volume`, `high`,
 /// `low`.
+#[expect(
+    clippy::expect_used,
+    reason = "seven distinct literal names: the builder cannot reject them"
+)]
 pub fn stock_schema() -> Schema {
     Schema::builder()
         .attr("exchange", AttrKind::String)

@@ -1,7 +1,7 @@
-//! Fixture for the wire-robust pass: one unguarded slice index and one
-//! unchecked length multiply inside decode-reachable code. The
-//! BOUND-commented index passes, and so does the indexing in the
-//! helper that the decode entry point never reaches.
+//! Fixture for the wire-robust pass: every non-test token of a wire
+//! file is scanned. Two unguarded slice indexes and one unchecked
+//! length multiply fire; the BOUND-commented index and the test module
+//! pass.
 
 pub fn decode(input: &[u8]) -> Option<(u8, usize)> {
     let first = input[0]; // violation: unguarded index
@@ -17,5 +17,12 @@ fn read_rest(input: &[u8], total: usize) -> Option<usize> {
 }
 
 pub fn encode_scratch(buf: &[u8]) -> u8 {
-    buf[7]
+    buf[7] // violation: unguarded index, though no decode path reaches it
+}
+
+#[cfg(test)]
+mod tests {
+    fn slice_len(buf: &[u8]) -> usize {
+        buf[0] as usize * buf.len()
+    }
 }

@@ -3,16 +3,16 @@
 //!
 //! The `.cargo/config.toml` alias makes `cargo xtask check` run this
 //! binary. It is dependency-free on purpose: the analyzer is a
-//! hand-rolled token lexer ([`lex`]) plus a conservative call graph
-//! ([`graph`]), so the checker builds and runs in seconds even on a
-//! cold cache, and CI can gate on it before the main build.
+//! hand-rolled token lexer ([`lex`]), so the checker builds and runs in
+//! seconds even on a cold cache, and CI can gate on it before the main
+//! build. Panic-freedom is not checked here: the six library crates deny
+//! the panicking clippy lints at their crate roots.
 //!
 //! Exit status: 0 when the workspace is clean, 1 when any lint fires,
 //! 2 on usage or I/O errors.
 
 #![forbid(unsafe_code)]
 
-mod graph;
 mod lex;
 mod lints;
 
@@ -20,34 +20,23 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-usage: cargo xtask check [--root <dir>] [--list-reachable]
+usage: cargo xtask check [--root <dir>]
 
-Runs the workspace invariant lints over the token stream and the
-conservative intra-workspace call graph:
+Runs the workspace invariant lints over the token stream:
 
-  no-panic         no unwrap/expect/panic!/unreachable!/todo! in any
-                   function reachable from a hot-path root
-                   (match_event_into, query_into, route_event*,
-                   SummaryPubSub::publish_with_scratch, and the wire
-                   decode entry points)
-  wire-robust      decode-reachable functions in the wire codec files
-                   justify slice indexing and length arithmetic with
-                   `// BOUND:` comments
+  wire-robust      slice indexing and length arithmetic in the wire
+                   codec files carry `// BOUND:` comments
   atomic-ordering  no Release/Acquire/AcqRel/SeqCst outside tests: the
                    workspace's atomics are Relaxed counters
   telemetry-names  metric name literals live in subsum_telemetry::names
   wire-tags        every wire tag constant is encoded AND matched in a
                    decode arm
-
-  --list-reachable prints the functions covered by the no-panic pass,
-                   each with the call chain that reaches it
 ";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cmd = None;
     let mut root = None;
-    let mut list_reachable = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -56,7 +45,6 @@ fn main() -> ExitCode {
                 root = Some(PathBuf::from(&args[i + 1]));
                 i += 1;
             }
-            "--list-reachable" => list_reachable = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -80,27 +68,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if list_reachable {
-        return match lints::CheckConfig::workspace(&root)
-            .and_then(|cfg| lints::reachable_report(&cfg))
-        {
-            Ok(lines) => {
-                for line in &lines {
-                    println!("{line}");
-                }
-                eprintln!(
-                    "xtask check: {} function(s) under the no-panic requirement",
-                    lines.len()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
 
     let result = lints::CheckConfig::workspace(&root).and_then(|cfg| lints::run_check(&cfg));
     match result {
