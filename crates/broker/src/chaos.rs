@@ -15,7 +15,7 @@
 //!   ([`DaemonCore::hello`]). The digests in `Hello` and `HelloAck`
 //!   gate both directions: each side pulls only a view that differs, so
 //!   a checkpointed restart ships no summary of its own.
-//! * **Anti-entropy** — every `repair_interval` ticks each broker
+//! * **Anti-entropy** — every 50 ticks each broker
 //!   advertises a 24-byte [`SummaryDigest`] of its own summary to every
 //!   neighbor. A receiver whose stored view digest disagrees answers
 //!   with a pull, triggering one full summary re-send. Healthy links
@@ -98,13 +98,15 @@ static CNT_FULL_BYTES: Count = Count::new(subsum_telemetry::names::CHAOS_FULL_BY
 /// neighbour `nb` is connection `nb`, and a `NodeId` stays below this.
 const CLIENT: ConnId = 1 << 16;
 
+/// Base transit delay of every broker→broker message, in ticks.
+const LINK_DELAY: u64 = 1;
+
+/// Ticks between anti-entropy rounds.
+const REPAIR_INTERVAL: u64 = 50;
+
 /// Tuning knobs of a chaos run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosConfig {
-    /// Base transit delay of every broker→broker message, in ticks.
-    pub link_delay: u64,
-    /// Ticks between anti-entropy rounds.
-    pub repair_interval: u64,
     /// Number of anti-entropy rounds to schedule.
     pub repair_rounds: u32,
     /// Replace digest exchange by full summary re-sends every round
@@ -115,8 +117,6 @@ pub struct ChaosConfig {
 impl Default for ChaosConfig {
     fn default() -> Self {
         ChaosConfig {
-            link_delay: 1,
-            repair_interval: 50,
             repair_rounds: 20,
             naive_repair: false,
         }
@@ -445,7 +445,7 @@ impl ChaosRun {
         }
         for round in 1..=self.config.repair_rounds as u64 {
             for b in 0..n {
-                net.schedule(b, round * self.config.repair_interval, ChaosMsg::RepairTick);
+                net.schedule(b, round * REPAIR_INTERVAL, ChaosMsg::RepairTick);
             }
         }
         for (tick, b, sub) in self.client_sends.drain(..) {
@@ -572,7 +572,7 @@ impl ChaosRun {
             stats,
             client_rx,
             me,
-            delay: self.config.link_delay,
+            delay: LINK_DELAY,
             ctx,
         }
     }

@@ -74,8 +74,8 @@ pub struct Notification {
     /// the notification send (0 extra for a local match). Deterministic
     /// latency-attribution input; 0-based at the publisher.
     pub eta: u64,
-    /// The match span that produced this candidate (0 when untraced or
-    /// unsampled) — parent for the owner-side verification spans.
+    /// The match span that produced this candidate (0 when untraced) —
+    /// parent for the owner-side verification spans.
     pub span: u32,
 }
 

@@ -165,9 +165,8 @@ impl SummaryPubSub {
     }
 
     /// Attaches a causal tracer: every subsequent publish gets its own
-    /// trace (subject to the tracer's sampling knob) spanning routing,
-    /// matching and owner verification. Publish outcomes are identical
-    /// with or without a tracer.
+    /// trace spanning routing, matching and owner verification. Publish
+    /// outcomes are identical with or without a tracer.
     pub fn set_tracer(&mut self, tracer: Arc<Tracer>) {
         self.tracer = Some(tracer);
     }
@@ -425,8 +424,7 @@ impl SummaryPubSub {
         };
         let stored = &prop.stored;
         let event_bytes = event.wire_size(&self.schema, 4);
-        // Each publish is its own causal root (whether it records spans
-        // is the tracer's sampling decision).
+        // Each publish is its own causal root.
         let ctx = self
             .tracer
             .as_ref()
@@ -607,7 +605,7 @@ mod tests {
         let event = Event::builder(&schema).num("price", 2.5).unwrap().build();
         let plain: Vec<_> = (0..24u16).map(|p| sys.publish(p, &event)).collect();
 
-        sys.set_tracer(Arc::new(Tracer::new(24, 8192, 42, 1)));
+        sys.set_tracer(Arc::new(Tracer::new(24, 8192)));
         for (p, before) in plain.iter().enumerate() {
             let traced = sys.publish(p as NodeId, &event);
             assert_eq!(traced.deliveries, before.deliveries, "publisher {p}");

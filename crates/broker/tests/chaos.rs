@@ -119,21 +119,20 @@ fn anti_entropy_repair_traffic_beats_naive_full_resend() {
     );
 }
 
-fn run_traced(seed: u64, trace_seed: u64, one_in: u64) -> (ChaosReport, String) {
+fn run_traced(seed: u64) -> (ChaosReport, String) {
     let mut run = populated_run(stormy_plan(seed), ChaosConfig::default());
-    run.set_tracer(Arc::new(Tracer::new(13, 4096, trace_seed, one_in)));
+    run.set_tracer(Arc::new(Tracer::new(13, 4096)));
     let report = run.run().unwrap();
     let json = run.tracer().unwrap().chrome_trace_string();
     (report, json)
 }
 
 #[test]
-fn sampled_traced_runs_are_replay_exact_and_do_not_perturb_the_run() {
-    // Acceptance: two identical chaos runs at 1-in-64 sampling export
-    // byte-identical Chrome traces, and tracing never perturbs the
-    // simulation itself.
-    let (report_a, json_a) = run_traced(0xCAFE, 0x77ACE, 64);
-    let (report_b, json_b) = run_traced(0xCAFE, 0x77ACE, 64);
+fn traced_runs_are_replay_exact_and_do_not_perturb_the_run() {
+    // Acceptance: two identical traced chaos runs export byte-identical
+    // Chrome traces, and tracing never perturbs the simulation itself.
+    let (report_a, json_a) = run_traced(0xCAFE);
+    let (report_b, json_b) = run_traced(0xCAFE);
     assert_eq!(json_a, json_b, "same seed must export identical traces");
     assert_eq!(report_a, report_b);
 
@@ -149,7 +148,7 @@ fn sampled_traced_runs_are_replay_exact_and_do_not_perturb_the_run() {
 
 #[test]
 fn always_on_tracing_captures_spans_and_crash_snapshots() {
-    let (report, json) = run_traced(0x5EED, 1, 1);
+    let (report, json) = run_traced(0x5EED);
     assert!(report.converged);
     assert!(
         json.contains("\"traceEvents\""),

@@ -5,15 +5,9 @@
 //! `routing::examine` — match, BROCLI update, next-hop choice over the
 //! topology's cached distance row — must perform zero heap allocations at
 //! every broker, and so must `Topology::distances`.
-//!
-//! This lives in an integration test (its own crate root) because the
-//! library itself forbids `unsafe`, while a `GlobalAlloc` impl requires
-//! it.
 
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,51 +19,7 @@ use subsum_net::{NodeId, Topology};
 use subsum_types::{BrokerId, Event, IdLayout, LocalSubId, SubscriptionId};
 use subsum_workload::{PaperParams, Workload};
 
-/// Counts every allocation-path entry; deallocations are not counted
-/// because releasing memory is not the failure mode under test.
-struct CountingAlloc;
-
-thread_local! {
-    /// Per-thread count: the harness runs tests on parallel threads, and
-    /// one test's warm-up must not show up in another's measured region.
-    /// Const-initialised and without a destructor, so reading it from
-    /// inside the allocator never allocates.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_allocation() {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
-
-// SAFETY: pure delegation to `System` plus a thread-local counter bump; all
-// layout/pointer contracts are forwarded unchanged.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+use counting_alloc::allocations;
 
 #[test]
 fn a_warm_examine_step_allocates_nothing() {

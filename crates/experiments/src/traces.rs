@@ -3,9 +3,10 @@
 //! Replays two instrumented scenarios with the causal tracer attached
 //! and distills the recorded [`SpanRecord`]s into a [`TraceAnalysis`]:
 //!
-//! * **fig8 backbone publishes** — the deterministic engine routes a
-//!   seeded event stream over the configured overlay (the same backbone
-//!   model as Fig. 8) with every trace sampled;
+//! * **backbone publishes** — every broker of the configured overlay
+//!   holds Fig. 10's interest subscription, and a seeded stream of
+//!   events, each matching a random quarter of the brokers, is routed,
+//!   verified at the owners and delivered;
 //! * **chaos recovery** — the PR 5 crash/recovery scenario (drops,
 //!   duplicates, one hub crash) with anti-entropy repair, tracing every
 //!   control message.
@@ -24,6 +25,9 @@ use rand::{Rng, SeedableRng};
 use subsum_broker::{ChaosConfig, ChaosRun, SummaryPubSub};
 use subsum_net::NodeId;
 use subsum_telemetry::trace::{SpanKind, SpanRecord, Tracer};
+use subsum_workload::popularity::{
+    event_for, interest_schema, interest_subscription, random_matched_set,
+};
 use subsum_workload::Workload;
 
 use crate::common::ResultTable;
@@ -34,8 +38,11 @@ use crate::recovery::scenario_plan;
 /// enough that neither scenario head-drops.
 const RECORDER_CAPACITY: usize = 1 << 16;
 
-/// Subscriptions per broker for the publish scenario.
+/// Subscriptions per broker for the chaos scenario.
 const SUBS_PER_BROKER: usize = 4;
+
+/// Share of the brokers each event of the publish scenario matches.
+const POPULARITY: f64 = 0.25;
 
 /// Latency statistics for one [`SpanKind`]: hop latency is the
 /// sim-clock delta between a span and its recorded parent.
@@ -184,33 +191,26 @@ impl TraceAnalysis {
     }
 }
 
-/// Builds the traced publish scenario (every trace sampled) and returns
-/// its tracer after the event stream has been routed.
+/// Builds the traced publish scenario and returns its tracer after the
+/// event stream has been routed, with the number of deliveries made.
 fn backbone_tracer(cfg: &ExperimentConfig) -> (Arc<Tracer>, usize) {
-    let mut workload = Workload::new(cfg.params, 0.5);
-    let schema = workload.schema().clone();
-    let mut sys =
-        SummaryPubSub::new(cfg.topology.clone(), schema, 1000).expect("schema fits the id layout");
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7AACE5);
-    for b in 0..cfg.topology.len() as u16 {
-        for _ in 0..SUBS_PER_BROKER {
-            let sub = workload.subscription(&mut rng);
-            sys.subscribe(b, &sub).expect("id layout fits");
-        }
+    let n = cfg.topology.len();
+    let schema = interest_schema();
+    let mut sys = SummaryPubSub::new(cfg.topology.clone(), schema.clone(), 1000)
+        .expect("schema fits the id layout");
+    for b in 0..n as NodeId {
+        sys.subscribe(b, &interest_subscription(&schema, b))
+            .expect("id layout fits");
     }
     sys.propagate().expect("propagation is schema-consistent");
-    let tracer = Arc::new(Tracer::new(
-        cfg.topology.len(),
-        RECORDER_CAPACITY,
-        cfg.seed,
-        1,
-    ));
+    let tracer = Arc::new(Tracer::new(n, RECORDER_CAPACITY));
     sys.set_tracer(Arc::clone(&tracer));
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7AACE5);
     let events = cfg.events_per_broker.max(4) * 2;
     let mut deliveries = 0usize;
     for _ in 0..events {
-        let publisher = rng.gen_range(0..cfg.topology.len() as u16) as NodeId;
-        let event = workload.event(0.7, &mut rng);
+        let publisher = rng.gen_range(0..n as u16) as NodeId;
+        let event = event_for(&schema, &random_matched_set(n, POPULARITY, &mut rng));
         deliveries += sys.publish(publisher, &event).deliveries.len();
     }
     (tracer, deliveries)
@@ -236,12 +236,7 @@ fn chaos_tracer(cfg: &ExperimentConfig) -> Arc<Tracer> {
         }
     }
     run.checkpoint_all();
-    let tracer = Arc::new(Tracer::new(
-        cfg.topology.len(),
-        RECORDER_CAPACITY,
-        cfg.seed,
-        1,
-    ));
+    let tracer = Arc::new(Tracer::new(cfg.topology.len(), RECORDER_CAPACITY));
     run.set_tracer(Arc::clone(&tracer));
     run.run().expect("chaos run is schema-consistent");
     tracer
@@ -371,14 +366,21 @@ mod tests {
         // Every published event visits at least one broker.
         assert!(a.kind(SpanKind::Route).count >= a.traces);
         assert_eq!(a.kind(SpanKind::Route).count, a.kind(SpanKind::Match).count);
-        assert_eq!(a.kind(SpanKind::Deliver).count as usize, deliveries);
-        // Match spans chain under route spans: latency attribution has
-        // parents for every non-root span kind on the publish path.
-        assert_eq!(
-            a.kind(SpanKind::Match).with_parent,
-            a.kind(SpanKind::Match).count
+        // Every event matches some broker, so publishes reach owner
+        // verification and deliver.
+        assert!(
+            a.kind(SpanKind::OwnerVerify).count > 0,
+            "no owner verification"
         );
-        assert!(a.critical_path_max >= 2, "route → match at minimum");
+        assert!(deliveries > 0, "no delivery");
+        assert_eq!(a.kind(SpanKind::Deliver).count as usize, deliveries);
+        // Latency attribution has parents for every non-root span kind
+        // on the publish path: match under route, verification under
+        // match, delivery under verification.
+        for kind in [SpanKind::Match, SpanKind::OwnerVerify, SpanKind::Deliver] {
+            assert_eq!(a.kind(kind).with_parent, a.kind(kind).count, "{kind:?}");
+        }
+        assert!(a.critical_path_max >= 4, "route → match → verify → deliver");
         assert_eq!(tracer.head_drops(), 0, "capacity must absorb the run");
     }
 

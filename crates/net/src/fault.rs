@@ -355,16 +355,6 @@ impl<M: Clone> LossyNet<M> {
         self.tracer = Some(tracer);
     }
 
-    /// The attached tracer, if any.
-    pub fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.tracer.as_ref()
-    }
-
-    /// The governing fault plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// The fault counters so far.
     pub fn stats(&self) -> &FaultStats {
         &self.stats
@@ -436,18 +426,13 @@ impl<M: Clone> LossyNet<M> {
     /// exempt from the fault plan (crash/restart/timer events must fire
     /// even on a dead broker or severed link).
     pub fn schedule(&mut self, broker: NodeId, delay: u64, payload: M) {
-        self.schedule_traced(broker, delay, TraceCtx::NONE, payload);
-    }
-
-    /// [`LossyNet::schedule`] carrying a causal trace context.
-    pub fn schedule_traced(&mut self, broker: NodeId, delay: u64, ctx: TraceCtx, payload: M) {
         self.queue.push_after(
             delay,
             Envelope {
                 from: broker,
                 to: broker,
                 control: true,
-                trace: ctx,
+                trace: TraceCtx::NONE,
                 payload,
             },
         );
@@ -679,8 +664,8 @@ mod tests {
             plain_order.push((t, env.from, env.to, env.payload));
         }
 
-        // Traced run: every message gets its own sampled trace.
-        let tracer = Arc::new(Tracer::new(4, 1024, 7, 1));
+        // Traced run: every message gets its own trace.
+        let tracer = Arc::new(Tracer::new(4, 1024));
         let mut traced: LossyNet<u64> = LossyNet::new(plan);
         traced.set_tracer(Arc::clone(&tracer));
         for i in 0..100 {
@@ -724,7 +709,7 @@ mod tests {
             at: 0,
             restart_at: 100,
         });
-        let tracer = Arc::new(Tracer::new(2, 64, 1, 1));
+        let tracer = Arc::new(Tracer::new(2, 64));
         let mut net: LossyNet<&str> = LossyNet::new(plan);
         net.set_tracer(Arc::clone(&tracer));
         net.send_traced(0, 1, 5, tracer.new_root(), "lost");
@@ -740,7 +725,7 @@ mod tests {
         use std::sync::Arc;
         use subsum_telemetry::trace::Tracer;
 
-        let tracer = Arc::new(Tracer::new(2, 64, 1, 1));
+        let tracer = Arc::new(Tracer::new(2, 64));
         let mut net: LossyNet<u8> = LossyNet::new(FaultPlan::reliable(1));
         net.set_tracer(Arc::clone(&tracer));
         net.send(0, 1, 1, 42);

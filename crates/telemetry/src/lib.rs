@@ -17,8 +17,8 @@
 //! * a serializable [`RunReport`] bundling stage timings, counters and
 //!   embedded documents (e.g. `NetMetrics`) into one JSON object;
 //! * **causal tracing** ([`trace`]): per-message trace ids, hop-scoped
-//!   span records, per-broker ring-buffer flight recorders with
-//!   deterministic 1-in-N sampling, and Chrome `trace_event` export.
+//!   span records, per-broker ring-buffer flight recorders that keep
+//!   every trace's newest spans, and Chrome `trace_event` export.
 //!
 //! # Cost model
 //!

@@ -102,8 +102,6 @@ pub const PUBLISH_REJECTED: &str = "publish.rejected";
 pub const TRACE_SPANS: &str = "trace.spans";
 /// Flight-recorder head-drops (oldest span overwritten by a new one).
 pub const TRACE_HEAD_DROPS: &str = "trace.head_drops";
-/// Trace ids selected by the deterministic 1-in-N sampler.
-pub const TRACE_SAMPLED: &str = "trace.sampled";
 
 #[cfg(test)]
 mod tests {
@@ -149,7 +147,6 @@ mod tests {
             super::PUBLISH_REJECTED,
             super::TRACE_SPANS,
             super::TRACE_HEAD_DROPS,
-            super::TRACE_SAMPLED,
         ];
         let mut seen = std::collections::HashSet::new();
         for name in all {

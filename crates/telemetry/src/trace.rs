@@ -5,27 +5,25 @@
 //! [`TraceId`]; each hop it takes through the overlay appends a
 //! [`SpanRecord`] (broker, [`SpanKind`], deterministic sim-clock
 //! timestamp, parent span) to the flight recorder of the broker where
-//! the hop happened. The recorder is a lock-free ring buffer: when it
-//! fills, the *oldest* spans are overwritten (head-drop) and the drop is
-//! accounted, so a crash post-mortem always shows the most recent
-//! activity.
+//! the hop happened. The recorder is a ring buffer behind one lock:
+//! when it fills, the *oldest* spans are overwritten (head-drop) and the
+//! drop is accounted, so a crash post-mortem always shows the most
+//! recent activity.
 //!
-//! # Sampling determinism
+//! # Every trace is recorded
 //!
-//! Tracing every message would distort the very latencies being
-//! measured, so the [`Tracer`] samples **1-in-N trace ids**. The
-//! decision is a pure function of `(seed, trace id)` through the
-//! splitmix64 finalizer — the same discipline `subsum-net::FaultPlan`
-//! uses for fault decisions — so a run replays exactly under a fixed
-//! seed: two identical runs sample identical traces and export
-//! byte-identical Chrome traces.
+//! A [`Tracer`] records every span of every real trace;
+//! [`TraceId::NONE`] is the only id it skips. Span timestamps are
+//! logical (hop distances and simulation ticks), so recording cannot
+//! distort what it measures, and two identical runs record identical
+//! spans and export byte-identical Chrome traces.
 //!
 //! # Cost model
 //!
-//! Recording follows the recorder-wide rules: the unsampled path is one
-//! `mix64` of two registers and a compare — no clock read, no lock, no
-//! allocation — and the sampled path writes four relaxed atomics into a
-//! pre-allocated ring. Neither path allocates; the zero-alloc harness
+//! Recording follows the recorder-wide rules: the untraced path is one
+//! compare — no clock read, no lock, no allocation — and the traced path
+//! takes the broker's ring lock and copies one span into pre-allocated
+//! memory. Neither path allocates; the zero-alloc harness
 //! (`tests/zero_alloc.rs`) enforces this.
 //!
 //! # Export
@@ -35,6 +33,7 @@
 //! `chrome://tracing` to see per-broker tracks of every recorded hop.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::names;
 use crate::recorder::Count;
@@ -42,17 +41,6 @@ use crate::report::Json;
 
 static CNT_SPANS: Count = Count::new(names::TRACE_SPANS);
 static CNT_HEAD_DROPS: Count = Count::new(names::TRACE_HEAD_DROPS);
-static CNT_SAMPLED: Count = Count::new(names::TRACE_SAMPLED);
-
-/// The 64-bit splitmix finalizer (same mixer as `subsum-net::mix64`,
-/// duplicated here because this crate must stay dependency-free).
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Identity of one causal trace: a published event or an originated
 /// control message and everything it transitively caused.
@@ -133,21 +121,6 @@ impl SpanKind {
             SpanKind::CrashDrop => "crash_drop",
         }
     }
-
-    fn from_u8(v: u8) -> Option<SpanKind> {
-        Some(match v {
-            0 => SpanKind::Enqueue,
-            1 => SpanKind::Dequeue,
-            2 => SpanKind::Route,
-            3 => SpanKind::Match,
-            4 => SpanKind::OwnerVerify,
-            5 => SpanKind::Deliver,
-            6 => SpanKind::Drop,
-            7 => SpanKind::Dup,
-            8 => SpanKind::CrashDrop,
-            _ => return None,
-        })
-    }
 }
 
 /// One recorded hop of a causal trace.
@@ -167,48 +140,55 @@ pub struct SpanRecord {
     pub at: u64,
 }
 
-/// A fixed-capacity lock-free ring buffer of [`SpanRecord`]s.
+/// A fixed-capacity ring buffer of [`SpanRecord`]s behind one lock.
 ///
-/// Each slot is four relaxed `AtomicU64` words; a monotone write cursor
-/// wraps modulo the capacity, so once full the recorder **head-drops**:
-/// the oldest span is overwritten and [`FlightRecorder::dropped`]
-/// grows. Pushing never allocates and never blocks.
-///
-/// [`FlightRecorder::snapshot`] decodes the live window oldest-first.
-/// It is designed for quiescent points (end of a deterministic run, or
-/// the instant a simulated crash fires); a snapshot raced against
-/// concurrent pushes may observe torn slots, which are skipped rather
-/// than misdecoded.
+/// The ring is allocated up front; once it is full, each push
+/// **head-drops**: the oldest span is overwritten and
+/// [`FlightRecorder::dropped`] grows. Pushing never allocates, and
+/// [`FlightRecorder::snapshot`] returns the live window oldest-first
+/// at any time, concurrent pushes included.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    words: Vec<AtomicU64>,
     capacity: usize,
-    written: AtomicU64,
+    ring: Mutex<Ring>,
+}
+
+/// The state behind a [`FlightRecorder`]'s lock.
+#[derive(Debug)]
+struct Ring {
+    /// The live window: grows to the capacity once, then is overwritten
+    /// in place.
+    slots: Vec<SpanRecord>,
+    /// The slot the next push overwrites once the ring is full: the
+    /// oldest span.
+    cursor: usize,
+    /// Total spans ever pushed (including overwritten ones).
+    written: u64,
 }
 
 impl FlightRecorder {
     /// Creates a recorder holding up to `capacity` spans (min 1).
     pub fn new(capacity: usize) -> FlightRecorder {
         let capacity = capacity.max(1);
-        let mut words = Vec::with_capacity(capacity * 4);
-        for _ in 0..capacity * 4 {
-            words.push(AtomicU64::new(0));
-        }
         FlightRecorder {
-            words,
             capacity,
-            written: AtomicU64::new(0),
+            ring: Mutex::new(Ring {
+                slots: Vec::with_capacity(capacity),
+                cursor: 0,
+                written: 0,
+            }),
         }
     }
 
-    /// The fixed slot capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// The ring, even if a thread panicked while holding it: every push
+    /// leaves it consistent.
+    fn lock(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Total spans ever pushed (including overwritten ones).
     pub fn written(&self) -> u64 {
-        self.written.load(Relaxed)
+        self.lock().written
     }
 
     /// Spans lost to head-drop (oldest-first overwrites).
@@ -218,73 +198,45 @@ impl FlightRecorder {
 
     /// Spans currently held.
     pub fn len(&self) -> usize {
-        self.written().min(self.capacity as u64) as usize
+        self.lock().slots.len()
     }
 
     /// Whether nothing has been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.written() == 0
+        self.len() == 0
     }
 
     /// Pushes one span, overwriting the oldest slot when full. Returns
     /// `true` if an old span was overwritten. Never allocates.
     pub fn push(&self, rec: SpanRecord) -> bool {
-        let n = self.written.fetch_add(1, Relaxed);
-        let slot = (n % self.capacity as u64) as usize * 4;
-        self.words[slot].store(rec.trace.0, Relaxed);
-        self.words[slot + 1].store(rec.at, Relaxed);
-        self.words[slot + 2].store(u64::from(rec.span) << 32 | u64::from(rec.parent), Relaxed);
-        self.words[slot + 3].store(u64::from(rec.broker) << 8 | rec.kind as u64, Relaxed);
-        n >= self.capacity as u64
+        let mut ring = self.lock();
+        ring.written += 1;
+        if ring.slots.len() < self.capacity {
+            ring.slots.push(rec);
+            return false;
+        }
+        let at = ring.cursor;
+        ring.slots[at] = rec;
+        ring.cursor = (at + 1) % self.capacity;
+        true
     }
 
-    /// Decodes the live window, oldest span first.
+    /// The live window, oldest span first.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let written = self.written();
-        let len = written.min(self.capacity as u64) as usize;
-        let start = if written <= self.capacity as u64 {
-            0
-        } else {
-            (written % self.capacity as u64) as usize
-        };
-        let mut out = Vec::with_capacity(len);
-        for i in 0..len {
-            let slot = (start + i) % self.capacity * 4;
-            let trace = TraceId(self.words[slot].load(Relaxed));
-            let at = self.words[slot + 1].load(Relaxed);
-            let ids = self.words[slot + 2].load(Relaxed);
-            let meta = self.words[slot + 3].load(Relaxed);
-            let Some(kind) = SpanKind::from_u8((meta & 0xFF) as u8) else {
-                continue; // torn slot under a racing push
-            };
-            if !trace.is_traced() {
-                continue; // slot not fully written yet
-            }
-            out.push(SpanRecord {
-                trace,
-                span: (ids >> 32) as u32,
-                parent: (ids & 0xFFFF_FFFF) as u32,
-                broker: (meta >> 8) as u16,
-                kind,
-                at,
-            });
-        }
-        out
+        let ring = self.lock();
+        let (newer, older) = ring.slots.split_at(ring.cursor);
+        older.iter().chain(newer).copied().collect()
     }
 }
 
-/// The tracing front-end: allocates trace/span ids, makes the
-/// deterministic sampling decision, and fans spans out to per-broker
-/// [`FlightRecorder`]s.
+/// The tracing front-end: allocates trace/span ids and fans spans out
+/// to per-broker [`FlightRecorder`]s.
 ///
 /// A `Tracer` is shared behind an `Arc` by the network and broker
 /// layers. When no tracer is attached at all, the product code pays a
-/// single `Option` test per message — that is the "disabled" path the
-/// overhead benchmark measures.
+/// single `Option` test per message.
 #[derive(Debug)]
 pub struct Tracer {
-    seed: u64,
-    sample_one_in: u64,
     next_trace: AtomicU64,
     next_span: AtomicU64,
     recorders: Vec<FlightRecorder>,
@@ -292,12 +244,9 @@ pub struct Tracer {
 
 impl Tracer {
     /// Creates a tracer for `brokers` brokers, each with a recorder of
-    /// `capacity` spans, sampling one in `sample_one_in` trace ids
-    /// (clamped to ≥ 1; 1 = trace everything) under `seed`.
-    pub fn new(brokers: usize, capacity: usize, seed: u64, sample_one_in: u64) -> Tracer {
+    /// `capacity` spans.
+    pub fn new(brokers: usize, capacity: usize) -> Tracer {
         Tracer {
-            seed,
-            sample_one_in: sample_one_in.max(1),
             next_trace: AtomicU64::new(0),
             next_span: AtomicU64::new(0),
             recorders: (0..brokers)
@@ -306,32 +255,10 @@ impl Tracer {
         }
     }
 
-    /// The sampling seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The sampling rate: one in this many trace ids is recorded.
-    pub fn sample_one_in(&self) -> u64 {
-        self.sample_one_in
-    }
-
-    /// Deterministic sampling decision for a trace id: a pure function
-    /// of `(seed, id)`, so replays under a fixed seed sample the exact
-    /// same traces. [`TraceId::NONE`] is never sampled.
-    #[inline]
-    pub fn sampled(&self, trace: TraceId) -> bool {
-        trace.is_traced() && mix64(self.seed ^ trace.0) % self.sample_one_in == 0
-    }
-
     /// Allocates a fresh trace id (ids start at 1; 0 stays the
     /// untraced sentinel).
     pub fn new_trace(&self) -> TraceId {
-        let id = TraceId(self.next_trace.fetch_add(1, Relaxed) + 1);
-        if self.sampled(id) {
-            CNT_SAMPLED.add(1);
-        }
-        id
+        TraceId(self.next_trace.fetch_add(1, Relaxed) + 1)
     }
 
     /// Allocates a fresh root trace context for an originated message.
@@ -342,11 +269,11 @@ impl Tracer {
         }
     }
 
-    /// Records one hop if its trace is sampled and `broker` is in
+    /// Records one hop if `trace` is a real trace and `broker` is in
     /// range. Returns the new span id, or 0 when nothing was recorded.
     /// Never allocates on either path.
     pub fn record(&self, trace: TraceId, parent: u32, broker: u16, kind: SpanKind, at: u64) -> u32 {
-        if !self.sampled(trace) {
+        if !trace.is_traced() {
             return 0;
         }
         let Some(rec) = self.recorders.get(broker as usize) else {
@@ -377,11 +304,6 @@ impl Tracer {
     /// The flight recorder of one broker.
     pub fn recorder(&self, broker: u16) -> Option<&FlightRecorder> {
         self.recorders.get(broker as usize)
-    }
-
-    /// Number of per-broker recorders.
-    pub fn brokers(&self) -> usize {
-        self.recorders.len()
     }
 
     /// Total spans lost to head-drop across all recorders.
@@ -507,49 +429,92 @@ mod tests {
     }
 
     #[test]
-    fn sampling_is_deterministic_and_roughly_one_in_n() {
-        let a = Tracer::new(1, 8, 0x5EED, 64);
-        let b = Tracer::new(1, 8, 0x5EED, 64);
-        let hits: Vec<u64> = (1..=10_000u64).filter(|&i| a.sampled(TraceId(i))).collect();
-        for &i in &hits {
-            assert!(b.sampled(TraceId(i)), "same seed must sample identically");
-        }
-        // 10 000 ids at 1-in-64 ≈ 156 expected; allow a wide band.
-        assert!((50..=350).contains(&hits.len()), "got {}", hits.len());
-        // A different seed samples a different subset.
-        let c = Tracer::new(1, 8, 0xBAD, 64);
-        assert!(hits.iter().any(|&i| !c.sampled(TraceId(i))));
-    }
-
-    #[test]
-    fn sample_one_in_one_records_everything_and_none_is_never_sampled() {
-        let t = Tracer::new(2, 16, 9, 1);
-        assert!(!t.sampled(TraceId::NONE));
+    fn every_real_trace_is_recorded_and_none_is_not() {
+        let t = Tracer::new(2, 16);
         for _ in 0..10 {
             let ctx = t.new_root();
-            assert!(t.sampled(ctx.trace));
             assert_ne!(t.record_ctx(ctx, 1, SpanKind::Enqueue, 5), 0);
         }
         assert_eq!(t.recorder(1).map(FlightRecorder::len), Some(10));
         assert_eq!(t.recorder(0).map(FlightRecorder::len), Some(0));
-        // Out-of-range broker records nothing.
+        // The untraced sentinel and an out-of-range broker record nothing.
+        assert_eq!(t.record_ctx(TraceCtx::NONE, 0, SpanKind::Route, 0), 0);
         assert_eq!(t.record(TraceId(1), 0, 99, SpanKind::Route, 0), 0);
+        assert!(t.recorder(0).is_some_and(FlightRecorder::is_empty));
     }
 
     #[test]
-    fn unsampled_traces_record_nothing() {
-        let t = Tracer::new(1, 16, 0, u64::MAX);
-        // With a 1-in-2^64 rate essentially nothing is sampled.
-        for i in 1..100u64 {
-            assert_eq!(t.record(TraceId(i), 0, 0, SpanKind::Route, i), 0);
+    fn threads_recording_into_one_tracer_lose_no_span_of_the_window() {
+        use std::collections::HashSet;
+        const THREADS: u64 = 4;
+        const CAPACITY: usize = 64;
+        // Each thread pushes TO_0 spans to broker 0, which never wraps,
+        // then TO_1 to broker 1, which wraps many times over.
+        const TO_0: u64 = 10;
+        const TO_1: u64 = 100;
+        let t = Tracer::new(2, CAPACITY);
+        // All threads start recording together, so their pushes contend.
+        let start = std::sync::Barrier::new(THREADS as usize);
+        let issued: Vec<(u16, u32)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|thread| {
+                    let (t, start) = (&t, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..TO_0 + TO_1)
+                            .map(|i| {
+                                let broker = u16::from(i >= TO_0);
+                                let trace = TraceId(thread + 1);
+                                (broker, t.record(trace, 0, broker, SpanKind::Route, i))
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("join"))
+                .collect()
+        });
+        let issued_to = |b: u16| -> HashSet<u32> {
+            issued
+                .iter()
+                .filter(|(x, _)| *x == b)
+                .map(|&(_, s)| s)
+                .collect()
+        };
+        let window = |b: u16| {
+            t.recorder(b)
+                .map(FlightRecorder::snapshot)
+                .unwrap_or_default()
+        };
+        let held = |w: &[SpanRecord]| -> HashSet<u32> { w.iter().map(|s| s.span).collect() };
+        let (w0, w1) = (window(0), window(1));
+
+        assert_eq!(issued_to(0).len() + issued_to(1).len(), issued.len());
+        assert_eq!(w0.len() as u64, THREADS * TO_0);
+        assert_eq!(held(&w0), issued_to(0), "the unwrapped ring lost a span");
+        assert_eq!(w1.len(), CAPACITY);
+        assert_eq!(held(&w1).len(), CAPACITY, "a span is held twice");
+        assert!(held(&w1).is_subset(&issued_to(1)));
+        assert_eq!(t.head_drops(), THREADS * TO_1 - CAPACITY as u64);
+        // The wrapped ring holds the newest pushes: of each thread's
+        // spans, a suffix, oldest first.
+        for thread in 0..THREADS {
+            let ats: Vec<u64> = w1
+                .iter()
+                .filter(|s| s.trace == TraceId(thread + 1))
+                .map(|s| s.at)
+                .collect();
+            let end = TO_0 + TO_1;
+            assert_eq!(ats, (end - ats.len() as u64..end).collect::<Vec<_>>());
         }
-        assert!(t.recorder(0).is_some_and(FlightRecorder::is_empty));
     }
 
     #[test]
     fn chrome_export_is_deterministic_and_loadable_shape() {
         let make = || {
-            let t = Tracer::new(2, 8, 42, 1);
+            let t = Tracer::new(2, 8);
             let root = t.new_root();
             let e = t.record_ctx(root, 0, SpanKind::Enqueue, 0);
             let d = t.record(root.trace, e, 1, SpanKind::Dequeue, 3);
@@ -566,11 +531,18 @@ mod tests {
 
     #[test]
     fn span_kind_names_are_distinct() {
-        let mut seen = std::collections::HashSet::new();
-        for k in 0..=8u8 {
-            let kind = SpanKind::from_u8(k).expect("kind");
-            assert!(seen.insert(kind.as_str()));
-        }
-        assert!(SpanKind::from_u8(9).is_none());
+        let kinds = [
+            SpanKind::Enqueue,
+            SpanKind::Dequeue,
+            SpanKind::Route,
+            SpanKind::Match,
+            SpanKind::OwnerVerify,
+            SpanKind::Deliver,
+            SpanKind::Drop,
+            SpanKind::Dup,
+            SpanKind::CrashDrop,
+        ];
+        let names: std::collections::HashSet<&str> = kinds.iter().map(|k| k.as_str()).collect();
+        assert_eq!(names.len(), kinds.len());
     }
 }

@@ -93,11 +93,6 @@ impl Mailbox {
         (Mailbox { tx, policy }, rx)
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> BackpressurePolicy {
-        self.policy
-    }
-
     /// Posts one encoded frame.
     ///
     /// Under [`BackpressurePolicy::Block`] this blocks while the

@@ -374,17 +374,6 @@ impl IntervalSet {
         self.parts.iter().any(|iv| iv.contains(v))
     }
 
-    /// Intersects with a single interval.
-    pub fn intersect_interval(&self, iv: &Interval) -> IntervalSet {
-        let parts = self
-            .parts
-            .iter()
-            .map(|p| p.intersect(iv))
-            .filter(|p| !p.is_empty())
-            .collect();
-        IntervalSet { parts }
-    }
-
     /// Intersects two sets.
     pub fn intersect(&self, other: &IntervalSet) -> IntervalSet {
         let mut parts = Vec::new();
