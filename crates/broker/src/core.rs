@@ -124,6 +124,12 @@ impl BrokerCore {
         self.shadowed_by.len()
     }
 
+    /// The subscriptions shadowed under `coverer`, which its cancellation
+    /// promotes into the own summary or shadows under another coverer.
+    pub fn shadowed_under(&self, coverer: SubscriptionId) -> &[SubscriptionId] {
+        self.shadows.get(&coverer).map_or(&[], Vec::as_slice)
+    }
+
     /// Admits a subscription: mints its id, stores it exactly and — unless
     /// the §6 filter shadows it under a resident coverer — dissolves it
     /// into the own summary.

@@ -319,9 +319,19 @@ impl SummaryPubSub {
     ///
     /// Returns `true` if the subscription existed. Remote merged
     /// summaries keep the id until the next propagation rebuild — over-
-    /// approximation, handled by tier-2 verification as usual.
+    /// approximation, handled by tier-2 verification as usual. Under the
+    /// §6 filter, the subscriptions a cancelled coverer shadowed that
+    /// re-enter the own summary join the pending batch, so the next
+    /// period ships them, incremental or full.
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
-        self.brokers[id.broker.index()].unsubscribe(id)
+        let broker = &mut self.brokers[id.broker.index()];
+        let orphans = broker.shadowed_under(id).to_vec();
+        if !broker.unsubscribe(id) {
+            return false;
+        }
+        // `summary_of` skips an orphan shadowed again.
+        self.pending[id.broker.index()].extend(orphans);
+        true
     }
 
     /// Runs the subscription propagation phase (Algorithm 2) from the
@@ -356,9 +366,13 @@ impl SummaryPubSub {
     /// into their stored multi-broker summaries.
     ///
     /// Per-period bandwidth is proportional to the new batch (σ) instead
-    /// of the outstanding population (S). Unsubscriptions do not shrink
-    /// remote state until the next full [`SummaryPubSub::propagate`]
-    /// (tier-2 verification keeps them silent in the interim).
+    /// of the outstanding population (S), and so is per-period CPU: the
+    /// new ids of a broker take the spare slots at the end of its block
+    /// in each stored summary, so a merge moves no resident dense id
+    /// (see [`BrokerSummary::merge`](subsum_core::BrokerSummary::merge)).
+    /// Unsubscriptions do not shrink remote state until the next full
+    /// [`SummaryPubSub::propagate`] (tier-2 verification keeps them
+    /// silent in the interim).
     ///
     /// Falls back to a full propagation if none has run yet.
     ///
@@ -372,12 +386,17 @@ impl SummaryPubSub {
         };
         let _span = STAGE_PROPAGATE.start();
         // Delta summaries: only pending (and still-live, non-shadowed)
-        // subscriptions.
+        // subscriptions, in id order; a promoted shadow admitted this
+        // period is pending twice.
         let deltas: Vec<_> = self
             .brokers
             .iter()
             .zip(&mut self.pending)
-            .map(|(broker, pending)| broker.summary_of(pending.drain(..)))
+            .map(|(broker, pending)| {
+                pending.sort_unstable();
+                pending.dedup();
+                broker.summary_of(pending.drain(..))
+            })
             .collect();
         let outcome = propagate(&self.topology, &deltas, &self.codec)?;
         self.propagation_metrics.merge(&outcome.metrics);
@@ -862,6 +881,35 @@ mod tests {
         let out = sys.publish(0, &event);
         let got: Vec<_> = out.deliveries.iter().map(|d| d.id).collect();
         assert_eq!(got, vec![id_narrow]);
+    }
+
+    /// A coverer cancelled between periods promotes its shadow into the
+    /// own summary; the next incremental period must ship it, or no
+    /// other broker routes to it until a full propagation.
+    #[test]
+    fn promoted_shadow_reaches_every_broker_after_an_incremental_period() {
+        let mut sys = system(Topology::line(3));
+        sys.set_subsumption_filter(true);
+        let schema = sys.schema().clone();
+        let below = |v| {
+            Subscription::builder(&schema)
+                .num("price", NumOp::Lt, v)
+                .unwrap()
+                .build()
+                .unwrap()
+        };
+        let id_broad = sys.subscribe(1, &below(100.0)).unwrap();
+        let id_narrow = sys.subscribe(1, &below(10.0)).unwrap();
+        sys.propagate().unwrap();
+        assert!(sys.unsubscribe(id_broad));
+        sys.propagate_incremental().unwrap();
+        let event = Event::builder(&schema).num("price", 5.0).unwrap().build();
+        assert_eq!(sys.oracle_matches(&event), vec![id_narrow]);
+        for publisher in 0..3 {
+            let out = sys.publish(publisher, &event);
+            let got: Vec<_> = out.deliveries.iter().map(|d| d.id).collect();
+            assert_eq!(got, vec![id_narrow], "published at broker {publisher}");
+        }
     }
 
     #[test]

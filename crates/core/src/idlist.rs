@@ -5,8 +5,12 @@
 //! intern table — instead of full multi-word [`SubscriptionId`] structs.
 //! The intern table keeps dense order identical to `SubscriptionId` sort
 //! order, so a sorted dense list resolves to a sorted id list without any
-//! per-event sorting. The naive reference paths (`match_event_scan`,
-//! `query_scan`) still traffic in full ids via [`SubIdList`].
+//! per-event sorting. Free slots (a removed id's dead slot, or a spare
+//! at the end of a broker's block) keep their place in that order and
+//! appear in no posting list; a new id takes one beside its rank, so
+//! interning it renumbers no posting. The naive reference paths
+//! (`match_event_scan`, `query_scan`) still traffic in full ids via
+//! [`SubIdList`].
 //!
 //! [`BrokerSummary`]: crate::BrokerSummary
 //! [`SubscriptionId`]: subsum_types::SubscriptionId
@@ -15,7 +19,8 @@ use subsum_types::SubscriptionId;
 
 /// A dense subscription id: the index of a [`SubscriptionId`] in the
 /// owning summary's intern table. Dense ids are assigned so that dense
-/// order equals `SubscriptionId` sort order at all times.
+/// order equals `SubscriptionId` sort order among the live slots at all
+/// times.
 pub type DenseId = u32;
 
 /// A sorted, deduplicated posting list of dense ids attached to a summary

@@ -29,8 +29,8 @@
 //! breaks it). An id whose mask names an attribute the event lacks can
 //! therefore never fire. Compilation lays each row's postings out as
 //! runs of one mask — a stable counting sort over a per-compile
-//! mask-group index read from the intern table's ids; a row that holds
-//! one mask is copied as it is — and the probe builds the event's
+//! mask-group index read from the intern table's live ids; a row that
+//! holds one mask is copied as it is — and the probe builds the event's
 //! attribute mask once and feeds the counter kernel only the runs whose
 //! mask ⊆ event mask. Literal postings are tested one by one against
 //! the same mask. The rows a probe finds, and the ids it reports, are
@@ -62,7 +62,7 @@ use subsum_types::{AttrMask, Event, LowerBound, Num, SubscriptionId, UpperBound}
 use crate::aacs::RangeSummary;
 use crate::idlist::DenseId;
 use crate::sacs::PatternSummary;
-use crate::summary::MatchStats;
+use crate::summary::{InternTable, MatchStats};
 
 /// Plan compilations.
 static CNT_PLAN_REBUILDS: Count = Count::new(subsum_telemetry::names::MATCH_PLAN_REBUILDS);
@@ -260,18 +260,20 @@ struct RunWriter {
 }
 
 impl RunWriter {
-    /// Indexes the masks of the plan's dense ids (`ids[d]` is dense id
-    /// `d`). Masks can arrive in a peer's summary, so the index keeps
-    /// `std`'s keyed hasher.
-    fn new(ids: &[SubscriptionId]) -> RunWriter {
+    /// Indexes the masks of the plan's live dense ids; a free slot, which
+    /// no posting names, gets no group. Masks can arrive in a peer's
+    /// summary, so the index keeps `std`'s keyed hasher.
+    fn new(table: &InternTable) -> RunWriter {
         let mut index: HashMap<u64, u32> = HashMap::new();
         let mut group_masks = Vec::new();
-        let group = ids
-            .iter()
-            .map(|id| {
-                *index.entry(id.mask.0).or_insert_with(|| {
-                    group_masks.push(id.mask.0);
-                    group_masks.len() as u32 - 1
+        let group = table
+            .slots()
+            .map(|slot| {
+                slot.map_or(u32::MAX, |id| {
+                    *index.entry(id.mask.0).or_insert_with(|| {
+                        group_masks.push(id.mask.0);
+                        group_masks.len() as u32 - 1
+                    })
                 })
             })
             .collect();
@@ -413,14 +415,14 @@ pub(crate) struct MatchPlan {
 
 impl MatchPlan {
     /// Compiles a plan over a summary's slots, whose postings are dense
-    /// ids into `ids`, the intern table.
+    /// ids into `table`, the intern table.
     pub(crate) fn compile(
         arith: &[Option<RangeSummary>],
         strings: &[Option<PatternSummary>],
-        ids: &[SubscriptionId],
+        table: &InternTable,
     ) -> MatchPlan {
         CNT_PLAN_REBUILDS.inc();
-        let mut writer = RunWriter::new(ids);
+        let mut writer = RunWriter::new(table);
         let mut plan = MatchPlan::default();
         plan.runs.offsets.push(0);
         for slot in arith {
@@ -1010,7 +1012,7 @@ mod tests {
     fn empty_summaries_compile_to_empty_banks() {
         let arith = vec![None, Some(RangeSummary::new())];
         let strings = vec![Some(PatternSummary::new()), None];
-        let plan = MatchPlan::compile(&arith, &strings, &[]);
+        let plan = MatchPlan::compile(&arith, &strings, &InternTable::default());
         assert!(plan.arith.iter().all(Option::is_none));
         assert!(plan.strings.iter().all(Option::is_none));
         assert!(plan.runs.arena.is_empty());

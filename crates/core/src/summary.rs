@@ -28,59 +28,73 @@ static STAGE_MATCH: Stage = Stage::new(subsum_telemetry::names::CORE_SUMMARY_MAT
 /// Matches served by a warm (previously used) [`MatchScratch`] — i.e.
 /// matches that performed no steady-state heap allocation.
 static CNT_SCRATCH_REUSE: Count = Count::new(subsum_telemetry::names::MATCH_SCRATCH_REUSE);
-/// Wholesale intern-table rebuilds (wire decode and summary merge).
+/// Respacing unions: a merge, or an out-of-order insert, with an id that
+/// found no free slot beside its rank.
 static CNT_INTERN_REBUILDS: Count = Count::new(subsum_telemetry::names::MATCH_INTERN_REBUILDS);
-/// Posting renumberings: an interactive insert landing in the middle of
-/// the dense order (out-of-order subscription ids), or a compaction of
-/// dead slots.
+/// Compactions: free slots outnumbered the live ones after a removal.
 static CNT_INTERN_RENUMBERS: Count = Count::new(subsum_telemetry::names::MATCH_INTERN_RENUMBERS);
 /// Match-scratch growth events (probe state resized to a larger
 /// population); zero at steady state.
 static CNT_SCRATCH_GROWS: Count = Count::new(subsum_telemetry::names::MATCH_SCRATCH_GROWS);
 
+/// Spare slots a respacing union lays at the end of each broker's block:
+/// one per `SPARE_SHARE` live ids of the block, rounded up. A constant,
+/// not a knob; it keeps free slots (spares plus dead ones) at most the
+/// live count, the bound [`BrokerSummary::remove`] compacts at.
+const SPARE_SHARE: usize = 8;
+
 /// The per-summary intern table: dense id `d` stands for `ids[d]`.
 ///
-/// Invariant: `ids` is sorted and deduplicated, so **dense order equals
-/// `SubscriptionId` order** among the live slots at all times. Sorted
-/// dense posting lists therefore resolve to sorted subscription-id lists
-/// with no per-event sorting. `required[d]` caches `ids[d].mask.count()`
-/// — the number of satisfied attributes the counter kernel must see
-/// before reporting dense id `d`; it is derived from the masks and is
-/// rebuilt by [`InternTable::from_ids`], never put on the wire.
+/// Invariant: `ids` is sorted and deduplicated over every slot, live or
+/// free, so **dense order equals `SubscriptionId` order** among the live
+/// slots at all times. Sorted dense posting lists therefore resolve to
+/// sorted subscription-id lists with no per-event sorting. `required[d]`
+/// caches `ids[d].mask.count()` — the number of satisfied attributes the
+/// counter kernel must see before reporting dense id `d`; it is derived
+/// from the masks and is rebuilt by [`InternTable::from_ids`], never put
+/// on the wire.
 ///
-/// A removed id keeps its slot, marked dead by `required[d] = 0` (a live
-/// id has popcount ≥ 1: only ids that touch a row are interned), so no
-/// other dense id moves. No posting names a dead slot, re-interning the
-/// id revives the slot in place, and `dead` counts them; once they
-/// outnumber the live slots, [`BrokerSummary::compact`] drops them all
-/// in one monotone renumbering.
+/// A slot with `required[d] = 0` is *free* (a live id has popcount ≥ 1:
+/// only ids that touch a row are interned), and no posting names it.
+/// Free slots come two ways. A removed id keeps its slot, *dead*, so no
+/// other dense id moves. A respacing union ([`InternTable::respace`])
+/// ends every broker's block with *spare* slots holding placeholder ids
+/// that sort between the block's last id and the next block's first.
+/// [`InternTable::place`] interns an id without moving any other slot:
+/// in its own slot, revived if dead, or else in a free slot next to its
+/// rank, which always keeps `ids` sorted. Brokers mint local ids in
+/// ascending order, so a broker's new id ranks just after its block's
+/// live ids and fills the block's first spare. `free` counts the free
+/// slots; once they outnumber the live ones, [`BrokerSummary::compact`]
+/// drops them all in one monotone renumbering.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct InternTable {
     ids: SubIdList,
     required: Vec<u32>,
-    dead: usize,
+    free: usize,
 }
 
 impl InternTable {
-    /// Builds a table over a sorted, deduplicated id list.
+    /// Builds a table without free slots over a sorted, deduplicated id
+    /// list.
     fn from_ids(ids: SubIdList) -> Self {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "intern ids sorted");
         let required = ids.iter().map(|id| id.mask.count()).collect();
         InternTable {
             ids,
             required,
-            dead: 0,
+            free: 0,
         }
     }
 
-    /// Number of slots, live and dead (== the dense id space size).
+    /// Number of slots, live and free (== the dense id space size).
     fn len(&self) -> usize {
         self.ids.len()
     }
 
     /// Number of live slots.
     fn live(&self) -> usize {
-        self.ids.len() - self.dead
+        self.ids.len() - self.free
     }
 
     /// Whether slot `pos` holds a live id.
@@ -88,95 +102,156 @@ impl InternTable {
         self.required[pos] != 0
     }
 
-    /// The live ids, in dense order.
-    pub(crate) fn live_ids(&self) -> impl Iterator<Item = SubscriptionId> + '_ {
+    /// Every slot in dense order: its id if live, `None` if free.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = Option<SubscriptionId>> + '_ {
         self.ids
             .iter()
             .zip(&self.required)
-            .filter(|(_, &r)| r != 0)
-            .map(|(&id, _)| id)
+            .map(|(&id, &r)| (r != 0).then_some(id))
+    }
+
+    /// The live slots and their ids, in dense order.
+    fn live_slots(&self) -> impl Iterator<Item = (usize, SubscriptionId)> + '_ {
+        self.slots()
+            .enumerate()
+            .filter_map(|(d, id)| Some((d, id?)))
+    }
+
+    /// The live ids, in dense order.
+    pub(crate) fn live_ids(&self) -> impl Iterator<Item = SubscriptionId> + '_ {
+        self.slots().flatten()
     }
 
     /// The dense id of `id`, or the rank where it would be interned.
-    fn position(&self, id: &subsum_types::SubscriptionId) -> Result<usize, usize> {
+    fn position(&self, id: &SubscriptionId) -> Result<usize, usize> {
         self.ids.binary_search(id)
     }
 
     /// The full id behind dense id `d`.
-    pub(crate) fn resolve(&self, d: DenseId) -> subsum_types::SubscriptionId {
+    pub(crate) fn resolve(&self, d: DenseId) -> SubscriptionId {
         self.ids[d as usize]
     }
 
-    /// Interns `id` at rank `pos` (caller renumbers postings first).
-    fn insert_at(&mut self, pos: usize, id: subsum_types::SubscriptionId) {
-        self.ids.insert(pos, id);
-        self.required.insert(pos, id.mask.count());
+    /// Interns `id` without moving any other slot: in its own slot,
+    /// revived if dead, or else in a free slot adjacent to its rank (the
+    /// one at the rank first). Either neighbour keeps `ids` sorted: the
+    /// slot at the rank holds a larger id, the one before it a smaller.
+    /// Returns the slot, or the rank if neither exists.
+    fn place(&mut self, id: SubscriptionId) -> Result<usize, usize> {
+        let pos = match self.position(&id) {
+            Ok(pos) if self.is_live(pos) => return Ok(pos),
+            Ok(pos) => pos,
+            Err(rank) => {
+                let free = [rank, rank.wrapping_sub(1)]
+                    .into_iter()
+                    .find(|&p| p < self.len() && !self.is_live(p))
+                    .ok_or(rank)?;
+                self.ids[free] = id;
+                free
+            }
+        };
+        self.required[pos] = id.mask.count();
+        self.free -= 1;
+        Ok(pos)
+    }
+
+    /// Appends `id`, which sorts after every slot.
+    fn push(&mut self, id: SubscriptionId) {
+        debug_assert!(self.ids.last().map_or(true, |last| *last < id));
+        self.ids.push(id);
+        self.required.push(id.mask.count());
     }
 
     /// Marks the live slot `pos` dead (caller drops its postings).
     fn kill(&mut self, pos: usize) {
         self.required[pos] = 0;
-        self.dead += 1;
+        self.free += 1;
     }
 
-    /// Marks the dead slot `pos` live again.
-    fn revive(&mut self, pos: usize) {
-        self.required[pos] = self.ids[pos].mask.count();
-        self.dead -= 1;
-    }
-
-    /// The sorted interned id list (dense id `d` ↦ `ids[d]`).
+    /// The sorted id list behind every slot, placeholders of spare slots
+    /// included (dense id `d` ↦ `ids[d]`).
     pub(crate) fn ids_slice(&self) -> &SubIdList {
         &self.ids
     }
 
-    /// The per-dense-id satisfied-attribute thresholds.
+    /// The per-dense-id satisfied-attribute thresholds (0: a free slot).
     pub(crate) fn required_slice(&self) -> &[u32] {
         &self.required
     }
 
-    /// Unions two tables without dead slots into a fresh one, returning
-    /// monotone translation arrays from each side's dense space into the
-    /// union's. Linear in the total id count, so summary merging stays
-    /// linear overall.
-    fn union_translate(&self, other: &InternTable) -> (InternTable, Vec<DenseId>, Vec<DenseId>) {
-        debug_assert!(self.dead == 0 && other.dead == 0, "union of compact tables");
-        let mut ids = SubIdList::with_capacity(self.ids.len() + other.ids.len());
-        let mut trans_self = Vec::with_capacity(self.ids.len());
-        let mut trans_other = Vec::with_capacity(other.ids.len());
+    /// Unions the live slots of two tables into a fresh one that ends
+    /// each broker's block with its spares, returning monotone
+    /// translation arrays from each side's dense space into the union's
+    /// (a free slot's entry is unused). Linear in both tables' slots, so
+    /// summary merging stays linear overall.
+    fn respace(&self, other: &InternTable) -> (InternTable, Vec<DenseId>, Vec<DenseId>) {
+        let live = self.live() + other.live();
+        let slots = live + live.div_ceil(SPARE_SHARE);
+        let mut table = InternTable {
+            ids: SubIdList::with_capacity(slots),
+            required: Vec::with_capacity(slots),
+            free: 0,
+        };
+        let mut trans_self = vec![0; self.len()];
+        let mut trans_other = vec![0; other.len()];
         let (mut i, mut j) = (0, 0);
-        while i < self.ids.len() && j < other.ids.len() {
-            match self.ids[i].cmp(&other.ids[j]) {
-                std::cmp::Ordering::Less => {
-                    trans_self.push(ids.len() as DenseId);
-                    ids.push(self.ids[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    trans_other.push(ids.len() as DenseId);
-                    ids.push(other.ids[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    trans_self.push(ids.len() as DenseId);
-                    trans_other.push(ids.len() as DenseId);
-                    ids.push(self.ids[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
+        // One broker's block at a time: the live ids either side holds
+        // of it, then its spares.
+        while let Some(broker) = [self.ids.get(i), other.ids.get(j)]
+            .into_iter()
+            .flatten()
+            .map(|id| id.broker)
+            .min()
+        {
+            let block = |t: &InternTable, from: usize| {
+                from..from + t.ids[from..].partition_point(|id| id.broker == broker)
+            };
+            let (a, b) = (block(self, i), block(other, j));
+            (i, j) = (a.end, b.end);
+            let start = table.ids.len();
+            merge_live(
+                (
+                    &self.ids[a.clone()],
+                    &self.required[a.clone()],
+                    &mut trans_self[a],
+                ),
+                (
+                    &other.ids[b.clone()],
+                    &other.required[b.clone()],
+                    &mut trans_other[b],
+                ),
+                &mut table.ids,
+            );
+            let merged = &table.ids[start..];
+            table
+                .required
+                .extend(merged.iter().map(|id| id.mask.count()));
+            table.lay_spares(merged.len());
         }
-        while i < self.ids.len() {
-            trans_self.push(ids.len() as DenseId);
-            ids.push(self.ids[i]);
-            i += 1;
+        (table, trans_self, trans_other)
+    }
+
+    /// Ends the block of the last id, which holds `live` ids, with its
+    /// spares: placeholders `(broker, u32::MAX, k)`, which sort after
+    /// every id the broker mints below `u32::MAX` and before the next
+    /// broker's. A block whose last id already has that local gets none.
+    fn lay_spares(&mut self, live: usize) {
+        let Some(&last) = self.ids.last() else {
+            return;
+        };
+        if last.local.0 == u32::MAX {
+            return;
         }
-        while j < other.ids.len() {
-            trans_other.push(ids.len() as DenseId);
-            ids.push(other.ids[j]);
-            j += 1;
+        let spares = live.div_ceil(SPARE_SHARE);
+        for k in 0..spares as u64 {
+            self.ids.push(SubscriptionId::new(
+                last.broker,
+                subsum_types::LocalSubId(u32::MAX),
+                subsum_types::AttrMask(k),
+            ));
+            self.required.push(0);
         }
-        (InternTable::from_ids(ids), trans_self, trans_other)
+        self.free += spares;
     }
 }
 
@@ -243,8 +318,8 @@ pub struct BrokerSummary {
 }
 
 /// Content equality: two summaries are equal when they hold the same
-/// rows over the same ids. Neither dead intern slots nor the empty
-/// structures removals leave behind are content: a side with dead slots
+/// rows over the same ids. Neither free intern slots nor the empty
+/// structures removals leave behind are content: a side with free slots
 /// is compared in its compacted form, and an empty structure as an
 /// absent one, so a decoded view equals the summary it was encoded from.
 impl PartialEq for BrokerSummary {
@@ -368,29 +443,38 @@ impl BrokerSummary {
         }
     }
 
-    /// Interns `id`, returning its dense id. A dead slot of `id` is
-    /// revived where it is. When a new id lands in the middle of the
-    /// dense order (ids usually arrive ascending), every posting at or
-    /// above the insertion rank is renumbered up by one — a monotone
-    /// shift, so all posting lists stay sorted.
+    /// Interns `id`, returning its dense id: in its own or an adjacent
+    /// free slot ([`InternTable::place`]), appended when it sorts after
+    /// every slot, or else through one respacing union with it (ids
+    /// usually arrive ascending, so that is rare).
     fn intern_id(&mut self, id: SubscriptionId) -> DenseId {
-        match self.intern.position(&id) {
-            Ok(pos) => {
-                if !self.intern.is_live(pos) {
-                    self.intern.revive(pos);
-                }
-                pos as DenseId
+        match self.intern.place(id) {
+            Ok(pos) => pos as DenseId,
+            Err(rank) if rank == self.intern.len() => {
+                self.intern.push(id);
+                rank as DenseId
             }
-            Err(pos) => {
-                if pos < self.intern.len() {
-                    CNT_INTERN_RENUMBERS.inc();
-                    let rank = pos as DenseId;
-                    self.remap_all(move |d| if d >= rank { d + 1 } else { d });
-                }
-                self.intern.insert_at(pos, id);
-                pos as DenseId
-            }
+            Err(_) => self.respace(&InternTable::from_ids(vec![id]))[0],
         }
+    }
+
+    /// Unions `other`'s live ids into the intern table in one respacing
+    /// union ([`InternTable::respace`]), renumbering every posting, and
+    /// returns the translation of `other`'s dense ids into the union.
+    fn respace(&mut self, other: &InternTable) -> Vec<DenseId> {
+        CNT_INTERN_REBUILDS.inc();
+        let (union, trans_self, trans_other) = self.intern.respace(other);
+        // A self side whose live ids keep their dense ids (all of
+        // `other` sorts after them) needs no remap.
+        let identity = self
+            .intern
+            .live_slots()
+            .all(|(d, _)| trans_self[d] as usize == d);
+        if !identity {
+            self.remap_all(|d| trans_self[d as usize]);
+        }
+        self.intern = union;
+        trans_other
     }
 
     /// Applies a strictly monotone dense-id renumbering to every posting
@@ -408,8 +492,9 @@ impl BrokerSummary {
     /// Only the structures of the attributes in the id's `c3` mask are
     /// visited — every posting of an id sits under one of those — and no
     /// other dense id moves. An absent or already removed id is a no-op
-    /// and keeps the compiled plan. Once dead slots outnumber live ones,
-    /// they are compacted away in one renumbering pass.
+    /// and keeps the compiled plan. Once free slots (dead and spare)
+    /// outnumber live ones, they are compacted away in one renumbering
+    /// pass.
     ///
     /// SACS rows keep their (possibly generalized) patterns; summaries
     /// only ever become *more* precise again through
@@ -429,15 +514,15 @@ impl BrokerSummary {
             }
         }
         self.intern.kill(pos);
-        if self.intern.dead > self.intern.live() {
+        if self.intern.free > self.intern.live() {
             self.compact();
         }
     }
 
-    /// Drops every dead intern slot: each posting is renumbered to its
+    /// Drops every free intern slot: each posting is renumbered to its
     /// slot's rank among the live ones (a strictly monotone map, so all
     /// posting lists stay sorted) and the table is rebuilt from the live
-    /// ids.
+    /// ids, without spares.
     fn compact(&mut self) {
         CNT_INTERN_RENUMBERS.inc();
         let mut rank = Vec::with_capacity(self.intern.len());
@@ -450,9 +535,9 @@ impl BrokerSummary {
         self.intern = InternTable::from_ids(self.intern.live_ids().collect());
     }
 
-    /// This summary without dead slots: borrowed when it has none.
+    /// This summary without free slots: borrowed when it has none.
     fn compacted(&self) -> std::borrow::Cow<'_, BrokerSummary> {
-        if self.intern.dead == 0 {
+        if self.intern.free == 0 {
             return std::borrow::Cow::Borrowed(self);
         }
         let mut compact = self.clone();
@@ -476,6 +561,14 @@ impl BrokerSummary {
     /// Merges another broker's summary into this one (multi-broker
     /// summaries, §4.1): per-attribute structures merge by union.
     ///
+    /// Each of `other`'s live ids takes its own slot here, or a free one
+    /// beside its rank, and no resident dense id moves. A broker's new
+    /// ids rank at the end of its block, where the last respacing union
+    /// left spare slots, so merging a σ-sized delta into an S-sized
+    /// summary costs O(σ log S) plus the rows it touches. Only when some
+    /// id finds no free slot do the two tables union once, renumbering
+    /// every posting and laying fresh spares.
+    ///
     /// # Panics
     ///
     /// Panics if the schemata differ; brokers of one system share the
@@ -494,34 +587,35 @@ impl BrokerSummary {
     pub(crate) fn merge_rows(&mut self, other: &BrokerSummary) {
         let _span = STAGE_MERGE.start();
         self.plan.invalidate();
-        // The union below reads compact tables: a side with dead slots
-        // drops them first.
-        if self.intern.dead > 0 {
-            self.compact();
+        // Each of the other side's live ids takes its own or an adjacent
+        // free slot, so no dense id here moves: a σ-sized delta costs
+        // σ binary searches plus the rows it touches. Should one id find
+        // neither, the two tables are unioned once, respaced; ids placed
+        // before it are live on both sides and meet in the union.
+        let mut trans = vec![0; other.intern.len()];
+        let placed = other
+            .intern
+            .live_slots()
+            .all(|(d, id)| match self.intern.place(id) {
+                Ok(pos) => {
+                    trans[d] = pos as DenseId;
+                    true
+                }
+                Err(_) => false,
+            });
+        if !placed {
+            trans = self.respace(&other.intern);
         }
-        let other = other.compacted();
-        // Union the two dense id spaces once, up front, producing
-        // monotone translation arrays — both sides' postings then remap
-        // in linear passes instead of re-interning id by id.
-        CNT_INTERN_REBUILDS.inc();
-        let (union, trans_self, trans_other) = self.intern.union_translate(&other.intern);
-        let identity = trans_self
-            .last()
-            .map_or(true, |&d| d as usize == trans_self.len() - 1);
-        if !identity {
-            self.remap_all(|d| trans_self[d as usize]);
-        }
-        self.intern = union;
         let mut buf = IdList::new();
         for (idx, slot) in other.arith.iter().enumerate() {
             if let Some(theirs) = slot {
                 let mine = self.arith[idx].get_or_insert_with(RangeSummary::new);
                 for row in theirs.ranges() {
-                    translate_into(&trans_other, &row.ids, &mut buf);
+                    translate_into(&trans, &row.ids, &mut buf);
                     mine.insert_interval_ids(row.interval, &buf);
                 }
                 for (v, ids) in theirs.points() {
-                    translate_into(&trans_other, ids, &mut buf);
+                    translate_into(&trans, ids, &mut buf);
                     mine.insert_point_ids(v, &buf);
                 }
             }
@@ -530,7 +624,7 @@ impl BrokerSummary {
             if let Some(theirs) = slot {
                 let mine = self.strings[idx].get_or_insert_with(PatternSummary::new);
                 for (pattern, ids) in theirs.rows() {
-                    translate_into(&trans_other, ids, &mut buf);
+                    translate_into(&trans, ids, &mut buf);
                     mine.insert_ids(pattern, &buf);
                 }
             }
@@ -563,7 +657,6 @@ impl BrokerSummary {
     ) -> Result<(), subsum_types::AttrId> {
         use crate::wire::RowPattern;
         self.plan.invalidate();
-        CNT_INTERN_REBUILDS.inc();
         self.intern = InternTable::from_ids(rows.ids);
         let postings = |span: std::ops::Range<usize>| rows.postings.get(span).unwrap_or(&[]);
         for (attr, iv, span) in rows.ranges {
@@ -725,7 +818,7 @@ impl BrokerSummary {
 
     /// A fresh compile of the plan over every row.
     pub(crate) fn compile_plan(&self) -> MatchPlan {
-        MatchPlan::compile(&self.arith, &self.strings, self.intern.ids_slice())
+        MatchPlan::compile(&self.arith, &self.strings, &self.intern)
     }
 
     /// Compiles and caches the plan unless one is cached; returns
@@ -827,9 +920,9 @@ impl BrokerSummary {
     ///   [`RangeSummary::validate`] / [`PatternSummary::validate`];
     /// * intern-table coherence: the interned ids are strictly sorted,
     ///   `required[d]` equals each live id's mask popcount and is 0 for a
-    ///   dead slot, the dead count is right and at most the live count,
-    ///   every dense posting is in table range, no posting names a dead
-    ///   slot, and the referenced dense ids are exactly the live slots
+    ///   free (dead or spare) slot, the free count is right and at most
+    ///   the live count, every dense posting is in table range, no
+    ///   posting names a free slot, and the referenced dense ids are exactly the live slots
     ///   (no zombie slots, no danglers);
     /// * every posting of dense id `d` sits on an attribute in
     ///   `ids[d].mask` — the precondition of the plan's mask filter;
@@ -886,11 +979,11 @@ impl BrokerSummary {
                 "required[] inconsistent with the id mask at dense id {d}"
             );
         }
-        let dead = self.intern.required.iter().filter(|&&r| r == 0).count();
-        assert_eq!(dead, self.intern.dead, "dead-slot count out of sync");
+        let free = self.intern.required.iter().filter(|&&r| r == 0).count();
+        assert_eq!(free, self.intern.free, "free-slot count out of sync");
         assert!(
-            dead <= self.intern.live(),
-            "{dead} dead slots outnumber the live ones"
+            free <= self.intern.live(),
+            "{free} free slots outnumber the live ones"
         );
         let mut dense: Vec<DenseId> = self
             .arith
@@ -908,7 +1001,7 @@ impl BrokerSummary {
             );
             assert!(
                 self.intern.is_live(d as usize),
-                "dense id {d} names a dead slot"
+                "dense id {d} names a free slot"
             );
         }
         assert!(
@@ -948,6 +1041,54 @@ impl BrokerSummary {
                 self.intern.ids[d as usize].mask.contains(attr),
                 "dense id {d} posted under attribute {idx} outside its c3 mask"
             );
+        }
+    }
+}
+
+/// One side of a block merge: a run of intern slots, their thresholds
+/// (0: a free slot) and where each live one's dense id in the union goes.
+type Run<'a> = (&'a [SubscriptionId], &'a [u32], &'a mut [DenseId]);
+
+/// Appends the live ids of two sorted runs to `out` in order, an id both
+/// hold once, and records each one's dense id there.
+fn merge_live((a, a_req, ta): Run<'_>, (b, b_req, tb): Run<'_>, out: &mut SubIdList) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a_req[i] == 0 {
+            i += 1;
+            continue;
+        }
+        if b_req[j] == 0 {
+            j += 1;
+            continue;
+        }
+        let d = out.len() as DenseId;
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => {
+                ta[i] = d;
+                out.push(a[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                tb[j] = d;
+                out.push(b[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                ta[i] = d;
+                tb[j] = d;
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    for (ids, req, trans, from) in [(a, a_req, ta, i), (b, b_req, tb, j)] {
+        for k in from..ids.len() {
+            if req[k] != 0 {
+                trans[k] = out.len() as DenseId;
+                out.push(ids[k]);
+            }
         }
     }
 }
@@ -1427,7 +1568,7 @@ mod tests {
         summary.insert(BrokerId(0), LocalSubId(1), &sub1(&schema));
         assert_eq!(summary.subscription_ids(), live(&summary));
         assert_eq!(summary.intern.ids, [id1, id2]);
-        // One dead slot beside one live one stays; once dead slots
+        // One dead slot beside one live one stays; once free slots
         // outnumber live ones they are compacted away.
         summary.remove(id1);
         assert_eq!(summary.intern.ids, [id1, id2]);
@@ -1467,7 +1608,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "names a dead slot")]
+    #[should_panic(expected = "names a free slot")]
     fn validate_rejects_a_posting_that_names_a_dead_slot() {
         let schema = schema();
         let mut summary = BrokerSummary::new(schema.clone());
@@ -1562,8 +1703,9 @@ mod tests {
     fn out_of_order_inserts_renumber_and_still_match() {
         let schema = schema();
         let mut summary = BrokerSummary::new(schema.clone());
-        // Descending local ids force the renumber path in `intern_id`:
-        // each insert lands at rank 0 and shifts the existing postings.
+        // Descending local ids force the respace path in `intern_id`:
+        // each insert ranks first, beside no free slot, and renumbers
+        // the existing postings.
         for k in (1..=5u32).rev() {
             let sub = Subscription::builder(&schema)
                 .str_op("symbol", StrOp::Eq, "OTX")
@@ -1709,6 +1851,103 @@ mod tests {
         );
         assert_eq!(pin(&into_other), merged);
         assert_eq!(pin(&into_churned), merged);
+    }
+
+    /// Twenty-four blocks of 200 ids take forty σ-merges of 48 new ids,
+    /// two per broker. A merge that fits every block's spares moves no
+    /// resident dense id; one that does not respaces, and the spares it
+    /// lays last as long as their share says. After every merge the
+    /// summary reads exactly as the same merges applied to a compact
+    /// copy of the base, whose first merge respaces.
+    #[test]
+    fn a_sigma_merge_moves_no_resident_dense_id() {
+        use crate::testkit::random_subscription;
+        use crate::wire::{ArithWidth, SummaryCodec};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use std::collections::BTreeMap;
+        let layout = subsum_types::IdLayout::new(1 << 8, 1 << 16, 7).unwrap();
+        let c = SummaryCodec::new(layout, ArithWidth::Eight);
+        let mut g = StdRng::seed_from_u64(39);
+        let mut next = [0u32; 24];
+        // `per_broker` fresh subscriptions at each of 24 brokers, dealt
+        // round-robin, summarized in id order.
+        let mut delta = |per_broker: usize| {
+            let mut subs = Vec::new();
+            for k in 0..24 * per_broker {
+                let b = k % 24;
+                if let Some(sub) = random_subscription(&mut g) {
+                    let id = SubscriptionId::new(
+                        BrokerId(b as u16),
+                        LocalSubId(next[b]),
+                        sub.attr_mask(),
+                    );
+                    subs.push((id, sub));
+                }
+                next[b] += 1;
+            }
+            subs.sort_by_key(|(id, _)| *id);
+            BrokerSummary::rebuild(schema(), subs.iter().map(|(id, sub)| (*id, sub)))
+        };
+        // Free slots (here: spares) and live ids per broker.
+        let per_broker = |table: &InternTable| {
+            let (mut free, mut live) = (BTreeMap::new(), BTreeMap::new());
+            for (d, slot) in table.slots().enumerate() {
+                let side = if slot.is_some() { &mut live } else { &mut free };
+                *side.entry(table.ids[d].broker).or_insert(0usize) += 1;
+            }
+            (free, live)
+        };
+        let mut summary = BrokerSummary::new(schema());
+        summary.merge(&delta(200));
+        let mut mirror = c.decode(&c.encode(&summary).unwrap(), &schema()).unwrap();
+        assert_eq!(mirror.intern.free, 0, "a decoded table is compact");
+        let (mut respaces, mut fitted, mut runway) = (0, 0, 0);
+        for merge in 0..40 {
+            let d = delta(2);
+            let (spares, _) = per_broker(&summary.intern);
+            let (_, need) = per_broker(&d.intern);
+            let fits = need
+                .iter()
+                .all(|(b, n)| spares.get(b).is_some_and(|s| s >= n));
+            let before = summary.intern.clone();
+            summary.merge(&d);
+            mirror.merge(&d);
+            assert!(mirror.intern.free > 0, "the compact copy respaced");
+            if fits {
+                assert_eq!(summary.intern.len(), before.len(), "merge {merge}");
+                for (pos, id) in before.live_slots() {
+                    assert_eq!(summary.intern.position(&id), Ok(pos), "merge {merge}: {id}");
+                }
+                fitted += 1;
+            } else {
+                summary.validate();
+                assert!(
+                    fitted >= runway,
+                    "merge {merge} respaced after {fitted} < {runway}"
+                );
+                respaces += 1;
+                fitted = 0;
+                // The spares just laid: a share of every block, less
+                // what this merge took.
+                let (spares, live) = per_broker(&summary.intern);
+                for (b, n) in &live {
+                    let laid = n.div_ceil(SPARE_SHARE);
+                    assert!(spares.get(b).copied().unwrap_or(0) + 2 >= laid, "block {b}");
+                }
+                runway = spares.values().min().map_or(0, |s| s / 2);
+            }
+            assert_eq!(summary, mirror, "merge {merge}");
+            assert_eq!(summary.digest(), mirror.digest());
+            assert_eq!(c.encode(&summary).unwrap(), c.encode(&mirror).unwrap());
+        }
+        summary.validate();
+        mirror.validate();
+        // 200 ids leave 25 spares a block: twelve merges, then a respace.
+        assert!(
+            (1..=40 / (200 / SPARE_SHARE / 2)).contains(&respaces),
+            "{respaces} respaces"
+        );
     }
 
     /// The shape `merged_delta_equals_inserted_summary` rarely draws: a

@@ -281,7 +281,7 @@ impl SummaryCodec {
     /// Returns [`TypeError::IdOverflow`] under the same conditions as
     /// `encode`.
     pub fn encoded_len(&self, summary: &BrokerSummary) -> Result<usize, TypeError> {
-        for &id in summary.intern_table().ids_slice() {
+        for id in summary.intern_table().live_ids() {
             self.layout.encode(id)?;
         }
         let id_len = self.layout.byte_len();
@@ -454,13 +454,19 @@ impl SummaryCodec {
         })
     }
 
-    /// Packs every id of `summary` in dense order, `s_id` bytes each.
+    /// Packs every live id of `summary` in dense order, `s_id` bytes
+    /// each; a free slot, which no posting names, packs as zeros.
     fn pack_ids(&self, summary: &BrokerSummary) -> Result<Vec<u8>, TypeError> {
-        let ids = summary.intern_table().ids_slice();
+        let table = summary.intern_table();
+        let id_len = self.layout.byte_len();
         // BOUND: an in-memory id table times at most 14 bytes per id.
-        let mut packed = Vec::with_capacity(ids.len() * self.layout.byte_len());
-        for &id in ids {
-            self.layout.encode_bytes(id, &mut packed)?;
+        let mut packed = Vec::with_capacity(table.ids_slice().len() * id_len);
+        for slot in table.slots() {
+            match slot {
+                Some(id) => self.layout.encode_bytes(id, &mut packed)?,
+                // BOUND: as above.
+                None => packed.resize(packed.len() + id_len, 0),
+            }
         }
         Ok(packed)
     }

@@ -876,7 +876,129 @@ fn dead_slots_are_invisible() {
     });
 }
 
-/// The checks of `dead_slots_are_invisible` after one step.
+/// Merges lay spare slots at the end of every broker's block and later
+/// σ-sized merges fill them in place. Interleaves merges that land in
+/// spares, a batch that exhausts a block's spares and respaces, the
+/// removal of an id that took a spare, revival by insert and by merge,
+/// and merges in either direction with a side that holds spares; after
+/// every step the summary reads as a compacted one.
+#[test]
+fn free_slots_are_invisible() {
+    check("free_slots_are_invisible", 128, |g| {
+        let schema = stock_schema();
+        let layout = IdLayout::new(1 << 8, 1 << 12, schema.len() as u32).unwrap();
+        let codec = SummaryCodec::new(layout, ArithWidth::Eight);
+        let events: Vec<Event> = g
+            .vec(1..4, event_strategy)
+            .iter()
+            .map(|raw| build_event(&schema, raw))
+            .collect();
+        let mut live: Vec<(SubscriptionId, Subscription)> = Vec::new();
+        let mut removed: Vec<(SubscriptionId, Subscription)> = Vec::new();
+        // Local ids ascend, so each broker's new ids rank at the end of
+        // its block, where the spares are.
+        let mut next_local = 0u32;
+        let mut batch = |g: &mut StdRng, n: usize, brokers: std::ops::Range<u16>| {
+            let mut subs = Vec::new();
+            for _ in 0..n {
+                next_local += 1;
+                if let Some(sub) = build_sub(&schema, &subscription(g)) {
+                    let broker = BrokerId(g.gen_range(brokers.clone()));
+                    let id = SubscriptionId::new(broker, LocalSubId(next_local), sub.attr_mask());
+                    subs.push((id, sub));
+                }
+            }
+            subs.sort_by_key(|(id, _)| *id);
+            subs
+        };
+        let summary_of = |subs: &[(SubscriptionId, Subscription)]| {
+            BrokerSummary::rebuild(schema.clone(), subs.iter().map(|(id, sub)| (*id, sub)))
+        };
+        // The base comes out of a merge, so its blocks end in spares.
+        let mut summary = BrokerSummary::new(schema.clone());
+        let n = g.gen_range(4..24);
+        let base = batch(g, n, 0..4);
+        summary.merge(&summary_of(&base));
+        live.extend(base);
+        assert_reads_as_compacted(&summary, &codec, &events, &live);
+        for _ in 0..g.gen_range(8..40) {
+            match g.gen_range(0..12) {
+                // A σ-merge: lands in spares while they last.
+                0..=3 => {
+                    let n = g.gen_range(1..4);
+                    let delta = batch(g, n, 0..4);
+                    summary.merge(&summary_of(&delta));
+                    live.extend(delta);
+                }
+                // One broker's batch outgrows its spares: a respace.
+                4 => {
+                    let broker = g.gen_range(0..4);
+                    let n = g.gen_range(4..12);
+                    let delta = batch(g, n, broker..broker + 1);
+                    summary.merge(&summary_of(&delta));
+                    live.extend(delta);
+                }
+                // Remove a recent id (one that most likely took a
+                // spare), or any live one.
+                5 | 6 => {
+                    if !live.is_empty() {
+                        let k = if g.gen() {
+                            live.len() - 1
+                        } else {
+                            g.gen_range(0..live.len())
+                        };
+                        let entry = live.swap_remove(k);
+                        summary.remove(entry.0);
+                        removed.push(entry);
+                    }
+                }
+                // Revival, by insert or by merge.
+                7 | 8 => {
+                    if !removed.is_empty() {
+                        let entry = removed.swap_remove(g.gen_range(0..removed.len()));
+                        if g.gen() {
+                            summary.insert_with_id(entry.0, &entry.1);
+                        } else {
+                            summary.merge(&summary_of(std::slice::from_ref(&entry)));
+                        }
+                        live.push(entry);
+                    }
+                }
+                // A side that holds spares (and perhaps dead slots),
+                // merged in either direction.
+                9 | 10 => {
+                    let brokers = if g.gen() { 0..4 } else { 8..12 };
+                    let n = g.gen_range(1..10);
+                    let mut side_live = batch(g, n, brokers);
+                    let mut side = BrokerSummary::new(schema.clone());
+                    side.merge(&summary_of(&side_live));
+                    if g.gen() && !side_live.is_empty() {
+                        let (id, _) = side_live.swap_remove(g.gen_range(0..side_live.len()));
+                        side.remove(id);
+                    }
+                    if g.gen() {
+                        summary.merge(&side);
+                    } else {
+                        side.merge(&summary);
+                        summary = side;
+                    }
+                    live.extend(side_live);
+                }
+                // An own-style insert of a fresh id.
+                _ => {
+                    if let Some(entry) = batch(g, 1, 0..4).pop() {
+                        summary.insert_with_id(entry.0, &entry.1);
+                        live.push(entry);
+                    }
+                }
+            }
+            assert_reads_as_compacted(&summary, &codec, &events, &live);
+        }
+    });
+}
+
+/// The checks of `dead_slots_are_invisible` and
+/// `free_slots_are_invisible` after one step.
 fn assert_reads_as_compacted(
     summary: &BrokerSummary,
     codec: &SummaryCodec,
@@ -885,14 +1007,18 @@ fn assert_reads_as_compacted(
 ) {
     let schema = summary.schema();
     check_invariants(summary);
-    let mut compact = BrokerSummary::new(schema.clone());
-    compact.merge(summary);
-    check_invariants(&compact);
-    assert_eq!(summary, &compact);
-    assert_eq!(summary.digest(), compact.digest());
+    // Two other layouts of the same content: a decoded copy is compact,
+    // and a merge into an empty summary lays fresh spares.
     let bytes = codec.encode(summary).unwrap();
-    assert_eq!(bytes, codec.encode(&compact).unwrap());
-    assert_eq!(&codec.decode(&bytes, schema).unwrap(), summary);
+    let compact = codec.decode(&bytes, schema).unwrap();
+    let mut respaced = BrokerSummary::new(schema.clone());
+    respaced.merge(summary);
+    for other in [&compact, &respaced] {
+        check_invariants(other);
+        assert_eq!(summary, other);
+        assert_eq!(summary.digest(), other.digest());
+        assert_eq!(bytes, codec.encode(other).unwrap());
+    }
     assert_eq!(
         summary.subscription_count(),
         summary.subscription_ids().len()

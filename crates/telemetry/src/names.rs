@@ -23,9 +23,10 @@ pub const CORE_SUMMARY_MERGE: &str = "core.summary.merge";
 pub const CORE_SUMMARY_MATCH: &str = "core.summary.match";
 /// Matches served by a warm, previously used `MatchScratch`.
 pub const MATCH_SCRATCH_REUSE: &str = "match.scratch_reuse";
-/// Wholesale intern-table rebuilds (decode and merge paths).
+/// Respacing unions: a merge or insert with an id that found no free
+/// intern slot beside its rank renumbered every posting once.
 pub const MATCH_INTERN_REBUILDS: &str = "match.intern_rebuilds";
-/// Out-of-order inserts that renumbered existing dense postings.
+/// Compactions: a removal left more free intern slots than live ones.
 pub const MATCH_INTERN_RENUMBERS: &str = "match.intern_renumbers";
 /// Compiled match-plan builds: the first match, or `ShardedSummary`
 /// publication, after a row change.

@@ -203,6 +203,57 @@ fn incremental_propagation_periods() {
     assert!(idle.metrics.payload_bytes < delta.metrics.payload_bytes);
 }
 
+/// A long incremental run over a small resident set: every period's 48
+/// arrivals, two per broker, take spare slots at the end of their
+/// broker's block in each stored summary, and with 16 residents a block
+/// holds two spares, so every block runs out in the first period and is
+/// respaced in the next, and again as it grows. After every period each
+/// broker delivers exactly what the oracle finds, and each stored
+/// summary holds exactly the own ids of the brokers it has merged.
+#[test]
+fn long_incremental_run_fills_and_respaces_every_block() {
+    let mut rng = StdRng::seed_from_u64(39);
+    let mut workload = Workload::new(PaperParams::default(), 0.5);
+    let schema = workload.schema().clone();
+    let mut sys =
+        SummaryPubSub::new(Topology::cable_wireless_24(), schema.clone(), 10_000).unwrap();
+    for b in 0..24u16 {
+        for sub in workload.subscriptions(16, &mut rng) {
+            sys.subscribe(b, &sub).unwrap();
+        }
+    }
+    sys.propagate().unwrap();
+    let events: Vec<Event> = (0..8).map(|_| workload.event(0.8, &mut rng)).collect();
+    for period in 0..12 {
+        for (k, sub) in workload.subscriptions(48, &mut rng).iter().enumerate() {
+            sys.subscribe((k % 24) as u16, sub).unwrap();
+        }
+        sys.propagate_incremental().unwrap();
+        for event in &events {
+            let want = sys.oracle_matches(event);
+            for publisher in 0..24u16 {
+                let out = sys.publish(publisher, event);
+                let mut got: Vec<SubscriptionId> = out.deliveries.iter().map(|d| d.id).collect();
+                got.sort();
+                assert_eq!(got, want, "period {period}, publisher {publisher}");
+            }
+        }
+        for (b, stored) in sys.stored_summaries().unwrap().iter().enumerate() {
+            let mut want: Vec<SubscriptionId> = stored
+                .merged_brokers
+                .iter()
+                .flat_map(|&m| sys.broker(m).own().subscription_ids())
+                .collect();
+            want.sort();
+            assert_eq!(
+                stored.summary.subscription_ids(),
+                want,
+                "period {period}, broker {b}"
+            );
+        }
+    }
+}
+
 /// Overlay topology change (the paper's slowly-changing ISP backbones):
 /// after links change, re-propagation restores exact delivery.
 #[test]
