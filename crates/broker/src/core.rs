@@ -114,11 +114,6 @@ impl BrokerCore {
         self.subsumption_filter = on;
     }
 
-    /// Whether the §6 subsumption filter is active.
-    pub fn subsumption_filter(&self) -> bool {
-        self.subsumption_filter
-    }
-
     /// The number of subscriptions currently shadowed.
     pub fn shadowed_count(&self) -> usize {
         self.shadowed_by.len()
@@ -137,9 +132,11 @@ impl BrokerCore {
     /// # Errors
     ///
     /// [`TypeError::IdOverflow`] once the layout's local id space is
-    /// exhausted; nothing is stored.
+    /// exhausted, or the error of [`Subscription::check`] for one
+    /// outside the schema; nothing is stored.
     pub fn subscribe(&mut self, sub: &Subscription) -> Result<SubscriptionId, TypeError> {
         let _span = STAGE_SUBSCRIBE.start();
+        sub.check(&self.schema)?;
         let local = self.next_local;
         let local_bits = self.layout.local_bits();
         if u64::from(local) >= (1u64 << local_bits) {

@@ -17,7 +17,8 @@
 //! # Event flow
 //!
 //! `Subscribe` admits the subscription into the [`BrokerCore`] (a client
-//! the core refuses — id space exhausted — is disconnected) and eagerly
+//! the core refuses — id space exhausted, or a subscription outside the
+//! schema — is disconnected) and eagerly
 //! pushes what it added on every peer link: a `SummaryDelta` carrying
 //! the own digest before and after the insert and a summary of the new
 //! subscription alone. `Publish` delivers
@@ -192,7 +193,8 @@ impl DaemonCore {
     ///
     /// # Errors
     ///
-    /// [`TypeError::IdOverflow`] once the local id space is exhausted.
+    /// As [`BrokerCore::subscribe`]: the local id space is exhausted, or
+    /// `sub` is outside the schema.
     pub fn subscribe(
         &mut self,
         conn: ConnId,
@@ -410,7 +412,7 @@ impl DaemonCore {
             Msg::Subscribe { sub } => {
                 let base = self.core.own().digest();
                 let Ok(id) = self.subscribe(conn, &sub) else {
-                    // No id left to acknowledge with: refuse by hanging up.
+                    // No id to acknowledge with: refuse by hanging up.
                     self.roles.remove(&conn);
                     sink.close(conn);
                     return;
@@ -850,6 +852,29 @@ mod tests {
         let fin = pair.daemons[1].broker().checkpoint();
         assert_eq!(fin.next_local, 1 << 20);
         assert!(fin.subs.is_empty());
+    }
+
+    /// A `Subscribe` frame is outside input: a constraint on an
+    /// attribute the schema lacks, or of the other kind, has no summary
+    /// row. The client is refused like one the id space cannot admit,
+    /// and the daemon keeps serving.
+    #[test]
+    fn a_subscription_outside_the_schema_disconnects_the_client() {
+        use subsum_types::{AttrId, Constraint, Num, Predicate};
+        let mut pair = Pair::start(None);
+        let price_lt_1 = Predicate::Num(NumOp::Lt, Num::new(1.0).unwrap());
+        let symbol = stock_schema().attr_id("symbol").unwrap();
+        for attr in [AttrId(stock_schema().len() as u16), symbol] {
+            let pred = price_lt_1.clone();
+            let sub = Subscription::from_constraints(vec![Constraint { attr, pred }]).unwrap();
+            let refused = pair.accept(1, 10 + ConnId::from(attr.0));
+            assert_eq!(pair.step(1, refused, Msg::Subscribe { sub }), []);
+            assert_eq!(pair.closed.pop(), Some((1, refused)));
+        }
+        let client_b = pair.accept(1, 30);
+        pair.subscribe(1, client_b, price_lt(10.0));
+        assert_eq!(pair.daemons[1].broker().checkpoint().subs.len(), 1);
+        assert_eq!(pair.counters(1).summaries_tx.get(), 2, "one push");
     }
 
     /// A `Route` is a neighbour's word that its view of this broker

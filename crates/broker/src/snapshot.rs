@@ -1,27 +1,22 @@
-//! Broker-state snapshots: persist and restore a [`SummaryPubSub`].
+//! Broker checkpoints: the one durable format.
 //!
-//! A production pub/sub deployment must survive restarts without losing
-//! the outstanding subscriptions. A snapshot captures everything not
-//! derivable from code: the schema, the overlay, and each broker's
-//! durable state — its [`BrokerCheckpoint`]. Summaries, §6 shadow maps
-//! and multi-broker state are *not* persisted: a restore re-derives the
-//! shadow maps, and the first propagation rebuilds the summaries exactly.
+//! A broker's only durable state is its own subscriptions: the local-id
+//! counter and the exact store, written as a [`BrokerCheckpoint`]. The
+//! schema and the overlay are static configuration that a restarting
+//! host reads again; summaries, §6 shadow maps and neighbour views are
+//! derived, so a restore re-derives the shadow maps and the next
+//! propagation (or pull) rebuilds the rest. Every host restores a
+//! broker from the same bytes:
+//! [`SummaryPubSub::restore`](crate::SummaryPubSub::restore),
+//! [`ChaosRun`](crate::ChaosRun)'s restarts and `subsumd --checkpoint`.
 //!
-//! Format: magic, version, schema (names + kinds), topology (edge list),
-//! flags and capacity, then each broker's checkpoint bytes (each ending
-//! in its own checksum), all via the deterministic byte codec. Either
-//! kind of durable input is checked by [`BrokerCheckpoint::from_bytes`]
-//! before anything restores from it.
+//! A checkpoint file is outside input. [`BrokerCheckpoint::from_bytes`]
+//! refuses what the bytes alone show to be wrong, and
+//! [`BrokerCheckpoint::check`] what only the restoring broker's own
+//! configuration (its id and schema) can show.
 
-use subsum_net::{NodeId, Topology};
-use subsum_types::{
-    AttrKind, ByteReader, ByteWriter, DecodeError, Schema, Subscription, SubscriptionId,
-};
-
-use crate::system::SummaryPubSub;
-
-const MAGIC: u32 = 0x5355_4253; // "SUBS"
-const VERSION: u8 = 2;
+use subsum_net::NodeId;
+use subsum_types::{ByteReader, ByteWriter, DecodeError, Schema, Subscription, SubscriptionId};
 
 const CHECKPOINT_MAGIC: u32 = 0x5342_4B50; // "SBKP"
 /// Version 2 appends the checksum; version 1 files are refused.
@@ -35,18 +30,23 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Errors from [`SummaryPubSub::from_snapshot`].
+/// Why a checkpoint is refused.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SnapshotError {
-    /// The stream is not a snapshot (bad magic) or of an unknown version.
+    /// Not a checkpoint (bad magic), an unknown version, a checksum
+    /// mismatch, or content no broker can restore from.
     Format(&'static str),
     /// Truncated or structurally malformed content.
     Decode(DecodeError),
-    /// Decoded content violates the type layer.
-    Type(subsum_types::TypeError),
-    /// Decoded topology is invalid.
-    Topology(subsum_net::TopologyError),
+    /// The checkpoint holds the ids of broker `owner`, not of the
+    /// `broker` restoring it.
+    Foreign {
+        /// The broker whose ids the checkpoint holds.
+        owner: NodeId,
+        /// The broker that was to restore it.
+        broker: NodeId,
+    },
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -54,8 +54,12 @@ impl std::fmt::Display for SnapshotError {
         match self {
             SnapshotError::Format(what) => write!(f, "snapshot format error: {what}"),
             SnapshotError::Decode(e) => write!(f, "snapshot decode failed: {e}"),
-            SnapshotError::Type(e) => write!(f, "snapshot content invalid: {e}"),
-            SnapshotError::Topology(e) => write!(f, "snapshot topology invalid: {e}"),
+            SnapshotError::Foreign { owner, broker } => {
+                write!(
+                    f,
+                    "checkpoint belongs to broker {owner}, not broker {broker}"
+                )
+            }
         }
     }
 }
@@ -68,26 +72,13 @@ impl From<DecodeError> for SnapshotError {
     }
 }
 
-impl From<subsum_types::TypeError> for SnapshotError {
-    fn from(e: subsum_types::TypeError) -> Self {
-        SnapshotError::Type(e)
-    }
-}
-
-impl From<subsum_net::TopologyError> for SnapshotError {
-    fn from(e: subsum_net::TopologyError) -> Self {
-        SnapshotError::Topology(e)
-    }
-}
-
 /// The durable state of a *single* broker: its local-id counter and its
 /// exact subscription store, id-sorted. This is what a broker writes to
 /// stable storage between crashes; everything else (summaries, neighbor
 /// views, intern tables) is derived and re-learned after restart.
 ///
-/// Unlike the whole-system snapshot, a checkpoint carries no schema or
-/// topology — the restarting broker re-reads those from its static
-/// configuration.
+/// A checkpoint carries no schema or topology: the restarting broker
+/// re-reads those from its static configuration.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BrokerCheckpoint {
     /// The next unassigned local subscription id.
@@ -180,115 +171,31 @@ impl BrokerCheckpoint {
         }
         Ok(BrokerCheckpoint { next_local, subs })
     }
-}
 
-impl SummaryPubSub {
-    /// Serializes the durable state (schema, overlay, each broker's
-    /// checkpoint). See the [module docs](self) for what is and is not
-    /// captured.
-    pub fn to_snapshot(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.u32(MAGIC);
-        w.u8(VERSION);
-
-        // Schema.
-        let schema = self.schema();
-        w.u16(schema.len() as u16);
-        for (_, spec) in schema.iter() {
-            w.str16(&spec.name);
-            w.u8(match spec.kind {
-                AttrKind::String => 0,
-                AttrKind::Integer => 1,
-                AttrKind::Float => 2,
-                AttrKind::Date => 3,
-            });
-        }
-
-        // Topology.
-        let topology = self.topology();
-        w.u16(topology.len() as u16);
-        let edges: Vec<_> = topology.edges().collect();
-        w.u32(edges.len() as u32);
-        for (a, b) in edges {
-            w.u16(a);
-            w.u16(b);
-        }
-
-        // System flags and capacity.
-        w.u8(u8::from(self.subsumption_filter_enabled()));
-        w.u64(self.max_subs_per_broker());
-
-        // Per-broker checkpoints.
-        for b in 0..topology.len() as NodeId {
-            let checkpoint = self.broker(b).checkpoint().to_bytes();
-            w.u32(checkpoint.len() as u32);
-            w.bytes(&checkpoint);
-        }
-        w.into_bytes()
-    }
-
-    /// Restores a system from a snapshot produced by
-    /// [`SummaryPubSub::to_snapshot`]. Summaries are rebuilt; run
-    /// [`SummaryPubSub::propagate`] before publishing.
+    /// Refuses a checkpoint that broker `broker` under `schema` must not
+    /// restore: one holding another broker's ids, which it would serve
+    /// as its own, or a subscription with a constraint on an attribute
+    /// `schema` lacks or of a kind it does not declare, which its
+    /// summary has no row for. Every host that restores a broker from
+    /// outside input calls this first.
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapshotError`] if the stream is malformed or
-    /// internally inconsistent: a broker's checkpoint that
-    /// [`BrokerCheckpoint::from_bytes`] refuses, or one holding another
-    /// broker's ids.
-    pub fn from_snapshot(bytes: &[u8]) -> Result<SummaryPubSub, SnapshotError> {
-        let mut r = ByteReader::new(bytes);
-        if r.u32()? != MAGIC {
-            return Err(SnapshotError::Format("bad magic"));
+    /// [`SnapshotError::Foreign`] for the first id of another broker, or
+    /// [`SnapshotError::Format`] for a subscription outside `schema`.
+    pub fn check(&self, broker: NodeId, schema: &Schema) -> Result<(), SnapshotError> {
+        if let Some((id, _)) = self.subs.iter().find(|(id, _)| id.broker.0 != broker) {
+            return Err(SnapshotError::Foreign {
+                owner: id.broker.0,
+                broker,
+            });
         }
-        if r.u8()? != VERSION {
-            return Err(SnapshotError::Format("unsupported version"));
+        if self.subs.iter().any(|(_, sub)| sub.check(schema).is_err()) {
+            return Err(SnapshotError::Format(
+                "checkpoint subscription outside the schema",
+            ));
         }
-
-        let n_attrs = r.u16()? as usize;
-        let mut sb = Schema::builder();
-        for _ in 0..n_attrs {
-            let name = r.str16()?.to_owned();
-            let kind = match r.u8()? {
-                0 => AttrKind::String,
-                1 => AttrKind::Integer,
-                2 => AttrKind::Float,
-                3 => AttrKind::Date,
-                _ => return Err(SnapshotError::Format("unknown attribute kind")),
-            };
-            sb = sb.attr(name, kind)?;
-        }
-        let schema = sb.build();
-
-        let n_brokers = r.u16()? as usize;
-        let n_edges = r.u32()? as usize;
-        let mut edges = Vec::with_capacity(n_edges.min(1 << 16));
-        for _ in 0..n_edges {
-            edges.push((r.u16()?, r.u16()?));
-        }
-        let topology = Topology::from_edges(n_brokers, &edges)?;
-
-        let filter = r.u8()? != 0;
-        let max_subs = r.u64()?;
-
-        let mut sys = SummaryPubSub::new(topology, schema, max_subs)?;
-        sys.set_subsumption_filter(filter);
-
-        for b in 0..n_brokers as NodeId {
-            let len = r.u32()? as usize;
-            let checkpoint = BrokerCheckpoint::from_bytes(r.bytes(len)?)?;
-            if checkpoint.subs.iter().any(|(id, _)| id.broker.0 != b) {
-                return Err(SnapshotError::Format("snapshot broker holds foreign ids"));
-            }
-            // BOUND: b < n_brokers = topology.len(), and SummaryPubSub::new
-            // built one core per topology node.
-            sys.brokers[b as usize].restore(Some(checkpoint));
-        }
-        if !r.is_exhausted() {
-            return Err(SnapshotError::Format("trailing bytes"));
-        }
-        Ok(sys)
+        Ok(())
     }
 }
 
@@ -297,32 +204,18 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use subsum_types::{stock_schema, AttrMask, Event, NumOp, StrOp};
+    use subsum_net::Topology;
+    use subsum_types::{
+        stock_schema, AttrId, AttrMask, Constraint, Event, Num, NumOp, Predicate, StrOp,
+    };
 
-    /// `sys`'s snapshot with broker `b`'s checkpoint bytes replaced by
-    /// `body`.
-    fn snapshot_with(sys: &SummaryPubSub, b: NodeId, body: &[u8]) -> Vec<u8> {
-        let n = sys.topology().len() as NodeId;
-        let bodies: Vec<_> = (0..n)
-            .map(|i| sys.broker(i).checkpoint().to_bytes())
-            .collect();
-        let mut bytes = sys.to_snapshot();
-        let old: usize = bodies.iter().map(|own| 4 + own.len()).sum();
-        bytes.truncate(bytes.len() - old);
-        for (i, own) in bodies.iter().enumerate() {
-            let body = if i == b as usize { body } else { own };
-            bytes.extend_from_slice(&(body.len() as u32).to_be_bytes());
-            bytes.extend_from_slice(body);
-        }
-        bytes
-    }
+    use crate::SummaryPubSub;
 
-    fn populated_system(filter: bool) -> (SummaryPubSub, Vec<SubscriptionId>) {
+    fn populated_system(filter: bool) -> SummaryPubSub {
         let schema = stock_schema();
         let mut sys = SummaryPubSub::new(Topology::fig7_tree(), schema.clone(), 1000).unwrap();
         sys.set_subsumption_filter(filter);
         let mut rng = StdRng::seed_from_u64(5);
-        let mut ids = Vec::new();
         for b in 0..13u16 {
             for k in 0..6 {
                 let sub = if k % 2 == 0 {
@@ -342,21 +235,35 @@ mod tests {
                         .build()
                         .unwrap()
                 };
-                ids.push(sys.subscribe(b, &sub).unwrap());
+                sys.subscribe(b, &sub).unwrap();
             }
         }
-        (sys, ids)
+        sys
     }
 
+    /// Every broker restarted from its checkpoint bytes, with the §6
+    /// filter on: the shadow maps are re-derived, not stored, so the
+    /// restored system shadows as much, summarises the same and
+    /// delivers the same.
     #[test]
-    fn snapshot_roundtrip_preserves_behavior() {
-        let (mut original, _) = populated_system(false);
+    fn a_restore_re_derives_the_shadow_maps() {
+        let mut original = populated_system(true);
+        let shadowed: usize = (0..13u16).map(|b| original.shadowed_count(b)).sum();
+        assert!(shadowed > 0, "workload must exercise shadowing");
         original.propagate().unwrap();
-        let snapshot = original.to_snapshot();
-        let mut restored = SummaryPubSub::from_snapshot(&snapshot).unwrap();
+        let schema = original.schema().clone();
+        let mut restored =
+            SummaryPubSub::new(original.topology().clone(), schema.clone(), 1000).unwrap();
+        restored.set_subsumption_filter(true);
+        for b in 0..13u16 {
+            let bytes = original.broker(b).checkpoint().to_bytes();
+            let cp = BrokerCheckpoint::from_bytes(&bytes).unwrap();
+            restored.restore(b, cp).unwrap();
+            assert_eq!(restored.shadowed_count(b), original.shadowed_count(b));
+            assert_eq!(restored.broker(b).own(), original.broker(b).own());
+        }
         restored.propagate().unwrap();
 
-        let schema = original.schema().clone();
         let mut rng = StdRng::seed_from_u64(6);
         for _ in 0..20 {
             let event = Event::builder(&schema)
@@ -366,57 +273,18 @@ mod tests {
                 .unwrap()
                 .build();
             let publisher = rng.gen_range(0..13u16);
-            let a: Vec<_> = original
-                .publish(publisher, &event)
-                .deliveries
-                .iter()
-                .map(|d| d.id)
-                .collect();
-            let b: Vec<_> = restored
-                .publish(publisher, &event)
-                .deliveries
-                .iter()
-                .map(|d| d.id)
-                .collect();
-            assert_eq!(a, b);
-            assert_eq!(a, original.oracle_matches(&event));
+            let delivered = |sys: &SummaryPubSub| -> Vec<_> {
+                let out = sys.publish(publisher, &event);
+                out.deliveries.iter().map(|d| d.id).collect()
+            };
+            assert_eq!(delivered(&restored), delivered(&original));
+            assert_eq!(delivered(&original), original.oracle_matches(&event));
         }
-    }
-
-    #[test]
-    fn snapshot_roundtrip_with_shadow_maps() {
-        let (mut original, ids) = populated_system(true);
-        let shadowed: usize = (0..13u16).map(|b| original.shadowed_count(b)).sum();
-        assert!(shadowed > 0, "workload must exercise shadowing");
-        original.propagate().unwrap();
-        let snapshot = original.to_snapshot();
-        let mut restored = SummaryPubSub::from_snapshot(&snapshot).unwrap();
-        let restored_shadowed: usize = (0..13u16).map(|b| restored.shadowed_count(b)).sum();
-        assert_eq!(shadowed, restored_shadowed);
-        // Re-derived, not stored: the same coverers, so the same summaries.
-        for b in 0..13u16 {
-            assert_eq!(restored.broker(b).own(), original.broker(b).own());
-        }
-        restored.propagate().unwrap();
-
-        // Ids keep working: new subscriptions continue the local counters
-        // without collisions.
-        let schema = restored.schema().clone();
-        let sub = Subscription::builder(&schema)
-            .num("high", NumOp::Gt, 1.0)
-            .unwrap()
-            .build()
-            .unwrap();
-        let new_id = restored.subscribe(3, &sub).unwrap();
-        assert!(
-            !ids.contains(&new_id),
-            "restored counters must not reuse ids"
-        );
     }
 
     #[test]
     fn checkpoint_roundtrip_and_rejection() {
-        let (sys, _) = populated_system(false);
+        let sys = populated_system(false);
         for b in 0..13u16 {
             let cp = sys.broker(b).checkpoint();
             assert!(cp.subs.windows(2).all(|w| w[0].0 < w[1].0), "id-sorted");
@@ -438,45 +306,30 @@ mod tests {
             BrokerCheckpoint::from_bytes(&v1),
             Err(SnapshotError::Format("unsupported checkpoint version"))
         );
-        // A whole-system snapshot is not a checkpoint.
-        assert!(BrokerCheckpoint::from_bytes(&sys.to_snapshot()).is_err());
     }
 
-    /// Well-formed bytes a broker must not restore from, refused alike as
-    /// a checkpoint file and as broker 0's body in a snapshot.
+    /// Well-formed bytes no broker may restore from are refused as a
+    /// file; the ones only a given broker may not restore from are
+    /// refused by `check`, and by every host's restore through it.
     #[test]
-    fn refused_checkpoints_restore_from_neither_a_file_nor_a_snapshot() {
-        let (sys, _) = populated_system(false);
+    fn refused_checkpoints_restore_nowhere() {
+        let mut sys = populated_system(false);
         let cp = sys.broker(0).checkpoint();
-        assert_eq!(snapshot_with(&sys, 0, &cp.to_bytes()), sys.to_snapshot());
-        // What `bad` is refused with as a file and as a snapshot body.
-        let refuse = |bad: &BrokerCheckpoint| {
-            let bytes = bad.to_bytes();
-            let file = BrokerCheckpoint::from_bytes(&bytes).err();
-            let snapshot = snapshot_with(&sys, 0, &bytes);
-            (file, SummaryPubSub::from_snapshot(&snapshot).err())
-        };
-        let both = |what| {
-            let refused = SnapshotError::Format(what);
-            (Some(refused.clone()), Some(refused))
-        };
+        let refuse = |bad: &BrokerCheckpoint| BrokerCheckpoint::from_bytes(&bad.to_bytes()).err();
+        let refused = |what| Some(SnapshotError::Format(what));
         // A counter that would mint a stored id again.
         let mut stale_counter = cp.clone();
         stale_counter.next_local -= 1;
         assert_eq!(
             refuse(&stale_counter),
-            both("checkpoint id not below next_local")
+            refused("checkpoint id not below next_local")
         );
-        // Ids of several brokers, and in a snapshot another broker's ids.
         let mut two_brokers = cp.clone();
         two_brokers.subs.extend(sys.broker(1).checkpoint().subs);
         assert_eq!(
             refuse(&two_brokers),
-            both("checkpoint ids of several brokers")
+            refused("checkpoint ids of several brokers")
         );
-        let foreign = refuse(&sys.broker(1).checkpoint());
-        let owned_elsewhere = Some(SnapshotError::Format("snapshot broker holds foreign ids"));
-        assert_eq!(foreign, (None, owned_elsewhere));
         // An id whose `c3` mask lacks its one attribute, or names one more.
         let mut extra = cp.subs[0].0.mask;
         extra.set(sys.schema().attr_id("volume").unwrap());
@@ -485,72 +338,55 @@ mod tests {
             bad_mask.subs[0].0.mask = mask;
             assert_eq!(
                 refuse(&bad_mask),
-                both("checkpoint id mask is not its attributes")
+                refused("checkpoint id mask is not its attributes")
             );
         }
+
+        // Another broker's store, as a file and as a restore.
+        let schema = sys.schema().clone();
+        let foreign = sys.broker(1).checkpoint();
+        assert_eq!(refuse(&foreign), None);
+        let owned_elsewhere = SnapshotError::Foreign {
+            owner: 1,
+            broker: 0,
+        };
+        assert_eq!(foreign.check(0, &schema), Err(owned_elsewhere.clone()));
+        assert_eq!(sys.restore(0, foreign), Err(owned_elsewhere));
+        assert_eq!(sys.broker(0).checkpoint(), cp, "nothing restored");
+        assert_eq!(cp.check(0, &schema), Ok(()));
+
+        // A constraint on an attribute the schema lacks, or of the other
+        // kind: the summary has no row for either.
+        let symbol = schema.attr_id("symbol").unwrap();
+        let price_lt_1 = Predicate::Num(NumOp::Lt, Num::new(1.0).unwrap());
+        for attr in [AttrId(schema.len() as u16), symbol] {
+            let sub = Subscription::from_constraints(vec![Constraint {
+                attr,
+                pred: price_lt_1.clone(),
+            }])
+            .unwrap();
+            let mut outside = cp.clone();
+            let id = SubscriptionId::new(cp.subs[0].0.broker, cp.subs[0].0.local, sub.attr_mask());
+            outside.subs[0] = (id, sub);
+            let outside = BrokerCheckpoint::from_bytes(&outside.to_bytes()).unwrap();
+            let refused = refused("checkpoint subscription outside the schema");
+            assert_eq!(outside.check(0, &schema).err(), refused);
+            assert_eq!(sys.restore(0, outside).err(), refused);
+        }
+        assert_eq!(sys.broker(0).checkpoint(), cp, "nothing restored");
     }
 
     /// A flipped bit anywhere in a checkpoint — in a constraint operand,
     /// or in a local id that stays sorted — would restore a different
-    /// broker: the checksum refuses it, as a file and as a snapshot body.
+    /// broker: the checksum refuses it.
     #[test]
-    fn bit_flipped_checkpoints_restore_from_neither_a_file_nor_a_snapshot() {
-        let (sys, _) = populated_system(false);
+    fn bit_flipped_checkpoints_are_refused() {
+        let sys = populated_system(false);
         let bytes = sys.broker(0).checkpoint().to_bytes();
         for i in 0..bytes.len() {
             let mut flipped = bytes.clone();
             flipped[i] ^= 1 << (i % 8);
             assert!(BrokerCheckpoint::from_bytes(&flipped).is_err(), "byte {i}");
-            let snapshot = snapshot_with(&sys, 0, &flipped);
-            assert!(SummaryPubSub::from_snapshot(&snapshot).is_err(), "byte {i}");
-        }
-    }
-
-    /// A 262 KB snapshot naming 65 535 brokers on a connected path would
-    /// ask the topology for a 16 GiB distance matrix: it is refused
-    /// before anything is allocated.
-    #[test]
-    fn snapshot_naming_too_many_brokers_is_refused() {
-        let n = NodeId::MAX;
-        let mut w = ByteWriter::new();
-        w.u32(MAGIC);
-        w.u8(VERSION);
-        w.u16(0); // no attributes
-        w.u16(n);
-        w.u32(u32::from(n) - 1);
-        for v in 1..n {
-            w.u16(v - 1);
-            w.u16(v);
-        }
-        assert_eq!(
-            SummaryPubSub::from_snapshot(&w.into_bytes()).err(),
-            Some(SnapshotError::Topology(
-                subsum_net::TopologyError::TooLarge(usize::from(n))
-            ))
-        );
-    }
-
-    #[test]
-    fn malformed_snapshots_rejected() {
-        assert!(matches!(
-            SummaryPubSub::from_snapshot(&[]),
-            Err(SnapshotError::Decode(_))
-        ));
-        assert!(matches!(
-            SummaryPubSub::from_snapshot(&[0, 0, 0, 0, 1]),
-            Err(SnapshotError::Format("bad magic"))
-        ));
-        let (sys, _) = populated_system(false);
-        let mut bytes = sys.to_snapshot();
-        bytes.push(0xFF);
-        assert!(matches!(
-            SummaryPubSub::from_snapshot(&bytes),
-            Err(SnapshotError::Format("trailing bytes"))
-        ));
-        // Truncations never panic.
-        let bytes = sys.to_snapshot();
-        for cut in (0..bytes.len()).step_by(37) {
-            assert!(SummaryPubSub::from_snapshot(&bytes[..cut]).is_err());
         }
     }
 }

@@ -11,7 +11,11 @@
 //! * publishing ([`SummaryPubSub::publish`]) runs Algorithm 3 and then
 //!   performs the home-broker verification: candidate matches reported to
 //!   an owner are re-checked against the owner's exact subscriptions, so
-//!   consumers only ever see true matches despite SACS generalization.
+//!   consumers only ever see true matches despite SACS generalization;
+//! * a broker restarts from its checkpoint
+//!   ([`SummaryPubSub::restore`]), the one durable format of every host.
+//!   A changed overlay is a fresh system over the new links with every
+//!   broker restored, as a `subsumd` deployment restarts its daemons.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -25,6 +29,7 @@ use subsum_types::{Event, IdLayout, Schema, Subscription, SubscriptionId, TypeEr
 use crate::core::BrokerCore;
 use crate::propagation::{propagate, MergedSummary, PropagationOutcome};
 use crate::routing::{route_inner, RoutingOptions, RoutingOutcome};
+use crate::snapshot::{BrokerCheckpoint, SnapshotError};
 
 /// Telemetry stages and counters of the end-to-end engine. Publishing is
 /// split into its pipeline stages — Algorithm 3 routing
@@ -113,9 +118,7 @@ pub struct SummaryPubSub {
     schema: Schema,
     codec: SummaryCodec,
     /// One state machine per broker of the overlay.
-    pub(crate) brokers: Vec<BrokerCore>,
-    /// The capacity this system was sized for (snapshot metadata).
-    max_subs: u64,
+    brokers: Vec<BrokerCore>,
     /// Ids accepted since the last propagation, per broker — the σ-batch
     /// an incremental period ships.
     pending: Vec<Vec<SubscriptionId>>,
@@ -132,29 +135,20 @@ pub struct SummaryPubSub {
 
 impl SummaryPubSub {
     /// Creates a system over `topology` and `schema`, sizing subscription
-    /// ids for at most `max_subs_per_broker` outstanding subscriptions.
+    /// ids for at most `max_subs` subscriptions per broker.
     ///
     /// # Errors
     ///
     /// Returns [`TypeError::TooManyAttributes`] if the schema exceeds the
     /// id mask width.
-    pub fn new(
-        topology: Topology,
-        schema: Schema,
-        max_subs_per_broker: u64,
-    ) -> Result<Self, TypeError> {
-        let layout = IdLayout::new(
-            topology.len() as u64,
-            max_subs_per_broker,
-            schema.len() as u32,
-        )?;
+    pub fn new(topology: Topology, schema: Schema, max_subs: u64) -> Result<Self, TypeError> {
+        let layout = IdLayout::new(topology.len() as u64, max_subs, schema.len() as u32)?;
         let n = topology.len();
         Ok(SummaryPubSub {
             codec: SummaryCodec::new(layout, ArithWidth::Four),
             brokers: (0..n as NodeId)
                 .map(|b| BrokerCore::new(b, schema.clone(), layout, None))
                 .collect(),
-            max_subs: max_subs_per_broker,
             pending: vec![Vec::new(); n],
             last_propagation: None,
             propagation_metrics: NetMetrics::new(n),
@@ -207,26 +201,9 @@ impl SummaryPubSub {
         self.broker(broker).shadowed_count()
     }
 
-    /// Whether the §6 subsumption filter is active.
-    pub fn subsumption_filter_enabled(&self) -> bool {
-        self.brokers
-            .first()
-            .is_some_and(BrokerCore::subsumption_filter)
-    }
-
-    /// The per-broker subscription capacity this system was created with.
-    pub fn max_subs_per_broker(&self) -> u64 {
-        self.max_subs
-    }
-
     /// The state machine of `broker`.
     pub fn broker(&self, broker: NodeId) -> &BrokerCore {
         &self.brokers[broker as usize]
-    }
-
-    /// The next local subscription number `broker` will assign.
-    pub fn next_local_at(&self, broker: NodeId) -> u32 {
-        self.broker(broker).next_local()
     }
 
     /// Read access to a broker's exact subscription store.
@@ -234,23 +211,30 @@ impl SummaryPubSub {
         self.broker(broker).exact()
     }
 
-    /// Installs a changed overlay topology (same broker population).
-    /// The paper's deployment setting — ISP backbones — has "slowly
-    /// changing" topologies whose nodes "can be informed of the new
-    /// changes" (§5.2); this is that notification. Installed multi-broker
-    /// summaries are invalidated: run [`SummaryPubSub::propagate`] before
-    /// the next publish so Algorithm 2's degree-indexed schedule reflects
-    /// the new link structure.
+    /// Restarts `broker` from its durable state, as
+    /// [`DaemonCore::restore`](crate::DaemonCore::restore) does under the
+    /// other hosts: the exact store and id counter become
+    /// `checkpoint`'s, and the own summary and §6 shadow maps are
+    /// re-derived from them. Installed multi-broker summaries are
+    /// dropped: run [`SummaryPubSub::propagate`] before the next publish.
     ///
     /// # Errors
     ///
-    /// Returns [`TypeError::NotAnExtension`] if the broker count changed
-    /// (brokers cannot appear or vanish without re-keying `c1`).
-    pub fn set_topology(&mut self, topology: Topology) -> Result<(), TypeError> {
-        if topology.len() != self.topology.len() {
-            return Err(TypeError::NotAnExtension);
-        }
-        self.topology = topology;
+    /// Refuses, restoring nothing, a checkpoint that
+    /// [`BrokerCheckpoint::check`] refuses: another broker's ids, or a
+    /// subscription outside this system's schema.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `broker` is out of range.
+    pub fn restore(
+        &mut self,
+        broker: NodeId,
+        checkpoint: BrokerCheckpoint,
+    ) -> Result<(), SnapshotError> {
+        checkpoint.check(broker, &self.schema)?;
+        self.brokers[broker as usize].restore(Some(checkpoint));
+        self.pending[broker as usize].clear();
         self.last_propagation = None;
         Ok(())
     }
@@ -300,7 +284,9 @@ impl SummaryPubSub {
     /// # Errors
     ///
     /// Returns [`TypeError::IdOverflow`] if the broker exhausted its
-    /// local id space.
+    /// local id space, or the error of
+    /// [`Subscription::check`](subsum_types::Subscription::check) for a
+    /// subscription outside the schema.
     ///
     /// # Panics
     ///

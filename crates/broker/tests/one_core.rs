@@ -1,7 +1,8 @@
 //! One `BrokerCore`, provably: the same subscribe/unsubscribe sequence
 //! fed to a broker of each in-process host yields the same ids, the same
-//! summary digest and the same checkpoint bytes — and a bare core
-//! restored from those bytes is indistinguishable from all of them.
+//! summary digest and the same checkpoint bytes — and a bare core, or
+//! a fresh system's broker, restored from those bytes is
+//! indistinguishable from all of them.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -63,12 +64,18 @@ fn every_host_drives_the_same_broker() {
     let layout = IdLayout::new(16, 1 << 12, schema.len() as u32).unwrap();
     let restored = BrokerCore::new(
         BROKER,
-        schema,
+        schema.clone(),
         layout,
         Some(BrokerCheckpoint::from_bytes(&bytes).unwrap()),
     );
     assert_eq!(restored.checkpoint().to_bytes(), bytes);
     assert_eq!(restored.exact().len(), live.len());
+
+    // The same bytes restored into a fresh system's broker.
+    let mut fresh = SummaryPubSub::new(Topology::line(4), schema, 1000).unwrap();
+    let checkpoint = BrokerCheckpoint::from_bytes(&bytes).unwrap();
+    fresh.restore(BROKER, checkpoint).unwrap();
+    assert_eq!(fresh.broker(BROKER).checkpoint().to_bytes(), bytes);
 
     // After a period boundary every host holds the canonical summary a
     // restart would rebuild (the chaos node re-summarises on cancel).
@@ -76,6 +83,7 @@ fn every_host_drives_the_same_broker() {
     let canonical = restored.own().digest();
     assert_eq!(sys.broker(BROKER).own().digest(), canonical);
     assert_eq!(chaos.broker(BROKER).own().digest(), canonical);
+    assert_eq!(fresh.broker(BROKER).own().digest(), canonical);
     #[cfg(debug_assertions)]
     restored.own().validate();
 }

@@ -10,8 +10,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use subsum_broker::{
-    propagate, route_event, BrokerCheckpoint, MergedSummary, Notification, RoutingOptions,
-    RoutingOutcome, SummaryPubSub,
+    propagate, route_event, MergedSummary, Notification, RoutingOptions, RoutingOutcome,
+    SummaryPubSub,
 };
 use subsum_core::{ArithWidth, BrokerSummary, MatchScratch, SummaryCodec};
 use subsum_net::{NetMetrics, NodeId, Topology};
@@ -321,70 +321,6 @@ fn system_with_filter_equals_oracle() {
             got.sort();
             got.dedup();
             assert_eq!(got, sys.oracle_matches(&event));
-        }
-    });
-}
-
-/// Checkpoint save → crash (state discarded) → restore rebuilds a
-/// summary that is validate()-clean and digest-equal to the
-/// pre-crash one, with the exact store, local-id counter, and the
-/// dense-id intern table (exercised by `subscription_ids`, which
-/// resolves every posting through it) all coherent.
-#[test]
-fn checkpoint_restore_is_digest_faithful() {
-    check("checkpoint_restore_is_digest_faithful", 48, |g| {
-        let seed = g.gen_range(0u64..300);
-        let n = g.gen_range(2usize..12);
-        let subs_per_broker = g.gen_range(1usize..8);
-        let topology = random_topology(seed, n);
-        let n = topology.len();
-        let schema = tag_schema();
-        let mut sys = SummaryPubSub::new(topology, schema.clone(), 64).unwrap();
-        for b in 0..n as NodeId {
-            for k in 0..subs_per_broker {
-                // A mix of distinct substring interests plus repeated
-                // ones, so rows carry multi-id posting lists.
-                let sub = if k % 2 == 0 {
-                    marker_sub(&schema, b)
-                } else {
-                    Subscription::builder(&schema)
-                        .str_op("tag", StrOp::Prefix, &format!("p{}", k % 3))
-                        .unwrap()
-                        .build()
-                        .unwrap()
-                };
-                sys.subscribe(b, &sub).unwrap();
-            }
-        }
-
-        for b in 0..n as NodeId {
-            // Pre-crash state, built in the canonical ascending-id order.
-            let mut subs: Vec<_> = sys
-                .exact_store(b)
-                .iter()
-                .map(|(id, s)| (*id, s.clone()))
-                .collect();
-            subs.sort_by_key(|(id, _)| *id);
-            let pre = BrokerSummary::rebuild(schema.clone(), subs.iter().map(|(id, s)| (*id, s)));
-            let pre_digest = pre.digest();
-
-            // Save, then "crash": everything in memory is gone; only the
-            // checkpoint bytes survive.
-            let bytes = sys.broker(b).checkpoint().to_bytes();
-            drop(subs);
-
-            let cp = BrokerCheckpoint::from_bytes(&bytes).unwrap();
-            assert_eq!(cp.next_local, sys.next_local_at(b));
-            assert_eq!(cp.subs.len(), sys.exact_store(b).len());
-
-            let restored =
-                BrokerSummary::rebuild(schema.clone(), cp.subs.iter().map(|(id, s)| (*id, s)));
-            check_invariants(&restored);
-            assert_eq!(restored.digest(), pre_digest);
-            // Intern-table coherence: the resolved, sorted id set of the
-            // restored summary equals the pre-crash one.
-            assert_eq!(restored.subscription_ids(), pre.subscription_ids());
-            assert_eq!(restored.subscription_count(), cp.subs.len());
         }
     });
 }

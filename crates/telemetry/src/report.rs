@@ -163,9 +163,9 @@ pub struct StageReport {
     pub min_ns: u64,
 }
 
-impl StageReport {
+impl From<&Snapshot> for StageReport {
     /// Digests a histogram snapshot.
-    pub fn from_snapshot(s: &Snapshot) -> StageReport {
+    fn from(s: &Snapshot) -> StageReport {
         StageReport {
             count: s.count,
             total_ns: s.sum,
@@ -178,7 +178,9 @@ impl StageReport {
             min_ns: if s.count == 0 { 0 } else { s.min },
         }
     }
+}
 
+impl StageReport {
     fn to_json_value(&self) -> Json {
         Json::obj([
             ("count", Json::UInt(self.count)),
@@ -217,7 +219,7 @@ impl RunReport {
             name: name.into(),
             stages: histograms_snapshot()
                 .into_iter()
-                .map(|(n, s)| (n, StageReport::from_snapshot(&s)))
+                .map(|(n, s)| (n, StageReport::from(&s)))
                 .collect(),
             counters: counters_snapshot().into_iter().collect(),
             gauges: gauges_snapshot().into_iter().collect(),
@@ -410,7 +412,7 @@ mod tests {
         for v in [10u64, 20, 30, 40, 1000] {
             h.record(v);
         }
-        let r = StageReport::from_snapshot(&h.snapshot());
+        let r = StageReport::from(&h.snapshot());
         assert_eq!(r.count, 5);
         assert_eq!(r.total_ns, 1100);
         assert!(r.p50_ns <= r.p90_ns && r.p90_ns <= r.p99_ns && r.p99_ns <= r.max_ns);

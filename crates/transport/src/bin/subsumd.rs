@@ -123,18 +123,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 
     let checkpoint = match &checkpoint_path {
         Some(path) => match std::fs::read(path) {
-            Ok(bytes) => {
-                let cp = BrokerCheckpoint::from_bytes(&bytes)
-                    .map_err(|e| format!("checkpoint {path}: {e}"))?;
-                // `from_bytes` admits ids of one broker only.
-                if let Some((id, _)) = cp.subs.first().filter(|(id, _)| id.broker.0 != broker) {
-                    return Err(format!(
-                        "checkpoint {path} belongs to broker {}, not --broker {broker}",
-                        id.broker.0
-                    ));
-                }
-                Some(cp)
-            }
+            Ok(bytes) => Some(
+                BrokerCheckpoint::from_bytes(&bytes)
+                    .map_err(|e| format!("checkpoint {path}: {e}"))?,
+            ),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(format!("checkpoint {path}: {e}")),
         },

@@ -219,15 +219,21 @@ impl Subsumd {
     ///
     /// # Errors
     ///
-    /// Returns `InvalidInput` if `mailbox_capacity` is 0, the socket
-    /// error if the listen address cannot be bound, or `InvalidData` if
-    /// the schema exceeds the summary id layout.
+    /// Returns `InvalidInput` if `mailbox_capacity` is 0, `InvalidData`
+    /// if the checkpoint is not this broker's under this schema
+    /// ([`BrokerCheckpoint::check`]) or the schema exceeds the summary
+    /// id layout, or the socket error if the listen address cannot be
+    /// bound.
     pub fn start(mut config: DaemonConfig) -> std::io::Result<DaemonHandle> {
         if config.mailbox_capacity == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 "mailbox_capacity must be at least 1 frame",
             ));
+        }
+        if let Some(cp) = &config.checkpoint {
+            cp.check(config.broker.0, &config.schema)
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         }
         let listener = TcpListener::bind(config.listen)?;
         let addr = listener.local_addr()?;
@@ -558,5 +564,30 @@ mod tests {
         config.mailbox_capacity = 0;
         let refused = Subsumd::start(config).map(|_| ()).unwrap_err();
         assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
+    }
+
+    /// A checkpoint is outside input to the library too: broker 1 does
+    /// not start on broker 0's store and serve its ids as its own.
+    #[test]
+    fn start_refuses_another_brokers_checkpoint() {
+        use subsum_types::{LocalSubId, NumOp, Subscription, SubscriptionId};
+        let schema = subsum_types::stock_schema();
+        let sub = Subscription::builder(&schema)
+            .num("price", NumOp::Lt, 1.0)
+            .unwrap()
+            .build()
+            .unwrap();
+        let id = SubscriptionId::new(BrokerId(0), LocalSubId(0), sub.attr_mask());
+        let mut config = DaemonConfig::new(BrokerId(1), schema);
+        config.checkpoint = Some(BrokerCheckpoint {
+            next_local: 1,
+            subs: vec![(id, sub)],
+        });
+        let refused = Subsumd::start(config).map(|_| ()).unwrap_err();
+        assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            refused.to_string().contains("belongs to broker 0"),
+            "{refused}"
+        );
     }
 }

@@ -27,10 +27,12 @@
 //!   the caller sees the refusal and surfaces it (a rejected peer
 //!   forward turns the client's `PublishAck` into `accepted: false`; a
 //!   rejected summary push leaves the peer's view stale until this
-//!   daemon's next push replaces it or the link's next
-//!   `Hello`/`HelloAck` digest exchange pulls it — `subsumd` advertises
-//!   a digest only in that handshake and runs no periodic round; the
-//!   paper's Algorithm 2 rounds are not run over sockets yet).
+//!   daemon's next push, a `SummaryDelta` whose base digest the stale
+//!   view does not match, makes the peer pull, and the pull's answer
+//!   replaces the view; or until the link's next `Hello`/`HelloAck`
+//!   digest exchange pulls it — `subsumd` advertises a digest only in
+//!   that handshake and runs no periodic round; the paper's
+//!   Algorithm 2 rounds are not run over sockets yet).
 //!
 //! Either way the `net.mailbox_full` counter records each full-queue
 //! encounter, so saturation is visible in telemetry before it becomes

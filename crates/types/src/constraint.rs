@@ -197,17 +197,24 @@ impl Constraint {
     /// Returns [`TypeError::KindMismatch`] if an arithmetic predicate
     /// targets a string attribute or vice versa.
     pub fn checked(schema: &Schema, attr: AttrId, pred: Predicate) -> Result<Self, TypeError> {
-        let kind = schema.kind(attr);
-        let ok = match (&pred, kind) {
+        let c = Constraint { attr, pred };
+        c.check_kind(schema)?;
+        Ok(c)
+    }
+
+    /// The kind check of [`Constraint::checked`].
+    pub(crate) fn check_kind(&self, schema: &Schema) -> Result<(), TypeError> {
+        let kind = schema.kind(self.attr);
+        let ok = match (&self.pred, kind) {
             (Predicate::Num(..), k) => k.is_arithmetic(),
             (Predicate::Str(_) | Predicate::StrNe(_), AttrKind::String) => true,
             _ => false,
         };
         if ok {
-            Ok(Constraint { attr, pred })
+            Ok(())
         } else {
             Err(TypeError::KindMismatch {
-                attribute: schema.spec(attr).name.clone(),
+                attribute: schema.spec(self.attr).name.clone(),
                 expected: kind,
             })
         }

@@ -2,8 +2,8 @@
 //!
 //! Summaries have their own codec in `subsum-core`; this one serializes
 //! *exact* subscriptions, used by (a) the baselines, which ship raw
-//! subscriptions, and (b) broker state snapshots, which persist each
-//! broker's exact store for recovery.
+//! subscriptions, (b) broker checkpoints, which persist each broker's
+//! exact store for recovery, and (c) the client protocol.
 //!
 //! Format (all integers big-endian):
 //!
@@ -27,7 +27,7 @@ use crate::constraint::{Constraint, NumOp, Predicate};
 use crate::event::Event;
 use crate::id::{AttrMask, BrokerId, LocalSubId, SubscriptionId};
 use crate::pattern::Pattern;
-use crate::schema::AttrId;
+use crate::schema::{AttrId, MAX_ATTRIBUTES};
 use crate::subscription::Subscription;
 use crate::value::Num;
 use crate::value::Value;
@@ -52,8 +52,8 @@ const KIND_DATE: u8 = 3;
 
 impl SubscriptionId {
     /// Writes the id at full width (14 bytes), independent of any
-    /// [`IdLayout`](crate::IdLayout): checkpoints, snapshots and the
-    /// client protocol carry ids this way.
+    /// [`IdLayout`](crate::IdLayout): checkpoints and the client
+    /// protocol carry ids this way.
     pub fn encode(&self, w: &mut ByteWriter) {
         w.u16(self.broker.0);
         w.u32(self.local.0);
@@ -107,8 +107,8 @@ impl Subscription {
 
     /// Deserializes a subscription written by [`Subscription::encode`].
     ///
-    /// The caller is responsible for schema validity (snapshots persist
-    /// schema and subscriptions together).
+    /// No schema travels with it: check the result against the
+    /// receiver's with [`Subscription::check`].
     ///
     /// # Errors
     ///
@@ -118,6 +118,11 @@ impl Subscription {
         let mut constraints = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
             let attr = AttrId(r.u16()?);
+            // The `c3` mask has one bit per attribute id, and none past
+            // its width to set.
+            if attr.index() >= MAX_ATTRIBUTES {
+                return Err(DecodeError::Malformed("attribute id beyond the mask width"));
+            }
             let tag = r.u8()?;
             let pred = match tag {
                 TAG_NUM_EQ | TAG_NUM_NE | TAG_NUM_LT | TAG_NUM_LE | TAG_NUM_GT | TAG_NUM_GE => {
@@ -187,6 +192,10 @@ impl Event {
         let mut event = Event::default();
         for _ in 0..n {
             let attr = AttrId(r.u16()?);
+            // Matching folds the event's attributes into a `c3` mask.
+            if attr.index() >= MAX_ATTRIBUTES {
+                return Err(DecodeError::Malformed("attribute id beyond the mask width"));
+            }
             let value = match r.u8()? {
                 KIND_STR => Value::Str(r.str16()?.to_owned()),
                 KIND_INT => Value::Int(r.u64()? as i64),
@@ -311,6 +320,17 @@ mod tests {
         let bytes = w.into_bytes();
         assert!(Event::decode(&mut ByteReader::new(&bytes)).is_err());
         assert!(Event::decode(&mut ByteReader::new(&[0])).is_err());
+        // An attribute the `c3` mask has no bit for.
+        let mut w = ByteWriter::new();
+        w.u16(1);
+        w.u16(MAX_ATTRIBUTES as u16);
+        w.u8(KIND_INT);
+        w.u64(1);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            Event::decode(&mut ByteReader::new(&bytes)),
+            Err(DecodeError::Malformed("attribute id beyond the mask width"))
+        );
     }
 
     #[test]
@@ -335,6 +355,17 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(Subscription::decode(&mut ByteReader::new(&bytes[..cut])).is_err());
         }
+        // An attribute the `c3` mask has no bit for.
+        let mut w = ByteWriter::new();
+        w.u16(1);
+        w.u16(MAX_ATTRIBUTES as u16);
+        w.u8(TAG_NUM_LT);
+        w.f64(1.0);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            Subscription::decode(&mut ByteReader::new(&bytes)),
+            Err(DecodeError::Malformed("attribute id beyond the mask width"))
+        );
         // Zero constraints.
         let mut w = ByteWriter::new();
         w.u16(0);

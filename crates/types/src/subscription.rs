@@ -73,6 +73,25 @@ impl Subscription {
         self.constraints.is_empty()
     }
 
+    /// Checks that every constraint names an attribute of `schema` and
+    /// fits its kind, as the checked builder does: a decoded
+    /// subscription (a client's frame, a checkpoint file) was built
+    /// without a schema, and a summary has no row for either.
+    ///
+    /// # Errors
+    ///
+    /// [`TypeError::UnknownAttribute`] or [`TypeError::KindMismatch`]
+    /// for the first constraint that does not fit.
+    pub fn check(&self, schema: &Schema) -> Result<(), TypeError> {
+        for c in &self.constraints {
+            if c.attr.index() >= schema.len() {
+                return Err(TypeError::UnknownAttribute(c.attr.to_string()));
+            }
+            c.check_kind(schema)?;
+        }
+        Ok(())
+    }
+
     /// The set of distinct constrained attributes as a bit mask — the
     /// `c3` component of the subscription's identifier (paper §3.2).
     pub fn attr_mask(&self) -> AttrMask {
