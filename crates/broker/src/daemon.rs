@@ -10,9 +10,9 @@
 //! clock. A *host* reports connections as they come and go
 //! ([`DaemonCore::connected`], [`DaemonCore::closed`]), hands over each
 //! decoded message ([`DaemonCore::step`]) and supplies a [`Sink`] that
-//! carries the outputs away: `subsumd` posts them to socket mailboxes,
-//! [`ChaosRun`](crate::ChaosRun) puts their frame bytes on a faulty
-//! simulated network. DESIGN.md §16 lists what each host adds.
+//! carries the outputs away: `subsumd` posts them to bounded socket
+//! outboxes, [`ChaosRun`](crate::ChaosRun) puts their frame bytes on a
+//! faulty simulated network. DESIGN.md §16 lists what each host adds.
 //!
 //! # Event flow
 //!
@@ -25,7 +25,8 @@
 //! locally and forwards a `Route` to each neighbour whose view has a
 //! candidate; the `PublishAck` reports `accepted: false` if the sink
 //! refused a required forward, and how many local subscriptions truly
-//! match. A `Route` is delivered locally only. Local delivery is
+//! match. A `Route` is delivered locally only. A client whose frame the
+//! sink refuses is evicted ([`Sink::send`]). Local delivery is
 //! two-tier ([`BrokerCore::verify`]): a client never sees a SACS false
 //! positive. A neighbour's *view* is the last `Summary` it sent that
 //! decodes (DESIGN.md §10), with every `SummaryDelta` since merged in: a
@@ -53,6 +54,7 @@ use crate::snapshot::BrokerCheckpoint;
 static CNT_RESYNCS: Count = Count::new(names::TRANSPORT_RESYNCS);
 static CNT_ACKED: Count = Count::new(names::PUBLISH_ACKED);
 static CNT_REJECTED: Count = Count::new(names::PUBLISH_REJECTED);
+static CNT_EVICTED: Count = Count::new(names::TRANSPORT_CLIENTS_EVICTED);
 
 /// A host's name for one connection. Never reused while the daemon
 /// lives: a subscription stays owned by the connection that made it.
@@ -74,7 +76,10 @@ pub enum Role {
 /// actually queued, so an output cannot be a returned value.
 pub trait Sink {
     /// Queues `msg` on `conn`; `false` if it was not queued (unknown or
-    /// closed connection, backpressure, a payload beyond the frame limit).
+    /// closed connection, a full outbox, a payload beyond the frame
+    /// limit). A refused `Deliver` or ack has no repair, so its client is
+    /// evicted: closed, counted, sent nothing more. A peer link repairs:
+    /// a refused `Route` turns the ack, a refused push is pulled again.
     fn send(&mut self, conn: ConnId, msg: &Msg) -> bool;
     /// Closes `conn` from this end; the remote side sees EOF.
     fn close(&mut self, conn: ConnId);
@@ -103,6 +108,8 @@ pub struct DaemonCounters {
     pub rejected: Counter,
     /// `Deliver` messages sent to clients.
     pub deliveries: Counter,
+    /// Clients disconnected because the sink refused a frame to them.
+    pub evicted: Counter,
 }
 
 /// The protocol state machine of one daemon. See the [module docs](self).
@@ -417,7 +424,8 @@ impl DaemonCore {
                     sink.close(conn);
                     return;
                 };
-                sink.send(conn, &Msg::SubscribeAck { id });
+                let ack = Msg::SubscribeAck { id };
+                to_client(&mut self.roles, &self.counters, conn, &ack, sink);
                 // Eager propagation: every connected neighbour gets what
                 // the subscription added, at once (one outside the wire
                 // layout is not pushed).
@@ -446,14 +454,12 @@ impl DaemonCore {
                     CNT_REJECTED.inc();
                     self.counters.rejected.inc();
                 }
-                sink.send(
-                    conn,
-                    &Msg::PublishAck {
-                        seq,
-                        accepted,
-                        matched,
-                    },
-                );
+                let ack = Msg::PublishAck {
+                    seq,
+                    accepted,
+                    matched,
+                };
+                to_client(&mut self.roles, &self.counters, conn, &ack, sink);
             }
             // Client-bound messages arriving at a daemon are protocol
             // noise; drop them.
@@ -482,9 +488,9 @@ impl DaemonCore {
     }
 
     /// Delivers `event` to the local subscriptions it truly matches and
-    /// returns how many there are (one whose client is gone, or restored
-    /// from a checkpoint and not re-attached, counts but receives
-    /// nothing).
+    /// returns how many there are (one whose client is gone or evicted,
+    /// or restored from a checkpoint and not re-attached, counts but
+    /// receives nothing).
     fn deliver_local(&mut self, event: &Event, sink: &mut impl Sink) -> u32 {
         let DaemonCore {
             core,
@@ -505,13 +511,36 @@ impl DaemonCore {
                     id,
                     event: event.clone(),
                 };
-                if sink.send(owner, &deliver) {
+                if to_client(roles, counters, owner, &deliver, sink) {
                     counters.deliveries.inc();
                 }
             });
         }
         matched
     }
+}
+
+/// Sends `msg` on `conn` if it is live and returns whether the sink
+/// queued it. A client the sink refuses is evicted ([`Sink::send`]); its
+/// subscriptions stay, owned by the closed connection.
+fn to_client(
+    roles: &mut BTreeMap<ConnId, Role>,
+    counters: &DaemonCounters,
+    conn: ConnId,
+    msg: &Msg,
+    sink: &mut impl Sink,
+) -> bool {
+    let Some(&role) = roles.get(&conn) else {
+        return false;
+    };
+    let sent = sink.send(conn, msg);
+    if !sent && role == Role::Client {
+        roles.remove(&conn);
+        sink.close(conn);
+        CNT_EVICTED.inc();
+        counters.evicted.inc();
+    }
+    sent
 }
 
 #[cfg(test)]
@@ -906,25 +935,47 @@ mod tests {
         assert_eq!(pair.counters(0).deliveries.get(), 1);
     }
 
+    /// A sink whose outboxes to the connections in `full` are full: it
+    /// refuses every frame to them, and records what it was offered and
+    /// what it closed.
+    struct Refusing {
+        full: Vec<ConnId>,
+        offered: Vec<(ConnId, Msg)>,
+        closed: Vec<ConnId>,
+    }
+
+    impl Refusing {
+        fn new(full: &[ConnId]) -> Refusing {
+            let (offered, closed) = (Vec::new(), Vec::new());
+            let full = full.to_vec();
+            Refusing {
+                full,
+                offered,
+                closed,
+            }
+        }
+    }
+
+    impl Sink for Refusing {
+        fn send(&mut self, conn: ConnId, msg: &Msg) -> bool {
+            self.offered.push((conn, msg.clone()));
+            !self.full.contains(&conn)
+        }
+        fn close(&mut self, conn: ConnId) {
+            self.closed.push(conn);
+        }
+    }
+
     /// The ack and the counters follow what the sink answered, not what
     /// was offered to it.
     #[test]
     fn a_refused_forward_turns_the_ack_and_is_not_counted() {
-        /// The peer link's mailbox is full; the clients' are not.
-        struct LinkFull(Vec<(ConnId, Msg)>);
-        impl Sink for LinkFull {
-            fn send(&mut self, conn: ConnId, msg: &Msg) -> bool {
-                self.0.push((conn, msg.clone()));
-                conn != LINK
-            }
-            fn close(&mut self, _conn: ConnId) {}
-        }
         let mut pair = Pair::start(None);
         let client_a = pair.accept(0, 10);
         pair.subscribe(0, client_a, price_lt(10.0));
         let client_b = pair.accept(1, 11);
         let b = &mut pair.daemons[1];
-        let mut sink = LinkFull(Vec::new());
+        let mut sink = Refusing::new(&[LINK]);
 
         let tx = b.counters().summaries_tx.get();
         b.step(
@@ -937,9 +988,68 @@ mod tests {
         assert_eq!(b.counters().summaries_tx.get(), tx, "the push was refused");
         let event = cheap_event(5.0);
         b.step(client_b, Msg::Publish { seq: 7, event }, &mut sink);
-        assert_eq!(sink.0.last(), Some(&(client_b, ack(false, 1))));
+        assert_eq!(sink.offered.last(), Some(&(client_b, ack(false, 1))));
         assert_eq!(b.counters().rejected.get(), 1);
         assert_eq!(b.counters().acked.get(), 0);
+        assert_eq!(sink.closed, [], "a peer link is repaired, not closed");
+    }
+
+    /// A client whose frame the sink refuses cannot keep up, and a lost
+    /// `Deliver` has no repair: the client is closed and counted once,
+    /// and offered nothing more. The other subscriber of the same event
+    /// still gets its `Deliver`, and the refused `Route` on the peer
+    /// link closes no peer: it only turns the ack.
+    #[test]
+    fn a_client_the_sink_refuses_is_evicted_and_a_peer_is_not() {
+        let mut pair = Pair::start(None);
+        let client_b = pair.accept(1, 20);
+        pair.subscribe(1, client_b, price_lt(10.0));
+        let stalled = pair.accept(0, 10);
+        let other = pair.accept(0, 11);
+        let publisher = pair.accept(0, 12);
+        let id_stalled = pair.subscribe(0, stalled, price_lt(10.0));
+        let id_other = pair.subscribe(0, other, price_lt(10.0));
+        let a = &mut pair.daemons[0];
+        let mut sink = Refusing::new(&[stalled, LINK]);
+        let event = cheap_event(5.0);
+        let route = Msg::Route {
+            origin: BrokerId(0),
+            event: event.clone(),
+        };
+
+        let publish = Msg::Publish {
+            seq: 7,
+            event: event.clone(),
+        };
+        a.step(publisher, publish.clone(), &mut sink);
+        assert_eq!(
+            sink.offered,
+            [
+                (stalled, deliver(id_stalled, &event)),
+                (other, deliver(id_other, &event)),
+                (LINK, route.clone()),
+                (publisher, ack(false, 2)),
+            ]
+        );
+        assert_eq!(sink.closed, [stalled]);
+        let counters = a.counters();
+        assert_eq!((counters.evicted.get(), counters.deliveries.get()), (1, 1));
+
+        // The evicted client's subscription still matches, and counts,
+        // but the next publish offers its connection nothing.
+        sink.offered.clear();
+        a.step(publisher, publish, &mut sink);
+        assert_eq!(
+            sink.offered,
+            [
+                (other, deliver(id_other, &event)),
+                (LINK, route),
+                (publisher, ack(false, 2)),
+            ]
+        );
+        assert_eq!(sink.closed, [stalled]);
+        let counters = a.counters();
+        assert_eq!((counters.evicted.get(), counters.deliveries.get()), (1, 2));
     }
 
     /// The digest gate, the answer to a pull and view replacement, frame

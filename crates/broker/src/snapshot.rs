@@ -13,10 +13,12 @@
 //! A checkpoint file is outside input. [`BrokerCheckpoint::from_bytes`]
 //! refuses what the bytes alone show to be wrong, and
 //! [`BrokerCheckpoint::check`] what only the restoring broker's own
-//! configuration (its id and schema) can show.
+//! configuration (its id, schema and id layout) can show.
 
 use subsum_net::NodeId;
-use subsum_types::{ByteReader, ByteWriter, DecodeError, Schema, Subscription, SubscriptionId};
+use subsum_types::{
+    ByteReader, ByteWriter, DecodeError, IdLayout, Schema, Subscription, SubscriptionId,
+};
 
 const CHECKPOINT_MAGIC: u32 = 0x5342_4B50; // "SBKP"
 /// Version 2 appends the checksum; version 1 files are refused.
@@ -172,18 +174,26 @@ impl BrokerCheckpoint {
         Ok(BrokerCheckpoint { next_local, subs })
     }
 
-    /// Refuses a checkpoint that broker `broker` under `schema` must not
-    /// restore: one holding another broker's ids, which it would serve
-    /// as its own, or a subscription with a constraint on an attribute
-    /// `schema` lacks or of a kind it does not declare, which its
-    /// summary has no row for. Every host that restores a broker from
-    /// outside input calls this first.
+    /// Refuses a checkpoint that broker `broker` under `schema` and
+    /// `layout` must not restore: one holding another broker's ids,
+    /// which it would serve as its own; a subscription with a constraint
+    /// on an attribute `schema` lacks or of a kind it does not declare,
+    /// which its summary has no row for; or an id `layout` cannot
+    /// encode, which would make every summary push and pull answer fail
+    /// to encode. Every host that restores a broker from outside input
+    /// calls this first.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Foreign`] for the first id of another broker, or
-    /// [`SnapshotError::Format`] for a subscription outside `schema`.
-    pub fn check(&self, broker: NodeId, schema: &Schema) -> Result<(), SnapshotError> {
+    /// [`SnapshotError::Format`] for a subscription outside `schema` or
+    /// an id outside `layout`.
+    pub fn check(
+        &self,
+        broker: NodeId,
+        schema: &Schema,
+        layout: IdLayout,
+    ) -> Result<(), SnapshotError> {
         if let Some((id, _)) = self.subs.iter().find(|(id, _)| id.broker.0 != broker) {
             return Err(SnapshotError::Foreign {
                 owner: id.broker.0,
@@ -194,6 +204,9 @@ impl BrokerCheckpoint {
             return Err(SnapshotError::Format(
                 "checkpoint subscription outside the schema",
             ));
+        }
+        if self.subs.iter().any(|(id, _)| layout.encode(*id).is_err()) {
+            return Err(SnapshotError::Format("checkpoint id outside the id layout"));
         }
         Ok(())
     }
@@ -206,7 +219,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use subsum_net::Topology;
     use subsum_types::{
-        stock_schema, AttrId, AttrMask, Constraint, Event, Num, NumOp, Predicate, StrOp,
+        stock_schema, AttrId, AttrMask, Constraint, Event, LocalSubId, Num, NumOp, Predicate, StrOp,
     };
 
     use crate::SummaryPubSub;
@@ -350,10 +363,14 @@ mod tests {
             owner: 1,
             broker: 0,
         };
-        assert_eq!(foreign.check(0, &schema), Err(owned_elsewhere.clone()));
+        let layout = sys.codec().layout();
+        assert_eq!(
+            foreign.check(0, &schema, layout),
+            Err(owned_elsewhere.clone())
+        );
         assert_eq!(sys.restore(0, foreign), Err(owned_elsewhere));
         assert_eq!(sys.broker(0).checkpoint(), cp, "nothing restored");
-        assert_eq!(cp.check(0, &schema), Ok(()));
+        assert_eq!(cp.check(0, &schema, layout), Ok(()));
 
         // A constraint on an attribute the schema lacks, or of the other
         // kind: the summary has no row for either.
@@ -370,9 +387,20 @@ mod tests {
             outside.subs[0] = (id, sub);
             let outside = BrokerCheckpoint::from_bytes(&outside.to_bytes()).unwrap();
             let refused = refused("checkpoint subscription outside the schema");
-            assert_eq!(outside.check(0, &schema).err(), refused);
+            assert_eq!(outside.check(0, &schema, layout).err(), refused);
             assert_eq!(sys.restore(0, outside).err(), refused);
         }
+        // An id past the 1 000-subscription capacity's ten local-id bits:
+        // no summary holding it would encode.
+        let mut past_layout = cp.clone();
+        let (id, sub) = past_layout.subs.pop().unwrap();
+        let far = SubscriptionId::new(id.broker, LocalSubId(1 << 10), id.mask);
+        past_layout.subs.push((far, sub));
+        past_layout.next_local = (1 << 10) + 1;
+        let past_layout = BrokerCheckpoint::from_bytes(&past_layout.to_bytes()).unwrap();
+        let refused = refused("checkpoint id outside the id layout");
+        assert_eq!(past_layout.check(0, &schema, layout).err(), refused);
+        assert_eq!(sys.restore(0, past_layout).err(), refused);
         assert_eq!(sys.broker(0).checkpoint(), cp, "nothing restored");
     }
 

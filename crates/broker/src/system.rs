@@ -221,8 +221,9 @@ impl SummaryPubSub {
     /// # Errors
     ///
     /// Refuses, restoring nothing, a checkpoint that
-    /// [`BrokerCheckpoint::check`] refuses: another broker's ids, or a
-    /// subscription outside this system's schema.
+    /// [`BrokerCheckpoint::check`] refuses: another broker's ids, a
+    /// subscription outside this system's schema, or an id outside its
+    /// codec's id layout.
     ///
     /// # Panics
     ///
@@ -232,7 +233,7 @@ impl SummaryPubSub {
         broker: NodeId,
         checkpoint: BrokerCheckpoint,
     ) -> Result<(), SnapshotError> {
-        checkpoint.check(broker, &self.schema)?;
+        checkpoint.check(broker, &self.schema, self.codec.layout())?;
         self.brokers[broker as usize].restore(Some(checkpoint));
         self.pending[broker as usize].clear();
         self.last_propagation = None;

@@ -5,13 +5,13 @@
 //! parser instead of stopping at the checksum gate. Whatever the bytes,
 //! the decoder must not panic; what it accepts must re-encode to itself;
 //! and what [`BrokerCheckpoint::check`] admits must restore into a core
-//! whose summary is sound.
+//! whose summary is sound, and into a daemon that can ship it.
 
 use rand::check::check;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use subsum_broker::{BrokerCheckpoint, BrokerCore};
+use subsum_broker::{BrokerCheckpoint, BrokerCore, ConnId, DaemonCore, Msg, Sink};
 use subsum_core::BrokerSummary;
 use subsum_types::IdLayout;
 use subsum_workload::{PaperParams, Workload};
@@ -22,6 +22,17 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+/// A daemon with no connections: nothing to send to, nothing to close.
+struct NoLinks;
+
+impl Sink for NoLinks {
+    fn send(&mut self, _conn: ConnId, _msg: &Msg) -> bool {
+        false
+    }
+
+    fn close(&mut self, _conn: ConnId) {}
 }
 
 /// `bytes` with one to three mutations of its body (mostly a byte
@@ -74,7 +85,7 @@ fn mutated_checkpoints_parse_round_trip_and_restore_soundly() {
             assert_eq!(BrokerCheckpoint::from_bytes(&cp.to_bytes()), Ok(cp.clone()));
             // A mutant may name another broker: restore it as that one's.
             let owner = cp.subs.first().map_or(1, |(id, _)| id.broker.0);
-            if cp.check(owner, &schema).is_err() {
+            if cp.check(owner, &schema, layout).is_err() {
                 continue;
             }
             restored += 1;
@@ -84,6 +95,8 @@ fn mutated_checkpoints_parse_round_trip_and_restore_soundly() {
             #[cfg(debug_assertions)]
             core.own().validate();
             assert_eq!(*core.own(), rebuilt);
+            // Every id fits the wire: the daemon's full push encodes.
+            assert_eq!(DaemonCore::new(core).push_summary(&mut NoLinks), Ok(()));
         }
     });
     // A mutator whose every mutant is refused would test nothing.

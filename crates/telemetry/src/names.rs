@@ -91,9 +91,13 @@ pub const TRANSPORT_DECODE_ERRORS: &str = "transport.decode_errors";
 pub const TRANSPORT_RECONNECTS: &str = "transport.reconnects";
 /// Handshake digest mismatches that triggered a summary pull.
 pub const TRANSPORT_RESYNCS: &str = "transport.resyncs";
-/// Sends rejected (or, under the blocking policy, stalled) because a
-/// peer's bounded outbound mailbox was full.
+/// Sends refused because a connection's bounded outbound mailbox was
+/// full.
 pub const NET_MAILBOX_FULL: &str = "net.mailbox_full";
+/// Clients disconnected because a frame to them was refused (a full
+/// outbox): a client that cannot keep up is evicted, never silently
+/// short of a `Deliver`.
+pub const TRANSPORT_CLIENTS_EVICTED: &str = "transport.clients_evicted";
 /// Client publishes acknowledged as fully accepted.
 pub const PUBLISH_ACKED: &str = "publish.acked";
 /// Client publishes acknowledged as rejected by backpressure.
@@ -144,6 +148,7 @@ mod tests {
             super::TRANSPORT_RECONNECTS,
             super::TRANSPORT_RESYNCS,
             super::NET_MAILBOX_FULL,
+            super::TRANSPORT_CLIENTS_EVICTED,
             super::PUBLISH_ACKED,
             super::PUBLISH_REJECTED,
             super::TRACE_SPANS,

@@ -24,8 +24,8 @@
 //! * `--telemetry-json <path>` — write a telemetry report (counters +
 //!   stage histograms) to this file on clean shutdown.
 //! * `--mailbox <frames>` — per-connection outbound bound (default 256,
-//!   at least 1).
-//! * `--policy <block|reject>` — backpressure policy (default reject).
+//!   at least 1). A client whose frames fill it is disconnected; a peer
+//!   link's overflow is repaired by the protocol.
 //!
 //! The daemon runs until a client sends `Shutdown`; it then writes its
 //! checkpoint and telemetry dump and exits 0.
@@ -37,7 +37,7 @@ use std::process::ExitCode;
 
 use subsum_broker::BrokerCheckpoint;
 use subsum_telemetry::RunReport;
-use subsum_transport::{BackpressurePolicy, DaemonConfig, Subsumd};
+use subsum_transport::{DaemonConfig, Subsumd};
 use subsum_types::{stock_schema, BrokerId};
 
 struct Args {
@@ -48,8 +48,7 @@ struct Args {
 
 fn usage() -> String {
     "usage: subsumd --broker <id> --listen <addr> [--dial <id>=<addr>]... \
-     [--checkpoint <path>] [--telemetry-json <path>] [--mailbox <frames>] \
-     [--policy <block|reject>]"
+     [--checkpoint <path>] [--telemetry-json <path>] [--mailbox <frames>]"
         .to_string()
 }
 
@@ -60,7 +59,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut checkpoint_path: Option<String> = None;
     let mut telemetry_path: Option<String> = None;
     let mut mailbox_capacity = 256usize;
-    let mut policy = BackpressurePolicy::Reject;
 
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
@@ -106,13 +104,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     return Err(format!("--mailbox wants at least 1 frame\n{}", usage()));
                 }
             }
-            "--policy" => {
-                policy = match value("--policy")?.as_str() {
-                    "block" => BackpressurePolicy::Block,
-                    "reject" => BackpressurePolicy::Reject,
-                    other => return Err(format!("--policy wants block|reject, got {other:?}")),
-                };
-            }
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown flag {other:?}\n{}", usage())),
         }
@@ -137,7 +128,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     config.listen = listen;
     config.dial = dial;
     config.mailbox_capacity = mailbox_capacity;
-    config.policy = policy;
     config.checkpoint = checkpoint;
     Ok(Args {
         config,
@@ -236,10 +226,6 @@ mod tests {
         assert!(msg.contains("usage: subsumd"), "{msg}");
         let one = parse(&["--mailbox", "1"]).map(|a| a.config.mailbox_capacity);
         assert_eq!(one, Ok(1));
-        assert_eq!(
-            refusal(&["--policy", "drop"]),
-            "--policy wants block|reject, got \"drop\""
-        );
         assert_eq!(
             refusal(&["--dial", "127.0.0.1:7400"]),
             "--dial wants <id>=<addr>, got \"127.0.0.1:7400\""

@@ -29,8 +29,8 @@
 //!   never holds the loop for long;
 //! * one **writer** thread per socket drains only a backlog: what the
 //!   socket did not take at once, and everything sent after it until
-//!   the backlog is written (see [`crate::session`], which also holds
-//!   the backpressure policy);
+//!   the backlog is written (see [`crate::session`], which also says
+//!   what a full outbox means);
 //! * one **dialer** thread per configured neighbor link establishes
 //!   the outbound connection with backoff; the event loop spawns a
 //!   fresh dialer with a bumped epoch when a dialed link breaks.
@@ -62,7 +62,7 @@ use subsum_broker::{
 use subsum_telemetry::{names, Count, Counter};
 use subsum_types::{BrokerId, IdLayout, Schema};
 
-use crate::session::{BackpressurePolicy, Outbox, TxStats};
+use crate::session::{Outbox, TxStats};
 
 static CNT_FRAMES_RX: Count = Count::new(names::TRANSPORT_FRAMES_RX);
 static CNT_BYTES_RX: Count = Count::new(names::TRANSPORT_BYTES_RX);
@@ -78,9 +78,10 @@ const REDIAL_BACKOFF: Duration = Duration::from_millis(50);
 #[derive(Debug, Default)]
 pub struct DaemonStats {
     /// Frames/bytes written to this daemon's sockets, by its event loop
-    /// or, for a backlog, its writer threads: each frame and byte counts
-    /// once, whichever thread finishes it. Shared with the writers,
-    /// hence the extra `Arc`.
+    /// or, for a backlog, its writer threads: each byte counts once, by
+    /// the thread that writes it, and each frame by the thread that
+    /// writes its last byte. Shared with the writers, hence the extra
+    /// `Arc`.
     pub tx: Arc<TxStats>,
     /// Frames decoded off this daemon's sockets.
     pub frames_rx: Counter,
@@ -110,10 +111,9 @@ pub struct DaemonConfig {
     pub dial: Vec<(BrokerId, SocketAddr)>,
     /// The event schema shared by the whole overlay.
     pub schema: Schema,
-    /// Bound of every per-connection outbound mailbox, in frames.
+    /// Bound of every per-connection outbound mailbox, in frames; a
+    /// client whose outbox is full is evicted.
     pub mailbox_capacity: usize,
-    /// What to do when a mailbox is full.
-    pub policy: BackpressurePolicy,
     /// Durable state from a previous run ([`DaemonFinal::checkpoint`]);
     /// the daemon rebuilds its summary from it, digest-identical to the
     /// pre-shutdown one.
@@ -122,7 +122,7 @@ pub struct DaemonConfig {
 
 impl DaemonConfig {
     /// A config with no neighbors, an ephemeral loopback port, and
-    /// defaults (mailbox of 256 frames, reject policy, fresh state).
+    /// defaults (mailbox of 256 frames, fresh state).
     pub fn new(broker: BrokerId, schema: Schema) -> DaemonConfig {
         DaemonConfig {
             broker,
@@ -130,7 +130,6 @@ impl DaemonConfig {
             dial: Vec::new(),
             schema,
             mailbox_capacity: 256,
-            policy: BackpressurePolicy::default(),
             checkpoint: None,
         }
     }
@@ -220,10 +219,10 @@ impl Subsumd {
     /// # Errors
     ///
     /// Returns `InvalidInput` if `mailbox_capacity` is 0, `InvalidData`
-    /// if the checkpoint is not this broker's under this schema
-    /// ([`BrokerCheckpoint::check`]) or the schema exceeds the summary
-    /// id layout, or the socket error if the listen address cannot be
-    /// bound.
+    /// if the schema exceeds the summary id layout or the checkpoint is
+    /// not this broker's under this schema and layout
+    /// ([`BrokerCheckpoint::check`]), or the socket error if the listen
+    /// address cannot be bound.
     pub fn start(mut config: DaemonConfig) -> std::io::Result<DaemonHandle> {
         if config.mailbox_capacity == 0 {
             return Err(std::io::Error::new(
@@ -231,8 +230,10 @@ impl Subsumd {
                 "mailbox_capacity must be at least 1 frame",
             ));
         }
+        let layout = IdLayout::new(1 << 16, 1 << 20, config.schema.len() as u32)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         if let Some(cp) = &config.checkpoint {
-            cp.check(config.broker.0, &config.schema)
+            cp.check(config.broker.0, &config.schema, layout)
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         }
         let listener = TcpListener::bind(config.listen)?;
@@ -240,8 +241,6 @@ impl Subsumd {
         let stopping = Arc::new(Mutex::new(false));
         let (ev_tx, ev_rx) = std::sync::mpsc::channel::<Ev>();
 
-        let layout = IdLayout::new(1 << 16, 1 << 20, config.schema.len() as u32)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         let daemon = DaemonCore::new(BrokerCore::new(
             config.broker.0,
             config.schema.clone(),
@@ -436,13 +435,7 @@ fn open(
     stats: &Arc<DaemonStats>,
 ) -> Option<Outbox> {
     let read_half = stream.try_clone().ok()?;
-    let out = Outbox::open(
-        stream,
-        config.mailbox_capacity,
-        config.policy,
-        Arc::clone(&stats.tx),
-    )
-    .ok()?;
+    let out = Outbox::open(stream, config.mailbox_capacity, Arc::clone(&stats.tx)).ok()?;
     spawn_reader(conn, read_half, ev_tx.clone(), Arc::clone(stats));
     Some(out)
 }
@@ -589,5 +582,28 @@ mod tests {
             refused.to_string().contains("belongs to broker 0"),
             "{refused}"
         );
+    }
+
+    /// A local id of 2^20 fits the checkpoint format but not the wire's
+    /// 20 local-id bits: a daemon serving it could encode no summary to
+    /// push or to answer a pull with, so it does not start.
+    #[test]
+    fn start_refuses_a_checkpoint_outside_the_id_layout() {
+        use subsum_types::{LocalSubId, NumOp, Subscription, SubscriptionId};
+        let schema = subsum_types::stock_schema();
+        let sub = Subscription::builder(&schema)
+            .num("price", NumOp::Lt, 1.0)
+            .unwrap()
+            .build()
+            .unwrap();
+        let id = SubscriptionId::new(BrokerId(0), LocalSubId(1 << 20), sub.attr_mask());
+        let mut config = DaemonConfig::new(BrokerId(0), schema);
+        config.checkpoint = Some(BrokerCheckpoint {
+            next_local: (1 << 20) + 1,
+            subs: vec![(id, sub)],
+        });
+        let refused = Subsumd::start(config).map(|_| ()).unwrap_err();
+        assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData);
+        assert!(refused.to_string().contains("id layout"), "{refused}");
     }
 }

@@ -12,7 +12,8 @@
 //! * [`session`] — per-connection output: the event loop writes each
 //!   step's frames itself, one `write` per connection, and hands what a
 //!   socket does not take at once to that connection's writer thread
-//!   through a bounded mailbox with an explicit backpressure policy;
+//!   through a bounded mailbox that refuses, never waits, at its bound
+//!   (a client that cannot keep up is evicted, a peer link repairs);
 //! * [`daemon`] — [`Subsumd`], the standalone broker daemon behind the
 //!   `subsumd` binary: acceptor, dialers with epoch-stamped reconnects,
 //!   readers, and an event loop around one `DaemonCore::step` (the

@@ -1,8 +1,7 @@
 //! Per-connection session plumbing: what a daemon does with the frames
 //! it sends — written by the event loop itself while the socket keeps
-//! up, handed to a writer thread when it does not — and the bounded
-//! backlog whose [`BackpressurePolicy`] says what happens when even
-//! that is full.
+//! up, handed to a writer thread when it does not — and the bound on
+//! how many may wait.
 //!
 //! Every connection a daemon holds — peer or client — has one
 //! `Outbox`. The frames one `DaemonCore::step` sends to it wait in a
@@ -13,30 +12,17 @@
 //! connection's writer thread through a [`Mailbox`], and while that
 //! backlog is not empty the loop writes nothing itself, so no frame
 //! overtakes another. The writer retries a write the timeout cut short;
-//! it stops only when the socket fails or the connection is dropped.
+//! it stops only when the socket fails or the connection is closed.
 //!
 //! Pending and backlogged frames together are bounded by the mailbox
-//! capacity; what happens when the bound is hit is the
-//! [`BackpressurePolicy`]:
-//!
-//! * [`Block`](BackpressurePolicy::Block) — the sender stalls until the
-//!   writer catches up. Lossless, but a slow peer slows the daemon's
-//!   event loop (classic head-of-line blocking).
-//! * [`Reject`](BackpressurePolicy::Reject) — the send fails
-//!   immediately and the frame is dropped. The daemon stays responsive;
-//!   the caller sees the refusal and surfaces it (a rejected peer
-//!   forward turns the client's `PublishAck` into `accepted: false`; a
-//!   rejected summary push leaves the peer's view stale until this
-//!   daemon's next push, a `SummaryDelta` whose base digest the stale
-//!   view does not match, makes the peer pull, and the pull's answer
-//!   replaces the view; or until the link's next `Hello`/`HelloAck`
-//!   digest exchange pulls it — `subsumd` advertises a digest only in
-//!   that handshake and runs no periodic round; the paper's
-//!   Algorithm 2 rounds are not run over sockets yet).
-//!
-//! Either way the `net.mailbox_full` counter records each full-queue
-//! encounter, so saturation is visible in telemetry before it becomes
-//! an outage.
+//! capacity. At the bound `Outbox::post` refuses the frame at once and
+//! counts `net.mailbox_full`: nothing waits for a slow reader, so one
+//! connection never stalls the event loop. What a refusal means is
+//! decided per frame by `DaemonCore` (`Sink::send`), not set here: a
+//! client that cannot keep up is evicted and learns it by EOF after the
+//! frames already written; a peer link repairs (a refused forward acks
+//! `accepted: false`, a refused summary push leaves a stale view that
+//! the next delta's base digest, or the link's next handshake, pulls).
 
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpStream};
@@ -55,14 +41,13 @@ static CNT_MAILBOX_FULL: Count = Count::new(names::NET_MAILBOX_FULL);
 /// once: after that its frames go to the writer thread.
 const SEND_TIMEOUT: Duration = Duration::from_millis(1);
 
-/// What a daemon does when a peer's outbound mailbox is full.
+/// What a [`Mailbox`] does when it is full: it refuses the frame. The
+/// one variant is the constructor argument `subsum-ledger` measures
+/// `transport.mailbox_send_ns` with; a daemon's overflow rule is not a
+/// setting (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackpressurePolicy {
-    /// Stall the sender until the writer drains a slot (lossless).
-    Block,
-    /// Drop the frame and report [`SendOutcome::Rejected`] (lossy but
-    /// non-blocking). The default: matches the simulator's lossy-link
-    /// model; see the [module docs](self) for what repairs a lost push.
+    /// Drop the frame and report [`SendOutcome::Rejected`].
     #[default]
     Reject,
 }
@@ -72,8 +57,7 @@ pub enum BackpressurePolicy {
 pub enum SendOutcome {
     /// The frame was queued for the writer.
     Sent,
-    /// The mailbox was full under [`BackpressurePolicy::Reject`]; the
-    /// frame was dropped.
+    /// The mailbox was full; the frame was dropped.
     Rejected,
     /// The writer is gone (socket closed or writer thread exited).
     Disconnected,
@@ -84,36 +68,25 @@ pub enum SendOutcome {
 #[derive(Debug, Clone)]
 pub struct Mailbox {
     tx: SyncSender<Vec<u8>>,
-    policy: BackpressurePolicy,
 }
 
 impl Mailbox {
     /// Creates a mailbox bounded at `capacity` frames, returning the
     /// receiving end for a writer thread.
-    pub fn new(capacity: usize, policy: BackpressurePolicy) -> (Mailbox, Receiver<Vec<u8>>) {
+    pub fn new(capacity: usize, _policy: BackpressurePolicy) -> (Mailbox, Receiver<Vec<u8>>) {
         let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
-        (Mailbox { tx, policy }, rx)
+        (Mailbox { tx }, rx)
     }
 
-    /// Posts one encoded frame.
-    ///
-    /// Under [`BackpressurePolicy::Block`] this blocks while the
-    /// mailbox is full; under [`BackpressurePolicy::Reject`] a full
-    /// mailbox drops the frame. Both record `net.mailbox_full` when
-    /// the bound is hit.
+    /// Posts one encoded frame without waiting: a full mailbox drops it
+    /// and records `net.mailbox_full`.
     pub fn send(&self, frame_bytes: Vec<u8>) -> SendOutcome {
         match self.tx.try_send(frame_bytes) {
             Ok(()) => SendOutcome::Sent,
             Err(TrySendError::Disconnected(_)) => SendOutcome::Disconnected,
-            Err(TrySendError::Full(bytes)) => {
+            Err(TrySendError::Full(_)) => {
                 CNT_MAILBOX_FULL.inc();
-                match self.policy {
-                    BackpressurePolicy::Reject => SendOutcome::Rejected,
-                    BackpressurePolicy::Block => match self.tx.send(bytes) {
-                        Ok(()) => SendOutcome::Sent,
-                        Err(_) => SendOutcome::Disconnected,
-                    },
-                }
+                SendOutcome::Rejected
             }
         }
     }
@@ -168,11 +141,10 @@ impl Outbox {
     pub(crate) fn open(
         stream: TcpStream,
         capacity: usize,
-        policy: BackpressurePolicy,
         stats: Arc<TxStats>,
     ) -> std::io::Result<Outbox> {
         stream.set_write_timeout(Some(SEND_TIMEOUT))?;
-        let (mailbox, rx) = Mailbox::new(capacity, policy);
+        let (mailbox, rx) = Mailbox::new(capacity, BackpressurePolicy::Reject);
         let backlog = Arc::new(Mutex::new(0));
         spawn_writer(
             stream.try_clone()?,
@@ -204,25 +176,15 @@ impl Outbox {
 
     /// Queues one encoded frame for the next flush; `false` if it was
     /// dropped. Pending frames count against the capacity like
-    /// backlogged ones: at the bound, `Reject` drops the frame and
-    /// `Block` flushes, then waits for the writer if the backlog alone
-    /// still fills it.
+    /// backlogged ones, so at the bound the frame is dropped (and
+    /// `net.mailbox_full` counted) without waiting for the writer.
     pub(crate) fn post(&mut self, frame: Vec<u8>) -> bool {
         if self.dead {
             return false;
         }
         if self.ends.len() + self.backlog() >= self.capacity {
             CNT_MAILBOX_FULL.inc();
-            if self.mailbox.policy == BackpressurePolicy::Reject {
-                return false;
-            }
-            self.flush();
-            if self.dead {
-                return false;
-            }
-            if self.backlog() >= self.capacity {
-                return self.hand_over(frame);
-            }
+            return false;
         }
         self.pending.extend_from_slice(&frame);
         self.ends.push(self.pending.len());
@@ -231,8 +193,9 @@ impl Outbox {
 
     /// Writes the pending frames in one `write` if the writer is idle;
     /// what that leaves — a frame's tail, the frames after it — goes to
-    /// the writer, one frame per mailbox slot. Each frame and byte is
-    /// counted once, by whichever thread finishes it.
+    /// the writer, one frame per mailbox slot. Each byte is counted once,
+    /// by the thread that writes it, and each frame by the thread that
+    /// writes its last byte.
     pub(crate) fn flush(&mut self) {
         if self.ends.is_empty() {
             return;
@@ -262,14 +225,14 @@ impl Outbox {
         self.ends.clear();
     }
 
-    /// Gives one frame (or its unwritten tail) to the writer, waiting
-    /// for a mailbox slot only when the backlog fills it (`Block`).
-    fn hand_over(&mut self, frame: Vec<u8>) -> bool {
+    /// Gives one frame (or its unwritten tail) to the writer. It never
+    /// waits: `post` keeps pending plus backlog within the mailbox's
+    /// capacity, so the mailbox always has a slot.
+    fn hand_over(&mut self, frame: Vec<u8>) {
         *self.backlog.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-        if self.mailbox.tx.send(frame).is_err() {
+        if self.mailbox.send(frame) != SendOutcome::Sent {
             self.dead = true;
         }
-        !self.dead
     }
 
     /// Closes the socket both ways: the far end sees EOF, and a writer
@@ -290,7 +253,8 @@ fn cut_short(e: &std::io::Error) -> bool {
 
 /// Spawns the writer thread for one socket: writes each backlog frame
 /// whole, retrying every write the send timeout cuts short, until the
-/// mailbox closes or the socket fails.
+/// mailbox closes or the socket fails. Bytes count as they leave, so a
+/// frame cut off by a closed socket counts the part the far end got.
 fn spawn_writer(
     mut stream: TcpStream,
     rx: Receiver<Vec<u8>>,
@@ -303,14 +267,17 @@ fn spawn_writer(
             while !rest.is_empty() {
                 match stream.write(rest) {
                     // BOUND: `write` returns at most `rest.len()`.
-                    Ok(n) if n > 0 => rest = &rest[n..],
+                    Ok(n) if n > 0 => {
+                        stats.record(0, n as u64);
+                        rest = &rest[n..];
+                    }
                     Err(e) if cut_short(&e) => {}
                     // The reader notices the broken socket and tears
                     // the session down; the writer just stops draining.
                     _ => return,
                 }
             }
-            stats.record(1, frame.len() as u64);
+            stats.record(1, 0);
             *backlog.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
         }
     });
@@ -331,18 +298,5 @@ mod tests {
         assert_eq!(mb.send(vec![4]), SendOutcome::Sent);
         drop(rx);
         assert_eq!(mb.send(vec![5]), SendOutcome::Disconnected);
-    }
-
-    #[test]
-    fn block_policy_waits_for_drain() {
-        let (mb, rx) = Mailbox::new(1, BackpressurePolicy::Block);
-        assert_eq!(mb.send(vec![1]), SendOutcome::Sent);
-        let drainer = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            (rx.recv().unwrap(), rx.recv().unwrap())
-        });
-        // Full; blocks until the drainer frees the slot.
-        assert_eq!(mb.send(vec![2]), SendOutcome::Sent);
-        assert_eq!(drainer.join().unwrap(), (vec![1], vec![2]));
     }
 }

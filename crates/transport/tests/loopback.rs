@@ -11,9 +11,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use subsum_broker::BrokerCheckpoint;
-use subsum_transport::{
-    BackpressurePolicy, Client, DaemonConfig, DaemonHandle, FrameDecoder, Msg, Subsumd,
-};
+use subsum_transport::{Client, DaemonConfig, DaemonHandle, FrameDecoder, Msg, Subsumd};
 use subsum_types::{
     stock_schema, BrokerId, Event, LocalSubId, NumOp, StrOp, Subscription, SubscriptionId, Value,
 };
@@ -314,43 +312,57 @@ impl RawClient {
             .unwrap();
     }
 
-    /// Publishes `event` and checks the ack: accepted, one match.
-    fn publish(&mut self, seq: u32, event: Event) {
+    /// Publishes `event`, reads the delivery of it first if this client
+    /// holds `cheap_sub` too, and checks the ack: accepted, `matched`
+    /// matches. Returns how long it all took.
+    fn publish(&mut self, seq: u32, event: Event, matched: u32) -> Duration {
+        let sent = Instant::now();
+        let k = volume(&event);
         self.send(&Msg::Publish { seq, event });
-        let ack = self.next();
+        let mut ack = self.next();
+        if let Msg::Deliver { event, .. } = ack {
+            assert_eq!(volume(&event), k);
+            ack = self.next();
+        }
         let want = Msg::PublishAck {
             seq,
             accepted: true,
-            matched: 1,
+            matched,
         };
         assert_eq!(ack, want);
+        sent.elapsed()
     }
 
     /// The next message; panics if none decodes within `PATIENCE`.
     fn next(&mut self) -> Msg {
+        self.next_or_eof().expect("the daemon hung up")
+    }
+
+    /// The next message, or `None` once the daemon has closed the
+    /// connection (a frame it cut off short is not one).
+    fn next_or_eof(&mut self) -> Option<Msg> {
         let mut buf = [0u8; 64 * 1024];
         loop {
             if let Some(frame) = self.decoder.next_frame().unwrap() {
-                return Msg::decode_frame(&frame).unwrap();
+                return Some(Msg::decode_frame(&frame).unwrap());
             }
             let n = self.stream.read(&mut buf).expect("a frame in time");
-            assert!(n > 0, "the daemon hung up");
+            if n == 0 {
+                return None;
+            }
             self.bytes += n as u64;
             self.decoder.feed(&buf[..n]);
         }
     }
+}
 
-    /// The volume of the next message, a delivery of a `bulky_event`.
-    fn next_delivery(&mut self) -> u64 {
-        let Msg::Deliver { event, .. } = self.next() else {
-            panic!("only deliveries follow the subscribe ack");
-        };
-        let attr = stock_schema().attr_id("volume").unwrap();
-        let Some(&Value::Int(k)) = event.get(attr) else {
-            panic!("a bulky event carries its volume");
-        };
-        k as u64
-    }
+/// The volume a `bulky_event` carries: its number.
+fn volume(event: &Event) -> u64 {
+    let attr = stock_schema().attr_id("volume").unwrap();
+    let Some(&Value::Int(k)) = event.get(attr) else {
+        panic!("a bulky event carries its volume");
+    };
+    k as u64
 }
 
 /// Event `k` of a stall: matches `cheap_sub`, carries `k` as its volume,
@@ -366,25 +378,16 @@ fn bulky_event(k: u64) -> Event {
         .build()
 }
 
-/// Process-wide count of full-outbox encounters, recording from the
-/// first call on. Other tests only add to it, so a lower bound on the
-/// difference holds.
-fn mailbox_full() -> u64 {
-    subsum_telemetry::set_enabled(true);
-    subsum_telemetry::counter(subsum_telemetry::names::NET_MAILBOX_FULL).get()
-}
-
-/// A daemon with a four-frame outbound bound under `policy`.
-fn start_small(policy: BackpressurePolicy) -> DaemonHandle {
+/// A daemon with a four-frame outbound bound.
+fn start_small() -> DaemonHandle {
     let mut config = DaemonConfig::new(BrokerId(0), stock_schema());
     config.mailbox_capacity = 4;
-    config.policy = policy;
     Subsumd::start(config).unwrap()
 }
 
 /// What the daemon counted as written equals what its clients read.
 /// Every frame and byte counts once, whether the event loop or the
-/// writer finished it.
+/// writer wrote it.
 fn assert_tx_counted_once(d: &DaemonHandle, frames: u64, clients: [&RawClient; 2]) {
     let want = (frames, clients.iter().map(|c| c.bytes).sum());
     let tx = &d.stats().tx;
@@ -396,73 +399,70 @@ fn assert_tx_counted_once(d: &DaemonHandle, frames: u64, clients: [&RawClient; 2
     assert_eq!((tx.frames_tx.get(), tx.bytes_tx.get()), want);
 }
 
-/// A client that stops reading costs the others nothing under
-/// `Reject`: once its socket and its four-frame backlog are full, its
-/// deliveries are dropped and counted, and the publisher's acks keep
-/// coming at once. What was not dropped reaches it whole and in order.
+/// A client that stops reading costs the others nothing: once its
+/// socket and its four-frame outbox are full, its deliveries stop, and
+/// the publisher's acks keep coming at once.
 #[test]
 fn reject_drops_a_stalled_clients_frames_and_keeps_acking() {
-    let d = start_small(BackpressurePolicy::Reject);
-    let mut stalled = RawClient::subscriber(d.addr());
+    let d = start_small();
+    let _stalled = RawClient::subscriber(d.addr());
     let mut publisher = RawClient::connect(d.addr());
-    let full_at = mailbox_full();
     let mut published = 0;
     while published < d.stats().deliveries.get() + 8 {
         assert!(
             published < 1_000,
             "the stalled client's socket never filled"
         );
-        let sent = Instant::now();
-        publisher.publish(published as u32, bulky_event(published));
-        let waited = sent.elapsed();
+        let waited = publisher.publish(published as u32, bulky_event(published), 1);
         assert!(
             waited < Duration::from_millis(100),
             "ack {published} took {waited:?}"
         );
         published += 1;
     }
-    let delivered = d.stats().deliveries.get();
-    assert!(mailbox_full() - full_at >= published - delivered);
-
-    let mut last = None;
-    for _ in 0..delivered {
-        let k = Some(stalled.next_delivery());
-        assert!(last < k, "{k:?} after {last:?}");
-        last = k;
-    }
-    assert_tx_counted_once(&d, 1 + delivered + published, [&stalled, &publisher]);
 
     publisher.send(&Msg::Shutdown);
     d.join();
 }
 
-/// Under `Block` nothing is dropped: the daemon waits for a client that
-/// stopped reading, its writer retrying every write the send timeout
-/// cuts short, and once the client reads again every delivery arrives
-/// in order.
+/// A `Deliver` has no repair protocol, so a client that cannot keep up
+/// is evicted rather than silently short-changed: the daemon closes its
+/// connection, and it reads an in-order, gap-free prefix of its
+/// deliveries and then EOF. A second subscriber — here the publisher —
+/// gets every delivery, and no ack waits for the stalled client.
 #[test]
-fn block_stalls_on_a_stalled_client_and_loses_nothing() {
-    const EVENTS: u64 = 200;
-    let d = start_small(BackpressurePolicy::Block);
+fn a_stalled_client_is_evicted_and_others_get_every_delivery() {
+    let d = start_small();
     let mut stalled = RawClient::subscriber(d.addr());
-    let mut publisher = RawClient::connect(d.addr());
-    let full_at = mailbox_full();
-    let publishing = std::thread::spawn(move || {
-        for k in 0..EVENTS {
-            publisher.publish(k as u32, bulky_event(k));
-        }
-        publisher
-    });
-    wait_for("the daemon to stall", || mailbox_full() > full_at);
-    // Stay stalled for many send timeouts.
-    std::thread::sleep(Duration::from_millis(50));
-
-    for k in 0..EVENTS {
-        assert_eq!(stalled.next_delivery(), k);
+    let mut publisher = RawClient::subscriber(d.addr());
+    let mut published = 0;
+    while d.stats().evicted.get() == 0 {
+        assert!(published < 1_000, "the stalled client was never evicted");
+        // Past the eviction its subscription still matches, but only
+        // the publisher's receives.
+        let waited = publisher.publish(published as u32, bulky_event(published), 2);
+        assert!(
+            waited < Duration::from_millis(100),
+            "ack {published} took {waited:?}"
+        );
+        published += 1;
     }
-    let mut publisher = publishing.join().unwrap();
-    assert_eq!(d.stats().deliveries.get(), EVENTS);
-    assert_tx_counted_once(&d, 1 + 2 * EVENTS, [&stalled, &publisher]);
+    for k in published..published + 8 {
+        publisher.publish(k as u32, bulky_event(k), 2);
+    }
+    published += 8;
+
+    let mut got = 0;
+    while let Some(msg) = stalled.next_or_eof() {
+        let Msg::Deliver { event, .. } = msg else {
+            panic!("only deliveries follow the subscribe ack, got {msg:?}");
+        };
+        assert_eq!(volume(&event), got, "a gap or a reordering");
+        got += 1;
+    }
+    assert!(got < published, "the stalled client read all {got}");
+    assert_eq!(d.stats().evicted.get(), 1);
+    assert_tx_counted_once(&d, 2 + got + 2 * published, [&stalled, &publisher]);
 
     publisher.send(&Msg::Shutdown);
     d.join();

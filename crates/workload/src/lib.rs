@@ -9,7 +9,8 @@
 //!   set per event (Fig. 10's popularity axis);
 //! * [`StockFeed`] — a realistic stock-quote feed over the paper's Fig. 2
 //!   schema for the runnable examples;
-//! * [`Zipf`] — a Zipf-distributed rank sampler.
+//! * [`Zipf`] — a Zipf-distributed rank sampler;
+//! * [`witness_event`] — an event built to match a given subscription.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -18,9 +19,11 @@ mod generator;
 mod params;
 pub mod popularity;
 mod stock;
+mod witness;
 mod zipf;
 
 pub use generator::{experiment_schema, Workload};
 pub use params::PaperParams;
 pub use stock::{StockFeed, EXCHANGES, SYMBOLS};
+pub use witness::witness_event;
 pub use zipf::Zipf;

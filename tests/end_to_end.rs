@@ -7,8 +7,75 @@ use rand::{Rng, SeedableRng};
 
 use subsum::broker::SummaryPubSub;
 use subsum::net::Topology;
-use subsum::types::{Event, SubscriptionId};
-use subsum::workload::{PaperParams, StockFeed, Workload};
+use subsum::types::{Event, Subscription, SubscriptionId};
+use subsum::workload::{witness_event, PaperParams, StockFeed, Workload};
+
+/// The ids `publisher`'s publish of `event` delivers, ascending.
+fn delivered(sys: &SummaryPubSub, publisher: u16, event: &Event) -> Vec<SubscriptionId> {
+    let out = sys.publish(publisher, event);
+    let mut got: Vec<SubscriptionId> = out.deliveries.iter().map(|d| d.id).collect();
+    got.sort();
+    got
+}
+
+/// Witness events of resident subscriptions, each built to match what
+/// it witnesses: one per subscription in `singles`, and one per pair of
+/// subscriptions in `pool` held at two different brokers whose
+/// constraints a single event can meet, up to `pairs` of those: routing
+/// must reach both owners with one event.
+fn witnesses(
+    sys: &SummaryPubSub,
+    singles: &[&Subscription],
+    pool: &[(SubscriptionId, Subscription)],
+    pairs: usize,
+) -> Vec<Event> {
+    let schema = sys.schema();
+    let mut events: Vec<Event> = singles
+        .iter()
+        .map(|sub| witness_event(schema, sub).expect("a witness exists"))
+        .collect();
+    let wanted = events.len() + pairs;
+    'search: for (i, (a, sub_a)) in pool.iter().enumerate() {
+        for (b, sub_b) in &pool[i + 1..] {
+            if events.len() == wanted {
+                break 'search;
+            }
+            if a.broker == b.broker {
+                continue;
+            }
+            let both = sub_a.constraints().iter().chain(sub_b.constraints());
+            let both = Subscription::from_constraints(both.cloned().collect()).unwrap();
+            events.extend(witness_event(schema, &both));
+        }
+    }
+    events
+}
+
+/// Publishes each of `events` at every broker in `publishers` and
+/// checks that the deliveries equal the oracle, which must not be
+/// empty: an event that matches nothing is delivered exactly by any
+/// routing. Returns how many of the events match subscriptions of two
+/// or more brokers.
+fn assert_delivered(
+    sys: &SummaryPubSub,
+    events: &[Event],
+    publishers: std::ops::Range<u16>,
+    context: &str,
+) -> usize {
+    let mut shared = 0;
+    for event in events {
+        let want = sys.oracle_matches(event);
+        assert!(!want.is_empty(), "{context}: a witness matches nothing");
+        if want.iter().any(|id| id.broker != want[0].broker) {
+            shared += 1;
+        }
+        for publisher in publishers.clone() {
+            let got = delivered(sys, publisher, event);
+            assert_eq!(got, want, "{context}, witness from {publisher}");
+        }
+    }
+    shared
+}
 
 /// Deliveries must equal the oracle (exact matches over all brokers) for
 /// every event — completeness AND soundness after tier-2 verification.
@@ -25,9 +92,10 @@ fn deliveries_equal_oracle_on_paper_workload() {
             let mut workload = Workload::new(PaperParams::default(), subsumption);
             let schema = workload.schema().clone();
             let mut sys = SummaryPubSub::new(topology.clone(), schema.clone(), 1000).unwrap();
+            let mut resident = Vec::new();
             for b in 0..n as u16 {
                 for sub in workload.subscriptions(20, &mut rng) {
-                    sys.subscribe(b, &sub).unwrap();
+                    resident.push((sys.subscribe(b, &sub).unwrap(), sub));
                 }
             }
             sys.propagate().unwrap();
@@ -43,6 +111,13 @@ fn deliveries_equal_oracle_on_paper_workload() {
                     "topology {n} nodes, p={subsumption}, publisher {publisher}"
                 );
             }
+            // Each broker's first subscription, and pairs of two
+            // brokers' subscriptions, witnessed from everywhere.
+            let firsts: Vec<_> = resident.iter().step_by(20).map(|(_, s)| s).collect();
+            let events = witnesses(&sys, &firsts, &resident, 8);
+            let context = format!("topology {n} nodes, p={subsumption}");
+            let shared = assert_delivered(&sys, &events, 0..n as u16, &context);
+            assert!(shared > 0, "{context}: no witness reaches two owners");
         }
     }
 }
@@ -83,12 +158,16 @@ fn churn_session() {
     let mut sys = SummaryPubSub::new(Topology::ring(8), schema.clone(), 1000).unwrap();
 
     let mut live: Vec<SubscriptionId> = Vec::new();
+    let mut resident = Vec::new();
+    let mut shared = 0;
     for round in 0..5 {
         // Add a few subscriptions at random brokers.
         for _ in 0..10 {
             let b = rng.gen_range(0..8u16);
             let sub = workload.subscription(&mut rng);
-            live.push(sys.subscribe(b, &sub).unwrap());
+            let id = sys.subscribe(b, &sub).unwrap();
+            live.push(id);
+            resident.push((id, sub));
         }
         // Remove a random third of what is live.
         live.retain(|&id| {
@@ -111,7 +190,14 @@ fn churn_session() {
                 assert!(live.contains(&d.id), "stale delivery {:?}", d.id);
             }
         }
+        // Every live subscription, and pairs of two brokers' live
+        // subscriptions, witnessed from everywhere.
+        resident.retain(|(id, _)| live.contains(id));
+        let singles: Vec<_> = resident.iter().map(|(_, s)| s).collect();
+        let events = witnesses(&sys, &singles, &resident, 8);
+        shared += assert_delivered(&sys, &events, 0..8, &format!("round {round}"));
     }
+    assert!(shared > 0, "no witness reaches two owners");
 }
 
 /// Propagation coverage and bounded hops hold on random topologies.
@@ -124,9 +210,10 @@ fn random_topologies_coverage() {
         let mut workload = Workload::new(PaperParams::default(), 0.5);
         let schema = workload.schema().clone();
         let mut sys = SummaryPubSub::new(topology, schema.clone(), 100).unwrap();
+        let mut resident = Vec::new();
         for b in 0..n as u16 {
             let sub = workload.subscription(&mut rng);
-            sys.subscribe(b, &sub).unwrap();
+            resident.push((sys.subscribe(b, &sub).unwrap(), sub));
         }
         let outcome = sys.propagate().unwrap();
         assert!(outcome.covers_all_brokers());
@@ -136,6 +223,12 @@ fn random_topologies_coverage() {
         let mut got: Vec<SubscriptionId> = out.deliveries.iter().map(|d| d.id).collect();
         got.sort();
         assert_eq!(got, sys.oracle_matches(&event));
+        // Every broker's subscription, and pairs of two of them,
+        // witnessed from everywhere.
+        let singles: Vec<_> = resident.iter().map(|(_, s)| s).collect();
+        let events = witnesses(&sys, &singles, &resident, 8);
+        let shared = assert_delivered(&sys, &events, 0..n as u16, &format!("{n} brokers"));
+        assert!(shared > 0, "{n} brokers: no witness reaches two owners");
     }
 }
 
@@ -225,10 +318,20 @@ fn long_incremental_run_fills_and_respaces_every_block() {
     sys.propagate().unwrap();
     let events: Vec<Event> = (0..8).map(|_| workload.event(0.8, &mut rng)).collect();
     for period in 0..12 {
-        for (k, sub) in workload.subscriptions(48, &mut rng).iter().enumerate() {
-            sys.subscribe((k % 24) as u16, sub).unwrap();
-        }
+        let arrivals: Vec<_> = workload
+            .subscriptions(48, &mut rng)
+            .into_iter()
+            .enumerate()
+            .map(|(k, sub)| (sys.subscribe((k % 24) as u16, &sub).unwrap(), sub))
+            .collect();
         sys.propagate_incremental().unwrap();
+        // Five of the period's arrivals, at brokers 0, 11, 22, 9 and 20,
+        // and pairs of two brokers' arrivals, witnessed from everywhere:
+        // they sit in the slots just taken.
+        let fresh: Vec<_> = arrivals.iter().step_by(11).map(|(_, s)| s).collect();
+        let witnessed = witnesses(&sys, &fresh, &arrivals, 4);
+        let shared = assert_delivered(&sys, &witnessed, 0..24, &format!("period {period}"));
+        assert!(shared > 0, "period {period}: no witness reaches two owners");
         for event in &events {
             let want = sys.oracle_matches(event);
             for publisher in 0..24u16 {
@@ -274,12 +377,6 @@ fn topology_change_and_repropagation() {
     }
     sys.propagate().unwrap();
     let events: Vec<_> = (0..20).map(|_| feed.quote(&mut rng)).collect();
-    let delivered = |sys: &SummaryPubSub, publisher, event| {
-        let out = sys.publish(publisher, event);
-        let mut got: Vec<SubscriptionId> = out.deliveries.iter().map(|d| d.id).collect();
-        got.sort();
-        got
-    };
     let before: Vec<_> = events.iter().map(|e| sys.oracle_matches(e)).collect();
     assert!(before.iter().any(|m| !m.is_empty()), "events must match");
     for (event, want) in events.iter().zip(&before) {
