@@ -26,7 +26,9 @@
 //! candidate; the `PublishAck` reports `accepted: false` if the sink
 //! refused a required forward, and how many local subscriptions truly
 //! match. A `Route` is delivered locally only. A client whose frame the
-//! sink refuses is evicted ([`Sink::send`]). Local delivery is
+//! sink refuses is evicted ([`Sink::send`]); a `Deliver` counts
+//! ([`DaemonCounters::deliveries`]) when the sink queues it, not when
+//! the client reads it. Local delivery is
 //! two-tier ([`BrokerCore::verify`]): a client never sees a SACS false
 //! positive. A neighbour's *view* is the last `Summary` it sent that
 //! decodes (DESIGN.md §10), with every `SummaryDelta` since merged in: a
@@ -106,7 +108,8 @@ pub struct DaemonCounters {
     pub acked: Counter,
     /// Client publishes acknowledged as rejected by backpressure.
     pub rejected: Counter,
-    /// `Deliver` messages sent to clients.
+    /// `Deliver` messages the sink queued for clients. A queued frame
+    /// may never be read: an evicted client's outbox is dropped with it.
     pub deliveries: Counter,
     /// Clients disconnected because the sink refused a frame to them.
     pub evicted: Counter,
@@ -904,6 +907,53 @@ mod tests {
         pair.subscribe(1, client_b, price_lt(10.0));
         assert_eq!(pair.daemons[1].broker().checkpoint().subs.len(), 1);
         assert_eq!(pair.counters(1).summaries_tx.get(), 2, "one push");
+    }
+
+    /// Fifty subscribes, each pushed as a delta gated on cached digests,
+    /// leave B's own digest, A's view of B and a summary rebuilt from
+    /// B's store all digest-equal, with no pull on either side: no
+    /// subscribe left a stale cache entry behind.
+    #[test]
+    fn cached_digests_carry_fifty_subscribes_without_a_pull() {
+        let mut pair = Pair::start(None);
+        let client_b = pair.accept(1, 10);
+        let resyncs = |pair: &Pair| [0, 1].map(|d| pair.counters(d).resyncs.get());
+        let before = resyncs(&pair);
+        let schema = stock_schema();
+        let texts = ["OT", "OTE", "AB", "ABC", "X"];
+        for k in 0..50 {
+            let text = texts[k % texts.len()];
+            let builder = Subscription::builder(&schema);
+            let sub = match k % 5 {
+                0 => builder.num("price", NumOp::Lt, k as f64),
+                1 => builder.str_op("symbol", StrOp::Prefix, text),
+                2 => builder
+                    .num("volume", NumOp::Ge, k as f64)
+                    .and_then(|b| b.str_op("exchange", StrOp::Eq, text)),
+                // Two constraints on one string attribute: the insert
+                // summarises them among themselves first.
+                3 => builder
+                    .str_op("symbol", StrOp::Prefix, text)
+                    .and_then(|b| b.str_op("symbol", StrOp::Suffix, "E")),
+                _ => builder
+                    .num("price", NumOp::Gt, 1.0)
+                    .and_then(|b| b.num("high", NumOp::Lt, k as f64)),
+            };
+            pair.subscribe(1, client_b, sub.unwrap().build().unwrap());
+        }
+        let own = pair.daemons[1].broker().own().digest();
+        let view = pair.daemons[0].view(1).map(BrokerSummary::digest);
+        let store = pair.daemons[1].broker().checkpoint().subs;
+        let rebuilt = BrokerSummary::rebuild(schema, store.iter().map(|(id, s)| (*id, s)));
+        assert_eq!(own.count, 50);
+        assert_eq!(view, Some(own));
+        assert_eq!(rebuilt.digest(), own);
+        assert_eq!(resyncs(&pair), before, "no pull");
+        assert_eq!(
+            pair.counters(0).summaries_rx.get(),
+            51,
+            "the handshake and 50 deltas"
+        );
     }
 
     /// A `Route` is a neighbour's word that its view of this broker

@@ -17,8 +17,17 @@
 //! subscription-id order (which equals subscribe order, checkpoint
 //! restore order, and oracle rebuild order), making the checksum a
 //! sound equality witness there.
+//!
+//! The per-attribute hashes and the id-set hash are derived state that
+//! a summary caches ([`DigestCell`]): a mutation drops the entries of
+//! the attributes it touched and the id-set hash, and the next digest
+//! re-hashes only those. A subscribe into a large summary then costs a
+//! digest the rows of the attributes that subscription constrains, not
+//! every row.
 
-use subsum_types::{LowerBound, Num, Pattern, SubscriptionId, UpperBound};
+use std::sync::OnceLock;
+
+use subsum_types::{AttrId, LowerBound, Num, Pattern, SubscriptionId, UpperBound};
 
 use crate::idlist::IdList;
 use crate::summary::BrokerSummary;
@@ -161,63 +170,154 @@ impl SummaryDigest {
     }
 }
 
-impl BrokerSummary {
-    /// Computes the summary's anti-entropy digest. Linear in the total
-    /// row/posting count; no ordering of rows is assumed.
-    pub fn digest(&self) -> SummaryDigest {
-        // The intern table's live slots hold exactly the ids the rows
-        // name; rows resolve through the whole table.
-        let table = self.intern_table();
-        let ids = table.ids_slice();
-        let id_hash = table
-            .live_ids()
-            .fold(0u64, |acc, id| acc.wrapping_add(hash_id(id)));
+/// The cached digest entries of a [`BrokerSummary`]: one attribute hash
+/// per schema attribute and the id-set hash, each computed on first use
+/// and kept until a mutation drops it. Like the plan cell, it is derived
+/// state: invisible to equality, copied by `Clone`.
+#[derive(Debug, Clone)]
+pub(crate) struct DigestCell {
+    attr_hash: Vec<OnceLock<u64>>,
+    id_hash: OnceLock<u64>,
+}
 
-        let mut structure = 0u64;
-        for (attr, _spec) in self.schema().iter() {
-            let attr_salt = mix64(0xA77A ^ attr.0 as u64);
-            let mut attr_hash = 0u64;
-            if let Some(aacs) = self.arith_summary(attr) {
-                for row in aacs.ranges() {
-                    let mut h = fold(attr_salt, 0x5A4E47);
-                    h = match row.interval.lo() {
-                        LowerBound::NegInf => fold(h, 0),
-                        LowerBound::Incl(n) => hash_num(fold(h, 1), n),
-                        LowerBound::Excl(n) => hash_num(fold(h, 2), n),
-                    };
-                    h = match row.interval.hi() {
-                        UpperBound::PosInf => fold(h, 0),
-                        UpperBound::Incl(n) => hash_num(fold(h, 1), n),
-                        UpperBound::Excl(n) => hash_num(fold(h, 2), n),
-                    };
-                    attr_hash = attr_hash.wrapping_add(hash_row_ids(ids, &row.ids, h));
-                }
-                for (num, idlist) in aacs.points() {
-                    let h = hash_num(fold(attr_salt, 0x50_49_4E_54), num);
-                    attr_hash = attr_hash.wrapping_add(hash_row_ids(ids, idlist, h));
-                }
-            }
-            if let Some(sacs) = self.string_summary(attr) {
-                // Rows fold by a commutative add, so each group is walked
-                // where it lies.
-                let salt = fold(attr_salt, 0x504154);
-                for row in sacs.wildcards() {
-                    let h = hash_pattern(salt, &row.pattern);
-                    attr_hash = attr_hash.wrapping_add(hash_row_ids(ids, &row.ids, h));
-                }
-                for (lit, idlist) in sacs.literals() {
-                    let h = hash_literal(salt, lit);
-                    attr_hash = attr_hash.wrapping_add(hash_row_ids(ids, idlist, h));
-                }
-            }
-            structure = structure.wrapping_add(mix64(attr_salt ^ attr_hash));
+impl DigestCell {
+    /// An empty cell over `attrs` schema attributes.
+    pub(crate) fn new(attrs: usize) -> Self {
+        DigestCell {
+            attr_hash: vec![OnceLock::new(); attrs],
+            id_hash: OnceLock::new(),
         }
+    }
 
+    /// Drops the id-set hash and the hashes of `attrs`: the attributes
+    /// whose rows a mutation touched.
+    pub(crate) fn invalidate(&mut self, attrs: impl IntoIterator<Item = AttrId>) {
+        self.id_hash.take();
+        for attr in attrs {
+            if let Some(cell) = self.attr_hash.get_mut(attr.index()) {
+                cell.take();
+            }
+        }
+    }
+
+    /// Drops every entry.
+    pub(crate) fn invalidate_all(&mut self) {
+        self.id_hash.take();
+        for cell in &mut self.attr_hash {
+            cell.take();
+        }
+    }
+
+    /// The cached hash of `attr`, if one was computed since its last
+    /// mutation.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn cached_attr(&self, attr: AttrId) -> Option<u64> {
+        self.attr_hash.get(attr.index())?.get().copied()
+    }
+
+    /// The cached id-set hash, if one was computed since the last
+    /// mutation.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn cached_ids(&self) -> Option<u64> {
+        self.id_hash.get().copied()
+    }
+}
+
+impl PartialEq for DigestCell {
+    /// Always equal: the digest is a pure function of the summary rows,
+    /// which the owning summary's `PartialEq` already compares.
+    fn eq(&self, _: &DigestCell) -> bool {
+        true
+    }
+}
+
+/// The salt of one attribute's hash.
+fn attr_salt(attr: AttrId) -> u64 {
+    mix64(0xA77A ^ attr.0 as u64)
+}
+
+impl BrokerSummary {
+    /// Computes the summary's anti-entropy digest. Linear in the rows of
+    /// the attributes mutated since the last call, and in the live ids
+    /// if any mutation happened: the summary caches each attribute's
+    /// hash and the id-set hash until a mutation touches them. No
+    /// ordering of rows is assumed.
+    pub fn digest(&self) -> SummaryDigest {
+        let cell = self.digest_cell();
+        let id_hash = *cell.id_hash.get_or_init(|| self.id_hash());
+        self.fold_digest(id_hash, |attr| match cell.attr_hash.get(attr.index()) {
+            Some(cached) => *cached.get_or_init(|| self.attr_hash(attr)),
+            None => self.attr_hash(attr),
+        })
+    }
+
+    /// [`BrokerSummary::digest`] computed from every row, past the
+    /// cache: what the cached digest must equal.
+    #[cfg(any(test, debug_assertions))]
+    pub fn digest_uncached(&self) -> SummaryDigest {
+        self.fold_digest(self.id_hash(), |attr| self.attr_hash(attr))
+    }
+
+    /// The digest over `id_hash` and each attribute's hash.
+    fn fold_digest(&self, id_hash: u64, attr_hash: impl Fn(AttrId) -> u64) -> SummaryDigest {
+        let structure = self.schema().iter().fold(0u64, |acc, (attr, _spec)| {
+            acc.wrapping_add(mix64(attr_salt(attr) ^ attr_hash(attr)))
+        });
         SummaryDigest {
             count: self.subscription_count() as u64,
             id_hash,
             structure,
         }
+    }
+
+    /// The order-independent hash of the live id set.
+    pub(crate) fn id_hash(&self) -> u64 {
+        self.intern_table()
+            .live_ids()
+            .fold(0u64, |acc, id| acc.wrapping_add(hash_id(id)))
+    }
+
+    /// The hash of one attribute's rows: each row's hash, postings
+    /// resolved to their ids through the whole intern table, folded by
+    /// a commutative add.
+    pub(crate) fn attr_hash(&self, attr: AttrId) -> u64 {
+        let ids = self.intern_table().ids_slice();
+        let attr_salt = attr_salt(attr);
+        let mut attr_hash = 0u64;
+        if let Some(aacs) = self.arith_summary(attr) {
+            for row in aacs.ranges() {
+                let mut h = fold(attr_salt, 0x5A4E47);
+                h = match row.interval.lo() {
+                    LowerBound::NegInf => fold(h, 0),
+                    LowerBound::Incl(n) => hash_num(fold(h, 1), n),
+                    LowerBound::Excl(n) => hash_num(fold(h, 2), n),
+                };
+                h = match row.interval.hi() {
+                    UpperBound::PosInf => fold(h, 0),
+                    UpperBound::Incl(n) => hash_num(fold(h, 1), n),
+                    UpperBound::Excl(n) => hash_num(fold(h, 2), n),
+                };
+                attr_hash = attr_hash.wrapping_add(hash_row_ids(ids, &row.ids, h));
+            }
+            for (num, idlist) in aacs.points() {
+                let h = hash_num(fold(attr_salt, 0x50_49_4E_54), num);
+                attr_hash = attr_hash.wrapping_add(hash_row_ids(ids, idlist, h));
+            }
+        }
+        if let Some(sacs) = self.string_summary(attr) {
+            // Rows fold by a commutative add, so each group is walked
+            // where it lies.
+            let salt = fold(attr_salt, 0x504154);
+            for row in sacs.wildcards() {
+                let h = hash_pattern(salt, &row.pattern);
+                attr_hash = attr_hash.wrapping_add(hash_row_ids(ids, &row.ids, h));
+            }
+            for (lit, idlist) in sacs.literals() {
+                let h = hash_literal(salt, lit);
+                attr_hash = attr_hash.wrapping_add(hash_row_ids(ids, idlist, h));
+            }
+        }
+        attr_hash
     }
 }
 
@@ -350,6 +450,69 @@ mod tests {
             seeded.digest(),
             pinned(796, 0xd36f_af19_17bb_ed17, 0x6c55_5a09_0cb5_170f)
         );
+    }
+
+    /// The attributes whose cached hash a mutation dropped.
+    fn dropped(s: &BrokerSummary) -> Vec<AttrId> {
+        let cell = s.digest_cell();
+        let attrs = s.schema().iter().map(|(attr, _)| attr);
+        attrs.filter(|&a| cell.cached_attr(a).is_none()).collect()
+    }
+
+    /// Warms the digest of `s`, applies `mutate` and checks that it
+    /// dropped the id-set hash and exactly the `touched` attributes'
+    /// hashes, that it respaced the intern table iff `respaces`, and
+    /// that the digest equals one computed from every row.
+    fn assert_drops(
+        s: &mut BrokerSummary,
+        what: &str,
+        touched: &[AttrId],
+        respaces: bool,
+        mutate: impl FnOnce(&mut BrokerSummary),
+    ) {
+        s.digest();
+        assert!(dropped(s).is_empty() && s.digest_cell().cached_ids().is_some());
+        let slots = s.intern_table().ids_slice().len();
+        mutate(s);
+        let resized = s.intern_table().ids_slice().len() != slots;
+        assert_eq!(resized, respaces, "{what}");
+        assert_eq!(dropped(s), touched, "{what}");
+        let ids_dropped = s.digest_cell().cached_ids().is_none();
+        assert_eq!(ids_dropped, !touched.is_empty(), "{what}");
+        assert_eq!(s.digest(), s.digest_uncached(), "{what}");
+    }
+
+    /// With the digest warm, a one-subscription insert, removal and
+    /// merge each drop the id-set hash and the hashes of the
+    /// subscription's two attributes only. The id ends broker 5's block,
+    /// so it takes a spare slot; an id that sorts before every slot finds
+    /// none and respaces the table, and the renumbered postings keep
+    /// every other attribute's hash. Removing an absent id drops nothing.
+    #[test]
+    fn a_mutation_drops_only_the_attributes_it_touched() {
+        let schema = stock_schema();
+        let sub = Subscription::builder(&schema)
+            .num("price", NumOp::Lt, 8.70)
+            .unwrap()
+            .str_op("symbol", StrOp::Prefix, "OT")
+            .unwrap()
+            .build()
+            .unwrap();
+        let touched: Vec<AttrId> = sub.attr_mask().iter().collect();
+        assert_eq!(touched.len(), 2);
+        let id = SubscriptionId::new(BrokerId(5), LocalSubId(10_000), sub.attr_mask());
+        let first = SubscriptionId::new(BrokerId(0), LocalSubId(0), sub.attr_mask());
+        let delta = BrokerSummary::rebuild(schema.clone(), [(id, &sub)]);
+        let mut s = crate::testkit::seeded_summary(21, 800);
+        let t = &touched;
+        assert_drops(&mut s, "insert", t, false, |s| s.insert_with_id(id, &sub));
+        assert_drops(&mut s, "remove", t, false, |s| s.remove(id));
+        assert_drops(&mut s, "merge", t, false, |s| s.merge(&delta));
+        assert_drops(&mut s, "remove", t, false, |s| s.remove(id));
+        assert_drops(&mut s, "remove absent", &[], false, |s| s.remove(id));
+        assert_drops(&mut s, "insert first", t, true, |s| {
+            s.insert_with_id(first, &sub)
+        });
     }
 
     #[test]

@@ -16,6 +16,7 @@ use subsum_telemetry::{Count, Stage};
 use subsum_types::{Event, NormalizedAttr, Schema, Subscription, SubscriptionId};
 
 use crate::aacs::RangeSummary;
+use crate::digest::DigestCell;
 use crate::idlist::{DenseId, IdList, SubIdList};
 use crate::plan::{MatchPlan, PlanCell, ProbeState};
 use crate::sacs::PatternSummary;
@@ -310,11 +311,19 @@ pub struct BrokerSummary {
     /// (`install_decoded_rows`).
     intern: InternTable,
     /// Lazily compiled columnar probe plan over the rows above. Pure
-    /// derived state: invisible to `PartialEq` and digests, dropped on
-    /// every mutation and rebuilt on the next match. The field's privacy
-    /// keeps the wire codec off it; `decode` drops it
-    /// (`install_decoded_rows`).
+    /// derived state: invisible to `PartialEq` and digests, copied by
+    /// `Clone`, dropped whole on every mutation and rebuilt on the next
+    /// match. The field's privacy keeps the wire codec off it; `decode`
+    /// drops it (`install_decoded_rows`).
     plan: PlanCell,
+    /// The digest's cached entries: one hash per attribute's rows and
+    /// the id-set hash. Derived state like `plan`, but dropped per
+    /// attribute: a mutation drops the id-set hash and the entries of
+    /// the attributes whose rows it touched, so the next
+    /// [`BrokerSummary::digest`] re-hashes only those. Renumbering
+    /// postings (respacing, compaction) keeps it: a row hashes the ids
+    /// its postings resolve to. `decode` drops it all.
+    digest: DigestCell,
 }
 
 /// Content equality: two summaries are equal when they hold the same
@@ -351,6 +360,7 @@ impl BrokerSummary {
             strings: vec![None; n],
             intern: InternTable::default(),
             plan: PlanCell::default(),
+            digest: DigestCell::new(n),
         }
     }
 
@@ -401,6 +411,8 @@ impl BrokerSummary {
             return;
         }
         self.plan.invalidate();
+        self.digest
+            .invalidate(normalized.iter().map(|(attr, _)| attr));
         let dense = self.intern_id(id);
         for (attr, na) in normalized.iter() {
             match na {
@@ -504,6 +516,7 @@ impl BrokerSummary {
             return;
         };
         self.plan.invalidate();
+        self.digest.invalidate(id.mask.iter());
         let gone = pos as DenseId;
         for attr in id.mask.iter() {
             if let Some(Some(s)) = self.arith.get_mut(attr.index()) {
@@ -587,6 +600,12 @@ impl BrokerSummary {
     pub(crate) fn merge_rows(&mut self, other: &BrokerSummary) {
         let _span = STAGE_MERGE.start();
         self.plan.invalidate();
+        let theirs = other.arith.iter().zip(&other.strings);
+        self.digest.invalidate(
+            (theirs.enumerate())
+                .filter(|(_, (arith, strings))| arith.is_some() || strings.is_some())
+                .map(|(idx, _)| subsum_types::AttrId(idx as u16)),
+        );
         // Each of the other side's live ids takes its own or an adjacent
         // free slot, so no dense id here moves: a σ-sized delta costs
         // σ binary searches plus the rows it touches. Should one id find
@@ -657,6 +676,7 @@ impl BrokerSummary {
     ) -> Result<(), subsum_types::AttrId> {
         use crate::wire::RowPattern;
         self.plan.invalidate();
+        self.digest.invalidate_all();
         self.intern = InternTable::from_ids(rows.ids);
         let postings = |span: std::ops::Range<usize>| rows.postings.get(span).unwrap_or(&[]);
         for (attr, iv, span) in rows.ranges {
@@ -722,6 +742,7 @@ impl BrokerSummary {
         strings: Vec<Option<PatternSummary>>,
     ) -> Self {
         BrokerSummary {
+            digest: DigestCell::new(schema.len()),
             schema,
             arith,
             strings,
@@ -734,6 +755,12 @@ impl BrokerSummary {
     /// resolve dense postings through it).
     pub(crate) fn intern_table(&self) -> &InternTable {
         &self.intern
+    }
+
+    /// The digest's cached entries ([`BrokerSummary::digest`] reads and
+    /// fills them).
+    pub(crate) fn digest_cell(&self) -> &DigestCell {
+        &self.digest
     }
 
     /// The AACS for an attribute, if any constraint was recorded.
@@ -927,7 +954,9 @@ impl BrokerSummary {
     /// * every posting of dense id `d` sits on an attribute in
     ///   `ids[d].mask` — the precondition of the plan's mask filter;
     /// * a cached plan equals a fresh compile, whose runs each hold the
-    ///   postings of one mask.
+    ///   postings of one mask;
+    /// * each cached digest entry equals a fresh hash of its attribute's
+    ///   rows (or of the live ids).
     ///
     /// # Panics
     ///
@@ -1017,6 +1046,23 @@ impl BrokerSummary {
             assert!(
                 *cached == fresh,
                 "cached match plan out of sync with the summary rows"
+            );
+        }
+        // Digest/summary coherence: each cached entry must equal a fresh
+        // hash, or some mutation failed to drop it.
+        for (attr, _spec) in self.schema.iter() {
+            if let Some(cached) = self.digest.cached_attr(attr) {
+                assert!(
+                    cached == self.attr_hash(attr),
+                    "cached digest of attribute {} out of sync with its rows",
+                    attr.0
+                );
+            }
+        }
+        if let Some(cached) = self.digest.cached_ids() {
+            assert!(
+                cached == self.id_hash(),
+                "cached id-set digest out of sync with the intern table"
             );
         }
         for (idx, s) in self.arith.iter().enumerate() {

@@ -8,7 +8,7 @@ use rand::Rng;
 
 use subsum_core::{
     ArithWidth, BrokerSummary, MatchScratch, PatternSummary, ShardScratch, ShardedSummary,
-    SummaryCodec,
+    SummaryCodec, SummaryDigest,
 };
 use subsum_types::{
     stock_schema, BrokerId, Event, IdLayout, LocalSubId, NumOp, Schema, StrOp, Subscription,
@@ -993,6 +993,157 @@ fn free_slots_are_invisible() {
                 }
             }
             assert_reads_as_compacted(&summary, &codec, &events, &live);
+        }
+    });
+}
+
+/// The digest computed from every row, past the summary's cache. The
+/// uncached path exists in debug builds (like `validate`); a release
+/// run merges the summary into an empty one, whose cache starts empty.
+fn fresh_digest(summary: &BrokerSummary) -> SummaryDigest {
+    #[cfg(debug_assertions)]
+    return summary.digest_uncached();
+    #[cfg(not(debug_assertions))]
+    {
+        let mut fresh = BrokerSummary::new(summary.schema().clone());
+        fresh.merge(summary);
+        fresh.digest()
+    }
+}
+
+/// Two to four constraints on one string attribute, perhaps with an
+/// arithmetic one: the insert summarises them among themselves first.
+fn multi_string_subscription(g: &mut StdRng) -> RawSub {
+    let attr = g.gen_range(0u16..2);
+    let mut raw = g.vec(2..5, |g| {
+        RawConstraint::Str(attr, g.one_of(&STR_OPS), str_value(g))
+    });
+    if g.gen() {
+        raw.push(RawConstraint::Num(
+            g.gen_range(2u16..7),
+            g.one_of(&NUM_OPS),
+            num_value(g),
+        ));
+    }
+    raw
+}
+
+/// A summary caches its digest per attribute and drops only the entries
+/// a mutation touched. Random sequences of every mutation — inserts
+/// (multi-constraint string ones among them), removals down to
+/// compaction, σ-merges into spares and ones that respace,
+/// `merge_decoded`, decode, and a clone mutated apart from its original
+/// — leave the digest equal to one computed from every row after each
+/// step (and `validate` cross-checks each cached entry).
+#[test]
+fn cached_digest_equals_a_fresh_digest() {
+    check("cached_digest_equals_a_fresh_digest", 128, |g| {
+        let schema = stock_schema();
+        let layout = IdLayout::new(1 << 8, 1 << 12, schema.len() as u32).unwrap();
+        let codec = SummaryCodec::new(layout, ArithWidth::Eight);
+        let mut next_local = 0u32;
+        let mut batch = |g: &mut StdRng,
+                         n: std::ops::Range<usize>,
+                         brokers: std::ops::Range<u16>| {
+            let mut subs = Vec::new();
+            for _ in 0..g.gen_range(n) {
+                next_local += 1;
+                let raw = if g.gen() {
+                    multi_string_subscription(g)
+                } else {
+                    subscription(g)
+                };
+                if let Some(sub) = build_sub(&schema, &raw) {
+                    let broker = BrokerId(g.gen_range(brokers.clone()));
+                    let id = SubscriptionId::new(broker, LocalSubId(next_local), sub.attr_mask());
+                    subs.push((id, sub));
+                }
+            }
+            subs.sort_by_key(|(id, _)| *id);
+            subs
+        };
+        let summary_of = |subs: &[(SubscriptionId, Subscription)]| {
+            BrokerSummary::rebuild(schema.clone(), subs.iter().map(|(id, sub)| (*id, sub)))
+        };
+        let assert_fresh = |summary: &BrokerSummary, what: &str| {
+            check_invariants(summary);
+            let fresh = fresh_digest(summary);
+            assert_eq!(summary.digest(), fresh, "after {what}");
+            assert_eq!(summary.digest(), fresh, "a second digest after {what}");
+        };
+        let mut live: Vec<(SubscriptionId, Subscription)> = Vec::new();
+        let mut summary = BrokerSummary::new(schema.clone());
+        assert_fresh(&summary, "nothing");
+        for _ in 0..g.gen_range(8..40) {
+            let what = match g.gen_range(0..16) {
+                // Own inserts, out of order now and then.
+                0..=3 => {
+                    let brokers = if g.gen() { 0..1 } else { 0..4 };
+                    for entry in batch(g, 1..4, brokers) {
+                        summary.insert_with_id(entry.0, &entry.1);
+                        live.push(entry);
+                    }
+                    "insert"
+                }
+                // Removals, often enough to compact.
+                4..=6 => {
+                    for _ in 0..g.gen_range(1..=live.len().max(1)) {
+                        if !live.is_empty() {
+                            let (id, _) = live.swap_remove(g.gen_range(0..live.len()));
+                            summary.remove(id);
+                        }
+                    }
+                    "remove"
+                }
+                // A σ-merge: into spares while they last.
+                7 | 8 => {
+                    let delta = batch(g, 1..3, 0..4);
+                    summary.merge(&summary_of(&delta));
+                    live.extend(delta);
+                    "σ-merge"
+                }
+                // One broker's batch outgrows its spares: a respace.
+                9 => {
+                    let broker = g.gen_range(0..4);
+                    let delta = batch(g, 4..12, broker..broker + 1);
+                    summary.merge(&summary_of(&delta));
+                    live.extend(delta);
+                    "respacing merge"
+                }
+                // A delta off the wire, as a daemon's view takes it.
+                10 | 11 => {
+                    let delta = batch(g, 1..4, 0..8);
+                    let bytes = codec.encode(&summary_of(&delta)).unwrap();
+                    codec.merge_decoded(&bytes, &mut summary).unwrap();
+                    live.extend(delta);
+                    "merge_decoded"
+                }
+                // The whole summary off the wire.
+                12 => {
+                    let bytes = codec.encode(&summary).unwrap();
+                    summary = codec.decode(&bytes, &schema).unwrap();
+                    "decode"
+                }
+                // A clone mutated apart: neither side's cache follows
+                // the other's mutation.
+                _ => {
+                    let original = summary.clone();
+                    let before = original.digest();
+                    let delta = batch(g, 1..3, 0..8);
+                    for entry in &delta {
+                        summary.insert_with_id(entry.0, &entry.1);
+                    }
+                    if let Some((id, _)) = live.first() {
+                        summary.remove(*id);
+                        live.swap_remove(0);
+                    }
+                    live.extend(delta);
+                    assert_eq!(original.digest(), before);
+                    assert_fresh(&original, "the clone's mutation");
+                    "clone, then mutate"
+                }
+            };
+            assert_fresh(&summary, what);
         }
     });
 }

@@ -378,10 +378,13 @@ fn bulky_event(k: u64) -> Event {
         .build()
 }
 
+/// The outbound bound of [`start_small`]'s daemon, in frames.
+const SMALL_OUTBOX: usize = 4;
+
 /// A daemon with a four-frame outbound bound.
 fn start_small() -> DaemonHandle {
     let mut config = DaemonConfig::new(BrokerId(0), stock_schema());
-    config.mailbox_capacity = 4;
+    config.mailbox_capacity = SMALL_OUTBOX;
     Subsumd::start(config).unwrap()
 }
 
@@ -462,6 +465,15 @@ fn a_stalled_client_is_evicted_and_others_get_every_delivery() {
     }
     assert!(got < published, "the stalled client read all {got}");
     assert_eq!(d.stats().evicted.get(), 1);
+    // `deliveries` counts what the sink queued: every delivery read,
+    // and those the stalled client's outbox still held when it was
+    // evicted, which it never reads.
+    let read = got + published;
+    let queued = d.stats().deliveries.get();
+    assert!(
+        read <= queued && queued <= read + SMALL_OUTBOX as u64,
+        "{queued} deliveries queued, {read} read"
+    );
     assert_tx_counted_once(&d, 2 + got + 2 * published, [&stalled, &publisher]);
 
     publisher.send(&Msg::Shutdown);
