@@ -46,17 +46,12 @@ use std::sync::Arc;
 
 use subsum_core::{ArithWidth, BrokerSummary, MatchScratch, SummaryCodec, SummaryDigest};
 use subsum_net::NodeId;
-use subsum_telemetry::{names, Count, Counter};
+use subsum_telemetry::{names, Counter};
 use subsum_types::{BrokerId, Event, Subscription, SubscriptionId, TypeError};
 
 use crate::core::BrokerCore;
 use crate::msg::Msg;
 use crate::snapshot::BrokerCheckpoint;
-
-static CNT_RESYNCS: Count = Count::new(names::TRANSPORT_RESYNCS);
-static CNT_ACKED: Count = Count::new(names::PUBLISH_ACKED);
-static CNT_REJECTED: Count = Count::new(names::PUBLISH_REJECTED);
-static CNT_EVICTED: Count = Count::new(names::TRANSPORT_CLIENTS_EVICTED);
 
 /// A host's name for one connection. Never reused while the daemon
 /// lives: a subscription stays owned by the connection that made it.
@@ -87,12 +82,9 @@ pub trait Sink {
     fn close(&mut self, conn: ConnId);
 }
 
-/// Per-daemon protocol counters, readable while the daemon runs.
-///
-/// The process-global telemetry statics aggregate across every daemon
-/// in the process (fine for a real deployment of one daemon per
-/// process, useless for a test hosting several); these are scoped to
-/// one daemon.
+/// Everything one daemon counts, once per fact, readable while it runs:
+/// the protocol counts [`DaemonCore`] keeps and the I/O counts a socket
+/// host fills in. A process hosting several daemons reports each apart.
 #[derive(Debug, Default)]
 pub struct DaemonCounters {
     /// Digest mismatches that triggered a summary pull.
@@ -106,13 +98,55 @@ pub struct DaemonCounters {
     pub summaries_tx: Counter,
     /// Client publishes acknowledged as fully accepted.
     pub acked: Counter,
-    /// Client publishes acknowledged as rejected by backpressure.
+    /// Client publishes acknowledged as rejected: a required `Route`
+    /// was not queued, because the link's outbox was full or no link to
+    /// that neighbour is up.
     pub rejected: Counter,
     /// `Deliver` messages the sink queued for clients. A queued frame
     /// may never be read: an evicted client's outbox is dropped with it.
     pub deliveries: Counter,
     /// Clients disconnected because the sink refused a frame to them.
     pub evicted: Counter,
+    /// What the host wrote to this daemon's sockets.
+    pub tx: TxCounters,
+    /// Frames decoded off this daemon's sockets.
+    pub frames_rx: Counter,
+    /// Bytes read from this daemon's sockets.
+    pub bytes_rx: Counter,
+    /// Peer dials beyond each link's first (epoch re-handshakes).
+    pub reconnects: Counter,
+}
+
+/// Frames and bytes a host wrote to one daemon's sockets.
+#[derive(Debug, Default)]
+pub struct TxCounters {
+    /// Frames written.
+    pub frames_tx: Counter,
+    /// Bytes written, frame headers included.
+    pub bytes_tx: Counter,
+}
+
+impl DaemonCounters {
+    /// Each non-zero count under its telemetry name, as a run report's
+    /// `counters` section holds it. The counts no report names
+    /// (`summaries_rx`, `summaries_tx`, `deliveries`) are left out.
+    pub fn listing(&self) -> Vec<(&'static str, u64)> {
+        [
+            (names::TRANSPORT_RESYNCS, &self.resyncs),
+            (names::PUBLISH_ACKED, &self.acked),
+            (names::PUBLISH_REJECTED, &self.rejected),
+            (names::TRANSPORT_CLIENTS_EVICTED, &self.evicted),
+            (names::TRANSPORT_FRAMES_TX, &self.tx.frames_tx),
+            (names::TRANSPORT_BYTES_TX, &self.tx.bytes_tx),
+            (names::TRANSPORT_FRAMES_RX, &self.frames_rx),
+            (names::TRANSPORT_BYTES_RX, &self.bytes_rx),
+            (names::TRANSPORT_RECONNECTS, &self.reconnects),
+        ]
+        .into_iter()
+        .map(|(name, count)| (name, count.get()))
+        .filter(|&(_, n)| n > 0)
+        .collect()
+    }
 }
 
 /// The protocol state machine of one daemon. See the [module docs](self).
@@ -315,7 +349,6 @@ impl DaemonCore {
 
     /// Counts a resync and pulls the full summary on `conn`.
     fn pull(&self, conn: ConnId, sink: &mut impl Sink) {
-        CNT_RESYNCS.inc();
         self.counters.resyncs.inc();
         sink.send(conn, &Msg::Pull { from: self.id() });
     }
@@ -451,10 +484,8 @@ impl DaemonCore {
                     }
                 }
                 if accepted {
-                    CNT_ACKED.inc();
                     self.counters.acked.inc();
                 } else {
-                    CNT_REJECTED.inc();
                     self.counters.rejected.inc();
                 }
                 let ack = Msg::PublishAck {
@@ -540,7 +571,6 @@ fn to_client(
     if !sent && role == Role::Client {
         roles.remove(&conn);
         sink.close(conn);
-        CNT_EVICTED.inc();
         counters.evicted.inc();
     }
     sent
@@ -1017,7 +1047,8 @@ mod tests {
     }
 
     /// The ack and the counters follow what the sink answered, not what
-    /// was offered to it.
+    /// was offered to it. A forward that finds no link up — the view
+    /// outlives it — is refused the same way.
     #[test]
     fn a_refused_forward_turns_the_ack_and_is_not_counted() {
         let mut pair = Pair::start(None);
@@ -1042,6 +1073,19 @@ mod tests {
         assert_eq!(b.counters().rejected.get(), 1);
         assert_eq!(b.counters().acked.get(), 0);
         assert_eq!(sink.closed, [], "a peer link is repaired, not closed");
+
+        b.closed(LINK);
+        assert!(b.view(0).is_some(), "the view outlives its link");
+        let mut sink = Refusing::new(&[]);
+        let event = cheap_event(5.0);
+        b.step(client_b, Msg::Publish { seq: 7, event }, &mut sink);
+        assert_eq!(sink.offered.last(), Some(&(client_b, ack(false, 1))));
+        assert!(sink.offered.iter().all(|(conn, _)| *conn == client_b));
+        assert_eq!(
+            b.counters().listing(),
+            [(names::TRANSPORT_RESYNCS, 1), (names::PUBLISH_REJECTED, 2)],
+            "the handshake's pull and two rejects; a zero count is left out"
+        );
     }
 
     /// A client whose frame the sink refuses cannot keep up, and a lost

@@ -6,7 +6,7 @@
 //! BROCLI pruning, or owner verification — and how many SACS false
 //! positives did tier-2 verification burn?
 //!
-//! Four pieces:
+//! Five pieces:
 //!
 //! * cheap **counters** and **gauges** ([`Counter`], [`Gauge`], and the
 //!   call-site-cached [`Count`]) — plain relaxed atomics;
@@ -19,6 +19,17 @@
 //! * **causal tracing** ([`trace`]): per-message trace ids, hop-scoped
 //!   span records, per-broker ring-buffer flight recorders that keep
 //!   every trace's newest spans, and Chrome `trace_event` export.
+//!
+//! # Process-global and per-daemon counts
+//!
+//! The recorder is process-wide, as `subsum-core` and `SummaryPubSub`
+//! count. A broker daemon counts per daemon, in
+//! `subsum_broker::DaemonCounters`, since one process may host several
+//! (a test, the ledger's pair); `subsumd` merges its `listing()` into
+//! its [`RunReport`]. `transport.decode_errors` and `net.mailbox_full`
+//! stay process-global: `subsum-ledger` reads them through
+//! [`RunReport::capture`] until it reads a daemon's own counters
+//! (ROADMAP item 2).
 //!
 //! # Cost model
 //!

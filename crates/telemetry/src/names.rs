@@ -11,6 +11,10 @@
 //! makes the stringly-typed namespace greppable and typo-proof: a renamed
 //! metric changes in exactly one place.
 //!
+//! A name marked "per daemon" is counted in `subsum-broker`'s
+//! `DaemonCounters`, not by the process-wide recorder, and reaches a
+//! report through `DaemonCounters::listing` (`subsumd`'s dump).
+//!
 //! Names are grouped by the subsystem that records them. Test-only
 //! metrics use a `test.` prefix and are exempt from the registry (they
 //! are scoped to a single test body and never reported).
@@ -77,30 +81,31 @@ pub const CHAOS_DIGEST_BYTES: &str = "chaos.digest_bytes";
 /// Bytes spent on full summary updates during chaos runs.
 pub const CHAOS_FULL_BYTES: &str = "chaos.full_summary_bytes";
 
-/// Frames written to peer or client sockets (`subsum-transport`).
+/// Frames written to sockets (per daemon, `DaemonCounters`).
 pub const TRANSPORT_FRAMES_TX: &str = "transport.frames_tx";
-/// Frames decoded off peer or client sockets.
+/// Frames decoded off sockets (per daemon, `DaemonCounters`).
 pub const TRANSPORT_FRAMES_RX: &str = "transport.frames_rx";
-/// Bytes written to sockets (frame headers included).
+/// Bytes written to sockets, frame headers included (per daemon, `DaemonCounters`).
 pub const TRANSPORT_BYTES_TX: &str = "transport.bytes_tx";
-/// Bytes read from sockets.
+/// Bytes read from sockets (per daemon, `DaemonCounters`).
 pub const TRANSPORT_BYTES_RX: &str = "transport.bytes_rx";
 /// Connections dropped for unframeable or unparseable input.
 pub const TRANSPORT_DECODE_ERRORS: &str = "transport.decode_errors";
-/// Peer dials beyond each link's first (epoch re-handshakes).
+/// Peer dials beyond each link's first (per daemon, `DaemonCounters`).
 pub const TRANSPORT_RECONNECTS: &str = "transport.reconnects";
-/// Handshake digest mismatches that triggered a summary pull.
+/// Digest mismatches that triggered a summary pull (per daemon, `DaemonCounters`).
 pub const TRANSPORT_RESYNCS: &str = "transport.resyncs";
 /// Sends refused because a connection's bounded outbound mailbox was
 /// full.
 pub const NET_MAILBOX_FULL: &str = "net.mailbox_full";
-/// Clients disconnected because a frame to them was refused (a full
-/// outbox): a client that cannot keep up is evicted, never silently
-/// short of a `Deliver`.
+/// Clients evicted because a frame to them was refused (per daemon,
+/// `DaemonCounters`).
 pub const TRANSPORT_CLIENTS_EVICTED: &str = "transport.clients_evicted";
-/// Client publishes acknowledged as fully accepted.
+/// Client publishes acknowledged as fully accepted (per daemon, `DaemonCounters`).
 pub const PUBLISH_ACKED: &str = "publish.acked";
-/// Client publishes acknowledged as rejected by backpressure.
+/// Client publishes acknowledged as rejected: a required `Route` was
+/// not queued, as the link's outbox was full or no link to that
+/// neighbour is up (per daemon, `DaemonCounters`).
 pub const PUBLISH_REJECTED: &str = "publish.rejected";
 
 /// Spans recorded into flight recorders by the causal tracer.

@@ -176,7 +176,10 @@ fn run(argv: &[String]) -> Result<(), String> {
             .map_err(|e| format!("write checkpoint {path}: {e}"))?;
     }
     if let Some(path) = &args.telemetry_path {
-        let report = RunReport::capture(format!("subsumd.broker{}", broker.0));
+        let mut report = RunReport::capture(format!("subsumd.broker{}", broker.0));
+        for (name, n) in fin.counters.listing() {
+            report.counters.insert(name.to_string(), n);
+        }
         std::fs::write(path, report.to_json())
             .map_err(|e| format!("write telemetry {path}: {e}"))?;
     }

@@ -59,44 +59,15 @@ use std::time::Duration;
 use subsum_broker::{
     BrokerCheckpoint, BrokerCore, ConnId, DaemonCore, DaemonCounters, FrameDecoder, Msg, Role, Sink,
 };
-use subsum_telemetry::{names, Count, Counter};
+use subsum_telemetry::{names, Count};
 use subsum_types::{BrokerId, IdLayout, Schema};
 
-use crate::session::{Outbox, TxStats};
+use crate::session::Outbox;
 
-static CNT_FRAMES_RX: Count = Count::new(names::TRANSPORT_FRAMES_RX);
-static CNT_BYTES_RX: Count = Count::new(names::TRANSPORT_BYTES_RX);
 static CNT_DECODE_ERRORS: Count = Count::new(names::TRANSPORT_DECODE_ERRORS);
-static CNT_RECONNECTS: Count = Count::new(names::TRANSPORT_RECONNECTS);
 
 /// How long a dialer sleeps between failed connection attempts.
 const REDIAL_BACKOFF: Duration = Duration::from_millis(50);
-
-/// Per-daemon counters, readable while the daemon runs: the I/O counts
-/// kept here, and — through `Deref`, so `stats().summaries_rx` reads as
-/// a field — the [`DaemonCounters`] the [`DaemonCore`] keeps.
-#[derive(Debug, Default)]
-pub struct DaemonStats {
-    /// Frames/bytes written to this daemon's sockets, by its event loop
-    /// or, for a backlog, its writer threads: each byte counts once, by
-    /// the thread that writes it, and each frame by the thread that
-    /// writes its last byte. Shared with the writers, hence the extra
-    /// `Arc`.
-    pub tx: Arc<TxStats>,
-    /// Frames decoded off this daemon's sockets.
-    pub frames_rx: Counter,
-    /// Peer dials beyond each link's first (epoch re-handshakes).
-    pub reconnects: Counter,
-    protocol: Arc<DaemonCounters>,
-}
-
-impl std::ops::Deref for DaemonStats {
-    type Target = DaemonCounters;
-
-    fn deref(&self) -> &DaemonCounters {
-        &self.protocol
-    }
-}
 
 /// Static configuration of one daemon.
 #[derive(Debug)]
@@ -141,6 +112,9 @@ pub struct DaemonFinal {
     /// Durable broker state: the exact subscription store and id
     /// counter, byte-compatible with the simulator's checkpoints.
     pub checkpoint: BrokerCheckpoint,
+    /// Everything the daemon counted. A writer thread still draining a
+    /// backlog may count on after the event loop stopped.
+    pub counters: Arc<DaemonCounters>,
 }
 
 /// Events feeding the daemon's single-threaded event loop.
@@ -247,10 +221,7 @@ impl Subsumd {
             layout,
             config.checkpoint.take(),
         ));
-        let stats = Arc::new(DaemonStats {
-            protocol: Arc::clone(daemon.counters()),
-            ..DaemonStats::default()
-        });
+        let counters = Arc::clone(daemon.counters());
 
         let accept = spawn_acceptor(listener, ev_tx.clone(), Arc::clone(&stopping));
         for ix in 0..config.dial.len() {
@@ -265,14 +236,12 @@ impl Subsumd {
 
         let loop_stop = Arc::clone(&stopping);
         let loop_tx = ev_tx.clone();
-        let loop_stats = Arc::clone(&stats);
-        let join = std::thread::spawn(move || {
-            event_loop(daemon, config, loop_stats, ev_rx, loop_tx, loop_stop)
-        });
+        let join =
+            std::thread::spawn(move || event_loop(daemon, config, ev_rx, loop_tx, loop_stop));
 
         Ok(DaemonHandle {
             addr,
-            stats,
+            counters,
             join,
             accept: Some(accept),
         })
@@ -285,7 +254,7 @@ impl Subsumd {
 #[derive(Debug)]
 pub struct DaemonHandle {
     addr: SocketAddr,
-    stats: Arc<DaemonStats>,
+    counters: Arc<DaemonCounters>,
     join: JoinHandle<DaemonFinal>,
     accept: Option<JoinHandle<()>>,
 }
@@ -296,9 +265,9 @@ impl DaemonHandle {
         self.addr
     }
 
-    /// Live per-daemon counters.
-    pub fn stats(&self) -> &DaemonStats {
-        &self.stats
+    /// Live counters of this daemon alone.
+    pub fn stats(&self) -> &DaemonCounters {
+        &self.counters
     }
 
     /// Waits for the daemon to stop (a client must send `Shutdown`),
@@ -377,7 +346,7 @@ fn spawn_reader(
     conn: ConnId,
     mut stream: TcpStream,
     ev_tx: Sender<Ev>,
-    stats: Arc<DaemonStats>,
+    counters: Arc<DaemonCounters>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
         let mut decoder = FrameDecoder::new();
@@ -387,14 +356,13 @@ fn spawn_reader(
                 Ok(0) | Err(_) => break,
                 Ok(n) => n,
             };
-            CNT_BYTES_RX.add(n as u64);
+            counters.bytes_rx.add(n as u64);
             // BOUND: `read` returns at most `buf.len()`.
             decoder.feed(&buf[..n]);
             loop {
                 match decoder.next_frame() {
                     Ok(Some(frame)) => {
-                        CNT_FRAMES_RX.inc();
-                        stats.frames_rx.inc();
+                        counters.frames_rx.inc();
                         match Msg::decode_frame(&frame) {
                             Ok(msg) => {
                                 if ev_tx.send(Ev::Msg { conn, msg }).is_err() {
@@ -432,11 +400,11 @@ fn open(
     stream: TcpStream,
     config: &DaemonConfig,
     ev_tx: &Sender<Ev>,
-    stats: &Arc<DaemonStats>,
+    counters: &Arc<DaemonCounters>,
 ) -> Option<Outbox> {
     let read_half = stream.try_clone().ok()?;
-    let out = Outbox::open(stream, config.mailbox_capacity, Arc::clone(&stats.tx)).ok()?;
-    spawn_reader(conn, read_half, ev_tx.clone(), Arc::clone(stats));
+    let out = Outbox::open(stream, config.mailbox_capacity, Arc::clone(counters)).ok()?;
+    spawn_reader(conn, read_half, ev_tx.clone(), Arc::clone(counters));
     Some(out)
 }
 
@@ -446,7 +414,6 @@ fn open(
 fn event_loop(
     mut daemon: DaemonCore,
     config: DaemonConfig,
-    stats: Arc<DaemonStats>,
     ev_rx: Receiver<Ev>,
     ev_tx: Sender<Ev>,
     stopping: Arc<Mutex<bool>>,
@@ -464,7 +431,7 @@ fn event_loop(
     while let Ok(ev) = ev_rx.recv() {
         match ev {
             Ev::Accepted { conn, stream } => {
-                if let Some(out) = open(conn, stream, &config, &ev_tx, &stats) {
+                if let Some(out) = open(conn, stream, &config, &ev_tx, daemon.counters()) {
                     conns.live.insert(conn, out);
                     daemon.connected(conn, Role::Unknown);
                 }
@@ -474,13 +441,12 @@ fn event_loop(
                     continue;
                 };
                 let conn = next_dialed_conn;
-                let Some(out) = open(conn, stream, &config, &ev_tx, &stats) else {
+                let Some(out) = open(conn, stream, &config, &ev_tx, daemon.counters()) else {
                     continue;
                 };
                 next_dialed_conn += 1;
                 if epoch > 1 {
-                    CNT_RECONNECTS.inc();
-                    stats.reconnects.inc();
+                    daemon.counters().reconnects.inc();
                 }
                 // BOUND: `ix < config.dial.len()` (checked above) and
                 // both vectors were sized to `config.dial.len()`.
@@ -526,6 +492,7 @@ fn event_loop(
 
     DaemonFinal {
         checkpoint: daemon.broker().checkpoint(),
+        counters: Arc::clone(daemon.counters()),
     }
 }
 
@@ -540,7 +507,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let handle = DaemonHandle {
             addr: listener.local_addr().unwrap(),
-            stats: Arc::default(),
+            counters: Arc::default(),
             join: std::thread::spawn(|| panic!("event loop bug")),
             accept: None,
         };

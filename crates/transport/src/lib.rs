@@ -43,6 +43,6 @@ pub mod daemon;
 pub mod session;
 
 pub use client::{Client, ClientError, PublishResult};
-pub use daemon::{DaemonConfig, DaemonFinal, DaemonHandle, DaemonStats, Subsumd};
-pub use session::{BackpressurePolicy, Mailbox, SendOutcome, TxStats};
+pub use daemon::{DaemonConfig, DaemonFinal, DaemonHandle, Subsumd};
+pub use session::{BackpressurePolicy, Mailbox, SendOutcome};
 pub use subsum_broker::{frame, msg, Frame, FrameDecoder, FrameError, Msg, MsgError};

@@ -23,6 +23,8 @@
 //! frames already written; a peer link repairs (a refused forward acks
 //! `accepted: false`, a refused summary push leaves a stale view that
 //! the next delta's base digest, or the link's next handshake, pulls).
+//! What leaves counts in the daemon's own `DaemonCounters::tx`, shared
+//! by its outboxes and writers; `net.mailbox_full` is process-global.
 
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpStream};
@@ -30,10 +32,9 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use subsum_telemetry::{names, Count, Counter};
+use subsum_broker::DaemonCounters;
+use subsum_telemetry::{names, Count};
 
-static CNT_FRAMES_TX: Count = Count::new(names::TRANSPORT_FRAMES_TX);
-static CNT_BYTES_TX: Count = Count::new(names::TRANSPORT_BYTES_TX);
 static CNT_MAILBOX_FULL: Count = Count::new(names::NET_MAILBOX_FULL);
 
 /// How long one `write` on a daemon socket may wait for buffer space.
@@ -92,26 +93,6 @@ impl Mailbox {
     }
 }
 
-/// Per-daemon transmit counters, mirrored locally so tests can assert
-/// on one daemon's traffic (the global [`Count`] statics aggregate
-/// across every daemon in the process).
-#[derive(Debug, Default)]
-pub struct TxStats {
-    /// Frames written to this daemon's sockets.
-    pub frames_tx: Counter,
-    /// Bytes written to this daemon's sockets.
-    pub bytes_tx: Counter,
-}
-
-impl TxStats {
-    fn record(&self, frames: u64, bytes: u64) {
-        CNT_FRAMES_TX.add(frames);
-        CNT_BYTES_TX.add(bytes);
-        self.frames_tx.add(frames);
-        self.bytes_tx.add(bytes);
-    }
-}
-
 /// The outbound side of one connection, owned by the event loop; see
 /// the [module docs](self).
 pub(crate) struct Outbox {
@@ -131,7 +112,8 @@ pub(crate) struct Outbox {
     /// each one ends.
     pending: Vec<u8>,
     ends: Vec<usize>,
-    stats: Arc<TxStats>,
+    /// The daemon's counters, shared with the writer: `tx` counts here.
+    counters: Arc<DaemonCounters>,
     /// The socket failed or the writer is gone: nothing more is sent.
     dead: bool,
 }
@@ -141,7 +123,7 @@ impl Outbox {
     pub(crate) fn open(
         stream: TcpStream,
         capacity: usize,
-        stats: Arc<TxStats>,
+        counters: Arc<DaemonCounters>,
     ) -> std::io::Result<Outbox> {
         stream.set_write_timeout(Some(SEND_TIMEOUT))?;
         let (mailbox, rx) = Mailbox::new(capacity, BackpressurePolicy::Reject);
@@ -149,7 +131,7 @@ impl Outbox {
         spawn_writer(
             stream.try_clone()?,
             rx,
-            Arc::clone(&stats),
+            Arc::clone(&counters),
             Arc::clone(&backlog),
         );
         Ok(Outbox {
@@ -159,7 +141,7 @@ impl Outbox {
             backlog,
             pending: Vec::new(),
             ends: Vec::new(),
-            stats,
+            counters,
             dead: false,
         })
     }
@@ -210,7 +192,8 @@ impl Outbox {
         }
         let ends = std::mem::take(&mut self.ends);
         let done = ends.partition_point(|&end| end <= written);
-        self.stats.record(done as u64, written as u64);
+        self.counters.tx.frames_tx.add(done as u64);
+        self.counters.tx.bytes_tx.add(written as u64);
         let mut start = written;
         // BOUND: `written <= pending.len()`, and `ends` ascend to it.
         for &end in &ends[done..] {
@@ -258,7 +241,7 @@ fn cut_short(e: &std::io::Error) -> bool {
 fn spawn_writer(
     mut stream: TcpStream,
     rx: Receiver<Vec<u8>>,
-    stats: Arc<TxStats>,
+    counters: Arc<DaemonCounters>,
     backlog: Arc<Mutex<usize>>,
 ) {
     std::thread::spawn(move || {
@@ -268,7 +251,7 @@ fn spawn_writer(
                 match stream.write(rest) {
                     // BOUND: `write` returns at most `rest.len()`.
                     Ok(n) if n > 0 => {
-                        stats.record(0, n as u64);
+                        counters.tx.bytes_tx.add(n as u64);
                         rest = &rest[n..];
                     }
                     Err(e) if cut_short(&e) => {}
@@ -277,7 +260,7 @@ fn spawn_writer(
                     _ => return,
                 }
             }
-            stats.record(1, 0);
+            counters.tx.frames_tx.inc();
             *backlog.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
         }
     });

@@ -174,6 +174,53 @@ fn restarted_peer_reconverges_via_digest_pull_not_resend() {
     b2.join();
 }
 
+/// Two daemons in one process count apart: each one's counters hold its
+/// own connections' frames and its own clients' acks, not the process's
+/// sum. B publishes and acks; A only receives the forwards.
+#[test]
+fn each_daemon_counts_only_itself() {
+    const PUBLISHES: u64 = 3;
+    let (a, b) = start_pair();
+    let mut client_a = Client::connect(a.addr()).unwrap();
+    client_a.subscribe(&cheap_sub()).unwrap();
+    wait_for("A's delta at B", || b.stats().summaries_rx.get() == 2);
+    let mut client_b = Client::connect(b.addr()).unwrap();
+    for _ in 0..PUBLISHES {
+        assert!(client_b.publish(&cheap_event(5.0)).unwrap().accepted);
+        let delivered = client_a.poll_delivery(Duration::from_secs(10)).unwrap();
+        assert!(delivered.is_some(), "the forward reached A's client");
+    }
+
+    // The link carried Hello (B to A), HelloAck (A to B), a pull and a
+    // summary each way, A's one delta and B's forwards. A's client sent
+    // its Subscribe and read the ack and the deliveries; B's client sent
+    // the publishes and read their acks.
+    let a_to_b = 3 + 1;
+    let b_to_a = 3 + PUBLISHES;
+    let frames = |d: &DaemonHandle| (d.stats().frames_rx.get(), d.stats().tx.frames_tx.get());
+    let a_want = (b_to_a + 1, a_to_b + 1 + PUBLISHES);
+    let b_want = (a_to_b + PUBLISHES, b_to_a + PUBLISHES);
+    // Readers and writers count after the bytes moved.
+    let deadline = Instant::now() + PATIENCE;
+    while (frames(&a), frames(&b)) != (a_want, b_want) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!((frames(&a), frames(&b)), (a_want, b_want));
+    let acked = |d: &DaemonHandle| {
+        let listing = d.stats().listing();
+        listing
+            .into_iter()
+            .find(|(name, _)| *name == "publish.acked")
+    };
+    assert_eq!(acked(&a), None, "A acked no publish");
+    assert_eq!(acked(&b), Some(("publish.acked", PUBLISHES)));
+
+    client_a.shutdown().unwrap();
+    client_b.shutdown().unwrap();
+    a.join();
+    b.join();
+}
+
 /// Bytes daemon `d` has written, once its writers have gone quiet.
 fn settled_bytes_tx(d: &DaemonHandle) -> u64 {
     let mut last = d.stats().tx.bytes_tx.get();
@@ -483,7 +530,8 @@ fn a_stalled_client_is_evicted_and_others_get_every_delivery() {
 /// The same loopback flow through the real `subsumd` binary: two
 /// processes, ephemeral ports, clean shutdown, telemetry dumps and
 /// broker 0's checkpoint on disk. CI's `transport-smoke` job greps the
-/// dumps for nonzero `transport.frames_rx` and `publish.acked`.
+/// dumps for nonzero `transport.frames_rx`, `transport.frames_tx`,
+/// `transport.resyncs` and `publish.acked`.
 #[test]
 fn subsumd_binary_two_process_loopback() {
     use std::io::BufRead;
@@ -580,8 +628,15 @@ fn subsumd_binary_two_process_loopback() {
     }
     let report_a = std::fs::read_to_string(&dump_a).unwrap();
     let report_b = std::fs::read_to_string(&dump_b).unwrap();
-    assert!(counter_value(&report_a, "transport.frames_rx") > 0);
-    assert!(counter_value(&report_b, "transport.frames_rx") > 0);
+    for report in [&report_a, &report_b] {
+        for name in [
+            "transport.frames_rx",
+            "transport.frames_tx",
+            "transport.resyncs",
+        ] {
+            assert!(counter_value(report, name) > 0, "{name} in {report}");
+        }
+    }
     assert!(counter_value(&report_b, "publish.acked") > 0);
 
     // The checkpoint was replaced whole: it decodes to the one

@@ -122,6 +122,72 @@ fn deliveries_equal_oracle_on_paper_workload() {
     }
 }
 
+/// The §6 subsumption filter keeps a covered subscription out of every
+/// summary, so only its coverer is a summary candidate, and owner
+/// verification must expand the coverer into each shadow an event
+/// matches. Each broker shadows the conjunctions of pairs of its own
+/// paper-workload subscriptions; witnesses of those shadows, alone and
+/// two brokers' at once, are delivered exactly from everywhere.
+#[test]
+fn shadowed_subscriptions_are_delivered_through_their_coverers() {
+    /// Deliveries of shadowed subscriptions per publisher, summed over
+    /// the witnesses, below which the test shows too little.
+    const MIN_SHADOW_DELIVERIES: usize = 30;
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut workload = Workload::new(PaperParams::default(), 0.9);
+    let topology = Topology::cable_wireless_24();
+    let n = topology.len() as u16;
+    let mut sys = SummaryPubSub::new(topology, workload.schema().clone(), 1000).unwrap();
+    sys.set_subsumption_filter(true);
+    let mut conjunctions = Vec::new();
+    for b in 0..n {
+        let subs = workload.subscriptions(8, &mut rng);
+        for sub in &subs {
+            sys.subscribe(b, sub).unwrap();
+        }
+        for pair in subs.windows(2) {
+            let both = pair[0].constraints().iter().chain(pair[1].constraints());
+            let both = Subscription::from_constraints(both.cloned().collect()).unwrap();
+            if witness_event(sys.schema(), &both).is_some() {
+                conjunctions.push((sys.subscribe(b, &both).unwrap(), both));
+            }
+        }
+    }
+    sys.propagate().unwrap();
+    let shadowed: std::collections::BTreeSet<SubscriptionId> = (0..n)
+        .flat_map(|b| {
+            let broker = sys.broker(b);
+            broker
+                .exact()
+                .keys()
+                .flat_map(|&c| broker.shadowed_under(c))
+        })
+        .copied()
+        .collect();
+    for (id, _) in &conjunctions {
+        assert!(shadowed.contains(id), "{id:?} is covered but not shadowed");
+    }
+
+    let singles: Vec<_> = conjunctions.iter().map(|(_, s)| s).collect();
+    let events = witnesses(&sys, &singles, &conjunctions, 8);
+    let shared = assert_delivered(&sys, &events, 0..n, "shadows");
+    assert!(shared > 0, "no witness reaches two owners");
+    // Every publisher delivered what the oracle names.
+    let shadow_deliveries: usize = events
+        .iter()
+        .map(|e| {
+            sys.oracle_matches(e)
+                .iter()
+                .filter(|id| shadowed.contains(id))
+                .count()
+        })
+        .sum();
+    assert!(
+        shadow_deliveries >= MIN_SHADOW_DELIVERIES,
+        "{shadow_deliveries} shadow deliveries per publisher"
+    );
+}
+
 /// Deliveries equal the oracle on a realistic stock workload.
 #[test]
 fn deliveries_equal_oracle_on_stock_feed() {
