@@ -986,6 +986,77 @@ mod tests {
         );
     }
 
+    /// Fifty subscribes at B, each followed by a publish at A that must
+    /// deliver exactly the subscriptions it matches. B starts from a
+    /// 4 000-subscription checkpoint, so A's view of B is large; each
+    /// subscribe ships a delta that A merges into it, and after the
+    /// first publish A's matches compile only those deltas beside the
+    /// view's kept plan, never the whole view.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_view_takes_fifty_deltas_without_a_full_compile() {
+        let schema = stock_schema();
+        let resident = (0..4000u32)
+            .map(|k| {
+                let sub = Subscription::builder(&schema)
+                    .num("volume", NumOp::Eq, -f64::from(k) - 1.0)
+                    .unwrap()
+                    .build()
+                    .unwrap();
+                let id = SubscriptionId::new(BrokerId(1), LocalSubId(k), sub.attr_mask());
+                (id, sub)
+            })
+            .collect();
+        let mut pair = Pair::start(Some(BrokerCheckpoint {
+            next_local: 4000,
+            subs: resident,
+        }));
+        let client_a = pair.accept(0, 10);
+        let client_b = pair.accept(1, 11);
+        let mut subs = Vec::new();
+        let mut full_compiles = None;
+        for k in 0..50u32 {
+            let mut b = Subscription::builder(&schema)
+                .num("price", NumOp::Ge, f64::from(k))
+                .unwrap();
+            if k % 2 == 1 {
+                b = b
+                    .str_op("symbol", StrOp::Prefix, &format!("S{}", k % 5))
+                    .unwrap();
+            }
+            let sub = b.build().unwrap();
+            subs.push((pair.subscribe(1, client_b, sub.clone()), sub));
+            let event = Event::builder(&schema)
+                .num("price", f64::from(k) + 0.5)
+                .unwrap()
+                .str("symbol", format!("S{}X", k % 5))
+                .unwrap()
+                .build();
+            let mut delivered: Vec<SubscriptionId> = pair
+                .publish(0, client_a, &event)
+                .into_iter()
+                .filter_map(|out| match out {
+                    (1, conn, Msg::Deliver { id, .. }) if conn == client_b => Some(id),
+                    _ => None,
+                })
+                .collect();
+            delivered.sort_unstable();
+            let matches: Vec<SubscriptionId> = (subs.iter())
+                .filter(|(_, sub)| sub.matches(&event))
+                .map(|(id, _)| *id)
+                .collect();
+            assert_eq!(delivered, matches, "publish {k}");
+            let view = pair.daemons[0].view(1).unwrap();
+            let full = view.plan_compiles().full;
+            assert_eq!(*full_compiles.get_or_insert(full), full, "publish {k}");
+        }
+        assert_eq!(
+            pair.counters(0).resyncs.get(),
+            1,
+            "the handshake's pull only"
+        );
+    }
+
     /// A `Route` is a neighbour's word that its view of this broker
     /// matched: on an unclassified or a client connection it would be a
     /// publish that skips the ack and every counter.

@@ -4,7 +4,7 @@
 //! Building on the summary structures of `subsum-core`, this crate holds
 //! the paper's broker and its distributed algorithms, each written once:
 //!
-//! * [`core`](crate::core) — [`BrokerCore`], one broker without I/O: exact
+//! * [`core`] — [`BrokerCore`], one broker without I/O: exact
 //!   store, own summary, and every decision a broker takes alone
 //!   (admission, checkpoint/restore, tier-2 verification), the same
 //!   under every host;

@@ -80,6 +80,8 @@ pub use digest::SummaryDigest;
 #[cfg(any(test, debug_assertions))]
 pub use idlist::validate_idlist;
 pub use idlist::{DenseId, IdList, SubIdList};
+#[cfg(any(test, debug_assertions))]
+pub use plan::PlanCompiles;
 pub use sacs::{PatternRow, PatternSummary};
 pub use shard::{ShardScratch, ShardedSummary};
 pub use stats::{SizeParams, SummaryStats};

@@ -13,11 +13,10 @@
 //!   `hi_keys`, the order-preserving IEEE-754 transform of [`num_key`]
 //!   with open/closed bounds folded in), the AACS_E values as one sorted
 //!   key array, and per row a range of posting runs;
-//! * per string attribute, a [`StringBank`]: a run range per wildcard
-//!   row. The pattern tests and the literal rows stay on the
-//!   [`PatternSummary`]: a literal is one hash probe there,
-//!   and copying every literal into the plan cost more than the rest of
-//!   a compile;
+//! * per string attribute, a [`StringBank`]: each wildcard row's pattern
+//!   and run range. The literal rows stay on the [`PatternSummary`]: a
+//!   literal is one hash probe there, and copying every literal into the
+//!   plan cost more than the rest of a compile;
 //! * one set of [`Runs`]: every compiled row's postings in one flat
 //!   dense-`u32` arena, each row grouped into runs of one `c3` mask.
 //!
@@ -46,26 +45,46 @@
 //! # Plans are derived state
 //!
 //! A plan is a pure function of the summary rows and the intern table:
-//! it never travels on the wire, never contributes to digests, and is
-//! rebuilt whenever the rows change.
-//! [`BrokerSummary`](crate::BrokerSummary) drops its cached plan on every
-//! mutation and recompiles lazily on the next match; clones share the
-//! compiled plan until either side mutates.
+//! it never travels on the wire and never contributes to digests.
+//! [`BrokerSummary`](crate::BrokerSummary) compiles a *base* plan
+//! lazily on the first match and keeps it across σ-sized mutations: the
+//! ids placed since go into a [`SideLog`] at O(postings) per mutation,
+//! which the next match compiles into a small *side* plan over the same
+//! dense ids, and one kernel pass counts both. This is sound because
+//!
+//! * a new id takes a slot the base posted nothing for;
+//! * a removed id's slot has `required = 0`, and the kernel fires only
+//!   at `count == required ≥ 1`, so its stale base postings never match;
+//! * each live id's postings sit in exactly one of the two plans, as
+//!   the live rows placed them, so the counts add up.
+//!
+//! Whatever breaks one of these drops both plans, and the next match
+//! compiles in full: respacing or compaction (they renumber dense ids),
+//! a decode, a SACS substitution (resident ids widen), a new id in a
+//! slot the base posted, new postings for an id already live, or side
+//! ids plus removals since the base past 1/64 of the live ids. Clones share the compiled plans and copy the side log.
 
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use subsum_telemetry::Count;
-use subsum_types::{AttrMask, Event, LowerBound, Num, SubscriptionId, UpperBound};
+use subsum_types::{
+    AttrMask, Event, Interval, LowerBound, Num, Pattern, SubscriptionId, UpperBound,
+};
 
 use crate::aacs::RangeSummary;
-use crate::idlist::DenseId;
-use crate::sacs::PatternSummary;
+use crate::idlist::{DenseId, IdList};
+use crate::sacs::{PatternSummary, Placement};
 use crate::summary::{InternTable, MatchStats};
 
-/// Plan compilations.
+/// Full plan compilations.
 static CNT_PLAN_REBUILDS: Count = Count::new(subsum_telemetry::names::MATCH_PLAN_REBUILDS);
+/// Side plan compilations.
+static CNT_PLAN_SIDE_COMPILES: Count =
+    Count::new(subsum_telemetry::names::MATCH_PLAN_SIDE_COMPILES);
+/// Postings laid out by full and side compilations.
+static CNT_PLAN_POSTINGS: Count = Count::new(subsum_telemetry::names::MATCH_PLAN_POSTINGS_COMPILED);
 /// Plan rows whose posting slices fed the counter kernel (satisfied
 /// range/point/literal rows plus matched wildcard rows), across events.
 static CNT_PLAN_PROBE_ROWS: Count = Count::new(subsum_telemetry::names::MATCH_PLAN_PROBE_ROWS);
@@ -151,8 +170,11 @@ fn rank_le(keys: &[u64], key: u64) -> usize {
 /// one.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ProbeState {
-    /// Matched wildcard-row positions of the string attribute in flight.
+    /// Matched wildcard-row positions of the string attribute in flight,
+    /// in the base plan.
     rows: Vec<u32>,
+    /// Likewise in the side plan.
+    side_rows: Vec<u32>,
     /// Packed `(epoch << 16) | count` word per dense id.
     state: Vec<u64>,
     /// Attribute-token stamps deduplicating postings within one string
@@ -215,9 +237,33 @@ struct Runs {
 }
 
 impl Runs {
+    /// Empty runs, ready for rows.
+    fn new() -> Runs {
+        Runs {
+            offsets: vec![0],
+            ..Runs::default()
+        }
+    }
+
     /// The number of runs so far — the end of the row just appended.
     fn len(&self) -> u32 {
         self.masks.len() as u32
+    }
+
+    /// Appends one row given as `(mask, dense id)` postings sorted by
+    /// mask: one run per mask, in the order given.
+    fn push_sorted(&mut self, postings: impl Iterator<Item = (u64, DenseId)>) {
+        let row = self.masks.len();
+        for (mask, d) in postings {
+            if self.masks.len() == row || self.masks.last() != Some(&mask) {
+                self.masks.push(mask);
+                self.offsets.push(self.arena.len() as u32);
+            }
+            self.arena.push(d);
+            if let Some(end) = self.offsets.last_mut() {
+                *end = self.arena.len() as u32;
+            }
+        }
     }
 
     /// The posting slices of the runs `runs` whose mask fits inside
@@ -239,14 +285,14 @@ impl Runs {
     }
 
     /// Every posting of the rows `runs`, in arena order.
-    #[cfg(test)]
+    #[cfg(any(test, debug_assertions))]
     fn postings(&self, runs: Range<usize>) -> &[DenseId] {
         &self.arena[self.offsets[runs.start] as usize..self.offsets[runs.end] as usize]
     }
 }
 
-/// Lays rows out as mask runs while one plan compiles: the per-compile
-/// mask-group index plus the counting sort's working arrays.
+/// Lays rows out as mask runs while one full plan compiles: the
+/// per-compile mask-group index plus the counting sort's working arrays.
 struct RunWriter {
     /// Mask group of each dense id.
     group: Vec<u32>,
@@ -364,17 +410,119 @@ impl ArithBank {
         }
         Some(bank)
     }
+
+    /// Compiles side postings, `(lo, hi, mask, dense id)` with inclusive
+    /// keys, into the two kinds of rows: a posting with `lo == hi` into
+    /// the equality row at its key, the others into disjoint sub-range
+    /// rows. The key line is cut at every sub-range posting's bounds, and
+    /// each piece holds the ids covering it; neighbouring pieces holding
+    /// the same ids join. That is the AACS partition of the side's own
+    /// ids, so a σ-merge compiles at most the delta's own postings.
+    fn build_side(postings: &[(u64, u64, u64, DenseId)], runs: &mut Runs) -> ArithBank {
+        let (points, ranges): (Vec<_>, Vec<_>) = postings.iter().partition(|e| e.0 == e.1);
+        let mut cuts: Vec<u64> = ranges
+            .iter()
+            .flat_map(|&&(lo, hi, _, _)| [Some(lo), hi.checked_add(1)])
+            .flatten()
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let piece = |key: u64| cuts.partition_point(|&c| c < key);
+        let mut cells: Vec<(usize, u64, DenseId)> = Vec::new();
+        for &&(lo, hi, mask, d) in &ranges {
+            let end = hi.checked_add(1).map_or(cuts.len(), piece);
+            cells.extend((piece(lo)..end).map(|p| (p, mask, d)));
+        }
+        cells.sort_unstable();
+        cells.dedup();
+        let mut bank = ArithBank::default();
+        bank.range_runs.push(runs.len());
+        let same = |a: &[(usize, u64, DenseId)], b: &[(usize, u64, DenseId)]| {
+            a.iter()
+                .map(|c| (c.1, c.2))
+                .eq(b.iter().map(|c| (c.1, c.2)))
+        };
+        let mut last: Option<&[(usize, u64, DenseId)]> = None;
+        for row in cells.chunk_by(|a, b| a.0 == b.0) {
+            let p = row[0].0;
+            let hi = cuts.get(p + 1).map_or(u64::MAX, |&c| c - 1);
+            match (last, bank.hi_keys.last_mut()) {
+                (Some(prev), Some(prev_hi)) if prev[0].0 + 1 == p && same(prev, row) => {
+                    *prev_hi = hi;
+                }
+                _ => {
+                    bank.lo_keys.push(cuts[p]);
+                    bank.hi_keys.push(hi);
+                    runs.push_sorted(row.iter().map(|&(_, mask, d)| (mask, d)));
+                    bank.range_runs.push(runs.len());
+                }
+            }
+            last = Some(row);
+        }
+        let mut points: Vec<(u64, u64, DenseId)> = points
+            .iter()
+            .map(|&&(key, _, mask, d)| (key, mask, d))
+            .collect();
+        points.sort_unstable();
+        points.dedup();
+        bank.point_runs.push(runs.len());
+        for row in points.chunk_by(|a, b| a.0 == b.0) {
+            bank.point_keys.push(row[0].0);
+            runs.push_sorted(row.iter().map(|&(_, mask, d)| (mask, d)));
+            bank.point_runs.push(runs.len());
+        }
+        bank
+    }
+
+    /// The run ranges of the sub-range row and the equality row holding
+    /// `key` (empty where there is none).
+    #[inline]
+    fn hits(&self, key: u64) -> [Range<usize>; 2] {
+        let mut range_row = 0..0;
+        let r = rank_le(&self.lo_keys, key);
+        if r > 0 && key <= self.hi_keys[r - 1] {
+            range_row = self.range_runs[r - 1] as usize..self.range_runs[r] as usize;
+        }
+        let mut point_row = 0..0;
+        let r = rank_le(&self.point_keys, key);
+        if r > 0 && self.point_keys[r - 1] == key {
+            point_row = self.point_runs[r - 1] as usize..self.point_runs[r] as usize;
+        }
+        [range_row, point_row]
+    }
+
+    /// Every row as `(lo, hi, run range)`, equality rows as `lo == hi`.
+    #[cfg(any(test, debug_assertions))]
+    fn rows(&self) -> impl Iterator<Item = (u64, u64, Range<usize>)> + '_ {
+        let ranges = (0..self.lo_keys.len()).map(|i| {
+            let runs = self.range_runs[i] as usize..self.range_runs[i + 1] as usize;
+            (self.lo_keys[i], self.hi_keys[i], runs)
+        });
+        let points = (0..self.point_keys.len()).map(|i| {
+            let runs = self.point_runs[i] as usize..self.point_runs[i + 1] as usize;
+            (self.point_keys[i], self.point_keys[i], runs)
+        });
+        ranges.chain(points)
+    }
 }
 
-/// The compiled string bank of one attribute: a run range per wildcard
-/// row, parallel to the source [`PatternSummary`]'s row vector, whose
-/// patterns the probe tests and whose literal map it reads directly.
+/// The compiled string bank of one attribute: per wildcard row, its
+/// pattern and its run range. The bank keeps its own patterns: the live
+/// rows shift when a removal empties one.
 #[derive(Debug, Clone, PartialEq, Default)]
 struct StringBank {
+    /// Each wildcard row's pattern, in row order.
+    patterns: Vec<Pattern>,
     /// Run bounds of the wildcard rows, length `rows + 1`: row `i` is
     /// runs `wild_runs[i]..wild_runs[i + 1]`.
     wild_runs: Vec<u32>,
+    /// A side bank's, per row: the base bank's row of the same pattern,
+    /// whose test the probe reuses, or `NO_ROW`. Empty in a base bank.
+    base_rows: Vec<u32>,
 }
+
+/// A side row whose pattern no base row has.
+const NO_ROW: u32 = u32::MAX;
 
 impl StringBank {
     /// Compiles `src`'s wildcard postings.
@@ -385,6 +533,7 @@ impl StringBank {
         let mut bank = StringBank::default();
         bank.wild_runs.push(runs.len());
         for row in src.wildcards() {
+            bank.patterns.push(row.pattern.clone());
             writer.push_row(runs, &row.ids);
             bank.wild_runs.push(runs.len());
         }
@@ -398,9 +547,21 @@ impl StringBank {
     }
 }
 
-/// A compiled, frozen probe structure over one summary: per-attribute
-/// SoA banks over one set of mask runs. Derived state — wire format and
-/// digests never see it.
+/// What a probe reads of the live summary besides its plans: the rows
+/// (the cost model, and the literal maps), and the intern table's ids
+/// and thresholds.
+#[derive(Clone, Copy)]
+pub(crate) struct Live<'a> {
+    pub(crate) arith: &'a [Option<RangeSummary>],
+    pub(crate) strings: &'a [Option<PatternSummary>],
+    pub(crate) ids: &'a [SubscriptionId],
+    pub(crate) required: &'a [u32],
+}
+
+/// A compiled, frozen probe structure over one summary, or over the
+/// postings placed since one compiled: per-attribute SoA banks over one
+/// set of mask runs. Derived state — wire format and digests never see
+/// it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct MatchPlan {
     /// Indexed by attribute id; `None` for string attributes and for
@@ -411,6 +572,9 @@ pub(crate) struct MatchPlan {
     strings: Vec<Option<StringBank>>,
     /// Every bank's postings, as runs of one mask.
     runs: Runs,
+    /// A full compile's bitmap of the slots live when it ran — those it
+    /// holds postings for. Empty for a side plan.
+    posted: Vec<u64>,
 }
 
 impl MatchPlan {
@@ -423,8 +587,10 @@ impl MatchPlan {
     ) -> MatchPlan {
         CNT_PLAN_REBUILDS.inc();
         let mut writer = RunWriter::new(table);
-        let mut plan = MatchPlan::default();
-        plan.runs.offsets.push(0);
+        let mut plan = MatchPlan {
+            runs: Runs::new(),
+            ..MatchPlan::default()
+        };
         for slot in arith {
             let bank = slot
                 .as_ref()
@@ -437,44 +603,123 @@ impl MatchPlan {
                 .and_then(|s| StringBank::build(s, &mut writer, &mut plan.runs));
             plan.strings.push(bank);
         }
+        plan.posted = vec![0; table.ids_slice().len().div_ceil(64)];
+        for (d, slot) in table.slots().enumerate() {
+            if slot.is_some() {
+                plan.posted[d / 64] |= 1 << (d % 64);
+            }
+        }
+        CNT_PLAN_POSTINGS.add(plan.runs.arena.len() as u64);
         plan
     }
 
-    /// Probes the plan with one event, streaming the admitted posting
-    /// runs through the packed epoch-counter kernel: per posting one
-    /// random access loads `state[d] = (epoch << 16) | count`, bumps the
-    /// count (or restarts it when the epoch is stale), and marks the
-    /// match bit the moment the count reaches `required[d]` — counts
-    /// are monotone within an event, so the threshold fires exactly
-    /// once per matched id and no candidate list or second pass exists.
-    /// A run or literal posting is admitted when its `c3` mask names no
-    /// attribute the event lacks (see the module docs).
+    /// Compiles the side log over `attrs` attributes, reading each
+    /// posting's mask from `ids`. Costs O(P log P) in the log's `P`
+    /// postings: it builds no table-wide index. A string row whose
+    /// pattern `base` has too is tied to that base row, so a probe tests
+    /// the pattern once.
+    pub(crate) fn compile_side(
+        log: &SideLog,
+        ids: &[SubscriptionId],
+        attrs: usize,
+        base: &MatchPlan,
+    ) -> MatchPlan {
+        CNT_PLAN_SIDE_COMPILES.inc();
+        let mask = |d: DenseId| ids[d as usize].mask.0;
+        let mut plan = MatchPlan {
+            arith: vec![None; attrs],
+            strings: vec![None; attrs],
+            runs: Runs::new(),
+            posted: Vec::new(),
+        };
+        let mut arith: Vec<(usize, u64, u64, u64, DenseId)> = (log.arith.iter())
+            .map(|&(attr, lo, hi, d)| (attr, lo, hi, mask(d), d))
+            .collect();
+        arith.sort_unstable();
+        let mut postings = Vec::new();
+        for group in arith.chunk_by(|a, b| a.0 == b.0) {
+            postings.clear();
+            postings.extend(group.iter().map(|&(_, lo, hi, m, d)| (lo, hi, m, d)));
+            let bank = ArithBank::build_side(&postings, &mut plan.runs);
+            if let Some(slot) = plan.arith.get_mut(group[0].0) {
+                *slot = Some(bank);
+            }
+        }
+        // `(attribute, log row, mask, id)`: one attribute's rows adjacent,
+        // each row's postings grouped by mask.
+        let mut strings: Vec<(usize, usize, u64, DenseId)> = (log.strings.iter().enumerate())
+            .flat_map(|(k, (attr, _, ids))| ids.iter().map(move |&d| (*attr, k, mask(d), d)))
+            .collect();
+        strings.sort_unstable();
+        strings.dedup();
+        for row in strings.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (attr, k) = (row[0].0, row[0].1);
+            let (Some(slot), Some((_, pattern, _))) =
+                (plan.strings.get_mut(attr), log.strings.get(k))
+            else {
+                continue;
+            };
+            let bank = slot.get_or_insert_with(|| StringBank {
+                patterns: Vec::new(),
+                wild_runs: vec![plan.runs.len()],
+                base_rows: Vec::new(),
+            });
+            let base_row = (base.strings.get(attr).and_then(Option::as_ref))
+                .and_then(|b| b.patterns.iter().position(|p| p == pattern));
+            bank.base_rows
+                .push(base_row.map_or(NO_ROW, |pos| pos as u32));
+            plan.runs
+                .push_sorted(row.iter().map(|&(_, _, m, d)| (m, d)));
+            bank.patterns.push(pattern.clone());
+            bank.wild_runs.push(plan.runs.len());
+        }
+        CNT_PLAN_POSTINGS.add(plan.runs.arena.len() as u64);
+        plan
+    }
+
+    /// Whether this full compile holds postings for slot `d`.
+    fn posted(&self, d: usize) -> bool {
+        self.posted
+            .get(d / 64)
+            .is_some_and(|w| w >> (d % 64) & 1 == 1)
+    }
+
+    /// Probes the plan — and `side`, the side plan compiled since it,
+    /// if any — with one event, streaming the admitted posting runs
+    /// through the packed epoch-counter kernel: per posting one random
+    /// access loads `state[d] = (epoch << 16) | count`, bumps the count
+    /// (or restarts it when the epoch is stale), and marks the match bit
+    /// the moment the count reaches `required[d]` — counts are monotone
+    /// within an event, so the threshold fires exactly once per matched
+    /// id and no candidate list or second pass exists. A run or literal
+    /// posting is admitted when its `c3` mask names no attribute the
+    /// event lacks (see the module docs).
     ///
-    /// `strings` must be the summaries this plan was compiled from
-    /// (the probe tests their wildcard rows' patterns in row order;
-    /// their literal maps hold the literal rows), and
-    /// `ids` / `required` the intern-table entries and thresholds of the
-    /// plan's dense ids. Arithmetic banks skip per-attribute dedup
-    /// entirely: the AACS partition is disjoint and `validate()`
+    /// `live` is the summary the plans serve: the probe reads its
+    /// literal maps, charges the cost model of its rows, and reads the
+    /// thresholds of its intern table (0 for a removed id, whose stale
+    /// base postings are counted but never fire). Arithmetic banks skip
+    /// per-attribute dedup entirely: an id's postings sit in one of the
+    /// two plans, each plan's partition is disjoint, and `validate()`
     /// enforces that no id carries both a sub-range row containing a
     /// value and an equality row at it. String postings take the
     /// `seen`-stamped dedup path only when more than one row
     /// contributes.
     ///
-    /// `probe` must be [`ProbeState::prepare`]d to `required.len()`; the
-    /// matched ids are left in its bitmap for
+    /// `probe` must be [`ProbeState::prepare`]d to `live.required.len()`;
+    /// the matched ids are left in its bitmap for
     /// [`ProbeState::drain_matched`].
     pub(crate) fn probe_into(
         &self,
+        side: Option<&MatchPlan>,
         event: &Event,
-        strings: &[Option<PatternSummary>],
-        ids: &[SubscriptionId],
-        required: &[u32],
+        live: Live<'_>,
         probe: &mut ProbeState,
         stats: &mut MatchStats,
     ) {
         let ProbeState {
             rows,
+            side_rows,
             state,
             seen,
             words,
@@ -482,10 +727,10 @@ impl MatchPlan {
             written,
         } = probe;
         let event_mask = event.iter().map(|(attr, _)| attr).collect::<AttrMask>().0;
-        let admits = |d: DenseId| ids[d as usize].mask.0 & !event_mask == 0;
+        let admits = |d: DenseId| live.ids[d as usize].mask.0 & !event_mask == 0;
         let mut kernel = Kernel {
             epoch: *token + 1,
-            required,
+            required: live.required,
             state,
             seen,
             words,
@@ -499,93 +744,105 @@ impl MatchPlan {
         for (attr, value) in event.iter() {
             attr_token += 1;
             let idx = attr.index();
-            if let Some(bank) = self.arith.get(idx).and_then(Option::as_ref) {
-                let Some(v) = value.as_num() else {
-                    continue;
-                };
-                let key = num_key(v);
-                let mut range_row = 0..0;
-                if !bank.lo_keys.is_empty() {
+            if let Some(v) = value.as_num() {
+                if let Some(src) = live.arith.get(idx).and_then(Option::as_ref) {
                     // Cost model mirrors `RangeSummary::query_into`:
                     // ⌈log₂ n⌉ + 1 probes, the rest pruned.
-                    let probes = (usize::BITS - bank.lo_keys.len().leading_zeros()) as usize;
-                    stats.rows_scanned += probes;
-                    stats.rows_pruned += bank.lo_keys.len().saturating_sub(probes);
-                    let r = rank_le(&bank.lo_keys, key);
-                    if r > 0 && key <= bank.hi_keys[r - 1] {
-                        range_row = bank.range_runs[r - 1] as usize..bank.range_runs[r] as usize;
+                    let n = src.range_rows();
+                    if n > 0 {
+                        let probes = (usize::BITS - n.leading_zeros()) as usize;
+                        stats.rows_scanned += probes;
+                        stats.rows_pruned += n.saturating_sub(probes);
+                    }
+                    if src.point_rows() > 0 {
+                        stats.rows_scanned += 1;
+                        stats.rows_pruned += src.point_rows() - 1;
                     }
                 }
-                let mut point_row = 0..0;
-                if !bank.point_keys.is_empty() {
-                    stats.rows_scanned += 1;
-                    stats.rows_pruned += bank.point_keys.len() - 1;
-                    let r = rank_le(&bank.point_keys, key);
-                    if r > 0 && bank.point_keys[r - 1] == key {
-                        point_row = bank.point_runs[r - 1] as usize..bank.point_runs[r] as usize;
-                    }
-                }
-                probe_rows += u64::from(!range_row.is_empty()) + u64::from(!point_row.is_empty());
-                // Both rows are internally sorted-dedup, and per-id
-                // disjoint across each other (see the method docs), so
-                // every posting is a distinct id for this attribute.
-                for row in [range_row, point_row] {
-                    for run in self.runs.admitted(row, event_mask) {
-                        kernel.count(run);
-                    }
-                }
-            } else if let Some(bank) = self.strings.get(idx).and_then(Option::as_ref) {
-                let Some(src) = strings.get(idx).and_then(Option::as_ref) else {
-                    continue;
-                };
-                let Some(s) = value.as_str() else {
-                    continue;
-                };
-                // Cost model: one literal-map probe when the map is
-                // non-empty, plus every wildcard row (each is tested).
-                let mut literal: &[DenseId] = &[];
-                if src.has_literals() {
-                    stats.rows_scanned += 1;
-                    literal = src.literal_postings(s);
-                }
-                let wildcards = src.wildcards();
-                stats.rows_scanned += wildcards.len();
-                rows.clear();
-                for (pos, row) in wildcards.iter().enumerate() {
-                    if row.pattern.matches(s) {
-                        rows.push(pos as u32);
-                    }
-                }
-                let contributors = usize::from(!literal.is_empty()) + rows.len();
-                probe_rows += contributors as u64;
-                if contributors <= 1 {
-                    // A single contributing row is internally deduped:
-                    // skip the `seen` stamps.
-                    for &d in literal {
-                        if admits(d) {
-                            kernel.bump(d);
-                        }
-                    }
-                    for &pos in rows.iter() {
-                        for run in self.runs.admitted(bank.row(pos as usize), event_mask) {
+                let key = num_key(v);
+                let plans = std::iter::once(self).chain(side);
+                for plan in plans {
+                    let Some(bank) = plan.arith.get(idx).and_then(Option::as_ref) else {
+                        continue;
+                    };
+                    // Both rows are internally sorted-dedup, and per-id
+                    // disjoint across each other (see the method docs),
+                    // so every posting is a distinct id for this
+                    // attribute.
+                    for row in bank.hits(key) {
+                        probe_rows += u64::from(!row.is_empty());
+                        for run in plan.runs.admitted(row, event_mask) {
                             kernel.count(run);
                         }
                     }
-                } else {
-                    // A subscription with several satisfied constraints
-                    // on this attribute appears in several rows; count
-                    // it once per attribute via the `seen` stamps.
-                    for &d in literal {
-                        if admits(d) {
-                            kernel.bump_once(d, attr_token);
+                }
+            } else if let Some(s) = value.as_str() {
+                // Cost model: one literal-map probe when the map is
+                // non-empty, plus every wildcard row (each is tested).
+                let mut literal: &[DenseId] = &[];
+                if let Some(src) = live.strings.get(idx).and_then(Option::as_ref) {
+                    if src.has_literals() {
+                        stats.rows_scanned += 1;
+                        literal = src.literal_postings(s);
+                    }
+                    stats.rows_scanned += src.wildcards().len();
+                }
+                fn bank_of(plan: &MatchPlan, idx: usize) -> Option<&StringBank> {
+                    plan.strings.get(idx)?.as_ref()
+                }
+                rows.clear();
+                if let Some(bank) = bank_of(self, idx) {
+                    for (pos, pattern) in bank.patterns.iter().enumerate() {
+                        if pattern.matches(s) {
+                            rows.push(pos as u32);
                         }
                     }
-                    for &pos in rows.iter() {
-                        for run in self.runs.admitted(bank.row(pos as usize), event_mask) {
-                            for &d in run {
-                                kernel.bump_once(d, attr_token);
-                            }
+                }
+                side_rows.clear();
+                if let Some(bank) = side.and_then(|side| bank_of(side, idx)) {
+                    for (pos, pattern) in bank.patterns.iter().enumerate() {
+                        // A row tied to a base row matched exactly when
+                        // that row did (`rows` is ascending).
+                        let hit = match bank.base_rows[pos] {
+                            NO_ROW => pattern.matches(s),
+                            row => rows.binary_search(&row).is_ok(),
+                        };
+                        if hit {
+                            side_rows.push(pos as u32);
                         }
+                    }
+                }
+                let contributors = usize::from(!literal.is_empty()) + rows.len() + side_rows.len();
+                probe_rows += contributors as u64;
+                // A subscription with several satisfied constraints on
+                // this attribute appears in several rows; with more than
+                // one contributing row, count it once per attribute via
+                // the `seen` stamps. A single row is internally deduped.
+                let dedup = contributors > 1;
+                let mut count = |run: &[DenseId]| {
+                    if dedup {
+                        for &d in run {
+                            kernel.bump_once(d, attr_token);
+                        }
+                    } else {
+                        kernel.count(run);
+                    }
+                };
+                for &d in literal {
+                    if admits(d) {
+                        count(std::slice::from_ref(&d));
+                    }
+                }
+                let base_hits = rows.iter().map(|&pos| (self, pos));
+                let side_hits = side
+                    .into_iter()
+                    .flat_map(|side| side_rows.iter().map(move |&pos| (side, pos)));
+                for (plan, pos) in base_hits.chain(side_hits) {
+                    let Some(bank) = bank_of(plan, idx) else {
+                        continue;
+                    };
+                    for run in plan.runs.admitted(bank.row(pos as usize), event_mask) {
+                        count(run);
                     }
                 }
             }
@@ -644,6 +901,72 @@ impl MatchPlan {
                     "posting {d} sits in a run of another mask"
                 );
             }
+        }
+    }
+
+    /// What this plan says about the live ids (`required[d] != 0`):
+    /// per arithmetic attribute and id, the key intervals its rows
+    /// cover; per string attribute and wildcard pattern, the ids posted
+    /// there. Appended to `cover`, unnormalized.
+    #[cfg(any(test, debug_assertions))]
+    fn coverage(&self, required: &[u32], cover: &mut Coverage) {
+        let live = |d: DenseId| required.get(d as usize).is_some_and(|&r| r != 0);
+        for (attr, bank) in self.arith.iter().enumerate() {
+            for (lo, hi, runs) in bank.iter().flat_map(ArithBank::rows) {
+                let ids = self.runs.postings(runs).iter().filter(|&&d| live(d));
+                cover.arith.extend(ids.map(|&d| (attr, d, lo, hi)));
+            }
+        }
+        for (attr, bank) in self.strings.iter().enumerate() {
+            let Some(bank) = bank else {
+                continue;
+            };
+            for (pos, pattern) in bank.patterns.iter().enumerate() {
+                let ids = self
+                    .runs
+                    .postings(bank.row(pos))
+                    .iter()
+                    .filter(|&&d| live(d));
+                cover
+                    .strings
+                    .extend(ids.map(|&d| (attr, pattern.to_string(), d)));
+            }
+        }
+    }
+}
+
+/// The content of one or more plans, in a form two layouts of the same
+/// postings agree on (see [`MatchPlan::coverage`]).
+#[cfg(any(test, debug_assertions))]
+#[derive(Debug, Default, PartialEq)]
+struct Coverage {
+    /// `(attribute, id, lo key, hi key)`.
+    arith: Vec<(usize, DenseId, u64, u64)>,
+    /// `(attribute, pattern, id)`.
+    strings: Vec<(usize, String, DenseId)>,
+}
+
+#[cfg(any(test, debug_assertions))]
+impl Coverage {
+    /// Sorts both lists, joins each id's touching or overlapping key
+    /// intervals and drops empty ones, and removes duplicate postings.
+    fn normalized(mut self) -> Coverage {
+        self.arith.retain(|&(_, _, lo, hi)| lo <= hi);
+        self.arith.sort_unstable();
+        let mut arith: Vec<(usize, DenseId, u64, u64)> = Vec::with_capacity(self.arith.len());
+        for e in self.arith {
+            match arith.last_mut() {
+                Some(last) if (last.0, last.1) == (e.0, e.1) && e.2 <= last.3.saturating_add(1) => {
+                    last.3 = last.3.max(e.3);
+                }
+                _ => arith.push(e),
+            }
+        }
+        self.strings.sort_unstable();
+        self.strings.dedup();
+        Coverage {
+            arith,
+            strings: self.strings,
         }
     }
 }
@@ -715,44 +1038,324 @@ impl Kernel<'_> {
     }
 }
 
-/// The lazily-compiled plan slot of a [`BrokerSummary`]: cloned
-/// summaries share the compiled `Arc` until either side mutates, and
-/// equality always holds — a plan is derived state, so two summaries
-/// with equal rows are equal regardless of compile state.
+/// The postings of the ids placed since the base plan compiled, as the
+/// live rows placed them; empty while there is no base.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SideLog {
+    /// Arithmetic postings: `(attribute, lo key, hi key, dense id)`,
+    /// inclusive keys (an equality row is `lo == hi`).
+    arith: Vec<(usize, u64, u64, DenseId)>,
+    /// Wildcard postings: `(attribute, the row's pattern, dense ids)`,
+    /// one entry per attribute and pattern. Literal postings need none:
+    /// the probe reads the live literal maps.
+    strings: Vec<(usize, Pattern, IdList)>,
+    /// Ids placed since the base (live ones: a removal forgets one).
+    placed: usize,
+    /// Base ids removed since the base.
+    removed: usize,
+}
+
+impl SideLog {
+    /// Whether the log holds no postings.
+    fn is_empty(&self) -> bool {
+        self.arith.is_empty() && self.strings.is_empty()
+    }
+
+    /// Drops every posting of dense id `d`.
+    fn forget(&mut self, d: DenseId) {
+        self.arith.retain(|e| e.3 != d);
+        for (_, _, ids) in &mut self.strings {
+            ids.retain(|&x| x != d);
+        }
+        self.strings.retain(|(_, _, ids)| !ids.is_empty());
+    }
+}
+
+/// How often one summary's plans compiled, and the postings those
+/// compiles laid out (`BrokerSummary::plan_compiles`). Per summary, so
+/// tests running in parallel do not mix their counts as they do in the
+/// process-wide counters.
+#[cfg(any(test, debug_assertions))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PlanCompiles {
+    /// Full compiles of every row.
+    pub full: u64,
+    /// Side compiles of the ids placed since the last full compile.
+    pub side: u64,
+    /// Postings laid out by both kinds.
+    pub postings: u64,
+}
+
+/// [`PlanCompiles`] as a plan cell counts them.
+#[cfg(any(test, debug_assertions))]
 #[derive(Debug, Default)]
-pub(crate) struct PlanCell(OnceLock<Arc<MatchPlan>>);
+struct CompileTally {
+    full: std::sync::atomic::AtomicU64,
+    side: std::sync::atomic::AtomicU64,
+    postings: std::sync::atomic::AtomicU64,
+}
+
+#[cfg(any(test, debug_assertions))]
+impl CompileTally {
+    fn note(&self, side: bool, postings: usize) {
+        use std::sync::atomic::Ordering::Relaxed;
+        let kind = if side { &self.side } else { &self.full };
+        kind.fetch_add(1, Relaxed);
+        (self.postings).fetch_add(postings as u64, Relaxed);
+    }
+
+    fn get(&self) -> PlanCompiles {
+        use std::sync::atomic::Ordering::Relaxed;
+        PlanCompiles {
+            full: self.full.load(Relaxed),
+            side: self.side.load(Relaxed),
+            postings: self.postings.load(Relaxed),
+        }
+    }
+}
+
+#[cfg(any(test, debug_assertions))]
+impl Clone for CompileTally {
+    fn clone(&self) -> Self {
+        let counts = self.get();
+        CompileTally {
+            full: counts.full.into(),
+            side: counts.side.into(),
+            postings: counts.postings.into(),
+        }
+    }
+}
+
+/// The plan slot of a [`BrokerSummary`](crate::BrokerSummary): the
+/// lazily compiled base plan, the side log of the ids placed since, and
+/// the side plan compiled from it. Cloned summaries share the compiled
+/// plans and copy the log; equality always holds — a plan is derived
+/// state, so two summaries with equal rows are equal regardless of
+/// compile state.
+#[derive(Debug, Default)]
+pub(crate) struct PlanCell {
+    base: OnceLock<Arc<MatchPlan>>,
+    side: SideLog,
+    side_plan: OnceLock<Arc<MatchPlan>>,
+    /// Whether the rows changed since [`PlanCell::take_changed`] last
+    /// ran.
+    changed: bool,
+    #[cfg(any(test, debug_assertions))]
+    tally: CompileTally,
+}
 
 impl PlanCell {
-    /// The compiled plan, compiling (and caching) on first use.
-    pub(crate) fn get_or_compile(&self, compile: impl FnOnce() -> MatchPlan) -> &MatchPlan {
-        self.0.get_or_init(|| Arc::new(compile()))
+    /// The base plan and, when ids were placed since it compiled, the
+    /// side plan; `full` or `side` compiles (and caches) a missing one.
+    pub(crate) fn plans(
+        &self,
+        full: impl FnOnce() -> MatchPlan,
+        side: impl FnOnce(&SideLog, &MatchPlan) -> MatchPlan,
+    ) -> (&MatchPlan, Option<&MatchPlan>) {
+        let base = self.base.get_or_init(|| {
+            let plan = full();
+            #[cfg(any(test, debug_assertions))]
+            self.tally.note(false, plan.runs.arena.len());
+            Arc::new(plan)
+        });
+        if self.side.is_empty() {
+            return (base, None);
+        }
+        let side = self.side_plan.get_or_init(|| {
+            let plan = side(&self.side, base);
+            #[cfg(any(test, debug_assertions))]
+            self.tally.note(true, plan.runs.arena.len());
+            Arc::new(plan)
+        });
+        (base, Some(side))
     }
 
-    /// As [`PlanCell::get_or_compile`]; returns whether it compiled.
-    pub(crate) fn compile_if_stale(&self, compile: impl FnOnce() -> MatchPlan) -> bool {
-        let stale = self.0.get().is_none();
-        self.get_or_compile(compile);
-        stale
+    /// Whether the rows changed since the last call.
+    pub(crate) fn take_changed(&mut self) -> bool {
+        std::mem::take(&mut self.changed)
     }
 
-    /// Drops the cached plan (every row mutation calls this).
+    /// Notes that the rows are about to change.
+    pub(crate) fn touch(&mut self) {
+        self.changed = true;
+    }
+
+    /// Drops both plans and the side log: the next match compiles in
+    /// full.
     pub(crate) fn invalidate(&mut self) {
-        self.0.take();
+        self.changed = true;
+        self.base.take();
+        self.side_plan.take();
+        self.side = SideLog::default();
     }
 
-    /// The cached plan, if one has been compiled since the last
-    /// mutation (validation cross-checks it against a fresh compile).
+    /// Whether a base plan is compiled, so that mutations record what
+    /// they place.
+    fn tracking(&self) -> bool {
+        self.base.get().is_some()
+    }
+
+    /// Whether the base plan holds postings for slot `d`: a new id must
+    /// not take it without a full compile.
+    pub(crate) fn base_posted(&self, d: usize) -> bool {
+        self.base.get().is_some_and(|base| base.posted(d))
+    }
+
+    /// Records `ids`, placed since the base, on arithmetic attribute
+    /// `attr` over `iv`.
+    pub(crate) fn record_interval(&mut self, attr: usize, iv: Interval, ids: &[DenseId]) {
+        self.record_keys(attr, lower_key(iv.lo()), upper_key(iv.hi()), ids);
+    }
+
+    /// Records `ids`, placed since the base, in the equality row `v` of
+    /// arithmetic attribute `attr`.
+    pub(crate) fn record_point(&mut self, attr: usize, v: Num, ids: &[DenseId]) {
+        self.record_keys(attr, num_key(v), num_key(v), ids);
+    }
+
+    fn record_keys(&mut self, attr: usize, lo: u64, hi: u64, ids: &[DenseId]) {
+        if !self.tracking() || lo > hi {
+            return;
+        }
+        self.side_plan.take();
+        (self.side.arith).extend(ids.iter().map(|&d| (attr, lo, hi, d)));
+    }
+
+    /// Records where [`PatternSummary::place_ids`] put `ids`, placed
+    /// since the base, on string attribute `attr` of `slot`: nothing for
+    /// a literal row, the row's pattern for a wildcard row, and a drop
+    /// of both plans for a substitution.
+    pub(crate) fn record_strings(
+        &mut self,
+        attr: usize,
+        slot: &PatternSummary,
+        placed: Placement,
+        ids: &[DenseId],
+    ) {
+        if !self.tracking() {
+            return;
+        }
+        match placed {
+            Placement::Literal => {}
+            Placement::Substituted => self.invalidate(),
+            Placement::Row(pos) => {
+                let Some(row) = slot.wildcards().get(pos) else {
+                    self.invalidate();
+                    return;
+                };
+                self.side_plan.take();
+                let strings = &mut self.side.strings;
+                match strings
+                    .iter_mut()
+                    .find(|(a, p, _)| *a == attr && *p == row.pattern)
+                {
+                    Some((_, _, posted)) => posted.extend_from_slice(ids),
+                    None => strings.push((attr, row.pattern.clone(), ids.to_vec())),
+                }
+            }
+        }
+    }
+
+    /// Counts `n` ids placed since the base; drops both plans once side
+    /// ids and removals since the base outnumber `limit`.
+    pub(crate) fn placed(&mut self, n: usize, limit: usize) {
+        if self.tracking() {
+            self.side.placed += n;
+            self.fold_past(limit);
+        }
+    }
+
+    /// Notes the removal of the id at slot `d`: a base id's postings
+    /// stay (its slot's threshold is 0 now), a side id's are forgotten.
+    /// Drops both plans as [`PlanCell::placed`] does.
+    pub(crate) fn removed(&mut self, d: DenseId, limit: usize) {
+        if !self.tracking() {
+            return;
+        }
+        if self.base_posted(d as usize) {
+            self.side.removed += 1;
+        } else {
+            self.side_plan.take();
+            self.side.forget(d);
+            self.side.placed = self.side.placed.saturating_sub(1);
+        }
+        self.fold_past(limit);
+    }
+
+    fn fold_past(&mut self, limit: usize) {
+        if self.side.placed + self.side.removed > limit {
+            self.invalidate();
+        }
+    }
+
+    /// This cell's compile counts.
     #[cfg(any(test, debug_assertions))]
-    pub(crate) fn cached(&self) -> Option<&MatchPlan> {
-        self.0.get().map(Arc::as_ref)
+    pub(crate) fn compiles(&self) -> PlanCompiles {
+        self.tally.get()
+    }
+
+    /// Asserts that the cached plans agree with `fresh`, a full compile
+    /// of the current rows: the base and side plans' layouts hold, a
+    /// cached side plan equals a compile of the log, and the base's and
+    /// the side's postings of live ids together cover what the fresh
+    /// compile's do, per attribute and row key (key intervals per id,
+    /// per arithmetic attribute; ids per pattern, per string one).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violated invariant.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn assert_agrees(
+        &self,
+        fresh: &MatchPlan,
+        ids: &[SubscriptionId],
+        required: &[u32],
+        attrs: usize,
+    ) {
+        let Some(base) = self.base.get() else {
+            assert!(self.side.is_empty(), "a side log without a base plan");
+            return;
+        };
+        base.assert_layout(ids);
+        let side = MatchPlan::compile_side(&self.side, ids, attrs, base);
+        side.assert_layout(ids);
+        if let Some(cached) = self.side_plan.get() {
+            assert!(
+                **cached == side,
+                "cached side plan out of sync with its log"
+            );
+        }
+        for &d in &side.runs.arena {
+            assert!(
+                !base.posted(d as usize),
+                "dense id {d} posted in both the base and the side plan"
+            );
+        }
+        let (mut have, mut want) = (Coverage::default(), Coverage::default());
+        base.coverage(required, &mut have);
+        side.coverage(required, &mut have);
+        fresh.coverage(required, &mut want);
+        assert!(
+            have.normalized() == want.normalized(),
+            "cached match plan out of sync with the summary rows"
+        );
     }
 }
 
 impl Clone for PlanCell {
     fn clone(&self) -> Self {
-        let cell = PlanCell::default();
-        if let Some(plan) = self.0.get() {
-            let _ = cell.0.set(Arc::clone(plan));
+        let cell = PlanCell {
+            side: self.side.clone(),
+            changed: self.changed,
+            #[cfg(any(test, debug_assertions))]
+            tally: self.tally.clone(),
+            ..PlanCell::default()
+        };
+        if let Some(plan) = self.base.get() {
+            let _ = cell.base.set(Arc::clone(plan));
+        }
+        if let Some(plan) = self.side_plan.get() {
+            let _ = cell.side_plan.set(Arc::clone(plan));
         }
         cell
     }
@@ -849,13 +1452,13 @@ mod tests {
     fn plan_cell_equality_ignores_compile_state() {
         let a = PlanCell::default();
         let b = PlanCell::default();
-        b.get_or_compile(MatchPlan::default);
+        b.plans(MatchPlan::default, |_, _| MatchPlan::default());
         assert!(a == b);
         let c = b.clone();
-        assert!(c.cached().is_some(), "clone shares the compiled plan");
+        assert!(c.base.get().is_some(), "clone shares the compiled plan");
         let mut d = c.clone();
         d.invalidate();
-        assert!(d.cached().is_none());
+        assert!(d.base.get().is_none());
     }
 
     fn stock_event(schema: &Schema, with_low: bool) -> Event {

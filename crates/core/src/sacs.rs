@@ -48,6 +48,19 @@ pub struct PatternRow {
     pub ids: IdList,
 }
 
+/// Where an insertion put its ids ([`PatternSummary::place_ids`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Placement {
+    /// Into a literal row (or nowhere: no ids).
+    Literal,
+    /// Into the wildcard row at this position, whose pattern is
+    /// unchanged; no other row moved.
+    Row(usize),
+    /// Into a new wildcard row that absorbed covered rows: their ids now
+    /// sit under a wider pattern.
+    Substituted,
+}
+
 /// The string constraint summary for a single attribute.
 ///
 /// Rows are kept pairwise incomparable under [`Pattern::covers`]: on
@@ -139,31 +152,36 @@ impl PatternSummary {
 
     /// Summarizes a constraint for subscription `id`.
     pub fn insert(&mut self, pattern: Pattern, id: DenseId) {
-        self.insert_ids(pattern, &[id]);
+        self.place_ids(pattern, &[id]);
     }
 
     /// As [`PatternSummary::insert`] with several ids (used by merging).
     pub fn insert_ids(&mut self, pattern: Pattern, ids: &[DenseId]) {
+        self.place_ids(pattern, ids);
+    }
+
+    /// As [`PatternSummary::insert_ids`], reporting where the ids went.
+    pub(crate) fn place_ids(&mut self, pattern: Pattern, ids: &[DenseId]) -> Placement {
         if ids.is_empty() {
-            return;
+            return Placement::Literal;
         }
         if let Some(lit) = pattern.as_literal() {
-            self.insert_literal(lit, ids);
-            return;
+            return self.place_literal(lit, ids);
         }
         // A wildcard pattern. Covered by an existing wildcard row: join.
-        if let Some(row) = self
+        if let Some(pos) = self
             .patterns
-            .iter_mut()
-            .find(|row| row.pattern.covers(&pattern))
+            .iter()
+            .position(|row| row.pattern.covers(&pattern))
         {
-            idlist_merge(&mut row.ids, ids);
-            return;
+            idlist_merge(&mut self.patterns[pos].ids, ids);
+            return Placement::Row(pos);
         }
         // The new constraint substitutes every row it covers.
         let mut merged: IdList = ids.to_vec();
         merged.sort();
         merged.dedup();
+        let rows = self.row_count();
         self.patterns.retain(|row| {
             if pattern.covers(&row.pattern) {
                 idlist_merge(&mut merged, &row.ids);
@@ -180,10 +198,16 @@ impl PatternSummary {
                 true
             }
         });
+        let absorbed = self.row_count() < rows;
         self.patterns.push(PatternRow {
             pattern,
             ids: merged,
         });
+        if absorbed {
+            Placement::Substituted
+        } else {
+            Placement::Row(self.patterns.len() - 1)
+        }
     }
 
     /// Adds `ids` under the literal `lit`: to the first wildcard row
@@ -191,14 +215,22 @@ impl PatternSummary {
     /// Equals `insert_ids(Pattern::literal(lit), ids)` without building
     /// the pattern (the decoder inserts wire text this way).
     pub(crate) fn insert_literal(&mut self, lit: &str, ids: &[DenseId]) {
-        if let Some(row) = self
+        self.place_literal(lit, ids);
+    }
+
+    /// As [`PatternSummary::insert_literal`], reporting where the ids
+    /// went.
+    pub(crate) fn place_literal(&mut self, lit: &str, ids: &[DenseId]) -> Placement {
+        if let Some(pos) = self
             .patterns
-            .iter_mut()
-            .find(|row| row.pattern.matches(lit))
+            .iter()
+            .position(|row| row.pattern.matches(lit))
         {
-            idlist_merge(&mut row.ids, ids);
+            idlist_merge(&mut self.patterns[pos].ids, ids);
+            Placement::Row(pos)
         } else {
             idlist_merge(self.literals.entry(lit.to_owned()).or_default(), ids);
+            Placement::Literal
         }
     }
 

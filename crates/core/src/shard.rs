@@ -49,7 +49,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 impl ShardedSummary {
     /// Wraps `flat`. `shard_count` is ignored: the store holds one
     /// partition.
-    pub fn from_flat(flat: BrokerSummary, _shard_count: usize) -> Self {
+    pub fn from_flat(mut flat: BrokerSummary, _shard_count: usize) -> Self {
         flat.compile_if_stale();
         ShardedSummary {
             published: Mutex::new(Arc::new(flat.clone())),
@@ -63,8 +63,8 @@ impl ShardedSummary {
     }
 
     /// Mutates the canonical summary under the writer lock. A mutation
-    /// that changed the rows dropped the cached plan: compile it and
-    /// publish a clone that shares it.
+    /// that changed the rows left the plans stale: compile what a match
+    /// needs and publish a clone that shares it.
     fn mutate(&self, f: impl FnOnce(&mut BrokerSummary)) {
         let mut flat = lock(&self.flat);
         f(&mut flat);

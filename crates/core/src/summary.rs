@@ -18,7 +18,7 @@ use subsum_types::{Event, NormalizedAttr, Schema, Subscription, SubscriptionId};
 use crate::aacs::RangeSummary;
 use crate::digest::DigestCell;
 use crate::idlist::{DenseId, IdList, SubIdList};
-use crate::plan::{MatchPlan, PlanCell, ProbeState};
+use crate::plan::{Live, MatchPlan, PlanCell, ProbeState};
 use crate::sacs::PatternSummary;
 
 /// Telemetry stages of the summary hot paths (recorded only while the
@@ -137,10 +137,11 @@ impl InternTable {
     /// revived if dead, or else in a free slot adjacent to its rank (the
     /// one at the rank first). Either neighbour keeps `ids` sorted: the
     /// slot at the rank holds a larger id, the one before it a smaller.
-    /// Returns the slot, or the rank if neither exists.
-    fn place(&mut self, id: SubscriptionId) -> Result<usize, usize> {
+    /// Returns the slot and whether `id` was live there already, or the
+    /// rank if neither slot exists.
+    fn place(&mut self, id: SubscriptionId) -> Result<(usize, bool), usize> {
         let pos = match self.position(&id) {
-            Ok(pos) if self.is_live(pos) => return Ok(pos),
+            Ok(pos) if self.is_live(pos) => return Ok((pos, true)),
             Ok(pos) => pos,
             Err(rank) => {
                 let free = [rank, rank.wrapping_sub(1)]
@@ -153,7 +154,7 @@ impl InternTable {
         };
         self.required[pos] = id.mask.count();
         self.free -= 1;
-        Ok(pos)
+        Ok((pos, false))
     }
 
     /// Appends `id`, which sorts after every slot.
@@ -310,11 +311,15 @@ pub struct BrokerSummary {
     /// off the rest, and `decode` rebuilds the table
     /// (`install_decoded_rows`).
     intern: InternTable,
-    /// Lazily compiled columnar probe plan over the rows above. Pure
-    /// derived state: invisible to `PartialEq` and digests, copied by
-    /// `Clone`, dropped whole on every mutation and rebuilt on the next
-    /// match. The field's privacy keeps the wire codec off it; `decode`
-    /// drops it (`install_decoded_rows`).
+    /// Lazily compiled columnar probe plans over the rows above: a base
+    /// plan, kept across σ-sized mutations, and a side plan of the ids
+    /// placed since (see the `plan` module). Pure derived state:
+    /// invisible to `PartialEq` and digests, shared by `Clone`. An
+    /// insert or a merge records the postings of the ids it places, a
+    /// removal forgets a side id's, and the next match compiles only
+    /// those; a respace, a compaction, a substitution or a reused slot
+    /// drops both plans. The field's privacy keeps the wire codec off
+    /// it; `decode` drops it (`install_decoded_rows`).
     plan: PlanCell,
     /// The digest's cached entries: one hash per attribute's rows and
     /// the id-set hash. Derived state like `plan`, but dropped per
@@ -410,11 +415,12 @@ impl BrokerSummary {
         if !touches {
             return;
         }
-        self.plan.invalidate();
+        self.plan.touch();
         self.digest
             .invalidate(normalized.iter().map(|(attr, _)| attr));
         let dense = self.intern_id(id);
         for (attr, na) in normalized.iter() {
+            let idx = attr.index();
             match na {
                 NormalizedAttr::Arithmetic(set) => {
                     // An unsatisfiable conjunction (empty set) leaves no
@@ -424,8 +430,11 @@ impl BrokerSummary {
                     if set.is_empty() {
                         continue;
                     }
-                    let slot = self.arith[attr.index()].get_or_insert_with(RangeSummary::new);
+                    let slot = self.arith[idx].get_or_insert_with(RangeSummary::new);
                     slot.insert_set(set, dense);
+                    for &iv in set.iter() {
+                        self.plan.record_interval(idx, iv, &[dense]);
+                    }
                 }
                 NormalizedAttr::String(constraints) => {
                     // `≠` widens to the universal pattern: sound
@@ -440,28 +449,54 @@ impl BrokerSummary {
                     // constraint summarizes to itself, so it goes in
                     // directly: the scratch summary's allocations cost
                     // overlay set-up ≈ 15 % (2-vCPU x86_64 guest).
-                    let slot = self.strings[attr.index()].get_or_insert_with(PatternSummary::new);
+                    let slot = self.strings[idx].get_or_insert_with(PatternSummary::new);
                     if let [c] = constraints.as_slice() {
-                        slot.insert(c.over_approximation(), dense);
+                        let placed = slot.place_ids(c.over_approximation(), &[dense]);
+                        self.plan.record_strings(idx, slot, placed, &[dense]);
                         continue;
                     }
                     let mut own = PatternSummary::new();
                     for c in constraints {
                         own.insert(c.over_approximation(), dense);
                     }
-                    slot.merge(&own);
+                    for row in own.wildcards() {
+                        let placed = slot.place_ids(row.pattern.clone(), &row.ids);
+                        self.plan.record_strings(idx, slot, placed, &row.ids);
+                    }
+                    for (lit, ids) in own.literals() {
+                        let placed = slot.place_literal(lit, ids);
+                        self.plan.record_strings(idx, slot, placed, ids);
+                    }
                 }
             }
         }
+        self.plan.placed(1, self.side_limit());
+    }
+
+    /// How many ids the plan's side may place, plus the base ids removed
+    /// since, before both plans are dropped: the spare share of the
+    /// spare share of the live ids. Every side id costs each probe a
+    /// run of its own mask in the rows it sits in, so a side of a
+    /// twelfth of the ids (a churn period's arrivals) slowed the
+    /// overlay-churn probe by a third; at 1/64 it does not show.
+    fn side_limit(&self) -> usize {
+        self.intern.live().div_ceil(SPARE_SHARE * SPARE_SHARE)
     }
 
     /// Interns `id`, returning its dense id: in its own or an adjacent
     /// free slot ([`InternTable::place`]), appended when it sorts after
     /// every slot, or else through one respacing union with it (ids
-    /// usually arrive ascending, so that is rare).
+    /// usually arrive ascending, so that is rare). An id already live
+    /// (whose new postings the plan's side cannot hold apart from its
+    /// old ones), or a slot the base plan posted, drops the plans.
     fn intern_id(&mut self, id: SubscriptionId) -> DenseId {
         match self.intern.place(id) {
-            Ok(pos) => pos as DenseId,
+            Ok((pos, was_live)) => {
+                if was_live || self.plan.base_posted(pos) {
+                    self.plan.invalidate();
+                }
+                pos as DenseId
+            }
             Err(rank) if rank == self.intern.len() => {
                 self.intern.push(id);
                 rank as DenseId
@@ -475,6 +510,7 @@ impl BrokerSummary {
     /// returns the translation of `other`'s dense ids into the union.
     fn respace(&mut self, other: &InternTable) -> Vec<DenseId> {
         CNT_INTERN_REBUILDS.inc();
+        self.plan.invalidate();
         let (union, trans_self, trans_other) = self.intern.respace(other);
         // A self side whose live ids keep their dense ids (all of
         // `other` sorts after them) needs no remap.
@@ -503,10 +539,12 @@ impl BrokerSummary {
     /// Removes a subscription's traces and marks its intern slot dead.
     /// Only the structures of the attributes in the id's `c3` mask are
     /// visited — every posting of an id sits under one of those — and no
-    /// other dense id moves. An absent or already removed id is a no-op
-    /// and keeps the compiled plan. Once free slots (dead and spare)
+    /// other dense id moves. The compiled base plan stays: the dead
+    /// slot's threshold is 0, so its stale postings never fire; an id
+    /// placed since the base leaves the side plan. An absent or already
+    /// removed id is a no-op. Once free slots (dead and spare)
     /// outnumber live ones, they are compacted away in one renumbering
-    /// pass.
+    /// pass, which drops the plans.
     ///
     /// SACS rows keep their (possibly generalized) patterns; summaries
     /// only ever become *more* precise again through
@@ -515,7 +553,7 @@ impl BrokerSummary {
         let Some(pos) = (self.intern.position(&id).ok()).filter(|&p| self.intern.is_live(p)) else {
             return;
         };
-        self.plan.invalidate();
+        self.plan.touch();
         self.digest.invalidate(id.mask.iter());
         let gone = pos as DenseId;
         for attr in id.mask.iter() {
@@ -527,6 +565,7 @@ impl BrokerSummary {
             }
         }
         self.intern.kill(pos);
+        self.plan.removed(gone, self.side_limit());
         if self.intern.free > self.intern.live() {
             self.compact();
         }
@@ -538,6 +577,7 @@ impl BrokerSummary {
     /// ids, without spares.
     fn compact(&mut self) {
         CNT_INTERN_RENUMBERS.inc();
+        self.plan.invalidate();
         let mut rank = Vec::with_capacity(self.intern.len());
         let mut live: DenseId = 0;
         for &r in &self.intern.required {
@@ -599,7 +639,7 @@ impl BrokerSummary {
     /// other side under this one's.
     pub(crate) fn merge_rows(&mut self, other: &BrokerSummary) {
         let _span = STAGE_MERGE.start();
-        self.plan.invalidate();
+        self.plan.touch();
         let theirs = other.arith.iter().zip(&other.strings);
         self.digest.invalidate(
             (theirs.enumerate())
@@ -611,19 +651,26 @@ impl BrokerSummary {
         // σ binary searches plus the rows it touches. Should one id find
         // neither, the two tables are unioned once, respaced; ids placed
         // before it are live on both sides and meet in the union.
+        // The plans survive a merge whose ids are all new here, in slots
+        // the base plan holds no postings for; the side records every
+        // row below.
         let mut trans = vec![0; other.intern.len()];
+        let mut reused = false;
         let placed = other
             .intern
             .live_slots()
             .all(|(d, id)| match self.intern.place(id) {
-                Ok(pos) => {
+                Ok((pos, was_live)) => {
                     trans[d] = pos as DenseId;
+                    reused |= was_live || self.plan.base_posted(pos);
                     true
                 }
                 Err(_) => false,
             });
         if !placed {
             trans = self.respace(&other.intern);
+        } else if reused {
+            self.plan.invalidate();
         }
         let mut buf = IdList::new();
         for (idx, slot) in other.arith.iter().enumerate() {
@@ -632,10 +679,12 @@ impl BrokerSummary {
                 for row in theirs.ranges() {
                     translate_into(&trans, &row.ids, &mut buf);
                     mine.insert_interval_ids(row.interval, &buf);
+                    self.plan.record_interval(idx, row.interval, &buf);
                 }
                 for (v, ids) in theirs.points() {
                     translate_into(&trans, ids, &mut buf);
                     mine.insert_point_ids(v, &buf);
+                    self.plan.record_point(idx, v, &buf);
                 }
             }
         }
@@ -644,10 +693,12 @@ impl BrokerSummary {
                 let mine = self.strings[idx].get_or_insert_with(PatternSummary::new);
                 for (pattern, ids) in theirs.rows() {
                     translate_into(&trans, ids, &mut buf);
-                    mine.insert_ids(pattern, &buf);
+                    let placed = mine.place_ids(pattern, &buf);
+                    self.plan.record_strings(idx, mine, placed, &buf);
                 }
             }
         }
+        self.plan.placed(other.intern.live(), self.side_limit());
     }
 
     /// Installs the rows of a decoded stream (decoder internals). The
@@ -820,7 +871,7 @@ impl BrokerSummary {
         scratch: &'s mut MatchScratch,
     ) -> &'s MatchOutcome {
         let _span = STAGE_MATCH.start();
-        let plan = self.plan.get_or_compile(|| self.compile_plan());
+        let (base, side) = self.plans();
         if scratch.used {
             CNT_SCRATCH_REUSE.inc();
         }
@@ -831,16 +882,19 @@ impl BrokerSummary {
         }
         outcome.matched.clear();
         outcome.stats = MatchStats::default();
-        plan.probe_into(
-            event,
-            &self.strings,
-            self.intern.ids_slice(),
-            self.intern.required_slice(),
-            probe,
-            &mut outcome.stats,
-        );
+        base.probe_into(side, event, self.live(), probe, &mut outcome.stats);
         probe.drain_matched(|d| outcome.matched.push(self.intern.resolve(d as DenseId)));
         outcome
+    }
+
+    /// What a probe reads of this summary besides its plans.
+    fn live(&self) -> Live<'_> {
+        Live {
+            arith: &self.arith,
+            strings: &self.strings,
+            ids: self.intern.ids_slice(),
+            required: self.intern.required_slice(),
+        }
     }
 
     /// A fresh compile of the plan over every row.
@@ -848,11 +902,44 @@ impl BrokerSummary {
         MatchPlan::compile(&self.arith, &self.strings, &self.intern)
     }
 
-    /// Compiles and caches the plan unless one is cached; returns
-    /// whether it compiled, i.e. whether the rows changed since the last
-    /// compile. Clones share the cached plan.
-    pub(crate) fn compile_if_stale(&self) -> bool {
-        self.plan.compile_if_stale(|| self.compile_plan())
+    /// The base plan and the side plan, if ids were placed since the
+    /// base compiled, compiling (and caching) what is missing.
+    fn plans(&self) -> (&MatchPlan, Option<&MatchPlan>) {
+        self.plan.plans(
+            || self.compile_plan(),
+            |log, base| {
+                MatchPlan::compile_side(log, self.intern.ids_slice(), self.arith.len(), base)
+            },
+        )
+    }
+
+    /// Compiles and caches the plans a match needs; returns whether the
+    /// rows changed since the last call. Clones share the cached plans.
+    pub(crate) fn compile_if_stale(&mut self) -> bool {
+        self.plans();
+        self.plan.take_changed()
+    }
+
+    /// How often this summary's plans compiled, in full and as a side,
+    /// and the postings those compiles laid out. Clones carry the count
+    /// so far.
+    #[cfg(any(test, debug_assertions))]
+    pub fn plan_compiles(&self) -> crate::PlanCompiles {
+        self.plan.compiles()
+    }
+
+    /// [`BrokerSummary::match_event`] through a fresh full compile of
+    /// the plan, past the cached base and side plans: what the cached
+    /// ones must match.
+    #[cfg(any(test, debug_assertions))]
+    pub fn match_event_uncached(&self, event: &Event) -> MatchOutcome {
+        let mut probe = ProbeState::default();
+        let mut outcome = MatchOutcome::default();
+        probe.prepare(self.intern.len());
+        let fresh = self.compile_plan();
+        fresh.probe_into(None, event, self.live(), &mut probe, &mut outcome.stats);
+        probe.drain_matched(|d| outcome.matched.push(self.intern.resolve(d as DenseId)));
+        outcome
     }
 
     /// Reference implementation of Algorithm 1 as flat scans over every
@@ -953,8 +1040,9 @@ impl BrokerSummary {
     ///   (no zombie slots, no danglers);
     /// * every posting of dense id `d` sits on an attribute in
     ///   `ids[d].mask` — the precondition of the plan's mask filter;
-    /// * a cached plan equals a fresh compile, whose runs each hold the
-    ///   postings of one mask;
+    /// * a fresh compile's runs each hold the postings of one mask, and
+    ///   so do the cached base and side plans', whose postings of live
+    ///   ids together equal the fresh compile's;
     /// * each cached digest entry equals a fresh hash of its attribute's
     ///   rows (or of the live ids).
     ///
@@ -1037,17 +1125,17 @@ impl BrokerSummary {
             dense.len() == self.intern.live(),
             "intern table out of sync with the summary rows"
         );
-        // Plan/summary coherence: a cached compiled plan must equal a
-        // fresh compile of the current rows (compiles are deterministic:
-        // mask groups are numbered in dense order).
+        // Plan/summary coherence: the cached base and side plans must
+        // say what a fresh compile of the current rows says about every
+        // live id.
         let fresh = self.compile_plan();
         fresh.assert_layout(&self.intern.ids);
-        if let Some(cached) = self.plan.cached() {
-            assert!(
-                *cached == fresh,
-                "cached match plan out of sync with the summary rows"
-            );
-        }
+        self.plan.assert_agrees(
+            &fresh,
+            &self.intern.ids,
+            &self.intern.required,
+            self.arith.len(),
+        );
         // Digest/summary coherence: each cached entry must equal a fresh
         // hash, or some mutation failed to drop it.
         for (attr, _spec) in self.schema.iter() {
@@ -1994,6 +2082,64 @@ mod tests {
             (1..=40 / (200 / SPARE_SHARE / 2)).contains(&respaces),
             "{respaces} respaces"
         );
+    }
+
+    /// The paper's σ ≪ S case: a 48-id delta, two new ids at each of
+    /// 24 brokers, merges into the spares of a 10 080-id summary whose
+    /// plan is compiled. The next match compiles only the delta's
+    /// postings, beside the kept base plan, and matches as a fresh
+    /// compile does.
+    #[test]
+    fn a_sigma_merge_compiles_only_its_own_postings() {
+        use crate::testkit::random_subscription;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut g = StdRng::seed_from_u64(50);
+        let mut subs = |per_broker: u32, from: u32| {
+            let mut subs = Vec::new();
+            for b in 0..24u16 {
+                for local in from..from + per_broker {
+                    if let Some(sub) = random_subscription(&mut g) {
+                        let id =
+                            SubscriptionId::new(BrokerId(b), LocalSubId(local), sub.attr_mask());
+                        subs.push((id, sub));
+                    }
+                }
+            }
+            BrokerSummary::rebuild(schema(), subs.iter().map(|(id, sub)| (*id, sub)))
+        };
+        let mut summary = BrokerSummary::new(schema());
+        summary.merge(&subs(420, 0));
+        assert!(summary.subscription_count() >= 10_000);
+        let event = fig2_event(&schema());
+        summary.match_event(&event);
+        let before = summary.plan_compiles();
+        assert_eq!((before.full, before.side), (1, 0));
+
+        let delta = subs(2, 1_000);
+        assert_eq!(delta.subscription_count(), 48);
+        let delta_postings: usize = (delta.arith.iter().flatten())
+            .map(RangeSummary::id_list_len)
+            .chain(
+                delta
+                    .strings
+                    .iter()
+                    .flatten()
+                    .map(PatternSummary::id_list_len),
+            )
+            .sum();
+        summary.merge(&delta);
+        let matched = summary.match_event(&event);
+        let after = summary.plan_compiles();
+        assert_eq!(after.full, 1, "no full compile");
+        assert_eq!(after.side, 1);
+        let compiled = (after.postings - before.postings) as usize;
+        assert!(
+            (1..=delta_postings).contains(&compiled),
+            "{compiled} postings compiled for a delta of {delta_postings}"
+        );
+        assert_eq!(matched, summary.match_event_uncached(&event).matched);
+        assert_eq!(matched, summary.match_event_scan(&event).matched);
     }
 
     /// The shape `merged_delta_equals_inserted_summary` rarely draws: a

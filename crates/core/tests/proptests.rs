@@ -1148,6 +1148,230 @@ fn cached_digest_equals_a_fresh_digest() {
     });
 }
 
+/// What a fresh compile of the plan matches, past the summary's cached
+/// plans. The uncached path exists in debug builds (like `validate`); a
+/// release run merges the summary into an empty one, which starts
+/// without plans.
+fn fresh_match(summary: &BrokerSummary, event: &Event) -> Vec<SubscriptionId> {
+    #[cfg(debug_assertions)]
+    return summary.match_event_uncached(event).matched;
+    #[cfg(not(debug_assertions))]
+    {
+        let mut fresh = BrokerSummary::new(summary.schema().clone());
+        fresh.merge(summary);
+        fresh.match_event(event)
+    }
+}
+
+/// A string wildcard of at most one letter around a `*` (`*`, `a*`,
+/// `*b`, …): it covers, and so substitutes, many resident rows.
+fn covering_subscription(g: &mut StdRng) -> RawSub {
+    let op = g.one_of(&[StrOp::Prefix, StrOp::Suffix, StrOp::Contains]);
+    vec![RawConstraint::Str(
+        g.gen_range(0u16..2),
+        op,
+        g.string("ab", 0..=1),
+    )]
+}
+
+/// A summary keeps its compiled base plan across σ-sized mutations and
+/// compiles only the ids placed since into a side plan. Random
+/// sequences of every mutation — inserts (multi-constraint string ones
+/// among them), removals down to compaction, σ-merges into spares and
+/// ones that respace, re-merges of ids already live, revival of removed
+/// ids by insert and by merge, covering wildcards that substitute rows,
+/// decode, and a clone mutated apart from its original — match after
+/// each step exactly as a fresh compile and the flat scan do, on an
+/// event built for each live subscription and on random events (and
+/// `validate` checks that the base and side postings of the live ids
+/// equal a fresh compile's).
+#[test]
+fn maintained_plan_equals_a_fresh_compile() {
+    check("maintained_plan_equals_a_fresh_compile", 128, |g| {
+        let schema = stock_schema();
+        let layout = IdLayout::new(1 << 8, 1 << 12, schema.len() as u32).unwrap();
+        let codec = SummaryCodec::new(layout, ArithWidth::Eight);
+        let events: Vec<Event> = g
+            .vec(2..6, event_strategy)
+            .iter()
+            .map(|raw| build_event(&schema, raw))
+            .collect();
+        let mut next_local = 0u32;
+        let mut batch = |g: &mut StdRng,
+                         n: std::ops::Range<usize>,
+                         brokers: std::ops::Range<u16>,
+                         raw: fn(&mut StdRng) -> RawSub| {
+            let mut subs = Vec::new();
+            for _ in 0..g.gen_range(n) {
+                next_local += 1;
+                if let Some(sub) = build_sub(&schema, &raw(g)) {
+                    let broker = BrokerId(g.gen_range(brokers.clone()));
+                    let id = SubscriptionId::new(broker, LocalSubId(next_local), sub.attr_mask());
+                    subs.push((id, sub));
+                }
+            }
+            subs.sort_by_key(|(id, _)| *id);
+            subs
+        };
+        let mixed: fn(&mut StdRng) -> RawSub = |g| match g.gen_range(0..8) {
+            0..=2 => multi_string_subscription(g),
+            3 => covering_subscription(g),
+            _ => subscription(g),
+        };
+        let summary_of = |subs: &[(SubscriptionId, Subscription)]| {
+            BrokerSummary::rebuild(schema.clone(), subs.iter().map(|(id, sub)| (*id, sub)))
+        };
+        // Matches through the cached plans (compiling the base or the
+        // side the step left stale), as a fresh compile and as the scan.
+        let assert_fresh =
+            |summary: &BrokerSummary, live: &[(SubscriptionId, Subscription)], what: &str| {
+                check_invariants(summary);
+                let witnesses = live
+                    .iter()
+                    .filter_map(|(_, sub)| subsum_workload::witness_event(&schema, sub));
+                let mut scratch = MatchScratch::new();
+                for event in events.iter().cloned().chain(witnesses) {
+                    let matched = summary
+                        .match_event_into(&event, &mut scratch)
+                        .matched
+                        .clone();
+                    assert_eq!(matched, fresh_match(summary, &event), "after {what}");
+                    assert_eq!(
+                        matched,
+                        summary.match_event_scan(&event).matched,
+                        "after {what}"
+                    );
+                }
+            };
+        let mut live: Vec<(SubscriptionId, Subscription)> = Vec::new();
+        let mut removed: Vec<(SubscriptionId, Subscription)> = Vec::new();
+        let mut summary = BrokerSummary::new(schema.clone());
+        // A base to keep: a merge, so that the blocks end in spares.
+        let base = batch(g, 4..24, 0..4, mixed);
+        summary.merge(&summary_of(&base));
+        live.extend(base);
+        assert_fresh(&summary, &live, "the base");
+        for _ in 0..g.gen_range(8..40) {
+            let what = match g.gen_range(0..20) {
+                // Own inserts, out of order now and then.
+                0..=3 => {
+                    let brokers = if g.gen() { 0..1 } else { 0..4 };
+                    for entry in batch(g, 1..4, brokers, mixed) {
+                        summary.insert_with_id(entry.0, &entry.1);
+                        live.push(entry);
+                    }
+                    "insert"
+                }
+                // Removals, of recent ids (likely side ones) or any,
+                // sometimes enough to compact.
+                4..=6 => {
+                    for _ in 0..g.gen_range(1..=live.len().max(1)) {
+                        if !live.is_empty() {
+                            let k = if g.gen() {
+                                live.len() - 1
+                            } else {
+                                g.gen_range(0..live.len())
+                            };
+                            let entry = live.swap_remove(k);
+                            summary.remove(entry.0);
+                            removed.push(entry);
+                        }
+                    }
+                    "remove"
+                }
+                // A σ-merge: into spares while they last.
+                7..=9 => {
+                    let delta = batch(g, 1..3, 0..4, mixed);
+                    summary.merge(&summary_of(&delta));
+                    live.extend(delta);
+                    "σ-merge"
+                }
+                // One broker's batch outgrows its spares: a respace.
+                10 => {
+                    let broker = g.gen_range(0..4);
+                    let delta = batch(g, 4..12, broker..broker + 1, mixed);
+                    summary.merge(&summary_of(&delta));
+                    live.extend(delta);
+                    "respacing merge"
+                }
+                // Ids already live, merged again beside new ones.
+                11 => {
+                    let mut delta = batch(g, 0..2, 0..4, mixed);
+                    for _ in 0..g.gen_range(1..3) {
+                        if !live.is_empty() {
+                            delta.push(live[g.gen_range(0..live.len())].clone());
+                        }
+                    }
+                    delta.sort_by_key(|(id, _)| *id);
+                    delta.dedup_by_key(|(id, _)| *id);
+                    let fresh: Vec<_> = delta
+                        .iter()
+                        .filter(|(id, _)| live.iter().all(|(l, _)| l != id))
+                        .cloned()
+                        .collect();
+                    summary.merge(&summary_of(&delta));
+                    live.extend(fresh);
+                    "overlapping re-merge"
+                }
+                // Revival, by insert or by merge.
+                12 | 13 => {
+                    if !removed.is_empty() {
+                        let entry = removed.swap_remove(g.gen_range(0..removed.len()));
+                        if g.gen() {
+                            summary.insert_with_id(entry.0, &entry.1);
+                        } else {
+                            summary.merge(&summary_of(std::slice::from_ref(&entry)));
+                        }
+                        live.push(entry);
+                    }
+                    "revival"
+                }
+                // A covering wildcard: it substitutes the rows it covers.
+                14 => {
+                    for entry in batch(g, 1..2, 0..4, covering_subscription) {
+                        summary.insert_with_id(entry.0, &entry.1);
+                        live.push(entry);
+                    }
+                    "covering insert"
+                }
+                // A delta off the wire, as a daemon's view takes it.
+                15 => {
+                    let delta = batch(g, 1..4, 0..8, mixed);
+                    let bytes = codec.encode(&summary_of(&delta)).unwrap();
+                    codec.merge_decoded(&bytes, &mut summary).unwrap();
+                    live.extend(delta);
+                    "merge_decoded"
+                }
+                // The whole summary off the wire.
+                16 => {
+                    let bytes = codec.encode(&summary).unwrap();
+                    summary = codec.decode(&bytes, &schema).unwrap();
+                    "decode"
+                }
+                // A clone mutated apart: neither side's plans follow the
+                // other's mutation.
+                _ => {
+                    let original = summary.clone();
+                    let original_live = live.clone();
+                    let delta = batch(g, 1..3, 0..8, mixed);
+                    for entry in &delta {
+                        summary.insert_with_id(entry.0, &entry.1);
+                    }
+                    if !live.is_empty() {
+                        let entry = live.swap_remove(0);
+                        summary.remove(entry.0);
+                        removed.push(entry);
+                    }
+                    live.extend(delta);
+                    assert_fresh(&original, &original_live, "the clone's mutation");
+                    "clone, then mutate"
+                }
+            };
+            assert_fresh(&summary, &live, what);
+        }
+    });
+}
+
 /// The checks of `dead_slots_are_invisible` and
 /// `free_slots_are_invisible` after one step.
 fn assert_reads_as_compacted(

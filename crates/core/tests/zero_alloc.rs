@@ -378,6 +378,100 @@ fn a_warm_probe_through_a_literal_row_allocates_nothing() {
     );
 }
 
+/// A σ-merge keeps the compiled base plan and places its ids beside it;
+/// the next match compiles them into a side plan. Once that side has
+/// compiled, a warm probe over base plus side — range, equality and
+/// wildcard rows in both, several rows contributing to one string
+/// attribute — is as allocation-free as a probe of the base alone.
+#[test]
+fn a_warm_probe_over_base_and_side_allocates_nothing() {
+    let schema = stock_schema();
+    let sub = |i: u32| {
+        let lo = (i % 40) as f64;
+        let mut b = Subscription::builder(&schema)
+            .num("price", NumOp::Ge, lo)
+            .unwrap()
+            .num("price", NumOp::Lt, lo + 30.0)
+            .unwrap();
+        b = match i % 3 {
+            0 => b.num("volume", NumOp::Eq, 500.0).unwrap(),
+            1 => b.str_op("symbol", StrOp::Prefix, "AA").unwrap(),
+            _ => b
+                .str_op("symbol", StrOp::Suffix, "PL")
+                .unwrap()
+                .str_op("symbol", StrOp::Contains, "A")
+                .unwrap(),
+        };
+        b.build().unwrap()
+    };
+    let summary_of = |locals: std::ops::Range<u32>| {
+        let mut s = BrokerSummary::new(schema.clone());
+        for i in locals {
+            s.insert(BrokerId((i % 4) as u16), LocalSubId(i), &sub(i));
+        }
+        s
+    };
+    // The base comes out of a merge, so each broker's block ends in
+    // spares that the delta's ids take.
+    let mut summary = BrokerSummary::new(schema.clone());
+    summary.merge(&summary_of(0..1000));
+    let events: Vec<Event> = [(25.0, "AAPL"), (12.0, "XAPL"), (33.0, "AAB")]
+        .iter()
+        .map(|&(price, symbol)| {
+            Event::builder(&schema)
+                .num("price", price)
+                .unwrap()
+                .num("volume", 500.0)
+                .unwrap()
+                .str("symbol", symbol.to_string())
+                .unwrap()
+                .build()
+        })
+        .collect();
+    let mut scratch = MatchScratch::new();
+    for e in &events {
+        summary.match_event_into(e, &mut scratch);
+    }
+    summary.merge(&summary_of(1000..1012));
+    let warm: usize = events
+        .iter()
+        .map(|e| summary.match_event_into(e, &mut scratch).matched.len())
+        .sum();
+    assert!(warm > 0, "fixture must produce matches");
+    #[cfg(debug_assertions)]
+    {
+        let compiles = summary.plan_compiles();
+        assert_eq!(
+            (compiles.full, compiles.side),
+            (1, 1),
+            "base kept, side compiled"
+        );
+    }
+
+    const PASSES: usize = 100;
+    let mut zero_delta = false;
+    let mut last_delta = u64::MAX;
+    for _ in 0..5 {
+        let before = allocations();
+        let mut total = 0usize;
+        for _ in 0..PASSES {
+            for e in &events {
+                total += summary.match_event_into(e, &mut scratch).matched.len();
+            }
+        }
+        std::hint::black_box(total);
+        last_delta = allocations() - before;
+        if last_delta == 0 {
+            zero_delta = true;
+            break;
+        }
+    }
+    assert!(
+        zero_delta,
+        "base-plus-side probe allocated ({last_delta} allocations across {PASSES} passes)"
+    );
+}
+
 /// The one-partition store's steady-state match path: taking the
 /// current snapshot is one lock and one `Arc` clone — no allocation —
 /// and the probe reuses the scratch, so once a per-worker

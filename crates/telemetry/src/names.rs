@@ -32,9 +32,15 @@ pub const MATCH_SCRATCH_REUSE: &str = "match.scratch_reuse";
 pub const MATCH_INTERN_REBUILDS: &str = "match.intern_rebuilds";
 /// Compactions: a removal left more free intern slots than live ones.
 pub const MATCH_INTERN_RENUMBERS: &str = "match.intern_renumbers";
-/// Compiled match-plan builds: the first match, or `ShardedSummary`
-/// publication, after a row change.
+/// Full compiled match-plan builds: the first match, or `ShardedSummary`
+/// publication, after a change that dropped the plan (a respace, a
+/// compaction, a decode, a substitution, or enough side changes).
 pub const MATCH_PLAN_REBUILDS: &str = "match.plan_rebuilds";
+/// Side-plan builds: the first match after ids were placed beside a
+/// kept base plan compiles only their postings.
+pub const MATCH_PLAN_SIDE_COMPILES: &str = "match.plan_side_compiles";
+/// Postings laid out by full and side plan builds.
+pub const MATCH_PLAN_POSTINGS_COMPILED: &str = "match.plan_postings_compiled";
 /// Plan rows whose posting slices fed the compiled counter kernel.
 pub const MATCH_PLAN_PROBE_ROWS: &str = "match.plan_probe_rows";
 /// Match-scratch growth events (array resizes to a larger population);
@@ -125,6 +131,8 @@ mod tests {
             super::MATCH_INTERN_REBUILDS,
             super::MATCH_INTERN_RENUMBERS,
             super::MATCH_PLAN_REBUILDS,
+            super::MATCH_PLAN_SIDE_COMPILES,
+            super::MATCH_PLAN_POSTINGS_COMPILED,
             super::MATCH_PLAN_PROBE_ROWS,
             super::MATCH_SCRATCH_GROWS,
             super::BROKER_SUBSCRIBE,
